@@ -9,7 +9,6 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .._scan_defs import K_COMMENT, K_IDENT, K_NUMBER, K_PUNCT, K_STRING, K_UNKNOWN
 from ..scanloop import scan_solidity
 
 KEYWORDS = frozenset("""
@@ -24,15 +23,6 @@ KEYWORDS = frozenset("""
 
 _SIZED_TYPE = re.compile(r"(?:u?int\d+|bytes\d+)\Z")
 _SIZED_PREFIXES = ("int", "uint", "bytes")
-
-_KIND_NAME = {
-    K_IDENT: "identifier",
-    K_PUNCT: "punctuation",
-    K_STRING: "string-literal",
-    K_NUMBER: "number-literal",
-    K_COMMENT: "comment",
-    K_UNKNOWN: "unknown",
-}
 
 
 class Token(NamedTuple):
@@ -52,11 +42,9 @@ def tokenize(source: str) -> list[Token]:
     # NamedTuple's generated __new__.
     new_token = tuple.__new__
     token_type = Token
-    kind_names = _KIND_NAME
     keywords = KEYWORDS
     sized = _SIZED_TYPE.match
     sized_prefixes = _SIZED_PREFIXES
-    ident = K_IDENT
     size = len(source)
     # Tokens arrive in order, so the next-newline cursor only moves forward;
     # `size` stands in for "no newline left" since every token starts before it.
@@ -72,7 +60,7 @@ def tokenize(source: str) -> list[Token]:
     triples.reverse()
     pop = triples.pop
     for _ in range(len(triples)):
-        code, start, end = pop()
+        kind, start, end = pop()
         while newline < start:
             line += 1
             line_start = newline + 1
@@ -80,11 +68,8 @@ def tokenize(source: str) -> list[Token]:
             if newline < 0:
                 newline = size
         text = source[start:end]
-        if code != ident:
-            kind = kind_names[code]
-        elif text in keywords or (text.startswith(sized_prefixes) and sized(text)):
+        if kind == "identifier" and (
+                text in keywords or (text.startswith(sized_prefixes) and sized(text))):
             kind = "keyword"
-        else:
-            kind = "identifier"
         append(new_token(token_type, (kind, text, line, start - line_start + 1, start, end)))
     return tokens

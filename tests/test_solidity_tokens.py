@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centriscan._scan_defs import WHITESPACE
+from centriscan.scanloop import WHITESPACE
 from centriscan.solidity.tokens import Token, tokenize
 
 from helpers import corpus_text
@@ -18,13 +18,43 @@ def test_empty_input_yields_no_tokens():
     assert tokenize("") == []
 
 
-def test_msg_sender_token_sequence():
-    tokens = tokenize("msg.sender")
-    assert [(t.kind, t.text) for t in tokens] == [
+# (source, expected (kind, text) sequence). The second source reaches every
+# group of the scan kernel's master regex, so a kind assigned to the wrong
+# group shows here even though every round-trip test would still pass.
+EXACT_TOKEN_CASES = [
+    ("msg.sender", [
         ("identifier", "msg"),
         ("punctuation", "."),
         ("identifier", "sender"),
-    ]
+    ]),
+    ("uint x = 0x1F + 1.5e-3; s = \"a\" + 'b'; y >>= 2 @ // line\n/* block */ /* open", [
+        ("keyword", "uint"),
+        ("identifier", "x"),
+        ("punctuation", "="),
+        ("number-literal", "0x1F"),
+        ("punctuation", "+"),
+        ("number-literal", "1.5e-3"),
+        ("punctuation", ";"),
+        ("identifier", "s"),
+        ("punctuation", "="),
+        ("string-literal", '"a"'),
+        ("punctuation", "+"),
+        ("string-literal", "'b'"),
+        ("punctuation", ";"),
+        ("identifier", "y"),
+        ("punctuation", ">>="),
+        ("number-literal", "2"),
+        ("unknown", "@"),
+        ("comment", "// line"),
+        ("comment", "/* block */"),
+        ("comment", "/* open"),
+    ]),
+]
+
+
+def test_msg_sender_token_sequence():
+    for source, expected in EXACT_TOKEN_CASES:
+        assert [(t.kind, t.text) for t in tokenize(source)] == expected, source
 
 
 def test_require_pattern_word_sequence():
