@@ -43,25 +43,8 @@ class Index(Expr):
 
 
 @dataclass(slots=True)
-class Eq(Expr):
-    lhs: Expr
-    rhs: Expr
-
-
-@dataclass(slots=True)
-class Neq(Expr):
-    lhs: Expr
-    rhs: Expr
-
-
-@dataclass(slots=True)
-class And(Expr):
-    lhs: Expr
-    rhs: Expr
-
-
-@dataclass(slots=True)
-class Or(Expr):
+class Binary(Expr):
+    op: str  # "==" | "!=" | "&&" | "||"; other operators parse to OpaqueExpr
     lhs: Expr
     rhs: Expr
 
@@ -208,14 +191,8 @@ def render_expr(expr: Expr) -> str:
         return f"{_wrap(expr.base)}.{expr.member}"
     if isinstance(expr, Index):
         return f"{_wrap(expr.base)}[{render_expr(expr.index)}]"
-    if isinstance(expr, Eq):
-        return f"{_wrap(expr.lhs)} == {_wrap(expr.rhs)}"
-    if isinstance(expr, Neq):
-        return f"{_wrap(expr.lhs)} != {_wrap(expr.rhs)}"
-    if isinstance(expr, And):
-        return f"{_wrap(expr.lhs)} && {_wrap(expr.rhs)}"
-    if isinstance(expr, Or):
-        return f"{_wrap(expr.lhs)} || {_wrap(expr.rhs)}"
+    if isinstance(expr, Binary):
+        return f"{_wrap(expr.lhs)} {expr.op} {_wrap(expr.rhs)}"
     if isinstance(expr, CallExpr):
         args = ", ".join(render_expr(a) for a in expr.args)
         options = expr.options or ""
@@ -226,7 +203,7 @@ def render_expr(expr: Expr) -> str:
 
 
 def _wrap(expr: Expr) -> str:
-    if isinstance(expr, (Eq, Neq, And, Or)):
+    if isinstance(expr, Binary):
         return f"({render_expr(expr)})"
     return render_expr(expr)
 

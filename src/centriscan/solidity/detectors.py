@@ -79,12 +79,13 @@ def _is_sender_expr(expr: ast.Expr, config: AnalyzerConfig) -> bool:
 def _collect_sender_comparisons(
     expr: ast.Expr, config: AnalyzerConfig, out: list[tuple[ast.Expr, str]]
 ) -> None:
-    if isinstance(expr, (ast.And, ast.Or)):
+    if not isinstance(expr, ast.Binary):
+        return
+    if expr.op in ("&&", "||"):
         _collect_sender_comparisons(expr.lhs, config, out)
         _collect_sender_comparisons(expr.rhs, config, out)
-        return
-    if isinstance(expr, (ast.Eq, ast.Neq)):
-        polarity = "eq" if isinstance(expr, ast.Eq) else "neq"
+    else:
+        polarity = "eq" if expr.op == "==" else "neq"
         lhs_sender = _is_sender_expr(expr.lhs, config)
         rhs_sender = _is_sender_expr(expr.rhs, config)
         if lhs_sender and not rhs_sender:
@@ -104,10 +105,6 @@ def _sender_comparison(
         if polarity == "eq":
             return owner, polarity
     return found[0] if found else None
-
-
-def _render_owner(expr: ast.Expr) -> str:
-    return expr.text or ast.render_expr(expr)
 
 
 def find_sender_guards(contract: ast.ContractDecl, config: AnalyzerConfig) -> list[GuardSite]:
@@ -135,7 +132,7 @@ def _scan_guards(
             if found is not None and found[1] == "eq":
                 form = MODIFIER_GUARD if in_modifier else REQUIRE_GUARD
                 sites.append(GuardSite(
-                    form, _render_owner(found[0]), stmt.line, stmt.column,
+                    form, found[0].text, stmt.line, stmt.column,
                     enclosing, stmt.condition.text, in_modifier, enclosing_line,
                 ))
         elif isinstance(stmt, ast.If):
@@ -144,7 +141,7 @@ def _scan_guards(
                 owner, polarity = found
                 if polarity == "eq":
                     sites.append(GuardSite(
-                        IF_GUARD, _render_owner(owner), stmt.line, stmt.column,
+                        IF_GUARD, owner.text, stmt.line, stmt.column,
                         enclosing, stmt.condition.text, in_modifier, enclosing_line,
                     ))
                 elif config.revert_guard and _branch_reverts(stmt.then_body):
@@ -152,7 +149,7 @@ def _scan_guards(
                     # it, so it carries require-like scope.
                     form = MODIFIER_GUARD if in_modifier else REQUIRE_GUARD
                     sites.append(GuardSite(
-                        form, _render_owner(owner), stmt.line, stmt.column,
+                        form, owner.text, stmt.line, stmt.column,
                         enclosing, stmt.condition.text, in_modifier, enclosing_line,
                     ))
             _scan_guards(stmt.then_body, enclosing, in_modifier, enclosing_line, config, sites)
@@ -228,9 +225,6 @@ def _balance_mapping_target(
 
 # _scan_funds and _scan_call_sites dispatch on the exact node type, which
 # matches isinstance because no AST class subclasses another.
-_BINARY_NODES = frozenset({ast.Eq, ast.Neq, ast.And, ast.Or})
-
-
 def _scan_call_sites(
     expr: ast.Expr,
     stmt: ast.Stmt,
@@ -259,7 +253,7 @@ def _scan_call_sites(
         elif cls is ast.Index:
             push(node.base)
             push(node.index)
-        elif cls in _BINARY_NODES:
+        elif cls is ast.Binary:
             push(node.lhs)
             push(node.rhs)
         elif cls is ast.AddressCast:
@@ -276,15 +270,15 @@ def _classify_call(call: ast.CallExpr, config: AnalyzerConfig) -> tuple[str, str
         return None
     if isinstance(callee, ast.Member):
         if callee.member in ("transfer", "send"):
-            return NATIVE_TRANSFER, callee.text or ast.render_expr(callee)
+            return NATIVE_TRANSFER, callee.text
         if callee.member == "call" and call.options and "value" in call.options:
-            return NATIVE_TRANSFER, callee.text or ast.render_expr(callee)
+            return NATIVE_TRANSFER, callee.text
     # Legacy value-bearing call: target.call.value(x)(...)
     if isinstance(callee, ast.CallExpr) and isinstance(callee.callee, ast.Member) \
             and callee.callee.member == "value":
         base = callee.callee.base
         if isinstance(base, ast.Member) and base.member == "call":
-            return NATIVE_TRANSFER, base.text or ast.render_expr(base)
+            return NATIVE_TRANSFER, base.text
     return None
 
 

@@ -24,9 +24,14 @@ _BINARY_PREC = {
     "||": 1, "&&": 2, "==": 3, "!=": 3,
     **{op: _OPAQUE_PREC for op in _CMP_OPS | _ARITH_OPS},
 }
-_BINARY_NODE = {"||": ast.Or, "&&": ast.And, "==": ast.Eq, "!=": ast.Neq}
 _UNARY_OPS = frozenset({"!", "-", "~", "+", "++", "--", "delete", "new"})
 _EXPR_STOP = frozenset({";", ")", "]", "}", ",", "{"})
+_OPAQUE_EXPR_STOP = _EXPR_STOP - {"{"}
+_OPENERS = frozenset("([{")
+_CLOSERS = frozenset(")]}")
+_REGION_STOP = frozenset({";", "{", "}"})
+_INITIALIZER_STOP = frozenset({";", "}"})
+_REQUIRE_MESSAGE_STOP = frozenset({")"})
 
 _FN_HEADER_KEYWORDS = frozenset({
     "public", "external", "internal", "private",
@@ -142,30 +147,31 @@ class _Parser:
                 if depth <= 0:
                     return
 
+    def _skip_to(self, stops: frozenset[str]) -> None:
+        """Advance to the first token in stops at bracket depth 0, or to the
+        end. All three bracket kinds count toward depth; an unmatched closer
+        that is not a stop is stepped over."""
+        texts = self.texts
+        depth = 0
+        while self.i < self.n:
+            t = texts[self.i]
+            if depth == 0 and t in stops:
+                return
+            if t in _OPENERS:
+                depth += 1
+            elif t in _CLOSERS and depth:
+                depth -= 1
+            self.i += 1
+
     def _recover_region(self) -> None:
         """Skip to a statement/member boundary: a `;` at depth 0, a balanced
         `{...}` opened at depth 0, or an unmatched `}` (left unconsumed)."""
-        depth = 0
-        while self.i < self.n:
-            t = self._text()
-            if depth == 0:
-                if t == ";":
-                    self.i += 1
-                    return
-                if t == "{":
-                    self._skip_balanced()
-                    return
-                if t == "}":
-                    return
-            if t in "([":
-                depth += 1
-            elif t in ")]":
-                depth = max(0, depth - 1)
-            elif t == "{":
-                depth += 1
-            elif t == "}":
-                depth = max(0, depth - 1)
+        self._skip_to(_REGION_STOP)
+        t = self.texts[self.i]
+        if t == ";":
             self.i += 1
+        elif t == "{":
+            self._skip_balanced()
 
     def _opaque_stmt(self, note: str | None = None) -> ast.Opaque:
         start = self.i
@@ -272,18 +278,7 @@ class _Parser:
         name = self._advance().text
         if self._text() == "=":
             self.i += 1
-            depth = 0
-            while self.i < self.n:
-                t = self._text()
-                if t == ";" and depth == 0:
-                    break
-                if t == "}" and depth == 0:
-                    break
-                if t in "([{":
-                    depth += 1
-                elif t in ")]}":
-                    depth = max(0, depth - 1)
-                self.i += 1
+            self._skip_to(_INITIALIZER_STOP)
         if not self._eat(";"):
             self.i = save
             return None
@@ -457,16 +452,7 @@ class _Parser:
             return self._opaque_stmt("malformed require")
         condition = self._parse_expr()
         if self._text() == ",":
-            depth = 0
-            while self.i < self.n:
-                t = self._text()
-                if t == ")" and depth == 0:
-                    break
-                if t in "([{":
-                    depth += 1
-                elif t in ")]}":
-                    depth = max(0, depth - 1)
-                self.i += 1
+            self._skip_to(_REQUIRE_MESSAGE_STOP)
         self._expect(")", "require")
         if not self._eat(";"):
             self._note("missing ';' after require")
@@ -536,18 +522,7 @@ class _Parser:
         start = self.i
         tok = self._peek()
         line, column = (tok.line, tok.column) if tok else (1, 1)
-        depth = 0
-        while self.i < self.n:
-            t = self._text()
-            if depth == 0 and t in _EXPR_STOP and t != "{":
-                break
-            if t in "([{":
-                depth += 1
-            elif t in ")]}":
-                if depth == 0:
-                    break
-                depth -= 1
-            self.i += 1
+        self._skip_to(_OPAQUE_EXPR_STOP)
         return ast.OpaqueExpr(line, column, self._span_text(start, self.i))
 
     def _parse_binary(self, start: int, expr: ast.Expr, min_prec: int) -> ast.Expr:
@@ -570,8 +545,8 @@ class _Parser:
             rhs = self._parse_unary()
             if _BINARY_PREC.get(texts[self.i], 0) > prec:
                 rhs = self._parse_binary(rhs_start, rhs, prec + 1)
-            expr = _BINARY_NODE[op](expr.line, expr.column, self._span_text(start, self.i),
-                                    expr, rhs)
+            expr = ast.Binary(expr.line, expr.column, self._span_text(start, self.i),
+                              op, expr, rhs)
 
     def _parse_unary(self) -> ast.Expr:
         """Prefix operators, then a primary with member, index and call suffixes."""

@@ -22,17 +22,9 @@ def collect_state_vars(
     return table
 
 
-def _is_uint_valued(value: TypeDesc | None) -> bool:
-    return value is not None and value.kind != "mapping" and value.name.startswith("uint")
-
-
 def is_address_to_uint_mapping(table: dict[str, StateVar], name: str) -> bool:
     """True iff name is declared as mapping(address => uint...)."""
-    var = table.get(name)
-    if var is None or var.type_desc.kind != "mapping":
-        return False
-    key = var.type_desc.key
-    return key is not None and key.name == "address" and _is_uint_valued(var.type_desc.value)
+    return is_nested_address_to_uint_mapping(table, name, 1)
 
 
 def is_nested_address_to_uint_mapping(table: dict[str, StateVar], name: str, depth: int) -> bool:

@@ -30,7 +30,6 @@ class Cfg:
     edges: list[tuple[int, int, str]] = field(default_factory=list)
     entry: int = 0
     block_of: list[int] = field(default_factory=list)
-    call_edges: list[tuple[int, int]] = field(default_factory=list)
     # (to, kind) pairs per source block in edge order, indexed once from the
     # edges given at construction; a Cfg's edges do not change afterwards.
     _successors: dict[int, list[tuple[int, str]]] = field(
@@ -42,7 +41,8 @@ class Cfg:
             self._successors.setdefault(frm, []).append((to, kind))
 
     def successors(self, block: int) -> list[tuple[int, str]]:
-        return list(self._successors.get(block, ()))
+        """The stored (to, kind) list of block; callers must not mutate it."""
+        return self._successors.get(block, [])
 
 
 def build_cfg(program: TealProgram, diagnostics: list[Diagnostic] | None = None) -> Cfg:
@@ -89,14 +89,7 @@ def build_cfg(program: TealProgram, diagnostics: list[Diagnostic] | None = None)
             pass
         elif block.index + 1 < len(blocks):
             edges.append((block.index, block.index + 1, FALLTHROUGH))
-
-    call_edges = []
-    for index, ins in enumerate(instructions):
-        if ins.opcode == "callsub":
-            target = _branch_target(program, ins, n, sink=None)
-            if target is not None:
-                call_edges.append((block_of[index], block_of[target]))
-    return Cfg(blocks, edges, 0, block_of, call_edges)
+    return Cfg(blocks, edges, 0, block_of)
 
 
 def _branch_target(program, ins, n, sink) -> int | None:
@@ -106,9 +99,8 @@ def _branch_target(program, ins, n, sink) -> int | None:
     if target is None:
         return None  # already diagnosed by the parser
     if target >= n:
-        if sink is not None:
-            sink.append(Diagnostic(
-                f"branch target '{ins.immediates[0]}' points past the last "
-                f"instruction; edge dropped", ins.line))
+        sink.append(Diagnostic(
+            f"branch target '{ins.immediates[0]}' points past the last "
+            f"instruction; edge dropped", ins.line))
         return None
     return target

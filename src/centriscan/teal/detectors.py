@@ -33,7 +33,6 @@ class GuardPoint(NamedTuple):
     description: str
     fail_target: int | None = None  # BranchGuard only
     non_fail_edge: tuple[int, int, str] | None = None
-    weakened: bool = False
 
 
 class FundModPoint(NamedTuple):
@@ -133,19 +132,10 @@ def _is_failure_region(cfg: Cfg, facts: list[BlockFacts], program: TealProgram,
                        start_block: int) -> bool:
     """True iff every terminator reachable from start_block is `err` or a
     `return` of a proven zero."""
-    seen = {start_block}
-    queue = deque([start_block])
-    while queue:
-        block_index = queue.popleft()
-        successors = cfg.successors(block_index)
-        if successors:
-            for to, _kind in successors:
-                if to not in seen:
-                    seen.add(to)
-                    queue.append(to)
+    for block_index in _reachable_blocks(cfg, start_block):
+        if cfg.successors(block_index):
             continue
-        block = cfg.blocks[block_index]
-        last_index = block.end - 1
+        last_index = cfg.blocks[block_index].end - 1
         last = program.instructions[last_index]
         if last.opcode == "err":
             continue
@@ -194,7 +184,7 @@ def compute_guardedness(
     reachable_pruned, parents = _reach(cfg, assert_stops, pruned_edges)
     # Without stops or pruned edges a path enters blocks only at their start,
     # so an instruction is reachable exactly when its block is.
-    reachable_blocks = _reachable_blocks(cfg)
+    reachable_blocks = _reachable_blocks(cfg, cfg.entry)
 
     for point in fund_points:
         if point.instruction in reachable_pruned:
@@ -213,9 +203,9 @@ def compute_guardedness(
     return result
 
 
-def _reachable_blocks(cfg: Cfg) -> set[int]:
-    seen = {cfg.entry}
-    stack = [cfg.entry]
+def _reachable_blocks(cfg: Cfg, start: int) -> set[int]:
+    seen = {start}
+    stack = [start]
     while stack:
         for to, _kind in cfg.successors(stack.pop()):
             if to not in seen:
@@ -229,12 +219,6 @@ def _reach(cfg: Cfg, stop_instructions: frozenset | set,
     """Instruction-level BFS from entry; expansion halts at stop instructions
     and never crosses pruned block edges."""
     blocks = cfg.blocks
-    successors_by_block: dict[int, list[int]] = {}
-    for frm, to, kind in cfg.edges:
-        if (frm, to, kind) in pruned_edges:
-            continue
-        successors_by_block.setdefault(frm, []).append(blocks[to].start)
-
     entry = blocks[cfg.entry].start
     seen = {entry}
     parents: dict[int, int] = {}
@@ -247,7 +231,9 @@ def _reach(cfg: Cfg, stop_instructions: frozenset | set,
         if q + 1 < block.end:
             nxt = [q + 1]
         else:
-            nxt = successors_by_block.get(block.index, [])
+            frm = block.index
+            nxt = [blocks[to].start for to, kind in cfg.successors(frm)
+                   if (frm, to, kind) not in pruned_edges]
         for s in nxt:
             if s not in seen:
                 seen.add(s)

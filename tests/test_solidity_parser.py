@@ -25,7 +25,7 @@ def test_row1_structure():
     assert len(body) == 2
     require, placeholder = body
     assert isinstance(require, ast.Require)
-    assert isinstance(require.condition, ast.Eq)
+    assert isinstance(require.condition, ast.Binary) and require.condition.op == "=="
     assert isinstance(require.condition.lhs, ast.MsgSender)
     assert isinstance(require.condition.rhs, ast.Identifier)
     assert require.condition.rhs.name == "owner"
@@ -38,7 +38,7 @@ def test_row2_condition_shape():
     contract = parse_single_contract(corpus_text("solidity", "row2_require.sol"))
     stmt = contract.functions[0].body[0]
     assert isinstance(stmt, ast.Require)
-    assert isinstance(stmt.condition, ast.Eq)
+    assert isinstance(stmt.condition, ast.Binary) and stmt.condition.op == "=="
     assert isinstance(stmt.condition.lhs, ast.AddressCast)
     assert isinstance(stmt.condition.rhs, ast.MsgSender)
 
@@ -136,6 +136,52 @@ def test_call_options_block():
 def test_loops_become_opaque():
     body = parse_function_body("for (uint i = 0; i < n; i++) { bals[i] = 0; }")
     assert len(body) == 1 and isinstance(body[0], ast.Opaque)
+
+
+def _notes(unit):
+    return [(d.message, d.line, d.column) for d in unit.diagnostics]
+
+
+def test_recovery_steps_over_a_stray_closer():
+    unit = parse_solidity(
+        "contract C { function f() public { emit Log(a)); bals[to] = 1; } }", "c.sol")
+    body = unit.contracts[0].functions[0].body
+    assert [type(s) for s in body] == [ast.Opaque, ast.Assign]
+    assert body[0].text == "emit Log(a));"
+    assert _notes(unit) == [("statement outside recognized subset", 1, 36)]
+
+
+def test_state_variable_initializer_stops_at_contract_close():
+    unit = parse_solidity("contract C { uint x = f(a) } uint y;", "c.sol")
+    assert [c.name for c in unit.contracts] == ["C"]
+    assert unit.contracts[0].state_vars == []
+    assert _notes(unit) == [
+        ("skipped unrecognized contract member", 1, 14),
+        ("skipped unrecognized top-level construct", 1, 30),
+    ]
+
+
+def test_require_message_is_skipped_to_its_closing_paren():
+    unit = parse_solidity(
+        'contract C { function f() public { require(c, g(";"), x); '
+        "require(c, a; b); y = 1; } }", "c.sol")
+    body = unit.contracts[0].functions[0].body
+    assert [type(s) for s in body] == [ast.Require, ast.Require, ast.Assign]
+    assert body[0].text == 'require(c, g(";"), x);'
+    assert body[1].text == "require(c, a; b);"
+    assert unit.diagnostics == []
+
+
+def test_depth_limit_scan_steps_over_braces():
+    # Past the depth limit the rest of the expression is scanned as opaque
+    # text; call options `{...}` inside it must not end the scan.
+    nested = "o.g{value: 1}(" * 60 + "a" + ")" * 60
+    unit = parse_solidity(
+        "contract C { function f() public { x = " + nested + "; } }", "c.sol")
+    body = unit.contracts[0].functions[0].body
+    assert [type(s) for s in body] == [ast.Assign]
+    assert body[0].text == "x = " + nested + ";"
+    assert unit.diagnostics == []
 
 
 def test_msg_sender_requires_exact_token_sequence():

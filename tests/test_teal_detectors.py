@@ -67,6 +67,28 @@ def test_branch_to_return_zero_is_a_guard():
     assert [g.form for g in guards] == [BRANCH_GUARD]
 
 
+def test_fail_target_jumping_to_success_is_not_a_guard():
+    # The fail target's own block ends in `b`; the region it leads to accepts.
+    diagnostics = []
+    source = (
+        'byte "manager"\napp_global_get\ntxn Sender\n==\nbz bad\n'
+        "int 1\nreturn\nbad:\nb ok\nok:\nint 1\nreturn\n"
+    )
+    _, _, guards, _ = _pipeline(source, diagnostics=diagnostics)
+    assert guards == []
+    assert any("does not gate a failure path" in d.message for d in diagnostics)
+
+
+def test_fail_target_reaching_err_two_blocks_later_is_a_guard():
+    source = (
+        'byte "manager"\napp_global_get\ntxn Sender\n==\nbz bad\n'
+        "int 1\nreturn\nbad:\nb worse\nworse:\nb worst\nworst:\nerr\n"
+    )
+    program, cfg, guards, _ = _pipeline(source)
+    assert [g.form for g in guards] == [BRANCH_GUARD]
+    assert guards[0].fail_target == cfg.block_of[program.labels["bad"]]
+
+
 def test_bnz_with_neq_polarity_orients_fail_edge_to_fallthrough():
     # `!=` + bnz failed: nonzero means sender differs, so taken edge fails.
     source = (
