@@ -42,7 +42,7 @@ class GuardSite(NamedTuple):
     enclosing: str  # function or modifier name
     text: str  # condition source text
     in_modifier: bool
-    enclosing_line: int
+    enclosing_at: tuple[int, int]  # (line, column) of the enclosing declaration
 
 
 class FundModSite(NamedTuple):
@@ -53,7 +53,7 @@ class FundModSite(NamedTuple):
     function: str
     guarding_if_chain: tuple[IfCond, ...]  # innermost-last, then-branches only
     text: str
-    enclosing_line: int
+    enclosing_at: tuple[int, int]  # (line, column) of the enclosing function
 
 
 @dataclass(slots=True)
@@ -111,9 +111,11 @@ def find_sender_guards(contract: ast.ContractDecl, config: AnalyzerConfig) -> li
     """One GuardSite per sender-guard occurrence, sorted by location."""
     sites: list[GuardSite] = []
     for modifier in contract.modifiers:
-        _scan_guards(modifier.body, modifier.name, True, modifier.line, config, sites)
+        _scan_guards(modifier.body, modifier.name, True,
+                     (modifier.line, modifier.column), config, sites)
     for function in contract.functions:
-        _scan_guards(function.body, function.name, False, function.line, config, sites)
+        _scan_guards(function.body, function.name, False,
+                     (function.line, function.column), config, sites)
     sites.sort(key=_BY_POSITION)
     return sites
 
@@ -122,7 +124,7 @@ def _scan_guards(
     body: list[ast.Stmt],
     enclosing: str,
     in_modifier: bool,
-    enclosing_line: int,
+    enclosing_at: tuple[int, int],
     config: AnalyzerConfig,
     sites: list[GuardSite],
 ) -> None:
@@ -133,7 +135,7 @@ def _scan_guards(
                 form = MODIFIER_GUARD if in_modifier else REQUIRE_GUARD
                 sites.append(GuardSite(
                     form, found[0].text, stmt.line, stmt.column,
-                    enclosing, stmt.condition.text, in_modifier, enclosing_line,
+                    enclosing, stmt.condition.text, in_modifier, enclosing_at,
                 ))
         elif isinstance(stmt, ast.If):
             found = _sender_comparison(stmt.condition, config)
@@ -142,7 +144,7 @@ def _scan_guards(
                 if polarity == "eq":
                     sites.append(GuardSite(
                         IF_GUARD, owner.text, stmt.line, stmt.column,
-                        enclosing, stmt.condition.text, in_modifier, enclosing_line,
+                        enclosing, stmt.condition.text, in_modifier, enclosing_at,
                     ))
                 elif config.revert_guard and _branch_reverts(stmt.then_body):
                     # `if (msg.sender != owner) revert;` protects everything after
@@ -150,10 +152,10 @@ def _scan_guards(
                     form = MODIFIER_GUARD if in_modifier else REQUIRE_GUARD
                     sites.append(GuardSite(
                         form, owner.text, stmt.line, stmt.column,
-                        enclosing, stmt.condition.text, in_modifier, enclosing_line,
+                        enclosing, stmt.condition.text, in_modifier, enclosing_at,
                     ))
-            _scan_guards(stmt.then_body, enclosing, in_modifier, enclosing_line, config, sites)
-            _scan_guards(stmt.else_body, enclosing, in_modifier, enclosing_line, config, sites)
+            _scan_guards(stmt.then_body, enclosing, in_modifier, enclosing_at, config, sites)
+            _scan_guards(stmt.else_body, enclosing, in_modifier, enclosing_at, config, sites)
 
 
 def _branch_reverts(body: list[ast.Stmt]) -> bool:
@@ -188,7 +190,7 @@ def _scan_funds(
             if target is not None:
                 sites.append(FundModSite(
                     BALANCE_MAPPING_WRITE, target, stmt.line, stmt.column,
-                    function.name, chain, stmt.text, function.line,
+                    function.name, chain, stmt.text, (function.line, function.column),
                 ))
             _scan_call_sites(stmt.rvalue, stmt, chain, function, config, sites)
             _scan_call_sites(stmt.lvalue, stmt, chain, function, config, sites)
@@ -244,7 +246,7 @@ def _scan_call_sites(
                 kind, target = classified
                 sites.append(FundModSite(
                     kind, target, node.line, node.column,
-                    function.name, chain, stmt.text, function.line,
+                    function.name, chain, stmt.text, (function.line, function.column),
                 ))
             push(node.callee)
             stack.extend(node.args)
@@ -298,20 +300,22 @@ def pair_detections(
     """One RawDetection per function carrying any guard or fund site."""
     modifier_names = {m.name for m in contract.modifiers}
     modifier_guards: dict[str, list[GuardSite]] = {}
-    function_guards: dict[tuple[str, int], list[GuardSite]] = {}
+    # Functions are keyed by declaration position: overloads share a name
+    # and may share a line.
+    function_guards: dict[tuple[int, int], list[GuardSite]] = {}
     for site in guards:
         if site.in_modifier:
             modifier_guards.setdefault(site.enclosing, []).append(site)
         else:
-            function_guards.setdefault((site.enclosing, site.enclosing_line), []).append(site)
+            function_guards.setdefault(site.enclosing_at, []).append(site)
 
-    function_funds: dict[tuple[str, int], list[FundModSite]] = {}
+    function_funds: dict[tuple[int, int], list[FundModSite]] = {}
     for site in fund_sites:
-        function_funds.setdefault((site.function, site.enclosing_line), []).append(site)
+        function_funds.setdefault(site.enclosing_at, []).append(site)
 
     detections: list[RawDetection] = []
     for function in contract.functions:
-        key = (function.name, function.line)
+        key = (function.line, function.column)
         guard_list = list(function_guards.get(key, ()))
         for invocation in function.modifier_invocations:
             if invocation not in modifier_names:

@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 
 from centriscan.config import AnalyzerConfig
+from centriscan.engine import analyze_solidity_source
 from centriscan.solidity.detectors import (
     BALANCE_MAPPING_WRITE,
     IF_GUARD,
@@ -211,6 +212,19 @@ def test_pairing_unguarded_write():
     det = detections[0]
     assert not det.privileged
     assert len(det.fund_sites) == 1 and det.guard_sites == []
+
+
+def test_pairing_keeps_overloads_on_one_line_apart():
+    source = ("contract C { mapping(address => uint) b; address owner; "
+              "function f() public { require(msg.sender == owner); } "
+              "function f(uint x) public { b[msg.sender] = x; } }")
+    findings, _ = analyze_solidity_source(source, "c.sol", CONFIG)
+    assert [(f.kind, f.line, f.column) for f in findings] == [
+        ("PRIVILEGED_FUNCTION", 1, 57),
+        ("UNPROTECTED_FUND_MODIFICATION", 1, 111),
+    ]
+    assert [[e.role for e in f.evidence] for f in findings] == [
+        ["guard"], ["fund_modification"]]
 
 
 def test_pairing_micro_corpus_privilege_matrix():
