@@ -137,15 +137,10 @@ class _Parser:
 
     def _skip_balanced(self) -> None:
         """Consume a bracketed region starting at the current opener."""
-        depth = 0
-        while self.i < self.n:
-            t = self._advance().text
-            if t in "([{":
-                depth += 1
-            elif t in ")]}":
-                depth -= 1
-                if depth <= 0:
-                    return
+        self.i += 1
+        self._skip_to(_CLOSERS)
+        if self.i < self.n:
+            self.i += 1
 
     def _skip_to(self, stops: frozenset[str]) -> None:
         """Advance to the first token in stops at bracket depth 0, or to the
