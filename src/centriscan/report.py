@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Union
 
@@ -216,47 +217,48 @@ def render_report(report: ScanReport, format: str) -> str:
 
 
 def _render_json(report: ScanReport) -> str:
-    payload = {
-        "version": report.version,
-        "config_fingerprint": report.config_fingerprint,
-        "files_scanned": report.files_scanned,
-        "findings": [
-            {
-                "kind": f.kind,
-                "severity": f.severity,
-                "language": f.language,
-                "file": f.file,
-                "line": f.line,
-                "column": f.column,
-                "message": f.message,
-                "evidence": [
-                    {
-                        "role": e.role,
-                        "file": e.file,
-                        "line": e.line,
-                        "column": e.column,
-                        "text": e.text,
-                    }
-                    for e in f.evidence
-                ],
-            }
-            for f in report.findings
-        ],
-        "counts": report.counts,
-        "diagnostics": [
-            {"file": d.file, "line": d.line, "message": d.message}
-            for d in report.diagnostics
-        ],
-    }
-    return json.dumps(payload, separators=(",", ":"))
+    # Writes exactly what json.dumps(payload, separators=(",", ":")) gives
+    # for the schema's nested dicts, without building them: every TEAL
+    # finding repeats every guard of its program, so each distinct Evidence
+    # is encoded once per call.
+    s = encode_basestring_ascii
+    encoded: dict[Evidence, str] = {}
+    findings = []
+    for f in report.findings:
+        evidence = []
+        for e in f.evidence:
+            text = encoded.get(e)
+            if text is None:
+                text = encoded[e] = (
+                    f'{{"role":{s(e.role)},"file":{s(e.file)},"line":{e.line:d},'
+                    f'"column":{e.column:d},"text":{s(e.text)}}}')
+            evidence.append(text)
+        findings.append(
+            f'{{"kind":{s(f.kind)},"severity":{s(f.severity)},'
+            f'"language":{s(f.language)},"file":{s(f.file)},"line":{f.line:d},'
+            f'"column":{f.column:d},"message":{s(f.message)},'
+            f'"evidence":[{",".join(evidence)}]}}')
+    diagnostics = [{"file": d.file, "line": d.line, "message": d.message}
+                   for d in report.diagnostics]
+    return (
+        f'{{"version":{s(report.version)},'
+        f'"config_fingerprint":{s(report.config_fingerprint)},'
+        f'"files_scanned":{report.files_scanned:d},'
+        f'"findings":[{",".join(findings)}],'
+        f'"counts":{json.dumps(report.counts, separators=(",", ":"))},'
+        f'"diagnostics":{json.dumps(diagnostics, separators=(",", ":"))}}}')
 
 
 def _render_text(report: ScanReport) -> str:
+    line_of: dict[Evidence, str] = {}
     lines = []
     for f in report.findings:
         lines.append(f"{f.severity} {f.kind} {f.file}:{f.line}:{f.column} {f.message}")
         for e in f.evidence:
-            lines.append(f"    {e.role} {e.file}:{e.line}:{e.column} {e.text}")
+            line = line_of.get(e)
+            if line is None:
+                line = line_of[e] = f"    {e.role} {e.file}:{e.line}:{e.column} {e.text}"
+            lines.append(line)
     return "\n".join(lines)
 
 

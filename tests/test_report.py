@@ -3,13 +3,18 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from centriscan import __version__
 from centriscan.config import AnalyzerConfig, UsageError
 from centriscan.engine import analyze_solidity_source, analyze_teal_source
 from centriscan.report import (
     SEVERITY_BY_KIND,
+    Evidence,
+    FileDiagnostic,
     Finding,
+    ScanReport,
     build_report,
     meets_threshold,
     render_report,
@@ -171,3 +176,99 @@ def test_teal_dead_code_put_yields_no_finding():
     findings, diagnostics = analyze_teal_source(source, "x.teal", CONFIG)
     assert findings == []
     assert any("unreachable" in d.message for d in diagnostics)
+
+
+def _reference_json(report):
+    """The report as json.dumps writes the schema's nested dicts."""
+    payload = {
+        "version": report.version,
+        "config_fingerprint": report.config_fingerprint,
+        "files_scanned": report.files_scanned,
+        "findings": [
+            {
+                "kind": f.kind,
+                "severity": f.severity,
+                "language": f.language,
+                "file": f.file,
+                "line": f.line,
+                "column": f.column,
+                "message": f.message,
+                "evidence": [
+                    {"role": e.role, "file": e.file, "line": e.line,
+                     "column": e.column, "text": e.text}
+                    for e in f.evidence
+                ],
+            }
+            for f in report.findings
+        ],
+        "counts": report.counts,
+        "diagnostics": [
+            {"file": d.file, "line": d.line, "message": d.message}
+            for d in report.diagnostics
+        ],
+    }
+    return json.dumps(payload, separators=(",", ":"))
+
+
+def _reference_text(report):
+    lines = []
+    for f in report.findings:
+        lines.append(f"{f.severity} {f.kind} {f.file}:{f.line}:{f.column} {f.message}")
+        for e in f.evidence:
+            lines.append(f"    {e.role} {e.file}:{e.line}:{e.column} {e.text}")
+    return "\n".join(lines)
+
+
+# Quote, backslash, control characters, non-ASCII, an astral-plane
+# character, U+2028 and a lone surrogate: each is escaped differently, and
+# the non-ASCII ones only because the report escapes to ASCII.
+_AWKWARD = '"\\\x00\n\x1f\x7f\u00e9\u2028\U0001f600\ud800'
+_TEXT = st.text(st.sampled_from(_AWKWARD) | st.characters(), max_size=6)
+_INT = st.integers(min_value=-1, max_value=2**40)
+# Few roles, files and lines, so records at the same place with another
+# role or text are common.
+_EVIDENCE = st.builds(
+    Evidence, st.sampled_from(("guard", "fund_modification")) | _TEXT,
+    st.sampled_from(("a.teal", "\u00e9.sol")), st.integers(1, 2),
+    st.integers(1, 2), _TEXT)
+
+
+@st.composite
+def _reports(draw):
+    pool = draw(st.lists(_EVIDENCE, max_size=5))
+
+    def evidence():
+        # Each reference is the pooled record itself, shared with other
+        # findings, or a distinct object equal to it in value.
+        picks = draw(st.lists(
+            st.tuples(st.integers(0, len(pool) - 1), st.booleans()),
+            max_size=4)) if pool else []
+        return tuple(Evidence(*pool[i]) if copy else pool[i] for i, copy in picks)
+
+    findings = [
+        Finding(draw(_TEXT), draw(_TEXT), draw(_TEXT), draw(_TEXT), draw(_INT),
+                draw(_INT), draw(_TEXT), evidence())
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    diagnostics = draw(st.lists(st.builds(FileDiagnostic, _TEXT, _INT, _TEXT), max_size=3))
+    counts = {"major": draw(_INT), "warning": draw(_INT), "info": draw(_INT)}
+    return ScanReport(draw(_TEXT), draw(_TEXT), draw(_INT), findings, diagnostics, counts)
+
+
+_SHARED = Evidence("guard", "r.teal", 4, 1, 'txn Sender == "owner" \u00e9\u2028')
+_SAME_PLACE = Evidence("fund_modification", "r.teal", 4, 1, "app_global_put \U0001f600")
+
+
+@given(_reports())
+@example(ScanReport("", "", 0))
+@example(ScanReport("0.1.0", "f\u00e9", 2, [
+    Finding("CENTRALIZATION_RISK", "MAJOR", "teal", "r.teal", 9, 1, "m\\", (
+        _SHARED, _SAME_PLACE)),
+    Finding("CENTRALIZATION_RISK", "MAJOR", "teal", "r.teal", 12, 1, "m\x00", (
+        Evidence(*_SHARED), _SHARED._replace(text="other"))),
+    Finding("PRIVILEGED_FUNCTION", "INFO", "teal", "\ud800", 3, 1, "", ()),
+], [FileDiagnostic("r.teal", 7, "unreachable \u2028")]))
+@settings(max_examples=200, deadline=None)
+def test_renderers_match_reference_rendering(report):
+    assert render_report(report, "json") == _reference_json(report)
+    assert render_report(report, "text") == _reference_text(report)
