@@ -108,7 +108,8 @@ def scan_files(files: list[str], config: AnalyzerConfig) -> ScanReport:
     scanned = 0
     for path in files:
         source, read_diags = _read_text(path)
-        diagnostics.extend(FileDiagnostic(path, d.line, d.message) for d in read_diags)
+        diagnostics.extend(FileDiagnostic(path, d.line, d.message, d.severity)
+                           for d in read_diags)
         if source is None:
             continue
         if path.endswith(TEAL_EXT):
@@ -121,7 +122,8 @@ def scan_files(files: list[str], config: AnalyzerConfig) -> ScanReport:
             continue
         scanned += 1
         findings.extend(file_findings)
-        diagnostics.extend(FileDiagnostic(path, d.line, d.message) for d in file_diags)
+        diagnostics.extend(FileDiagnostic(path, d.line, d.message, d.severity)
+                           for d in file_diags)
     return build_report(findings, diagnostics, scanned, config, __version__)
 
 

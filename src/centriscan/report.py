@@ -54,6 +54,7 @@ class FileDiagnostic(NamedTuple):
     file: str
     line: int
     message: str
+    severity: str = "note"  # "note" | "warning"; not part of the JSON report
 
 
 @dataclass

@@ -1,8 +1,8 @@
 """Solidity token-scan kernel.
 
-Produces (kind, start, end) triples covering every non-whitespace character
-of the input. Driven by a single master regex, so the hot loop runs inside
-the regex engine.
+Produces three parallel lists (kinds, texts, starts), one entry per token,
+covering every non-whitespace character of the input. Driven by a single
+master regex, so the hot loop runs inside the regex engine.
 """
 
 import re
@@ -62,14 +62,16 @@ _KIND_BY_GROUP = (
 )
 
 
-def scan_solidity(src: str) -> list[tuple[str, int, int]]:
-    """Scan src into (kind, start, end) triples; whitespace is skipped."""
-    out = []
-    append = out.append
-    kinds = _KIND_BY_GROUP
+def scan_solidity(src: str) -> tuple[list[str], list[str], list[int]]:
+    """Scan src into parallel (kinds, texts, starts) lists; whitespace is
+    skipped. Token i is src[starts[i]:starts[i] + len(texts[i])]."""
+    kinds, texts, starts = [], [], []
+    add_kind, add_text, add_start = kinds.append, texts.append, starts.append
+    kind_by_group = _KIND_BY_GROUP
     for m in _PATTERN.finditer(src):
         group = m.lastindex
         if group:  # None only for the empty match at the end of input
-            start, end = m.span(group)
-            append((kinds[group], start, end))
-    return out
+            add_kind(kind_by_group[group])
+            add_text(m[group])
+            add_start(m.start(group))
+    return kinds, texts, starts

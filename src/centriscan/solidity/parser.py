@@ -7,11 +7,12 @@ a note-level diagnostic, so downstream detectors see a best-effort AST.
 
 from __future__ import annotations
 
-from operator import attrgetter
+from bisect import bisect_left
+from itertools import compress
 
 from ..diagnostics import Diagnostic
 from . import ast
-from .tokens import Token, tokenize
+from .tokens import Tokens, tokenize
 
 _ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "<<=", ">>=", "**="})
 _CMP_OPS = frozenset({"<", ">", "<=", ">="})
@@ -44,8 +45,6 @@ _ELEMENTARY_TYPES = frozenset({
     "address", "bool", "string", "bytes", "byte", "int", "uint", "fixed", "ufixed",
 })
 
-_TEXT = attrgetter("text")
-
 _MAX_EXPR_DEPTH = 50
 _MAX_STMT_DEPTH = 50
 
@@ -59,8 +58,11 @@ _STMT_KEYWORDS = _OPAQUE_STMT_KEYWORDS | {
 }
 
 
-def parse_source(tokens: list[Token], path: str, source: str | None = None) -> ast.SourceUnit:
-    """Parse a token stream into a SourceUnit; total for any input."""
+def parse_source(tokens: Tokens, path: str, source: str | None = None) -> ast.SourceUnit:
+    """Parse the tokens of one source into a SourceUnit; total for any input.
+
+    Without source, node texts are the token texts joined by single spaces.
+    """
     return _Parser(tokens, path, source).parse_unit()
 
 
@@ -69,23 +71,31 @@ def parse_solidity(source: str, path: str = "<solidity>") -> ast.SourceUnit:
     return parse_source(tokenize(source), path, source)
 
 
-def _is_type_start(tok: Token) -> bool:
-    if tok.kind == "identifier":
+def _is_type_start(kind: str, text: str) -> bool:
+    if kind == "identifier":
         return True
-    if tok.kind == "keyword":
-        return tok.text in _ELEMENTARY_TYPES or tok.text == "mapping" \
-            or tok.text[:1] in "ui" and any(c.isdigit() for c in tok.text) \
-            or tok.text.startswith("bytes")
+    if kind == "keyword":
+        return text in _ELEMENTARY_TYPES or text == "mapping" \
+            or text[:1] in "ui" and any(c.isdigit() for c in text) \
+            or text.startswith("bytes")
     return False
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], path: str, source: str | None):
-        self.toks = [t for t in tokens if t.kind != "comment"]
-        self.n = len(self.toks)
-        # Token texts indexed like toks. The parser never moves past n, so
-        # two trailing sentinels let _text(0) and _text(1) skip a bounds check.
-        self.texts = [*map(_TEXT, self.toks), "", ""]
+    def __init__(self, tokens: Tokens, path: str, source: str | None):
+        kinds, texts, starts = tokens.kinds, tokens.texts, tokens.starts
+        if "comment" in kinds:
+            keep = list(map("comment".__ne__, kinds))
+            kinds = list(compress(kinds, keep))
+            texts = list(compress(texts, keep))
+            starts = list(compress(starts, keep))
+        self.n = len(kinds)
+        # The parser never moves past n, so two trailing sentinels let
+        # _text(0), _text(1) and kinds[i + 1] skip a bounds check.
+        self.kinds = [*kinds, "", ""]
+        self.texts = [*texts, "", ""]
+        self.starts = starts
+        self.newlines = tokens.newlines
         self.src = source
         self.path = path
         self.diags: list[Diagnostic] = []
@@ -95,18 +105,23 @@ class _Parser:
 
     # --- token stream helpers ------------------------------------------
 
-    def _peek(self, k: int = 0) -> Token | None:
-        idx = self.i + k
-        return self.toks[idx] if idx < self.n else None
+    def _pos(self, i: int) -> tuple[int, int]:
+        """1-based (line, column) of token i < n (see Tokens)."""
+        start = self.starts[i]
+        newlines = self.newlines
+        line = bisect_left(newlines, start)
+        return line, start - newlines[line - 1]
 
     def _text(self, k: int = 0) -> str:
         """Text of the token k ahead (k <= 1), or "" past the end."""
         return self.texts[self.i + k]
 
-    def _advance(self) -> Token:
-        tok = self.toks[self.i]
+    def _name(self) -> str:
+        """Consume and return an identifier, or return "" and consume nothing."""
+        if self.kinds[self.i] != "identifier":
+            return ""
         self.i += 1
-        return tok
+        return self.texts[self.i - 1]
 
     def _eat(self, text: str) -> bool:
         if self.texts[self.i] == text:
@@ -122,15 +137,17 @@ class _Parser:
         return False
 
     def _note(self, message: str, severity: str = "note") -> None:
-        tok = self._peek() or (self.toks[-1] if self.toks else None)
-        line, column = (tok.line, tok.column) if tok else (1, 1)
+        # Past the end of input a note sits on the last token.
+        i = min(self.i, self.n - 1)
+        line, column = self._pos(i) if i >= 0 else (1, 1)
         self.diags.append(Diagnostic(message, line, column, severity))
 
     def _span_text(self, start: int, end: int) -> str:
         if start >= end:
             return ""
         if self.src is not None:
-            return self.src[self.toks[start].start:self.toks[end - 1].end]
+            last = end - 1
+            return self.src[self.starts[start]:self.starts[last] + len(self.texts[last])]
         return " ".join(self.texts[start:end])
 
     # --- recovery --------------------------------------------------------
@@ -170,8 +187,7 @@ class _Parser:
 
     def _opaque_stmt(self, note: str | None = None) -> ast.Opaque:
         start = self.i
-        tok = self._peek()
-        line, column = (tok.line, tok.column) if tok else (1, 1)
+        line, column = self._pos(start) if start < self.n else (1, 1)
         if note:
             self._note(note)
         self._recover_region()
@@ -197,14 +213,13 @@ class _Parser:
 
     def _parse_contract(self) -> ast.ContractDecl:
         self._eat("abstract")
-        kw = self._advance()  # contract | interface | library
-        tok = self._peek()
-        if tok is not None and tok.kind == "identifier":
-            name = self._advance().text
-        else:
-            name = ""
-            self._note(f"missing name after '{kw.text}'")
-        contract = ast.ContractDecl(name, line=kw.line, column=kw.column)
+        kw = self.i  # contract | interface | library
+        self.i += 1
+        name = self._name()
+        if not name:
+            self._note(f"missing name after '{self.texts[kw]}'")
+        line, column = self._pos(kw)
+        contract = ast.ContractDecl(name, line=line, column=column)
         # Skip inheritance clause up to the body opener.
         depth = 0
         while self.i < self.n:
@@ -235,10 +250,9 @@ class _Parser:
     # --- contract members -------------------------------------------------
 
     def _parse_member(self, contract: ast.ContractDecl) -> None:
-        tok = self._peek()
-        if tok is None:
+        if self.i >= self.n:
             return
-        t = tok.text
+        t = self.texts[self.i]
         if t == "function":
             contract.functions.append(self._parse_function(named=True))
         elif t in ("constructor", "fallback", "receive"):
@@ -247,7 +261,7 @@ class _Parser:
             contract.modifiers.append(self._parse_modifier())
         elif t == ";":
             self.i += 1
-        elif t == "mapping" or _is_type_start(tok):
+        elif t == "mapping" or _is_type_start(self.kinds[self.i], t):
             var = self._try_state_var()
             if var is not None:
                 contract.state_vars.append(var)
@@ -266,25 +280,25 @@ class _Parser:
             self.i += 1
             if self._text() == "(":  # override(Base) carries arguments
                 self._skip_balanced()
-        tok = self._peek()
-        if tok is None or tok.kind != "identifier":
+        at = self.i
+        name = self._name()
+        if not name:
             self.i = save
             return None
-        name = self._advance().text
         if self._text() == "=":
             self.i += 1
             self._skip_to(_INITIALIZER_STOP)
         if not self._eat(";"):
             self.i = save
             return None
-        return ast.StateVar(name, type_desc, tok.line, tok.column)
+        return ast.StateVar(name, type_desc, *self._pos(at))
 
     def _parse_type(self) -> ast.TypeDesc | None:
         start = self.i
-        tok = self._peek()
-        if tok is None:
+        if start >= self.n:
             return None
-        if tok.text == "mapping":
+        text = self.texts[start]
+        if text == "mapping":
             self.i += 1
             if not self._eat("("):
                 return None
@@ -295,14 +309,13 @@ class _Parser:
             if value is None or not self._eat(")"):
                 return None
             return ast.TypeDesc("mapping", self._span_text(start, self.i), key, value)
-        if not _is_type_start(tok) or tok.text == "mapping":
+        tok_kind = self.kinds[start]
+        if not _is_type_start(tok_kind, text):
             return None
         self.i += 1
-        name = tok.text
-        kind = "elementary" if (
-            tok.text in _ELEMENTARY_TYPES or (tok.kind == "keyword")
-        ) else "other"
-        if tok.text == "address" and self._text() == "payable":
+        name = text
+        kind = "elementary" if text in _ELEMENTARY_TYPES or tok_kind == "keyword" else "other"
+        if text == "address" and self._text() == "payable":
             self.i += 1
             name = "address payable"
         while self._text() == "[":
@@ -312,9 +325,9 @@ class _Parser:
         return ast.TypeDesc(kind, name)
 
     def _parse_modifier(self) -> ast.ModifierDecl:
-        kw = self._advance()
-        tok = self._peek()
-        name = self._advance().text if tok is not None and tok.kind == "identifier" else ""
+        kw = self.i
+        self.i += 1
+        name = self._name()
         if not name:
             self._note("missing modifier name")
         if self._text() == "(":
@@ -328,15 +341,15 @@ class _Parser:
             body = self._parse_block()
         elif not self._eat(";"):
             self._note(f"modifier '{name}' has no body")
-        return ast.ModifierDecl(name, body, kw.line, kw.column)
+        return ast.ModifierDecl(name, body, *self._pos(kw))
 
     def _parse_function(self, named: bool) -> ast.FunctionDecl:
-        kw = self._advance()  # function | constructor | fallback | receive
+        kw = self.i  # function | constructor | fallback | receive
+        self.i += 1
         name = ""
-        if named:
-            tok = self._peek()
-            if tok is not None and tok.kind in ("identifier", "keyword") and tok.text != "(":
-                name = self._advance().text
+        if named and self.kinds[self.i] in ("identifier", "keyword"):
+            name = self.texts[self.i]
+            self.i += 1
         if self._text() == "(":
             self._skip_balanced()
         invocations: list[str] = []
@@ -359,8 +372,7 @@ class _Parser:
                 if t == "override" and self._text() == "(":
                     self._skip_balanced()
                 continue
-            tok = self._peek()
-            if tok is not None and tok.kind == "identifier":
+            if self.kinds[self.i] == "identifier":
                 self.i += 1
                 invocations.append(t)
                 if self._text() == "(":
@@ -368,7 +380,7 @@ class _Parser:
                 continue
             self._note(f"unexpected token {t!r} in function header")
             self.i += 1
-        return ast.FunctionDecl(name, invocations, body, kw.line, kw.column)
+        return ast.FunctionDecl(name, invocations, body, *self._pos(kw))
 
     # --- statements --------------------------------------------------------
 
@@ -392,8 +404,7 @@ class _Parser:
             return
         self.stmt_depth += 1
         try:
-            tok = self.toks[i]
-            t = tok.text
+            t = self.texts[i]
             if t in _STMT_KEYWORDS:
                 if t == "{":
                     out.extend(self._parse_block())
@@ -411,16 +422,16 @@ class _Parser:
                     return
                 elif t == "revert":
                     self._recover_region()
-                    out.append(ast.Revert(tok.line, tok.column, self._span_text(i, self.i)))
+                    out.append(ast.Revert(*self._pos(i), self._span_text(i, self.i)))
                     return
                 elif t == "return":
                     self._recover_region()
-                    out.append(ast.Return(tok.line, tok.column, self._span_text(i, self.i)))
+                    out.append(ast.Return(*self._pos(i), self._span_text(i, self.i)))
                     return
                 elif t == "_":
                     if self.texts[i + 1] == ";":
                         self.i = i + 2
-                        out.append(ast.Placeholder(tok.line, tok.column, "_;"))
+                        out.append(ast.Placeholder(*self._pos(i), "_;"))
                         return
                 elif t == ";":  # empty statement
                     self.i = i + 1
@@ -428,10 +439,7 @@ class _Parser:
                 else:
                     out.append(self._opaque_stmt("statement outside recognized subset"))
                     return
-            nxt = self._peek(1)
-            if nxt is not None and nxt.kind == "identifier" and (
-                tok.kind == "identifier" or (tok.kind == "keyword" and _is_type_start(tok))
-            ):
+            if self.kinds[i + 1] == "identifier" and _is_type_start(self.kinds[i], t):
                 # Two adjacent words start a local declaration, never an expression.
                 out.append(self._opaque_stmt("statement outside recognized subset"))
                 return
@@ -441,7 +449,7 @@ class _Parser:
 
     def _parse_require(self) -> ast.Stmt:
         start = self.i
-        kw = self._advance()
+        self.i += 1
         if not self._eat("("):
             self.i = start
             return self._opaque_stmt("malformed require")
@@ -451,11 +459,11 @@ class _Parser:
         self._expect(")", "require")
         if not self._eat(";"):
             self._note("missing ';' after require")
-        return ast.Require(kw.line, kw.column, self._span_text(start, self.i), condition)
+        return ast.Require(*self._pos(start), self._span_text(start, self.i), condition)
 
     def _parse_if(self) -> ast.Stmt:
         start = self.i
-        kw = self._advance()
+        self.i += 1
         self._expect("(", "if")
         condition = self._parse_expr()
         self._expect(")", "if")
@@ -463,7 +471,7 @@ class _Parser:
         else_body: list[ast.Stmt] = []
         if self._eat("else"):
             else_body = self._parse_branch()
-        return ast.If(kw.line, kw.column, self._span_text(start, self.i),
+        return ast.If(*self._pos(start), self._span_text(start, self.i),
                       condition, then_body, else_body)
 
     def _parse_branch(self) -> list[ast.Stmt]:
@@ -475,7 +483,6 @@ class _Parser:
 
     def _parse_expression_statement(self) -> ast.Stmt:
         start = self.i
-        tok = self.toks[start]
         expr = self._parse_expr()
         t = self._text()
         if t in _ASSIGN_OPS and self.i > start:
@@ -483,11 +490,11 @@ class _Parser:
             rvalue = self._parse_expr()
             if not self._eat(";"):
                 self._note("missing ';' after assignment")
-            return ast.Assign(tok.line, tok.column, self._span_text(start, self.i),
+            return ast.Assign(*self._pos(start), self._span_text(start, self.i),
                               expr, rvalue, t)
         if t == ";" and isinstance(expr, ast.CallExpr):
             self.i += 1
-            return ast.Call(tok.line, tok.column, self._span_text(start, self.i), expr)
+            return ast.Call(*self._pos(start), self._span_text(start, self.i), expr)
         self.i = start
         return self._opaque_stmt("statement outside recognized subset")
 
@@ -507,7 +514,7 @@ class _Parser:
                 self._parse_expr()
                 if self._eat(":"):
                     self._parse_expr()
-                return ast.OpaqueExpr(expr.line, expr.column, self._span_text(start, self.i))
+                return ast.OpaqueExpr(*self._pos(start), self._span_text(start, self.i))
             return expr
         finally:
             self.expr_depth -= 1
@@ -515,8 +522,7 @@ class _Parser:
     def _opaque_expr_scan(self) -> ast.Expr:
         """Depth-limit fallback: consume to an expression boundary, no recursion."""
         start = self.i
-        tok = self._peek()
-        line, column = (tok.line, tok.column) if tok else (1, 1)
+        line, column = self._pos(start) if start < self.n else (1, 1)
         self._skip_to(_OPAQUE_EXPR_STOP)
         return ast.OpaqueExpr(line, column, self._span_text(start, self.i))
 
@@ -526,6 +532,7 @@ class _Parser:
         left-associative; an opaque-tier chain folds into one OpaqueExpr
         spanning its operands."""
         texts = self.texts
+        line, column = self._pos(start)
         while True:
             op = texts[self.i]
             prec = _BINARY_PREC.get(op, 0)
@@ -534,14 +541,13 @@ class _Parser:
             self.i += 1
             if prec == _OPAQUE_PREC:
                 self._parse_unary()
-                expr = ast.OpaqueExpr(expr.line, expr.column, self._span_text(start, self.i))
+                expr = ast.OpaqueExpr(line, column, self._span_text(start, self.i))
                 continue
             rhs_start = self.i
             rhs = self._parse_unary()
             if _BINARY_PREC.get(texts[self.i], 0) > prec:
                 rhs = self._parse_binary(rhs_start, rhs, prec + 1)
-            expr = ast.Binary(expr.line, expr.column, self._span_text(start, self.i),
-                              op, expr, rhs)
+            expr = ast.Binary(line, column, self._span_text(start, self.i), op, expr, rhs)
 
     def _parse_unary(self) -> ast.Expr:
         """Prefix operators, then a primary with member, index and call suffixes."""
@@ -555,16 +561,16 @@ class _Parser:
                 i += 1
             self.i = i
             self._parse_unary()
-            tok = self.toks[start]
-            return ast.OpaqueExpr(tok.line, tok.column, self._span_text(start, self.i))
+            return ast.OpaqueExpr(*self._pos(start), self._span_text(start, self.i))
         # --- primary
-        tok = self.toks[i] if i < self.n else None
-        if tok is None or t in _EXPR_STOP:
+        if i >= self.n:
+            return ast.OpaqueExpr(1, 1, "")
+        # Every node below spans from token i, so all take its position.
+        line, column = self._pos(i)
+        if t in _EXPR_STOP:
             # No suffix starts with a stop token, so return at once.
-            line, column = (tok.line, tok.column) if tok else (1, 1)
             return ast.OpaqueExpr(line, column, "")
-        kind = tok.kind
-        line, column = tok.line, tok.column
+        kind = self.kinds[i]
         if kind == "identifier":
             self.i = i + 1
             expr = ast.Identifier(line, column, t, t)
@@ -590,36 +596,34 @@ class _Parser:
         while True:
             t = texts[self.i]
             if t == ".":
-                tok = self._peek(1)
-                if tok is None or tok.kind not in ("identifier", "keyword"):
+                if self.kinds[self.i + 1] not in ("identifier", "keyword"):
                     self.i += 1
-                    return ast.OpaqueExpr(expr.line, expr.column, self._span_text(start, self.i))
+                    return ast.OpaqueExpr(line, column, self._span_text(start, self.i))
+                member = texts[self.i + 1]
                 self.i += 2
                 text = self._span_text(start, self.i)
-                if isinstance(expr, ast.Identifier) and expr.name == "msg" and tok.text == "sender":
-                    expr = ast.MsgSender(expr.line, expr.column, text)
+                if isinstance(expr, ast.Identifier) and expr.name == "msg" and member == "sender":
+                    expr = ast.MsgSender(line, column, text)
                 else:
-                    expr = ast.Member(expr.line, expr.column, text, expr, tok.text)
+                    expr = ast.Member(line, column, text, expr, member)
             elif t == "[":
                 self.i += 1
                 index = self._parse_expr()
                 self._expect("]", "index expression")
-                expr = ast.Index(expr.line, expr.column, self._span_text(start, self.i),
-                                 expr, index)
+                expr = ast.Index(line, column, self._span_text(start, self.i), expr, index)
             elif t == "(":
                 args = self._parse_call_args()
-                expr = ast.CallExpr(expr.line, expr.column, self._span_text(start, self.i),
-                                    expr, args)
+                expr = ast.CallExpr(line, column, self._span_text(start, self.i), expr, args)
             elif t == "{" and isinstance(expr, ast.Member):
                 opt_start = self.i
                 self._skip_balanced()
                 options = self._span_text(opt_start, self.i)
                 if self._text() == "(":
                     args = self._parse_call_args()
-                    expr = ast.CallExpr(expr.line, expr.column, self._span_text(start, self.i),
+                    expr = ast.CallExpr(line, column, self._span_text(start, self.i),
                                         expr, args, options)
                 else:
-                    return ast.OpaqueExpr(expr.line, expr.column, self._span_text(start, self.i))
+                    return ast.OpaqueExpr(line, column, self._span_text(start, self.i))
             else:
                 return expr
 
@@ -633,8 +637,7 @@ class _Parser:
             if self._text() == "{":
                 opt_start = self.i
                 self._skip_balanced()
-                tok = self.toks[opt_start]
-                args.append(ast.OpaqueExpr(tok.line, tok.column,
+                args.append(ast.OpaqueExpr(*self._pos(opt_start),
                                            self._span_text(opt_start, self.i)))
             else:
                 args.append(self._parse_expr())

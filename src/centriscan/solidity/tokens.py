@@ -2,11 +2,16 @@
 
 Total for any input string; unknown characters become `unknown` tokens and
 concatenating token texts plus the skipped whitespace reproduces the input.
+Tokens are held as parallel lists; a `Token` record is built only when one
+is asked for.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
+from collections.abc import Sequence
+from itertools import compress, count
 from typing import NamedTuple
 
 from ..scanloop import scan_solidity
@@ -23,6 +28,7 @@ KEYWORDS = frozenset("""
 
 _SIZED_TYPE = re.compile(r"(?:u?int\d+|bytes\d+)\Z")
 _SIZED_PREFIXES = ("int", "uint", "bytes")
+_NEWLINE = re.compile("\n")
 
 
 class Token(NamedTuple):
@@ -34,42 +40,45 @@ class Token(NamedTuple):
     end: int
 
 
-def tokenize(source: str) -> list[Token]:
+class Tokens(Sequence):
+    """The tokens of one source as parallel lists, indexed by token number.
+
+    `newlines` is -1 followed by the offset of every newline in the source,
+    so the token starting at s sits on line k = bisect_left(newlines, s) at
+    column s - newlines[k - 1].
+    """
+
+    __slots__ = ("kinds", "texts", "starts", "newlines")
+
+    def __init__(self, kinds: list[str], texts: list[str], starts: list[int],
+                 newlines: list[int]):
+        self.kinds = kinds
+        self.texts = texts
+        self.starts = starts
+        self.newlines = newlines
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, i: int) -> Token:
+        text = self.texts[i]
+        start = self.starts[i]
+        newlines = self.newlines
+        line = bisect_left(newlines, start)
+        return Token(self.kinds[i], text, line, start - newlines[line - 1], start,
+                     start + len(text))
+
+
+def tokenize(source: str) -> Tokens:
     """Split source into tokens; total for arbitrary input."""
-    tokens = []
-    append = tokens.append
-    # tuple.__new__ builds a Token without the Python-level frame of the
-    # NamedTuple's generated __new__.
-    new_token = tuple.__new__
-    token_type = Token
-    keywords = KEYWORDS
-    sized = _SIZED_TYPE.match
-    sized_prefixes = _SIZED_PREFIXES
-    size = len(source)
-    # Tokens arrive in order, so the next-newline cursor only moves forward;
-    # `size` stands in for "no newline left" since every token starts before it.
-    line = 1
-    line_start = 0
-    newline = source.find("\n")
-    if newline < 0:
-        newline = size
-    # Each scan triple is popped, and so freed, as its Token is built: live
-    # triples plus tokens stay at about one object per token instead of two,
-    # so the cyclic collector runs less often.
-    triples = scan_solidity(source)
-    triples.reverse()
-    pop = triples.pop
-    for _ in range(len(triples)):
-        kind, start, end = pop()
-        while newline < start:
-            line += 1
-            line_start = newline + 1
-            newline = source.find("\n", line_start)
-            if newline < 0:
-                newline = size
-        text = source[start:end]
-        if kind == "identifier" and (
-                text in keywords or (text.startswith(sized_prefixes) and sized(text))):
-            kind = "keyword"
-        append(new_token(token_type, (kind, text, line, start - line_start + 1, start, end)))
-    return tokens
+    kinds, texts, starts = scan_solidity(source)
+    # Only the kernel's identifier pattern matches a keyword or a sized type
+    # name, so these texts are identifiers to reclassify. The distinct texts
+    # are few; the per-token pass runs in C and yields only keyword tokens.
+    words = {text for text in set(texts) if text in KEYWORDS or (
+        text.startswith(_SIZED_PREFIXES) and _SIZED_TYPE.match(text))}
+    for i in compress(count(), map(words.__contains__, texts)):
+        kinds[i] = "keyword"
+    newlines = [-1]
+    newlines.extend(m.start() for m in _NEWLINE.finditer(source))
+    return Tokens(kinds, texts, starts, newlines)

@@ -22,6 +22,17 @@ SOLIDITY_CORPUS = os.path.join(CORPUS_DIR, "solidity")
 TEAL_CORPUS = os.path.join(CORPUS_DIR, "teal")
 
 
+# Source fragments for generated Solidity: keyword-like and sized-type
+# words, line and block comments spanning lines, `\r\n`, an unterminated
+# string, literals and an unknown character.
+SOLIDITY_FRAGMENTS = (
+    "contract", "uint", "uint256", "uint7", "int", "int8x", "bytes", "bytes32",
+    "bytes0", "integer", "ubytes", "owner", "msg", "_", "$x", "require",
+    " ", "\n", "\r\n", "\t", "(", ".", "// c\n", "/* a\nb */", '"s\n', "'q'",
+    "1", "0x2", "@",
+)
+
+
 def corpus_path(language: str, name: str) -> str:
     return os.path.join(CORPUS_DIR, language, name)
 

@@ -91,7 +91,17 @@ def test_text_mode_diagnostics_go_to_stderr(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "note:" in captured.err
+    assert "warning:" not in captured.err
     assert "note:" not in captured.out
+
+
+def test_text_mode_prints_diagnostic_severity(tmp_path, capsys):
+    target = tmp_path / "bad.sol"
+    target.write_bytes(b"contract C { \xff\xfe }")
+    code = main(["scan", str(target)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert f"{target}:1: warning: invalid UTF-8 replaced during decoding\n" in captured.err
 
 
 def test_json_mode_embeds_diagnostics(tmp_path, capsys):

@@ -1,13 +1,21 @@
 """Parser structure, recovery, totality, and subset round-trip."""
 
-from hypothesis import given, settings
+import dataclasses
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from centriscan.solidity import ast
 from centriscan.solidity.parser import parse_solidity, parse_source
 from centriscan.solidity.tokens import tokenize
 
-from helpers import ast_equal, corpus_text, parse_function_body, parse_single_contract
+from helpers import (
+    SOLIDITY_FRAGMENTS,
+    ast_equal,
+    corpus_text,
+    parse_function_body,
+    parse_single_contract,
+)
 
 
 def test_minimal_contract():
@@ -224,6 +232,57 @@ def test_locations_inside_source_bounds():
         for function in contract.functions:
             check(function.line, function.column)
             walk(function.body)
+
+
+# The token fragments plus the brackets, operators and keywords that open
+# every statement and expression form, so parsed nodes and recovery meet
+# comments, `\r\n` and unterminated strings between their tokens.
+_PARSER_FRAGMENTS = SOLIDITY_FRAGMENTS + (
+    "{", "}", ")", "[", "]", ";", ",", "=", "+=", "==", "!=", "&&", "+", "!", "?", ":",
+    "function f() public ", "modifier m() ", "if", "else", "return", "revert", "_;",
+    "address", "payable", "transfer", "{value: 1}", "x",
+)
+_PARSER_SOURCES = st.lists(st.sampled_from(_PARSER_FRAGMENTS), max_size=60).map("".join)
+
+
+def _offset(src: str, line: int, column: int) -> int:
+    line_starts = [0] + [i + 1 for i, c in enumerate(src) if c == "\n"]
+    return line_starts[line - 1] + column - 1
+
+
+def _stmt_and_expr_nodes(nodes):
+    stack = list(nodes)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, list):
+            stack.extend(node)
+        elif isinstance(node, (ast.Stmt, ast.Expr)):
+            yield node
+            stack.extend(getattr(node, f.name) for f in dataclasses.fields(node))
+
+
+@given(st.one_of(
+    _PARSER_SOURCES,
+    _PARSER_SOURCES.map(lambda body: "contract C { function f() public {\r\n" + body),
+))
+# A node that starts with a parenthesized operand sits on the `(`.
+@example("contract C { function f() public { x = (a) == b; (to).transfer(1); (c ? d : e); } }")
+@example("/* only */ // comments\r\n")
+@settings(max_examples=400, deadline=None)
+def test_node_positions_locate_their_text(src):
+    unit = parse_solidity(src, "p.sol")
+    bodies = [decl.body for c in unit.contracts for decl in (*c.modifiers, *c.functions)]
+    for node in _stmt_and_expr_nodes(bodies):
+        if node.text:
+            assert src.startswith(node.text, _offset(src, node.line, node.column)), node
+    # A diagnostic sits on a token; one made at the end of input sits on the
+    # last token, and with no token at all on (1, 1).
+    positions = [(src.count("\n", 0, t.start) + 1, t.start - src.rfind("\n", 0, t.start))
+                 for t in tokenize(src) if t.kind != "comment"] or [(1, 1)]
+    for diag in unit.diagnostics:
+        assert (diag.line, diag.column) in positions, diag
+        if diag.message.endswith("at end of input"):
+            assert (diag.line, diag.column) == positions[-1], diag
 
 
 ROUNDTRIP_STATEMENTS = [

@@ -1,12 +1,16 @@
 """Tokenizer behavior: totality, verbatim round-trip, positions."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from centriscan.scanloop import WHITESPACE
+from centriscan.solidity import Tokens
+from centriscan.solidity.parser import parse_solidity, parse_source
 from centriscan.solidity.tokens import Token, tokenize
 
-from helpers import corpus_text
+from helpers import SOLIDITY_FRAGMENTS, corpus_text
+
+_WORDS = st.lists(st.sampled_from(SOLIDITY_FRAGMENTS), max_size=60).map("".join)
 
 ROW2_SNIPPET = """function fun() public {
     require(address(owner) == msg.sender)
@@ -15,7 +19,25 @@ ROW2_SNIPPET = """function fun() public {
 
 
 def test_empty_input_yields_no_tokens():
-    assert tokenize("") == []
+    assert list(tokenize("")) == []
+
+
+@given(_WORDS)
+@example("contract C { function f() public { x = 1; } }\r\n// tail")
+@settings(max_examples=200, deadline=None)
+def test_tokens_sequence_contract(src):
+    tokens = tokenize(src)
+    assert isinstance(tokens, Tokens)
+    items = [tokens[i] for i in range(len(tokens))]
+    assert list(tokens) == items
+    assert len(tokens) == len(tokens.kinds) == len(tokens.texts) == len(tokens.starts)
+    assert all(type(t) is Token for t in items)
+    if items:
+        assert tokens[-1] == items[-1]
+        assert tokens[-len(items)] == items[0]
+    # The parser reads the lists without changing them.
+    assert parse_source(tokens, "t.sol", src) == parse_solidity(src, "t.sol")
+    assert list(tokens) == items
 
 
 # (source, expected (kind, text) sequence). The second source reaches every
@@ -106,7 +128,7 @@ def test_multichar_punctuation_longest_match():
     assert ">>=" in texts and "==" in texts and "=>" in texts
 
 
-def _assert_covering(src: str, tokens: list[Token]) -> None:
+def _assert_covering(src: str, tokens: Tokens) -> None:
     pos = 0
     for tok in tokens:
         gap = src[pos:tok.start]
@@ -136,13 +158,6 @@ def test_roundtrip_on_corpus():
         src = corpus_text("solidity", name)
         _assert_covering(src, tokenize(src))
 
-
-_WORDS = st.lists(st.sampled_from([
-    "contract", "uint", "uint256", "uint7", "int", "int8x", "bytes", "bytes32",
-    "bytes0", "integer", "ubytes", "owner", "msg", "_", "$x", "require",
-    " ", "\n", "\r\n", "\t", "(", ".", "// c\n", "/* a\nb */", '"s\n', "'q'",
-    "1", "0x2", "@",
-]), max_size=60).map("".join)
 
 
 @given(st.one_of(st.text(max_size=200), _WORDS))
