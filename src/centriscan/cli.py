@@ -61,7 +61,7 @@ def _run_scan(args: argparse.Namespace) -> int:
         print(rendered)
     if args.format == "text":
         for diag in report.diagnostics:
-            print(f"{diag.file}:{diag.line}: {diag.severity}: {diag.message}",
+            print(f"{diag.file}:{diag.line}:{diag.column}: {diag.severity}: {diag.message}",
                   file=sys.stderr)
     return 1 if meets_threshold(report, config.fail_threshold) else 0
 

@@ -8,3 +8,4 @@ class Diagnostic(NamedTuple):
     line: int
     column: int = 1
     severity: str = "note"  # "note" | "warning"
+    file: str = ""  # set by the engine when it assembles the report

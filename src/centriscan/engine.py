@@ -13,7 +13,6 @@ from . import __version__
 from .config import AnalyzerConfig, UsageError
 from .diagnostics import Diagnostic
 from .report import (
-    FileDiagnostic,
     Finding,
     ScanReport,
     SolidityDetections,
@@ -92,24 +91,25 @@ def _read_text(path: str) -> tuple[str | None, list[Diagnostic]]:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
-        return None, [Diagnostic(f"cannot read file: {exc.strerror}", 1, severity="warning")]
+        return None, [Diagnostic(f"cannot read file: {exc.strerror}", 1,
+                                 severity="warning", file=path)]
     try:
         return data.decode("utf-8"), []
     except UnicodeDecodeError:
         return data.decode("utf-8", errors="replace"), [
-            Diagnostic("invalid UTF-8 replaced during decoding", 1, severity="warning")
+            Diagnostic("invalid UTF-8 replaced during decoding", 1,
+                       severity="warning", file=path)
         ]
 
 
 def scan_files(files: list[str], config: AnalyzerConfig) -> ScanReport:
     """Analyze already-discovered files and assemble the report."""
     findings: list[Finding] = []
-    diagnostics: list[FileDiagnostic] = []
+    diagnostics: list[Diagnostic] = []
     scanned = 0
     for path in files:
         source, read_diags = _read_text(path)
-        diagnostics.extend(FileDiagnostic(path, d.line, d.message, d.severity)
-                           for d in read_diags)
+        diagnostics.extend(read_diags)
         if source is None:
             continue
         if path.endswith(TEAL_EXT):
@@ -117,12 +117,12 @@ def scan_files(files: list[str], config: AnalyzerConfig) -> ScanReport:
         elif path.endswith(SOLIDITY_EXT):
             file_findings, file_diags = analyze_solidity_source(source, path, config)
         else:
-            diagnostics.append(FileDiagnostic(
-                path, 1, "unsupported file type; expected .sol or .teal"))
+            diagnostics.append(Diagnostic(
+                "unsupported file type; expected .sol or .teal", 1, file=path))
             continue
         scanned += 1
         findings.extend(file_findings)
-        diagnostics.extend(FileDiagnostic(path, d.line, d.message, d.severity)
+        diagnostics.extend(Diagnostic(d.message, d.line, d.column, d.severity, path)
                            for d in file_diags)
     return build_report(findings, diagnostics, scanned, config, __version__)
 

@@ -15,6 +15,7 @@ from operator import attrgetter
 from typing import Iterable, NamedTuple, Union
 
 from .config import AnalyzerConfig, UsageError
+from .diagnostics import Diagnostic
 from .solidity.detectors import GuardSite, RawDetection
 from .teal.detectors import FundModPoint, GuardPoint, GuardednessResult
 
@@ -50,20 +51,13 @@ class Finding(NamedTuple):
     evidence: tuple[Evidence, ...]
 
 
-class FileDiagnostic(NamedTuple):
-    file: str
-    line: int
-    message: str
-    severity: str = "note"  # "note" | "warning"; not part of the JSON report
-
-
 @dataclass
 class ScanReport:
     version: str
     config_fingerprint: str
     files_scanned: int
     findings: list[Finding] = field(default_factory=list)
-    diagnostics: list[FileDiagnostic] = field(default_factory=list)
+    diagnostics: list[Diagnostic] = field(default_factory=list)
     counts: dict[str, int] = field(default_factory=lambda: {"major": 0, "warning": 0, "info": 0})
 
 
@@ -188,7 +182,7 @@ def _classify_teal(bundle: TealDetections) -> list[Finding]:
 
 def build_report(
     findings: list[Finding],
-    diagnostics: list[FileDiagnostic],
+    diagnostics: list[Diagnostic],
     files_scanned: int,
     config: AnalyzerConfig,
     version: str,

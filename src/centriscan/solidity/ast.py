@@ -98,10 +98,6 @@ class Assign(Stmt):
     rvalue: Expr
     op: str  # "=", "+=", "-=", ...
 
-    @property
-    def compound(self) -> bool:
-        return self.op != "="
-
 
 @dataclass(slots=True)
 class Call(Stmt):

@@ -27,13 +27,6 @@ SELF_DESTRUCT = "SelfDestruct"
 _BY_POSITION = attrgetter("line", "column")
 
 
-class IfCond(NamedTuple):
-    """Location-identified condition of an enclosing if statement."""
-    line: int
-    column: int
-    text: str
-
-
 class GuardSite(NamedTuple):
     form: str  # ModifierGuard | RequireGuard | IfGuard
     owner_expr: str  # rendered non-sender side of the comparison
@@ -51,14 +44,12 @@ class FundModSite(NamedTuple):
     line: int
     column: int
     function: str
-    guarding_if_chain: tuple[IfCond, ...]  # innermost-last, then-branches only
     text: str
     enclosing_at: tuple[int, int]  # (line, column) of the enclosing function
 
 
 @dataclass(slots=True)
 class RawDetection:
-    contract: str
     function: str
     privileged: bool
     fund_sites: list[FundModSite] = field(default_factory=list)
@@ -170,14 +161,13 @@ def find_fund_modifications(
     """One FundModSite per fund-modifying statement in any function body."""
     sites: list[FundModSite] = []
     for function in contract.functions:
-        _scan_funds(function.body, (), function, symbols, config, sites)
+        _scan_funds(function.body, function, symbols, config, sites)
     sites.sort(key=_BY_POSITION)
     return sites
 
 
 def _scan_funds(
     body: list[ast.Stmt],
-    chain: tuple[IfCond, ...],
     function: ast.FunctionDecl,
     symbols: dict[str, ast.StateVar],
     config: AnalyzerConfig,
@@ -190,19 +180,18 @@ def _scan_funds(
             if target is not None:
                 sites.append(FundModSite(
                     BALANCE_MAPPING_WRITE, target, stmt.line, stmt.column,
-                    function.name, chain, stmt.text, (function.line, function.column),
+                    function.name, stmt.text, (function.line, function.column),
                 ))
-            _scan_call_sites(stmt.rvalue, stmt, chain, function, config, sites)
-            _scan_call_sites(stmt.lvalue, stmt, chain, function, config, sites)
+            _scan_call_sites(stmt.rvalue, stmt, function, config, sites)
+            _scan_call_sites(stmt.lvalue, stmt, function, config, sites)
         elif cls is ast.Call:
-            _scan_call_sites(stmt.expr, stmt, chain, function, config, sites)
+            _scan_call_sites(stmt.expr, stmt, function, config, sites)
         elif cls is ast.Require:
-            _scan_call_sites(stmt.condition, stmt, chain, function, config, sites)
+            _scan_call_sites(stmt.condition, stmt, function, config, sites)
         elif cls is ast.If:
-            _scan_call_sites(stmt.condition, stmt, chain, function, config, sites)
-            inner = chain + (IfCond(stmt.line, stmt.column, stmt.condition.text),)
-            _scan_funds(stmt.then_body, inner, function, symbols, config, sites)
-            _scan_funds(stmt.else_body, chain, function, symbols, config, sites)
+            _scan_call_sites(stmt.condition, stmt, function, config, sites)
+            _scan_funds(stmt.then_body, function, symbols, config, sites)
+            _scan_funds(stmt.else_body, function, symbols, config, sites)
 
 
 def _balance_mapping_target(
@@ -230,7 +219,6 @@ def _balance_mapping_target(
 def _scan_call_sites(
     expr: ast.Expr,
     stmt: ast.Stmt,
-    chain: tuple[IfCond, ...],
     function: ast.FunctionDecl,
     config: AnalyzerConfig,
     sites: list[FundModSite],
@@ -246,7 +234,7 @@ def _scan_call_sites(
                 kind, target = classified
                 sites.append(FundModSite(
                     kind, target, node.line, node.column,
-                    function.name, chain, stmt.text, (function.line, function.column),
+                    function.name, stmt.text, (function.line, function.column),
                 ))
             push(node.callee)
             stack.extend(node.args)
@@ -282,13 +270,6 @@ def _classify_call(call: ast.CallExpr, config: AnalyzerConfig) -> tuple[str, str
         if isinstance(base, ast.Member) and base.member == "call":
             return NATIVE_TRANSFER, base.text
     return None
-
-
-def is_privileged_scoped(site: FundModSite, guards: list[GuardSite]) -> bool:
-    """True when the site sits in the then-branch of a detected IfGuard."""
-    if_guard_locations = {(g.line, g.column) for g in guards if g.form == IF_GUARD}
-    return any((cond.line, cond.column) in if_guard_locations
-               for cond in site.guarding_if_chain)
 
 
 def pair_detections(
@@ -331,7 +312,7 @@ def pair_detections(
         if guard_list or funds:
             guard_list.sort(key=_BY_POSITION)
             detections.append(RawDetection(
-                contract.name, function.name, bool(guard_list),
+                function.name, bool(guard_list),
                 funds, guard_list, function.line, function.column,
             ))
     return detections

@@ -58,11 +58,10 @@ _STMT_KEYWORDS = _OPAQUE_STMT_KEYWORDS | {
 }
 
 
-def parse_source(tokens: Tokens, path: str, source: str | None = None) -> ast.SourceUnit:
-    """Parse the tokens of one source into a SourceUnit; total for any input.
-
-    Without source, node texts are the token texts joined by single spaces.
-    """
+def parse_source(tokens: Tokens, path: str, source: str) -> ast.SourceUnit:
+    """Parse ``tokens``, the result of ``tokenize(source)``, into a SourceUnit;
+    total for any input. Node texts are slices of ``source``, from a node's
+    first token to the end of its last."""
     return _Parser(tokens, path, source).parse_unit()
 
 
@@ -82,7 +81,7 @@ def _is_type_start(kind: str, text: str) -> bool:
 
 
 class _Parser:
-    def __init__(self, tokens: Tokens, path: str, source: str | None):
+    def __init__(self, tokens: Tokens, path: str, source: str):
         kinds, texts, starts = tokens.kinds, tokens.texts, tokens.starts
         if "comment" in kinds:
             keep = list(map("comment".__ne__, kinds))
@@ -145,10 +144,8 @@ class _Parser:
     def _span_text(self, start: int, end: int) -> str:
         if start >= end:
             return ""
-        if self.src is not None:
-            last = end - 1
-            return self.src[self.starts[start]:self.starts[last] + len(self.texts[last])]
-        return " ".join(self.texts[start:end])
+        last = end - 1
+        return self.src[self.starts[start]:self.starts[last] + len(self.texts[last])]
 
     # --- recovery --------------------------------------------------------
 

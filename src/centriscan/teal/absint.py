@@ -82,14 +82,16 @@ _NAMED_INTS = {
 
 @dataclass(slots=True)
 class BlockFacts:
+    """What one block's abstract run found, keyed by instruction index:
+    sender-comparison asserts, balance writes, the sender-comparison branch
+    that ends the block, and the value each `return` pops."""
+
     block: int
-    pushed: dict[int, AbstractValue] = field(default_factory=dict)
     guard_points: dict[int, SenderCmp] = field(default_factory=dict)
     fund_mods: dict[int, tuple[str, str]] = field(default_factory=dict)  # index -> (opcode, key)
     branch_guard: SenderCmp | None = None
     branch_index: int | None = None
     return_values: dict[int, AbstractValue] = field(default_factory=dict)
-    exit_stack: list[AbstractValue] | None = field(default_factory=list)  # None = unknown depth
 
 
 class _Stack:
@@ -181,41 +183,31 @@ def abstract_exec_block(
         ins = instructions[index]
         op = ins.opcode
         imm = ins.immediates
-        pushed: AbstractValue | None = None
 
         if op in ("int", "pushint"):
-            pushed = _int_value(imm[0]) if imm else UNKNOWN
-            stack.push(pushed)
+            stack.push(_int_value(imm[0]) if imm else UNKNOWN)
         elif op in ("byte", "pushbytes"):
-            pushed = _byte_value(imm)
-            stack.push(pushed)
+            stack.push(_byte_value(imm))
         elif op == "addr":
-            pushed = AddrConst(imm[0]) if imm else UNKNOWN
-            stack.push(pushed)
+            stack.push(AddrConst(imm[0]) if imm else UNKNOWN)
         elif op == "txn":
-            pushed = SENDER if imm and imm[0] == "Sender" else UNKNOWN
-            stack.push(pushed)
+            stack.push(SENDER if imm and imm[0] == "Sender" else UNKNOWN)
         elif op == "gtxn":
             sender = len(imm) >= 2 and imm[1] == "Sender" and config.gtxn_sender
-            pushed = SENDER if sender else UNKNOWN
-            stack.push(pushed)
+            stack.push(SENDER if sender else UNKNOWN)
         elif op == "global":
-            pushed = GlobalField(imm[0]) if imm else UNKNOWN
-            stack.push(pushed)
+            stack.push(GlobalField(imm[0]) if imm else UNKNOWN)
         elif op == "app_global_get":
             key = stack.pop()
-            pushed = GlobalGet(key.value) if isinstance(key, ByteConst) else UNKNOWN
-            stack.push(pushed)
+            stack.push(GlobalGet(key.value) if isinstance(key, ByteConst) else UNKNOWN)
         elif op in ("==", "!="):
             b = stack.pop()
             a = stack.pop()
-            pushed = _compare(a, b, op, config)
-            stack.push(pushed)
+            stack.push(_compare(a, b, op, config))
         elif op in ("&&", "||"):
             b = stack.pop()
             a = stack.pop()
-            pushed = _combine(a, b, op)
-            stack.push(pushed)
+            stack.push(_combine(a, b, op))
         elif op == "assert":
             value = stack.pop()
             if isinstance(value, SenderCmp):
@@ -240,13 +232,11 @@ def abstract_exec_block(
             value = stack.pop()
             stack.push(value)
             stack.push(value)
-            pushed = value
         elif op == "dup2":
             b = stack.pop()
             a = stack.pop()
             for value in (a, b, a, b):
                 stack.push(value)
-            pushed = b
         elif op == "swap":
             b = stack.pop()
             a = stack.pop()
@@ -257,25 +247,18 @@ def abstract_exec_block(
         elif ins.stack_delta is None:
             # Unknown arity: conservatively poison the rest of the block.
             stack.unknown_depth = True
-            pushed = UNKNOWN
         else:
             pops, pushes = ins.stack_delta
             for _ in range(pops):
                 stack.pop()
             for _ in range(pushes):
                 stack.push(UNKNOWN)
-            if pushes:
-                pushed = UNKNOWN
-
-        if pushed is not None:
-            facts.pushed[index] = UNKNOWN if stack.unknown_depth else pushed
 
     if stack.underflowed and diagnostics is not None:
         first = instructions[block.start]
         diagnostics.append(Diagnostic(
             "stack underflow in abstract interpretation; block state unknown",
             first.line))
-    facts.exit_stack = None if stack.unknown_depth else stack.values
     return facts
 
 

@@ -31,8 +31,7 @@ class GuardPoint(NamedTuple):
     line: int
     privileged_source: str  # rendered, e.g. app_global_get["manager"]
     description: str
-    fail_target: int | None = None  # BranchGuard only
-    non_fail_edge: tuple[int, int, str] | None = None
+    non_fail_edge: tuple[int, int, str] | None = None  # BranchGuard only
 
 
 class FundModPoint(NamedTuple):
@@ -124,7 +123,7 @@ def _branch_guard(cfg, facts, block_facts, program, diagnostics) -> GuardPoint |
     return GuardPoint(
         BRANCH_GUARD, block_facts.block, index, ins.line, source,
         f"{ins.opcode}: txn Sender {operator} {source}",
-        fail_target=fail_target, non_fail_edge=non_fail_edge,
+        non_fail_edge=non_fail_edge,
     )
 
 

@@ -124,12 +124,10 @@ def random_guards_and_funds(
         outgoing = cfg.successors(block)
         if q == cfg.blocks[block].end - 1 and len(outgoing) == 2 and rng.random() < 0.6:
             fail_idx = rng.randrange(2)
-            fail_to, _fail_kind = outgoing[fail_idx]
             other_to, other_kind = outgoing[1 - fail_idx]
             guards.append(GuardPoint(
                 "BranchGuard", block, q, q + 1, "addr TESTSOURCE",
-                "branch guard", fail_target=fail_to,
-                non_fail_edge=(block, other_to, other_kind),
+                "branch guard", non_fail_edge=(block, other_to, other_kind),
             ))
         else:
             guards.append(GuardPoint(

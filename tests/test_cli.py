@@ -101,7 +101,17 @@ def test_text_mode_prints_diagnostic_severity(tmp_path, capsys):
     code = main(["scan", str(target)])
     captured = capsys.readouterr()
     assert code == 0
-    assert f"{target}:1: warning: invalid UTF-8 replaced during decoding\n" in captured.err
+    assert f"{target}:1:1: warning: invalid UTF-8 replaced during decoding\n" in captured.err
+
+
+def test_text_mode_prints_diagnostic_column(tmp_path, capsys):
+    target = tmp_path / "x.sol"
+    target.write_text("contract C { function f() public { for (;;) {} } }")
+    code = main(["scan", str(target)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert (f"{target}:1:36: note: statement outside recognized subset\n"
+            in captured.err)
 
 
 def test_json_mode_embeds_diagnostics(tmp_path, capsys):

