@@ -79,8 +79,8 @@ def analyze_teal_source(
     cfg = build_cfg(program, diagnostics)
     facts = [abstract_exec_block(block, program, config, diagnostics)
              for block in cfg.blocks]
-    guards = find_guard_points(cfg, facts, program, config, diagnostics)
-    funds = find_fund_mod_points(cfg, facts, program, config)
+    guards = find_guard_points(cfg, facts, program, diagnostics)
+    funds = find_fund_mod_points(facts, program)
     guardedness = compute_guardedness(cfg, guards, funds, diagnostics)
     findings = classify([TealDetections(path, guards, funds, guardedness)])
     return findings, diagnostics

@@ -126,12 +126,12 @@ def _classify_solidity(bundle: SolidityDetections) -> list[Finding]:
             for s in det.fund_sites
         ]
         label = _function_label(det.function)
-        if det.privileged and det.fund_sites:
+        if det.guard_sites and det.fund_sites:
             findings.append(_make_finding(
                 CENTRALIZATION_RISK, "solidity", file, det.line, det.column,
                 f"{label} combines a sender guard with fund-modifying logic",
                 guard_evidence + fund_evidence))
-        elif det.privileged:
+        elif det.guard_sites:
             findings.append(_make_finding(
                 PRIVILEGED_FUNCTION, "solidity", file, det.line, det.column,
                 f"{label} is restricted to a privileged sender",

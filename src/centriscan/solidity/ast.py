@@ -175,54 +175,3 @@ class SourceUnit:
     contracts: list[ContractDecl]
     diagnostics: list[Diagnostic]
 
-
-# --- rendering (recognized subset round-trips through the parser) ----------
-
-def render_expr(expr: Expr) -> str:
-    if isinstance(expr, MsgSender):
-        return "msg.sender"
-    if isinstance(expr, Identifier):
-        return expr.name
-    if isinstance(expr, Member):
-        return f"{_wrap(expr.base)}.{expr.member}"
-    if isinstance(expr, Index):
-        return f"{_wrap(expr.base)}[{render_expr(expr.index)}]"
-    if isinstance(expr, Binary):
-        return f"{_wrap(expr.lhs)} {expr.op} {_wrap(expr.rhs)}"
-    if isinstance(expr, CallExpr):
-        args = ", ".join(render_expr(a) for a in expr.args)
-        options = expr.options or ""
-        return f"{_wrap(expr.callee)}{options}({args})"
-    if isinstance(expr, AddressCast):
-        return f"address({render_expr(expr.inner)})"
-    return expr.text  # Literal and OpaqueExpr carry their own text
-
-
-def _wrap(expr: Expr) -> str:
-    if isinstance(expr, Binary):
-        return f"({render_expr(expr)})"
-    return render_expr(expr)
-
-
-def render_stmt(stmt: Stmt, indent: str = "") -> str:
-    if isinstance(stmt, Require):
-        return f"{indent}require({render_expr(stmt.condition)});"
-    if isinstance(stmt, If):
-        lines = [f"{indent}if ({render_expr(stmt.condition)}) {{"]
-        lines += [render_stmt(s, indent + "    ") for s in stmt.then_body]
-        if stmt.else_body:
-            lines.append(f"{indent}}} else {{")
-            lines += [render_stmt(s, indent + "    ") for s in stmt.else_body]
-        lines.append(f"{indent}}}")
-        return "\n".join(lines)
-    if isinstance(stmt, Assign):
-        return f"{indent}{render_expr(stmt.lvalue)} {stmt.op} {render_expr(stmt.rvalue)};"
-    if isinstance(stmt, Call):
-        return f"{indent}{render_expr(stmt.expr)};"
-    if isinstance(stmt, Revert):
-        return f"{indent}revert;"
-    if isinstance(stmt, Return):
-        return f"{indent}return;"
-    if isinstance(stmt, Placeholder):
-        return f"{indent}_;"
-    return indent + stmt.text  # Opaque passes through verbatim

@@ -14,7 +14,7 @@ from typing import NamedTuple
 from ..config import AnalyzerConfig
 from ..diagnostics import Diagnostic
 from . import ast
-from .symbols import is_address_to_uint_mapping, is_nested_address_to_uint_mapping
+from .symbols import is_address_to_uint_mapping
 
 MODIFIER_GUARD = "ModifierGuard"
 REQUIRE_GUARD = "RequireGuard"
@@ -29,21 +29,16 @@ _BY_POSITION = attrgetter("line", "column")
 
 class GuardSite(NamedTuple):
     form: str  # ModifierGuard | RequireGuard | IfGuard
-    owner_expr: str  # rendered non-sender side of the comparison
     line: int
     column: int
-    enclosing: str  # function or modifier name
     text: str  # condition source text
-    in_modifier: bool
     enclosing_at: tuple[int, int]  # (line, column) of the enclosing declaration
 
 
 class FundModSite(NamedTuple):
     kind: str  # BalanceMappingWrite | NativeTransfer | SelfDestruct
-    target: str  # rendered lvalue/callee text
     line: int
     column: int
-    function: str
     text: str
     enclosing_at: tuple[int, int]  # (line, column) of the enclosing function
 
@@ -51,7 +46,6 @@ class FundModSite(NamedTuple):
 @dataclass(slots=True)
 class RawDetection:
     function: str
-    privileged: bool
     fund_sites: list[FundModSite] = field(default_factory=list)
     guard_sites: list[GuardSite] = field(default_factory=list)
     line: int = 1
@@ -68,85 +62,65 @@ def _is_sender_expr(expr: ast.Expr, config: AnalyzerConfig) -> bool:
 
 
 def _collect_sender_comparisons(
-    expr: ast.Expr, config: AnalyzerConfig, out: list[tuple[ast.Expr, str]]
+    expr: ast.Expr, config: AnalyzerConfig, out: list[str]
 ) -> None:
     if not isinstance(expr, ast.Binary):
         return
     if expr.op in ("&&", "||"):
         _collect_sender_comparisons(expr.lhs, config, out)
         _collect_sender_comparisons(expr.rhs, config, out)
-    else:
-        polarity = "eq" if expr.op == "==" else "neq"
-        lhs_sender = _is_sender_expr(expr.lhs, config)
-        rhs_sender = _is_sender_expr(expr.rhs, config)
-        if lhs_sender and not rhs_sender:
-            out.append((expr.rhs, polarity))
-        elif rhs_sender and not lhs_sender:
-            out.append((expr.lhs, polarity))
+    elif _is_sender_expr(expr.lhs, config) != _is_sender_expr(expr.rhs, config):
+        out.append("eq" if expr.op == "==" else "neq")
 
 
-def _sender_comparison(
-    expr: ast.Expr, config: AnalyzerConfig
-) -> tuple[ast.Expr, str] | None:
-    """Find a sender comparison under &&/|| nesting, preferring `==` over
-    `!=`; self-comparisons never match."""
-    found: list[tuple[ast.Expr, str]] = []
+def _sender_comparison(expr: ast.Expr, config: AnalyzerConfig) -> str | None:
+    """Polarity of the sender comparisons under &&/|| nesting: "eq" if any
+    is `==`, else "neq" if any is `!=`, else None. A comparison of the
+    sender with itself never counts."""
+    found: list[str] = []
     _collect_sender_comparisons(expr, config, found)
-    for owner, polarity in found:
-        if polarity == "eq":
-            return owner, polarity
-    return found[0] if found else None
+    if "eq" in found:
+        return "eq"
+    return "neq" if found else None
 
 
 def find_sender_guards(contract: ast.ContractDecl, config: AnalyzerConfig) -> list[GuardSite]:
     """One GuardSite per sender-guard occurrence, sorted by location."""
     sites: list[GuardSite] = []
     for modifier in contract.modifiers:
-        _scan_guards(modifier.body, modifier.name, True,
-                     (modifier.line, modifier.column), config, sites)
+        _scan_guards(modifier.body, MODIFIER_GUARD, (modifier.line, modifier.column),
+                     config, sites)
     for function in contract.functions:
-        _scan_guards(function.body, function.name, False,
-                     (function.line, function.column), config, sites)
+        _scan_guards(function.body, REQUIRE_GUARD, (function.line, function.column),
+                     config, sites)
     sites.sort(key=_BY_POSITION)
     return sites
 
 
 def _scan_guards(
     body: list[ast.Stmt],
-    enclosing: str,
-    in_modifier: bool,
+    require_form: str,  # ModifierGuard in a modifier body, else RequireGuard
     enclosing_at: tuple[int, int],
     config: AnalyzerConfig,
     sites: list[GuardSite],
 ) -> None:
     for stmt in body:
         if isinstance(stmt, ast.Require):
-            found = _sender_comparison(stmt.condition, config)
-            if found is not None and found[1] == "eq":
-                form = MODIFIER_GUARD if in_modifier else REQUIRE_GUARD
+            if _sender_comparison(stmt.condition, config) == "eq":
                 sites.append(GuardSite(
-                    form, found[0].text, stmt.line, stmt.column,
-                    enclosing, stmt.condition.text, in_modifier, enclosing_at,
-                ))
+                    require_form, stmt.line, stmt.column, stmt.condition.text, enclosing_at))
         elif isinstance(stmt, ast.If):
-            found = _sender_comparison(stmt.condition, config)
-            if found is not None:
-                owner, polarity = found
-                if polarity == "eq":
-                    sites.append(GuardSite(
-                        IF_GUARD, owner.text, stmt.line, stmt.column,
-                        enclosing, stmt.condition.text, in_modifier, enclosing_at,
-                    ))
-                elif config.revert_guard and _branch_reverts(stmt.then_body):
-                    # `if (msg.sender != owner) revert;` protects everything after
-                    # it, so it carries require-like scope.
-                    form = MODIFIER_GUARD if in_modifier else REQUIRE_GUARD
-                    sites.append(GuardSite(
-                        form, owner.text, stmt.line, stmt.column,
-                        enclosing, stmt.condition.text, in_modifier, enclosing_at,
-                    ))
-            _scan_guards(stmt.then_body, enclosing, in_modifier, enclosing_at, config, sites)
-            _scan_guards(stmt.else_body, enclosing, in_modifier, enclosing_at, config, sites)
+            polarity = _sender_comparison(stmt.condition, config)
+            if polarity == "eq":
+                sites.append(GuardSite(
+                    IF_GUARD, stmt.line, stmt.column, stmt.condition.text, enclosing_at))
+            elif polarity == "neq" and config.revert_guard and _branch_reverts(stmt.then_body):
+                # `if (msg.sender != owner) revert;` protects everything after
+                # it, so it carries require-like scope.
+                sites.append(GuardSite(
+                    require_form, stmt.line, stmt.column, stmt.condition.text, enclosing_at))
+            _scan_guards(stmt.then_body, require_form, enclosing_at, config, sites)
+            _scan_guards(stmt.else_body, require_form, enclosing_at, config, sites)
 
 
 def _branch_reverts(body: list[ast.Stmt]) -> bool:
@@ -161,14 +135,14 @@ def find_fund_modifications(
     """One FundModSite per fund-modifying statement in any function body."""
     sites: list[FundModSite] = []
     for function in contract.functions:
-        _scan_funds(function.body, function, symbols, config, sites)
+        _scan_funds(function.body, (function.line, function.column), symbols, config, sites)
     sites.sort(key=_BY_POSITION)
     return sites
 
 
 def _scan_funds(
     body: list[ast.Stmt],
-    function: ast.FunctionDecl,
+    enclosing_at: tuple[int, int],
     symbols: dict[str, ast.StateVar],
     config: AnalyzerConfig,
     sites: list[FundModSite],
@@ -176,42 +150,35 @@ def _scan_funds(
     for stmt in body:
         cls = type(stmt)
         if cls is ast.Assign:
-            target = _balance_mapping_target(stmt.lvalue, symbols, config)
-            if target is not None:
+            if _is_balance_mapping_write(stmt.lvalue, symbols, config):
                 sites.append(FundModSite(
-                    BALANCE_MAPPING_WRITE, target, stmt.line, stmt.column,
-                    function.name, stmt.text, (function.line, function.column),
-                ))
-            _scan_call_sites(stmt.rvalue, stmt, function, config, sites)
-            _scan_call_sites(stmt.lvalue, stmt, function, config, sites)
+                    BALANCE_MAPPING_WRITE, stmt.line, stmt.column, stmt.text, enclosing_at))
+            _scan_call_sites(stmt.rvalue, stmt, enclosing_at, config, sites)
+            _scan_call_sites(stmt.lvalue, stmt, enclosing_at, config, sites)
         elif cls is ast.Call:
-            _scan_call_sites(stmt.expr, stmt, function, config, sites)
+            _scan_call_sites(stmt.expr, stmt, enclosing_at, config, sites)
         elif cls is ast.Require:
-            _scan_call_sites(stmt.condition, stmt, function, config, sites)
+            _scan_call_sites(stmt.condition, stmt, enclosing_at, config, sites)
         elif cls is ast.If:
-            _scan_call_sites(stmt.condition, stmt, function, config, sites)
-            _scan_funds(stmt.then_body, function, symbols, config, sites)
-            _scan_funds(stmt.else_body, function, symbols, config, sites)
+            _scan_call_sites(stmt.condition, stmt, enclosing_at, config, sites)
+            _scan_funds(stmt.then_body, enclosing_at, symbols, config, sites)
+            _scan_funds(stmt.else_body, enclosing_at, symbols, config, sites)
 
 
-def _balance_mapping_target(
+def _is_balance_mapping_write(
     lvalue: ast.Expr,
     symbols: dict[str, ast.StateVar],
     config: AnalyzerConfig,
-) -> str | None:
+) -> bool:
     depth = 0
     expr = lvalue
     while isinstance(expr, ast.Index):
         depth += 1
         expr = expr.base
     if depth == 0 or not isinstance(expr, ast.Identifier):
-        return None
-    name = expr.name
-    if depth == 1:
-        return name if is_address_to_uint_mapping(symbols, name) else None
-    if config.nested_mappings and is_nested_address_to_uint_mapping(symbols, name, depth):
-        return name
-    return None
+        return False
+    return (depth == 1 or config.nested_mappings) and \
+        is_address_to_uint_mapping(symbols, expr.name, depth)
 
 
 # _scan_funds and _scan_call_sites dispatch on the exact node type, which
@@ -219,7 +186,7 @@ def _balance_mapping_target(
 def _scan_call_sites(
     expr: ast.Expr,
     stmt: ast.Stmt,
-    function: ast.FunctionDecl,
+    enclosing_at: tuple[int, int],
     config: AnalyzerConfig,
     sites: list[FundModSite],
 ) -> None:
@@ -229,13 +196,9 @@ def _scan_call_sites(
         node = stack.pop()
         cls = type(node)
         if cls is ast.CallExpr:
-            classified = _classify_call(node, config)
-            if classified is not None:
-                kind, target = classified
-                sites.append(FundModSite(
-                    kind, target, node.line, node.column,
-                    function.name, stmt.text, (function.line, function.column),
-                ))
+            kind = _classify_call(node, config)
+            if kind is not None:
+                sites.append(FundModSite(kind, node.line, node.column, stmt.text, enclosing_at))
             push(node.callee)
             stack.extend(node.args)
         elif cls is ast.Member:
@@ -250,25 +213,23 @@ def _scan_call_sites(
             push(node.inner)
 
 
-def _classify_call(call: ast.CallExpr, config: AnalyzerConfig) -> tuple[str, str] | None:
+def _classify_call(call: ast.CallExpr, config: AnalyzerConfig) -> str | None:
     callee = call.callee
     if isinstance(callee, ast.Identifier) and callee.name == "selfdestruct":
-        if config.selfdestruct:
-            return SELF_DESTRUCT, "selfdestruct"
-        return None
+        return SELF_DESTRUCT if config.selfdestruct else None
     if not config.native_transfer:
         return None
     if isinstance(callee, ast.Member):
         if callee.member in ("transfer", "send"):
-            return NATIVE_TRANSFER, callee.text
+            return NATIVE_TRANSFER
         if callee.member == "call" and call.options and "value" in call.options:
-            return NATIVE_TRANSFER, callee.text
+            return NATIVE_TRANSFER
     # Legacy value-bearing call: target.call.value(x)(...)
     if isinstance(callee, ast.CallExpr) and isinstance(callee.callee, ast.Member) \
             and callee.callee.member == "value":
         base = callee.callee.base
         if isinstance(base, ast.Member) and base.member == "call":
-            return NATIVE_TRANSFER, base.text
+            return NATIVE_TRANSFER
     return None
 
 
@@ -278,28 +239,29 @@ def pair_detections(
     fund_sites: list[FundModSite],
     diagnostics: list[Diagnostic] | None = None,
 ) -> list[RawDetection]:
-    """One RawDetection per function carrying any guard or fund site."""
-    modifier_names = {m.name for m in contract.modifiers}
-    modifier_guards: dict[str, list[GuardSite]] = {}
-    # Functions are keyed by declaration position: overloads share a name
-    # and may share a line.
-    function_guards: dict[tuple[int, int], list[GuardSite]] = {}
-    for site in guards:
-        if site.in_modifier:
-            modifier_guards.setdefault(site.enclosing, []).append(site)
-        else:
-            function_guards.setdefault(site.enclosing_at, []).append(site)
+    """One RawDetection per function carrying any guard or fund site.
 
-    function_funds: dict[tuple[int, int], list[FundModSite]] = {}
+    Every site is keyed by the position of its enclosing declaration, so
+    overloads, which share a name and may share a line, stay apart. A
+    function's guards are its own plus those of each modifier it invokes;
+    an invoked name brings the guards of every modifier declared with it."""
+    modifier_at: dict[str, list[tuple[int, int]]] = {}
+    for modifier in contract.modifiers:
+        modifier_at.setdefault(modifier.name, []).append((modifier.line, modifier.column))
+    guards_at: dict[tuple[int, int], list[GuardSite]] = {}
+    for site in guards:
+        guards_at.setdefault(site.enclosing_at, []).append(site)
+    funds_at: dict[tuple[int, int], list[FundModSite]] = {}
     for site in fund_sites:
-        function_funds.setdefault(site.enclosing_at, []).append(site)
+        funds_at.setdefault(site.enclosing_at, []).append(site)
 
     detections: list[RawDetection] = []
     for function in contract.functions:
         key = (function.line, function.column)
-        guard_list = list(function_guards.get(key, ()))
+        guard_list = list(guards_at.get(key, ()))
         for invocation in function.modifier_invocations:
-            if invocation not in modifier_names:
+            positions = modifier_at.get(invocation)
+            if positions is None:
                 if diagnostics is not None:
                     diagnostics.append(Diagnostic(
                         f"function '{function.name}' invokes unknown modifier "
@@ -307,12 +269,11 @@ def pair_detections(
                         function.line, function.column,
                     ))
                 continue
-            guard_list.extend(modifier_guards.get(invocation, ()))
-        funds = function_funds.get(key, [])
+            for at in positions:
+                guard_list.extend(guards_at.get(at, ()))
+        funds = funds_at.get(key, [])
         if guard_list or funds:
             guard_list.sort(key=_BY_POSITION)
             detections.append(RawDetection(
-                function.name, bool(guard_list),
-                funds, guard_list, function.line, function.column,
-            ))
+                function.name, funds, guard_list, function.line, function.column))
     return detections

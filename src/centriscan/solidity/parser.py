@@ -33,6 +33,7 @@ _CLOSERS = frozenset(")]}")
 _REGION_STOP = frozenset({";", "{", "}"})
 _INITIALIZER_STOP = frozenset({";", "}"})
 _REQUIRE_MESSAGE_STOP = frozenset({")"})
+_BODY_STOP = frozenset({"{", "}"})
 
 _FN_HEADER_KEYWORDS = frozenset({
     "public", "external", "internal", "private",
@@ -217,20 +218,8 @@ class _Parser:
             self._note(f"missing name after '{self.texts[kw]}'")
         line, column = self._pos(kw)
         contract = ast.ContractDecl(name, line=line, column=column)
-        # Skip inheritance clause up to the body opener.
-        depth = 0
-        while self.i < self.n:
-            t = self._text()
-            if t == "{" and depth == 0:
-                break
-            if t in "([":
-                depth += 1
-            elif t in ")]":
-                depth = max(0, depth - 1)
-            elif t == "}":
-                self._note("contract body not found")
-                return contract
-            self.i += 1
+        # Skip the inheritance clause, base arguments included, to the body.
+        self._skip_to(_BODY_STOP)
         if not self._eat("{"):
             self._note("contract body not found")
             return contract

@@ -22,13 +22,11 @@ def collect_state_vars(
     return table
 
 
-def is_address_to_uint_mapping(table: dict[str, StateVar], name: str) -> bool:
-    """True iff name is declared as mapping(address => uint...)."""
-    return is_nested_address_to_uint_mapping(table, name, 1)
-
-
-def is_nested_address_to_uint_mapping(table: dict[str, StateVar], name: str, depth: int) -> bool:
-    """True iff name is a depth-level mapping with address keys ending in uint."""
+def is_address_to_uint_mapping(table: dict[str, StateVar], name: str, depth: int) -> bool:
+    """True iff name is declared as a mapping nested depth levels deep, every
+    key an address and the innermost value a uint type: depth 1 is
+    mapping(address => uint...), depth 2 mapping(address => mapping(address
+    => uint...))."""
     var = table.get(name)
     if var is None:
         return False

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import NamedTuple
 
-from ..config import AnalyzerConfig
 from ..diagnostics import Diagnostic
 from .absint import BlockFacts, IntConst, SenderCmp, render_value
 from .cfg import BRANCH_NOT_TAKEN, BRANCH_TAKEN, Cfg
@@ -53,7 +52,6 @@ def find_guard_points(
     cfg: Cfg,
     facts: list[BlockFacts],
     program: TealProgram,
-    config: AnalyzerConfig,
     diagnostics: list[Diagnostic] | None = None,
 ) -> list[GuardPoint]:
     """Collect assert guards and failure-gating branch guards."""
@@ -146,12 +144,7 @@ def _is_failure_region(cfg: Cfg, facts: list[BlockFacts], program: TealProgram,
     return True
 
 
-def find_fund_mod_points(
-    cfg: Cfg,
-    facts: list[BlockFacts],
-    program: TealProgram,
-    config: AnalyzerConfig,
-) -> list[FundModPoint]:
+def find_fund_mod_points(facts: list[BlockFacts], program: TealProgram) -> list[FundModPoint]:
     """One point per state write whose constant key matches the balance rule."""
     points: list[FundModPoint] = []
     for block_facts in facts:

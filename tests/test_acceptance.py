@@ -73,8 +73,8 @@ def _teal_points(name: str):
     program = parse_teal(corpus_text("teal", name))
     cfg = build_cfg(program)
     facts = [abstract_exec_block(b, program, CONFIG) for b in cfg.blocks]
-    guards = find_guard_points(cfg, facts, program, CONFIG)
-    funds = find_fund_mod_points(cfg, facts, program, CONFIG)
+    guards = find_guard_points(cfg, facts, program)
+    funds = find_fund_mod_points(facts, program)
     return cfg, guards, funds
 
 

@@ -31,33 +31,36 @@ def _analyze(source: str, config: AnalyzerConfig = CONFIG):
     return contract, guards, funds
 
 
+def _at(decl) -> tuple[int, int]:
+    return decl.line, decl.column
+
+
 def test_row1_modifier_guard():
-    _, guards, funds = _analyze(corpus_text("solidity", "row1_only_owner.sol"))
+    contract, guards, funds = _analyze(corpus_text("solidity", "row1_only_owner.sol"))
     assert [g.form for g in guards] == [MODIFIER_GUARD]
-    assert guards[0].enclosing == "only_owner"
-    assert guards[0].owner_expr == "owner"
+    assert guards[0].enclosing_at == _at(contract.modifiers[0])
     assert funds == []
 
 
 def test_row2_require_guard():
-    _, guards, funds = _analyze(corpus_text("solidity", "row2_require.sol"))
+    contract, guards, funds = _analyze(corpus_text("solidity", "row2_require.sol"))
     assert [g.form for g in guards] == [REQUIRE_GUARD]
-    assert guards[0].enclosing == "fun"
-    assert guards[0].owner_expr == "address(owner)"
+    assert guards[0].enclosing_at == _at(contract.functions[0])
     assert funds == []
 
 
 def test_row3_if_guard():
-    _, guards, funds = _analyze(corpus_text("solidity", "row3_if.sol"))
+    contract, guards, funds = _analyze(corpus_text("solidity", "row3_if.sol"))
     assert [g.form for g in guards] == [IF_GUARD]
-    assert guards[0].enclosing == "fun"
+    assert guards[0].enclosing_at == _at(contract.functions[0])
     assert funds == []
 
 
 def test_row4_balance_write():
     _, guards, funds = _analyze(corpus_text("solidity", "row4_balance.sol"))
     assert guards == []
-    assert [(s.kind, s.target) for s in funds] == [(BALANCE_MAPPING_WRITE, "bals")]
+    assert [(s.kind, s.text) for s in funds] == [
+        (BALANCE_MAPPING_WRITE, "bals[msg.sender] = bals[msg.sender].add(1);")]
 
 
 def test_non_sender_require_is_not_a_guard():
@@ -77,7 +80,6 @@ def test_guard_found_under_boolean_connectives():
         "contract C { address owner; uint a; function f() public {"
         " require(a > 1 && (owner == msg.sender)); } }")
     assert [g.form for g in guards] == [REQUIRE_GUARD]
-    assert guards[0].owner_expr == "owner"
 
 
 def test_revert_guard_counts_as_require_form():
@@ -142,7 +144,7 @@ def test_nested_mapping_write_requires_config():
     _, _, funds = _analyze(source)
     assert funds == []
     _, _, funds_on = _analyze(source, replace(CONFIG, nested_mappings=True))
-    assert [(s.kind, s.target) for s in funds_on] == [(BALANCE_MAPPING_WRITE, "allow")]
+    assert [(s.kind, s.text) for s in funds_on] == [(BALANCE_MAPPING_WRITE, "allow[a][b] = 1;")]
 
 
 def test_if_scope_covers_then_branch_only():
@@ -162,7 +164,6 @@ def test_eq_comparison_preferred_over_earlier_neq():
         "contract C { address a; address b; function f() public {"
         " if (msg.sender != a && msg.sender == b) { } } }")
     assert [g.form for g in guards] == [IF_GUARD]
-    assert guards[0].owner_expr == "b"
 
 
 def test_else_branch_is_not_guarded_by_condition():
@@ -178,7 +179,7 @@ def test_pairing_row1_plus_row4():
     detections = pair_detections(contract, guards, funds)
     assert len(detections) == 1
     det = detections[0]
-    assert det.privileged
+    assert det.guard_sites
     assert det.function == "fun"
     assert len(det.fund_sites) == 1 and len(det.guard_sites) == 1
 
@@ -187,7 +188,7 @@ def test_pairing_guard_only_function():
     contract, guards, funds = _analyze(corpus_text("solidity", "row2_require.sol"))
     detections = pair_detections(contract, guards, funds)
     assert len(detections) == 1
-    assert detections[0].privileged and detections[0].fund_sites == []
+    assert detections[0].guard_sites and detections[0].fund_sites == []
 
 
 def test_pairing_unguarded_write():
@@ -196,7 +197,7 @@ def test_pairing_unguarded_write():
     detections = pair_detections(contract, guards, funds)
     assert len(detections) == 1
     det = detections[0]
-    assert not det.privileged
+    assert not det.guard_sites
     assert len(det.fund_sites) == 1 and det.guard_sites == []
 
 
@@ -228,9 +229,9 @@ def test_pairing_micro_corpus_privilege_matrix():
     """)
     detections = {d.function: d for d in pair_detections(contract, guards, funds)}
     assert set(detections) == {"gw", "g", "w"}
-    assert detections["gw"].privileged and len(detections["gw"].fund_sites) == 1
-    assert detections["g"].privileged and not detections["g"].fund_sites
-    assert not detections["w"].privileged and len(detections["w"].fund_sites) == 1
+    assert detections["gw"].guard_sites and len(detections["gw"].fund_sites) == 1
+    assert detections["g"].guard_sites and not detections["g"].fund_sites
+    assert not detections["w"].guard_sites and len(detections["w"].fund_sites) == 1
 
 
 def test_unknown_modifier_invocation_diagnosed():
@@ -240,7 +241,7 @@ def test_unknown_modifier_invocation_diagnosed():
     diagnostics = []
     detections = pair_detections(contract, guards, funds, diagnostics)
     assert len(diagnostics) == 1 and "ghost" in diagnostics[0].message
-    assert not detections[0].privileged
+    assert not detections[0].guard_sites
 
 
 def test_detection_order_is_sorted_and_deterministic():
@@ -277,8 +278,47 @@ def test_privilege_monotonicity_random_contracts():
         def privileged_set(guard_ids):
             contract, guards, funds = _analyze(_random_contract(random.Random(1), guard_ids, n))
             return {d.function for d in pair_detections(contract, guards, funds)
-                    if d.privileged}
+                    if d.guard_sites}
 
         base = privileged_set(guarded)
         assert privileged_set(guarded | {extra}) >= base  # adding never shrinks
         assert privileged_set(set()) == set()  # deleting all guards clears privilege
+
+
+# Guards are paired by the position of their declaration. Each source maps
+# the position of every detected function to the positions of its guards.
+PAIRING_SHAPES = [
+    # A modifier declared after the function that invokes it.
+    ("contract C { address owner;\n"
+     "function f() public late { }\n"
+     "modifier late { require(msg.sender == owner); _; } }",
+     {(2, 1): [(3, 17)]}),
+    # Two modifiers with one name: the guards of both attach.
+    ("contract C { address a; address b;\n"
+     "modifier m { require(msg.sender == a); _; }\n"
+     "modifier m { require(msg.sender == b); _; }\n"
+     "function f() public m { } }",
+     {(4, 1): [(2, 14), (3, 14)]}),
+    # Two overloads on one line, each with its own guard.
+    ("contract C { address a; address b;\n"
+     "function f() public { require(msg.sender == a); } "
+     "function f(uint x) public { require(msg.sender == b); } }",
+     {(2, 1): [(2, 23)], (2, 51): [(2, 79)]}),
+]
+
+
+def test_pairing_keys_guards_by_declaration():
+    for source, expected in PAIRING_SHAPES:
+        contract, guards, funds = _analyze(source)
+        paired = {(d.line, d.column): [(g.line, g.column) for g in d.guard_sites]
+                  for d in pair_detections(contract, guards, funds)}
+        assert paired == expected, source
+
+
+def test_base_constructor_with_named_arguments_keeps_the_contract():
+    findings, diagnostics = analyze_solidity_source(
+        "contract A is B({owner: msg.sender}) { mapping(address=>uint) bals; "
+        "function f(address to) public { require(msg.sender == owner); bals[to] = 0; } }",
+        "a.sol", CONFIG)
+    assert [f.kind for f in findings] == ["CENTRALIZATION_RISK"]
+    assert diagnostics == []

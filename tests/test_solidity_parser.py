@@ -1,4 +1,4 @@
-"""Parser structure, recovery, totality, and subset round-trip."""
+"""Parser structure, recovery, totality, and the recognized subset's trees."""
 
 import dataclasses
 
@@ -285,28 +285,63 @@ def test_node_positions_locate_their_text(src):
             assert (diag.line, diag.column) == positions[-1], diag
 
 
-ROUNDTRIP_STATEMENTS = [
-    "require(msg.sender == owner);",
-    "require((owner == msg.sender) && (a == b));",
-    "require(address(owner) == msg.sender);",
-    "if (msg.sender == owner) { bals[to] = 1; }",
-    "if (msg.sender != owner) { revert; } else { x = 1; }",
-    "bals[to] = bals[to].add(amount);",
-    "bals[msg.sender] += 1;",
-    "to.transfer(amount);",
-    "selfdestruct(beneficiary);",
-    "return;",
-    "revert;",
-    "_;",
-]
+def _id(name: str) -> ast.Identifier:
+    return ast.Identifier(0, 0, "", name)
 
 
-def test_subset_roundtrip():
-    for stmt_src in ROUNDTRIP_STATEMENTS:
-        first = parse_function_body(stmt_src)
-        rendered = "\n".join(ast.render_stmt(s) for s in first)
-        second = parse_function_body(rendered)
-        assert ast_equal(first, second), (stmt_src, rendered)
+def _eq(lhs: ast.Expr, rhs: ast.Expr) -> ast.Binary:
+    return ast.Binary(0, 0, "", "==", lhs, rhs)
+
+
+def _index(base: ast.Expr, index: ast.Expr) -> ast.Index:
+    return ast.Index(0, 0, "", base, index)
+
+
+def _call(callee: ast.Expr, *args: ast.Expr) -> ast.CallExpr:
+    return ast.CallExpr(0, 0, "", callee, list(args))
+
+
+# Each recognized statement form and the tree it must parse to; ast_equal
+# ignores positions and the echoed source text of structured nodes.
+_SENDER = ast.MsgSender(0, 0, "")
+SUBSET_TREES = {
+    "require(msg.sender == owner);":
+        ast.Require(0, 0, "", _eq(_SENDER, _id("owner"))),
+    "require((owner == msg.sender) && (a == b));":
+        ast.Require(0, 0, "", ast.Binary(
+            0, 0, "", "&&", _eq(_id("owner"), _SENDER), _eq(_id("a"), _id("b")))),
+    "require(address(owner) == msg.sender);":
+        ast.Require(0, 0, "", _eq(ast.AddressCast(0, 0, "", _id("owner")), _SENDER)),
+    "if (msg.sender == owner) { bals[to] = 1; }":
+        ast.If(0, 0, "", _eq(_SENDER, _id("owner")),
+               [ast.Assign(0, 0, "", _index(_id("bals"), _id("to")),
+                           ast.Literal(0, 0, "1"), "=")],
+               []),
+    "if (msg.sender != owner) { revert; } else { x = 1; }":
+        ast.If(0, 0, "", ast.Binary(0, 0, "", "!=", _SENDER, _id("owner")),
+               [ast.Revert(0, 0, "")],
+               [ast.Assign(0, 0, "", _id("x"), ast.Literal(0, 0, "1"), "=")]),
+    "bals[to] = bals[to].add(amount);":
+        ast.Assign(0, 0, "", _index(_id("bals"), _id("to")),
+                   _call(ast.Member(0, 0, "", _index(_id("bals"), _id("to")), "add"),
+                         _id("amount")),
+                   "="),
+    "bals[msg.sender] += 1;":
+        ast.Assign(0, 0, "", _index(_id("bals"), _SENDER), ast.Literal(0, 0, "1"), "+="),
+    "to.transfer(amount);":
+        ast.Call(0, 0, "", _call(ast.Member(0, 0, "", _id("to"), "transfer"), _id("amount"))),
+    "selfdestruct(beneficiary);":
+        ast.Call(0, 0, "", _call(_id("selfdestruct"), _id("beneficiary"))),
+    "return;": ast.Return(0, 0, ""),
+    "revert;": ast.Revert(0, 0, ""),
+    "_;": ast.Placeholder(0, 0, ""),
+}
+
+
+def test_subset_statement_trees():
+    for stmt_src, expected in SUBSET_TREES.items():
+        parsed = parse_function_body(stmt_src)
+        assert ast_equal(parsed, [expected]), (stmt_src, parsed)
 
 
 @given(st.text(max_size=300))

@@ -21,8 +21,8 @@ def _pipeline(source: str, config: AnalyzerConfig = CONFIG, diagnostics=None):
     program = parse_teal(source)
     cfg = build_cfg(program)
     facts = [abstract_exec_block(b, program, config, diagnostics) for b in cfg.blocks]
-    guards = find_guard_points(cfg, facts, program, config, diagnostics)
-    funds = find_fund_mod_points(cfg, facts, program, config)
+    guards = find_guard_points(cfg, facts, program, diagnostics)
+    funds = find_fund_mod_points(facts, program)
     return program, cfg, guards, funds
 
 
