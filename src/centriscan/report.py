@@ -162,8 +162,7 @@ def _classify_teal(bundle: TealDetections) -> list[Finding]:
                 f'state write to balance key "{point.key}" is gated by a sender guard',
                 guard_evidence + [evidence]))
         elif verdict is False:
-            path = bundle.guardedness.witnesses.get(point, ())
-            via = "->".join(str(b) for b in path)
+            via = "->".join(map(str, bundle.guardedness.witnesses[point]))
             findings.append(_make_finding(
                 UNPROTECTED_FUND_MODIFICATION, "teal", file, point.line, 1,
                 f'state write to balance key "{point.key}" is reachable without '

@@ -4,7 +4,9 @@ A fund modification is guarded iff every path from program entry reaches it
 only after passing an assert-style guard or crossing the authorized edge of
 a branch-style guard. Computed as reachability at instruction granularity
 in a pruned graph: traversal stops at assert guards and the authorized
-(non-fail) edge of each branch guard is removed.
+(non-fail) edge of each branch guard is removed. Witnesses are stored as
+block paths (one parent per block entered); instruction paths are derived
+on read.
 """
 
 from __future__ import annotations
@@ -43,9 +45,19 @@ class FundModPoint(NamedTuple):
 
 @dataclass
 class GuardednessResult:
+    """Verdicts, and per unguarded write its witness as a block path. Instruction
+    paths are derived on read: no scan reads them, the benchmark counts them."""
+
+    cfg: Cfg
     verdicts: dict[FundModPoint, bool | None] = field(default_factory=dict)
     witnesses: dict[FundModPoint, tuple[int, ...]] = field(default_factory=dict)
-    witness_instructions: dict[FundModPoint, tuple[int, ...]] = field(default_factory=dict)
+
+    @property
+    def witness_instructions(self) -> dict[FundModPoint, tuple[int, ...]]:
+        blocks = self.cfg.blocks
+        return {point: tuple(q for b in path for q in range(
+                    blocks[b].start, blocks[b].end if b != path[-1] else point.instruction + 1))
+                for point, path in self.witnesses.items()}
 
 
 def find_guard_points(
@@ -165,7 +177,7 @@ def compute_guardedness(
     diagnostics: list[Diagnostic] | None = None,
 ) -> GuardednessResult:
     """Decide, per fund point, whether all entry paths cross a guard."""
-    result = GuardednessResult()
+    result = GuardednessResult(cfg)
     if not cfg.blocks:
         return result
 
@@ -181,9 +193,7 @@ def compute_guardedness(
     for point in fund_points:
         if point.instruction in reachable_pruned:
             result.verdicts[point] = False
-            path = _instruction_path(parents, point.instruction, cfg)
-            result.witness_instructions[point] = path
-            result.witnesses[point] = _block_path(path, cfg)
+            result.witnesses[point] = _block_path(cfg, parents, point.instruction)
         elif cfg.block_of[point.instruction] in reachable_blocks:
             result.verdicts[point] = True
         else:
@@ -208,8 +218,10 @@ def _reachable_blocks(cfg: Cfg, start: int) -> set[int]:
 
 def _reach(cfg: Cfg, stop_instructions: frozenset | set,
            pruned_edges: frozenset | set) -> tuple[set[int], dict[int, int]]:
-    """Instruction-level BFS from entry; expansion halts at stop instructions
-    and never crosses pruned block edges."""
+    """Instruction-level BFS from entry that halts at stop instructions and
+    never crosses pruned edges. Returns the reached instructions and the block
+    each block was entered from; FIFO over instructions keeps those chains
+    the paths with the fewest instructions."""
     blocks = cfg.blocks
     entry = blocks[cfg.entry].start
     seen = {entry}
@@ -219,34 +231,23 @@ def _reach(cfg: Cfg, stop_instructions: frozenset | set,
         q = queue.popleft()
         if q in stop_instructions:
             continue
-        block = blocks[cfg.block_of[q]]
-        if q + 1 < block.end:
-            nxt = [q + 1]
-        else:
-            frm = block.index
-            nxt = [blocks[to].start for to, kind in cfg.successors(frm)
-                   if (frm, to, kind) not in pruned_edges]
-        for s in nxt:
-            if s not in seen:
+        frm = cfg.block_of[q]
+        if q + 1 < blocks[frm].end:
+            # Only q leads to q + 1 inside a block, so it is not yet seen.
+            seen.add(q + 1)
+            queue.append(q + 1)
+            continue
+        for to, kind in cfg.successors(frm):
+            s = blocks[to].start
+            if s not in seen and (frm, to, kind) not in pruned_edges:
                 seen.add(s)
-                parents[s] = q
+                parents[to] = frm
                 queue.append(s)
     return seen, parents
 
 
-def _instruction_path(parents: dict[int, int], target: int, cfg: Cfg) -> tuple[int, ...]:
-    path = [target]
-    entry = cfg.blocks[cfg.entry].start
-    while path[-1] != entry:
+def _block_path(cfg: Cfg, parents: dict[int, int], instruction: int) -> tuple[int, ...]:
+    path = [cfg.block_of[instruction]]
+    while path[-1] != cfg.entry:
         path.append(parents[path[-1]])
-    path.reverse()
-    return tuple(path)
-
-
-def _block_path(instruction_path: tuple[int, ...], cfg: Cfg) -> tuple[int, ...]:
-    blocks = []
-    for q in instruction_path:
-        b = cfg.block_of[q]
-        if not blocks or blocks[-1] != b:
-            blocks.append(b)
-    return tuple(blocks)
+    return tuple(reversed(path))

@@ -87,10 +87,8 @@ def ast_equal(a, b) -> bool:
 
 # --- synthetic CFGs for the guardedness oracle ------------------------------
 
-def random_cfg(rng: random.Random) -> Cfg:
-    """A random small CFG shaped like build_cfg output (<=12 blocks)."""
-    n_blocks = rng.randint(1, 12)
-    sizes = [rng.randint(1, 3) for _ in range(n_blocks)]
+def cfg_from_sizes(sizes: list[int], edges: list[tuple[int, int, str]]) -> Cfg:
+    """A CFG of consecutive blocks with the given instruction counts; entry 0."""
     blocks = []
     block_of = []
     start = 0
@@ -98,6 +96,13 @@ def random_cfg(rng: random.Random) -> Cfg:
         blocks.append(BasicBlock(i, start, start + size))
         block_of.extend([i] * size)
         start += size
+    return Cfg(blocks=blocks, edges=edges, entry=0, block_of=block_of)
+
+
+def random_cfg(rng: random.Random) -> Cfg:
+    """A random small CFG shaped like build_cfg output (<=12 blocks)."""
+    n_blocks = rng.randint(1, 12)
+    sizes = [rng.randint(1, 3) for _ in range(n_blocks)]
     edges = []
     for i in range(n_blocks):
         shape = rng.choice(("halt", "jump", "branch", "fall"))
@@ -110,7 +115,7 @@ def random_cfg(rng: random.Random) -> Cfg:
             edges.append((i, rng.randrange(n_blocks), BRANCH_NOT_TAKEN))
         elif i + 1 < n_blocks:
             edges.append((i, i + 1, FALLTHROUGH))
-    return Cfg(blocks=blocks, edges=edges, entry=0, block_of=block_of)
+    return cfg_from_sizes(sizes, edges)
 
 
 def random_guards_and_funds(

@@ -2,10 +2,11 @@
 
 import random
 
-from centriscan.teal.detectors import compute_guardedness
+from centriscan.teal.cfg import BRANCH_NOT_TAKEN, BRANCH_TAKEN
+from centriscan.teal.detectors import FundModPoint, compute_guardedness
 
-from helpers import random_cfg, random_guards_and_funds
-from oracle import oracle_verdicts
+from helpers import cfg_from_sizes, random_cfg, random_guards_and_funds
+from oracle import oracle_verdicts, reference_witnesses
 
 
 def _case(seed: int):
@@ -54,6 +55,43 @@ def test_witness_paths_are_valid():
                 assert a == cfg.blocks[cfg.block_of[a]].end - 1
                 assert b == cfg.blocks[cfg.block_of[b]].start
                 assert (cfg.block_of[a], cfg.block_of[b]) in edges
+
+
+def test_witnesses_match_reference_bfs():
+    for seed in range(300):
+        cfg, guards, funds = _case(seed)
+        result = compute_guardedness(cfg, guards, funds)
+        blocks, instructions = reference_witnesses(cfg, guards, funds)
+        assert result.witnesses == blocks, f"seed={seed}"
+        assert result.witness_instructions == instructions, f"seed={seed}"
+
+
+def _witness_to_last_block(sizes, edges):
+    cfg = cfg_from_sizes(sizes, edges)
+    last = cfg.blocks[-1].start
+    point = FundModPoint(len(sizes) - 1, last, last + 1, "app_global_put", "MyBalance")
+    result = compute_guardedness(cfg, [], [point])
+    assert (result.witnesses, result.witness_instructions) == \
+        reference_witnesses(cfg, [], [point])
+    return result.witnesses[point], result.witness_instructions[point]
+
+
+def test_witness_has_fewest_instructions_not_fewest_blocks():
+    # entry -> A (5 instructions) -> D against entry -> B -> C -> D (1 each):
+    # the walk counts instructions, so it takes the longer block path.
+    edges = [(0, 1, BRANCH_TAKEN), (0, 2, BRANCH_NOT_TAKEN), (1, 4, BRANCH_TAKEN),
+             (2, 3, BRANCH_TAKEN), (3, 4, BRANCH_TAKEN)]
+    assert _witness_to_last_block([1, 5, 1, 1, 1], edges) == ((0, 2, 3, 4), (0, 6, 7, 8))
+
+
+def test_witness_ties_follow_edge_order():
+    # Both paths reach D after three instructions; the block entered first
+    # from entry wins the tie.
+    a_first = [(0, 1, BRANCH_TAKEN), (0, 2, BRANCH_NOT_TAKEN), (1, 4, BRANCH_TAKEN),
+               (2, 3, BRANCH_TAKEN), (3, 4, BRANCH_TAKEN)]
+    assert _witness_to_last_block([1, 2, 1, 1, 1], a_first) == ((0, 1, 4), (0, 1, 2, 5))
+    b_first = [a_first[1], a_first[0], *a_first[2:]]
+    assert _witness_to_last_block([1, 2, 1, 1, 1], b_first) == ((0, 2, 3, 4), (0, 3, 4, 5))
 
 
 def test_guard_monotonicity():

@@ -244,3 +244,30 @@ def test_negated_assert_is_not_a_guard():
     _, _, guards, _ = _pipeline(source, diagnostics=diagnostics)
     assert guards == []
     assert any("negated sender comparison" in d.message for d in diagnostics)
+
+
+def test_unguarded_put_behind_long_dispatch_chain():
+    # 200 `method` dispatch blocks of four instructions each, the `err`
+    # fall-through, 199 handlers of two instructions, then the last handler
+    # with the unguarded put.
+    n = 200
+    tags = [f"h{i}" for i in range(n)]
+    source = "#pragma version 8\n" + "".join(
+        f'txna ApplicationArgs 0\nmethod "{tag}(uint64)void"\n==\nbnz {tag}\n'
+        for tag in tags) + "err\n" + "".join(
+        f"{tag}:\nint 1\nreturn\n" for tag in tags[:-1]) + (
+        f'{tags[-1]}:\nint 0\nbyte "MyBalance"\nint 5\napp_local_put\nint 1\nreturn\n')
+    _, cfg, guards, funds = _pipeline(source)
+    assert guards == [] and len(funds) == 1
+    point = funds[0]
+    result = compute_guardedness(cfg, guards, funds)
+    assert result.verdicts[point] is False
+    path = result.witnesses[point]
+    assert path == (*range(n), 2 * n)
+    put_block = cfg.blocks[2 * n]
+    assert (put_block.start, point.instruction) == (6 * n - 1, 6 * n + 2)
+    instructions = result.witness_instructions[point]
+    assert instructions == tuple(range(4 * n)) + tuple(range(6 * n - 1, 6 * n + 3))
+    assert instructions == tuple(
+        q for b in path[:-1] for q in range(cfg.blocks[b].start, cfg.blocks[b].end)
+    ) + tuple(range(put_block.start, point.instruction + 1))
