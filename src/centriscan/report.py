@@ -147,16 +147,14 @@ def _classify_solidity(bundle: SolidityDetections) -> list[Finding]:
 def _classify_teal(bundle: TealDetections) -> list[Finding]:
     findings = []
     file = bundle.file
-    guard_evidence = [
-        Evidence("guard", file, g.line, 1, g.description)
-        for g in bundle.guard_points
-    ]
     for point in bundle.fund_points:
         verdict = bundle.guardedness.verdicts.get(point)
         evidence = Evidence(
             "fund_modification", file, point.line, 1,
             f'{point.opcode} key "{point.key}"')
         if verdict is True:
+            guard_evidence = [Evidence("guard", file, g.line, 1, g.description)
+                              for g in bundle.guardedness.gates[point]]
             findings.append(_make_finding(
                 CENTRALIZATION_RISK, "teal", file, point.line, 1,
                 f'state write to balance key "{point.key}" is gated by a sender guard',
@@ -212,9 +210,9 @@ def render_report(report: ScanReport, format: str) -> str:
 
 def _render_json(report: ScanReport) -> str:
     # Writes exactly what json.dumps(payload, separators=(",", ":")) gives
-    # for the schema's nested dicts, without building them: every TEAL
-    # finding repeats every guard of its program, so each distinct Evidence
-    # is encoded once per call.
+    # for the schema's nested dicts, without building them. A Solidity
+    # modifier's guard recurs in every function that invokes it, so each
+    # distinct Evidence is encoded once per call (as in _render_text).
     s = encode_basestring_ascii
     encoded: dict[Evidence, str] = {}
     findings = []

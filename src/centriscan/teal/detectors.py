@@ -6,7 +6,8 @@ a branch-style guard. Computed as reachability at instruction granularity
 in a pruned graph: traversal stops at assert guards and the authorized
 (non-fail) edge of each branch guard is removed. Witnesses are stored as
 block paths (one parent per block entered); instruction paths are derived
-on read.
+on read. Each guarded write's gating guards are the last guard on each of
+its entry paths, found by one forward pass over blocks.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from .parser import TealProgram
 
 ASSERT_GUARD = "AssertGuard"
 BRANCH_GUARD = "BranchGuard"
+
+_instruction = attrgetter("instruction")
 
 
 class GuardPoint(NamedTuple):
@@ -45,12 +48,15 @@ class FundModPoint(NamedTuple):
 
 @dataclass
 class GuardednessResult:
-    """Verdicts, and per unguarded write its witness as a block path. Instruction
-    paths are derived on read: no scan reads them, the benchmark counts them."""
+    """Verdicts; per unguarded write its witness as a block path; per guarded
+    write its gating guards, the last guard on each entry path, sorted by
+    instruction. Instruction paths are derived on read: no scan reads them,
+    the benchmark counts them."""
 
     cfg: Cfg
     verdicts: dict[FundModPoint, bool | None] = field(default_factory=dict)
     witnesses: dict[FundModPoint, tuple[int, ...]] = field(default_factory=dict)
+    gates: dict[FundModPoint, tuple[GuardPoint, ...]] = field(default_factory=dict)
 
     @property
     def witness_instructions(self) -> dict[FundModPoint, tuple[int, ...]]:
@@ -87,7 +93,7 @@ def find_guard_points(
             point = _branch_guard(cfg, facts, block_facts, program, diagnostics)
             if point is not None:
                 points.append(point)
-    points.sort(key=attrgetter("instruction"))
+    points.sort(key=_instruction)
     return points
 
 
@@ -166,7 +172,7 @@ def find_fund_mod_points(facts: list[BlockFacts], program: TealProgram) -> list[
                 block_facts.block, index, program.instructions[index].line,
                 opcode, key,
             ))
-    points.sort(key=attrgetter("instruction"))
+    points.sort(key=_instruction)
     return points
 
 
@@ -186,16 +192,26 @@ def compute_guardedness(
                     if p.form == BRANCH_GUARD and p.non_fail_edge is not None}
 
     reachable_pruned, parents = _reach(cfg, assert_stops, pruned_edges)
-    # Without stops or pruned edges a path enters blocks only at their start,
-    # so an instruction is reachable exactly when its block is.
-    reachable_blocks = _reachable_blocks(cfg, cfg.entry)
+    # Guards per block in instruction order; the last one is what a path
+    # leaving the block has passed last.
+    guards_in: dict[int, list[GuardPoint]] = {}
+    for p in sorted(guard_points, key=_instruction):
+        guards_in.setdefault(p.block, []).append(p)
+    gates_into = _gates_into(cfg, {b: (held[-1],) for b, held in guards_in.items()})
 
     for point in fund_points:
         if point.instruction in reachable_pruned:
             result.verdicts[point] = False
             result.witnesses[point] = _block_path(cfg, parents, point.instruction)
-        elif cfg.block_of[point.instruction] in reachable_blocks:
+        elif (block := cfg.block_of[point.instruction]) in gates_into:
             result.verdicts[point] = True
+            gates = gates_into[block]
+            for p in guards_in.get(block, ()):
+                if p.instruction < point.instruction:
+                    gates = (p,)  # the last guard before the write in its block
+            if len(gates) > 1:
+                gates = gates_into[block] = tuple(sorted(gates, key=_instruction))
+            result.gates[point] = gates
         else:
             result.verdicts[point] = None  # dead code
             if diagnostics is not None:
@@ -203,6 +219,32 @@ def compute_guardedness(
                     f"fund modification at line {point.line} is unreachable "
                     f"from program entry", point.line))
     return result
+
+
+def _gates_into(cfg: Cfg, exits: dict[int, tuple[GuardPoint]]
+                ) -> dict[int, tuple[GuardPoint, ...]]:
+    """Forward pass from entry over every edge: per reachable block, the
+    guards (in no set order) that end a guard-free path into it; entry's
+    guard-free path from itself adds none. A block that holds a guard passes
+    on exits[block], its last guard. A block re-propagates only when its
+    tuple grows, so loops terminate."""
+    into: dict[int, tuple[GuardPoint, ...]] = {cfg.entry: ()}
+    stack = [cfg.entry]
+    successors = cfg.successors
+    while stack:
+        b = stack.pop()
+        out = exits.get(b) or into[b]
+        for to, _kind in successors(b):
+            have = into.get(to)
+            if have is None:
+                into[to] = out
+                stack.append(to)
+            elif have is not out:
+                extra = tuple(p for p in out if p not in have)
+                if extra:
+                    into[to] = have + extra
+                    stack.append(to)
+    return into
 
 
 def _reachable_blocks(cfg: Cfg, start: int) -> set[int]:

@@ -100,9 +100,11 @@ def cfg_from_sizes(sizes: list[int], edges: list[tuple[int, int, str]]) -> Cfg:
 
 
 def random_cfg(rng: random.Random) -> Cfg:
-    """A random small CFG shaped like build_cfg output (<=12 blocks)."""
+    """A random small CFG shaped like build_cfg output (<=12 blocks of 1-8
+    instructions, so the path with the fewest instructions and the one with
+    the fewest blocks can differ)."""
     n_blocks = rng.randint(1, 12)
-    sizes = [rng.randint(1, 3) for _ in range(n_blocks)]
+    sizes = [rng.randint(1, 8) for _ in range(n_blocks)]
     edges = []
     for i in range(n_blocks):
         shape = rng.choice(("halt", "jump", "branch", "fall"))

@@ -3,7 +3,13 @@
 A fund point is unguarded iff some entry path reaches it without passing
 through an assert-guard instruction or crossing the authorized (non-fail)
 edge of a branch guard. Enumeration caps revisits at one cycle repetition
-per instruction, which is complete for this cut property.
+per instruction, which is complete for this cut property and for the last
+guard of a path (a shortest path to that guard, then a guard-free simple
+path on to the write, holds each instruction at most twice).
+
+`reference_gates` enumerates the same capped paths with no guard semantics
+and collects, per guarded fund point, the last guard instruction each path
+passes before reaching it.
 
 `reference_witnesses` is the reference for witness paths: an
 instruction-level BFS that records one parent per instruction and reads
@@ -18,17 +24,39 @@ from centriscan.teal.cfg import Cfg
 from centriscan.teal.detectors import FundModPoint, GuardPoint
 
 
-def _instruction_successors(cfg: Cfg, pruned: set) -> dict[int, list[tuple[int, bool]]]:
-    """Successor map: (next instruction, crosses_authorized_edge)."""
-    successors: dict[int, list[tuple[int, bool]]] = {}
+def _instruction_successors(cfg: Cfg, pruned: set) -> dict[int, list[int]]:
+    """Successor map over instructions, without the pruned block edges."""
+    successors: dict[int, list[int]] = {}
     for block in cfg.blocks:
         for q in range(block.start, block.end - 1):
-            successors[q] = [(q + 1, False)]
+            successors[q] = [q + 1]
         successors[block.end - 1] = []
     for frm, to, kind in cfg.edges:
-        last = cfg.blocks[frm].end - 1
-        successors[last].append((cfg.blocks[to].start, (frm, to, kind) in pruned))
+        if (frm, to, kind) not in pruned:
+            successors[cfg.blocks[frm].end - 1].append(cfg.blocks[to].start)
     return successors
+
+
+def _capped_paths(cfg: Cfg, successors: dict[int, list[int]], stops: set,
+                  visit_cap: int = 2):
+    """Yield every entry path, as one list extended in place, on which no
+    instruction occurs more than visit_cap times; a path ends at a stop."""
+    entry = cfg.blocks[cfg.entry].start
+    path = [entry]
+    counts = {entry: 1}
+    pending = [iter(() if entry in stops else successors[entry])]
+    yield path
+    while pending:
+        for s in pending[-1]:
+            if counts.get(s, 0) < visit_cap:
+                path.append(s)
+                counts[s] = counts.get(s, 0) + 1
+                yield path
+                pending.append(iter(() if s in stops else successors[s]))
+                break
+        else:
+            pending.pop()
+            counts[path.pop()] -= 1
 
 
 def _guard_cuts(guards: list[GuardPoint]) -> tuple[set[int], set]:
@@ -48,7 +76,7 @@ def plain_reachable(cfg: Cfg) -> set[int]:
     queue = deque([entry])
     while queue:
         q = queue.popleft()
-        for s, _ in successors[q]:
+        for s in successors[q]:
             if s not in seen:
                 seen.add(s)
                 queue.append(s)
@@ -60,26 +88,9 @@ def exists_unguarded_path(cfg: Cfg, guards: list[GuardPoint], target: int,
     """Search every entry path (cycles capped) for one avoiding all guards."""
     asserts, pruned = _guard_cuts(guards)
     successors = _instruction_successors(cfg, pruned)
-    entry = cfg.blocks[cfg.entry].start
-    counts: dict[int, int] = {}
-
-    def dfs(q: int) -> bool:
-        if q == target:
-            return True
-        if q in asserts:
-            return False
-        counts[q] = counts.get(q, 0) + 1
-        try:
-            for s, crosses_authorized in successors[q]:
-                if crosses_authorized:
-                    continue
-                if counts.get(s, 0) < visit_cap and dfs(s):
-                    return True
-            return False
-        finally:
-            counts[q] -= 1
-
-    return dfs(entry)
+    # A path ends at an assert, but reaching the target there still counts.
+    return any(path[-1] == target
+               for path in _capped_paths(cfg, successors, asserts, visit_cap))
 
 
 def oracle_verdicts(
@@ -93,6 +104,28 @@ def oracle_verdicts(
         else:
             verdicts[point] = not exists_unguarded_path(cfg, guards, point.instruction)
     return verdicts
+
+
+def reference_gates(
+    cfg: Cfg, guards: list[GuardPoint], funds: list[FundModPoint], visit_cap: int = 2
+) -> dict[FundModPoint, tuple[int, ...]]:
+    """Per fund point the oracle calls guarded, the sorted set of the last
+    guard instruction on each entry path to it (either edge of a branch
+    guard; the write's own instruction does not count as passed)."""
+    verdicts = oracle_verdicts(cfg, guards, funds)
+    guarded = {p.instruction: p for p, verdict in verdicts.items() if verdict is True}
+    if not guarded:
+        return {}
+    guard_instructions = {g.instruction for g in guards}
+    found: dict[int, set[int | None]] = {q: set() for q in guarded}
+    successors = _instruction_successors(cfg, set())
+    for path in _capped_paths(cfg, successors, set(), visit_cap):
+        if path[-1] in found:
+            found[path[-1]].add(next(
+                (q for q in reversed(path[:-1]) if q in guard_instructions), None))
+    assert all(None not in last for last in found.values()), \
+        "a guarded write has an entry path that passes no guard"
+    return {guarded[q]: tuple(sorted(last)) for q, last in found.items()}
 
 
 def _reach(cfg: Cfg, stop_instructions: set, pruned_edges: set

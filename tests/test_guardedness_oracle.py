@@ -2,11 +2,11 @@
 
 import random
 
-from centriscan.teal.cfg import BRANCH_NOT_TAKEN, BRANCH_TAKEN
-from centriscan.teal.detectors import FundModPoint, compute_guardedness
+from centriscan.teal.cfg import BRANCH_NOT_TAKEN, BRANCH_TAKEN, FALLTHROUGH
+from centriscan.teal.detectors import FundModPoint, GuardPoint, compute_guardedness
 
 from helpers import cfg_from_sizes, random_cfg, random_guards_and_funds
-from oracle import oracle_verdicts, reference_witnesses
+from oracle import oracle_verdicts, reference_gates, reference_witnesses
 
 
 def _case(seed: int):
@@ -14,6 +14,20 @@ def _case(seed: int):
     cfg = random_cfg(rng)
     guards, funds = random_guards_and_funds(cfg, rng)
     return cfg, guards, funds
+
+
+def _write(cfg, q):
+    return FundModPoint(cfg.block_of[q], q, q + 1, "app_global_put", "MyBalance")
+
+
+def _assert(cfg, q):
+    return GuardPoint("AssertGuard", cfg.block_of[q], q, q + 1, "addr OWNER", "assert guard")
+
+
+def _branch(cfg, q, non_fail_to, kind):
+    block = cfg.block_of[q]
+    return GuardPoint("BranchGuard", block, q, q + 1, "addr OWNER", "branch guard",
+                      non_fail_edge=(block, non_fail_to, kind))
 
 
 def test_matches_oracle_on_random_cfgs():
@@ -60,10 +74,72 @@ def test_witness_paths_are_valid():
 def test_witnesses_match_reference_bfs():
     for seed in range(300):
         cfg, guards, funds = _case(seed)
+        # Also a write at the end of every block, so each block's witness is
+        # checked, not only those of the few random writes.
+        funds += [_write(cfg, b.end - 1) for b in cfg.blocks]
         result = compute_guardedness(cfg, guards, funds)
         blocks, instructions = reference_witnesses(cfg, guards, funds)
         assert result.witnesses == blocks, f"seed={seed}"
         assert result.witness_instructions == instructions, f"seed={seed}"
+
+
+def test_gates_match_reference_on_random_cfgs():
+    for seed in range(300):
+        cfg, guards, funds = _case(seed)
+        result = compute_guardedness(cfg, guards, funds)
+        gates = {p: tuple(g.instruction for g in gs) for p, gs in result.gates.items()}
+        assert gates == reference_gates(cfg, guards, funds), f"seed={seed}"
+        assert set(gates) == {p for p, v in result.verdicts.items() if v is True}
+        assert all(gates.values()), f"seed={seed}"
+
+
+def _gates(cfg, guards, writes):
+    result = compute_guardedness(cfg, guards, writes)
+    gates = {p: tuple(g.instruction for g in gs) for p, gs in result.gates.items()}
+    assert gates == reference_gates(cfg, guards, writes)
+    return [gates[w] for w in writes]
+
+
+def test_router_handlers_each_list_only_their_own_guard():
+    # 0: bnz h1 | 1: bnz h2 | 2: err | 3: h1 assert, put | 4: h2 assert, put
+    cfg = cfg_from_sizes([3, 3, 1, 3, 3], [
+        (0, 3, BRANCH_TAKEN), (0, 1, BRANCH_NOT_TAKEN),
+        (1, 4, BRANCH_TAKEN), (1, 2, BRANCH_NOT_TAKEN)])
+    guards = [_assert(cfg, 7), _assert(cfg, 10)]
+    assert _gates(cfg, guards, [_write(cfg, 8), _write(cfg, 11)]) == [(7,), (10,)]
+
+
+def test_later_guard_on_the_path_gates_the_write():
+    # A in block 0, then B in block 1, then the write in block 2.
+    cfg = cfg_from_sizes([2, 2, 2], [(0, 1, FALLTHROUGH), (1, 2, FALLTHROUGH)])
+    guards = [_assert(cfg, 0), _assert(cfg, 3)]
+    assert _gates(cfg, guards, [_write(cfg, 5)]) == [(3,)]
+
+
+def test_joining_guarded_branches_list_both_in_instruction_order():
+    # 0 branches to 1 and 2; each ends in a branch guard whose fail edge
+    # goes to the err block 3 and whose authorized edge goes to the write.
+    cfg = cfg_from_sizes([2, 2, 2, 1, 2], [
+        (0, 2, BRANCH_TAKEN), (0, 1, BRANCH_NOT_TAKEN),
+        (1, 3, BRANCH_TAKEN), (1, 4, BRANCH_NOT_TAKEN),
+        (2, 3, BRANCH_TAKEN), (2, 4, BRANCH_NOT_TAKEN)])
+    guards = [_branch(cfg, 5, 4, BRANCH_NOT_TAKEN), _branch(cfg, 3, 4, BRANCH_NOT_TAKEN)]
+    assert _gates(cfg, guards, [_write(cfg, 8)]) == [(3, 5)]
+
+
+def test_earlier_assert_in_the_write_block_gates_it():
+    cfg = cfg_from_sizes([2, 3], [(0, 1, FALLTHROUGH)])
+    guards = [_assert(cfg, 1), _assert(cfg, 2)]
+    assert _gates(cfg, guards, [_write(cfg, 4)]) == [(2,)]
+
+
+def test_loop_back_edge_adds_the_guard_inside_the_loop():
+    # 0: assert A | 1: loop head with the write | 2: assert B, back to 1
+    cfg = cfg_from_sizes([2, 2, 2, 1], [
+        (0, 1, FALLTHROUGH), (1, 2, BRANCH_NOT_TAKEN), (1, 3, BRANCH_TAKEN),
+        (2, 1, BRANCH_TAKEN)])
+    guards = [_assert(cfg, 0), _assert(cfg, 4)]
+    assert _gates(cfg, guards, [_write(cfg, 2)]) == [(0, 4)]
 
 
 def _witness_to_last_block(sizes, edges):

@@ -73,11 +73,24 @@ def test_kind_severity_bijection():
 
 
 def test_centralization_risk_evidence_completeness():
-    for findings in (_sol_findings("owner_drain.sol"), _teal_findings("guarded_put.teal")):
+    for findings in (_sol_findings("owner_drain.sol"), _teal_findings("guarded_put.teal"),
+                     _teal_findings("router_handlers.teal")):
         for f in findings:
             if f.kind == "CENTRALIZATION_RISK":
                 roles = {e.role for e in f.evidence}
                 assert roles == {"guard", "fund_modification"}
+
+
+def test_teal_guarded_write_lists_only_the_guard_of_its_handler():
+    # Each handler of the router has its own owner check; a put's evidence
+    # names that check, not the other handler's.
+    findings = _teal_findings("router_handlers.teal")
+    evidence = {f.line: [(e.role, e.line) for e in f.evidence]
+                for f in findings if f.kind == "CENTRALIZATION_RISK"}
+    assert evidence == {
+        26: [("guard", 22), ("fund_modification", 26)],
+        36: [("guard", 33), ("fund_modification", 36)],
+    }
 
 
 def _report(findings, files_scanned=1):
