@@ -58,13 +58,13 @@ def analyze_solidity_source(
     source: str, path: str, config: AnalyzerConfig
 ) -> tuple[list[Finding], list[Diagnostic]]:
     """Run the full Solidity pipeline over one file's text."""
-    unit = parse_source(tokenize(source), path, source)
+    unit = parse_source(tokenize(source), path)
     diagnostics = list(unit.diagnostics)
     detections = []
     for contract in unit.contracts:
         symbols = collect_state_vars(contract, diagnostics)
-        guards = find_sender_guards(contract, config)
-        funds = find_fund_modifications(contract, symbols, config)
+        guards = find_sender_guards(contract, unit.tokens, config)
+        funds = find_fund_modifications(contract, unit.tokens, symbols, config)
         detections.extend(pair_detections(contract, guards, funds, diagnostics))
     findings = classify([SolidityDetections(path, detections)])
     return findings, diagnostics

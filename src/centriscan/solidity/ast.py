@@ -1,7 +1,12 @@
 """AST for the recognized Solidity subset.
 
-Anything outside the subset is preserved as Opaque nodes carrying raw
-text; detectors never look inside those.
+Expression and statement nodes hold token spans: `at` is the index of a
+node's first token and `end` one past its last, into the `Tokens` its
+SourceUnit carries. `tokens.position(node.at)` gives the node's line and
+column, and `tokens.text(node.at, node.end)` its verbatim source text, gaps
+(whitespace and comments) between its tokens included. Declarations keep
+their line and column. Anything outside the subset is preserved as Opaque
+spans; detectors never look inside those.
 """
 
 from __future__ import annotations
@@ -9,15 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..diagnostics import Diagnostic
+from .tokens import Tokens
 
 
 # --- expressions -----------------------------------------------------------
 
 @dataclass(slots=True)
 class Expr:
-    line: int
-    column: int
-    text: str  # verbatim source slice
+    at: int  # index of the first token
+    end: int  # one past the index of the last token
 
 
 @dataclass(slots=True)
@@ -75,9 +80,8 @@ class OpaqueExpr(Expr):
 
 @dataclass(slots=True)
 class Stmt:
-    line: int
-    column: int
-    text: str
+    at: int
+    end: int
 
 
 @dataclass(slots=True)
@@ -174,4 +178,6 @@ class SourceUnit:
     path: str
     contracts: list[ContractDecl]
     diagnostics: list[Diagnostic]
+    # Units parsed from equal sources compare equal, whatever their tokens.
+    tokens: Tokens = field(compare=False, repr=False)
 

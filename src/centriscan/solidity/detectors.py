@@ -2,7 +2,9 @@
 
 Finds sender guards (modifier / require / if forms) and fund-modifying
 statements (balance-mapping writes, native transfers, selfdestruct), then
-pairs them per function into raw detections for the risk engine.
+pairs them per function into raw detections for the risk engine. AST nodes
+hold token spans; a site reads its line, column and text from the tokens
+only when it is created.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from ..config import AnalyzerConfig
 from ..diagnostics import Diagnostic
 from . import ast
 from .symbols import is_address_to_uint_mapping
+from .tokens import Tokens
 
 MODIFIER_GUARD = "ModifierGuard"
 REQUIRE_GUARD = "RequireGuard"
@@ -84,15 +87,18 @@ def _sender_comparison(expr: ast.Expr, config: AnalyzerConfig) -> str | None:
     return "neq" if found else None
 
 
-def find_sender_guards(contract: ast.ContractDecl, config: AnalyzerConfig) -> list[GuardSite]:
-    """One GuardSite per sender-guard occurrence, sorted by location."""
+def find_sender_guards(
+    contract: ast.ContractDecl, tokens: Tokens, config: AnalyzerConfig
+) -> list[GuardSite]:
+    """One GuardSite per sender-guard occurrence, sorted by location;
+    ``tokens`` are those the contract was parsed from."""
     sites: list[GuardSite] = []
     for modifier in contract.modifiers:
         _scan_guards(modifier.body, MODIFIER_GUARD, (modifier.line, modifier.column),
-                     config, sites)
+                     tokens, config, sites)
     for function in contract.functions:
         _scan_guards(function.body, REQUIRE_GUARD, (function.line, function.column),
-                     config, sites)
+                     tokens, config, sites)
     sites.sort(key=_BY_POSITION)
     return sites
 
@@ -101,26 +107,32 @@ def _scan_guards(
     body: list[ast.Stmt],
     require_form: str,  # ModifierGuard in a modifier body, else RequireGuard
     enclosing_at: tuple[int, int],
+    tokens: Tokens,
     config: AnalyzerConfig,
     sites: list[GuardSite],
 ) -> None:
     for stmt in body:
         if isinstance(stmt, ast.Require):
             if _sender_comparison(stmt.condition, config) == "eq":
-                sites.append(GuardSite(
-                    require_form, stmt.line, stmt.column, stmt.condition.text, enclosing_at))
+                sites.append(_guard_site(require_form, stmt, enclosing_at, tokens))
         elif isinstance(stmt, ast.If):
             polarity = _sender_comparison(stmt.condition, config)
             if polarity == "eq":
-                sites.append(GuardSite(
-                    IF_GUARD, stmt.line, stmt.column, stmt.condition.text, enclosing_at))
+                sites.append(_guard_site(IF_GUARD, stmt, enclosing_at, tokens))
             elif polarity == "neq" and config.revert_guard and _branch_reverts(stmt.then_body):
                 # `if (msg.sender != owner) revert;` protects everything after
                 # it, so it carries require-like scope.
-                sites.append(GuardSite(
-                    require_form, stmt.line, stmt.column, stmt.condition.text, enclosing_at))
-            _scan_guards(stmt.then_body, require_form, enclosing_at, config, sites)
-            _scan_guards(stmt.else_body, require_form, enclosing_at, config, sites)
+                sites.append(_guard_site(require_form, stmt, enclosing_at, tokens))
+            _scan_guards(stmt.then_body, require_form, enclosing_at, tokens, config, sites)
+            _scan_guards(stmt.else_body, require_form, enclosing_at, tokens, config, sites)
+
+
+def _guard_site(
+    form: str, stmt: ast.Require | ast.If, enclosing_at: tuple[int, int], tokens: Tokens
+) -> GuardSite:
+    condition = stmt.condition
+    return GuardSite(form, *tokens.position(stmt.at),
+                     tokens.text(condition.at, condition.end), enclosing_at)
 
 
 def _branch_reverts(body: list[ast.Stmt]) -> bool:
@@ -129,13 +141,16 @@ def _branch_reverts(body: list[ast.Stmt]) -> bool:
 
 def find_fund_modifications(
     contract: ast.ContractDecl,
+    tokens: Tokens,
     symbols: dict[str, ast.StateVar],
     config: AnalyzerConfig,
 ) -> list[FundModSite]:
-    """One FundModSite per fund-modifying statement in any function body."""
+    """One FundModSite per fund-modifying statement in any function body;
+    ``tokens`` are those the contract was parsed from."""
     sites: list[FundModSite] = []
     for function in contract.functions:
-        _scan_funds(function.body, (function.line, function.column), symbols, config, sites)
+        _scan_funds(function.body, (function.line, function.column), tokens, symbols,
+                    config, sites)
     sites.sort(key=_BY_POSITION)
     return sites
 
@@ -143,6 +158,7 @@ def find_fund_modifications(
 def _scan_funds(
     body: list[ast.Stmt],
     enclosing_at: tuple[int, int],
+    tokens: Tokens,
     symbols: dict[str, ast.StateVar],
     config: AnalyzerConfig,
     sites: list[FundModSite],
@@ -152,17 +168,18 @@ def _scan_funds(
         if cls is ast.Assign:
             if _is_balance_mapping_write(stmt.lvalue, symbols, config):
                 sites.append(FundModSite(
-                    BALANCE_MAPPING_WRITE, stmt.line, stmt.column, stmt.text, enclosing_at))
-            _scan_call_sites(stmt.rvalue, stmt, enclosing_at, config, sites)
-            _scan_call_sites(stmt.lvalue, stmt, enclosing_at, config, sites)
+                    BALANCE_MAPPING_WRITE, *tokens.position(stmt.at),
+                    tokens.text(stmt.at, stmt.end), enclosing_at))
+            _scan_call_sites(stmt.rvalue, stmt, enclosing_at, tokens, config, sites)
+            _scan_call_sites(stmt.lvalue, stmt, enclosing_at, tokens, config, sites)
         elif cls is ast.Call:
-            _scan_call_sites(stmt.expr, stmt, enclosing_at, config, sites)
+            _scan_call_sites(stmt.expr, stmt, enclosing_at, tokens, config, sites)
         elif cls is ast.Require:
-            _scan_call_sites(stmt.condition, stmt, enclosing_at, config, sites)
+            _scan_call_sites(stmt.condition, stmt, enclosing_at, tokens, config, sites)
         elif cls is ast.If:
-            _scan_call_sites(stmt.condition, stmt, enclosing_at, config, sites)
-            _scan_funds(stmt.then_body, enclosing_at, symbols, config, sites)
-            _scan_funds(stmt.else_body, enclosing_at, symbols, config, sites)
+            _scan_call_sites(stmt.condition, stmt, enclosing_at, tokens, config, sites)
+            _scan_funds(stmt.then_body, enclosing_at, tokens, symbols, config, sites)
+            _scan_funds(stmt.else_body, enclosing_at, tokens, symbols, config, sites)
 
 
 def _is_balance_mapping_write(
@@ -187,6 +204,7 @@ def _scan_call_sites(
     expr: ast.Expr,
     stmt: ast.Stmt,
     enclosing_at: tuple[int, int],
+    tokens: Tokens,
     config: AnalyzerConfig,
     sites: list[FundModSite],
 ) -> None:
@@ -198,7 +216,8 @@ def _scan_call_sites(
         if cls is ast.CallExpr:
             kind = _classify_call(node, config)
             if kind is not None:
-                sites.append(FundModSite(kind, node.line, node.column, stmt.text, enclosing_at))
+                sites.append(FundModSite(kind, *tokens.position(node.at),
+                                         tokens.text(stmt.at, stmt.end), enclosing_at))
             push(node.callee)
             stack.extend(node.args)
         elif cls is ast.Member:

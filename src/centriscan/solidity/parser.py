@@ -3,12 +3,10 @@
 Never raises on any token stream: constructs outside the subset are
 absorbed into Opaque nodes via brace/semicolon-matched recovery, each with
 a note-level diagnostic, so downstream detectors see a best-effort AST.
+Comments never reach the parser: the tokenizer skips them like whitespace.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left
-from itertools import compress
 
 from ..diagnostics import Diagnostic
 from . import ast
@@ -59,16 +57,19 @@ _STMT_KEYWORDS = _OPAQUE_STMT_KEYWORDS | {
 }
 
 
-def parse_source(tokens: Tokens, path: str, source: str) -> ast.SourceUnit:
-    """Parse ``tokens``, the result of ``tokenize(source)``, into a SourceUnit;
-    total for any input. Node texts are slices of ``source``, from a node's
-    first token to the end of its last."""
-    return _Parser(tokens, path, source).parse_unit()
+def parse_source(tokens: Tokens, path: str) -> ast.SourceUnit:
+    """Parse ``tokens``, the result of ``tokenize(source)``, into a SourceUnit
+    that carries them; total for any input. Expression and statement nodes
+    hold token spans, from which ``tokens`` derives their positions and
+    texts (see ``ast``). Comments are gaps, never tokens, so a node's text
+    is the slice of the source from its first token to the end of its last,
+    comments between its tokens included."""
+    return _Parser(tokens, path).parse_unit()
 
 
 def parse_solidity(source: str, path: str = "<solidity>") -> ast.SourceUnit:
     """Tokenize and parse source text in one step."""
-    return parse_source(tokenize(source), path, source)
+    return parse_source(tokenize(source), path)
 
 
 def _is_type_start(kind: str, text: str) -> bool:
@@ -82,21 +83,13 @@ def _is_type_start(kind: str, text: str) -> bool:
 
 
 class _Parser:
-    def __init__(self, tokens: Tokens, path: str, source: str):
-        kinds, texts, starts = tokens.kinds, tokens.texts, tokens.starts
-        if "comment" in kinds:
-            keep = list(map("comment".__ne__, kinds))
-            kinds = list(compress(kinds, keep))
-            texts = list(compress(texts, keep))
-            starts = list(compress(starts, keep))
-        self.n = len(kinds)
+    def __init__(self, tokens: Tokens, path: str):
+        self.tokens = tokens
+        self.n = len(tokens)
         # The parser never moves past n, so two trailing sentinels let
         # _text(0), _text(1) and kinds[i + 1] skip a bounds check.
-        self.kinds = [*kinds, "", ""]
-        self.texts = [*texts, "", ""]
-        self.starts = starts
-        self.newlines = tokens.newlines
-        self.src = source
+        self.kinds = [*tokens.kinds, "", ""]
+        self.texts = [*tokens.texts, "", ""]
         self.path = path
         self.diags: list[Diagnostic] = []
         self.i = 0
@@ -104,13 +97,6 @@ class _Parser:
         self.stmt_depth = 0
 
     # --- token stream helpers ------------------------------------------
-
-    def _pos(self, i: int) -> tuple[int, int]:
-        """1-based (line, column) of token i < n (see Tokens)."""
-        start = self.starts[i]
-        newlines = self.newlines
-        line = bisect_left(newlines, start)
-        return line, start - newlines[line - 1]
 
     def _text(self, k: int = 0) -> str:
         """Text of the token k ahead (k <= 1), or "" past the end."""
@@ -139,14 +125,8 @@ class _Parser:
     def _note(self, message: str, severity: str = "note") -> None:
         # Past the end of input a note sits on the last token.
         i = min(self.i, self.n - 1)
-        line, column = self._pos(i) if i >= 0 else (1, 1)
+        line, column = self.tokens.position(i) if i >= 0 else (1, 1)
         self.diags.append(Diagnostic(message, line, column, severity))
-
-    def _span_text(self, start: int, end: int) -> str:
-        if start >= end:
-            return ""
-        last = end - 1
-        return self.src[self.starts[start]:self.starts[last] + len(self.texts[last])]
 
     # --- recovery --------------------------------------------------------
 
@@ -185,13 +165,12 @@ class _Parser:
 
     def _opaque_stmt(self, note: str | None = None) -> ast.Opaque:
         start = self.i
-        line, column = self._pos(start) if start < self.n else (1, 1)
         if note:
             self._note(note)
         self._recover_region()
         if self.i == start and self.i < self.n:
             self.i += 1  # guarantee progress when stuck on a stray '}'
-        return ast.Opaque(line, column, self._span_text(start, self.i))
+        return ast.Opaque(start, self.i)
 
     # --- source unit -----------------------------------------------------
 
@@ -207,7 +186,7 @@ class _Parser:
                 self._recover_region()
             else:
                 self._opaque_stmt("skipped unrecognized top-level construct")
-        return ast.SourceUnit(self.path, contracts, self.diags)
+        return ast.SourceUnit(self.path, contracts, self.diags, self.tokens)
 
     def _parse_contract(self) -> ast.ContractDecl:
         self._eat("abstract")
@@ -216,7 +195,7 @@ class _Parser:
         name = self._name()
         if not name:
             self._note(f"missing name after '{self.texts[kw]}'")
-        line, column = self._pos(kw)
+        line, column = self.tokens.position(kw)
         contract = ast.ContractDecl(name, line=line, column=column)
         # Skip the inheritance clause, base arguments included, to the body.
         self._skip_to(_BODY_STOP)
@@ -277,7 +256,7 @@ class _Parser:
         if not self._eat(";"):
             self.i = save
             return None
-        return ast.StateVar(name, type_desc, *self._pos(at))
+        return ast.StateVar(name, type_desc, *self.tokens.position(at))
 
     def _parse_type(self) -> ast.TypeDesc | None:
         start = self.i
@@ -294,7 +273,7 @@ class _Parser:
             value = self._parse_type()
             if value is None or not self._eat(")"):
                 return None
-            return ast.TypeDesc("mapping", self._span_text(start, self.i), key, value)
+            return ast.TypeDesc("mapping", self.tokens.text(start, self.i), key, value)
         tok_kind = self.kinds[start]
         if not _is_type_start(tok_kind, text):
             return None
@@ -307,7 +286,7 @@ class _Parser:
         while self._text() == "[":
             self._skip_balanced()
             kind = "other"
-            name = self._span_text(start, self.i)
+            name = self.tokens.text(start, self.i)
         return ast.TypeDesc(kind, name)
 
     def _parse_modifier(self) -> ast.ModifierDecl:
@@ -327,7 +306,7 @@ class _Parser:
             body = self._parse_block()
         elif not self._eat(";"):
             self._note(f"modifier '{name}' has no body")
-        return ast.ModifierDecl(name, body, *self._pos(kw))
+        return ast.ModifierDecl(name, body, *self.tokens.position(kw))
 
     def _parse_function(self, named: bool) -> ast.FunctionDecl:
         kw = self.i  # function | constructor | fallback | receive
@@ -366,7 +345,7 @@ class _Parser:
                 continue
             self._note(f"unexpected token {t!r} in function header")
             self.i += 1
-        return ast.FunctionDecl(name, invocations, body, *self._pos(kw))
+        return ast.FunctionDecl(name, invocations, body, *self.tokens.position(kw))
 
     # --- statements --------------------------------------------------------
 
@@ -408,16 +387,16 @@ class _Parser:
                     return
                 elif t == "revert":
                     self._recover_region()
-                    out.append(ast.Revert(*self._pos(i), self._span_text(i, self.i)))
+                    out.append(ast.Revert(i, self.i))
                     return
                 elif t == "return":
                     self._recover_region()
-                    out.append(ast.Return(*self._pos(i), self._span_text(i, self.i)))
+                    out.append(ast.Return(i, self.i))
                     return
                 elif t == "_":
                     if self.texts[i + 1] == ";":
                         self.i = i + 2
-                        out.append(ast.Placeholder(*self._pos(i), "_;"))
+                        out.append(ast.Placeholder(i, i + 2))
                         return
                 elif t == ";":  # empty statement
                     self.i = i + 1
@@ -445,7 +424,7 @@ class _Parser:
         self._expect(")", "require")
         if not self._eat(";"):
             self._note("missing ';' after require")
-        return ast.Require(*self._pos(start), self._span_text(start, self.i), condition)
+        return ast.Require(start, self.i, condition)
 
     def _parse_if(self) -> ast.Stmt:
         start = self.i
@@ -457,8 +436,7 @@ class _Parser:
         else_body: list[ast.Stmt] = []
         if self._eat("else"):
             else_body = self._parse_branch()
-        return ast.If(*self._pos(start), self._span_text(start, self.i),
-                      condition, then_body, else_body)
+        return ast.If(start, self.i, condition, then_body, else_body)
 
     def _parse_branch(self) -> list[ast.Stmt]:
         if self._text() == "{":
@@ -476,11 +454,10 @@ class _Parser:
             rvalue = self._parse_expr()
             if not self._eat(";"):
                 self._note("missing ';' after assignment")
-            return ast.Assign(*self._pos(start), self._span_text(start, self.i),
-                              expr, rvalue, t)
+            return ast.Assign(start, self.i, expr, rvalue, t)
         if t == ";" and isinstance(expr, ast.CallExpr):
             self.i += 1
-            return ast.Call(*self._pos(start), self._span_text(start, self.i), expr)
+            return ast.Call(start, self.i, expr)
         self.i = start
         return self._opaque_stmt("statement outside recognized subset")
 
@@ -500,7 +477,7 @@ class _Parser:
                 self._parse_expr()
                 if self._eat(":"):
                     self._parse_expr()
-                return ast.OpaqueExpr(*self._pos(start), self._span_text(start, self.i))
+                return ast.OpaqueExpr(start, self.i)
             return expr
         finally:
             self.expr_depth -= 1
@@ -508,9 +485,8 @@ class _Parser:
     def _opaque_expr_scan(self) -> ast.Expr:
         """Depth-limit fallback: consume to an expression boundary, no recursion."""
         start = self.i
-        line, column = self._pos(start) if start < self.n else (1, 1)
         self._skip_to(_OPAQUE_EXPR_STOP)
-        return ast.OpaqueExpr(line, column, self._span_text(start, self.i))
+        return ast.OpaqueExpr(start, self.i)
 
     def _parse_binary(self, start: int, expr: ast.Expr, min_prec: int) -> ast.Expr:
         """Precedence climbing: extend expr, parsed from token start, with the
@@ -518,7 +494,6 @@ class _Parser:
         left-associative; an opaque-tier chain folds into one OpaqueExpr
         spanning its operands."""
         texts = self.texts
-        line, column = self._pos(start)
         while True:
             op = texts[self.i]
             prec = _BINARY_PREC.get(op, 0)
@@ -527,13 +502,13 @@ class _Parser:
             self.i += 1
             if prec == _OPAQUE_PREC:
                 self._parse_unary()
-                expr = ast.OpaqueExpr(line, column, self._span_text(start, self.i))
+                expr = ast.OpaqueExpr(start, self.i)
                 continue
             rhs_start = self.i
             rhs = self._parse_unary()
             if _BINARY_PREC.get(texts[self.i], 0) > prec:
                 rhs = self._parse_binary(rhs_start, rhs, prec + 1)
-            expr = ast.Binary(line, column, self._span_text(start, self.i), op, expr, rhs)
+            expr = ast.Binary(start, self.i, op, expr, rhs)
 
     def _parse_unary(self) -> ast.Expr:
         """Prefix operators, then a primary with member, index and call suffixes."""
@@ -547,69 +522,64 @@ class _Parser:
                 i += 1
             self.i = i
             self._parse_unary()
-            return ast.OpaqueExpr(*self._pos(start), self._span_text(start, self.i))
+            return ast.OpaqueExpr(start, self.i)
         # --- primary
-        if i >= self.n:
-            return ast.OpaqueExpr(1, 1, "")
-        # Every node below spans from token i, so all take its position.
-        line, column = self._pos(i)
-        if t in _EXPR_STOP:
+        if i >= self.n or t in _EXPR_STOP:
             # No suffix starts with a stop token, so return at once.
-            return ast.OpaqueExpr(line, column, "")
+            return ast.OpaqueExpr(i, i)
+        # Every node below spans from token i.
         kind = self.kinds[i]
         if kind == "identifier":
             self.i = i + 1
-            expr = ast.Identifier(line, column, t, t)
+            expr = ast.Identifier(i, i + 1, t)
         elif t == "address" and texts[i + 1] == "(":
             self.i = i + 2
             inner = self._parse_expr()
             self._expect(")", "address cast")
-            expr = ast.AddressCast(line, column, self._span_text(start, self.i), inner)
+            expr = ast.AddressCast(i, self.i, inner)
         elif t == "(":
             self.i = i + 1
             expr = self._parse_expr()
             self._expect(")", "parenthesized expression")
         elif kind in ("number-literal", "string-literal") or t in ("true", "false"):
             self.i = i + 1
-            expr = ast.Literal(line, column, t)
+            expr = ast.Literal(i, i + 1)
         elif kind == "keyword":
             self.i = i + 1
-            expr = ast.Identifier(line, column, t, t)
+            expr = ast.Identifier(i, i + 1, t)
         else:
             self.i = i + 1
-            expr = ast.OpaqueExpr(line, column, t)
+            expr = ast.OpaqueExpr(i, i + 1)
         # --- suffixes
         while True:
             t = texts[self.i]
             if t == ".":
                 if self.kinds[self.i + 1] not in ("identifier", "keyword"):
                     self.i += 1
-                    return ast.OpaqueExpr(line, column, self._span_text(start, self.i))
+                    return ast.OpaqueExpr(i, self.i)
                 member = texts[self.i + 1]
                 self.i += 2
-                text = self._span_text(start, self.i)
                 if isinstance(expr, ast.Identifier) and expr.name == "msg" and member == "sender":
-                    expr = ast.MsgSender(line, column, text)
+                    expr = ast.MsgSender(i, self.i)
                 else:
-                    expr = ast.Member(line, column, text, expr, member)
+                    expr = ast.Member(i, self.i, expr, member)
             elif t == "[":
                 self.i += 1
                 index = self._parse_expr()
                 self._expect("]", "index expression")
-                expr = ast.Index(line, column, self._span_text(start, self.i), expr, index)
+                expr = ast.Index(i, self.i, expr, index)
             elif t == "(":
                 args = self._parse_call_args()
-                expr = ast.CallExpr(line, column, self._span_text(start, self.i), expr, args)
+                expr = ast.CallExpr(i, self.i, expr, args)
             elif t == "{" and isinstance(expr, ast.Member):
                 opt_start = self.i
                 self._skip_balanced()
-                options = self._span_text(opt_start, self.i)
+                options = self.tokens.text(opt_start, self.i)
                 if self._text() == "(":
                     args = self._parse_call_args()
-                    expr = ast.CallExpr(line, column, self._span_text(start, self.i),
-                                        expr, args, options)
+                    expr = ast.CallExpr(i, self.i, expr, args, options)
                 else:
-                    return ast.OpaqueExpr(line, column, self._span_text(start, self.i))
+                    return ast.OpaqueExpr(i, self.i)
             else:
                 return expr
 
@@ -623,8 +593,7 @@ class _Parser:
             if self._text() == "{":
                 opt_start = self.i
                 self._skip_balanced()
-                args.append(ast.OpaqueExpr(*self._pos(opt_start),
-                                           self._span_text(opt_start, self.i)))
+                args.append(ast.OpaqueExpr(opt_start, self.i))
             else:
                 args.append(self._parse_expr())
             if self._eat(","):

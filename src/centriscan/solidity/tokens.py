@@ -1,20 +1,19 @@
-"""Solidity tokenizer: verbatim tokens with 1-based line/column positions.
+"""Solidity tokenizer: verbatim tokens and the map from token indices to
+1-based line/column positions and source text.
 
-Total for any input string; unknown characters become `unknown` tokens and
-concatenating token texts plus the skipped whitespace reproduces the input.
-Tokens are held as parallel lists; a `Token` record is built only when one
-is asked for.
+Total for any input string; unknown characters become `unknown` tokens.
+Whitespace and comments are gaps between tokens, skipped alike, so the
+token texts plus the gaps reproduce the input. Tokens are held as parallel
+lists; AST nodes refer to them by index.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from collections.abc import Sequence
-from itertools import compress, count
-from typing import NamedTuple
+from itertools import accumulate
 
-from ..scanloop import scan_solidity
+from ..scanloop import PUNCT1, scan_solidity
 
 KEYWORDS = frozenset("""
     abstract address assembly bool break bytes byte calldata catch constant
@@ -28,57 +27,71 @@ KEYWORDS = frozenset("""
 
 _SIZED_TYPE = re.compile(r"(?:u?int\d+|bytes\d+)\Z")
 _SIZED_PREFIXES = ("int", "uint", "bytes")
-_NEWLINE = re.compile("\n")
+
+# The kernel's token alternatives start with disjoint characters, so a
+# token's first character names its kind.
+_KIND_BY_FIRST = {
+    **dict.fromkeys("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$", "identifier"),
+    **dict.fromkeys(PUNCT1, "punctuation"),
+    **dict.fromkeys("\"'", "string-literal"),
+    **dict.fromkeys("0123456789", "number-literal"),
+}
 
 
-class Token(NamedTuple):
-    kind: str  # keyword | identifier | punctuation | string-literal | number-literal | comment | unknown
-    text: str
-    line: int
-    column: int
-    start: int
-    end: int
+def _kind(text: str) -> str:
+    """keyword | identifier | punctuation | string-literal | number-literal | unknown"""
+    kind = _KIND_BY_FIRST.get(text[0], "unknown")
+    if kind == "identifier" and (text in KEYWORDS or (
+            text.startswith(_SIZED_PREFIXES) and _SIZED_TYPE.match(text))):
+        return "keyword"
+    return kind
 
 
-class Tokens(Sequence):
-    """The tokens of one source as parallel lists, indexed by token number.
+class Tokens:
+    """The tokens of one source as parallel lists, indexed by token number,
+    and the one place that maps token indices to source positions and text.
 
     `newlines` is -1 followed by the offset of every newline in the source,
     so the token starting at s sits on line k = bisect_left(newlines, s) at
     column s - newlines[k - 1].
     """
 
-    __slots__ = ("kinds", "texts", "starts", "newlines")
+    __slots__ = ("source", "kinds", "texts", "starts", "newlines")
 
-    def __init__(self, kinds: list[str], texts: list[str], starts: list[int],
-                 newlines: list[int]):
+    def __init__(self, source: str, kinds: list[str], texts: list[str], starts: list[int]):
+        self.source = source
         self.kinds = kinds
         self.texts = texts
         self.starts = starts
-        self.newlines = newlines
+        # Line k's newline sits one past the previous newline plus the line's
+        # length; the last line has no newline, so its entry is dropped.
+        self.newlines = list(accumulate(map((1).__add__, map(len, source.split("\n"))),
+                                        initial=-1))[:-1]
 
     def __len__(self) -> int:
         return len(self.kinds)
 
-    def __getitem__(self, i: int) -> Token:
-        text = self.texts[i]
-        start = self.starts[i]
+    def position(self, i: int) -> tuple[int, int]:
+        """1-based (line, column) of token i; past the last token, that of
+        the end of the source."""
+        start = self.starts[i] if i < len(self.starts) else len(self.source)
         newlines = self.newlines
         line = bisect_left(newlines, start)
-        return Token(self.kinds[i], text, line, start - newlines[line - 1], start,
-                     start + len(text))
+        return line, start - newlines[line - 1]
+
+    def text(self, at: int, end: int) -> str:
+        """Source text from the start of token `at` to the end of token
+        `end - 1`, gaps included; "" when the span is empty."""
+        if at >= end:
+            return ""
+        last = end - 1
+        return self.source[self.starts[at]:self.starts[last] + len(self.texts[last])]
 
 
 def tokenize(source: str) -> Tokens:
     """Split source into tokens; total for arbitrary input."""
-    kinds, texts, starts = scan_solidity(source)
-    # Only the kernel's identifier pattern matches a keyword or a sized type
-    # name, so these texts are identifiers to reclassify. The distinct texts
-    # are few; the per-token pass runs in C and yields only keyword tokens.
-    words = {text for text in set(texts) if text in KEYWORDS or (
-        text.startswith(_SIZED_PREFIXES) and _SIZED_TYPE.match(text))}
-    for i in compress(count(), map(words.__contains__, texts)):
-        kinds[i] = "keyword"
-    newlines = [-1]
-    newlines.extend(m.start() for m in _NEWLINE.finditer(source))
-    return Tokens(kinds, texts, starts, newlines)
+    texts, starts = scan_solidity(source)
+    # The distinct texts are few, so each is classified once and the
+    # per-token pass is a dict lookup in C.
+    kind_of = {text: _kind(text) for text in set(texts)}
+    return Tokens(source, list(map(kind_of.__getitem__, texts)), texts, starts)

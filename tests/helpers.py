@@ -6,7 +6,7 @@ import dataclasses
 import os
 import random
 
-from centriscan.solidity import ast
+from centriscan.solidity import Tokens, ast
 from centriscan.solidity.parser import parse_solidity
 from centriscan.teal.cfg import (
     BRANCH_NOT_TAKEN,
@@ -50,37 +50,50 @@ def all_corpus_files() -> list[str]:
     return found
 
 
-def parse_single_contract(source: str) -> ast.ContractDecl:
+def parse_single_unit(source: str) -> tuple[ast.ContractDecl, Tokens]:
+    """The one contract in source, and the tokens its nodes index."""
     unit = parse_solidity(source, "test.sol")
     assert len(unit.contracts) == 1, unit.diagnostics
-    return unit.contracts[0]
+    return unit.contracts[0], unit.tokens
+
+
+def parse_single_contract(source: str) -> ast.ContractDecl:
+    return parse_single_unit(source)[0]
+
+
+def parse_function(statements: str) -> tuple[list[ast.Stmt], Tokens]:
+    """The statements parsed as one function body, and the tokens its nodes index."""
+    contract, tokens = parse_single_unit(
+        "contract W { function w() public {\n" + statements + "\n} }"
+    )
+    return contract.functions[0].body, tokens
 
 
 def parse_function_body(statements: str) -> list[ast.Stmt]:
-    contract = parse_single_contract(
-        "contract W { function w() public {\n" + statements + "\n} }"
-    )
-    return contract.functions[0].body
+    return parse_function(statements)[0]
 
 
 # Node kinds whose text is their content, not just a source echo.
 _TEXT_IS_CONTENT = (ast.Literal, ast.OpaqueExpr, ast.Opaque)
 
 
-def ast_equal(a, b) -> bool:
-    """Structural equality ignoring locations and incidental source text."""
+def ast_equal(a, b, tokens_a: Tokens, tokens_b: Tokens) -> bool:
+    """Structural equality ignoring locations and incidental source text.
+    Nodes of a index tokens_a, nodes of b tokens_b."""
     if type(a) is not type(b):
         return False
     if isinstance(a, list):
-        return len(a) == len(b) and all(ast_equal(x, y) for x, y in zip(a, b))
+        return len(a) == len(b) and all(
+            ast_equal(x, y, tokens_a, tokens_b) for x, y in zip(a, b))
     if not dataclasses.is_dataclass(a):
         return a == b
+    if isinstance(a, _TEXT_IS_CONTENT) and \
+            tokens_a.text(a.at, a.end) != tokens_b.text(b.at, b.end):
+        return False
     for f in dataclasses.fields(a):
-        if f.name in ("line", "column"):
+        if f.name in ("at", "end"):
             continue
-        if f.name == "text" and not isinstance(a, _TEXT_IS_CONTENT):
-            continue
-        if not ast_equal(getattr(a, f.name), getattr(b, f.name)):
+        if not ast_equal(getattr(a, f.name), getattr(b, f.name), tokens_a, tokens_b):
             return False
     return True
 

@@ -42,7 +42,7 @@ from centriscan.teal.parser import parse_teal
 from helpers import (
     all_corpus_files,
     corpus_text,
-    parse_single_contract,
+    parse_single_unit,
     random_cfg,
     random_guards_and_funds,
 )
@@ -62,10 +62,10 @@ def criterion(number: int, description: str):
 
 
 def _solidity_sites(name: str):
-    contract = parse_single_contract(corpus_text("solidity", name))
+    contract, tokens = parse_single_unit(corpus_text("solidity", name))
     symbols = collect_state_vars(contract)
-    guards = find_sender_guards(contract, CONFIG)
-    funds = find_fund_modifications(contract, symbols, CONFIG)
+    guards = find_sender_guards(contract, tokens, CONFIG)
+    funds = find_fund_modifications(contract, tokens, symbols, CONFIG)
     return guards, funds
 
 

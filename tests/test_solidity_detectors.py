@@ -18,16 +18,16 @@ from centriscan.solidity.detectors import (
 )
 from centriscan.solidity.symbols import collect_state_vars
 
-from helpers import corpus_text, parse_single_contract
+from helpers import corpus_text, parse_single_unit
 
 CONFIG = AnalyzerConfig()
 
 
 def _analyze(source: str, config: AnalyzerConfig = CONFIG):
-    contract = parse_single_contract(source)
+    contract, tokens = parse_single_unit(source)
     symbols = collect_state_vars(contract)
-    guards = find_sender_guards(contract, config)
-    funds = find_fund_modifications(contract, symbols, config)
+    guards = find_sender_guards(contract, tokens, config)
+    funds = find_fund_modifications(contract, tokens, symbols, config)
     return contract, guards, funds
 
 
@@ -61,6 +61,14 @@ def test_row4_balance_write():
     assert guards == []
     assert [(s.kind, s.text) for s in funds] == [
         (BALANCE_MAPPING_WRITE, "bals[msg.sender] = bals[msg.sender].add(1);")]
+
+
+def test_guard_text_is_the_condition_source_with_its_comments():
+    contract, guards, _ = _analyze(
+        "contract C { address owner; function f() public {\n"
+        "    require(msg.sender /* c */ == owner); } }")
+    assert [(g.form, g.line, g.column, g.text) for g in guards] == [
+        (REQUIRE_GUARD, 2, 5, "msg.sender /* c */ == owner")]
 
 
 def test_non_sender_require_is_not_a_guard():

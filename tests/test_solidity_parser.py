@@ -13,6 +13,7 @@ from helpers import (
     SOLIDITY_FRAGMENTS,
     ast_equal,
     corpus_text,
+    parse_function,
     parse_function_body,
     parse_single_contract,
 )
@@ -64,11 +65,11 @@ def test_assembly_recovery_in_function_body():
 
 
 def test_recovery_isolation():
-    before = parse_function_body("require(msg.sender == owner);\nowner = to;")
-    after = parse_function_body(
+    before, before_tokens = parse_function("require(msg.sender == owner);\nowner = to;")
+    after, after_tokens = parse_function(
         "require(msg.sender == owner);\nassembly {??? }\nowner = to;")
     recognized = [s for s in after if not isinstance(s, ast.Opaque)]
-    assert ast_equal(before, recognized)
+    assert ast_equal(before, recognized, before_tokens, after_tokens)
 
 
 def test_visibility_keywords_filtered_from_invocations():
@@ -155,7 +156,7 @@ def test_recovery_steps_over_a_stray_closer():
         "contract C { function f() public { emit Log(a)); bals[to] = 1; } }", "c.sol")
     body = unit.contracts[0].functions[0].body
     assert [type(s) for s in body] == [ast.Opaque, ast.Assign]
-    assert body[0].text == "emit Log(a));"
+    assert unit.tokens.text(body[0].at, body[0].end) == "emit Log(a));"
     assert _notes(unit) == [("statement outside recognized subset", 1, 36)]
 
 
@@ -175,8 +176,8 @@ def test_require_message_is_skipped_to_its_closing_paren():
         "require(c, a; b); y = 1; } }", "c.sol")
     body = unit.contracts[0].functions[0].body
     assert [type(s) for s in body] == [ast.Require, ast.Require, ast.Assign]
-    assert body[0].text == 'require(c, g(";"), x);'
-    assert body[1].text == "require(c, a; b);"
+    assert unit.tokens.text(body[0].at, body[0].end) == 'require(c, g(";"), x);'
+    assert unit.tokens.text(body[1].at, body[1].end) == "require(c, a; b);"
     assert unit.diagnostics == []
 
 
@@ -188,7 +189,7 @@ def test_depth_limit_scan_steps_over_braces():
         "contract C { function f() public { x = " + nested + "; } }", "c.sol")
     body = unit.contracts[0].functions[0].body
     assert [type(s) for s in body] == [ast.Assign]
-    assert body[0].text == "x = " + nested + ";"
+    assert unit.tokens.text(body[0].at, body[0].end) == "x = " + nested + ";"
     assert unit.diagnostics == []
 
 
@@ -214,7 +215,7 @@ def test_locations_inside_source_bounds():
                 walk(item)
             return
         if isinstance(node, (ast.Stmt, ast.Expr)):
-            check(node.line, node.column)
+            check(*unit.tokens.position(node.at))
         for attr in ("condition", "then_body", "else_body", "lvalue", "rvalue",
                      "expr", "callee", "args", "base", "index", "inner",
                      "lhs", "rhs", "body"):
@@ -268,17 +269,22 @@ def _stmt_and_expr_nodes(nodes):
 # A node that starts with a parenthesized operand sits on the `(`.
 @example("contract C { function f() public { x = (a) == b; (to).transfer(1); (c ? d : e); } }")
 @example("/* only */ // comments\r\n")
+# Node text is a slice of the source, so a comment between tokens stays in it.
+@example("contract C { function f() public { require(msg.sender /* c */ == owner); } }")
 @settings(max_examples=400, deadline=None)
 def test_node_positions_locate_their_text(src):
     unit = parse_solidity(src, "p.sol")
+    tokens = unit.tokens
     bodies = [decl.body for c in unit.contracts for decl in (*c.modifiers, *c.functions)]
     for node in _stmt_and_expr_nodes(bodies):
-        if node.text:
-            assert src.startswith(node.text, _offset(src, node.line, node.column)), node
+        assert 0 <= node.at <= node.end <= len(tokens), node
+        text = tokens.text(node.at, node.end)
+        if text:
+            assert src.startswith(text, _offset(src, *tokens.position(node.at))), node
     # A diagnostic sits on a token; one made at the end of input sits on the
     # last token, and with no token at all on (1, 1).
-    positions = [(src.count("\n", 0, t.start) + 1, t.start - src.rfind("\n", 0, t.start))
-                 for t in tokenize(src) if t.kind != "comment"] or [(1, 1)]
+    positions = [(src.count("\n", 0, start) + 1, start - src.rfind("\n", 0, start))
+                 for start in tokenize(src).starts] or [(1, 1)]
     for diag in unit.diagnostics:
         assert (diag.line, diag.column) in positions, diag
         if diag.message.endswith("at end of input"):
@@ -286,62 +292,64 @@ def test_node_positions_locate_their_text(src):
 
 
 def _id(name: str) -> ast.Identifier:
-    return ast.Identifier(0, 0, "", name)
+    return ast.Identifier(0, 0, name)
 
 
 def _eq(lhs: ast.Expr, rhs: ast.Expr) -> ast.Binary:
-    return ast.Binary(0, 0, "", "==", lhs, rhs)
+    return ast.Binary(0, 0, "==", lhs, rhs)
 
 
 def _index(base: ast.Expr, index: ast.Expr) -> ast.Index:
-    return ast.Index(0, 0, "", base, index)
+    return ast.Index(0, 0, base, index)
 
 
 def _call(callee: ast.Expr, *args: ast.Expr) -> ast.CallExpr:
-    return ast.CallExpr(0, 0, "", callee, list(args))
+    return ast.CallExpr(0, 0, callee, list(args))
 
 
 # Each recognized statement form and the tree it must parse to; ast_equal
-# ignores positions and the echoed source text of structured nodes.
-_SENDER = ast.MsgSender(0, 0, "")
+# ignores spans, and compares the source text only of content nodes. The
+# expected trees' one content node, the literal `1`, is token 0 of _ONE_TOKENS.
+_ONE_TOKENS = tokenize("1")
+_ONE = ast.Literal(0, 1)
+_SENDER = ast.MsgSender(0, 0)
 SUBSET_TREES = {
     "require(msg.sender == owner);":
-        ast.Require(0, 0, "", _eq(_SENDER, _id("owner"))),
+        ast.Require(0, 0, _eq(_SENDER, _id("owner"))),
     "require((owner == msg.sender) && (a == b));":
-        ast.Require(0, 0, "", ast.Binary(
-            0, 0, "", "&&", _eq(_id("owner"), _SENDER), _eq(_id("a"), _id("b")))),
+        ast.Require(0, 0, ast.Binary(
+            0, 0, "&&", _eq(_id("owner"), _SENDER), _eq(_id("a"), _id("b")))),
     "require(address(owner) == msg.sender);":
-        ast.Require(0, 0, "", _eq(ast.AddressCast(0, 0, "", _id("owner")), _SENDER)),
+        ast.Require(0, 0, _eq(ast.AddressCast(0, 0, _id("owner")), _SENDER)),
     "if (msg.sender == owner) { bals[to] = 1; }":
-        ast.If(0, 0, "", _eq(_SENDER, _id("owner")),
-               [ast.Assign(0, 0, "", _index(_id("bals"), _id("to")),
-                           ast.Literal(0, 0, "1"), "=")],
+        ast.If(0, 0, _eq(_SENDER, _id("owner")),
+               [ast.Assign(0, 0, _index(_id("bals"), _id("to")), _ONE, "=")],
                []),
     "if (msg.sender != owner) { revert; } else { x = 1; }":
-        ast.If(0, 0, "", ast.Binary(0, 0, "", "!=", _SENDER, _id("owner")),
-               [ast.Revert(0, 0, "")],
-               [ast.Assign(0, 0, "", _id("x"), ast.Literal(0, 0, "1"), "=")]),
+        ast.If(0, 0, ast.Binary(0, 0, "!=", _SENDER, _id("owner")),
+               [ast.Revert(0, 0)],
+               [ast.Assign(0, 0, _id("x"), _ONE, "=")]),
     "bals[to] = bals[to].add(amount);":
-        ast.Assign(0, 0, "", _index(_id("bals"), _id("to")),
-                   _call(ast.Member(0, 0, "", _index(_id("bals"), _id("to")), "add"),
+        ast.Assign(0, 0, _index(_id("bals"), _id("to")),
+                   _call(ast.Member(0, 0, _index(_id("bals"), _id("to")), "add"),
                          _id("amount")),
                    "="),
     "bals[msg.sender] += 1;":
-        ast.Assign(0, 0, "", _index(_id("bals"), _SENDER), ast.Literal(0, 0, "1"), "+="),
+        ast.Assign(0, 0, _index(_id("bals"), _SENDER), _ONE, "+="),
     "to.transfer(amount);":
-        ast.Call(0, 0, "", _call(ast.Member(0, 0, "", _id("to"), "transfer"), _id("amount"))),
+        ast.Call(0, 0, _call(ast.Member(0, 0, _id("to"), "transfer"), _id("amount"))),
     "selfdestruct(beneficiary);":
-        ast.Call(0, 0, "", _call(_id("selfdestruct"), _id("beneficiary"))),
-    "return;": ast.Return(0, 0, ""),
-    "revert;": ast.Revert(0, 0, ""),
-    "_;": ast.Placeholder(0, 0, ""),
+        ast.Call(0, 0, _call(_id("selfdestruct"), _id("beneficiary"))),
+    "return;": ast.Return(0, 0),
+    "revert;": ast.Revert(0, 0),
+    "_;": ast.Placeholder(0, 0),
 }
 
 
 def test_subset_statement_trees():
     for stmt_src, expected in SUBSET_TREES.items():
-        parsed = parse_function_body(stmt_src)
-        assert ast_equal(parsed, [expected]), (stmt_src, parsed)
+        parsed, tokens = parse_function(stmt_src)
+        assert ast_equal(parsed, [expected], tokens, _ONE_TOKENS), (stmt_src, parsed)
 
 
 @given(st.text(max_size=300))
