@@ -62,10 +62,10 @@ def analyze_solidity_source(
     diagnostics = list(unit.diagnostics)
     detections = []
     for contract in unit.contracts:
-        symbols = collect_state_vars(contract, diagnostics)
+        symbols = collect_state_vars(contract, unit.tokens, diagnostics)
         guards = find_sender_guards(contract, unit.tokens, config)
         funds = find_fund_modifications(contract, unit.tokens, symbols, config)
-        detections.extend(pair_detections(contract, guards, funds, diagnostics))
+        detections.extend(pair_detections(contract, unit.tokens, guards, funds, diagnostics))
     findings = classify([SolidityDetections(path, detections)])
     return findings, diagnostics
 

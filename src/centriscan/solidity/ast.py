@@ -4,9 +4,10 @@ Expression and statement nodes hold token spans: `at` is the index of a
 node's first token and `end` one past its last, into the `Tokens` its
 SourceUnit carries. `tokens.position(node.at)` gives the node's line and
 column, and `tokens.text(node.at, node.end)` its verbatim source text, gaps
-(whitespace and comments) between its tokens included. Declarations keep
-their line and column. Anything outside the subset is preserved as Opaque
-spans; detectors never look inside those.
+(whitespace and comments) between its tokens included. A declaration's `at`
+is the index of its keyword token (of its name token for a state variable),
+so `tokens.position(decl.at)` gives its line and column. Anything outside
+the subset is preserved as Opaque spans; detectors never look inside those.
 """
 
 from __future__ import annotations
@@ -62,16 +63,6 @@ class CallExpr(Expr):
 
 
 @dataclass(slots=True)
-class AddressCast(Expr):
-    inner: Expr
-
-
-@dataclass(slots=True)
-class Literal(Expr):
-    pass
-
-
-@dataclass(slots=True)
 class OpaqueExpr(Expr):
     pass
 
@@ -100,7 +91,6 @@ class If(Stmt):
 class Assign(Stmt):
     lvalue: Expr
     rvalue: Expr
-    op: str  # "=", "+=", "-=", ...
 
 
 @dataclass(slots=True)
@@ -132,9 +122,8 @@ class Opaque(Stmt):
 
 @dataclass(slots=True)
 class TypeDesc:
-    kind: str  # "elementary" | "mapping" | "other"
     name: str  # verbatim type text
-    key: TypeDesc | None = None
+    key: TypeDesc | None = None  # set exactly for a mapping
     value: TypeDesc | None = None
 
 
@@ -142,16 +131,14 @@ class TypeDesc:
 class StateVar:
     name: str
     type_desc: TypeDesc
-    line: int
-    column: int
+    at: int  # index of the name token
 
 
 @dataclass(slots=True)
 class ModifierDecl:
     name: str
     body: list[Stmt]
-    line: int
-    column: int
+    at: int  # index of the keyword token
 
 
 @dataclass(slots=True)
@@ -159,18 +146,16 @@ class FunctionDecl:
     name: str  # "" for constructor/fallback/receive
     modifier_invocations: list[str]
     body: list[Stmt]
-    line: int
-    column: int
+    at: int  # index of the keyword token
 
 
 @dataclass(slots=True)
 class ContractDecl:
     name: str
+    at: int  # index of the contract | interface | library keyword token
     state_vars: list[StateVar] = field(default_factory=list)
     modifiers: list[ModifierDecl] = field(default_factory=list)
     functions: list[FunctionDecl] = field(default_factory=list)
-    line: int = 1
-    column: int = 1
 
 
 @dataclass(slots=True)

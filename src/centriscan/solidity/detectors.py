@@ -35,7 +35,7 @@ class GuardSite(NamedTuple):
     line: int
     column: int
     text: str  # condition source text
-    enclosing_at: tuple[int, int]  # (line, column) of the enclosing declaration
+    enclosing_at: int  # `at` of the enclosing declaration
 
 
 class FundModSite(NamedTuple):
@@ -43,7 +43,7 @@ class FundModSite(NamedTuple):
     line: int
     column: int
     text: str
-    enclosing_at: tuple[int, int]  # (line, column) of the enclosing function
+    enclosing_at: int  # `at` of the enclosing function
 
 
 @dataclass(slots=True)
@@ -94,11 +94,9 @@ def find_sender_guards(
     ``tokens`` are those the contract was parsed from."""
     sites: list[GuardSite] = []
     for modifier in contract.modifiers:
-        _scan_guards(modifier.body, MODIFIER_GUARD, (modifier.line, modifier.column),
-                     tokens, config, sites)
+        _scan_guards(modifier.body, MODIFIER_GUARD, modifier.at, tokens, config, sites)
     for function in contract.functions:
-        _scan_guards(function.body, REQUIRE_GUARD, (function.line, function.column),
-                     tokens, config, sites)
+        _scan_guards(function.body, REQUIRE_GUARD, function.at, tokens, config, sites)
     sites.sort(key=_BY_POSITION)
     return sites
 
@@ -106,7 +104,7 @@ def find_sender_guards(
 def _scan_guards(
     body: list[ast.Stmt],
     require_form: str,  # ModifierGuard in a modifier body, else RequireGuard
-    enclosing_at: tuple[int, int],
+    enclosing_at: int,
     tokens: Tokens,
     config: AnalyzerConfig,
     sites: list[GuardSite],
@@ -128,7 +126,7 @@ def _scan_guards(
 
 
 def _guard_site(
-    form: str, stmt: ast.Require | ast.If, enclosing_at: tuple[int, int], tokens: Tokens
+    form: str, stmt: ast.Require | ast.If, enclosing_at: int, tokens: Tokens
 ) -> GuardSite:
     condition = stmt.condition
     return GuardSite(form, *tokens.position(stmt.at),
@@ -149,15 +147,14 @@ def find_fund_modifications(
     ``tokens`` are those the contract was parsed from."""
     sites: list[FundModSite] = []
     for function in contract.functions:
-        _scan_funds(function.body, (function.line, function.column), tokens, symbols,
-                    config, sites)
+        _scan_funds(function.body, function.at, tokens, symbols, config, sites)
     sites.sort(key=_BY_POSITION)
     return sites
 
 
 def _scan_funds(
     body: list[ast.Stmt],
-    enclosing_at: tuple[int, int],
+    enclosing_at: int,
     tokens: Tokens,
     symbols: dict[str, ast.StateVar],
     config: AnalyzerConfig,
@@ -203,7 +200,7 @@ def _is_balance_mapping_write(
 def _scan_call_sites(
     expr: ast.Expr,
     stmt: ast.Stmt,
-    enclosing_at: tuple[int, int],
+    enclosing_at: int,
     tokens: Tokens,
     config: AnalyzerConfig,
     sites: list[FundModSite],
@@ -228,8 +225,6 @@ def _scan_call_sites(
         elif cls is ast.Binary:
             push(node.lhs)
             push(node.rhs)
-        elif cls is ast.AddressCast:
-            push(node.inner)
 
 
 def _classify_call(call: ast.CallExpr, config: AnalyzerConfig) -> str | None:
@@ -254,45 +249,46 @@ def _classify_call(call: ast.CallExpr, config: AnalyzerConfig) -> str | None:
 
 def pair_detections(
     contract: ast.ContractDecl,
+    tokens: Tokens,
     guards: list[GuardSite],
     fund_sites: list[FundModSite],
     diagnostics: list[Diagnostic] | None = None,
 ) -> list[RawDetection]:
-    """One RawDetection per function carrying any guard or fund site.
+    """One RawDetection per function carrying any guard or fund site;
+    ``tokens`` are those the contract was parsed from.
 
-    Every site is keyed by the position of its enclosing declaration, so
+    Every site is keyed by the `at` of its enclosing declaration, so
     overloads, which share a name and may share a line, stay apart. A
     function's guards are its own plus those of each modifier it invokes;
     an invoked name brings the guards of every modifier declared with it."""
-    modifier_at: dict[str, list[tuple[int, int]]] = {}
+    modifier_at: dict[str, list[int]] = {}
     for modifier in contract.modifiers:
-        modifier_at.setdefault(modifier.name, []).append((modifier.line, modifier.column))
-    guards_at: dict[tuple[int, int], list[GuardSite]] = {}
+        modifier_at.setdefault(modifier.name, []).append(modifier.at)
+    guards_at: dict[int, list[GuardSite]] = {}
     for site in guards:
         guards_at.setdefault(site.enclosing_at, []).append(site)
-    funds_at: dict[tuple[int, int], list[FundModSite]] = {}
+    funds_at: dict[int, list[FundModSite]] = {}
     for site in fund_sites:
         funds_at.setdefault(site.enclosing_at, []).append(site)
 
     detections: list[RawDetection] = []
     for function in contract.functions:
-        key = (function.line, function.column)
-        guard_list = list(guards_at.get(key, ()))
+        guard_list = list(guards_at.get(function.at, ()))
         for invocation in function.modifier_invocations:
-            positions = modifier_at.get(invocation)
-            if positions is None:
+            modifiers = modifier_at.get(invocation)
+            if modifiers is None:
                 if diagnostics is not None:
                     diagnostics.append(Diagnostic(
                         f"function '{function.name}' invokes unknown modifier "
                         f"'{invocation}'",
-                        function.line, function.column,
+                        *tokens.position(function.at),
                     ))
                 continue
-            for at in positions:
+            for at in modifiers:
                 guard_list.extend(guards_at.get(at, ()))
-        funds = funds_at.get(key, [])
+        funds = funds_at.get(function.at, [])
         if guard_list or funds:
             guard_list.sort(key=_BY_POSITION)
             detections.append(RawDetection(
-                function.name, funds, guard_list, function.line, function.column))
+                function.name, funds, guard_list, *tokens.position(function.at)))
     return detections

@@ -195,8 +195,7 @@ class _Parser:
         name = self._name()
         if not name:
             self._note(f"missing name after '{self.texts[kw]}'")
-        line, column = self.tokens.position(kw)
-        contract = ast.ContractDecl(name, line=line, column=column)
+        contract = ast.ContractDecl(name, kw)
         # Skip the inheritance clause, base arguments included, to the body.
         self._skip_to(_BODY_STOP)
         if not self._eat("{"):
@@ -256,7 +255,7 @@ class _Parser:
         if not self._eat(";"):
             self.i = save
             return None
-        return ast.StateVar(name, type_desc, *self.tokens.position(at))
+        return ast.StateVar(name, type_desc, at)
 
     def _parse_type(self) -> ast.TypeDesc | None:
         start = self.i
@@ -273,21 +272,18 @@ class _Parser:
             value = self._parse_type()
             if value is None or not self._eat(")"):
                 return None
-            return ast.TypeDesc("mapping", self.tokens.text(start, self.i), key, value)
-        tok_kind = self.kinds[start]
-        if not _is_type_start(tok_kind, text):
+            return ast.TypeDesc(self.tokens.text(start, self.i), key, value)
+        if not _is_type_start(self.kinds[start], text):
             return None
         self.i += 1
         name = text
-        kind = "elementary" if text in _ELEMENTARY_TYPES or tok_kind == "keyword" else "other"
         if text == "address" and self._text() == "payable":
             self.i += 1
             name = "address payable"
         while self._text() == "[":
             self._skip_balanced()
-            kind = "other"
             name = self.tokens.text(start, self.i)
-        return ast.TypeDesc(kind, name)
+        return ast.TypeDesc(name)
 
     def _parse_modifier(self) -> ast.ModifierDecl:
         kw = self.i
@@ -306,7 +302,7 @@ class _Parser:
             body = self._parse_block()
         elif not self._eat(";"):
             self._note(f"modifier '{name}' has no body")
-        return ast.ModifierDecl(name, body, *self.tokens.position(kw))
+        return ast.ModifierDecl(name, body, kw)
 
     def _parse_function(self, named: bool) -> ast.FunctionDecl:
         kw = self.i  # function | constructor | fallback | receive
@@ -345,7 +341,7 @@ class _Parser:
                 continue
             self._note(f"unexpected token {t!r} in function header")
             self.i += 1
-        return ast.FunctionDecl(name, invocations, body, *self.tokens.position(kw))
+        return ast.FunctionDecl(name, invocations, body, kw)
 
     # --- statements --------------------------------------------------------
 
@@ -454,7 +450,7 @@ class _Parser:
             rvalue = self._parse_expr()
             if not self._eat(";"):
                 self._note("missing ';' after assignment")
-            return ast.Assign(start, self.i, expr, rvalue, t)
+            return ast.Assign(start, self.i, expr, rvalue)
         if t == ";" and isinstance(expr, ast.CallExpr):
             self.i += 1
             return ast.Call(start, self.i, expr)
@@ -529,25 +525,16 @@ class _Parser:
             return ast.OpaqueExpr(i, i)
         # Every node below spans from token i.
         kind = self.kinds[i]
-        if kind == "identifier":
+        if kind == "identifier" or kind == "keyword":
+            # A keyword is an Identifier too: `true`, and the callee of a
+            # cast such as `address(x)` or `payable(x)`.
             self.i = i + 1
             expr = ast.Identifier(i, i + 1, t)
-        elif t == "address" and texts[i + 1] == "(":
-            self.i = i + 2
-            inner = self._parse_expr()
-            self._expect(")", "address cast")
-            expr = ast.AddressCast(i, self.i, inner)
         elif t == "(":
             self.i = i + 1
             expr = self._parse_expr()
             self._expect(")", "parenthesized expression")
-        elif kind in ("number-literal", "string-literal") or t in ("true", "false"):
-            self.i = i + 1
-            expr = ast.Literal(i, i + 1)
-        elif kind == "keyword":
-            self.i = i + 1
-            expr = ast.Identifier(i, i + 1, t)
-        else:
+        else:  # number and string literals among them
             self.i = i + 1
             expr = ast.OpaqueExpr(i, i + 1)
         # --- suffixes

@@ -4,19 +4,22 @@ from __future__ import annotations
 
 from ..diagnostics import Diagnostic
 from .ast import ContractDecl, StateVar, TypeDesc
+from .tokens import Tokens
 
 
 def collect_state_vars(
     contract: ContractDecl,
+    tokens: Tokens,
     diagnostics: list[Diagnostic] | None = None,
 ) -> dict[str, StateVar]:
-    """Map state-variable names to declarations; last declaration wins."""
+    """Map state-variable names to declarations; last declaration wins.
+    ``tokens`` are those the contract was parsed from."""
     table: dict[str, StateVar] = {}
     for var in contract.state_vars:
         if var.name in table and diagnostics is not None:
             diagnostics.append(Diagnostic(
                 f"duplicate state variable '{var.name}'; last declaration wins",
-                var.line, var.column,
+                *tokens.position(var.at),
             ))
         table[var.name] = var
     return table
@@ -32,9 +35,7 @@ def is_address_to_uint_mapping(table: dict[str, StateVar], name: str, depth: int
         return False
     desc: TypeDesc | None = var.type_desc
     for _ in range(depth):
-        if desc is None or desc.kind != "mapping":
-            return False
-        if desc.key is None or desc.key.name != "address":
+        if desc is None or desc.key is None or desc.key.name != "address":
             return False
         desc = desc.value
-    return desc is not None and desc.kind != "mapping" and desc.name.startswith("uint")
+    return desc is not None and desc.key is None and desc.name.startswith("uint")

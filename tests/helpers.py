@@ -74,7 +74,7 @@ def parse_function_body(statements: str) -> list[ast.Stmt]:
 
 
 # Node kinds whose text is their content, not just a source echo.
-_TEXT_IS_CONTENT = (ast.Literal, ast.OpaqueExpr, ast.Opaque)
+_TEXT_IS_CONTENT = (ast.OpaqueExpr, ast.Opaque)
 
 
 def ast_equal(a, b, tokens_a: Tokens, tokens_b: Tokens) -> bool:

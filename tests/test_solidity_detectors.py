@@ -23,36 +23,41 @@ from helpers import corpus_text, parse_single_unit
 CONFIG = AnalyzerConfig()
 
 
+def _sites(contract, tokens, config: AnalyzerConfig):
+    symbols = collect_state_vars(contract, tokens)
+    return (find_sender_guards(contract, tokens, config),
+            find_fund_modifications(contract, tokens, symbols, config))
+
+
 def _analyze(source: str, config: AnalyzerConfig = CONFIG):
     contract, tokens = parse_single_unit(source)
-    symbols = collect_state_vars(contract)
-    guards = find_sender_guards(contract, tokens, config)
-    funds = find_fund_modifications(contract, tokens, symbols, config)
-    return contract, guards, funds
+    return (contract, *_sites(contract, tokens, config))
 
 
-def _at(decl) -> tuple[int, int]:
-    return decl.line, decl.column
+def _pair(source: str, diagnostics=None):
+    """The detections pair_detections makes of source's one contract."""
+    contract, tokens = parse_single_unit(source)
+    return pair_detections(contract, tokens, *_sites(contract, tokens, CONFIG), diagnostics)
 
 
 def test_row1_modifier_guard():
     contract, guards, funds = _analyze(corpus_text("solidity", "row1_only_owner.sol"))
     assert [g.form for g in guards] == [MODIFIER_GUARD]
-    assert guards[0].enclosing_at == _at(contract.modifiers[0])
+    assert guards[0].enclosing_at == contract.modifiers[0].at
     assert funds == []
 
 
 def test_row2_require_guard():
     contract, guards, funds = _analyze(corpus_text("solidity", "row2_require.sol"))
     assert [g.form for g in guards] == [REQUIRE_GUARD]
-    assert guards[0].enclosing_at == _at(contract.functions[0])
+    assert guards[0].enclosing_at == contract.functions[0].at
     assert funds == []
 
 
 def test_row3_if_guard():
     contract, guards, funds = _analyze(corpus_text("solidity", "row3_if.sol"))
     assert [g.form for g in guards] == [IF_GUARD]
-    assert guards[0].enclosing_at == _at(contract.functions[0])
+    assert guards[0].enclosing_at == contract.functions[0].at
     assert funds == []
 
 
@@ -183,8 +188,7 @@ def test_else_branch_is_not_guarded_by_condition():
 
 
 def test_pairing_row1_plus_row4():
-    contract, guards, funds = _analyze(corpus_text("solidity", "owner_drain.sol"))
-    detections = pair_detections(contract, guards, funds)
+    detections = _pair(corpus_text("solidity", "owner_drain.sol"))
     assert len(detections) == 1
     det = detections[0]
     assert det.guard_sites
@@ -193,16 +197,14 @@ def test_pairing_row1_plus_row4():
 
 
 def test_pairing_guard_only_function():
-    contract, guards, funds = _analyze(corpus_text("solidity", "row2_require.sol"))
-    detections = pair_detections(contract, guards, funds)
+    detections = _pair(corpus_text("solidity", "row2_require.sol"))
     assert len(detections) == 1
     assert detections[0].guard_sites and detections[0].fund_sites == []
 
 
 def test_pairing_unguarded_write():
     # Hand-evaluated pairing rule: no guards anywhere, one fund site in `fun`.
-    contract, guards, funds = _analyze(corpus_text("solidity", "row4_balance.sol"))
-    detections = pair_detections(contract, guards, funds)
+    detections = _pair(corpus_text("solidity", "row4_balance.sol"))
     assert len(detections) == 1
     det = detections[0]
     assert not det.guard_sites
@@ -224,7 +226,7 @@ def test_pairing_keeps_overloads_on_one_line_apart():
 
 def test_pairing_micro_corpus_privilege_matrix():
     # Four functions: guarded+write, guarded only, write only, neither.
-    contract, guards, funds = _analyze("""
+    detections = {d.function: d for d in _pair("""
         contract M {
             address owner;
             mapping(address => uint) bals;
@@ -234,8 +236,7 @@ def test_pairing_micro_corpus_privilege_matrix():
             function w(address t) public { bals[t] = 2; }
             function n() public { }
         }
-    """)
-    detections = {d.function: d for d in pair_detections(contract, guards, funds)}
+    """)}
     assert set(detections) == {"gw", "g", "w"}
     assert detections["gw"].guard_sites and len(detections["gw"].fund_sites) == 1
     assert detections["g"].guard_sites and not detections["g"].fund_sites
@@ -243,11 +244,10 @@ def test_pairing_micro_corpus_privilege_matrix():
 
 
 def test_unknown_modifier_invocation_diagnosed():
-    contract, guards, funds = _analyze(
-        "contract C { mapping(address => uint) bals;"
-        " function f(address t) public ghost { bals[t] = 1; } }")
     diagnostics = []
-    detections = pair_detections(contract, guards, funds, diagnostics)
+    detections = _pair(
+        "contract C { mapping(address => uint) bals;"
+        " function f(address t) public ghost { bals[t] = 1; } }", diagnostics)
     assert len(diagnostics) == 1 and "ghost" in diagnostics[0].message
     assert not detections[0].guard_sites
 
@@ -284,9 +284,8 @@ def test_privilege_monotonicity_random_contracts():
         extra = rng.randrange(n)
 
         def privileged_set(guard_ids):
-            contract, guards, funds = _analyze(_random_contract(random.Random(1), guard_ids, n))
-            return {d.function for d in pair_detections(contract, guards, funds)
-                    if d.guard_sites}
+            detections = _pair(_random_contract(random.Random(1), guard_ids, n))
+            return {d.function for d in detections if d.guard_sites}
 
         base = privileged_set(guarded)
         assert privileged_set(guarded | {extra}) >= base  # adding never shrinks
@@ -317,9 +316,8 @@ PAIRING_SHAPES = [
 
 def test_pairing_keys_guards_by_declaration():
     for source, expected in PAIRING_SHAPES:
-        contract, guards, funds = _analyze(source)
         paired = {(d.line, d.column): [(g.line, g.column) for g in d.guard_sites]
-                  for d in pair_detections(contract, guards, funds)}
+                  for d in _pair(source)}
         assert paired == expected, source
 
 

@@ -48,7 +48,9 @@ def test_row2_condition_shape():
     stmt = contract.functions[0].body[0]
     assert isinstance(stmt, ast.Require)
     assert isinstance(stmt.condition, ast.Binary) and stmt.condition.op == "=="
-    assert isinstance(stmt.condition.lhs, ast.AddressCast)
+    cast = stmt.condition.lhs
+    assert isinstance(cast, ast.CallExpr) and isinstance(cast.callee, ast.Identifier)
+    assert cast.callee.name == "address"
     assert isinstance(stmt.condition.rhs, ast.MsgSender)
 
 
@@ -102,13 +104,13 @@ def test_state_variable_shapes():
         }
     """)
     descs = {v.name: v.type_desc for v in contract.state_vars}
-    assert descs["x"].kind == "elementary"
-    assert descs["bals"].kind == "mapping"
-    assert descs["bals"].key.name == "address"
-    assert descs["bals"].value.name == "uint"
-    assert descs["allow"].value.kind == "mapping"
-    assert descs["arr"].kind == "other"
-    assert descs["token"].kind == "other"
+    # A mapping is exactly a TypeDesc whose key is set.
+    assert descs["x"] == ast.TypeDesc("uint")
+    assert descs["bals"].key == ast.TypeDesc("address")
+    assert descs["bals"].value == ast.TypeDesc("uint")
+    assert descs["allow"].value.key is not None
+    assert descs["arr"] == ast.TypeDesc("uint[]")
+    assert descs["token"] == ast.TypeDesc("IERC20")
 
 
 def test_unchecked_block_is_transparent():
@@ -126,10 +128,10 @@ def test_if_else_structure():
 
 
 def test_compound_assignment_and_rvalue_call():
-    body = parse_function_body("bals[to] += bals[to].add(1);")
+    body, tokens = parse_function("bals[to] += bals[to].add(1);")
     stmt = body[0]
     assert isinstance(stmt, ast.Assign)
-    assert stmt.op == "+="
+    assert tokens.texts[stmt.lvalue.end] == "+="  # the operator follows the lvalue
     assert isinstance(stmt.lvalue, ast.Index)
     assert isinstance(stmt.rvalue, ast.CallExpr)
 
@@ -217,21 +219,21 @@ def test_locations_inside_source_bounds():
         if isinstance(node, (ast.Stmt, ast.Expr)):
             check(*unit.tokens.position(node.at))
         for attr in ("condition", "then_body", "else_body", "lvalue", "rvalue",
-                     "expr", "callee", "args", "base", "index", "inner",
+                     "expr", "callee", "args", "base", "index",
                      "lhs", "rhs", "body"):
             child = getattr(node, attr, None)
             if child is not None:
                 walk(child)
 
     for contract in unit.contracts:
-        check(contract.line, contract.column)
+        check(*unit.tokens.position(contract.at))
         for var in contract.state_vars:
-            check(var.line, var.column)
+            check(*unit.tokens.position(var.at))
         for modifier in contract.modifiers:
-            check(modifier.line, modifier.column)
+            check(*unit.tokens.position(modifier.at))
             walk(modifier.body)
         for function in contract.functions:
-            check(function.line, function.column)
+            check(*unit.tokens.position(function.at))
             walk(function.body)
 
 
@@ -311,7 +313,7 @@ def _call(callee: ast.Expr, *args: ast.Expr) -> ast.CallExpr:
 # ignores spans, and compares the source text only of content nodes. The
 # expected trees' one content node, the literal `1`, is token 0 of _ONE_TOKENS.
 _ONE_TOKENS = tokenize("1")
-_ONE = ast.Literal(0, 1)
+_ONE = ast.OpaqueExpr(0, 1)
 _SENDER = ast.MsgSender(0, 0)
 SUBSET_TREES = {
     "require(msg.sender == owner);":
@@ -320,22 +322,21 @@ SUBSET_TREES = {
         ast.Require(0, 0, ast.Binary(
             0, 0, "&&", _eq(_id("owner"), _SENDER), _eq(_id("a"), _id("b")))),
     "require(address(owner) == msg.sender);":
-        ast.Require(0, 0, _eq(ast.AddressCast(0, 0, _id("owner")), _SENDER)),
+        ast.Require(0, 0, _eq(_call(_id("address"), _id("owner")), _SENDER)),
     "if (msg.sender == owner) { bals[to] = 1; }":
         ast.If(0, 0, _eq(_SENDER, _id("owner")),
-               [ast.Assign(0, 0, _index(_id("bals"), _id("to")), _ONE, "=")],
+               [ast.Assign(0, 0, _index(_id("bals"), _id("to")), _ONE)],
                []),
     "if (msg.sender != owner) { revert; } else { x = 1; }":
         ast.If(0, 0, ast.Binary(0, 0, "!=", _SENDER, _id("owner")),
                [ast.Revert(0, 0)],
-               [ast.Assign(0, 0, _id("x"), _ONE, "=")]),
+               [ast.Assign(0, 0, _id("x"), _ONE)]),
     "bals[to] = bals[to].add(amount);":
         ast.Assign(0, 0, _index(_id("bals"), _id("to")),
                    _call(ast.Member(0, 0, _index(_id("bals"), _id("to")), "add"),
-                         _id("amount")),
-                   "="),
+                         _id("amount"))),
     "bals[msg.sender] += 1;":
-        ast.Assign(0, 0, _index(_id("bals"), _SENDER), _ONE, "+="),
+        ast.Assign(0, 0, _index(_id("bals"), _SENDER), _ONE),
     "to.transfer(amount);":
         ast.Call(0, 0, _call(ast.Member(0, 0, _id("to"), "transfer"), _id("amount"))),
     "selfdestruct(beneficiary);":

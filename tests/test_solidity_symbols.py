@@ -2,11 +2,11 @@
 
 from centriscan.solidity.symbols import collect_state_vars, is_address_to_uint_mapping
 
-from helpers import parse_single_contract
+from helpers import parse_single_unit
 
 
 def _table(source: str, diagnostics=None):
-    return collect_state_vars(parse_single_contract(source), diagnostics)
+    return collect_state_vars(*parse_single_unit(source), diagnostics)
 
 
 def test_balance_mapping_is_detected():
