@@ -153,6 +153,7 @@ class FunctionDecl:
 class ContractDecl:
     name: str
     at: int  # index of the contract | interface | library keyword token
+    bases: list[str] = field(default_factory=list)  # the `is` list, in order
     state_vars: list[StateVar] = field(default_factory=list)
     modifiers: list[ModifierDecl] = field(default_factory=list)
     functions: list[FunctionDecl] = field(default_factory=list)

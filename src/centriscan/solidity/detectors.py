@@ -260,7 +260,8 @@ def pair_detections(
     Every site is keyed by the `at` of its enclosing declaration, so
     overloads, which share a name and may share a line, stay apart. A
     function's guards are its own plus those of each modifier it invokes;
-    an invoked name brings the guards of every modifier declared with it."""
+    an invoked name brings the guards of every modifier declared with it.
+    An invoked base contract is a constructor call, not a modifier."""
     modifier_at: dict[str, list[int]] = {}
     for modifier in contract.modifiers:
         modifier_at.setdefault(modifier.name, []).append(modifier.at)
@@ -277,7 +278,7 @@ def pair_detections(
         for invocation in function.modifier_invocations:
             modifiers = modifier_at.get(invocation)
             if modifiers is None:
-                if diagnostics is not None:
+                if diagnostics is not None and invocation not in contract.bases:
                     diagnostics.append(Diagnostic(
                         f"function '{function.name}' invokes unknown modifier "
                         f"'{invocation}'",

@@ -196,8 +196,17 @@ class _Parser:
         if not name:
             self._note(f"missing name after '{self.texts[kw]}'")
         contract = ast.ContractDecl(name, kw)
-        # Skip the inheritance clause, base arguments included, to the body.
-        self._skip_to(_BODY_STOP)
+        if self._eat("is"):
+            while base := self._name():
+                while self._text() == "." and self.kinds[self.i + 1] == "identifier":
+                    base += "." + self.texts[self.i + 1]
+                    self.i += 2
+                contract.bases.append(base)
+                if self._text() == "(":  # base-constructor arguments
+                    self._skip_balanced()
+                if not self._eat(","):
+                    break
+        self._skip_to(_BODY_STOP)  # whatever else precedes the body
         if not self._eat("{"):
             self._note("contract body not found")
             return contract

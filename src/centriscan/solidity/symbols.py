@@ -6,6 +6,8 @@ from ..diagnostics import Diagnostic
 from .ast import ContractDecl, StateVar, TypeDesc
 from .tokens import Tokens
 
+_ADDRESS_TYPES = frozenset({"address", "address payable"})
+
 
 def collect_state_vars(
     contract: ContractDecl,
@@ -27,7 +29,7 @@ def collect_state_vars(
 
 def is_address_to_uint_mapping(table: dict[str, StateVar], name: str, depth: int) -> bool:
     """True iff name is declared as a mapping nested depth levels deep, every
-    key an address and the innermost value a uint type: depth 1 is
+    key an address (payable or not) and the innermost value a uint type: depth 1 is
     mapping(address => uint...), depth 2 mapping(address => mapping(address
     => uint...))."""
     var = table.get(name)
@@ -35,7 +37,7 @@ def is_address_to_uint_mapping(table: dict[str, StateVar], name: str, depth: int
         return False
     desc: TypeDesc | None = var.type_desc
     for _ in range(depth):
-        if desc is None or desc.key is None or desc.key.name != "address":
+        if desc is None or desc.key is None or desc.key.name not in _ADDRESS_TYPES:
             return False
         desc = desc.value
     return desc is not None and desc.key is None and desc.name.startswith("uint")

@@ -208,6 +208,11 @@ def abstract_exec_block(
             b = stack.pop()
             a = stack.pop()
             stack.push(_combine(a, b, op))
+        elif op == "!":
+            value = stack.pop()
+            stack.push(SenderCmp(value.source, "neq" if value.polarity == "eq" else "eq",
+                                 value.weakened)
+                       if isinstance(value, SenderCmp) else UNKNOWN)
         elif op == "assert":
             value = stack.pop()
             if isinstance(value, SenderCmp):

@@ -151,6 +151,28 @@ def test_send_in_require_condition_is_found():
     assert [s.kind for s in funds] == [NATIVE_TRANSFER]
 
 
+def test_fund_call_through_nested_casts_is_found():
+    _, _, funds = _analyze(
+        "contract C { function f(uint a) public {"
+        " payable(address(uint160(a))).transfer(1); } }")
+    assert [(s.kind, s.text) for s in funds] == [
+        (NATIVE_TRANSFER, "payable(address(uint160(a))).transfer(1);")]
+
+
+def test_this_balance_on_a_right_hand_side_is_not_a_fund_site():
+    _, _, funds = _analyze(
+        "contract C { uint total; function f() public { total = address(this).balance; } }")
+    assert funds == []
+
+
+def test_address_payable_key_balance_write_is_major():
+    findings, _ = analyze_solidity_source(
+        "contract V { address owner; mapping(address payable => uint) bals;"
+        " function f(address payable to) public {"
+        " require(msg.sender == owner); bals[to] = 0; } }", "v.sol", CONFIG)
+    assert [f.kind for f in findings] == ["CENTRALIZATION_RISK"]
+
+
 def test_nested_mapping_write_requires_config():
     source = ("contract C { mapping(address => mapping(address => uint)) allow;"
               " function f(address a, address b) public { allow[a][b] = 1; } }")
@@ -250,6 +272,18 @@ def test_unknown_modifier_invocation_diagnosed():
         " function f(address t) public ghost { bals[t] = 1; } }", diagnostics)
     assert len(diagnostics) == 1 and "ghost" in diagnostics[0].message
     assert not detections[0].guard_sites
+
+
+def test_base_constructor_call_is_not_an_unknown_modifier():
+    for source in (
+        "contract V is Base { constructor(address o) Base(o) {} }",
+        # OpenZeppelin 5's Ownable takes its owner as a constructor argument.
+        "contract V is ERC20(\"V\", \"V\"), Ownable {"
+        " constructor(address initialOwner) Ownable(initialOwner) {} }",
+    ):
+        diagnostics = []
+        _pair(source, diagnostics)
+        assert diagnostics == [], source
 
 
 def test_detection_order_is_sorted_and_deterministic():

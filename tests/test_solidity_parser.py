@@ -54,6 +54,23 @@ def test_row2_condition_shape():
     assert isinstance(stmt.condition.rhs, ast.MsgSender)
 
 
+def test_casts_are_calls_on_keyword_identifiers():
+    for cast in ("address", "payable"):
+        body, tokens = parse_function(f"y = {cast}(x);")
+        call = body[0].rvalue
+        assert isinstance(call, ast.CallExpr), cast
+        assert isinstance(call.callee, ast.Identifier) and call.callee.name == cast
+        assert tokens.kinds[call.callee.at] == "keyword"
+        assert [type(a) for a in call.args] == [ast.Identifier] and call.args[0].name == "x"
+
+
+def test_inheritance_list_records_base_names_in_order():
+    assert parse_single_contract("contract C is A, B(1) { }").bases == ["A", "B"]
+    assert parse_single_contract(
+        "contract C is L.A, B({x: 1}) { function f() public {} }").bases == ["L.A", "B"]
+    assert parse_single_contract("contract C { }").bases == []
+
+
 def test_assembly_recovery_at_member_level():
     unit = parse_solidity("contract C { assembly {??? } }", "c.sol")
     assert len(unit.contracts) == 1

@@ -136,6 +136,18 @@ def test_neq_comparison_records_polarity():
     assert facts[0].branch_guard == SenderCmp(GlobalGet("manager"), "neq")
 
 
+def test_not_flips_sender_cmp_polarity():
+    cmp = SenderCmp(GlobalField("CreatorAddress"), "eq")
+    facts, _ = _facts("txn Sender\nglobal CreatorAddress\n==\n!\nassert")
+    assert list(facts[0].guard_points.values()) == [replace(cmp, polarity="neq")]
+    facts, _ = _facts("txn Sender\nglobal CreatorAddress\n!=\n!\nassert")
+    assert list(facts[0].guard_points.values()) == [cmp]
+    facts, _ = _facts("txn Sender\nglobal CreatorAddress\n==\nint 1\n||\n!\nassert")
+    assert list(facts[0].guard_points.values()) == [
+        replace(cmp, polarity="neq", weakened=True)]
+    assert _returned("int 1\n!") is UNKNOWN
+
+
 def test_bz_popping_sender_cmp_marks_conditional_guard_block():
     facts, _ = _facts(corpus_text("teal", "row2_branch.teal"))
     assert facts[0].branch_guard is not None
@@ -185,7 +197,7 @@ def test_non_entry_block_pops_unknown_without_diagnostic():
 _MODEL_OPS = [
     "int 1", 'byte "manager"', 'byte "MyBalance"', "addr AAAA", "txn Sender",
     "global CreatorAddress", "app_global_get", "app_global_put", "==", "!=", "&&",
-    "||", "dup", "dup2", "swap", "pop", "assert", "bnz end", "return",
+    "||", "!", "dup", "dup2", "swap", "pop", "assert", "bnz end", "return",
 ]
 _UNKNOWN_OPS = ["mystery", "itxn_begin", "frobnicate 3"]
 

@@ -1,6 +1,7 @@
 """Guard points, fund points, and guardedness decisions over the CFG."""
 
 from centriscan.config import AnalyzerConfig
+from centriscan.engine import analyze_teal_source
 from centriscan.teal.absint import abstract_exec_block
 from centriscan.teal.cfg import build_cfg
 from centriscan.teal.detectors import (
@@ -241,6 +242,25 @@ def test_weakened_guard_still_guards_with_note():
 def test_negated_assert_is_not_a_guard():
     diagnostics = []
     source = 'byte "manager"\napp_global_get\ntxn Sender\n!=\nassert\nint 1\nreturn'
+    _, _, guards, _ = _pipeline(source, diagnostics=diagnostics)
+    assert guards == []
+    assert any("negated sender comparison" in d.message for d in diagnostics)
+
+
+def test_negated_eq_branch_to_err_guards_the_put():
+    source = ('txn Sender\nglobal CreatorAddress\n==\n!\nbnz fail\n'
+              'byte "MyBalance"\nint 5\napp_global_put\nint 1\nreturn\nfail:\nerr\n')
+    program, cfg, guards, _ = _pipeline(source)
+    assert [(g.form, g.description) for g in guards] == [
+        (BRANCH_GUARD, "bnz: txn Sender != CreatorAddress")]
+    assert _fail_target(cfg, guards[0]) == cfg.block_of[program.labels["fail"]]
+    findings, _ = analyze_teal_source(source, "p.teal", CONFIG)
+    assert [(f.kind, f.severity) for f in findings] == [("CENTRALIZATION_RISK", "MAJOR")]
+
+
+def test_assert_of_negated_eq_is_not_a_guard():
+    diagnostics = []
+    source = 'byte "manager"\napp_global_get\ntxn Sender\n==\n!\nassert\nint 1\nreturn'
     _, _, guards, _ = _pipeline(source, diagnostics=diagnostics)
     assert guards == []
     assert any("negated sender comparison" in d.message for d in diagnostics)
