@@ -109,6 +109,15 @@ class _Parser:
         self.i += 1
         return self.texts[self.i - 1]
 
+    def _path(self) -> str:
+        """Consume and return a dotted identifier path such as `L.Base`, or
+        return "" and consume nothing."""
+        path = self._name()
+        while path and self.texts[self.i] == "." and self.kinds[self.i + 1] == "identifier":
+            path += "." + self.texts[self.i + 1]
+            self.i += 2
+        return path
+
     def _eat(self, text: str) -> bool:
         if self.texts[self.i] == text:
             self.i += 1
@@ -197,10 +206,7 @@ class _Parser:
             self._note(f"missing name after '{self.texts[kw]}'")
         contract = ast.ContractDecl(name, kw)
         if self._eat("is"):
-            while base := self._name():
-                while self._text() == "." and self.kinds[self.i + 1] == "identifier":
-                    base += "." + self.texts[self.i + 1]
-                    self.i += 2
+            while base := self._path():
                 contract.bases.append(base)
                 if self._text() == "(":  # base-constructor arguments
                     self._skip_balanced()
@@ -343,8 +349,7 @@ class _Parser:
                     self._skip_balanced()
                 continue
             if self.kinds[self.i] == "identifier":
-                self.i += 1
-                invocations.append(t)
+                invocations.append(self._path())
                 if self._text() == "(":
                     self._skip_balanced()
                 continue

@@ -29,9 +29,9 @@ def collect_state_vars(
 
 def is_address_to_uint_mapping(table: dict[str, StateVar], name: str, depth: int) -> bool:
     """True iff name is declared as a mapping nested depth levels deep, every
-    key an address (payable or not) and the innermost value a uint type: depth 1 is
-    mapping(address => uint...), depth 2 mapping(address => mapping(address
-    => uint...))."""
+    key an address (payable or not) and the innermost value a uint type:
+    depth 1 is mapping(address => uint...), depth 2 mapping(address =>
+    mapping(address => uint...))."""
     var = table.get(name)
     if var is None:
         return False

@@ -280,6 +280,7 @@ def test_base_constructor_call_is_not_an_unknown_modifier():
         # OpenZeppelin 5's Ownable takes its owner as a constructor argument.
         "contract V is ERC20(\"V\", \"V\"), Ownable {"
         " constructor(address initialOwner) Ownable(initialOwner) {} }",
+        "contract V is L.Base { constructor(address o) L.Base(o) {} }",
     ):
         diagnostics = []
         _pair(source, diagnostics)

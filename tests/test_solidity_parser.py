@@ -104,6 +104,12 @@ def test_modifier_invocation_with_arguments():
     assert contract.functions[0].modifier_invocations == ["m"]
 
 
+def test_qualified_invocation_is_one_name():
+    unit = parse_solidity("contract C is L.B { constructor() L.B(1) m {} }", "c.sol")
+    assert unit.contracts[0].functions[0].modifier_invocations == ["L.B", "m"]
+    assert unit.diagnostics == []
+
+
 def test_constructor_and_fallback_have_empty_names():
     contract = parse_single_contract(
         "contract C { constructor() { } fallback() external { } receive() external payable { } }")
