@@ -240,11 +240,13 @@ def test_weakened_guard_still_guards_with_note():
 
 
 def test_negated_assert_is_not_a_guard():
-    diagnostics = []
-    source = 'byte "manager"\napp_global_get\ntxn Sender\n!=\nassert\nint 1\nreturn'
-    _, _, guards, _ = _pipeline(source, diagnostics=diagnostics)
-    assert guards == []
-    assert any("negated sender comparison" in d.message for d in diagnostics)
+    for negated in ("!=", "==\n!"):
+        diagnostics = []
+        source = (f'byte "manager"\napp_global_get\ntxn Sender\n{negated}\n'
+                  'assert\nint 1\nreturn')
+        _, _, guards, _ = _pipeline(source, diagnostics=diagnostics)
+        assert guards == [], negated
+        assert any("negated sender comparison" in d.message for d in diagnostics), negated
 
 
 def test_negated_eq_branch_to_err_guards_the_put():
@@ -256,14 +258,6 @@ def test_negated_eq_branch_to_err_guards_the_put():
     assert _fail_target(cfg, guards[0]) == cfg.block_of[program.labels["fail"]]
     findings, _ = analyze_teal_source(source, "p.teal", CONFIG)
     assert [(f.kind, f.severity) for f in findings] == [("CENTRALIZATION_RISK", "MAJOR")]
-
-
-def test_assert_of_negated_eq_is_not_a_guard():
-    diagnostics = []
-    source = 'byte "manager"\napp_global_get\ntxn Sender\n==\n!\nassert\nint 1\nreturn'
-    _, _, guards, _ = _pipeline(source, diagnostics=diagnostics)
-    assert guards == []
-    assert any("negated sender comparison" in d.message for d in diagnostics)
 
 
 def test_unguarded_put_behind_long_dispatch_chain():
