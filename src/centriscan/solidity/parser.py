@@ -25,6 +25,10 @@ _BINARY_PREC = {
 }
 _UNARY_OPS = frozenset({"!", "-", "~", "+", "++", "--", "delete", "new"})
 _EXPR_STOP = frozenset({";", ")", "]", "}", ",", "{"})
+_NUMBER_UNITS = frozenset({
+    "wei", "gwei", "ether", "szabo", "finney",
+    "seconds", "minutes", "hours", "days", "weeks", "years",
+})
 _OPAQUE_EXPR_STOP = _EXPR_STOP - {"{"}
 _OPENERS = frozenset("([{")
 _CLOSERS = frozenset(")]}")
@@ -549,8 +553,10 @@ class _Parser:
             expr = self._parse_expr()
             self._expect(")", "parenthesized expression")
         else:  # number and string literals among them
-            self.i = i + 1
-            expr = ast.OpaqueExpr(i, i + 1)
+            # A unit (`1 ether`, `2 days`) is part of its number literal.
+            unit = kind == "number-literal" and texts[i + 1] in _NUMBER_UNITS
+            self.i = i + 2 if unit else i + 1
+            expr = ast.OpaqueExpr(i, self.i)
         # --- suffixes
         while True:
             t = texts[self.i]

@@ -8,12 +8,13 @@ rest of the block's stack so no spurious guard or fund flags can arise.
 
 from __future__ import annotations
 
+import binascii
 from dataclasses import dataclass, field
 
 from ..config import AnalyzerConfig
 from ..diagnostics import Diagnostic
 from .cfg import BasicBlock
-from .parser import TealProgram
+from .parser import OPCODE_STACK_EFFECTS, TealProgram
 
 
 # --- abstract values --------------------------------------------------------
@@ -79,6 +80,9 @@ _NAMED_INTS = {
     "pay": 1, "keyreg": 2, "acfg": 3, "axfer": 4, "afrz": 5, "appl": 6,
 }
 
+# Prefixes of a base64 byte constant: `base64 X`, `b64 X`, `base64(X)`, `b64(X)`.
+_BASE64_FORMS = frozenset({"base64", "b64"})
+
 
 @dataclass(slots=True)
 class BlockFacts:
@@ -94,32 +98,6 @@ class BlockFacts:
     return_values: dict[int, AbstractValue] = field(default_factory=dict)
 
 
-class _Stack:
-    """Abstract stack; entry block is strict, successor blocks are bottomless
-    (values flowing in from predecessors pop as Unknown)."""
-
-    def __init__(self, bottomless: bool):
-        self.values: list[AbstractValue] = []
-        self.bottomless = bottomless
-        self.unknown_depth = False
-        self.underflowed = False
-
-    def pop(self) -> AbstractValue:
-        if self.unknown_depth:
-            return UNKNOWN
-        if self.values:
-            return self.values.pop()
-        if self.bottomless:
-            return UNKNOWN
-        self.underflowed = True
-        self.unknown_depth = True
-        return UNKNOWN
-
-    def push(self, value: AbstractValue) -> None:
-        if not self.unknown_depth:
-            self.values.append(value)
-
-
 def _int_value(immediate: str) -> AbstractValue:
     try:
         return IntConst(int(immediate, 0))
@@ -129,14 +107,40 @@ def _int_value(immediate: str) -> AbstractValue:
 
 
 def _byte_value(immediates: tuple[str, ...]) -> AbstractValue:
-    # Only the quoted-string form yields a known constant; base64/hex forms
-    # stay opaque.
-    if len(immediates) == 1 and immediates[0].startswith('"'):
-        inner = immediates[0][1:]
-        if inner.endswith('"'):
-            inner = inner[:-1]
-        return ByteConst(inner)
+    """A byte constant: a quoted string, or hex (`0x…`) or base64 (`base64 X`,
+    `b64 X`, `base64(X)`, `b64(X)`) whose bytes are UTF-8 text. Any other
+    form, base32 among them, is Unknown."""
+    if len(immediates) == 1:
+        text = immediates[0]
+        if text.startswith('"'):
+            inner = text[1:]
+            if inner.endswith('"'):
+                inner = inner[:-1]
+            return ByteConst(inner)
+        if text.startswith("0x"):
+            return _decoded(binascii.unhexlify, text[2:])
+        form, paren, encoded = text.partition("(")
+        if paren and form in _BASE64_FORMS and encoded.endswith(")"):
+            return _decoded(_base64, encoded[:-1])
+    elif len(immediates) == 2 and immediates[0] in _BASE64_FORMS:
+        return _decoded(_base64, immediates[1])
     return UNKNOWN
+
+
+def _base64(text: str) -> bytes:
+    data = binascii.a2b_base64(text)
+    # a2b_base64 skips characters outside the alphabet: only the canonical
+    # encoding of what it decoded is base64 text.
+    if binascii.b2a_base64(data, newline=False).decode() != text:
+        raise ValueError(f"not base64: {text!r}")
+    return data
+
+
+def _decoded(decode, text: str) -> AbstractValue:
+    try:
+        return ByteConst(decode(text).decode("utf-8"))
+    except ValueError:  # binascii.Error and UnicodeDecodeError among them
+        return UNKNOWN
 
 
 def _is_privileged_source(value: AbstractValue, config: AnalyzerConfig) -> bool:
@@ -168,102 +172,136 @@ def _combine(a: AbstractValue, b: AbstractValue, opcode: str) -> AbstractValue:
     return SenderCmp(picked.source, picked.polarity, weakened)
 
 
+# Opcodes with a branch of their own below; every other opcode of known
+# arity pops its operands and pushes Unknown.
+_MODELED = frozenset({
+    "int", "pushint", "byte", "pushbytes", "addr", "txn", "gtxn", "global",
+    "app_global_get", "==", "!=", "&&", "||", "!", "assert", "app_local_put",
+    "app_global_put", "bz", "bnz", "return", "dup", "dup2", "swap", "pop",
+})
+_PUTS = frozenset({"app_local_put", "app_global_put"})
+
+
 def abstract_exec_block(
     block: BasicBlock,
     program: TealProgram,
     config: AnalyzerConfig,
     diagnostics: list[Diagnostic] | None = None,
 ) -> BlockFacts:
-    """Symbolically execute one block, flagging guard and fund-mod points."""
+    """Symbolically execute one block, flagging guard and fund-mod points.
+
+    The entry block's stack starts empty and is strict: popping past its
+    bottom is an underflow. Other blocks are bottomless: values flowing in
+    from predecessors pop as Unknown. Every modeled opcode pops as many
+    values as its stack effect says, so an opcode that would pop past the
+    bottom first has the missing values put under the stack as Unknown.
+    """
     facts = BlockFacts(block.index)
-    stack = _Stack(bottomless=block.start != 0)
-    instructions = program.instructions
+    opcodes = program.opcodes
+    immediates = program.immediates
+    effects = OPCODE_STACK_EFFECTS
+    start, end = block.start, block.end
+    strict = start == 0
+    stack: list[AbstractValue] = []
+    push = stack.append
+    pop = stack.pop
+    underflowed = False
+    poisoned = end  # where the stack depth became unknown
 
-    for index in range(block.start, block.end):
-        ins = instructions[index]
-        op = ins.opcode
-        imm = ins.immediates
+    for index in range(start, end):
+        op = opcodes[index]
+        delta = effects.get(op)
+        if delta is None:
+            # Unknown arity: conservatively poison the rest of the block.
+            poisoned = index + 1
+            break
+        missing = delta[0] - len(stack)
+        if missing > 0:
+            stack[:0] = [UNKNOWN] * missing
+            # On the strict stack this opcode still runs with what it popped,
+            # then the depth is unknown for the rest of the block.
+            underflowed = strict
 
-        if op in ("int", "pushint"):
-            stack.push(_int_value(imm[0]) if imm else UNKNOWN)
-        elif op in ("byte", "pushbytes"):
-            stack.push(_byte_value(imm))
-        elif op == "addr":
-            stack.push(AddrConst(imm[0]) if imm else UNKNOWN)
+        if op not in _MODELED:
+            pops, pushes = delta
+            if pops:
+                del stack[-pops:]
+            if pushes:
+                stack += [UNKNOWN] * pushes
+        elif op == "int" or op == "pushint":
+            imm = immediates[index]
+            push(_int_value(imm[0]) if imm else UNKNOWN)
+        elif op == "byte" or op == "pushbytes":
+            push(_byte_value(immediates[index]))
         elif op == "txn":
-            stack.push(SENDER if imm and imm[0] == "Sender" else UNKNOWN)
-        elif op == "gtxn":
-            sender = len(imm) >= 2 and imm[1] == "Sender" and config.gtxn_sender
-            stack.push(SENDER if sender else UNKNOWN)
-        elif op == "global":
-            stack.push(GlobalField(imm[0]) if imm else UNKNOWN)
+            imm = immediates[index]
+            push(SENDER if imm and imm[0] == "Sender" else UNKNOWN)
         elif op == "app_global_get":
-            key = stack.pop()
-            stack.push(GlobalGet(key.value) if isinstance(key, ByteConst) else UNKNOWN)
-        elif op in ("==", "!="):
-            b = stack.pop()
-            a = stack.pop()
-            stack.push(_compare(a, b, op, config))
-        elif op in ("&&", "||"):
-            b = stack.pop()
-            a = stack.pop()
-            stack.push(_combine(a, b, op))
-        elif op == "!":
-            value = stack.pop()
-            stack.push(SenderCmp(value.source, "neq" if value.polarity == "eq" else "eq",
-                                 value.weakened)
-                       if isinstance(value, SenderCmp) else UNKNOWN)
+            key = pop()
+            push(GlobalGet(key.value) if isinstance(key, ByteConst) else UNKNOWN)
+        elif op == "==" or op == "!=":
+            b = pop()
+            push(_compare(pop(), b, op, config))
         elif op == "assert":
-            value = stack.pop()
+            value = pop()
             if isinstance(value, SenderCmp):
                 facts.guard_points[index] = value
-        elif op == "app_local_put":
-            stack.pop()  # value
-            key = stack.pop()
-            stack.pop()  # account
-            _record_put(facts, index, op, key, ins.line, config, diagnostics)
-        elif op == "app_global_put":
-            stack.pop()  # value
-            key = stack.pop()
-            _record_put(facts, index, op, key, ins.line, config, diagnostics)
-        elif op in ("bz", "bnz"):
-            value = stack.pop()
+        elif op == "bz" or op == "bnz":
+            value = pop()
             if isinstance(value, SenderCmp):
                 facts.branch_guard = value
                 facts.branch_index = index
         elif op == "return":
-            facts.return_values[index] = stack.pop()
+            facts.return_values[index] = pop()
+        elif op in _PUTS:
+            pop()  # value
+            key = pop()
+            if op == "app_local_put":
+                pop()  # account
+            _record_put(facts, index, op, key, program.lines[index], config, diagnostics)
+        elif op == "addr":
+            imm = immediates[index]
+            push(AddrConst(imm[0]) if imm else UNKNOWN)
+        elif op == "gtxn":
+            imm = immediates[index]
+            sender = len(imm) >= 2 and imm[1] == "Sender" and config.gtxn_sender
+            push(SENDER if sender else UNKNOWN)
+        elif op == "global":
+            imm = immediates[index]
+            push(GlobalField(imm[0]) if imm else UNKNOWN)
+        elif op == "&&" or op == "||":
+            b = pop()
+            push(_combine(pop(), b, op))
+        elif op == "!":
+            value = pop()
+            push(SenderCmp(value.source, "neq" if value.polarity == "eq" else "eq",
+                           value.weakened)
+                 if isinstance(value, SenderCmp) else UNKNOWN)
         elif op == "dup":
-            value = stack.pop()
-            stack.push(value)
-            stack.push(value)
+            push(stack[-1])
         elif op == "dup2":
-            b = stack.pop()
-            a = stack.pop()
-            for value in (a, b, a, b):
-                stack.push(value)
+            stack += stack[-2:]
         elif op == "swap":
-            b = stack.pop()
-            a = stack.pop()
-            stack.push(b)
-            stack.push(a)
-        elif op == "pop":
-            stack.pop()
-        elif ins.stack_delta is None:
-            # Unknown arity: conservatively poison the rest of the block.
-            stack.unknown_depth = True
-        else:
-            pops, pushes = ins.stack_delta
-            for _ in range(pops):
-                stack.pop()
-            for _ in range(pushes):
-                stack.push(UNKNOWN)
+            stack[-1], stack[-2] = stack[-2], stack[-1]
+        else:  # pop
+            pop()
+        if underflowed:
+            poisoned = index + 1
+            break
 
-    if stack.underflowed and diagnostics is not None:
-        first = instructions[block.start]
+    # With the depth unknown every pop is Unknown and pushes are lost, so
+    # only non-constant puts and returns of Unknown remain to record.
+    for index in range(poisoned, end):
+        op = opcodes[index]
+        if op == "return":
+            facts.return_values[index] = UNKNOWN
+        elif op in _PUTS:
+            _record_put(facts, index, op, UNKNOWN, program.lines[index], config, diagnostics)
+
+    if underflowed and diagnostics is not None:
         diagnostics.append(Diagnostic(
             "stack underflow in abstract interpretation; block state unknown",
-            first.line))
+            program.lines[start]))
     return facts
 
 

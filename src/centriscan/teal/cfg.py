@@ -17,6 +17,8 @@ FALLTHROUGH = "fallthrough"
 BRANCH_TAKEN = "branch_taken"
 BRANCH_NOT_TAKEN = "branch_not_taken"
 
+_BLOCK_ENDS = BRANCH_OPCODES | TERMINATOR_OPCODES
+
 
 class BasicBlock(NamedTuple):
     index: int
@@ -48,33 +50,27 @@ class Cfg:
 def build_cfg(program: TealProgram, diagnostics: list[Diagnostic] | None = None) -> Cfg:
     """Partition instructions into blocks and connect branch/fallthrough edges."""
     sink = diagnostics if diagnostics is not None else program.diagnostics
-    instructions = program.instructions
-    n = len(instructions)
+    opcodes = program.opcodes
+    n = len(opcodes)
     if n == 0:
         return Cfg()
 
-    leaders = {0}
-    for target in program.labels.values():
-        if target < n:
-            leaders.add(target)
-    for index, ins in enumerate(instructions):
-        if ins.opcode in BRANCH_OPCODES or ins.opcode in TERMINATOR_OPCODES:
-            if index + 1 < n:
-                leaders.add(index + 1)
+    leaders = {0, *(target for target in program.labels.values() if target < n)}
+    leaders.update([after for after, op in enumerate(opcodes, 1) if op in _BLOCK_ENDS])
+    leaders.discard(n)
 
     starts = sorted(leaders)
     blocks = []
-    block_of = [0] * n
+    block_of: list[int] = []
     for bi, start in enumerate(starts):
         end = starts[bi + 1] if bi + 1 < len(starts) else n
         blocks.append(BasicBlock(bi, start, end))
-        for i in range(start, end):
-            block_of[i] = bi
+        block_of += [bi] * (end - start)
 
     edges = []
     for block in blocks:
-        last = instructions[block.end - 1]
-        op = last.opcode
+        last = block.end - 1
+        op = opcodes[last]
         if op in BRANCH_OPCODES:
             target = _branch_target(program, last, n, sink)
             if op == "b":
@@ -92,15 +88,16 @@ def build_cfg(program: TealProgram, diagnostics: list[Diagnostic] | None = None)
     return Cfg(blocks, edges, 0, block_of)
 
 
-def _branch_target(program, ins, n, sink) -> int | None:
-    if not ins.immediates:
+def _branch_target(program, index, n, sink) -> int | None:
+    immediates = program.immediates[index]
+    if not immediates:
         return None
-    target = program.labels.get(ins.immediates[0])
+    target = program.labels.get(immediates[0])
     if target is None:
         return None  # already diagnosed by the parser
     if target >= n:
         sink.append(Diagnostic(
-            f"branch target '{ins.immediates[0]}' points past the last "
-            f"instruction; edge dropped", ins.line))
+            f"branch target '{immediates[0]}' points past the last "
+            f"instruction; edge dropped", program.lines[index]))
         return None
     return target

@@ -74,11 +74,11 @@ def find_guard_points(
 ) -> list[GuardPoint]:
     """Collect assert guards and failure-gating branch guards."""
     points: list[GuardPoint] = []
-    instructions = program.instructions
+    lines = program.lines
     for block_facts in facts:
         for index in sorted(block_facts.guard_points):
             cmp = block_facts.guard_points[index]
-            line = instructions[index].line
+            line = lines[index]
             if cmp.polarity != "eq":
                 _note(diagnostics, "assert on a negated sender comparison is "
                                    "not an access guard", line)
@@ -111,24 +111,25 @@ def _note_weakened(diagnostics, cmp: SenderCmp, line: int) -> None:
 def _branch_guard(cfg, facts, block_facts, program, diagnostics) -> GuardPoint | None:
     index = block_facts.branch_index
     cmp = block_facts.branch_guard
-    ins = program.instructions[index]
+    opcode = program.opcodes[index]
+    line = program.lines[index]
     authorized_on_true = cmp.polarity == "eq"
     # bz branches when the comparison is 0, bnz when it is nonzero; the fail
     # candidate is whichever edge the unauthorized sender takes.
-    if ins.opcode == "bz":
+    if opcode == "bz":
         fail_kind = BRANCH_TAKEN if authorized_on_true else BRANCH_NOT_TAKEN
     else:
         fail_kind = BRANCH_NOT_TAKEN if authorized_on_true else BRANCH_TAKEN
     outgoing = {kind: to for to, kind in cfg.successors(block_facts.block)}
     fail_target = outgoing.get(fail_kind)
     if fail_target is None:
-        _note(diagnostics, "sender comparison branch has no failure edge", ins.line)
+        _note(diagnostics, "sender comparison branch has no failure edge", line)
         return None
     if not _is_failure_region(cfg, facts, program, fail_target):
         _note(diagnostics,
-              "sender comparison branch does not gate a failure path", ins.line)
+              "sender comparison branch does not gate a failure path", line)
         return None
-    _note_weakened(diagnostics, cmp, ins.line)
+    _note_weakened(diagnostics, cmp, line)
     other_kind = BRANCH_NOT_TAKEN if fail_kind == BRANCH_TAKEN else BRANCH_TAKEN
     non_fail_to = outgoing.get(other_kind)
     non_fail_edge = None
@@ -137,8 +138,8 @@ def _branch_guard(cfg, facts, block_facts, program, diagnostics) -> GuardPoint |
     source = render_value(cmp.source)
     operator = "==" if cmp.polarity == "eq" else "!="
     return GuardPoint(
-        BRANCH_GUARD, block_facts.block, index, ins.line, source,
-        f"{ins.opcode}: txn Sender {operator} {source}",
+        BRANCH_GUARD, block_facts.block, index, line, source,
+        f"{opcode}: txn Sender {operator} {source}",
         non_fail_edge=non_fail_edge,
     )
 
@@ -151,10 +152,10 @@ def _is_failure_region(cfg: Cfg, facts: list[BlockFacts], program: TealProgram,
         if cfg.successors(block_index):
             continue
         last_index = cfg.blocks[block_index].end - 1
-        last = program.instructions[last_index]
-        if last.opcode == "err":
+        last = program.opcodes[last_index]
+        if last == "err":
             continue
-        if last.opcode == "return":
+        if last == "return":
             value = facts[block_index].return_values.get(last_index)
             if value == IntConst(0):
                 continue
@@ -169,7 +170,7 @@ def find_fund_mod_points(facts: list[BlockFacts], program: TealProgram) -> list[
         for index in sorted(block_facts.fund_mods):
             opcode, key = block_facts.fund_mods[index]
             points.append(FundModPoint(
-                block_facts.block, index, program.instructions[index].line,
+                block_facts.block, index, program.lines[index],
                 opcode, key,
             ))
     points.sort(key=_instruction)

@@ -3,6 +3,13 @@
 Total for any input text: comments are stripped outside string immediates,
 labels and `#pragma version` lines are recorded, and unknown opcodes are
 kept with an unknown stack effect plus a note diagnostic.
+
+A program is held as parallel columns indexed by instruction number
+(`opcodes`, `immediates`, `lines`), not as one object per instruction. A
+line's instruction depends only on the line's text, so each distinct line
+with a known opcode is split once per parse and its repeats share one
+immediates tuple; labels, directives and unknown opcodes are parsed at every
+occurrence, so each gets its own label index or diagnostic.
 """
 
 from __future__ import annotations
@@ -81,9 +88,19 @@ class Instruction(NamedTuple):
 class TealProgram:
     path: str
     version: int = 1
-    instructions: list[Instruction] = field(default_factory=list)
+    # One entry per instruction in each column.
+    opcodes: list[str] = field(default_factory=list)
+    immediates: list[tuple[str, ...]] = field(default_factory=list)
+    lines: list[int] = field(default_factory=list)
     labels: dict[str, int] = field(default_factory=dict)
     diagnostics: list[Diagnostic] = field(default_factory=list)
+
+    @property
+    def instructions(self) -> list[Instruction]:
+        """The columns as Instruction tuples, built anew on each read."""
+        effects = OPCODE_STACK_EFFECTS
+        return [Instruction(op, imm, line, effects.get(op))
+                for op, imm, line in zip(self.opcodes, self.immediates, self.lines)]
 
 
 # A string immediate: a quote, then escaped or plain characters up to the
@@ -97,14 +114,22 @@ _FIELD = re.compile(_STRING + r'|[^\s"]\S*', re.DOTALL)
 
 
 def parse_teal(source: str, path: str = "<teal>") -> TealProgram:
-    """Parse TEAL text into an instruction list; total for any input."""
+    """Parse TEAL text into instruction columns; total for any input."""
     program = TealProgram(path)
-    instructions = program.instructions
-    append = instructions.append
+    add_opcode = program.opcodes.append
+    add_immediates = program.immediates.append
+    add_line = program.lines.append
+    labels = program.labels
     diagnostics = program.diagnostics
     effects = OPCODE_STACK_EFFECTS
-    new = tuple.__new__  # an Instruction without its generated __new__'s frame
+    known: dict[str, tuple[str, tuple[str, ...]]] = {}  # line text -> instruction
     for lineno, raw in enumerate(source.splitlines(), 1):
+        hit = known.get(raw)
+        if hit is not None:
+            add_opcode(hit[0])
+            add_immediates(hit[1])
+            add_line(lineno)
+            continue
         if '"' in raw:
             code = _CODE.match(raw).group().strip()
             if not code:
@@ -133,26 +158,29 @@ def parse_teal(source: str, path: str = "<teal>") -> TealProgram:
             if not label:
                 diagnostics.append(Diagnostic("empty label name", lineno))
                 continue
-            if label in program.labels:
+            if label in labels:
                 diagnostics.append(Diagnostic(
                     f"duplicate label '{label}'; last definition wins", lineno))
-            program.labels[label] = len(instructions)
+            labels[label] = len(program.opcodes)
             if len(fields) > 1:
                 diagnostics.append(Diagnostic(
                     f"content after label '{label}' ignored", lineno))
             continue
-        delta = effects.get(head)
-        if delta is None:
+        immediates = tuple(fields[1:])
+        if head in effects:
+            known[raw] = (head, immediates)
+        else:
             diagnostics.append(Diagnostic(f"unknown opcode '{head}'", lineno))
-        append(new(Instruction, (head, tuple(fields[1:]), lineno, delta)))
+        add_opcode(head)
+        add_immediates(immediates)
+        add_line(lineno)
 
-    for index, ins in enumerate(instructions):
-        if ins.opcode in BRANCH_OPCODES or ins.opcode == "callsub":
-            if not ins.immediates:
+    for op, immediates, line in zip(program.opcodes, program.immediates, program.lines):
+        if op in BRANCH_OPCODES or op == "callsub":
+            if not immediates:
                 diagnostics.append(Diagnostic(
-                    f"'{ins.opcode}' without a target label", ins.line, severity="warning"))
-            elif ins.immediates[0] not in program.labels:
+                    f"'{op}' without a target label", line, severity="warning"))
+            elif immediates[0] not in labels:
                 diagnostics.append(Diagnostic(
-                    f"undefined branch target '{ins.immediates[0]}'",
-                    ins.line, severity="warning"))
+                    f"undefined branch target '{immediates[0]}'", line, severity="warning"))
     return program

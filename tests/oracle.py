@@ -14,14 +14,37 @@ passes before reaching it.
 `reference_witnesses` is the reference for witness paths: an
 instruction-level BFS that records one parent per instruction and reads
 each block path off the instruction path.
+
+`reference_exec_block` is the reference abstract interpreter: one
+instruction object and one stack method call at a time, with the value
+helpers of `centriscan.teal.absint`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from centriscan.teal.cfg import Cfg
+from centriscan.config import AnalyzerConfig
+from centriscan.diagnostics import Diagnostic
+from centriscan.teal.absint import (
+    SENDER,
+    UNKNOWN,
+    AbstractValue,
+    AddrConst,
+    BlockFacts,
+    ByteConst,
+    GlobalField,
+    GlobalGet,
+    SenderCmp,
+    _byte_value,
+    _combine,
+    _compare,
+    _int_value,
+    _record_put,
+)
+from centriscan.teal.cfg import BasicBlock, Cfg
 from centriscan.teal.detectors import FundModPoint, GuardPoint
+from centriscan.teal.parser import TealProgram
 
 
 def _instruction_successors(cfg: Cfg, pruned: set) -> dict[int, list[int]]:
@@ -190,3 +213,128 @@ def reference_witnesses(
             instruction_paths[point] = path
             block_paths[point] = _block_path(path, cfg)
     return block_paths, instruction_paths
+
+
+class _Stack:
+    """Abstract stack; entry block is strict, successor blocks are bottomless
+    (values flowing in from predecessors pop as Unknown)."""
+
+    def __init__(self, bottomless: bool):
+        self.values: list[AbstractValue] = []
+        self.bottomless = bottomless
+        self.unknown_depth = False
+        self.underflowed = False
+
+    def pop(self) -> AbstractValue:
+        if self.unknown_depth:
+            return UNKNOWN
+        if self.values:
+            return self.values.pop()
+        if self.bottomless:
+            return UNKNOWN
+        self.underflowed = True
+        self.unknown_depth = True
+        return UNKNOWN
+
+    def push(self, value: AbstractValue) -> None:
+        if not self.unknown_depth:
+            self.values.append(value)
+
+
+def reference_exec_block(
+    block: BasicBlock,
+    program: TealProgram,
+    config: AnalyzerConfig,
+    diagnostics: list[Diagnostic] | None = None,
+) -> BlockFacts:
+    """Symbolically execute one block, flagging guard and fund-mod points."""
+    facts = BlockFacts(block.index)
+    stack = _Stack(bottomless=block.start != 0)
+    instructions = program.instructions
+
+    for index in range(block.start, block.end):
+        ins = instructions[index]
+        op = ins.opcode
+        imm = ins.immediates
+
+        if op in ("int", "pushint"):
+            stack.push(_int_value(imm[0]) if imm else UNKNOWN)
+        elif op in ("byte", "pushbytes"):
+            stack.push(_byte_value(imm))
+        elif op == "addr":
+            stack.push(AddrConst(imm[0]) if imm else UNKNOWN)
+        elif op == "txn":
+            stack.push(SENDER if imm and imm[0] == "Sender" else UNKNOWN)
+        elif op == "gtxn":
+            sender = len(imm) >= 2 and imm[1] == "Sender" and config.gtxn_sender
+            stack.push(SENDER if sender else UNKNOWN)
+        elif op == "global":
+            stack.push(GlobalField(imm[0]) if imm else UNKNOWN)
+        elif op == "app_global_get":
+            key = stack.pop()
+            stack.push(GlobalGet(key.value) if isinstance(key, ByteConst) else UNKNOWN)
+        elif op in ("==", "!="):
+            b = stack.pop()
+            a = stack.pop()
+            stack.push(_compare(a, b, op, config))
+        elif op in ("&&", "||"):
+            b = stack.pop()
+            a = stack.pop()
+            stack.push(_combine(a, b, op))
+        elif op == "!":
+            value = stack.pop()
+            stack.push(SenderCmp(value.source, "neq" if value.polarity == "eq" else "eq",
+                                 value.weakened)
+                       if isinstance(value, SenderCmp) else UNKNOWN)
+        elif op == "assert":
+            value = stack.pop()
+            if isinstance(value, SenderCmp):
+                facts.guard_points[index] = value
+        elif op == "app_local_put":
+            stack.pop()  # value
+            key = stack.pop()
+            stack.pop()  # account
+            _record_put(facts, index, op, key, ins.line, config, diagnostics)
+        elif op == "app_global_put":
+            stack.pop()  # value
+            key = stack.pop()
+            _record_put(facts, index, op, key, ins.line, config, diagnostics)
+        elif op in ("bz", "bnz"):
+            value = stack.pop()
+            if isinstance(value, SenderCmp):
+                facts.branch_guard = value
+                facts.branch_index = index
+        elif op == "return":
+            facts.return_values[index] = stack.pop()
+        elif op == "dup":
+            value = stack.pop()
+            stack.push(value)
+            stack.push(value)
+        elif op == "dup2":
+            b = stack.pop()
+            a = stack.pop()
+            for value in (a, b, a, b):
+                stack.push(value)
+        elif op == "swap":
+            b = stack.pop()
+            a = stack.pop()
+            stack.push(b)
+            stack.push(a)
+        elif op == "pop":
+            stack.pop()
+        elif ins.stack_delta is None:
+            # Unknown arity: conservatively poison the rest of the block.
+            stack.unknown_depth = True
+        else:
+            pops, pushes = ins.stack_delta
+            for _ in range(pops):
+                stack.pop()
+            for _ in range(pushes):
+                stack.push(UNKNOWN)
+
+    if stack.underflowed and diagnostics is not None:
+        first = instructions[block.start]
+        diagnostics.append(Diagnostic(
+            "stack underflow in abstract interpretation; block state unknown",
+            first.line))
+    return facts

@@ -173,6 +173,19 @@ def test_address_payable_key_balance_write_is_major():
     assert [f.kind for f in findings] == ["CENTRALIZATION_RISK"]
 
 
+def test_unit_suffixed_amount_is_the_whole_fund_site():
+    _, _, funds = _analyze(
+        "contract C { mapping(address => uint) bals;"
+        " function f(address to) public { bals[to] = 1 ether; } }")
+    assert [(s.kind, s.text) for s in funds] == [(BALANCE_MAPPING_WRITE, "bals[to] = 1 ether;")]
+    findings, diagnostics = analyze_solidity_source(
+        "contract C { address owner; mapping(address => uint) bals;"
+        " function f(address to) public { require(msg.sender == owner);"
+        " require(block.timestamp > 1 days); bals[to] = 1 ether; } }", "c.sol", CONFIG)
+    assert [(f.kind, f.severity) for f in findings] == [("CENTRALIZATION_RISK", "MAJOR")]
+    assert diagnostics == []
+
+
 def test_nested_mapping_write_requires_config():
     source = ("contract C { mapping(address => mapping(address => uint)) allow;"
               " function f(address a, address b) public { allow[a][b] = 1; } }")

@@ -159,6 +159,23 @@ def test_compound_assignment_and_rvalue_call():
     assert isinstance(stmt.rvalue, ast.CallExpr)
 
 
+def test_number_unit_is_part_of_its_literal():
+    for stmt_src, literal in [("bals[to] = 1 ether;", "1 ether"),
+                              ("x = 2 days;", "2 days"),
+                              ("x = 1e18 wei;", "1e18 wei")]:
+        unit = parse_solidity(
+            "contract W { function w() public {\n" + stmt_src + "\n} }", "p.sol")
+        assert unit.diagnostics == [], stmt_src
+        (stmt,) = unit.contracts[0].functions[0].body
+        assert isinstance(stmt, ast.Assign), stmt_src
+        assert isinstance(stmt.rvalue, ast.OpaqueExpr), stmt_src
+        assert unit.tokens.text(stmt.rvalue.at, stmt.rvalue.end) == literal
+    unit = parse_solidity(
+        "contract W { function w() public { require(block.timestamp > 1 days); } }", "p.sol")
+    assert unit.diagnostics == []
+    assert isinstance(unit.contracts[0].functions[0].body[0], ast.Require)
+
+
 def test_call_options_block():
     body = parse_function_body('to.call{value: amount}("");')
     stmt = body[0]

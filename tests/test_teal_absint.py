@@ -20,10 +20,11 @@ from centriscan.teal.absint import (
     SenderCmp,
     abstract_exec_block,
 )
-from centriscan.teal.cfg import build_cfg
-from centriscan.teal.parser import parse_teal
+from centriscan.teal.cfg import BasicBlock, build_cfg
+from centriscan.teal.parser import OPCODE_STACK_EFFECTS, parse_teal
 
 from helpers import corpus_text
+from oracle import reference_exec_block
 
 CONFIG = AnalyzerConfig()
 
@@ -56,7 +57,7 @@ def test_int_assert_is_not_a_guard():
 def _returned(ops: str):
     """The value `return` pops after running `ops` as the entry block."""
     facts, program = _facts(f"{ops}\nreturn")
-    return facts[0].return_values[len(program.instructions) - 1]
+    return facts[0].return_values[len(program.opcodes) - 1]
 
 
 def test_value_modeling():
@@ -71,6 +72,25 @@ def test_value_modeling():
 def test_app_global_get_requires_constant_key():
     assert _returned('byte "owner"\napp_global_get') == GlobalGet("owner")
     assert _returned("load 0\napp_global_get") is UNKNOWN
+
+
+@pytest.mark.parametrize("constant", [
+    "0x4d7942616c616e6365", "base64 TXlCYWxhbmNl", "b64 TXlCYWxhbmNl",
+    "base64(TXlCYWxhbmNl)", "b64(TXlCYWxhbmNl)",
+])
+def test_hex_and_base64_byte_constants_decode(constant):
+    assert _returned(f"byte {constant}") == ByteConst("MyBalance")
+    assert _returned(f"pushbytes {constant}") == ByteConst("MyBalance")
+
+
+@pytest.mark.parametrize("constant", [
+    "0x4d7", "0xzz", "0xff", "base64 TXl", "base64 TX!lCYWxhbmNl", "b64 TXlC YWxh",
+    "base32 JV4UEYLMMFXGGZI", "base64(TXlCYWxhbmNl", "64(TXlCYWxhbmNl)",
+])
+def test_malformed_or_non_text_byte_constants_stay_unknown(constant):
+    # Odd or non-hex digits, bad padding, characters outside the alphabet,
+    # bytes that are not UTF-8, base32 and a missing parenthesis.
+    assert _returned(f"byte {constant}") is UNKNOWN
 
 
 @pytest.mark.parametrize("ops, expected", [
@@ -187,6 +207,18 @@ def test_unknown_opcode_poisons_rest_of_block():
     assert _returned("mystery\nint 1") is UNKNOWN
 
 
+def test_entry_block_partial_underflow_keeps_what_was_popped():
+    # The put pops its value and key, then underflows on the missing account:
+    # the key is known, so the write is a fund mod, and the underflow noted.
+    diagnostics = []
+    facts, _ = _facts('byte "MyBalance"\nint 5\napp_local_put\nint 1\nreturn',
+                      diagnostics=diagnostics)
+    assert facts[0].fund_mods == {2: ("app_local_put", "MyBalance")}
+    assert facts[0].return_values == {4: UNKNOWN}
+    assert [d.message for d in diagnostics] == [
+        "stack underflow in abstract interpretation; block state unknown"]
+
+
 def test_non_entry_block_pops_unknown_without_diagnostic():
     diagnostics = []
     facts, _ = _facts("int 1\nbz merge\nmerge:\nassert\nint 1\nreturn",
@@ -215,7 +247,7 @@ def test_unmodeled_opcodes_only_produce_unknown(seed):
     for block in cfg.blocks:
         facts = abstract_exec_block(block, program, CONFIG)
         unknown = [i for i in range(block.start, block.end)
-                   if program.instructions[i].stack_delta is None]
+                   if program.opcodes[i] not in OPCODE_STACK_EFFECTS]
         if not unknown:
             continue
         first = unknown[0]
@@ -223,3 +255,28 @@ def test_unmodeled_opcodes_only_produce_unknown(seed):
         assert all(i < first for i in facts.fund_mods)
         assert facts.branch_index is None or facts.branch_index < first
         assert all(v is UNKNOWN for i, v in facts.return_values.items() if i > first)
+
+
+_EXEC_OPS = _MODEL_OPS + _UNKNOWN_OPS + [
+    "app_local_put", "int 0", "pushint 2", 'pushbytes "owner"', "gtxn 0 Sender",
+    "gtxn 1 Fee", "txn Fee", "byte 0x6f776e6572", "b64 TXlCYWxhbmNl", "+",
+    "load 0", "store 0", "app_local_get", "divmodw", "bz end",
+]
+
+
+@given(st.lists(st.sampled_from(_EXEC_OPS), min_size=1, max_size=25), st.booleans(),
+       st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_block_facts_match_reference_interpreter(lines, entry, gtxn_sender):
+    # One block over the whole list, terminators included: the entry block's
+    # strict stack, or a successor's bottomless one after a leading `nop`.
+    config = replace(CONFIG, gtxn_sender=gtxn_sender)
+    program = parse_teal("\n".join(lines if entry else ["nop", *lines]))
+    start = 0 if entry else 1
+    block = BasicBlock(start, start, len(program.opcodes))
+    got_diagnostics, want_diagnostics = [], []
+    got = abstract_exec_block(block, program, config, got_diagnostics)
+    want = reference_exec_block(block, program, config, want_diagnostics)
+    assert got == want
+    assert got_diagnostics == want_diagnostics
+    assert abstract_exec_block(block, program, config) == want

@@ -260,6 +260,27 @@ def test_negated_eq_branch_to_err_guards_the_put():
     assert [(f.kind, f.severity) for f in findings] == [("CENTRALIZATION_RISK", "MAJOR")]
 
 
+def test_hex_and_base64_balance_keys_are_fund_points():
+    for key in ("0x4d7942616c616e6365", "base64 TXlCYWxhbmNl", "b64(TXlCYWxhbmNl)"):
+        source = f"byte {key}\nint 5\napp_global_put\nint 1\nreturn"
+        findings, diagnostics = analyze_teal_source(source, "p.teal", CONFIG)
+        assert [(f.kind, f.severity) for f in findings] == [
+            ("UNPROTECTED_FUND_MODIFICATION", "WARNING")], key
+        assert diagnostics == [], key
+
+
+def test_hex_owner_key_makes_a_guard():
+    # "manager" in hex, read by app_global_get and compared with the sender.
+    source = ('byte 0x6d616e61676572\napp_global_get\ntxn Sender\n==\nassert\n'
+              'int 0\nbyte b64 TXlCYWxhbmNl\nint 5\napp_local_put\nint 1\nreturn')
+    _, _, guards, funds = _pipeline(source)
+    assert [(g.form, g.privileged_source) for g in guards] == [
+        (ASSERT_GUARD, 'app_global_get["manager"]')]
+    assert [(p.opcode, p.key) for p in funds] == [("app_local_put", "MyBalance")]
+    findings, _ = analyze_teal_source(source, "p.teal", CONFIG)
+    assert [(f.kind, f.severity) for f in findings] == [("CENTRALIZATION_RISK", "MAJOR")]
+
+
 def test_unguarded_put_behind_long_dispatch_chain():
     # 200 `method` dispatch blocks of four instructions each, the `err`
     # fall-through, 199 handlers of two instructions, then the last handler
