@@ -58,8 +58,8 @@ def analyze_solidity_source(
     source: str, path: str, config: AnalyzerConfig
 ) -> tuple[list[Finding], list[Diagnostic]]:
     """Run the full Solidity pipeline over one file's text."""
-    unit = parse_source(tokenize(source), path)
-    diagnostics = list(unit.diagnostics)
+    unit = parse_source(tokenize(source))
+    diagnostics = unit.diagnostics
     detections = []
     for contract in unit.contracts:
         symbols = collect_state_vars(contract, unit.tokens, diagnostics)
@@ -74,7 +74,7 @@ def analyze_teal_source(
     source: str, path: str, config: AnalyzerConfig
 ) -> tuple[list[Finding], list[Diagnostic]]:
     """Run the full TEAL pipeline over one file's text."""
-    program = parse_teal(source, path)
+    program = parse_teal(source)
     diagnostics = program.diagnostics
     cfg = build_cfg(program, diagnostics)
     facts = [abstract_exec_block(block, program, config, diagnostics)

@@ -161,7 +161,6 @@ class ContractDecl:
 
 @dataclass(slots=True)
 class SourceUnit:
-    path: str
     contracts: list[ContractDecl]
     diagnostics: list[Diagnostic]
     # Units parsed from equal sources compare equal, whatever their tokens.

@@ -252,7 +252,7 @@ def pair_detections(
     tokens: Tokens,
     guards: list[GuardSite],
     fund_sites: list[FundModSite],
-    diagnostics: list[Diagnostic] | None = None,
+    diagnostics: list[Diagnostic],
 ) -> list[RawDetection]:
     """One RawDetection per function carrying any guard or fund site;
     ``tokens`` are those the contract was parsed from.
@@ -278,7 +278,7 @@ def pair_detections(
         for invocation in function.modifier_invocations:
             modifiers = modifier_at.get(invocation)
             if modifiers is None:
-                if diagnostics is not None and invocation not in contract.bases:
+                if invocation not in contract.bases:
                     diagnostics.append(Diagnostic(
                         f"function '{function.name}' invokes unknown modifier "
                         f"'{invocation}'",

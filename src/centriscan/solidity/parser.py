@@ -61,19 +61,19 @@ _STMT_KEYWORDS = _OPAQUE_STMT_KEYWORDS | {
 }
 
 
-def parse_source(tokens: Tokens, path: str) -> ast.SourceUnit:
+def parse_source(tokens: Tokens) -> ast.SourceUnit:
     """Parse ``tokens``, the result of ``tokenize(source)``, into a SourceUnit
     that carries them; total for any input. Expression and statement nodes
     hold token spans, from which ``tokens`` derives their positions and
     texts (see ``ast``). Comments are gaps, never tokens, so a node's text
     is the slice of the source from its first token to the end of its last,
     comments between its tokens included."""
-    return _Parser(tokens, path).parse_unit()
+    return _Parser(tokens).parse_unit()
 
 
-def parse_solidity(source: str, path: str = "<solidity>") -> ast.SourceUnit:
+def parse_solidity(source: str) -> ast.SourceUnit:
     """Tokenize and parse source text in one step."""
-    return parse_source(tokenize(source), path)
+    return parse_source(tokenize(source))
 
 
 def _is_type_start(kind: str, text: str) -> bool:
@@ -87,14 +87,13 @@ def _is_type_start(kind: str, text: str) -> bool:
 
 
 class _Parser:
-    def __init__(self, tokens: Tokens, path: str):
+    def __init__(self, tokens: Tokens):
         self.tokens = tokens
         self.n = len(tokens)
         # The parser never moves past n, so two trailing sentinels let
         # _text(0), _text(1) and kinds[i + 1] skip a bounds check.
         self.kinds = [*tokens.kinds, "", ""]
         self.texts = [*tokens.texts, "", ""]
-        self.path = path
         self.diags: list[Diagnostic] = []
         self.i = 0
         self.expr_depth = 0
@@ -199,7 +198,7 @@ class _Parser:
                 self._recover_region()
             else:
                 self._opaque_stmt("skipped unrecognized top-level construct")
-        return ast.SourceUnit(self.path, contracts, self.diags, self.tokens)
+        return ast.SourceUnit(contracts, self.diags, self.tokens)
 
     def _parse_contract(self) -> ast.ContractDecl:
         self._eat("abstract")

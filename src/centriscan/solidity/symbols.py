@@ -7,18 +7,21 @@ from .ast import ContractDecl, StateVar, TypeDesc
 from .tokens import Tokens
 
 _ADDRESS_TYPES = frozenset({"address", "address payable"})
+# Elementary unsigned integers: `uint` and `uint8` ... `uint256`. A uint
+# array (`uint[]`, `uint256[2]`) is no balance.
+_UINT_TYPES = frozenset({"uint", *(f"uint{bits}" for bits in range(8, 257, 8))})
 
 
 def collect_state_vars(
     contract: ContractDecl,
     tokens: Tokens,
-    diagnostics: list[Diagnostic] | None = None,
+    diagnostics: list[Diagnostic],
 ) -> dict[str, StateVar]:
     """Map state-variable names to declarations; last declaration wins.
     ``tokens`` are those the contract was parsed from."""
     table: dict[str, StateVar] = {}
     for var in contract.state_vars:
-        if var.name in table and diagnostics is not None:
+        if var.name in table:
             diagnostics.append(Diagnostic(
                 f"duplicate state variable '{var.name}'; last declaration wins",
                 *tokens.position(var.at),
@@ -29,9 +32,9 @@ def collect_state_vars(
 
 def is_address_to_uint_mapping(table: dict[str, StateVar], name: str, depth: int) -> bool:
     """True iff name is declared as a mapping nested depth levels deep, every
-    key an address (payable or not) and the innermost value a uint type:
-    depth 1 is mapping(address => uint...), depth 2 mapping(address =>
-    mapping(address => uint...))."""
+    key an address (payable or not) and the innermost value an elementary
+    uint type (`uint` or `uintN`): depth 1 is mapping(address => uint...),
+    depth 2 mapping(address => mapping(address => uint...))."""
     var = table.get(name)
     if var is None:
         return False
@@ -40,4 +43,4 @@ def is_address_to_uint_mapping(table: dict[str, StateVar], name: str, depth: int
         if desc is None or desc.key is None or desc.key.name not in _ADDRESS_TYPES:
             return False
         desc = desc.value
-    return desc is not None and desc.key is None and desc.name.startswith("uint")
+    return desc is not None and desc.name in _UINT_TYPES

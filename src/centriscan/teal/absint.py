@@ -86,16 +86,16 @@ _BASE64_FORMS = frozenset({"base64", "b64"})
 
 @dataclass(slots=True)
 class BlockFacts:
-    """What one block's abstract run found, keyed by instruction index:
-    sender-comparison asserts, balance writes, the sender-comparison branch
-    that ends the block, and the value each `return` pops."""
+    """What one block's abstract run found: sender-comparison asserts and
+    balance writes keyed by instruction index, in ascending order; the
+    sender comparison popped by the `bz`/`bnz` that ends the block; and the
+    value popped by the `return` that ends it."""
 
     block: int
     guard_points: dict[int, SenderCmp] = field(default_factory=dict)
     fund_mods: dict[int, tuple[str, str]] = field(default_factory=dict)  # index -> (opcode, key)
     branch_guard: SenderCmp | None = None
-    branch_index: int | None = None
-    return_values: dict[int, AbstractValue] = field(default_factory=dict)
+    returned: AbstractValue | None = None
 
 
 def _int_value(immediate: str) -> AbstractValue:
@@ -186,7 +186,7 @@ def abstract_exec_block(
     block: BasicBlock,
     program: TealProgram,
     config: AnalyzerConfig,
-    diagnostics: list[Diagnostic] | None = None,
+    diagnostics: list[Diagnostic],
 ) -> BlockFacts:
     """Symbolically execute one block, flagging guard and fund-mod points.
 
@@ -250,9 +250,8 @@ def abstract_exec_block(
             value = pop()
             if isinstance(value, SenderCmp):
                 facts.branch_guard = value
-                facts.branch_index = index
         elif op == "return":
-            facts.return_values[index] = pop()
+            facts.returned = pop()
         elif op in _PUTS:
             pop()  # value
             key = pop()
@@ -294,11 +293,11 @@ def abstract_exec_block(
     for index in range(poisoned, end):
         op = opcodes[index]
         if op == "return":
-            facts.return_values[index] = UNKNOWN
+            facts.returned = UNKNOWN
         elif op in _PUTS:
             _record_put(facts, index, op, UNKNOWN, program.lines[index], config, diagnostics)
 
-    if underflowed and diagnostics is not None:
+    if underflowed:
         diagnostics.append(Diagnostic(
             "stack underflow in abstract interpretation; block state unknown",
             program.lines[start]))
@@ -309,7 +308,7 @@ def _record_put(facts, index, opcode, key, line, config, diagnostics) -> None:
     if isinstance(key, ByteConst):
         if config.is_balance_key(key.value):
             facts.fund_mods[index] = (opcode, key.value)
-    elif diagnostics is not None:
+    else:
         diagnostics.append(Diagnostic(
             f"'{opcode}' with non-constant key; write not classified", line))
 
@@ -322,6 +321,4 @@ def render_value(value: AbstractValue) -> str:
         return value.name
     if isinstance(value, AddrConst):
         return f"addr {value.value}"
-    if isinstance(value, _Sender):
-        return "txn Sender"
     return repr(value)

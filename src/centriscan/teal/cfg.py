@@ -2,12 +2,13 @@
 
 Block boundaries occur at labels, after b/bz/bnz, and after return/err
 (retsub included: it never falls through). `assert` does not end a block;
-its failure path is program abort, not an edge.
+its failure path is program abort, not an edge. Entry is block 0, which
+starts at instruction 0; each block's outgoing edges are one list.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from ..diagnostics import Diagnostic
@@ -28,32 +29,24 @@ class BasicBlock(NamedTuple):
 
 @dataclass
 class Cfg:
-    blocks: list[BasicBlock] = field(default_factory=list)
-    edges: list[tuple[int, int, str]] = field(default_factory=list)
-    entry: int = 0
-    block_of: list[int] = field(default_factory=list)
-    # (to, kind) pairs per source block in edge order, indexed once from the
-    # edges given at construction; a Cfg's edges do not change afterwards.
-    _successors: dict[int, list[tuple[int, str]]] = field(
-        init=False, repr=False, compare=False)
+    blocks: list[BasicBlock]
+    # Per block, its (to, kind) edges: a branch's taken edge before its
+    # not-taken one. A terminator's list is empty.
+    successors: list[list[tuple[int, str]]]
+    block_of: list[int]  # instruction index -> block index
 
-    def __post_init__(self) -> None:
-        self._successors = {}
-        for frm, to, kind in self.edges:
-            self._successors.setdefault(frm, []).append((to, kind))
-
-    def successors(self, block: int) -> list[tuple[int, str]]:
-        """The stored (to, kind) list of block; callers must not mutate it."""
-        return self._successors.get(block, [])
+    @property
+    def edges(self) -> list[tuple[int, int, str]]:
+        """Every (from, to, kind) edge in block order, built on read."""
+        return [(b, to, kind) for b, out in enumerate(self.successors) for to, kind in out]
 
 
-def build_cfg(program: TealProgram, diagnostics: list[Diagnostic] | None = None) -> Cfg:
+def build_cfg(program: TealProgram, diagnostics: list[Diagnostic]) -> Cfg:
     """Partition instructions into blocks and connect branch/fallthrough edges."""
-    sink = diagnostics if diagnostics is not None else program.diagnostics
     opcodes = program.opcodes
     n = len(opcodes)
     if n == 0:
-        return Cfg()
+        return Cfg([], [], [])
 
     leaders = {0, *(target for target in program.labels.values() if target < n)}
     leaders.update([after for after, op in enumerate(opcodes, 1) if op in _BLOCK_ENDS])
@@ -67,28 +60,25 @@ def build_cfg(program: TealProgram, diagnostics: list[Diagnostic] | None = None)
         blocks.append(BasicBlock(bi, start, end))
         block_of += [bi] * (end - start)
 
-    edges = []
+    successors = []
+    last_block = len(blocks) - 1
     for block in blocks:
+        out = []
         last = block.end - 1
         op = opcodes[last]
         if op in BRANCH_OPCODES:
-            target = _branch_target(program, last, n, sink)
-            if op == "b":
-                if target is not None:
-                    edges.append((block.index, block_of[target], BRANCH_TAKEN))
-            else:  # bz / bnz
-                if target is not None:
-                    edges.append((block.index, block_of[target], BRANCH_TAKEN))
-                if block.index + 1 < len(blocks):
-                    edges.append((block.index, block.index + 1, BRANCH_NOT_TAKEN))
-        elif op in TERMINATOR_OPCODES:
-            pass
-        elif block.index + 1 < len(blocks):
-            edges.append((block.index, block.index + 1, FALLTHROUGH))
-    return Cfg(blocks, edges, 0, block_of)
+            target = _branch_target(program, last, n, diagnostics)
+            if target is not None:
+                out.append((block_of[target], BRANCH_TAKEN))
+            if op != "b" and block.index < last_block:
+                out.append((block.index + 1, BRANCH_NOT_TAKEN))
+        elif op not in TERMINATOR_OPCODES and block.index < last_block:
+            out.append((block.index + 1, FALLTHROUGH))
+        successors.append(out)
+    return Cfg(blocks, successors, block_of)
 
 
-def _branch_target(program, index, n, sink) -> int | None:
+def _branch_target(program, index, n, diagnostics) -> int | None:
     immediates = program.immediates[index]
     if not immediates:
         return None
@@ -96,7 +86,7 @@ def _branch_target(program, index, n, sink) -> int | None:
     if target is None:
         return None  # already diagnosed by the parser
     if target >= n:
-        sink.append(Diagnostic(
+        diagnostics.append(Diagnostic(
             f"branch target '{immediates[0]}' points past the last "
             f"instruction; edge dropped", program.lines[index]))
         return None

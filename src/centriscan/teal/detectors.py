@@ -70,18 +70,19 @@ def find_guard_points(
     cfg: Cfg,
     facts: list[BlockFacts],
     program: TealProgram,
-    diagnostics: list[Diagnostic] | None = None,
+    diagnostics: list[Diagnostic],
 ) -> list[GuardPoint]:
-    """Collect assert guards and failure-gating branch guards."""
+    """Collect assert guards and failure-gating branch guards, in
+    instruction order: facts come block by block, and a branch guard ends
+    its block."""
     points: list[GuardPoint] = []
     lines = program.lines
     for block_facts in facts:
-        for index in sorted(block_facts.guard_points):
-            cmp = block_facts.guard_points[index]
+        for index, cmp in block_facts.guard_points.items():
             line = lines[index]
             if cmp.polarity != "eq":
-                _note(diagnostics, "assert on a negated sender comparison is "
-                                   "not an access guard", line)
+                diagnostics.append(Diagnostic(
+                    "assert on a negated sender comparison is not an access guard", line))
                 continue
             _note_weakened(diagnostics, cmp, line)
             source = render_value(cmp.source)
@@ -93,23 +94,17 @@ def find_guard_points(
             point = _branch_guard(cfg, facts, block_facts, program, diagnostics)
             if point is not None:
                 points.append(point)
-    points.sort(key=_instruction)
     return points
-
-
-def _note(diagnostics, message, line) -> None:
-    if diagnostics is not None:
-        diagnostics.append(Diagnostic(message, line))
 
 
 def _note_weakened(diagnostics, cmp: SenderCmp, line: int) -> None:
     if cmp.weakened:
-        _note(diagnostics,
-              "weakened guard: sender comparison combined with '||'", line)
+        diagnostics.append(Diagnostic(
+            "weakened guard: sender comparison combined with '||'", line))
 
 
 def _branch_guard(cfg, facts, block_facts, program, diagnostics) -> GuardPoint | None:
-    index = block_facts.branch_index
+    index = cfg.blocks[block_facts.block].end - 1
     cmp = block_facts.branch_guard
     opcode = program.opcodes[index]
     line = program.lines[index]
@@ -120,14 +115,15 @@ def _branch_guard(cfg, facts, block_facts, program, diagnostics) -> GuardPoint |
         fail_kind = BRANCH_TAKEN if authorized_on_true else BRANCH_NOT_TAKEN
     else:
         fail_kind = BRANCH_NOT_TAKEN if authorized_on_true else BRANCH_TAKEN
-    outgoing = {kind: to for to, kind in cfg.successors(block_facts.block)}
+    outgoing = {kind: to for to, kind in cfg.successors[block_facts.block]}
     fail_target = outgoing.get(fail_kind)
     if fail_target is None:
-        _note(diagnostics, "sender comparison branch has no failure edge", line)
+        diagnostics.append(Diagnostic(
+            "sender comparison branch has no failure edge", line))
         return None
     if not _is_failure_region(cfg, facts, program, fail_target):
-        _note(diagnostics,
-              "sender comparison branch does not gate a failure path", line)
+        diagnostics.append(Diagnostic(
+            "sender comparison branch does not gate a failure path", line))
         return None
     _note_weakened(diagnostics, cmp, line)
     other_kind = BRANCH_NOT_TAKEN if fail_kind == BRANCH_TAKEN else BRANCH_TAKEN
@@ -149,31 +145,27 @@ def _is_failure_region(cfg: Cfg, facts: list[BlockFacts], program: TealProgram,
     """True iff every terminator reachable from start_block is `err` or a
     `return` of a proven zero."""
     for block_index in _reachable_blocks(cfg, start_block):
-        if cfg.successors(block_index):
+        if cfg.successors[block_index]:
             continue
-        last_index = cfg.blocks[block_index].end - 1
-        last = program.opcodes[last_index]
+        last = program.opcodes[cfg.blocks[block_index].end - 1]
         if last == "err":
             continue
-        if last == "return":
-            value = facts[block_index].return_values.get(last_index)
-            if value == IntConst(0):
-                continue
+        if last == "return" and facts[block_index].returned == IntConst(0):
+            continue
         return False
     return True
 
 
 def find_fund_mod_points(facts: list[BlockFacts], program: TealProgram) -> list[FundModPoint]:
-    """One point per state write whose constant key matches the balance rule."""
+    """One point per state write whose constant key matches the balance rule,
+    in instruction order."""
     points: list[FundModPoint] = []
     for block_facts in facts:
-        for index in sorted(block_facts.fund_mods):
-            opcode, key = block_facts.fund_mods[index]
+        for index, (opcode, key) in block_facts.fund_mods.items():
             points.append(FundModPoint(
                 block_facts.block, index, program.lines[index],
                 opcode, key,
             ))
-    points.sort(key=_instruction)
     return points
 
 
@@ -181,7 +173,7 @@ def compute_guardedness(
     cfg: Cfg,
     guard_points: list[GuardPoint],
     fund_points: list[FundModPoint],
-    diagnostics: list[Diagnostic] | None = None,
+    diagnostics: list[Diagnostic],
 ) -> GuardednessResult:
     """Decide, per fund point, whether all entry paths cross a guard."""
     result = GuardednessResult(cfg)
@@ -215,27 +207,26 @@ def compute_guardedness(
             result.gates[point] = gates
         else:
             result.verdicts[point] = None  # dead code
-            if diagnostics is not None:
-                diagnostics.append(Diagnostic(
-                    f"fund modification at line {point.line} is unreachable "
-                    f"from program entry", point.line))
+            diagnostics.append(Diagnostic(
+                f"fund modification at line {point.line} is unreachable "
+                f"from program entry", point.line))
     return result
 
 
 def _gates_into(cfg: Cfg, exits: dict[int, tuple[GuardPoint]]
                 ) -> dict[int, tuple[GuardPoint, ...]]:
-    """Forward pass from entry over every edge: per reachable block, the
-    guards (in no set order) that end a guard-free path into it; entry's
-    guard-free path from itself adds none. A block that holds a guard passes
-    on exits[block], its last guard. A block re-propagates only when its
-    tuple grows, so loops terminate."""
-    into: dict[int, tuple[GuardPoint, ...]] = {cfg.entry: ()}
-    stack = [cfg.entry]
+    """Forward pass from entry (block 0) over every edge: per reachable
+    block, the guards (in no set order) that end a guard-free path into it;
+    entry's guard-free path from itself adds none. A block that holds a
+    guard passes on exits[block], its last guard. A block re-propagates
+    only when its tuple grows, so loops terminate."""
+    into: dict[int, tuple[GuardPoint, ...]] = {0: ()}
+    stack = [0]
     successors = cfg.successors
     while stack:
         b = stack.pop()
         out = exits.get(b) or into[b]
-        for to, _kind in successors(b):
+        for to, _kind in successors[b]:
             have = into.get(to)
             if have is None:
                 into[to] = out
@@ -252,7 +243,7 @@ def _reachable_blocks(cfg: Cfg, start: int) -> set[int]:
     seen = {start}
     stack = [start]
     while stack:
-        for to, _kind in cfg.successors(stack.pop()):
+        for to, _kind in cfg.successors[stack.pop()]:
             if to not in seen:
                 seen.add(to)
                 stack.append(to)
@@ -261,15 +252,14 @@ def _reachable_blocks(cfg: Cfg, start: int) -> set[int]:
 
 def _reach(cfg: Cfg, stop_instructions: frozenset | set,
            pruned_edges: frozenset | set) -> tuple[set[int], dict[int, int]]:
-    """Instruction-level BFS from entry that halts at stop instructions and
-    never crosses pruned edges. Returns the reached instructions and the block
-    each block was entered from; FIFO over instructions keeps those chains
-    the paths with the fewest instructions."""
+    """Instruction-level BFS from entry (instruction 0) that halts at stop
+    instructions and never crosses pruned edges. Returns the reached
+    instructions and the block each block was entered from; FIFO over
+    instructions keeps those chains the paths with the fewest instructions."""
     blocks = cfg.blocks
-    entry = blocks[cfg.entry].start
-    seen = {entry}
+    seen = {0}
     parents: dict[int, int] = {}
-    queue = deque([entry])
+    queue = deque([0])
     while queue:
         q = queue.popleft()
         if q in stop_instructions:
@@ -280,7 +270,7 @@ def _reach(cfg: Cfg, stop_instructions: frozenset | set,
             seen.add(q + 1)
             queue.append(q + 1)
             continue
-        for to, kind in cfg.successors(frm):
+        for to, kind in cfg.successors[frm]:
             s = blocks[to].start
             if s not in seen and (frm, to, kind) not in pruned_edges:
                 seen.add(s)
@@ -291,6 +281,6 @@ def _reach(cfg: Cfg, stop_instructions: frozenset | set,
 
 def _block_path(cfg: Cfg, parents: dict[int, int], instruction: int) -> tuple[int, ...]:
     path = [cfg.block_of[instruction]]
-    while path[-1] != cfg.entry:
+    while path[-1] != 0:
         path.append(parents[path[-1]])
     return tuple(reversed(path))

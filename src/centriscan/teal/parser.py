@@ -86,7 +86,6 @@ class Instruction(NamedTuple):
 
 @dataclass
 class TealProgram:
-    path: str
     version: int = 1
     # One entry per instruction in each column.
     opcodes: list[str] = field(default_factory=list)
@@ -113,9 +112,9 @@ _CODE = re.compile(r'(?:[^"/]+|/(?!/)|' + _STRING + ")*", re.DOTALL)
 _FIELD = re.compile(_STRING + r'|[^\s"]\S*', re.DOTALL)
 
 
-def parse_teal(source: str, path: str = "<teal>") -> TealProgram:
+def parse_teal(source: str) -> TealProgram:
     """Parse TEAL text into instruction columns; total for any input."""
-    program = TealProgram(path)
+    program = TealProgram()
     add_opcode = program.opcodes.append
     add_immediates = program.immediates.append
     add_line = program.lines.append

@@ -52,7 +52,7 @@ def all_corpus_files() -> list[str]:
 
 def parse_single_unit(source: str) -> tuple[ast.ContractDecl, Tokens]:
     """The one contract in source, and the tokens its nodes index."""
-    unit = parse_solidity(source, "test.sol")
+    unit = parse_solidity(source)
     assert len(unit.contracts) == 1, unit.diagnostics
     return unit.contracts[0], unit.tokens
 
@@ -101,7 +101,8 @@ def ast_equal(a, b, tokens_a: Tokens, tokens_b: Tokens) -> bool:
 # --- synthetic CFGs for the guardedness oracle ------------------------------
 
 def cfg_from_sizes(sizes: list[int], edges: list[tuple[int, int, str]]) -> Cfg:
-    """A CFG of consecutive blocks with the given instruction counts; entry 0."""
+    """A CFG of consecutive blocks with the given instruction counts and
+    (from, to, kind) edges, kept in their order per source block; entry 0."""
     blocks = []
     block_of = []
     start = 0
@@ -109,7 +110,10 @@ def cfg_from_sizes(sizes: list[int], edges: list[tuple[int, int, str]]) -> Cfg:
         blocks.append(BasicBlock(i, start, start + size))
         block_of.extend([i] * size)
         start += size
-    return Cfg(blocks=blocks, edges=edges, entry=0, block_of=block_of)
+    successors = [[] for _ in sizes]
+    for frm, to, kind in edges:
+        successors[frm].append((to, kind))
+    return Cfg(blocks, successors, block_of)
 
 
 def random_cfg(rng: random.Random) -> Cfg:
@@ -141,7 +145,7 @@ def random_guards_and_funds(
     for _ in range(rng.randint(0, 3)):
         q = rng.randrange(n_instr)
         block = cfg.block_of[q]
-        outgoing = cfg.successors(block)
+        outgoing = cfg.successors[block]
         if q == cfg.blocks[block].end - 1 and len(outgoing) == 2 and rng.random() < 0.6:
             fail_idx = rng.randrange(2)
             other_to, other_kind = outgoing[1 - fail_idx]

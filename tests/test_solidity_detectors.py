@@ -24,7 +24,7 @@ CONFIG = AnalyzerConfig()
 
 
 def _sites(contract, tokens, config: AnalyzerConfig):
-    symbols = collect_state_vars(contract, tokens)
+    symbols = collect_state_vars(contract, tokens, [])
     return (find_sender_guards(contract, tokens, config),
             find_fund_modifications(contract, tokens, symbols, config))
 
@@ -34,7 +34,7 @@ def _analyze(source: str, config: AnalyzerConfig = CONFIG):
     return (contract, *_sites(contract, tokens, config))
 
 
-def _pair(source: str, diagnostics=None):
+def _pair(source: str, diagnostics: list):
     """The detections pair_detections makes of source's one contract."""
     contract, tokens = parse_single_unit(source)
     return pair_detections(contract, tokens, *_sites(contract, tokens, CONFIG), diagnostics)
@@ -186,6 +186,19 @@ def test_unit_suffixed_amount_is_the_whole_fund_site():
     assert diagnostics == []
 
 
+def test_array_valued_mapping_write_is_no_fund_modification():
+    def grades(value_type):
+        findings, _ = analyze_solidity_source(
+            f"contract C {{ mapping(address => {value_type}) lots;"
+            f" function f(address to) public {{ lots[to] = new {value_type}(0); }} }}",
+            "c.sol", CONFIG)
+        return [(f.kind, f.severity) for f in findings]
+
+    assert grades("uint[]") == []
+    assert grades("uint256[]") == []
+    assert grades("uint256") == [("UNPROTECTED_FUND_MODIFICATION", "WARNING")]
+
+
 def test_nested_mapping_write_requires_config():
     source = ("contract C { mapping(address => mapping(address => uint)) allow;"
               " function f(address a, address b) public { allow[a][b] = 1; } }")
@@ -223,7 +236,7 @@ def test_else_branch_is_not_guarded_by_condition():
 
 
 def test_pairing_row1_plus_row4():
-    detections = _pair(corpus_text("solidity", "owner_drain.sol"))
+    detections = _pair(corpus_text("solidity", "owner_drain.sol"), [])
     assert len(detections) == 1
     det = detections[0]
     assert det.guard_sites
@@ -232,14 +245,14 @@ def test_pairing_row1_plus_row4():
 
 
 def test_pairing_guard_only_function():
-    detections = _pair(corpus_text("solidity", "row2_require.sol"))
+    detections = _pair(corpus_text("solidity", "row2_require.sol"), [])
     assert len(detections) == 1
     assert detections[0].guard_sites and detections[0].fund_sites == []
 
 
 def test_pairing_unguarded_write():
     # Hand-evaluated pairing rule: no guards anywhere, one fund site in `fun`.
-    detections = _pair(corpus_text("solidity", "row4_balance.sol"))
+    detections = _pair(corpus_text("solidity", "row4_balance.sol"), [])
     assert len(detections) == 1
     det = detections[0]
     assert not det.guard_sites
@@ -271,7 +284,7 @@ def test_pairing_micro_corpus_privilege_matrix():
             function w(address t) public { bals[t] = 2; }
             function n() public { }
         }
-    """)}
+    """, [])}
     assert set(detections) == {"gw", "g", "w"}
     assert detections["gw"].guard_sites and len(detections["gw"].fund_sites) == 1
     assert detections["g"].guard_sites and not detections["g"].fund_sites
@@ -332,7 +345,7 @@ def test_privilege_monotonicity_random_contracts():
         extra = rng.randrange(n)
 
         def privileged_set(guard_ids):
-            detections = _pair(_random_contract(random.Random(1), guard_ids, n))
+            detections = _pair(_random_contract(random.Random(1), guard_ids, n), [])
             return {d.function for d in detections if d.guard_sites}
 
         base = privileged_set(guarded)
@@ -365,7 +378,7 @@ PAIRING_SHAPES = [
 def test_pairing_keys_guards_by_declaration():
     for source, expected in PAIRING_SHAPES:
         paired = {(d.line, d.column): [(g.line, g.column) for g in d.guard_sites]
-                  for d in _pair(source)}
+                  for d in _pair(source, [])}
         assert paired == expected, source
 
 

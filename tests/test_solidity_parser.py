@@ -20,7 +20,7 @@ from helpers import (
 
 
 def test_minimal_contract():
-    unit = parse_solidity("contract C {}", "c.sol")
+    unit = parse_solidity("contract C {}")
     assert len(unit.contracts) == 1
     assert unit.contracts[0].name == "C"
     assert unit.contracts[0].functions == []
@@ -72,7 +72,7 @@ def test_inheritance_list_records_base_names_in_order():
 
 
 def test_assembly_recovery_at_member_level():
-    unit = parse_solidity("contract C { assembly {??? } }", "c.sol")
+    unit = parse_solidity("contract C { assembly {??? } }")
     assert len(unit.contracts) == 1
     assert len(unit.diagnostics) >= 1
     assert unit.contracts[0].functions == []
@@ -105,7 +105,7 @@ def test_modifier_invocation_with_arguments():
 
 
 def test_qualified_invocation_is_one_name():
-    unit = parse_solidity("contract C is L.B { constructor() L.B(1) m {} }", "c.sol")
+    unit = parse_solidity("contract C is L.B { constructor() L.B(1) m {} }")
     assert unit.contracts[0].functions[0].modifier_invocations == ["L.B", "m"]
     assert unit.diagnostics == []
 
@@ -164,14 +164,14 @@ def test_number_unit_is_part_of_its_literal():
                               ("x = 2 days;", "2 days"),
                               ("x = 1e18 wei;", "1e18 wei")]:
         unit = parse_solidity(
-            "contract W { function w() public {\n" + stmt_src + "\n} }", "p.sol")
+            "contract W { function w() public {\n" + stmt_src + "\n} }")
         assert unit.diagnostics == [], stmt_src
         (stmt,) = unit.contracts[0].functions[0].body
         assert isinstance(stmt, ast.Assign), stmt_src
         assert isinstance(stmt.rvalue, ast.OpaqueExpr), stmt_src
         assert unit.tokens.text(stmt.rvalue.at, stmt.rvalue.end) == literal
     unit = parse_solidity(
-        "contract W { function w() public { require(block.timestamp > 1 days); } }", "p.sol")
+        "contract W { function w() public { require(block.timestamp > 1 days); } }")
     assert unit.diagnostics == []
     assert isinstance(unit.contracts[0].functions[0].body[0], ast.Require)
 
@@ -195,7 +195,7 @@ def _notes(unit):
 
 def test_recovery_steps_over_a_stray_closer():
     unit = parse_solidity(
-        "contract C { function f() public { emit Log(a)); bals[to] = 1; } }", "c.sol")
+        "contract C { function f() public { emit Log(a)); bals[to] = 1; } }")
     body = unit.contracts[0].functions[0].body
     assert [type(s) for s in body] == [ast.Opaque, ast.Assign]
     assert unit.tokens.text(body[0].at, body[0].end) == "emit Log(a));"
@@ -203,7 +203,7 @@ def test_recovery_steps_over_a_stray_closer():
 
 
 def test_state_variable_initializer_stops_at_contract_close():
-    unit = parse_solidity("contract C { uint x = f(a) } uint y;", "c.sol")
+    unit = parse_solidity("contract C { uint x = f(a) } uint y;")
     assert [c.name for c in unit.contracts] == ["C"]
     assert unit.contracts[0].state_vars == []
     assert _notes(unit) == [
@@ -215,7 +215,7 @@ def test_state_variable_initializer_stops_at_contract_close():
 def test_require_message_is_skipped_to_its_closing_paren():
     unit = parse_solidity(
         'contract C { function f() public { require(c, g(";"), x); '
-        "require(c, a; b); y = 1; } }", "c.sol")
+        "require(c, a; b); y = 1; } }")
     body = unit.contracts[0].functions[0].body
     assert [type(s) for s in body] == [ast.Require, ast.Require, ast.Assign]
     assert unit.tokens.text(body[0].at, body[0].end) == 'require(c, g(";"), x);'
@@ -228,7 +228,7 @@ def test_depth_limit_scan_steps_over_braces():
     # text; call options `{...}` inside it must not end the scan.
     nested = "o.g{value: 1}(" * 60 + "a" + ")" * 60
     unit = parse_solidity(
-        "contract C { function f() public { x = " + nested + "; } }", "c.sol")
+        "contract C { function f() public { x = " + nested + "; } }")
     body = unit.contracts[0].functions[0].body
     assert [type(s) for s in body] == [ast.Assign]
     assert unit.tokens.text(body[0].at, body[0].end) == "x = " + nested + ";"
@@ -244,7 +244,7 @@ def test_msg_sender_requires_exact_token_sequence():
 
 def test_locations_inside_source_bounds():
     src = corpus_text("solidity", "owner_drain.sol")
-    unit = parse_solidity(src, "x.sol")
+    unit = parse_solidity(src)
     lines = src.splitlines() or [""]
 
     def check(line, column):
@@ -315,7 +315,7 @@ def _stmt_and_expr_nodes(nodes):
 @example("contract C { function f() public { require(msg.sender /* c */ == owner); } }")
 @settings(max_examples=400, deadline=None)
 def test_node_positions_locate_their_text(src):
-    unit = parse_solidity(src, "p.sol")
+    unit = parse_solidity(src)
     tokens = unit.tokens
     bodies = [decl.body for c in unit.contracts for decl in (*c.modifiers, *c.functions)]
     for node in _stmt_and_expr_nodes(bodies):
@@ -396,7 +396,7 @@ def test_subset_statement_trees():
 @given(st.text(max_size=300))
 @settings(max_examples=200, deadline=None)
 def test_parse_totality(src):
-    unit = parse_solidity(src, "fuzz.sol")
+    unit = parse_solidity(src)
     assert isinstance(unit, ast.SourceUnit)
 
 
@@ -406,5 +406,5 @@ def test_parse_totality(src):
 ))
 @settings(max_examples=300, deadline=None)
 def test_parse_totality_structured_alphabet(src):
-    unit = parse_solidity(src, "fuzz.sol")
+    unit = parse_solidity(src)
     assert isinstance(unit, ast.SourceUnit)

@@ -5,8 +5,8 @@ from centriscan.solidity.symbols import collect_state_vars, is_address_to_uint_m
 from helpers import parse_single_unit
 
 
-def _table(source: str, diagnostics=None):
-    return collect_state_vars(*parse_single_unit(source), diagnostics)
+def _table(source: str):
+    return collect_state_vars(*parse_single_unit(source), [])
 
 
 def test_balance_mapping_is_detected():
@@ -17,6 +17,15 @@ def test_balance_mapping_is_detected():
 def test_sized_uint_value_counts():
     table = _table("contract C { mapping(address => uint256) bals; }")
     assert is_address_to_uint_mapping(table, "bals", 1)
+
+
+def test_uint_array_values_are_not_balances():
+    table = _table("contract C { mapping(address => uint[]) lots;"
+                   " mapping(address => uint256[2]) pairs;"
+                   " mapping(address => mapping(address => uint8[])) deep; }")
+    assert not is_address_to_uint_mapping(table, "lots", 1)
+    assert not is_address_to_uint_mapping(table, "pairs", 1)
+    assert not is_address_to_uint_mapping(table, "deep", 2)
 
 
 def test_plain_uint_is_not_a_mapping():
@@ -42,8 +51,8 @@ def test_unknown_name():
 
 def test_duplicate_names_last_wins_with_diagnostic():
     diagnostics = []
-    table = _table(
-        "contract C { uint bals; mapping(address => uint) bals; }", diagnostics)
+    table = collect_state_vars(*parse_single_unit(
+        "contract C { uint bals; mapping(address => uint) bals; }"), diagnostics)
     assert is_address_to_uint_mapping(table, "bals", 1)
     assert len(diagnostics) == 1
     assert "duplicate" in diagnostics[0].message

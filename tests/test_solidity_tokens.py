@@ -41,9 +41,9 @@ def test_tokens_sequence_contract(src):
     lists = (list(tokens.kinds), list(tokens.texts), list(tokens.starts))
     # The parser reads the lists without changing them, and its unit
     # carries the very tokens it read.
-    unit = parse_source(tokens, "t.sol")
+    unit = parse_source(tokens)
     assert unit.tokens is tokens
-    assert unit == parse_solidity(src, "t.sol")
+    assert unit == parse_solidity(src)
     assert (tokens.kinds, tokens.texts, tokens.starts) == lists
 
 

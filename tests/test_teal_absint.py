@@ -29,10 +29,12 @@ from oracle import reference_exec_block
 CONFIG = AnalyzerConfig()
 
 
-def _facts(source: str, config: AnalyzerConfig = CONFIG, diagnostics=None):
+def _facts(source: str, config: AnalyzerConfig = CONFIG):
+    """Each block's facts and the program; notes go to program.diagnostics."""
     program = parse_teal(source)
-    cfg = build_cfg(program)
-    return [abstract_exec_block(b, program, config, diagnostics) for b in cfg.blocks], program
+    cfg = build_cfg(program, program.diagnostics)
+    return [abstract_exec_block(b, program, config, program.diagnostics)
+            for b in cfg.blocks], program
 
 
 def test_assert_pattern_flags_guard_point():
@@ -56,8 +58,8 @@ def test_int_assert_is_not_a_guard():
 
 def _returned(ops: str):
     """The value `return` pops after running `ops` as the entry block."""
-    facts, program = _facts(f"{ops}\nreturn")
-    return facts[0].return_values[len(program.opcodes) - 1]
+    facts, _ = _facts(f"{ops}\nreturn")
+    return facts[0].returned
 
 
 def test_value_modeling():
@@ -171,7 +173,6 @@ def test_not_flips_sender_cmp_polarity():
 def test_bz_popping_sender_cmp_marks_conditional_guard_block():
     facts, _ = _facts(corpus_text("teal", "row2_branch.teal"))
     assert facts[0].branch_guard is not None
-    assert facts[0].branch_index is not None
 
 
 def test_balance_key_substring_rule_and_toggle():
@@ -184,16 +185,14 @@ def test_balance_key_substring_rule_and_toggle():
 
 
 def test_non_constant_key_never_flags_and_notes():
-    diagnostics = []
-    facts, _ = _facts("load 0\nint 5\napp_global_put", diagnostics=diagnostics)
+    facts, program = _facts("load 0\nint 5\napp_global_put")
     assert facts[0].fund_mods == {}
-    assert any("non-constant key" in d.message for d in diagnostics)
+    assert any("non-constant key" in d.message for d in program.diagnostics)
 
 
 def test_entry_block_underflow_diagnosed_without_crash():
-    diagnostics = []
-    facts, _ = _facts("pop\nint 1\nassert", diagnostics=diagnostics)
-    assert any("underflow" in d.message for d in diagnostics)
+    facts, program = _facts("pop\nint 1\nassert")
+    assert any("underflow" in d.message for d in program.diagnostics)
     assert facts[0].guard_points == {}
     # Once the strict entry stack underflows its depth is unknown, so even a
     # constant pushed afterwards is not tracked.
@@ -210,20 +209,16 @@ def test_unknown_opcode_poisons_rest_of_block():
 def test_entry_block_partial_underflow_keeps_what_was_popped():
     # The put pops its value and key, then underflows on the missing account:
     # the key is known, so the write is a fund mod, and the underflow noted.
-    diagnostics = []
-    facts, _ = _facts('byte "MyBalance"\nint 5\napp_local_put\nint 1\nreturn',
-                      diagnostics=diagnostics)
+    facts, program = _facts('byte "MyBalance"\nint 5\napp_local_put\nint 1\nreturn')
     assert facts[0].fund_mods == {2: ("app_local_put", "MyBalance")}
-    assert facts[0].return_values == {4: UNKNOWN}
-    assert [d.message for d in diagnostics] == [
+    assert facts[0].returned is UNKNOWN
+    assert [d.message for d in program.diagnostics] == [
         "stack underflow in abstract interpretation; block state unknown"]
 
 
 def test_non_entry_block_pops_unknown_without_diagnostic():
-    diagnostics = []
-    facts, _ = _facts("int 1\nbz merge\nmerge:\nassert\nint 1\nreturn",
-                      diagnostics=diagnostics)
-    assert not any("underflow" in d.message for d in diagnostics)
+    _, program = _facts("int 1\nbz merge\nmerge:\nassert\nint 1\nreturn")
+    assert not any("underflow" in d.message for d in program.diagnostics)
 
 
 _MODEL_OPS = [
@@ -238,14 +233,15 @@ _UNKNOWN_OPS = ["mystery", "itxn_begin", "frobnicate 3"]
 @settings(max_examples=200, deadline=None)
 def test_unmodeled_opcodes_only_produce_unknown(seed):
     # Conservatism: after an opcode of unknown arity nothing in its block is
-    # a guard, a fund write or a known return value.
+    # a guard, a fund write, a branch guard or a known return value. A branch
+    # or return ends its block, so it comes after that opcode.
     rng = random.Random(seed)
     lines = [rng.choice(_MODEL_OPS + _UNKNOWN_OPS) for _ in range(rng.randint(1, 15))]
     source = "\n".join(lines) + "\nend:\nint 1\nreturn"
     program = parse_teal(source)
-    cfg = build_cfg(program)
+    cfg = build_cfg(program, [])
     for block in cfg.blocks:
-        facts = abstract_exec_block(block, program, CONFIG)
+        facts = abstract_exec_block(block, program, CONFIG, [])
         unknown = [i for i in range(block.start, block.end)
                    if program.opcodes[i] not in OPCODE_STACK_EFFECTS]
         if not unknown:
@@ -253,8 +249,8 @@ def test_unmodeled_opcodes_only_produce_unknown(seed):
         first = unknown[0]
         assert all(i < first for i in facts.guard_points)
         assert all(i < first for i in facts.fund_mods)
-        assert facts.branch_index is None or facts.branch_index < first
-        assert all(v is UNKNOWN for i, v in facts.return_values.items() if i > first)
+        assert facts.branch_guard is None
+        assert facts.returned in (None, UNKNOWN)
 
 
 _EXEC_OPS = _MODEL_OPS + _UNKNOWN_OPS + [
@@ -279,4 +275,3 @@ def test_block_facts_match_reference_interpreter(lines, entry, gtxn_sender):
     want = reference_exec_block(block, program, config, want_diagnostics)
     assert got == want
     assert got_diagnostics == want_diagnostics
-    assert abstract_exec_block(block, program, config) == want

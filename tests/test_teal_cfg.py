@@ -16,7 +16,7 @@ from helpers import corpus_text
 
 
 def test_straight_line_program_is_one_block():
-    cfg = build_cfg(parse_teal("int 1\nint 2\n+"))
+    cfg = build_cfg(parse_teal("int 1\nint 2\n+"), [])
     assert len(cfg.blocks) == 1
     assert cfg.edges == []
 
@@ -24,25 +24,25 @@ def test_straight_line_program_is_one_block():
 def test_bz_program_partitions_into_three_blocks():
     # Hand-computed partition: leaders at 0 (entry), 1 (after bz), 3 (label).
     program = parse_teal("bz failed\nint 1\nreturn\nfailed:\nerr")
-    cfg = build_cfg(program)
+    cfg = build_cfg(program, [])
     assert [(b.start, b.end) for b in cfg.blocks] == [(0, 1), (1, 3), (3, 4)]
     assert cfg.blocks[2].start == program.labels["failed"]
     assert set(cfg.edges) == {(0, 1, BRANCH_NOT_TAKEN), (0, 2, BRANCH_TAKEN)}
 
 
 def test_branch_pattern_comparison_block_has_two_successors():
-    cfg = build_cfg(parse_teal(corpus_text("teal", "row2_branch.teal")))
-    assert len(cfg.successors(0)) == 2
+    cfg = build_cfg(parse_teal(corpus_text("teal", "row2_branch.teal")), [])
+    assert len(cfg.successors[0]) == 2
 
 
 def test_unconditional_branch_has_single_edge():
-    cfg = build_cfg(parse_teal("b done\nint 0\nreturn\ndone:\nint 1\nreturn"))
-    kinds = [kind for _, kind in cfg.successors(0)]
+    cfg = build_cfg(parse_teal("b done\nint 0\nreturn\ndone:\nint 1\nreturn"), [])
+    kinds = [kind for _, kind in cfg.successors[0]]
     assert kinds == [BRANCH_TAKEN]
 
 
 def test_assert_does_not_end_a_block():
-    cfg = build_cfg(parse_teal("int 1\nassert\nint 1\nreturn"))
+    cfg = build_cfg(parse_teal("int 1\nassert\nint 1\nreturn"), [])
     assert len(cfg.blocks) == 1
 
 
@@ -55,9 +55,9 @@ def test_dangling_label_at_end_drops_edge_with_diagnostic():
 
 def test_callsub_records_call_edge_without_control_edge():
     program = parse_teal("callsub sub\nint 1\nreturn\nsub:\nretsub")
-    cfg = build_cfg(program)
+    cfg = build_cfg(program, [])
     # retsub terminates its block with no outgoing control edge
-    assert cfg.successors(1) == []
+    assert cfg.successors[1] == []
 
 
 _OPCODE_POOL = ["int 1", "dup", "pop", "+", "assert", "b L0", "bz L1", "bnz L2",
@@ -85,7 +85,7 @@ def _random_program(rng: random.Random) -> str:
 @settings(max_examples=200, deadline=None)
 def test_partition_and_edge_soundness(seed):
     program = parse_teal(_random_program(random.Random(seed)))
-    cfg = build_cfg(program, diagnostics=[])
+    cfg = build_cfg(program, [])
     n = len(program.instructions)
     if n == 0:
         assert cfg.blocks == []

@@ -1,9 +1,12 @@
 """Guard points, fund points, and guardedness decisions over the CFG."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from centriscan.config import AnalyzerConfig
 from centriscan.engine import analyze_teal_source
 from centriscan.teal.absint import abstract_exec_block
-from centriscan.teal.cfg import build_cfg
+from centriscan.teal.cfg import BRANCH_NOT_TAKEN, BRANCH_TAKEN, build_cfg
 from centriscan.teal.detectors import (
     ASSERT_GUARD,
     BRANCH_GUARD,
@@ -18,9 +21,11 @@ from helpers import corpus_text
 CONFIG = AnalyzerConfig()
 
 
-def _pipeline(source: str, config: AnalyzerConfig = CONFIG, diagnostics=None):
+def _pipeline(source: str, config: AnalyzerConfig = CONFIG):
+    """Each stage's notes go to program.diagnostics, as in the engine."""
     program = parse_teal(source)
-    cfg = build_cfg(program)
+    diagnostics = program.diagnostics
+    cfg = build_cfg(program, diagnostics)
     facts = [abstract_exec_block(b, program, config, diagnostics) for b in cfg.blocks]
     guards = find_guard_points(cfg, facts, program, diagnostics)
     funds = find_fund_mod_points(facts, program)
@@ -29,7 +34,7 @@ def _pipeline(source: str, config: AnalyzerConfig = CONFIG, diagnostics=None):
 
 def _fail_target(cfg, guard):
     """The branch guard's other successor: the edge an unauthorized sender takes."""
-    (target,) = [to for to, kind in cfg.successors(guard.block)
+    (target,) = [to for to, kind in cfg.successors[guard.block]
                  if kind != guard.non_fail_edge[2]]
     return target
 
@@ -56,14 +61,13 @@ def test_self_comparison_yields_no_guard_points():
 
 
 def test_branch_to_non_failure_region_is_not_a_guard():
-    diagnostics = []
     source = (
         'byte "manager"\napp_global_get\ntxn Sender\n==\nbz other\n'
         "int 1\nreturn\nother:\nint 1\nreturn\n"
     )
-    _, _, guards, _ = _pipeline(source, diagnostics=diagnostics)
+    program, _, guards, _ = _pipeline(source)
     assert guards == []
-    assert any("does not gate a failure path" in d.message for d in diagnostics)
+    assert any("does not gate a failure path" in d.message for d in program.diagnostics)
 
 
 def test_branch_to_return_zero_is_a_guard():
@@ -77,14 +81,13 @@ def test_branch_to_return_zero_is_a_guard():
 
 def test_fail_target_jumping_to_success_is_not_a_guard():
     # The fail target's own block ends in `b`; the region it leads to accepts.
-    diagnostics = []
     source = (
         'byte "manager"\napp_global_get\ntxn Sender\n==\nbz bad\n'
         "int 1\nreturn\nbad:\nb ok\nok:\nint 1\nreturn\n"
     )
-    _, _, guards, _ = _pipeline(source, diagnostics=diagnostics)
+    program, _, guards, _ = _pipeline(source)
     assert guards == []
-    assert any("does not gate a failure path" in d.message for d in diagnostics)
+    assert any("does not gate a failure path" in d.message for d in program.diagnostics)
 
 
 def test_fail_target_reaching_err_two_blocks_later_is_a_guard():
@@ -121,22 +124,20 @@ def test_color_key_put_yields_no_fund_point():
 
 
 def test_non_constant_key_yields_no_point_with_note():
-    diagnostics = []
-    _, _, _, funds = _pipeline(corpus_text("teal", "neg_nonconst_key.teal"),
-                               diagnostics=diagnostics)
+    program, _, _, funds = _pipeline(corpus_text("teal", "neg_nonconst_key.teal"))
     assert funds == []
-    assert any("non-constant key" in d.message for d in diagnostics)
+    assert any("non-constant key" in d.message for d in program.diagnostics)
 
 
 def test_guarded_concatenation_is_guarded():
     _, cfg, guards, funds = _pipeline(corpus_text("teal", "guarded_put.teal"))
-    result = compute_guardedness(cfg, guards, funds)
+    result = compute_guardedness(cfg, guards, funds, [])
     assert [result.verdicts[p] for p in funds] == [True]
 
 
 def test_unguarded_put_with_witness():
     _, cfg, guards, funds = _pipeline(corpus_text("teal", "row3_put.teal"))
-    result = compute_guardedness(cfg, guards, funds)
+    result = compute_guardedness(cfg, guards, funds, [])
     assert [result.verdicts[p] for p in funds] == [False]
     assert result.witnesses[funds[0]] == (0,)
 
@@ -153,7 +154,7 @@ def test_guard_and_put_in_parallel_branches_is_unguarded():
     )
     _, cfg, guards, funds = _pipeline(source)
     assert len(guards) == 1 and len(funds) == 1
-    result = compute_guardedness(cfg, guards, funds)
+    result = compute_guardedness(cfg, guards, funds, [])
     assert result.verdicts[funds[0]] is False
     witness = result.witnesses[funds[0]]
     assert len(witness) == 2  # entry block -> put block, one edge
@@ -169,7 +170,7 @@ def test_guard_on_one_of_two_merging_paths_is_unguarded():
     )
     _, cfg, guards, funds = _pipeline(source)
     assert len(guards) == 1 and len(funds) == 1
-    result = compute_guardedness(cfg, guards, funds)
+    result = compute_guardedness(cfg, guards, funds, [])
     assert result.verdicts[funds[0]] is False
 
 
@@ -185,7 +186,7 @@ def test_branch_guard_protects_fallthrough_region():
         "failed:\nerr\n"
     )
     _, cfg, guards, funds = _pipeline(source)
-    result = compute_guardedness(cfg, guards, funds)
+    result = compute_guardedness(cfg, guards, funds, [])
     assert result.verdicts[funds[0]] is True
 
 
@@ -198,7 +199,7 @@ def test_put_inside_failure_region_is_unguarded():
     )
     _, cfg, guards, funds = _pipeline(source)
     assert len(guards) == 1
-    result = compute_guardedness(cfg, guards, funds)
+    result = compute_guardedness(cfg, guards, funds, [])
     assert result.verdicts[funds[0]] is False
 
 
@@ -227,26 +228,25 @@ def test_conservatism_no_put_no_fund_points():
 
 
 def test_weakened_guard_still_guards_with_note():
-    diagnostics = []
     source = (
         'byte "manager"\napp_global_get\ntxn Sender\n==\nint 1\n||\nassert\n'
         'int 0\nbyte "MyBalance"\nint 5\napp_local_put\nint 1\nreturn\n'
     )
-    _, cfg, guards, funds = _pipeline(source, diagnostics=diagnostics)
+    program, cfg, guards, funds = _pipeline(source)
     assert len(guards) == 1
-    assert any("weakened guard" in d.message for d in diagnostics)
-    result = compute_guardedness(cfg, guards, funds)
+    assert any("weakened guard" in d.message for d in program.diagnostics)
+    result = compute_guardedness(cfg, guards, funds, [])
     assert result.verdicts[funds[0]] is True
 
 
 def test_negated_assert_is_not_a_guard():
     for negated in ("!=", "==\n!"):
-        diagnostics = []
         source = (f'byte "manager"\napp_global_get\ntxn Sender\n{negated}\n'
                   'assert\nint 1\nreturn')
-        _, _, guards, _ = _pipeline(source, diagnostics=diagnostics)
+        program, _, guards, _ = _pipeline(source)
         assert guards == [], negated
-        assert any("negated sender comparison" in d.message for d in diagnostics), negated
+        assert any("negated sender comparison" in d.message
+                   for d in program.diagnostics), negated
 
 
 def test_negated_eq_branch_to_err_guards_the_put():
@@ -295,7 +295,7 @@ def test_unguarded_put_behind_long_dispatch_chain():
     _, cfg, guards, funds = _pipeline(source)
     assert guards == [] and len(funds) == 1
     point = funds[0]
-    result = compute_guardedness(cfg, guards, funds)
+    result = compute_guardedness(cfg, guards, funds, [])
     assert result.verdicts[point] is False
     path = result.witnesses[point]
     assert path == (*range(n), 2 * n)
@@ -306,3 +306,44 @@ def test_unguarded_put_behind_long_dispatch_chain():
     assert instructions == tuple(
         q for b in path[:-1] for q in range(cfg.blocks[b].start, cfg.blocks[b].end)
     ) + tuple(range(put_block.start, point.instruction + 1))
+
+
+# Multi-block program pieces: labels, jumps, sender-comparison asserts and
+# branches of both polarities, balance puts, accepting and failing ends.
+_PIECES = [
+    *(f"L{k}:" for k in range(3)),
+    *(f"{op} L{k}" for op in ("b", "bz", "bnz") for k in range(3)),
+    "txn Sender\nglobal CreatorAddress\n==\nassert",
+    "txn Sender\nglobal CreatorAddress\n!=\nassert",
+    *(f"txn Sender\nglobal CreatorAddress\n{cmp}\n{op} L{k}"
+      for cmp in ("==", "!=") for op in ("bz", "bnz") for k in range(3)),
+    'byte "MyBalance"\nint 5\napp_global_put',
+    'int 0\nbyte "UserBalance"\nint 1\napp_local_put',
+    "int 0\nreturn", "int 1\nreturn", "err", "int 1", "mystery",
+]
+
+
+@given(st.lists(st.sampled_from(_PIECES), min_size=1, max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_stage_outputs_follow_instruction_and_block_order(pieces):
+    # The detectors read points in the order the facts give them, the
+    # branch at a block's last instruction and the value of the `return`
+    # that ends it; Cfg.edges is the successor lists flattened.
+    program = parse_teal("\n".join(pieces))
+    diagnostics = program.diagnostics
+    cfg = build_cfg(program, diagnostics)
+    facts = [abstract_exec_block(b, program, CONFIG, diagnostics) for b in cfg.blocks]
+    for points in (find_guard_points(cfg, facts, program, diagnostics),
+                   find_fund_mod_points(facts, program)):
+        instructions = [p.instruction for p in points]
+        assert all(a < b for a, b in zip(instructions, instructions[1:])), instructions
+    for block, block_facts in zip(cfg.blocks, facts):
+        last = program.opcodes[block.end - 1]
+        assert block_facts.branch_guard is None or last in ("bz", "bnz")
+        assert (block_facts.returned is not None) == (last == "return")
+    assert cfg.edges == [(b, to, kind) for b in range(len(cfg.blocks))
+                         for to, kind in cfg.successors[b]]
+    for out in cfg.successors:
+        kinds = [kind for _, kind in out]
+        if BRANCH_NOT_TAKEN in kinds and BRANCH_TAKEN in kinds:
+            assert kinds == [BRANCH_TAKEN, BRANCH_NOT_TAKEN]
