@@ -160,7 +160,10 @@ def _classify_teal(bundle: TealDetections) -> list[Finding]:
                 f'state write to balance key "{point.key}" is gated by a sender guard',
                 guard_evidence + [evidence]))
         elif verdict is False:
-            via = "->".join(map(str, bundle.guardedness.witnesses[point]))
+            tail = bundle.guardedness.tails[point]
+            via = "->".join(map(str, tail.blocks))
+            if tail.omitted:
+                via = f"0->...(+{tail.omitted})->{via}"
             findings.append(_make_finding(
                 UNPROTECTED_FUND_MODIFICATION, "teal", file, point.line, 1,
                 f'state write to balance key "{point.key}" is reachable without '

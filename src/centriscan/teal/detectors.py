@@ -4,10 +4,13 @@ A fund modification is guarded iff every path from program entry reaches it
 only after passing an assert-style guard or crossing the authorized edge of
 a branch-style guard. Computed as reachability at instruction granularity
 in a pruned graph: traversal stops at assert guards and the authorized
-(non-fail) edge of each branch guard is removed. Witnesses are stored as
-block paths (one parent per block entered); instruction paths are derived
-on read. Each guarded write's gating guards are the last guard on each of
-its entry paths, found by one forward pass over blocks.
+(non-fail) edge of each branch guard is removed. The traversal keeps, per
+block entered, its parent and depth in the BFS parent tree. Per unguarded
+write only the printed tail of its witness is stored, found by walking
+fewer than WITNESS_MAX_BLOCKS parents; full block and instruction paths are
+derived from the parent map on read. Each guarded write's gating guards are the
+last guard on each of its entry paths, found by one forward pass over
+blocks.
 """
 
 from __future__ import annotations
@@ -26,6 +29,11 @@ ASSERT_GUARD = "AssertGuard"
 BRANCH_GUARD = "BranchGuard"
 
 _instruction = attrgetter("instruction")
+
+# A witness of at most this many blocks is printed whole; a longer one as
+# its entry block, the count left out and its last WITNESS_TAIL_BLOCKS.
+WITNESS_MAX_BLOCKS = 8
+WITNESS_TAIL_BLOCKS = 3
 
 
 class GuardPoint(NamedTuple):
@@ -46,20 +54,44 @@ class FundModPoint(NamedTuple):
     key: str
 
 
+class WitnessTail(NamedTuple):
+    """What a report prints of a witness block path: `blocks` is the whole
+    path when `omitted` is 0, else its last WITNESS_TAIL_BLOCKS blocks, with
+    `omitted` blocks between them and the entry block."""
+    omitted: int
+    blocks: tuple[int, ...]
+
+
 @dataclass
 class GuardednessResult:
-    """Verdicts; per unguarded write its witness as a block path; per guarded
-    write its gating guards, the last guard on each entry path, sorted by
-    instruction. Instruction paths are derived on read: no scan reads them,
-    the benchmark counts them."""
+    """Verdicts; per unguarded write the printed tail of its witness; per
+    guarded write its gating guards, the last guard on each entry path,
+    sorted by instruction. `parents` is the BFS parent tree the witnesses
+    follow (block -> the block it was entered from; entry has none). Full
+    block and instruction paths are derived from it on read: no scan reads
+    them, the tests and the benchmark do."""
 
     cfg: Cfg
     verdicts: dict[FundModPoint, bool | None] = field(default_factory=dict)
-    witnesses: dict[FundModPoint, tuple[int, ...]] = field(default_factory=dict)
+    tails: dict[FundModPoint, WitnessTail] = field(default_factory=dict)
     gates: dict[FundModPoint, tuple[GuardPoint, ...]] = field(default_factory=dict)
+    parents: dict[int, int] = field(default_factory=dict)
+
+    @property
+    def witnesses(self) -> dict[FundModPoint, tuple[int, ...]]:
+        """Per unguarded write, its block path from entry."""
+        parents = self.parents
+        paths = {}
+        for point in self.tails:
+            path = [point.block]
+            while path[-1] != 0:
+                path.append(parents[path[-1]])
+            paths[point] = tuple(reversed(path))
+        return paths
 
     @property
     def witness_instructions(self) -> dict[FundModPoint, tuple[int, ...]]:
+        """Per unguarded write, its instruction path from entry."""
         blocks = self.cfg.blocks
         return {point: tuple(q for b in path for q in range(
                     blocks[b].start, blocks[b].end if b != path[-1] else point.instruction + 1))
@@ -184,7 +216,8 @@ def compute_guardedness(
     pruned_edges = {p.non_fail_edge for p in guard_points
                     if p.form == BRANCH_GUARD and p.non_fail_edge is not None}
 
-    reachable_pruned, parents = _reach(cfg, assert_stops, pruned_edges)
+    reachable_pruned, parents, depth = _reach(cfg, assert_stops, pruned_edges)
+    result.parents = parents
     # Guards per block in instruction order; the last one is what a path
     # leaving the block has passed last.
     guards_in: dict[int, list[GuardPoint]] = {}
@@ -195,7 +228,7 @@ def compute_guardedness(
     for point in fund_points:
         if point.instruction in reachable_pruned:
             result.verdicts[point] = False
-            result.witnesses[point] = _block_path(cfg, parents, point.instruction)
+            result.tails[point] = _tail(parents, depth, point.block)
         elif (block := cfg.block_of[point.instruction]) in gates_into:
             result.verdicts[point] = True
             gates = gates_into[block]
@@ -250,15 +283,17 @@ def _reachable_blocks(cfg: Cfg, start: int) -> set[int]:
     return seen
 
 
-def _reach(cfg: Cfg, stop_instructions: frozenset | set,
-           pruned_edges: frozenset | set) -> tuple[set[int], dict[int, int]]:
+def _reach(cfg: Cfg, stop_instructions: frozenset | set, pruned_edges: frozenset | set
+           ) -> tuple[set[int], dict[int, int], dict[int, int]]:
     """Instruction-level BFS from entry (instruction 0) that halts at stop
     instructions and never crosses pruned edges. Returns the reached
-    instructions and the block each block was entered from; FIFO over
+    instructions and, per block entered, its parent (the block it was
+    entered from) and its depth in that parent tree (entry is 0). FIFO over
     instructions keeps those chains the paths with the fewest instructions."""
     blocks = cfg.blocks
     seen = {0}
     parents: dict[int, int] = {}
+    depth = {0: 0}
     queue = deque([0])
     while queue:
         q = queue.popleft()
@@ -275,12 +310,20 @@ def _reach(cfg: Cfg, stop_instructions: frozenset | set,
             if s not in seen and (frm, to, kind) not in pruned_edges:
                 seen.add(s)
                 parents[to] = frm
+                depth[to] = depth[frm] + 1
                 queue.append(s)
-    return seen, parents
+    return seen, parents, depth
 
 
-def _block_path(cfg: Cfg, parents: dict[int, int], instruction: int) -> tuple[int, ...]:
-    path = [cfg.block_of[instruction]]
-    while path[-1] != 0:
-        path.append(parents[path[-1]])
-    return tuple(reversed(path))
+def _tail(parents: dict[int, int], depth: dict[int, int], block: int) -> WitnessTail:
+    """The printed tail of the witness path to block, walking at most
+    WITNESS_MAX_BLOCKS - 1 parents."""
+    length = depth[block] + 1
+    if length <= WITNESS_MAX_BLOCKS:
+        kept, omitted = length, 0
+    else:
+        kept, omitted = WITNESS_TAIL_BLOCKS, length - 1 - WITNESS_TAIL_BLOCKS
+    tail = [block]
+    for _ in range(kept - 1):
+        tail.append(parents[tail[-1]])
+    return WitnessTail(omitted, tuple(reversed(tail)))

@@ -1,6 +1,7 @@
 """CLI invocation, exit codes, stream separation."""
 
 import json
+import os
 
 from centriscan.cli import main
 
@@ -149,3 +150,19 @@ def test_json_output_is_idempotent(capsys):
     main(argv)
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_readme_teal_witness_example_is_what_the_cli_prints(tmp_path, monkeypatch, capsys):
+    # README "What it detects" shows a TEAL program and the CLI's report on it.
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    program, rest = text.split("```teal\n", 1)[1].split("```", 1)
+    session = rest.split("```sh\n", 1)[1].split("```", 1)[0]
+    command, *expected = session.splitlines()
+    assert command.startswith("$ centriscan scan ")
+    path = command.removeprefix("$ centriscan scan ")
+    (tmp_path / path).write_text(program, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["scan", path]) == 1
+    assert capsys.readouterr().out.splitlines() == expected

@@ -1,7 +1,9 @@
 """compute_guardedness vs exhaustive path enumeration on random CFGs."""
 
 import random
+import re
 
+from centriscan.report import TealDetections, classify
 from centriscan.teal.cfg import BRANCH_NOT_TAKEN, BRANCH_TAKEN, FALLTHROUGH
 from centriscan.teal.detectors import FundModPoint, GuardPoint, compute_guardedness
 
@@ -81,6 +83,41 @@ def test_witnesses_match_reference_bfs():
         blocks, instructions = reference_witnesses(cfg, guards, funds)
         assert result.witnesses == blocks, f"seed={seed}"
         assert result.witness_instructions == instructions, f"seed={seed}"
+
+
+def _bounded(path):
+    """A block path as the report should print it: whole up to 8 blocks,
+    else the entry block, the count left out and the last three blocks."""
+    if len(path) <= 8:
+        return "->".join(map(str, path))
+    return f"{path[0]}->...(+{len(path) - 4})->" + "->".join(map(str, path[-3:]))
+
+
+def _printed_witnesses(cfg, guards, funds):
+    """Per unguarded write, the block text its finding prints."""
+    result = compute_guardedness(cfg, guards, funds, [])
+    printed = {}
+    for point in funds:
+        if result.verdicts[point] is False:
+            (finding,) = classify([TealDetections("p.teal", guards, [point], result)])
+            printed[point] = re.fullmatch(r".*\(blocks (.*)\)", finding.message)[1]
+    return printed
+
+
+def test_printed_witnesses_are_the_bounded_reference_paths():
+    cases = [_case(seed) for seed in range(300)]
+    # Chains of 1-20 blocks with a write ending each block: witnesses of
+    # every length from 1 to 20 blocks, on both sides of the 8-block cut.
+    for n in range(1, 21):
+        cfg = cfg_from_sizes([2] * n, [(b, b + 1, FALLTHROUGH) for b in range(n - 1)])
+        cases.append((cfg, [], [_write(cfg, b.end - 1) for b in cfg.blocks]))
+    lengths = set()
+    for case, (cfg, guards, funds) in enumerate(cases):
+        blocks, _ = reference_witnesses(cfg, guards, funds)
+        assert _printed_witnesses(cfg, guards, funds) == {
+            point: _bounded(path) for point, path in blocks.items()}, f"case={case}"
+        lengths.update(map(len, blocks.values()))
+    assert lengths >= set(range(1, 21))
 
 
 def test_gates_match_reference_on_random_cfgs():

@@ -1,5 +1,7 @@
 """Guard points, fund points, and guardedness decisions over the CFG."""
 
+import re
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -281,18 +283,21 @@ def test_hex_owner_key_makes_a_guard():
     assert [(f.kind, f.severity) for f in findings] == [("CENTRALIZATION_RISK", "MAJOR")]
 
 
-def test_unguarded_put_behind_long_dispatch_chain():
-    # 200 `method` dispatch blocks of four instructions each, the `err`
-    # fall-through, 199 handlers of two instructions, then the last handler
-    # with the unguarded put.
-    n = 200
+def _dispatch_chain(n: int) -> str:
+    """n `method` dispatch blocks of four instructions each, the `err`
+    fall-through, n - 1 handlers of two instructions, then the last handler
+    with an unguarded put."""
     tags = [f"h{i}" for i in range(n)]
-    source = "#pragma version 8\n" + "".join(
+    return "#pragma version 8\n" + "".join(
         f'txna ApplicationArgs 0\nmethod "{tag}(uint64)void"\n==\nbnz {tag}\n'
         for tag in tags) + "err\n" + "".join(
         f"{tag}:\nint 1\nreturn\n" for tag in tags[:-1]) + (
         f'{tags[-1]}:\nint 0\nbyte "MyBalance"\nint 5\napp_local_put\nint 1\nreturn\n')
-    _, cfg, guards, funds = _pipeline(source)
+
+
+def test_unguarded_put_behind_long_dispatch_chain():
+    n = 200
+    _, cfg, guards, funds = _pipeline(_dispatch_chain(n))
     assert guards == [] and len(funds) == 1
     point = funds[0]
     result = compute_guardedness(cfg, guards, funds, [])
@@ -306,6 +311,21 @@ def test_unguarded_put_behind_long_dispatch_chain():
     assert instructions == tuple(
         q for b in path[:-1] for q in range(cfg.blocks[b].start, cfg.blocks[b].end)
     ) + tuple(range(put_block.start, point.instruction + 1))
+
+
+def test_long_dispatch_chain_witness_prints_entry_count_and_last_three():
+    # The printed witness keeps the same few parts however long the chain:
+    # only the numbers grow, never the text's shape.
+    messages = []
+    for n in (200, 2_000):
+        findings, _ = analyze_teal_source(_dispatch_chain(n), "router.teal", CONFIG)
+        assert [f.kind for f in findings] == ["UNPROTECTED_FUND_MODIFICATION"]
+        messages.append(findings[0].message)
+    assert messages[0] == (
+        'state write to balance key "MyBalance" is reachable without a sender '
+        "guard (blocks 0->...(+197)->198->199->400)")
+    assert messages[1].endswith("(blocks 0->...(+1997)->1998->1999->4000)")
+    assert re.sub(r"\d+", "N", messages[0]) == re.sub(r"\d+", "N", messages[1])
 
 
 # Multi-block program pieces: labels, jumps, sender-comparison asserts and
