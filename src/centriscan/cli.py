@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .config import FAIL_THRESHOLDS, UsageError, load_config
@@ -54,7 +53,7 @@ def main(argv: list[str] | None = None) -> int:
 def _run_scan(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     if args.fail_on is not None:
-        config = replace(config, fail_threshold=args.fail_on)
+        config = config._replace(fail_threshold=args.fail_on)
     report = scan_paths(args.paths, config)
     rendered = render_report(report, args.format)
     if rendered:

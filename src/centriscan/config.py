@@ -6,8 +6,7 @@ values are comma-separated. Unknown keys are rejected (fail closed).
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 
 class UsageError(ValueError):
@@ -42,8 +41,7 @@ _TRUE_WORDS = frozenset({"1", "true", "yes", "on"})
 _FALSE_WORDS = frozenset({"0", "false", "no", "off"})
 
 
-@dataclass(frozen=True)
-class AnalyzerConfig:
+class AnalyzerConfig(NamedTuple):
     owner_keys: tuple[str, ...] = DEFAULT_OWNER_KEYS
     balance_keys: tuple[str, ...] = DEFAULT_BALANCE_KEYS
     balance_substring: bool = True  # case-insensitive "balance" substring rule
@@ -65,12 +63,13 @@ class AnalyzerConfig:
 
     def fingerprint(self) -> str:
         """Stable hash of the effective configuration."""
+        import hashlib  # only here: its OpenSSL backend is slow to load
         parts = []
-        for f in sorted(fields(self), key=lambda f: f.name):
-            value = getattr(self, f.name)
+        for name in sorted(self._fields):
+            value = getattr(self, name)
             if isinstance(value, tuple):
                 value = ",".join(value)
-            parts.append(f"{f.name}={value}")
+            parts.append(f"{name}={value}")
         digest = hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
         return digest[:16]
 
@@ -100,9 +99,9 @@ def parse_config_text(text: str) -> AnalyzerConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         if key in _LIST_KEYS:
-            config = replace(config, **{key: _parse_list(value)})
+            config = config._replace(**{key: _parse_list(value)})
         elif key in _BOOL_KEYS:
-            config = replace(config, **{key: _parse_bool(value, lineno)})
+            config = config._replace(**{key: _parse_bool(value, lineno)})
         elif key == "fail_threshold":
             choice = value.strip()
             if choice not in FAIL_THRESHOLDS:
@@ -110,7 +109,7 @@ def parse_config_text(text: str) -> AnalyzerConfig:
                     f"fail_threshold must be one of {', '.join(FAIL_THRESHOLDS)}",
                     lineno,
                 )
-            config = replace(config, fail_threshold=choice)
+            config = config._replace(fail_threshold=choice)
         else:
             raise ConfigError(f"unknown config key {key!r}", lineno)
     return config

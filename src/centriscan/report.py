@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Union
 
 from .config import AnalyzerConfig, UsageError
 from .diagnostics import Diagnostic
+from .record import Record
 from .solidity.detectors import GuardSite, RawDetection
 from .teal.detectors import FundModPoint, GuardPoint, GuardednessResult
 
@@ -51,25 +51,28 @@ class Finding(NamedTuple):
     evidence: tuple[Evidence, ...]
 
 
-@dataclass
-class ScanReport:
-    version: str
-    config_fingerprint: str
-    files_scanned: int
-    findings: list[Finding] = field(default_factory=list)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-    counts: dict[str, int] = field(default_factory=lambda: {"major": 0, "warning": 0, "info": 0})
+class ScanReport(Record):
+    __slots__ = ("version", "config_fingerprint", "files_scanned", "findings",
+                 "diagnostics", "counts")
+
+    def __init__(self, version: str, config_fingerprint: str, files_scanned: int,
+                 findings: list[Finding] | None = None,
+                 diagnostics: list[Diagnostic] | None = None,
+                 counts: dict[str, int] | None = None):
+        self.version, self.config_fingerprint = version, config_fingerprint
+        self.files_scanned = files_scanned
+        self.findings = [] if findings is None else findings
+        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.counts = {"major": 0, "warning": 0, "info": 0} if counts is None else counts
 
 
-@dataclass
-class SolidityDetections:
+class SolidityDetections(NamedTuple):
     """Per-file raw detections from the Solidity pipeline."""
     file: str
     detections: list[RawDetection]
 
 
-@dataclass
-class TealDetections:
+class TealDetections(NamedTuple):
     """Per-file guard/fund points and guardedness from the TEAL pipeline."""
     file: str
     guard_points: list[GuardPoint]

@@ -12,157 +12,172 @@ the subset is preserved as Opaque spans; detectors never look inside those.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..diagnostics import Diagnostic
+from ..record import Record
 from .tokens import Tokens
 
 
 # --- expressions -----------------------------------------------------------
 
-@dataclass(slots=True)
-class Expr:
-    at: int  # index of the first token
-    end: int  # one past the index of the last token
+class Expr(Record):
+    __slots__ = ("at", "end")  # index of the first token, one past the last
+
+    def __init__(self, at: int, end: int):
+        self.at, self.end = at, end
 
 
-@dataclass(slots=True)
 class MsgSender(Expr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(slots=True)
 class Identifier(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, at: int, end: int, name: str):
+        self.at, self.end, self.name = at, end, name
 
 
-@dataclass(slots=True)
 class Member(Expr):
-    base: Expr
-    member: str
+    __slots__ = ("base", "member")
+
+    def __init__(self, at: int, end: int, base: Expr, member: str):
+        self.at, self.end = at, end
+        self.base, self.member = base, member
 
 
-@dataclass(slots=True)
 class Index(Expr):
-    base: Expr
-    index: Expr
+    __slots__ = ("base", "index")
+
+    def __init__(self, at: int, end: int, base: Expr, index: Expr):
+        self.at, self.end = at, end
+        self.base, self.index = base, index
 
 
-@dataclass(slots=True)
 class Binary(Expr):
-    op: str  # "==" | "!=" | "&&" | "||"; other operators parse to OpaqueExpr
-    lhs: Expr
-    rhs: Expr
+    __slots__ = ("op", "lhs", "rhs")  # op: == != && ||; others parse to OpaqueExpr
+
+    def __init__(self, at: int, end: int, op: str, lhs: Expr, rhs: Expr):
+        self.at, self.end = at, end
+        self.op, self.lhs, self.rhs = op, lhs, rhs
 
 
-@dataclass(slots=True)
 class CallExpr(Expr):
-    callee: Expr
-    args: list[Expr]
-    options: str | None = None  # brace option block, e.g. "{value: amount}"
+    __slots__ = ("callee", "args", "options")  # options: brace block "{value: x}" or None
+
+    def __init__(self, at: int, end: int, callee: Expr, args: list[Expr],
+                 options: str | None = None):
+        self.at, self.end = at, end
+        self.callee, self.args, self.options = callee, args, options
 
 
-@dataclass(slots=True)
 class OpaqueExpr(Expr):
-    pass
+    __slots__ = ()
 
 
 # --- statements ------------------------------------------------------------
 
-@dataclass(slots=True)
-class Stmt:
-    at: int
-    end: int
+class Stmt(Record):
+    __slots__ = ("at", "end")
+
+    def __init__(self, at: int, end: int):
+        self.at, self.end = at, end
 
 
-@dataclass(slots=True)
 class Require(Stmt):
-    condition: Expr
+    __slots__ = ("condition",)
+
+    def __init__(self, at: int, end: int, condition: Expr):
+        self.at, self.end, self.condition = at, end, condition
 
 
-@dataclass(slots=True)
 class If(Stmt):
-    condition: Expr
-    then_body: list[Stmt]
-    else_body: list[Stmt]
+    __slots__ = ("condition", "then_body", "else_body")
+
+    def __init__(self, at: int, end: int, condition: Expr,
+                 then_body: list[Stmt], else_body: list[Stmt]):
+        self.at, self.end, self.condition = at, end, condition
+        self.then_body, self.else_body = then_body, else_body
 
 
-@dataclass(slots=True)
 class Assign(Stmt):
-    lvalue: Expr
-    rvalue: Expr
+    __slots__ = ("lvalue", "rvalue")
+
+    def __init__(self, at: int, end: int, lvalue: Expr, rvalue: Expr):
+        self.at, self.end = at, end
+        self.lvalue, self.rvalue = lvalue, rvalue
 
 
-@dataclass(slots=True)
 class Call(Stmt):
-    expr: Expr
+    __slots__ = ("expr",)
+
+    def __init__(self, at: int, end: int, expr: Expr):
+        self.at, self.end, self.expr = at, end, expr
 
 
-@dataclass(slots=True)
 class Revert(Stmt):
-    pass
+    __slots__ = ()
 
 
-@dataclass(slots=True)
 class Return(Stmt):
-    pass
+    __slots__ = ()
 
 
-@dataclass(slots=True)
 class Placeholder(Stmt):
     """The `_;` statement inside a modifier body."""
+    __slots__ = ()
 
 
-@dataclass(slots=True)
 class Opaque(Stmt):
     """Unrecognized statement, skipped with brace/semicolon recovery."""
+    __slots__ = ()
 
 
 # --- declarations ----------------------------------------------------------
 
-@dataclass(slots=True)
-class TypeDesc:
-    name: str  # verbatim type text
-    key: TypeDesc | None = None  # set exactly for a mapping
-    value: TypeDesc | None = None
+class TypeDesc(Record):
+    __slots__ = ("name", "key", "value")  # verbatim type text; a mapping's key and value
+
+    def __init__(self, name: str, key: TypeDesc | None = None, value: TypeDesc | None = None):
+        self.name, self.key, self.value = name, key, value
 
 
-@dataclass(slots=True)
-class StateVar:
-    name: str
-    type_desc: TypeDesc
-    at: int  # index of the name token
+class StateVar(Record):
+    __slots__ = ("name", "type_desc", "at")  # at: index of the name token
+
+    def __init__(self, name: str, type_desc: TypeDesc, at: int):
+        self.name, self.type_desc, self.at = name, type_desc, at
 
 
-@dataclass(slots=True)
-class ModifierDecl:
-    name: str
-    body: list[Stmt]
-    at: int  # index of the keyword token
+class ModifierDecl(Record):
+    __slots__ = ("name", "body", "at")  # at: index of the keyword token
+
+    def __init__(self, name: str, body: list[Stmt], at: int):
+        self.name, self.body, self.at = name, body, at
 
 
-@dataclass(slots=True)
-class FunctionDecl:
-    name: str  # "" for constructor/fallback/receive
-    modifier_invocations: list[str]
-    body: list[Stmt]
-    at: int  # index of the keyword token
+class FunctionDecl(Record):
+    # name is "" for constructor/fallback/receive; at is the keyword token's index.
+    __slots__ = ("name", "modifier_invocations", "body", "at")
+
+    def __init__(self, name: str, modifier_invocations: list[str], body: list[Stmt], at: int):
+        self.name, self.modifier_invocations = name, modifier_invocations
+        self.body, self.at = body, at
 
 
-@dataclass(slots=True)
-class ContractDecl:
-    name: str
-    at: int  # index of the contract | interface | library keyword token
-    bases: list[str] = field(default_factory=list)  # the `is` list, in order
-    state_vars: list[StateVar] = field(default_factory=list)
-    modifiers: list[ModifierDecl] = field(default_factory=list)
-    functions: list[FunctionDecl] = field(default_factory=list)
+class ContractDecl(Record):
+    # at: its contract | interface | library keyword; bases: its `is` list, in order.
+    __slots__ = ("name", "at", "bases", "state_vars", "modifiers", "functions")
+
+    def __init__(self, name: str, at: int):
+        self.name, self.at = name, at
+        self.bases, self.state_vars, self.modifiers, self.functions = [], [], [], []
 
 
-@dataclass(slots=True)
-class SourceUnit:
-    contracts: list[ContractDecl]
-    diagnostics: list[Diagnostic]
+class SourceUnit(Record):
+    __slots__ = ("contracts", "diagnostics", "tokens")
     # Units parsed from equal sources compare equal, whatever their tokens.
-    tokens: Tokens = field(compare=False, repr=False)
+    _fields = ("contracts", "diagnostics")
 
+    def __init__(self, contracts: list[ContractDecl], diagnostics: list[Diagnostic],
+                 tokens: Tokens):
+        self.contracts, self.diagnostics, self.tokens = contracts, diagnostics, tokens

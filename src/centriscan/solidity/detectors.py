@@ -9,7 +9,6 @@ only when it is created.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -46,13 +45,12 @@ class FundModSite(NamedTuple):
     enclosing_at: int  # `at` of the enclosing function
 
 
-@dataclass(slots=True)
-class RawDetection:
+class RawDetection(NamedTuple):
     function: str
-    fund_sites: list[FundModSite] = field(default_factory=list)
-    guard_sites: list[GuardSite] = field(default_factory=list)
-    line: int = 1
-    column: int = 1
+    fund_sites: list[FundModSite]
+    guard_sites: list[GuardSite]
+    line: int
+    column: int
 
 
 def _is_sender_expr(expr: ast.Expr, config: AnalyzerConfig) -> bool:

@@ -57,7 +57,7 @@ _OPAQUE_STMT_KEYWORDS = frozenset({
 })
 # Every token text that _parse_statement handles before the generic paths.
 _STMT_KEYWORDS = _OPAQUE_STMT_KEYWORDS | {
-    "{", "unchecked", "require", "if", "revert", "return", "_", ";",
+    "{", "unchecked", "require", "assert", "if", "revert", "return", "_", ";",
 }
 
 
@@ -127,12 +127,9 @@ class _Parser:
             return True
         return False
 
-    def _expect(self, text: str, context: str) -> bool:
-        if self.texts[self.i] == text:
-            self.i += 1
-            return True
-        self._note(f"expected '{text}' in {context}")
-        return False
+    def _expect(self, text: str, context: str) -> None:
+        if not self._eat(text):
+            self._note(f"expected '{text}' in {context}")
 
     def _note(self, message: str, severity: str = "note") -> None:
         # Past the end of input a note sits on the last token.
@@ -392,8 +389,8 @@ class _Parser:
                         self.i = i + 1
                         out.extend(self._parse_block())
                         return
-                elif t == "require":
-                    out.append(self._parse_require())
+                elif t == "require" or t == "assert":
+                    out.append(self._parse_require(t))
                     return
                 elif t == "if":
                     out.append(self._parse_if())
@@ -425,18 +422,18 @@ class _Parser:
         finally:
             self.stmt_depth -= 1
 
-    def _parse_require(self) -> ast.Stmt:
+    def _parse_require(self, keyword: str) -> ast.Stmt:
         start = self.i
         self.i += 1
         if not self._eat("("):
             self.i = start
-            return self._opaque_stmt("malformed require")
+            return self._opaque_stmt(f"malformed {keyword}")
         condition = self._parse_expr()
         if self._text() == ",":
             self._skip_to(_REQUIRE_MESSAGE_STOP)
-        self._expect(")", "require")
+        self._expect(")", keyword)
         if not self._eat(";"):
-            self._note("missing ';' after require")
+            self._note(f"missing ';' after {keyword}")
         return ast.Require(start, self.i, condition)
 
     def _parse_if(self) -> ast.Stmt:

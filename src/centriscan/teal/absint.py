@@ -9,68 +9,75 @@ rest of the block's stack so no spurious guard or fund flags can arise.
 from __future__ import annotations
 
 import binascii
-from dataclasses import dataclass, field
 
 from ..config import AnalyzerConfig
 from ..diagnostics import Diagnostic
+from ..record import Record
 from .cfg import BasicBlock
 from .parser import OPCODE_STACK_EFFECTS, TealProgram
 
 
 # --- abstract values --------------------------------------------------------
 
-class AbstractValue:
+class AbstractValue(Record):
+    """Stack values compare and hash by class and fields; none changes once built."""
     __slots__ = ()
+
+    def __hash__(self):
+        return hash((type(self), *self._values()))
 
 
 class _Sender(AbstractValue):
     __slots__ = ()
 
-    def __repr__(self):
-        return "Sender"
-
 
 class _Unknown(AbstractValue):
     __slots__ = ()
-
-    def __repr__(self):
-        return "Unknown"
 
 
 SENDER = _Sender()
 UNKNOWN = _Unknown()
 
 
-@dataclass(frozen=True)
 class GlobalField(AbstractValue):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
 class GlobalGet(AbstractValue):
-    key: str
+    __slots__ = ("key",)
+
+    def __init__(self, key: str):
+        self.key = key
 
 
-@dataclass(frozen=True)
-class ByteConst(AbstractValue):
-    value: str
+class _Constant(AbstractValue):
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
 
 
-@dataclass(frozen=True)
-class IntConst(AbstractValue):
-    value: int
+class ByteConst(_Constant):
+    __slots__ = ()  # value: str
 
 
-@dataclass(frozen=True)
-class AddrConst(AbstractValue):
-    value: str
+class IntConst(_Constant):
+    __slots__ = ()  # value: int
 
 
-@dataclass(frozen=True)
+class AddrConst(_Constant):
+    __slots__ = ()  # value: str
+
+
 class SenderCmp(AbstractValue):
-    source: AbstractValue  # the privileged side of the comparison
-    polarity: str  # "eq" | "neq"
-    weakened: bool = False  # propagated through `||`
+    # source: the privileged side; polarity: "eq" | "neq"; weakened: went through `||`
+    __slots__ = ("source", "polarity", "weakened")
+
+    def __init__(self, source: AbstractValue, polarity: str, weakened: bool = False):
+        self.source, self.polarity, self.weakened = source, polarity, weakened
 
 
 # Named integer constants accepted by `int`.
@@ -84,18 +91,17 @@ _NAMED_INTS = {
 _BASE64_FORMS = frozenset({"base64", "b64"})
 
 
-@dataclass(slots=True)
-class BlockFacts:
+class BlockFacts(Record):
     """What one block's abstract run found: sender-comparison asserts and
-    balance writes keyed by instruction index, in ascending order; the
-    sender comparison popped by the `bz`/`bnz` that ends the block; and the
-    value popped by the `return` that ends it."""
+    balance writes (index -> (opcode, key)) keyed by instruction index, in
+    ascending order; the sender comparison popped by the `bz`/`bnz` that
+    ends the block; and the value popped by the `return` that ends it."""
+    __slots__ = ("block", "guard_points", "fund_mods", "branch_guard", "returned")
 
-    block: int
-    guard_points: dict[int, SenderCmp] = field(default_factory=dict)
-    fund_mods: dict[int, tuple[str, str]] = field(default_factory=dict)  # index -> (opcode, key)
-    branch_guard: SenderCmp | None = None
-    returned: AbstractValue | None = None
+    def __init__(self, block: int):
+        self.block, self.guard_points, self.fund_mods = block, {}, {}
+        self.branch_guard: SenderCmp | None = None
+        self.returned: AbstractValue | None = None
 
 
 def _int_value(immediate: str) -> AbstractValue:

@@ -8,7 +8,6 @@ starts at instruction 0; each block's outgoing edges are one list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from ..diagnostics import Diagnostic
@@ -27,8 +26,7 @@ class BasicBlock(NamedTuple):
     end: int  # one past the last instruction index
 
 
-@dataclass
-class Cfg:
+class Cfg(NamedTuple):
     blocks: list[BasicBlock]
     # Per block, its (to, kind) edges: a branch's taken edge before its
     # not-taken one. A terminator's list is empty.

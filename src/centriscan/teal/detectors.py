@@ -16,11 +16,11 @@ blocks.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import NamedTuple
 
 from ..diagnostics import Diagnostic
+from ..record import Record
 from .absint import BlockFacts, IntConst, SenderCmp, render_value
 from .cfg import BRANCH_NOT_TAKEN, BRANCH_TAKEN, Cfg
 from .parser import TealProgram
@@ -62,20 +62,21 @@ class WitnessTail(NamedTuple):
     blocks: tuple[int, ...]
 
 
-@dataclass
-class GuardednessResult:
+class GuardednessResult(Record):
     """Verdicts; per unguarded write the printed tail of its witness; per
     guarded write its gating guards, the last guard on each entry path,
     sorted by instruction. `parents` is the BFS parent tree the witnesses
     follow (block -> the block it was entered from; entry has none). Full
     block and instruction paths are derived from it on read: no scan reads
     them, the tests and the benchmark do."""
+    __slots__ = ("cfg", "verdicts", "tails", "gates", "parents")
 
-    cfg: Cfg
-    verdicts: dict[FundModPoint, bool | None] = field(default_factory=dict)
-    tails: dict[FundModPoint, WitnessTail] = field(default_factory=dict)
-    gates: dict[FundModPoint, tuple[GuardPoint, ...]] = field(default_factory=dict)
-    parents: dict[int, int] = field(default_factory=dict)
+    def __init__(self, cfg: Cfg):
+        self.cfg = cfg
+        self.verdicts: dict[FundModPoint, bool | None] = {}
+        self.tails: dict[FundModPoint, WitnessTail] = {}
+        self.gates: dict[FundModPoint, tuple[GuardPoint, ...]] = {}
+        self.parents: dict[int, int] = {}
 
     @property
     def witnesses(self) -> dict[FundModPoint, tuple[int, ...]]:

@@ -15,10 +15,10 @@ occurrence, so each gets its own label index or diagnostic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from ..diagnostics import Diagnostic
+from ..record import Record
 
 # (pops, pushes) for common TEAL v2-v8 opcodes; anything absent pops/pushes
 # an unknown amount and poisons the abstract stack for the rest of its block.
@@ -84,15 +84,13 @@ class Instruction(NamedTuple):
     stack_delta: tuple[int, int] | None  # (pops, pushes); None = unknown
 
 
-@dataclass
-class TealProgram:
-    version: int = 1
-    # One entry per instruction in each column.
-    opcodes: list[str] = field(default_factory=list)
-    immediates: list[tuple[str, ...]] = field(default_factory=list)
-    lines: list[int] = field(default_factory=list)
-    labels: dict[str, int] = field(default_factory=dict)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+class TealProgram(Record):
+    __slots__ = ("version", "opcodes", "immediates", "lines", "labels", "diagnostics")
+
+    def __init__(self):
+        self.version, self.labels, self.diagnostics = 1, {}, []
+        # Columns with one entry per instruction: str, tuple[str, ...] and int.
+        self.opcodes, self.immediates, self.lines = [], [], []
 
     @property
     def instructions(self) -> list[Instruction]:

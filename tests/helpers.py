@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import random
 
+from centriscan.record import Record
 from centriscan.solidity import Tokens, ast
 from centriscan.solidity.parser import parse_solidity
 from centriscan.teal.cfg import (
@@ -85,15 +85,15 @@ def ast_equal(a, b, tokens_a: Tokens, tokens_b: Tokens) -> bool:
     if isinstance(a, list):
         return len(a) == len(b) and all(
             ast_equal(x, y, tokens_a, tokens_b) for x, y in zip(a, b))
-    if not dataclasses.is_dataclass(a):
+    if not isinstance(a, Record):
         return a == b
     if isinstance(a, _TEXT_IS_CONTENT) and \
             tokens_a.text(a.at, a.end) != tokens_b.text(b.at, b.end):
         return False
-    for f in dataclasses.fields(a):
-        if f.name in ("at", "end"):
+    for name in a._fields:
+        if name in ("at", "end"):
             continue
-        if not ast_equal(getattr(a, f.name), getattr(b, f.name), tokens_a, tokens_b):
+        if not ast_equal(getattr(a, name), getattr(b, name), tokens_a, tokens_b):
             return False
     return True
 

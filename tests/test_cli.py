@@ -2,7 +2,10 @@
 
 import json
 import os
+import subprocess
+import sys
 
+import centriscan
 from centriscan.cli import main
 
 from helpers import SOLIDITY_CORPUS, TEAL_CORPUS, corpus_path
@@ -141,6 +144,18 @@ def test_version_flag(capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out.startswith("centriscan ")
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_hashlib():
+    # Start-up cost: none of these is needed to start the CLI. hashlib loads
+    # when a report's config fingerprint is taken; -S keeps `site` from
+    # loading anything before the import under test.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(centriscan.__file__)))
+    code = ("import sys, centriscan.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'hashlib'} & sys.modules.keys()))")
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert run.stdout == "[]\n"
 
 
 def test_json_output_is_idempotent(capsys):

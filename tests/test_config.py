@@ -1,6 +1,5 @@
 """Config defaults, file parsing, fail-closed behavior, fingerprints."""
 
-import dataclasses
 import os
 
 import pytest
@@ -85,6 +84,16 @@ def test_missing_config_file_is_config_error():
         load_config("/nonexistent/centriscan.conf")
 
 
+def test_config_is_immutable_hashable_and_derived_with_replace():
+    config = AnalyzerConfig(tx_origin=True, owner_keys=("gov",))
+    with pytest.raises(AttributeError):
+        config.tx_origin = False
+    assert hash(config) == hash(AnalyzerConfig(owner_keys=("gov",), tx_origin=True))
+    derived = config._replace(tx_origin=False)
+    assert derived == AnalyzerConfig(owner_keys=("gov",)) and config.tx_origin
+    assert derived.fingerprint() != config.fingerprint()
+
+
 def test_readme_configuration_block_is_the_defaults():
     # README "Configuration" shows every key with its default value.
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -94,5 +103,5 @@ def test_readme_configuration_block_is_the_defaults():
     block = section.split("```ini\n", 1)[1].split("```", 1)[0]
     keys = {line.split("=", 1)[0].strip() for line in block.splitlines()
             if "=" in line.split("#", 1)[0]}
-    assert keys == {f.name for f in dataclasses.fields(AnalyzerConfig)}
+    assert keys == set(AnalyzerConfig._fields)
     assert parse_config_text(block) == AnalyzerConfig()

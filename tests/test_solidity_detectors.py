@@ -1,7 +1,9 @@
 """Guard/fund-site detection and per-function pairing on the Solidity AST."""
 
 import random
-from dataclasses import replace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centriscan.config import AnalyzerConfig
 from centriscan.engine import analyze_solidity_source
@@ -95,12 +97,55 @@ def test_guard_found_under_boolean_connectives():
     assert [g.form for g in guards] == [REQUIRE_GUARD]
 
 
+def test_assert_guard_is_graded_as_require():
+    source = ("contract C { address owner; mapping(address => uint) bals;\n"
+              "function f(address to) public { assert(msg.sender == owner); bals[to] = 0; } }")
+    _, guards, _ = _analyze(source)
+    assert [(g.form, g.text) for g in guards] == [(REQUIRE_GUARD, "msg.sender == owner")]
+    findings, diagnostics = analyze_solidity_source(source, "a.sol", CONFIG)
+    assert [(f.kind, f.severity) for f in findings] == [("CENTRALIZATION_RISK", "MAJOR")]
+    assert [e.text for e in findings[0].evidence] == ["msg.sender == owner", "bals[to] = 0;"]
+    assert diagnostics == []
+
+
+def test_malformed_assert_notes_name_assert():
+    _, diagnostics = analyze_solidity_source(
+        "contract C { function f() public { assert x; assert(a) } }", "a.sol", CONFIG)
+    assert [d.message for d in diagnostics] == ["malformed assert", "missing ';' after assert"]
+
+
+_CONDITIONS = ("msg.sender == owner", "owner == msg.sender", "msg.sender != owner",
+               "(msg.sender == owner)", "msg.sender == owner || paused", "x == y")
+_STATEMENTS = ("bals[to] = 0;", "payable(to).transfer(1);", "selfdestruct(payable(to));",
+               "x = 1;")
+
+
+@given(st.lists(st.tuples(st.sampled_from(_CONDITIONS), st.booleans(),
+                          st.sampled_from(_STATEMENTS)), min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_require_and_assert_give_the_same_findings(functions):
+    # Metamorphic pair: `assert(c);` guards what follows it as `require(c);` does.
+    def findings(keyword):
+        lines = ["contract C { address owner; bool paused; uint x; uint y;",
+                 "mapping(address => uint) bals;"]
+        for i, (condition, guard_first, statement) in enumerate(functions):
+            guard = f"{keyword}({condition});"
+            body = f"{guard} {statement}" if guard_first else f"{statement} {guard}"
+            lines.append(f"function f{i}(address to) public {{ {body} }}")
+        found, _ = analyze_solidity_source("\n".join(lines) + "\n}", "c.sol", CONFIG)
+        # Evidence columns move with the keyword's length; nothing else may.
+        return [(f.kind, f.severity, f.line, f.column, f.message,
+                 [(e.role, e.line, e.text) for e in f.evidence]) for f in found]
+
+    assert findings("assert") == findings("require")
+
+
 def test_revert_guard_counts_as_require_form():
     source = ("contract C { address owner; function f() public {"
               " if (msg.sender != owner) { revert; } } }")
     _, guards, _ = _analyze(source)
     assert [g.form for g in guards] == [REQUIRE_GUARD]
-    _, guards_off, _ = _analyze(source, replace(CONFIG, revert_guard=False))
+    _, guards_off, _ = _analyze(source, CONFIG._replace(revert_guard=False))
     assert guards_off == []
 
 
@@ -116,7 +161,7 @@ def test_tx_origin_flag():
               " require(tx.origin == owner); } }")
     _, guards_off, _ = _analyze(source)
     assert guards_off == []
-    _, guards_on, _ = _analyze(source, replace(CONFIG, tx_origin=True))
+    _, guards_on, _ = _analyze(source, CONFIG._replace(tx_origin=True))
     assert [g.form for g in guards_on] == [REQUIRE_GUARD]
 
 
@@ -140,7 +185,7 @@ def test_native_transfer_sites():
               " } }")
     _, _, funds = _analyze(source)
     assert [s.kind for s in funds] == [NATIVE_TRANSFER, NATIVE_TRANSFER]
-    _, _, funds_off = _analyze(source, replace(CONFIG, native_transfer=False))
+    _, _, funds_off = _analyze(source, CONFIG._replace(native_transfer=False))
     assert funds_off == []
 
 
@@ -204,7 +249,7 @@ def test_nested_mapping_write_requires_config():
               " function f(address a, address b) public { allow[a][b] = 1; } }")
     _, _, funds = _analyze(source)
     assert funds == []
-    _, _, funds_on = _analyze(source, replace(CONFIG, nested_mappings=True))
+    _, _, funds_on = _analyze(source, CONFIG._replace(nested_mappings=True))
     assert [(s.kind, s.text) for s in funds_on] == [(BALANCE_MAPPING_WRITE, "allow[a][b] = 1;")]
 
 

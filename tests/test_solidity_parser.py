@@ -1,7 +1,5 @@
 """Parser structure, recovery, totality, and the recognized subset's trees."""
 
-import dataclasses
-
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -301,7 +299,7 @@ def _stmt_and_expr_nodes(nodes):
             stack.extend(node)
         elif isinstance(node, (ast.Stmt, ast.Expr)):
             yield node
-            stack.extend(getattr(node, f.name) for f in dataclasses.fields(node))
+            stack.extend(getattr(node, name) for name in node._fields)
 
 
 @given(st.one_of(

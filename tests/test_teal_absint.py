@@ -2,7 +2,6 @@
 conservatism under unknown opcodes."""
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -134,7 +133,7 @@ def test_gtxn_sender_respects_toggle():
     source = 'byte "manager"\napp_global_get\ngtxn 0 Sender\n==\nassert'
     facts_on, _ = _facts(source)
     assert len(facts_on[0].guard_points) == 1
-    facts_off, _ = _facts(source, replace(CONFIG, gtxn_sender=False))
+    facts_off, _ = _facts(source, CONFIG._replace(gtxn_sender=False))
     assert facts_off[0].guard_points == {}
 
 
@@ -161,12 +160,12 @@ def test_neq_comparison_records_polarity():
 def test_not_flips_sender_cmp_polarity():
     cmp = SenderCmp(GlobalField("CreatorAddress"), "eq")
     facts, _ = _facts("txn Sender\nglobal CreatorAddress\n==\n!\nassert")
-    assert list(facts[0].guard_points.values()) == [replace(cmp, polarity="neq")]
+    assert list(facts[0].guard_points.values()) == [SenderCmp(cmp.source, "neq")]
     facts, _ = _facts("txn Sender\nglobal CreatorAddress\n!=\n!\nassert")
     assert list(facts[0].guard_points.values()) == [cmp]
     facts, _ = _facts("txn Sender\nglobal CreatorAddress\n==\nint 1\n||\n!\nassert")
     assert list(facts[0].guard_points.values()) == [
-        replace(cmp, polarity="neq", weakened=True)]
+        SenderCmp(cmp.source, "neq", weakened=True)]
     assert _returned("int 1\n!") is UNKNOWN
 
 
@@ -179,7 +178,7 @@ def test_balance_key_substring_rule_and_toggle():
     source = 'int 0\nbyte "userBalance"\nint 5\napp_local_put'
     facts, _ = _facts(source)
     assert list(facts[0].fund_mods.values()) == [("app_local_put", "userBalance")]
-    strict = replace(CONFIG, balance_substring=False)
+    strict = CONFIG._replace(balance_substring=False)
     facts_strict, _ = _facts(source, strict)
     assert facts_strict[0].fund_mods == {}
 
@@ -266,7 +265,7 @@ _EXEC_OPS = _MODEL_OPS + _UNKNOWN_OPS + [
 def test_block_facts_match_reference_interpreter(lines, entry, gtxn_sender):
     # One block over the whole list, terminators included: the entry block's
     # strict stack, or a successor's bottomless one after a leading `nop`.
-    config = replace(CONFIG, gtxn_sender=gtxn_sender)
+    config = CONFIG._replace(gtxn_sender=gtxn_sender)
     program = parse_teal("\n".join(lines if entry else ["nop", *lines]))
     start = 0 if entry else 1
     block = BasicBlock(start, start, len(program.opcodes))
