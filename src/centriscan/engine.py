@@ -20,17 +20,42 @@ from .report import (
     build_report,
     classify,
 )
-from .solidity.detectors import find_fund_modifications, find_sender_guards, pair_detections
-from .solidity.parser import parse_source
-from .solidity.symbols import collect_state_vars
-from .solidity.tokens import tokenize
-from .teal.absint import abstract_exec_block
-from .teal.cfg import build_cfg
-from .teal.detectors import compute_guardedness, find_fund_mod_points, find_guard_points
-from .teal.parser import parse_teal
 
 SOLIDITY_EXT = ".sol"
 TEAL_EXT = ".teal"
+
+# Each language's stage functions and their back-end modules. A back end is
+# imported on first use, so a run compiles only the languages it scans; its
+# stages are then engine globals that the pipelines call and a tracer may rebind.
+_STAGES = {
+    SOLIDITY_EXT: {
+        "tokenize": "solidity.tokens", "parse_source": "solidity.parser",
+        "collect_state_vars": "solidity.symbols", "find_sender_guards": "solidity.detectors",
+        "find_fund_modifications": "solidity.detectors", "pair_detections": "solidity.detectors",
+    },
+    TEAL_EXT: {
+        "parse_teal": "teal.parser", "build_cfg": "teal.cfg",
+        "abstract_exec_block": "teal.absint", "find_guard_points": "teal.detectors",
+        "find_fund_mod_points": "teal.detectors", "compute_guardedness": "teal.detectors",
+    },
+}
+
+
+def _load(language: str) -> None:
+    """Bind the language's stages as globals; a name already bound stays."""
+    bound = globals()
+    for name, module in _STAGES[language].items():
+        if name not in bound:  # from .module import name
+            bound.setdefault(name, getattr(__import__(module, bound, None, (name,), 1), name))
+
+
+def __getattr__(name: str):
+    """Read a stage that is not bound yet: load its back end first."""
+    for language, stages in _STAGES.items():
+        if name in stages:
+            _load(language)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def discover_files(paths: list[str]) -> list[str]:
@@ -58,6 +83,7 @@ def analyze_solidity_source(
     source: str, path: str, config: AnalyzerConfig
 ) -> tuple[list[Finding], list[Diagnostic]]:
     """Run the full Solidity pipeline over one file's text."""
+    _load(SOLIDITY_EXT)
     unit = parse_source(tokenize(source))
     diagnostics = unit.diagnostics
     detections = []
@@ -74,6 +100,7 @@ def analyze_teal_source(
     source: str, path: str, config: AnalyzerConfig
 ) -> tuple[list[Finding], list[Diagnostic]]:
     """Run the full TEAL pipeline over one file's text."""
+    _load(TEAL_EXT)
     program = parse_teal(source)
     diagnostics = program.diagnostics
     cfg = build_cfg(program, diagnostics)

@@ -11,13 +11,15 @@ import json
 import re
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Union
 
 from .config import AnalyzerConfig, UsageError
 from .diagnostics import Diagnostic
 from .record import Record
-from .solidity.detectors import GuardSite, RawDetection
-from .teal.detectors import FundModPoint, GuardPoint, GuardednessResult
+
+if TYPE_CHECKING:  # annotations only: no back end loads with the report
+    from .solidity.detectors import GuardSite, RawDetection
+    from .teal.detectors import FundModPoint, GuardPoint, GuardednessResult
 
 CENTRALIZATION_RISK = "CENTRALIZATION_RISK"
 PRIVILEGED_FUNCTION = "PRIVILEGED_FUNCTION"

@@ -61,6 +61,13 @@ class Binary(Expr):
         self.op, self.lhs, self.rhs = op, lhs, rhs
 
 
+class Not(Expr):
+    __slots__ = ("operand",)  # a lone `!`; other prefix operators parse to OpaqueExpr
+
+    def __init__(self, at: int, end: int, operand: Expr):
+        self.at, self.end, self.operand = at, end, operand
+
+
 class CallExpr(Expr):
     __slots__ = ("callee", "args", "options")  # options: brace block "{value: x}" or None
 

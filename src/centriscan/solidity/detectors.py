@@ -63,21 +63,23 @@ def _is_sender_expr(expr: ast.Expr, config: AnalyzerConfig) -> bool:
 
 
 def _collect_sender_comparisons(
-    expr: ast.Expr, config: AnalyzerConfig, out: list[str]
+    expr: ast.Expr, config: AnalyzerConfig, out: list[str], negated: bool = False
 ) -> None:
-    if not isinstance(expr, ast.Binary):
+    if isinstance(expr, ast.Not):  # `!` flips the polarity of what it holds
+        _collect_sender_comparisons(expr.operand, config, out, not negated)
+    elif not isinstance(expr, ast.Binary):
         return
-    if expr.op in ("&&", "||"):
-        _collect_sender_comparisons(expr.lhs, config, out)
-        _collect_sender_comparisons(expr.rhs, config, out)
+    elif expr.op in ("&&", "||"):
+        _collect_sender_comparisons(expr.lhs, config, out, negated)
+        _collect_sender_comparisons(expr.rhs, config, out, negated)
     elif _is_sender_expr(expr.lhs, config) != _is_sender_expr(expr.rhs, config):
-        out.append("eq" if expr.op == "==" else "neq")
+        out.append("eq" if (expr.op == "==") != negated else "neq")
 
 
 def _sender_comparison(expr: ast.Expr, config: AnalyzerConfig) -> str | None:
-    """Polarity of the sender comparisons under &&/|| nesting: "eq" if any
-    is `==`, else "neq" if any is `!=`, else None. A comparison of the
-    sender with itself never counts."""
+    """Polarity of the sender comparisons under &&/||/! nesting: "eq" if
+    any is `==` (or a negated `!=`), else "neq" if any is `!=` (or a negated
+    `==`), else None. A comparison of the sender with itself never counts."""
     found: list[str] = []
     _collect_sender_comparisons(expr, config, found)
     if "eq" in found:
@@ -223,6 +225,8 @@ def _scan_call_sites(
         elif cls is ast.Binary:
             push(node.lhs)
             push(node.rhs)
+        elif cls is ast.Not:
+            push(node.operand)
 
 
 def _classify_call(call: ast.CallExpr, config: AnalyzerConfig) -> str | None:

@@ -525,8 +525,12 @@ class _Parser:
         start = i = self.i
         texts = self.texts
         t = texts[i]
+        if t == "!" and texts[i + 1] not in _UNARY_OPS:
+            self.i = i + 1
+            operand = self._parse_unary()
+            return ast.Not(start, self.i, operand)
         if t in _UNARY_OPS:
-            # A prefix-operator chain folds into one opaque node; the operand
+            # Any other prefix-operator chain folds into one opaque node; the operand
             # is parsed only to find where the chain ends.
             while texts[i] in _UNARY_OPS:
                 i += 1

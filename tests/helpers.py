@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import os
 import random
+import subprocess
+import sys
 
+import centriscan
 from centriscan.record import Record
 from centriscan.solidity import Tokens, ast
 from centriscan.solidity.parser import parse_solidity
@@ -31,6 +34,16 @@ SOLIDITY_FRAGMENTS = (
     " ", "\n", "\r\n", "\t", "(", ".", "// c\n", "/* a\nb */", '"s\n', "'q'",
     "1", "0x2", "@",
 )
+
+
+def run_fresh_python(code: str, *args: str) -> str:
+    """stdout of `python -S -c code args` in a new process that imports
+    centriscan from this tree; -S keeps `site` from loading anything first."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(centriscan.__file__)))
+    run = subprocess.run([sys.executable, "-S", "-c", code, *args], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    return run.stdout
 
 
 def corpus_path(language: str, name: str) -> str:

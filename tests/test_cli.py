@@ -2,13 +2,10 @@
 
 import json
 import os
-import subprocess
-import sys
 
-import centriscan
 from centriscan.cli import main
 
-from helpers import SOLIDITY_CORPUS, TEAL_CORPUS, corpus_path
+from helpers import SOLIDITY_CORPUS, TEAL_CORPUS, corpus_path, run_fresh_python
 
 
 def test_clean_contract_exits_zero(capsys):
@@ -148,14 +145,40 @@ def test_version_flag(capsys):
 
 def test_cli_import_loads_no_dataclasses_inspect_or_hashlib():
     # Start-up cost: none of these is needed to start the CLI. hashlib loads
-    # when a report's config fingerprint is taken; -S keeps `site` from
-    # loading anything before the import under test.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(centriscan.__file__)))
+    # when a report's config fingerprint is taken.
     code = ("import sys, centriscan.cli; "
             "print(sorted({'dataclasses', 'inspect', 'hashlib'} & sys.modules.keys()))")
-    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert run.stdout == "[]\n"
+    assert run_fresh_python(code) == "[]\n"
+
+
+# The language back ends a process has loaded, as a sorted list.
+_BACK_ENDS = ("sorted({m.split('.')[1] for m in sys.modules "
+              "if m.startswith(('centriscan.solidity', 'centriscan.teal'))})")
+
+
+def _back_ends_after_main(*argv: str) -> str:
+    code = f"import sys, centriscan.cli; centriscan.cli.main(sys.argv[1:]); print({_BACK_ENDS})"
+    return run_fresh_python(code, *argv).splitlines()[-1]
+
+
+def test_cli_import_and_version_load_no_back_end():
+    # Start-up cost: a language's back end compiles only when a file of that
+    # language is scanned.
+    assert run_fresh_python(f"import sys, centriscan.cli; print({_BACK_ENDS})") == "[]\n"
+    assert _back_ends_after_main("--version") == "[]"
+
+
+def test_scan_loads_the_back_ends_of_its_languages_only():
+    sol = corpus_path("solidity", "owner_drain.sol")
+    teal = corpus_path("teal", "row1_assert.teal")
+    assert _back_ends_after_main("scan", "--fail-on", "none", teal) == "['teal']"
+    assert _back_ends_after_main("scan", "--fail-on", "none", sol) == "['solidity']"
+
+
+def test_mixed_scan_loads_both_back_ends():
+    sol = corpus_path("solidity", "owner_drain.sol")
+    teal = corpus_path("teal", "row1_assert.teal")
+    assert _back_ends_after_main("scan", "--fail-on", "none", sol, teal) == "['solidity', 'teal']"
 
 
 def test_json_output_is_idempotent(capsys):

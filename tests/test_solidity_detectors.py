@@ -114,30 +114,78 @@ def test_malformed_assert_notes_name_assert():
     assert [d.message for d in diagnostics] == ["malformed assert", "missing ';' after assert"]
 
 
+def test_negation_flips_a_sender_comparison():
+    # As TEAL's `!` does: `!(a != b)` guards as `a == b`, `!(a == b)` as `a != b`.
+    def graded(guard):
+        source = ("contract C { address owner; mapping(address => uint) bals;\n"
+                  f"function f(address to) public {{ {guard} bals[to] = 0; }} }}")
+        findings, _ = analyze_solidity_source(source, "a.sol", CONFIG)
+        return [(f.kind, f.severity) for f in findings]
+
+    major = [("CENTRALIZATION_RISK", "MAJOR")]
+    warning = [("UNPROTECTED_FUND_MODIFICATION", "WARNING")]
+    assert graded("require(!(msg.sender != owner));") == major
+    assert graded("if (!(msg.sender == owner)) revert();") == major
+    assert graded("require(!(msg.sender == owner));") == warning
+    assert graded("if (!(msg.sender == owner)) { x = 1; }") == warning
+
+
+def test_native_transfer_under_negation_is_a_fund_site():
+    _, _, funds = _analyze(
+        "contract C { function f(address to) public { if (!payable(to).send(1)) revert(); } }")
+    assert [(s.kind, s.text) for s in funds] == [
+        (NATIVE_TRANSFER, "if (!payable(to).send(1)) revert();")]
+
+
 _CONDITIONS = ("msg.sender == owner", "owner == msg.sender", "msg.sender != owner",
                "(msg.sender == owner)", "msg.sender == owner || paused", "x == y")
+# Each condition with every `a == b` written `!(a != b)`, every `a != b` `!(a == b)`.
+_NEGATED_DUALS = dict(zip(_CONDITIONS, (
+    "!(msg.sender != owner)", "!(owner != msg.sender)", "!(msg.sender == owner)",
+    "(!(msg.sender != owner))", "!(msg.sender != owner) || paused", "!(x != y)")))
 _STATEMENTS = ("bals[to] = 0;", "payable(to).transfer(1);", "selfdestruct(payable(to));",
                "x = 1;")
+_FUNCTIONS = st.lists(st.tuples(st.sampled_from(_CONDITIONS), st.booleans(),
+                                st.sampled_from(_STATEMENTS)), min_size=1, max_size=4)
 
 
-@given(st.lists(st.tuples(st.sampled_from(_CONDITIONS), st.booleans(),
-                          st.sampled_from(_STATEMENTS)), min_size=1, max_size=4))
+def _guarded_findings(functions, guard):
+    """Findings on a contract with one function per (condition, guard_first,
+    statement); guard(condition) is the function's guard statement."""
+    lines = ["contract C { address owner; bool paused; uint x; uint y;",
+             "mapping(address => uint) bals;"]
+    for i, (condition, guard_first, statement) in enumerate(functions):
+        body = f"{guard(condition)} {statement}" if guard_first else \
+            f"{statement} {guard(condition)}"
+        lines.append(f"function f{i}(address to) public {{ {body} }}")
+    found, _ = analyze_solidity_source("\n".join(lines) + "\n}", "c.sol", CONFIG)
+    return found
+
+
+@given(_FUNCTIONS)
 @settings(max_examples=100, deadline=None)
 def test_require_and_assert_give_the_same_findings(functions):
     # Metamorphic pair: `assert(c);` guards what follows it as `require(c);` does.
     def findings(keyword):
-        lines = ["contract C { address owner; bool paused; uint x; uint y;",
-                 "mapping(address => uint) bals;"]
-        for i, (condition, guard_first, statement) in enumerate(functions):
-            guard = f"{keyword}({condition});"
-            body = f"{guard} {statement}" if guard_first else f"{statement} {guard}"
-            lines.append(f"function f{i}(address to) public {{ {body} }}")
-        found, _ = analyze_solidity_source("\n".join(lines) + "\n}", "c.sol", CONFIG)
         # Evidence columns move with the keyword's length; nothing else may.
         return [(f.kind, f.severity, f.line, f.column, f.message,
-                 [(e.role, e.line, e.text) for e in f.evidence]) for f in found]
+                 [(e.role, e.line, e.text) for e in f.evidence])
+                for f in _guarded_findings(functions, lambda c: f"{keyword}({c});")]
 
     assert findings("assert") == findings("require")
+
+
+@given(_FUNCTIONS, st.sampled_from(("require({});", "if (!({})) revert();")))
+@settings(max_examples=100, deadline=None)
+def test_comparison_and_its_negated_dual_give_the_same_findings(functions, guard):
+    # Metamorphic pair: `a == b` guards as `!(a != b)` does, `a != b` as `!(a == b)`.
+    def findings(rewrite):
+        # Guard texts, and the columns after them, change; nothing else may.
+        return [(f.kind, f.severity, f.line, f.column, f.message,
+                 [(e.role, e.line) for e in f.evidence])
+                for f in _guarded_findings(functions, lambda c: guard.format(rewrite(c)))]
+
+    assert findings(_NEGATED_DUALS.get) == findings(str)
 
 
 def test_revert_guard_counts_as_require_form():

@@ -356,6 +356,8 @@ _SENDER = ast.MsgSender(0, 0)
 SUBSET_TREES = {
     "require(msg.sender == owner);":
         ast.Require(0, 0, _eq(_SENDER, _id("owner"))),
+    "require(!(msg.sender != owner));":
+        ast.Require(0, 0, ast.Not(0, 0, ast.Binary(0, 0, "!=", _SENDER, _id("owner")))),
     "require((owner == msg.sender) && (a == b));":
         ast.Require(0, 0, ast.Binary(
             0, 0, "&&", _eq(_id("owner"), _SENDER), _eq(_id("a"), _id("b")))),
@@ -389,6 +391,16 @@ def test_subset_statement_trees():
     for stmt_src, expected in SUBSET_TREES.items():
         parsed, tokens = parse_function(stmt_src)
         assert ast_equal(parsed, [expected], tokens, _ONE_TOKENS), (stmt_src, parsed)
+
+
+def test_only_a_lone_bang_parses_to_a_negation():
+    (stmt,), tokens = parse_function("x = !paused.flag;")
+    assert ast_equal(stmt.rvalue, ast.Not(0, 0, ast.Member(0, 0, _id("paused"), "flag")),
+                     tokens, _ONE_TOKENS)
+    for src in ("x = !!y;", "x = -y;", "x = !-y;"):
+        (stmt,), tokens = parse_function(src)
+        assert isinstance(stmt.rvalue, ast.OpaqueExpr), src
+        assert tokens.text(stmt.rvalue.at, stmt.rvalue.end) == src[4:-1]
 
 
 @given(st.text(max_size=300))
