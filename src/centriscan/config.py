@@ -26,17 +26,6 @@ DEFAULT_BALANCE_KEYS = ("MyBalance",)
 
 FAIL_THRESHOLDS = ("major", "warning", "info", "none")
 
-_LIST_KEYS = frozenset({"owner_keys", "balance_keys"})
-_BOOL_KEYS = frozenset({
-    "balance_substring",
-    "revert_guard",
-    "native_transfer",
-    "selfdestruct",
-    "gtxn_sender",
-    "tx_origin",
-    "nested_mappings",
-})
-
 _TRUE_WORDS = frozenset({"1", "true", "yes", "on"})
 _FALSE_WORDS = frozenset({"0", "false", "no", "off"})
 
@@ -98,9 +87,10 @@ def parse_config_text(text: str) -> AnalyzerConfig:
             raise ConfigError(f"expected 'key = value', got {line!r}", lineno)
         key, _, value = line.partition("=")
         key = key.strip()
-        if key in _LIST_KEYS:
+        default = AnalyzerConfig._field_defaults.get(key)
+        if isinstance(default, tuple):
             config = config._replace(**{key: _parse_list(value)})
-        elif key in _BOOL_KEYS:
+        elif isinstance(default, bool):
             config = config._replace(**{key: _parse_bool(value, lineno)})
         elif key == "fail_threshold":
             choice = value.strip()

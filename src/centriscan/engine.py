@@ -103,7 +103,7 @@ def analyze_teal_source(
     _load(TEAL_EXT)
     program = parse_teal(source)
     diagnostics = program.diagnostics
-    cfg = build_cfg(program, diagnostics)
+    cfg = build_cfg(program)
     facts = [abstract_exec_block(block, program, config, diagnostics)
              for block in cfg.blocks]
     guards = find_guard_points(cfg, facts, program, diagnostics)

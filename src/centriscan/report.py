@@ -165,14 +165,10 @@ def _classify_teal(bundle: TealDetections) -> list[Finding]:
                 f'state write to balance key "{point.key}" is gated by a sender guard',
                 guard_evidence + [evidence]))
         elif verdict is False:
-            tail = bundle.guardedness.tails[point]
-            via = "->".join(map(str, tail.blocks))
-            if tail.omitted:
-                via = f"0->...(+{tail.omitted})->{via}"
             findings.append(_make_finding(
                 UNPROTECTED_FUND_MODIFICATION, "teal", file, point.line, 1,
                 f'state write to balance key "{point.key}" is reachable without '
-                f"a sender guard (blocks {via})",
+                f"a sender guard (blocks {bundle.guardedness.tails[point]})",
                 [evidence]))
         # verdict None: the write is dead code; reported as a diagnostic only.
     if not bundle.fund_points:

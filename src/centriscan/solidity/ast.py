@@ -62,7 +62,7 @@ class Binary(Expr):
 
 
 class Not(Expr):
-    __slots__ = ("operand",)  # a lone `!`; other prefix operators parse to OpaqueExpr
+    __slots__ = ("operand",)  # a run of `!`, by parity; other prefix operators parse to OpaqueExpr
 
     def __init__(self, at: int, end: int, operand: Expr):
         self.at, self.end, self.operand = at, end, operand

@@ -10,7 +10,7 @@ only when it is created.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from ..config import AnalyzerConfig
 from ..diagnostics import Diagnostic
@@ -87,42 +87,42 @@ def _sender_comparison(expr: ast.Expr, config: AnalyzerConfig) -> str | None:
     return "neq" if found else None
 
 
+def _statements(body: list[ast.Stmt]) -> Iterator[ast.Stmt]:
+    """Each statement of body in source order, an `if` followed by the
+    statements of its then and else branches."""
+    for stmt in body:
+        yield stmt
+        if type(stmt) is ast.If:
+            yield from _statements(stmt.then_body)
+            yield from _statements(stmt.else_body)
+
+
 def find_sender_guards(
     contract: ast.ContractDecl, tokens: Tokens, config: AnalyzerConfig
 ) -> list[GuardSite]:
     """One GuardSite per sender-guard occurrence, sorted by location;
-    ``tokens`` are those the contract was parsed from."""
+    ``tokens`` are those the contract was parsed from. A require-like guard
+    is a ModifierGuard in a modifier body, else a RequireGuard."""
     sites: list[GuardSite] = []
-    for modifier in contract.modifiers:
-        _scan_guards(modifier.body, MODIFIER_GUARD, modifier.at, tokens, config, sites)
-    for function in contract.functions:
-        _scan_guards(function.body, REQUIRE_GUARD, function.at, tokens, config, sites)
+    for declarations, require_form in ((contract.modifiers, MODIFIER_GUARD),
+                                       (contract.functions, REQUIRE_GUARD)):
+        for declaration in declarations:
+            for stmt in _statements(declaration.body):
+                cls = type(stmt)
+                if cls is ast.Require:
+                    if _sender_comparison(stmt.condition, config) == "eq":
+                        sites.append(_guard_site(require_form, stmt, declaration.at, tokens))
+                elif cls is ast.If:
+                    polarity = _sender_comparison(stmt.condition, config)
+                    if polarity == "eq":
+                        sites.append(_guard_site(IF_GUARD, stmt, declaration.at, tokens))
+                    elif polarity == "neq" and config.revert_guard and any(
+                            type(then) is ast.Revert for then in stmt.then_body):
+                        # `if (msg.sender != owner) revert;` protects everything
+                        # after it, so it carries require-like scope.
+                        sites.append(_guard_site(require_form, stmt, declaration.at, tokens))
     sites.sort(key=_BY_POSITION)
     return sites
-
-
-def _scan_guards(
-    body: list[ast.Stmt],
-    require_form: str,  # ModifierGuard in a modifier body, else RequireGuard
-    enclosing_at: int,
-    tokens: Tokens,
-    config: AnalyzerConfig,
-    sites: list[GuardSite],
-) -> None:
-    for stmt in body:
-        if isinstance(stmt, ast.Require):
-            if _sender_comparison(stmt.condition, config) == "eq":
-                sites.append(_guard_site(require_form, stmt, enclosing_at, tokens))
-        elif isinstance(stmt, ast.If):
-            polarity = _sender_comparison(stmt.condition, config)
-            if polarity == "eq":
-                sites.append(_guard_site(IF_GUARD, stmt, enclosing_at, tokens))
-            elif polarity == "neq" and config.revert_guard and _branch_reverts(stmt.then_body):
-                # `if (msg.sender != owner) revert;` protects everything after
-                # it, so it carries require-like scope.
-                sites.append(_guard_site(require_form, stmt, enclosing_at, tokens))
-            _scan_guards(stmt.then_body, require_form, enclosing_at, tokens, config, sites)
-            _scan_guards(stmt.else_body, require_form, enclosing_at, tokens, config, sites)
 
 
 def _guard_site(
@@ -131,10 +131,6 @@ def _guard_site(
     condition = stmt.condition
     return GuardSite(form, *tokens.position(stmt.at),
                      tokens.text(condition.at, condition.end), enclosing_at)
-
-
-def _branch_reverts(body: list[ast.Stmt]) -> bool:
-    return any(isinstance(stmt, ast.Revert) for stmt in body)
 
 
 def find_fund_modifications(
@@ -147,36 +143,22 @@ def find_fund_modifications(
     ``tokens`` are those the contract was parsed from."""
     sites: list[FundModSite] = []
     for function in contract.functions:
-        _scan_funds(function.body, function.at, tokens, symbols, config, sites)
+        at = function.at
+        for stmt in _statements(function.body):
+            cls = type(stmt)
+            if cls is ast.Assign:
+                if _is_balance_mapping_write(stmt.lvalue, symbols, config):
+                    sites.append(FundModSite(
+                        BALANCE_MAPPING_WRITE, *tokens.position(stmt.at),
+                        tokens.text(stmt.at, stmt.end), at))
+                _scan_call_sites(stmt.rvalue, stmt, at, tokens, config, sites)
+                _scan_call_sites(stmt.lvalue, stmt, at, tokens, config, sites)
+            elif cls is ast.Call:
+                _scan_call_sites(stmt.expr, stmt, at, tokens, config, sites)
+            elif cls is ast.Require or cls is ast.If:
+                _scan_call_sites(stmt.condition, stmt, at, tokens, config, sites)
     sites.sort(key=_BY_POSITION)
     return sites
-
-
-def _scan_funds(
-    body: list[ast.Stmt],
-    enclosing_at: int,
-    tokens: Tokens,
-    symbols: dict[str, ast.StateVar],
-    config: AnalyzerConfig,
-    sites: list[FundModSite],
-) -> None:
-    for stmt in body:
-        cls = type(stmt)
-        if cls is ast.Assign:
-            if _is_balance_mapping_write(stmt.lvalue, symbols, config):
-                sites.append(FundModSite(
-                    BALANCE_MAPPING_WRITE, *tokens.position(stmt.at),
-                    tokens.text(stmt.at, stmt.end), enclosing_at))
-            _scan_call_sites(stmt.rvalue, stmt, enclosing_at, tokens, config, sites)
-            _scan_call_sites(stmt.lvalue, stmt, enclosing_at, tokens, config, sites)
-        elif cls is ast.Call:
-            _scan_call_sites(stmt.expr, stmt, enclosing_at, tokens, config, sites)
-        elif cls is ast.Require:
-            _scan_call_sites(stmt.condition, stmt, enclosing_at, tokens, config, sites)
-        elif cls is ast.If:
-            _scan_call_sites(stmt.condition, stmt, enclosing_at, tokens, config, sites)
-            _scan_funds(stmt.then_body, enclosing_at, tokens, symbols, config, sites)
-            _scan_funds(stmt.else_body, enclosing_at, tokens, symbols, config, sites)
 
 
 def _is_balance_mapping_write(
@@ -195,8 +177,8 @@ def _is_balance_mapping_write(
         is_address_to_uint_mapping(symbols, expr.name, depth)
 
 
-# _scan_funds and _scan_call_sites dispatch on the exact node type, which
-# matches isinstance because no AST class subclasses another.
+# The walks dispatch on the exact node type, which matches isinstance
+# because no AST class subclasses another.
 def _scan_call_sites(
     expr: ast.Expr,
     stmt: ast.Stmt,

@@ -525,10 +525,17 @@ class _Parser:
         start = i = self.i
         texts = self.texts
         t = texts[i]
-        if t == "!" and texts[i + 1] not in _UNARY_OPS:
-            self.i = i + 1
-            operand = self._parse_unary()
-            return ast.Not(start, self.i, operand)
+        if t == "!":
+            while texts[i] == "!":
+                i += 1
+            if texts[i] not in _UNARY_OPS:
+                # A run of `!` reads as its parity: one Not, or two nested,
+                # each spanning the whole run and its operand.
+                self.i = i
+                operand = self._parse_unary()
+                if (i - start) % 2 == 0:
+                    operand = ast.Not(start, self.i, operand)
+                return ast.Not(start, self.i, operand)
         if t in _UNARY_OPS:
             # Any other prefix-operator chain folds into one opaque node; the operand
             # is parsed only to find where the chain ends.

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from ..diagnostics import Diagnostic
 from .parser import BRANCH_OPCODES, TERMINATOR_OPCODES, TealProgram
 
 FALLTHROUGH = "fallthrough"
@@ -39,14 +38,16 @@ class Cfg(NamedTuple):
         return [(b, to, kind) for b, out in enumerate(self.successors) for to, kind in out]
 
 
-def build_cfg(program: TealProgram, diagnostics: list[Diagnostic]) -> Cfg:
-    """Partition instructions into blocks and connect branch/fallthrough edges."""
+def build_cfg(program: TealProgram) -> Cfg:
+    """Partition instructions into blocks and connect branch/fallthrough
+    edges; a branch whose target the parser noted gets no taken edge."""
     opcodes = program.opcodes
+    labels = program.labels
     n = len(opcodes)
     if n == 0:
         return Cfg([], [], [])
 
-    leaders = {0, *(target for target in program.labels.values() if target < n)}
+    leaders = {0, *(target for target in labels.values() if target < n)}
     leaders.update([after for after, op in enumerate(opcodes, 1) if op in _BLOCK_ENDS])
     leaders.discard(n)
 
@@ -65,8 +66,9 @@ def build_cfg(program: TealProgram, diagnostics: list[Diagnostic]) -> Cfg:
         last = block.end - 1
         op = opcodes[last]
         if op in BRANCH_OPCODES:
-            target = _branch_target(program, last, n, diagnostics)
-            if target is not None:
+            immediates = program.immediates[last]
+            target = labels.get(immediates[0], n) if immediates else n
+            if target < n:
                 out.append((block_of[target], BRANCH_TAKEN))
             if op != "b" and block.index < last_block:
                 out.append((block.index + 1, BRANCH_NOT_TAKEN))
@@ -75,17 +77,3 @@ def build_cfg(program: TealProgram, diagnostics: list[Diagnostic]) -> Cfg:
         successors.append(out)
     return Cfg(blocks, successors, block_of)
 
-
-def _branch_target(program, index, n, diagnostics) -> int | None:
-    immediates = program.immediates[index]
-    if not immediates:
-        return None
-    target = program.labels.get(immediates[0])
-    if target is None:
-        return None  # already diagnosed by the parser
-    if target >= n:
-        diagnostics.append(Diagnostic(
-            f"branch target '{immediates[0]}' points past the last "
-            f"instruction; edge dropped", program.lines[index]))
-        return None
-    return target

@@ -6,11 +6,11 @@ a branch-style guard. Computed as reachability at instruction granularity
 in a pruned graph: traversal stops at assert guards and the authorized
 (non-fail) edge of each branch guard is removed. The traversal keeps, per
 block entered, its parent and depth in the BFS parent tree. Per unguarded
-write only the printed tail of its witness is stored, found by walking
-fewer than WITNESS_MAX_BLOCKS parents; full block and instruction paths are
-derived from the parent map on read. Each guarded write's gating guards are the
-last guard on each of its entry paths, found by one forward pass over
-blocks.
+write only the text a report prints of its witness path is stored, found by
+walking fewer than WITNESS_MAX_BLOCKS parents; full block and instruction
+paths are derived from the parent map on read. Each guarded write's gating
+guards are the last guard on each of its entry paths, found by one forward
+pass over blocks.
 """
 
 from __future__ import annotations
@@ -54,16 +54,8 @@ class FundModPoint(NamedTuple):
     key: str
 
 
-class WitnessTail(NamedTuple):
-    """What a report prints of a witness block path: `blocks` is the whole
-    path when `omitted` is 0, else its last WITNESS_TAIL_BLOCKS blocks, with
-    `omitted` blocks between them and the entry block."""
-    omitted: int
-    blocks: tuple[int, ...]
-
-
 class GuardednessResult(Record):
-    """Verdicts; per unguarded write the printed tail of its witness; per
+    """Verdicts; per unguarded write its printed witness path; per
     guarded write its gating guards, the last guard on each entry path,
     sorted by instruction. `parents` is the BFS parent tree the witnesses
     follow (block -> the block it was entered from; entry has none). Full
@@ -74,7 +66,7 @@ class GuardednessResult(Record):
     def __init__(self, cfg: Cfg):
         self.cfg = cfg
         self.verdicts: dict[FundModPoint, bool | None] = {}
-        self.tails: dict[FundModPoint, WitnessTail] = {}
+        self.tails: dict[FundModPoint, str] = {}
         self.gates: dict[FundModPoint, tuple[GuardPoint, ...]] = {}
         self.parents: dict[int, int] = {}
 
@@ -316,15 +308,14 @@ def _reach(cfg: Cfg, stop_instructions: frozenset | set, pruned_edges: frozenset
     return seen, parents, depth
 
 
-def _tail(parents: dict[int, int], depth: dict[int, int], block: int) -> WitnessTail:
-    """The printed tail of the witness path to block, walking at most
+def _tail(parents: dict[int, int], depth: dict[int, int], block: int) -> str:
+    """The printed witness path to block, "0->1->2->7" or, when longer than
+    WITNESS_MAX_BLOCKS, "0->...(+197)->198->199->400"; walks at most
     WITNESS_MAX_BLOCKS - 1 parents."""
     length = depth[block] + 1
-    if length <= WITNESS_MAX_BLOCKS:
-        kept, omitted = length, 0
-    else:
-        kept, omitted = WITNESS_TAIL_BLOCKS, length - 1 - WITNESS_TAIL_BLOCKS
+    kept = length if length <= WITNESS_MAX_BLOCKS else WITNESS_TAIL_BLOCKS
     tail = [block]
     for _ in range(kept - 1):
         tail.append(parents[tail[-1]])
-    return WitnessTail(omitted, tuple(reversed(tail)))
+    via = "->".join(map(str, reversed(tail)))
+    return via if kept == length else f"0->...(+{length - 1 - kept})->{via}"

@@ -180,4 +180,8 @@ def parse_teal(source: str) -> TealProgram:
             elif immediates[0] not in labels:
                 diagnostics.append(Diagnostic(
                     f"undefined branch target '{immediates[0]}'", line, severity="warning"))
+            elif labels[immediates[0]] == len(program.opcodes) and op != "callsub":
+                diagnostics.append(Diagnostic(
+                    f"branch target '{immediates[0]}' points past the last "
+                    f"instruction; edge dropped", line))
     return program

@@ -36,6 +36,16 @@ SOLIDITY_FRAGMENTS = (
 )
 
 
+def readme_python_block(containing: str) -> str:
+    """The one ```python block of README.md whose code contains the text."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    blocks = [part.split("```", 1)[0] for part in text.split("```python\n")[1:]]
+    (block,) = [block for block in blocks if containing in block]
+    return block
+
+
 def run_fresh_python(code: str, *args: str) -> str:
     """stdout of `python -S -c code args` in a new process that imports
     centriscan from this tree; -S keeps `site` from loading anything first."""

@@ -71,7 +71,7 @@ def _solidity_sites(name: str):
 
 def _teal_points(name: str):
     program = parse_teal(corpus_text("teal", name))
-    cfg = build_cfg(program, program.diagnostics)
+    cfg = build_cfg(program)
     facts = [abstract_exec_block(b, program, CONFIG, program.diagnostics) for b in cfg.blocks]
     guards = find_guard_points(cfg, facts, program, program.diagnostics)
     funds = find_fund_mod_points(facts, program)

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from centriscan.config import (
+    FAIL_THRESHOLDS,
     AnalyzerConfig,
     ConfigError,
     load_config,
@@ -92,6 +93,37 @@ def test_config_is_immutable_hashable_and_derived_with_replace():
     derived = config._replace(tx_origin=False)
     assert derived == AnalyzerConfig(owner_keys=("gov",)) and config.tx_origin
     assert derived.fingerprint() != config.fingerprint()
+
+
+def test_every_field_reads_its_value_from_config_text():
+    # Lists, each boolean both ways and each threshold: a field whose
+    # default's type the parser cannot read fails here instead of being misread.
+    for field, default in AnalyzerConfig._field_defaults.items():
+        if isinstance(default, tuple):
+            cases = [("gov, council , ", ("gov", "council")), ("", ())]
+        elif isinstance(default, bool):
+            cases = [("true", True), ("false", False)]
+        elif field == "fail_threshold":
+            cases = [(choice, choice) for choice in FAIL_THRESHOLDS]
+        else:
+            pytest.fail(f"no config text for field {field!r}")
+        for text, value in cases:
+            config = parse_config_text(f"{field} = {text}\n")
+            assert config == AnalyzerConfig()._replace(**{field: value}), (field, text)
+    assert tuple(AnalyzerConfig._field_defaults) == AnalyzerConfig._fields
+
+
+def test_config_errors_name_the_line_and_the_value():
+    for text, message in (
+            ("\nfrobnicate = 1", "line 2: unknown config key 'frobnicate'"),
+            ("tx_origin = maybe", "line 1: expected a boolean, got 'maybe'"),
+            ("fail_threshold = fatal",
+             "line 1: fail_threshold must be one of major, warning, info, none"),
+            ("is_owner_key = x", "line 1: unknown config key 'is_owner_key'"),
+            ("owner_keys", "line 1: expected 'key = value', got 'owner_keys'")):
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(text)
+        assert str(exc.value) == message
 
 
 def test_readme_configuration_block_is_the_defaults():

@@ -188,6 +188,46 @@ def test_comparison_and_its_negated_dual_give_the_same_findings(functions, guard
     assert findings(_NEGATED_DUALS.get) == findings(str)
 
 
+# Each condition with the operands of its sender comparison (or of `x == y`) swapped.
+_SWAPPED = dict(zip(_CONDITIONS, (
+    "owner == msg.sender", "msg.sender == owner", "owner != msg.sender",
+    "(owner == msg.sender)", "owner == msg.sender || paused", "y == x")))
+# Rewrites of a guard statement, made from its form and condition, that
+# change no finding.
+_GUARD_REWRITES = {
+    "swapped operands": lambda guard, c: guard.format(_SWAPPED[c]),
+    "extra parentheses": lambda guard, c: guard.format(f"(({c}))"),
+    "block": lambda guard, c: "{ " + guard.format(c) + " }",
+    "unchecked block": lambda guard, c: "unchecked { " + guard.format(c) + " }",
+    "double negation": lambda guard, c: guard.format(f"!!({c})"),
+}
+
+
+@given(_FUNCTIONS, st.sampled_from(("require({});", "if (!({})) revert();")),
+       st.sampled_from(sorted(_GUARD_REWRITES)))
+@settings(max_examples=200, deadline=None)
+def test_guard_rewrites_give_the_same_findings(functions, guard, rewrite):
+    # Metamorphic pairs: `a == b` as `b == a`, `c` as `((c))` and as `!!(c)`,
+    # and a guard as the same guard in `{ }` or `unchecked { }`.
+    def findings(make):
+        # Guard texts, and the columns after them, change; nothing else may.
+        return [(f.kind, f.severity, f.line, f.column, f.message,
+                 [(e.role, e.line) for e in f.evidence])
+                for f in _guarded_findings(functions, make)]
+
+    rewritten = _GUARD_REWRITES[rewrite]
+    assert findings(lambda c: rewritten(guard, c)) == findings(guard.format)
+
+
+def test_double_negation_reads_as_its_parity():
+    source = ("contract C { address owner; mapping(address => uint) bals;\n"
+              "function f(address to) public { require(!!(msg.sender == owner)); "
+              "bals[to] = 0; } }")
+    (finding,), _ = analyze_solidity_source(source, "a.sol", CONFIG)
+    assert (finding.kind, finding.severity) == ("CENTRALIZATION_RISK", "MAJOR")
+    assert finding.evidence[0].text == "!!(msg.sender == owner)"
+
+
 def test_revert_guard_counts_as_require_form():
     source = ("contract C { address owner; function f() public {"
               " if (msg.sender != owner) { revert; } } }")

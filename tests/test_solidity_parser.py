@@ -14,6 +14,7 @@ from helpers import (
     parse_function,
     parse_function_body,
     parse_single_contract,
+    readme_python_block,
 )
 
 
@@ -393,11 +394,21 @@ def test_subset_statement_trees():
         assert ast_equal(parsed, [expected], tokens, _ONE_TOKENS), (stmt_src, parsed)
 
 
-def test_only_a_lone_bang_parses_to_a_negation():
-    (stmt,), tokens = parse_function("x = !paused.flag;")
-    assert ast_equal(stmt.rvalue, ast.Not(0, 0, ast.Member(0, 0, _id("paused"), "flag")),
-                     tokens, _ONE_TOKENS)
-    for src in ("x = !!y;", "x = -y;", "x = !-y;"):
+def test_a_run_of_bangs_parses_to_negations_by_parity():
+    # An odd run of `!` is one Not, an even run two nested ones; each spans
+    # the whole run and its operand. Any other prefix chain stays opaque.
+    flag = ast.Member(0, 0, _id("paused"), "flag")
+    for bangs, expected in (("!", ast.Not(0, 0, flag)),
+                            ("!!", ast.Not(0, 0, ast.Not(0, 0, flag))),
+                            ("!!!", ast.Not(0, 0, flag)),
+                            ("!!!!", ast.Not(0, 0, ast.Not(0, 0, flag)))):
+        (stmt,), tokens = parse_function(f"x = {bangs}paused.flag;")
+        assert ast_equal(stmt.rvalue, expected, tokens, _ONE_TOKENS), bangs
+        node = stmt.rvalue
+        while isinstance(node, ast.Not):
+            assert tokens.text(node.at, node.end) == f"{bangs}paused.flag"
+            node = node.operand
+    for src in ("x = -y;", "x = !-y;", "x = !!-y;"):
         (stmt,), tokens = parse_function(src)
         assert isinstance(stmt.rvalue, ast.OpaqueExpr), src
         assert tokens.text(stmt.rvalue.at, stmt.rvalue.end) == src[4:-1]
@@ -418,3 +429,13 @@ def test_parse_totality(src):
 def test_parse_totality_structured_alphabet(src):
     unit = parse_solidity(src)
     assert isinstance(unit, ast.SourceUnit)
+
+
+def test_readme_solidity_front_end_snippet_runs():
+    # README "Library use" shows the Solidity front end on a source text.
+    source = corpus_text("solidity", "row2_require.sol")
+    names = {"source": source}
+    exec(readme_python_block("parse_solidity(source)"), names)
+    assert names["unit"] == parse_solidity(source)
+    assert (names["line"], names["column"]) == (5, 9)
+    assert names["text"] == "require(address(owner) == msg.sender);"

@@ -31,7 +31,7 @@ CONFIG = AnalyzerConfig()
 def _facts(source: str, config: AnalyzerConfig = CONFIG):
     """Each block's facts and the program; notes go to program.diagnostics."""
     program = parse_teal(source)
-    cfg = build_cfg(program, program.diagnostics)
+    cfg = build_cfg(program)
     return [abstract_exec_block(b, program, config, program.diagnostics)
             for b in cfg.blocks], program
 
@@ -238,7 +238,7 @@ def test_unmodeled_opcodes_only_produce_unknown(seed):
     lines = [rng.choice(_MODEL_OPS + _UNKNOWN_OPS) for _ in range(rng.randint(1, 15))]
     source = "\n".join(lines) + "\nend:\nint 1\nreturn"
     program = parse_teal(source)
-    cfg = build_cfg(program, [])
+    cfg = build_cfg(program)
     for block in cfg.blocks:
         facts = abstract_exec_block(block, program, CONFIG, [])
         unknown = [i for i in range(block.start, block.end)

@@ -5,6 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from centriscan.diagnostics import Diagnostic
 from centriscan.teal.cfg import (
     BRANCH_NOT_TAKEN,
     BRANCH_TAKEN,
@@ -12,11 +13,11 @@ from centriscan.teal.cfg import (
 )
 from centriscan.teal.parser import BRANCH_OPCODES, TERMINATOR_OPCODES, parse_teal
 
-from helpers import corpus_text
+from helpers import corpus_text, readme_python_block
 
 
 def test_straight_line_program_is_one_block():
-    cfg = build_cfg(parse_teal("int 1\nint 2\n+"), [])
+    cfg = build_cfg(parse_teal("int 1\nint 2\n+"))
     assert len(cfg.blocks) == 1
     assert cfg.edges == []
 
@@ -24,38 +25,55 @@ def test_straight_line_program_is_one_block():
 def test_bz_program_partitions_into_three_blocks():
     # Hand-computed partition: leaders at 0 (entry), 1 (after bz), 3 (label).
     program = parse_teal("bz failed\nint 1\nreturn\nfailed:\nerr")
-    cfg = build_cfg(program, [])
+    cfg = build_cfg(program)
     assert [(b.start, b.end) for b in cfg.blocks] == [(0, 1), (1, 3), (3, 4)]
     assert cfg.blocks[2].start == program.labels["failed"]
     assert set(cfg.edges) == {(0, 1, BRANCH_NOT_TAKEN), (0, 2, BRANCH_TAKEN)}
 
 
 def test_branch_pattern_comparison_block_has_two_successors():
-    cfg = build_cfg(parse_teal(corpus_text("teal", "row2_branch.teal")), [])
+    cfg = build_cfg(parse_teal(corpus_text("teal", "row2_branch.teal")))
     assert len(cfg.successors[0]) == 2
 
 
 def test_unconditional_branch_has_single_edge():
-    cfg = build_cfg(parse_teal("b done\nint 0\nreturn\ndone:\nint 1\nreturn"), [])
+    cfg = build_cfg(parse_teal("b done\nint 0\nreturn\ndone:\nint 1\nreturn"))
     kinds = [kind for _, kind in cfg.successors[0]]
     assert kinds == [BRANCH_TAKEN]
 
 
 def test_assert_does_not_end_a_block():
-    cfg = build_cfg(parse_teal("int 1\nassert\nint 1\nreturn"), [])
+    cfg = build_cfg(parse_teal("int 1\nassert\nint 1\nreturn"))
     assert len(cfg.blocks) == 1
 
 
 def test_dangling_label_at_end_drops_edge_with_diagnostic():
-    diagnostics = []
-    cfg = build_cfg(parse_teal("b end\nend:"), diagnostics)
+    program = parse_teal("b end\nend:")
+    cfg = build_cfg(program)
     assert cfg.edges == []
-    assert any("past the last instruction" in d.message for d in diagnostics)
+    assert program.diagnostics == [Diagnostic(
+        "branch target 'end' points past the last instruction; edge dropped", 1)]
+
+
+def test_parser_notes_every_bad_branch_target_and_cfg_drops_its_edge():
+    # Missing and undefined targets are warnings, a target past the last
+    # instruction a note; callsub is noted only when its label is missing
+    # or undefined. build_cfg takes no diagnostics and never raises.
+    program = parse_teal("int 1\nbz\nint 1\nbnz nowhere\nint 1\nbz end\n"
+                         "callsub end\ncallsub gone\nend:")
+    assert [(d.line, d.severity, d.message) for d in program.diagnostics] == [
+        (2, "warning", "'bz' without a target label"),
+        (4, "warning", "undefined branch target 'nowhere'"),
+        (6, "note", "branch target 'end' points past the last instruction; edge dropped"),
+        (8, "warning", "undefined branch target 'gone'"),
+    ]
+    cfg = build_cfg(program)
+    assert cfg.edges == [(b, b + 1, BRANCH_NOT_TAKEN) for b in range(3)]
 
 
 def test_callsub_records_call_edge_without_control_edge():
     program = parse_teal("callsub sub\nint 1\nreturn\nsub:\nretsub")
-    cfg = build_cfg(program, [])
+    cfg = build_cfg(program)
     # retsub terminates its block with no outgoing control edge
     assert cfg.successors[1] == []
 
@@ -85,7 +103,7 @@ def _random_program(rng: random.Random) -> str:
 @settings(max_examples=200, deadline=None)
 def test_partition_and_edge_soundness(seed):
     program = parse_teal(_random_program(random.Random(seed)))
-    cfg = build_cfg(program, [])
+    cfg = build_cfg(program)
     n = len(program.instructions)
     if n == 0:
         assert cfg.blocks == []
@@ -116,3 +134,15 @@ def test_partition_and_edge_soundness(seed):
         else:
             assert kind == "fallthrough" and to == frm + 1
         assert last.opcode not in TERMINATOR_OPCODES
+
+
+def test_readme_teal_front_end_snippet_runs():
+    # README "Library use" shows the TEAL front end and the CFG on a source text.
+    source = corpus_text("teal", "row2_branch.teal")
+    names = {"source": source}
+    exec(readme_python_block("parse_teal(source)"), names)
+    program = parse_teal(source)
+    assert names["program"] == program
+    assert names["first"] == program.instructions[0]
+    assert names["cfg"] == build_cfg(program)
+    assert (names["to"], names["kind"]) == names["cfg"].successors[0][-1]

@@ -27,7 +27,7 @@ def _pipeline(source: str, config: AnalyzerConfig = CONFIG):
     """Each stage's notes go to program.diagnostics, as in the engine."""
     program = parse_teal(source)
     diagnostics = program.diagnostics
-    cfg = build_cfg(program, diagnostics)
+    cfg = build_cfg(program)
     facts = [abstract_exec_block(b, program, config, diagnostics) for b in cfg.blocks]
     guards = find_guard_points(cfg, facts, program, diagnostics)
     funds = find_fund_mod_points(facts, program)
@@ -351,7 +351,7 @@ def test_stage_outputs_follow_instruction_and_block_order(pieces):
     # that ends it; Cfg.edges is the successor lists flattened.
     program = parse_teal("\n".join(pieces))
     diagnostics = program.diagnostics
-    cfg = build_cfg(program, diagnostics)
+    cfg = build_cfg(program)
     facts = [abstract_exec_block(b, program, CONFIG, diagnostics) for b in cfg.blocks]
     for points in (find_guard_points(cfg, facts, program, diagnostics),
                    find_fund_mod_points(facts, program)):
@@ -367,3 +367,26 @@ def test_stage_outputs_follow_instruction_and_block_order(pieces):
         kinds = [kind for _, kind in out]
         if BRANCH_NOT_TAKEN in kinds and BRANCH_TAKEN in kinds:
             assert kinds == [BRANCH_TAKEN, BRANCH_NOT_TAKEN]
+
+
+_ASSERT_EQ = "txn Sender\nglobal CreatorAddress\n==\nassert"
+
+
+@given(st.lists(st.sampled_from([p for p in _PIECES if p != "mystery"]),
+                min_size=1, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_assert_and_branch_over_err_give_the_same_findings(pieces):
+    # Metamorphic pair: a sender `==` assert guards what follows it as
+    # `bnz ok; err; ok:` does. Two blank lines after the assert keep every
+    # line where the rewrite puts it. The rewrite adds block boundaries, so
+    # unknown opcodes, which poison the stack to the end of their block, are
+    # left out; and a branch to a label past the last instruction has no
+    # edge, so the program ends in `int 1; return`, never at `ok:`.
+    def findings(rewrite):
+        lines = [rewrite(k) if p == _ASSERT_EQ else p for k, p in enumerate(pieces)]
+        found, _ = analyze_teal_source("\n".join([*lines, "int 1\nreturn"]), "p.teal", CONFIG)
+        return [(f.kind, f.severity, f.line) for f in found]
+
+    branch = _ASSERT_EQ.removesuffix("assert")
+    assert findings(lambda k: f"{branch}bnz ok{k}\nerr\nok{k}:") == \
+        findings(lambda k: _ASSERT_EQ + "\n\n")
