@@ -13,7 +13,9 @@ import sys
 from . import __version__
 from .config import FAIL_THRESHOLDS, UsageError, load_config
 from .engine import scan_paths
-from .report import meets_threshold, render_report
+from .report import meets_threshold, render_chunks
+
+_WRITE_SIZE = 1 << 15
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -55,9 +57,20 @@ def _run_scan(args: argparse.Namespace) -> int:
     if args.fail_on is not None:
         config = config._replace(fail_threshold=args.fail_on)
     report = scan_paths(args.paths, config)
-    rendered = render_report(report, args.format)
-    if rendered:
-        print(rendered)
+    # Written as rendered, so the process never holds the whole document,
+    # in pieces of about _WRITE_SIZE characters: with PYTHONUNBUFFERED set,
+    # every write is a system call.
+    pending, size, written = [], 0, False
+    for chunk in render_chunks(report, args.format):
+        pending.append(chunk)
+        size += len(chunk)
+        written = True
+        if size >= _WRITE_SIZE:
+            sys.stdout.write("".join(pending))
+            pending, size = [], 0
+    if written:
+        pending.append("\n")
+        sys.stdout.write("".join(pending))
     if args.format == "text":
         for diag in report.diagnostics:
             print(f"{diag.file}:{diag.line}:{diag.column}: {diag.severity}: {diag.message}",

@@ -11,7 +11,7 @@ import json
 import re
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Union
 
 from .config import AnalyzerConfig, UsageError
 from .diagnostics import Diagnostic
@@ -205,22 +205,37 @@ def build_report(
 
 def render_report(report: ScanReport, format: str) -> str:
     """Render a report as line-oriented text or byte-stable JSON."""
+    return "".join(render_chunks(report, format))
+
+
+def render_chunks(report: ScanReport, format: str) -> Iterator[str]:
+    """The report of render_report in non-empty pieces, one per finding and
+    one per diagnostic, so that a writer never holds the whole document."""
     if format == "json":
-        return _render_json(report)
+        return _json_chunks(report)
     if format == "text":
-        return _render_text(report)
+        return _text_chunks(report)
     raise UsageError(f"unknown report format {format!r}")
 
 
-def _render_json(report: ScanReport) -> str:
+def _json_chunks(report: ScanReport) -> Iterator[str]:
     # Writes exactly what json.dumps(payload, separators=(",", ":")) gives
     # for the schema's nested dicts, without building them. A Solidity
-    # modifier's guard recurs in every function that invokes it, so each
-    # distinct Evidence is encoded once per call (as in _render_text).
+    # modifier's guard recurs in every function of its file that invokes
+    # it, so each distinct Evidence is encoded once per run of findings in
+    # one file (as in _text_chunks); the cache is keyed by value, so an
+    # unsorted report costs time, never bytes.
     s = encode_basestring_ascii
+    yield (f'{{"version":{s(report.version)},'
+           f'"config_fingerprint":{s(report.config_fingerprint)},'
+           f'"files_scanned":{report.files_scanned:d},"findings":[')
     encoded: dict[Evidence, str] = {}
-    findings = []
+    file = None
+    separator = ""
     for f in report.findings:
+        if f.file != file:
+            file = f.file
+            encoded.clear()
         evidence = []
         for e in f.evidence:
             text = encoded.get(e)
@@ -229,33 +244,37 @@ def _render_json(report: ScanReport) -> str:
                     f'{{"role":{s(e.role)},"file":{s(e.file)},"line":{e.line:d},'
                     f'"column":{e.column:d},"text":{s(e.text)}}}')
             evidence.append(text)
-        findings.append(
-            f'{{"kind":{s(f.kind)},"severity":{s(f.severity)},'
-            f'"language":{s(f.language)},"file":{s(f.file)},"line":{f.line:d},'
-            f'"column":{f.column:d},"message":{s(f.message)},'
-            f'"evidence":[{",".join(evidence)}]}}')
-    diagnostics = [{"file": d.file, "line": d.line, "message": d.message}
-                   for d in report.diagnostics]
-    return (
-        f'{{"version":{s(report.version)},'
-        f'"config_fingerprint":{s(report.config_fingerprint)},'
-        f'"files_scanned":{report.files_scanned:d},'
-        f'"findings":[{",".join(findings)}],'
-        f'"counts":{json.dumps(report.counts, separators=(",", ":"))},'
-        f'"diagnostics":{json.dumps(diagnostics, separators=(",", ":"))}}}')
+        yield (f'{separator}{{"kind":{s(f.kind)},"severity":{s(f.severity)},'
+               f'"language":{s(f.language)},"file":{s(f.file)},"line":{f.line:d},'
+               f'"column":{f.column:d},"message":{s(f.message)},'
+               f'"evidence":[{",".join(evidence)}]}}')
+        separator = ","
+    yield (f'],"counts":{json.dumps(report.counts, separators=(",", ":"))},'
+           f'"diagnostics":[')
+    separator = ""
+    for d in report.diagnostics:
+        yield (f'{separator}{{"file":{s(d.file)},"line":{d.line:d},'
+               f'"message":{s(d.message)}}}')
+        separator = ","
+    yield "]}"
 
 
-def _render_text(report: ScanReport) -> str:
+def _text_chunks(report: ScanReport) -> Iterator[str]:
     line_of: dict[Evidence, str] = {}
-    lines = []
+    file = None
+    separator = ""
     for f in report.findings:
-        lines.append(f"{f.severity} {f.kind} {f.file}:{f.line}:{f.column} {f.message}")
+        if f.file != file:
+            file = f.file
+            line_of.clear()
+        lines = [f"{separator}{f.severity} {f.kind} {f.file}:{f.line}:{f.column} {f.message}"]
         for e in f.evidence:
             line = line_of.get(e)
             if line is None:
                 line = line_of[e] = f"    {e.role} {e.file}:{e.line}:{e.column} {e.text}"
             lines.append(line)
-    return "\n".join(lines)
+        yield "\n".join(lines)
+        separator = "\n"
 
 
 def meets_threshold(report: ScanReport, fail_threshold: str) -> bool:

@@ -107,6 +107,8 @@ class If(Stmt):
 
 
 class Assign(Stmt):
+    """`lvalue op= rvalue;`, and `delete x;`, `++x;` or `x--;`, whose rvalue
+    is the opaque operator token."""
     __slots__ = ("lvalue", "rvalue")
 
     def __init__(self, at: int, end: int, lvalue: Expr, rvalue: Expr):

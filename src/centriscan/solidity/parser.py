@@ -24,6 +24,9 @@ _BINARY_PREC = {
     **{op: _OPAQUE_PREC for op in _CMP_OPS | _ARITH_OPS},
 }
 _UNARY_OPS = frozenset({"!", "-", "~", "+", "++", "--", "delete", "new"})
+_STEP_OPS = frozenset({"++", "--"})
+_WRITE_PREFIXES = _STEP_OPS | {"delete"}
+_WRITABLE = frozenset({ast.Identifier, ast.Member, ast.Index})
 _EXPR_STOP = frozenset({";", ")", "]", "}", ",", "{"})
 _NUMBER_UNITS = frozenset({
     "wei", "gwei", "ether", "szabo", "finney",
@@ -468,8 +471,32 @@ class _Parser:
         if t == ";" and isinstance(expr, ast.CallExpr):
             self.i += 1
             return ast.Call(start, self.i, expr)
+        step = self._parse_step(start, expr)
+        if step is not None:
+            return step
         self.i = start
         return self._opaque_stmt("statement outside recognized subset")
+
+    def _parse_step(self, start: int, expr: ast.Expr) -> ast.Assign | None:
+        """`delete x;`, `++x;`, `--x;`, `x++;` and `x--;` as an Assign to x
+        whose rvalue is the operator token; None for any other statement.
+        Tried only where a statement would otherwise be opaque: a prefix
+        chain has folded into expr, so its operand is parsed again."""
+        texts = self.texts
+        op = self.i
+        if texts[op] in _STEP_OPS:
+            end = op + 1
+        elif texts[op] == ";" and texts[start] in _WRITE_PREFIXES:
+            op = start
+            self.i = start + 1
+            expr = self._parse_unary()
+            end = self.i
+        else:
+            return None
+        if texts[end] != ";" or type(expr) not in _WRITABLE:
+            return None
+        self.i = end + 1
+        return ast.Assign(start, self.i, expr, ast.OpaqueExpr(op, op + 1))
 
     # --- expressions --------------------------------------------------------
 

@@ -23,7 +23,7 @@ from ..diagnostics import Diagnostic
 from ..record import Record
 from .absint import BlockFacts, IntConst, SenderCmp, render_value
 from .cfg import BRANCH_NOT_TAKEN, BRANCH_TAKEN, Cfg
-from .parser import TealProgram
+from .parser import BRANCH_OPCODES, TealProgram
 
 ASSERT_GUARD = "AssertGuard"
 BRANCH_GUARD = "BranchGuard"
@@ -168,11 +168,20 @@ def _branch_guard(cfg, facts, block_facts, program, diagnostics) -> GuardPoint |
 def _is_failure_region(cfg: Cfg, facts: list[BlockFacts], program: TealProgram,
                        start_block: int) -> bool:
     """True iff every terminator reachable from start_block is `err` or a
-    `return` of a proven zero."""
+    `return` of a proven zero. A branch to the label after the last
+    instruction, or a conditional one that falls off the end, ends the
+    program with what is on the stack, so it may succeed."""
+    n = len(program.opcodes)
     for block_index in _reachable_blocks(cfg, start_block):
+        end = cfg.blocks[block_index].end
+        last = program.opcodes[end - 1]
+        if last in BRANCH_OPCODES:
+            immediates = program.immediates[end - 1]
+            if (immediates and program.labels.get(immediates[0]) == n
+                    or last != "b" and end == n):
+                return False
         if cfg.successors[block_index]:
             continue
-        last = program.opcodes[cfg.blocks[block_index].end - 1]
         if last == "err":
             continue
         if last == "return" and facts[block_index].returned == IntConst(0):

@@ -2,8 +2,12 @@
 
 import json
 import os
+import sys
 
 from centriscan.cli import main
+from centriscan.config import AnalyzerConfig
+from centriscan.engine import scan_paths
+from centriscan.report import render_report
 
 from helpers import SOLIDITY_CORPUS, TEAL_CORPUS, corpus_path, run_fresh_python
 
@@ -188,6 +192,36 @@ def test_json_output_is_idempotent(capsys):
     main(argv)
     second = capsys.readouterr().out
     assert first == second
+
+
+class _RecordingStdout:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+def test_report_is_written_as_it_is_rendered(tmp_path, monkeypatch):
+    # The CLI never holds the whole document: a report of several hundred
+    # KiB arrives in writes of a few dozen KiB, each a run of whole findings
+    # or diagnostics, and the bytes are render_report's and its newline.
+    functions = "".join(
+        f"function f{i}(address to) public {{ require(msg.sender == owner); bals[to] = {i}; }}\n"
+        f"function g{i}() public {{ for (;;) {{}} }}\n" for i in range(1200))
+    target = tmp_path / "big.sol"
+    target.write_text(f"contract C {{ address owner; mapping(address => uint) bals;\n{functions}}}\n")
+    report = scan_paths([str(target)], AnalyzerConfig())
+    for format in ("json", "text"):
+        stdout = _RecordingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["scan", "--format", format, str(target)]) == 1
+        out = "".join(stdout.writes)
+        assert out == render_report(report, format) + "\n"
+        assert len(out) > 256 * 1024, format
+        assert max(map(len, stdout.writes)) <= 64 * 1024, format
+        assert min(map(len, stdout.writes[:-1])) >= 16 * 1024, format
 
 
 def test_readme_teal_witness_example_is_what_the_cli_prints(tmp_path, monkeypatch, capsys):

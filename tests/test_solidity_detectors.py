@@ -219,6 +219,44 @@ def test_guard_rewrites_give_the_same_findings(functions, guard, rewrite):
     assert findings(lambda c: rewritten(guard, c)) == findings(guard.format)
 
 
+# Statements that write the same place alike, each group's first in the
+# form the parser has always read.
+_WRITE_REWRITES = (
+    ("bals[to] = 0;", "delete bals[to];"),
+    ("bals[to] += 1;", "bals[to]++;", "++bals[to];"),
+    ("bals[to] -= 1;", "bals[to]--;", "--bals[to];"),
+    ("x = 0;", "delete x;"),
+    ("x += 1;", "x++;", "++x;"),
+)
+
+
+@given(st.lists(st.tuples(st.sampled_from(_CONDITIONS), st.booleans(),
+                          st.sampled_from(_WRITE_REWRITES)), min_size=1, max_size=4),
+       st.sampled_from(("require({});", "if (!({})) revert();", "")), st.integers(1, 2))
+@settings(max_examples=200, deadline=None)
+def test_write_rewrites_give_the_same_findings(functions, guard, pick):
+    # Metamorphic pairs: `x = 0` as `delete x`, `x += 1` as `x++` and `++x`,
+    # `x -= 1` as `x--` and `--x`, under each guard form and without one.
+    def findings(write):
+        rewritten = [(c, first, write(group)) for c, first, group in functions]
+        # Fund texts, and the columns after them, change; nothing else may.
+        return [(f.kind, f.severity, f.line, f.column, f.message,
+                 [(e.role, e.line) for e in f.evidence])
+                for f in _guarded_findings(rewritten, guard.format)]
+
+    assert findings(lambda group: group[pick % len(group)]) == findings(lambda group: group[0])
+
+
+def test_delete_and_steps_are_balance_writes():
+    for write in ("delete bals[to];", "bals[to]++;", "--bals[to];"):
+        for guard, graded in (("require(msg.sender == owner); ", "MAJOR"), ("", "WARNING")):
+            source = ("contract C { address owner; mapping(address => uint) bals;\n"
+                      f"function f(address to) public {{ {guard}{write} }} }}")
+            (finding,), diagnostics = analyze_solidity_source(source, "a.sol", CONFIG)
+            assert (finding.severity, finding.evidence[-1].text) == (graded, write)
+            assert diagnostics == []
+
+
 def test_double_negation_reads_as_its_parity():
     source = ("contract C { address owner; mapping(address => uint) bals;\n"
               "function f(address to) public { require(!!(msg.sender == owner)); "

@@ -414,6 +414,25 @@ def test_a_run_of_bangs_parses_to_negations_by_parity():
         assert tokens.text(stmt.rvalue.at, stmt.rvalue.end) == src[4:-1]
 
 
+def test_delete_and_steps_parse_to_assignments():
+    # `delete x;` and `++`/`--` on either side of x write to x: an Assign
+    # whose rvalue is the operator token. Other shapes with them stay opaque.
+    bal = _index(_id("bals"), _id("to"))
+    for src, lvalue, op in (("delete bals[to];", bal, "delete"), ("bals[to]++;", bal, "++"),
+                            ("++bals[to];", bal, "++"), ("bals[to]--;", bal, "--"),
+                            ("--bals[to];", bal, "--"), ("delete x;", _id("x"), "delete"),
+                            ("(a.b)++;", ast.Member(0, 0, _id("a"), "b"), "++")):
+        (stmt,), tokens = parse_function(src)
+        assert isinstance(stmt, ast.Assign), src
+        assert ast_equal(stmt.lvalue, lvalue, tokens, _ONE_TOKENS), src
+        assert tokens.text(stmt.at, stmt.end) == src
+        assert tokens.text(stmt.rvalue.at, stmt.rvalue.end) == op
+    for src in ("a + b++;", "delete x + 1;", "++--x;", "x++ + 1;", "f()++;", "++;",
+                "delete !x;", "x++", "for (;; i++) {}"):
+        (stmt, *_), _ = parse_function(src)
+        assert isinstance(stmt, ast.Opaque), src
+
+
 @given(st.text(max_size=300))
 @settings(max_examples=200, deadline=None)
 def test_parse_totality(src):

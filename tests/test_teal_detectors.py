@@ -92,6 +92,19 @@ def test_fail_target_jumping_to_success_is_not_a_guard():
     assert any("does not gate a failure path" in d.message for d in program.diagnostics)
 
 
+def test_fail_target_that_may_end_the_program_is_not_a_guard():
+    # A branch to the label after the last instruction, or a conditional
+    # one that falls off the end, ends the program with `int 1` on top: a
+    # stranger succeeds there, though the branch itself has no edge.
+    guard = "txn Sender\nglobal CreatorAddress\n==\nbz other\nint 1\nreturn\nother:\n"
+    for region in ("int 1\ndup\nbnz done\nerr\ndone:",
+                   "int 1\nint 0\nbnz other"):
+        findings, diagnostics = analyze_teal_source(guard + region, "p.teal", CONFIG)
+        assert findings == []
+        assert [d.line for d in diagnostics
+                if d.message == "sender comparison branch does not gate a failure path"] == [4]
+
+
 def test_fail_target_reaching_err_two_blocks_later_is_a_guard():
     source = (
         'byte "manager"\napp_global_get\ntxn Sender\n==\nbz bad\n'
@@ -377,14 +390,13 @@ _ASSERT_EQ = "txn Sender\nglobal CreatorAddress\n==\nassert"
 @settings(max_examples=200, deadline=None)
 def test_assert_and_branch_over_err_give_the_same_findings(pieces):
     # Metamorphic pair: a sender `==` assert guards what follows it as
-    # `bnz ok; err; ok:` does. Two blank lines after the assert keep every
-    # line where the rewrite puts it. The rewrite adds block boundaries, so
-    # unknown opcodes, which poison the stack to the end of their block, are
-    # left out; and a branch to a label past the last instruction has no
-    # edge, so the program ends in `int 1; return`, never at `ok:`.
+    # `bnz ok; err; ok:` does, also where `ok:` ends the program. Two blank
+    # lines after the assert keep every line where the rewrite puts it. The
+    # rewrite adds block boundaries, so unknown opcodes, which poison the
+    # stack to the end of their block, are left out.
     def findings(rewrite):
         lines = [rewrite(k) if p == _ASSERT_EQ else p for k, p in enumerate(pieces)]
-        found, _ = analyze_teal_source("\n".join([*lines, "int 1\nreturn"]), "p.teal", CONFIG)
+        found, _ = analyze_teal_source("\n".join(lines), "p.teal", CONFIG)
         return [(f.kind, f.severity, f.line) for f in found]
 
     branch = _ASSERT_EQ.removesuffix("assert")
