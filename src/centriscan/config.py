@@ -1,4 +1,4 @@
-"""Analyzer configuration: key lists, detector toggles, failure threshold.
+"""Analyzer configuration: TEAL state-key vocabulary, failure threshold.
 
 Config files are line-oriented ``key = value`` with ``#`` comments; list
 values are comma-separated. Unknown keys are rejected (fail closed).
@@ -34,12 +34,6 @@ class AnalyzerConfig(NamedTuple):
     owner_keys: tuple[str, ...] = DEFAULT_OWNER_KEYS
     balance_keys: tuple[str, ...] = DEFAULT_BALANCE_KEYS
     balance_substring: bool = True  # case-insensitive "balance" substring rule
-    revert_guard: bool = True
-    native_transfer: bool = True
-    selfdestruct: bool = True
-    gtxn_sender: bool = True
-    tx_origin: bool = False
-    nested_mappings: bool = False
     fail_threshold: str = "warning"
 
     def is_owner_key(self, key: str) -> bool:

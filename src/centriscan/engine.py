@@ -82,15 +82,16 @@ def discover_files(paths: list[str]) -> list[str]:
 def analyze_solidity_source(
     source: str, path: str, config: AnalyzerConfig
 ) -> tuple[list[Finding], list[Diagnostic]]:
-    """Run the full Solidity pipeline over one file's text."""
+    """Run the full Solidity pipeline over one file's text. Its rules read
+    no config; it takes one so both languages' entry points are alike."""
     _load(SOLIDITY_EXT)
     unit = parse_source(tokenize(source))
     diagnostics = unit.diagnostics
     detections = []
     for contract in unit.contracts:
         symbols = collect_state_vars(contract, unit.tokens, diagnostics)
-        guards = find_sender_guards(contract, unit.tokens, config)
-        funds = find_fund_modifications(contract, unit.tokens, symbols, config)
+        guards = find_sender_guards(contract, unit.tokens)
+        funds = find_fund_modifications(contract, unit.tokens, symbols)
         detections.extend(pair_detections(contract, unit.tokens, guards, funds, diagnostics))
     findings = classify([SolidityDetections(path, detections)])
     return findings, diagnostics

@@ -12,7 +12,6 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Iterator, NamedTuple
 
-from ..config import AnalyzerConfig
 from ..diagnostics import Diagnostic
 from . import ast
 from .symbols import is_address_to_uint_mapping
@@ -53,35 +52,27 @@ class RawDetection(NamedTuple):
     column: int
 
 
-def _is_sender_expr(expr: ast.Expr, config: AnalyzerConfig) -> bool:
-    if isinstance(expr, ast.MsgSender):
-        return True
-    if config.tx_origin and isinstance(expr, ast.Member) and expr.member == "origin":
-        base = expr.base
-        return isinstance(base, ast.Identifier) and base.name == "tx"
-    return False
-
-
 def _collect_sender_comparisons(
-    expr: ast.Expr, config: AnalyzerConfig, out: list[str], negated: bool = False
+    expr: ast.Expr, out: list[str], negated: bool = False
 ) -> None:
     if isinstance(expr, ast.Not):  # `!` flips the polarity of what it holds
-        _collect_sender_comparisons(expr.operand, config, out, not negated)
+        _collect_sender_comparisons(expr.operand, out, not negated)
     elif not isinstance(expr, ast.Binary):
         return
     elif expr.op in ("&&", "||"):
-        _collect_sender_comparisons(expr.lhs, config, out, negated)
-        _collect_sender_comparisons(expr.rhs, config, out, negated)
-    elif _is_sender_expr(expr.lhs, config) != _is_sender_expr(expr.rhs, config):
+        _collect_sender_comparisons(expr.lhs, out, negated)
+        _collect_sender_comparisons(expr.rhs, out, negated)
+    # Only `msg.sender` is the sender; `tx.origin` is not.
+    elif isinstance(expr.lhs, ast.MsgSender) != isinstance(expr.rhs, ast.MsgSender):
         out.append("eq" if (expr.op == "==") != negated else "neq")
 
 
-def _sender_comparison(expr: ast.Expr, config: AnalyzerConfig) -> str | None:
+def _sender_comparison(expr: ast.Expr) -> str | None:
     """Polarity of the sender comparisons under &&/||/! nesting: "eq" if
     any is `==` (or a negated `!=`), else "neq" if any is `!=` (or a negated
     `==`), else None. A comparison of the sender with itself never counts."""
     found: list[str] = []
-    _collect_sender_comparisons(expr, config, found)
+    _collect_sender_comparisons(expr, found)
     if "eq" in found:
         return "eq"
     return "neq" if found else None
@@ -97,9 +88,7 @@ def _statements(body: list[ast.Stmt]) -> Iterator[ast.Stmt]:
             yield from _statements(stmt.else_body)
 
 
-def find_sender_guards(
-    contract: ast.ContractDecl, tokens: Tokens, config: AnalyzerConfig
-) -> list[GuardSite]:
+def find_sender_guards(contract: ast.ContractDecl, tokens: Tokens) -> list[GuardSite]:
     """One GuardSite per sender-guard occurrence, sorted by location;
     ``tokens`` are those the contract was parsed from. A require-like guard
     is a ModifierGuard in a modifier body, else a RequireGuard."""
@@ -110,13 +99,13 @@ def find_sender_guards(
             for stmt in _statements(declaration.body):
                 cls = type(stmt)
                 if cls is ast.Require:
-                    if _sender_comparison(stmt.condition, config) == "eq":
+                    if _sender_comparison(stmt.condition) == "eq":
                         sites.append(_guard_site(require_form, stmt, declaration.at, tokens))
                 elif cls is ast.If:
-                    polarity = _sender_comparison(stmt.condition, config)
+                    polarity = _sender_comparison(stmt.condition)
                     if polarity == "eq":
                         sites.append(_guard_site(IF_GUARD, stmt, declaration.at, tokens))
-                    elif polarity == "neq" and config.revert_guard and any(
+                    elif polarity == "neq" and any(
                             type(then) is ast.Revert for then in stmt.then_body):
                         # `if (msg.sender != owner) revert;` protects everything
                         # after it, so it carries require-like scope.
@@ -137,7 +126,6 @@ def find_fund_modifications(
     contract: ast.ContractDecl,
     tokens: Tokens,
     symbols: dict[str, ast.StateVar],
-    config: AnalyzerConfig,
 ) -> list[FundModSite]:
     """One FundModSite per fund-modifying statement in any function body;
     ``tokens`` are those the contract was parsed from."""
@@ -147,34 +135,27 @@ def find_fund_modifications(
         for stmt in _statements(function.body):
             cls = type(stmt)
             if cls is ast.Assign:
-                if _is_balance_mapping_write(stmt.lvalue, symbols, config):
+                if _is_balance_mapping_write(stmt.lvalue, symbols):
                     sites.append(FundModSite(
                         BALANCE_MAPPING_WRITE, *tokens.position(stmt.at),
                         tokens.text(stmt.at, stmt.end), at))
-                _scan_call_sites(stmt.rvalue, stmt, at, tokens, config, sites)
-                _scan_call_sites(stmt.lvalue, stmt, at, tokens, config, sites)
+                _scan_call_sites(stmt.rvalue, stmt, at, tokens, sites)
+                _scan_call_sites(stmt.lvalue, stmt, at, tokens, sites)
             elif cls is ast.Call:
-                _scan_call_sites(stmt.expr, stmt, at, tokens, config, sites)
+                _scan_call_sites(stmt.expr, stmt, at, tokens, sites)
             elif cls is ast.Require or cls is ast.If:
-                _scan_call_sites(stmt.condition, stmt, at, tokens, config, sites)
+                _scan_call_sites(stmt.condition, stmt, at, tokens, sites)
     sites.sort(key=_BY_POSITION)
     return sites
 
 
-def _is_balance_mapping_write(
-    lvalue: ast.Expr,
-    symbols: dict[str, ast.StateVar],
-    config: AnalyzerConfig,
-) -> bool:
-    depth = 0
-    expr = lvalue
-    while isinstance(expr, ast.Index):
-        depth += 1
-        expr = expr.base
-    if depth == 0 or not isinstance(expr, ast.Identifier):
+def _is_balance_mapping_write(lvalue: ast.Expr, symbols: dict[str, ast.StateVar]) -> bool:
+    """A one-level write `name[key] = ...` to a mapping(address => uint...);
+    a nested write such as `allowed[a][b]` is no balance write."""
+    if not isinstance(lvalue, ast.Index):
         return False
-    return (depth == 1 or config.nested_mappings) and \
-        is_address_to_uint_mapping(symbols, expr.name, depth)
+    base = lvalue.base
+    return isinstance(base, ast.Identifier) and is_address_to_uint_mapping(symbols, base.name)
 
 
 # The walks dispatch on the exact node type, which matches isinstance
@@ -184,7 +165,6 @@ def _scan_call_sites(
     stmt: ast.Stmt,
     enclosing_at: int,
     tokens: Tokens,
-    config: AnalyzerConfig,
     sites: list[FundModSite],
 ) -> None:
     stack = [expr]
@@ -193,7 +173,7 @@ def _scan_call_sites(
         node = stack.pop()
         cls = type(node)
         if cls is ast.CallExpr:
-            kind = _classify_call(node, config)
+            kind = _classify_call(node)
             if kind is not None:
                 sites.append(FundModSite(kind, *tokens.position(node.at),
                                          tokens.text(stmt.at, stmt.end), enclosing_at))
@@ -211,12 +191,10 @@ def _scan_call_sites(
             push(node.operand)
 
 
-def _classify_call(call: ast.CallExpr, config: AnalyzerConfig) -> str | None:
+def _classify_call(call: ast.CallExpr) -> str | None:
     callee = call.callee
     if isinstance(callee, ast.Identifier) and callee.name == "selfdestruct":
-        return SELF_DESTRUCT if config.selfdestruct else None
-    if not config.native_transfer:
-        return None
+        return SELF_DESTRUCT
     if isinstance(callee, ast.Member):
         if callee.member in ("transfer", "send"):
             return NATIVE_TRANSFER

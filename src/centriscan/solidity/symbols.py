@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..diagnostics import Diagnostic
-from .ast import ContractDecl, StateVar, TypeDesc
+from .ast import ContractDecl, StateVar
 from .tokens import Tokens
 
 _ADDRESS_TYPES = frozenset({"address", "address payable"})
@@ -30,17 +30,13 @@ def collect_state_vars(
     return table
 
 
-def is_address_to_uint_mapping(table: dict[str, StateVar], name: str, depth: int) -> bool:
-    """True iff name is declared as a mapping nested depth levels deep, every
-    key an address (payable or not) and the innermost value an elementary
-    uint type (`uint` or `uintN`): depth 1 is mapping(address => uint...),
-    depth 2 mapping(address => mapping(address => uint...))."""
+def is_address_to_uint_mapping(table: dict[str, StateVar], name: str) -> bool:
+    """True iff name is declared as a mapping(address => uint...): its key an
+    address (payable or not) and its value an elementary uint type (`uint`
+    or `uintN`)."""
     var = table.get(name)
     if var is None:
         return False
-    desc: TypeDesc | None = var.type_desc
-    for _ in range(depth):
-        if desc is None or desc.key is None or desc.key.name not in _ADDRESS_TYPES:
-            return False
-        desc = desc.value
-    return desc is not None and desc.name in _UINT_TYPES
+    desc = var.type_desc
+    key = desc.key  # a mapping has both a key and a value; no other type has either
+    return key is not None and key.name in _ADDRESS_TYPES and desc.value.name in _UINT_TYPES

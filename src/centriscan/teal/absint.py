@@ -2,8 +2,8 @@
 
 Models just enough opcodes to recognize sender comparisons against
 privileged sources and state writes under constant keys. Anything
-unmodeled degrades to Unknown; an opcode with unknown arity poisons the
-rest of the block's stack so no spurious guard or fund flags can arise.
+unmodeled degrades to Unknown; an opcode with unknown arity empties the
+stack, so no spurious guard or fund flags can arise from what it consumed.
 """
 
 from __future__ import annotations
@@ -197,10 +197,13 @@ def abstract_exec_block(
     """Symbolically execute one block, flagging guard and fund-mod points.
 
     The entry block's stack starts empty and is strict: popping past its
-    bottom is an underflow. Other blocks are bottomless: values flowing in
-    from predecessors pop as Unknown. Every modeled opcode pops as many
-    values as its stack effect says, so an opcode that would pop past the
-    bottom first has the missing values put under the stack as Unknown.
+    bottom is an underflow: the opcode runs with what it popped, and the
+    block is read no further, as the program fails there. Other blocks are
+    bottomless: values flowing in from predecessors pop as Unknown. Every
+    opcode pops as many values as its stack effect says, so an opcode that
+    would pop past the bottom first has the missing values put under the
+    stack as Unknown. An opcode of unknown arity empties the stack, and the
+    rest of the block runs bottomless.
     """
     facts = BlockFacts(block.index)
     opcodes = program.opcodes
@@ -211,22 +214,17 @@ def abstract_exec_block(
     stack: list[AbstractValue] = []
     push = stack.append
     pop = stack.pop
-    underflowed = False
-    poisoned = end  # where the stack depth became unknown
 
     for index in range(start, end):
         op = opcodes[index]
         delta = effects.get(op)
-        if delta is None:
-            # Unknown arity: conservatively poison the rest of the block.
-            poisoned = index + 1
-            break
+        if delta is None:  # what it pops and pushes is unknown: start over bottomless
+            stack.clear()
+            strict = False
+            continue
         missing = delta[0] - len(stack)
         if missing > 0:
             stack[:0] = [UNKNOWN] * missing
-            # On the strict stack this opcode still runs with what it popped,
-            # then the depth is unknown for the rest of the block.
-            underflowed = strict
 
         if op not in _MODELED:
             pops, pushes = delta
@@ -269,8 +267,7 @@ def abstract_exec_block(
             push(AddrConst(imm[0]) if imm else UNKNOWN)
         elif op == "gtxn":
             imm = immediates[index]
-            sender = len(imm) >= 2 and imm[1] == "Sender" and config.gtxn_sender
-            push(SENDER if sender else UNKNOWN)
+            push(SENDER if len(imm) >= 2 and imm[1] == "Sender" else UNKNOWN)
         elif op == "global":
             imm = immediates[index]
             push(GlobalField(imm[0]) if imm else UNKNOWN)
@@ -290,23 +287,11 @@ def abstract_exec_block(
             stack[-1], stack[-2] = stack[-2], stack[-1]
         else:  # pop
             pop()
-        if underflowed:
-            poisoned = index + 1
+        if missing > 0 and strict:  # the program fails here
+            diagnostics.append(Diagnostic(
+                "stack underflow in abstract interpretation; block state unknown",
+                program.lines[start]))
             break
-
-    # With the depth unknown every pop is Unknown and pushes are lost, so
-    # only non-constant puts and returns of Unknown remain to record.
-    for index in range(poisoned, end):
-        op = opcodes[index]
-        if op == "return":
-            facts.returned = UNKNOWN
-        elif op in _PUTS:
-            _record_put(facts, index, op, UNKNOWN, program.lines[index], config, diagnostics)
-
-    if underflowed:
-        diagnostics.append(Diagnostic(
-            "stack underflow in abstract interpretation; block state unknown",
-            program.lines[start]))
     return facts
 
 

@@ -21,7 +21,7 @@ from ..diagnostics import Diagnostic
 from ..record import Record
 
 # (pops, pushes) for common TEAL v2-v8 opcodes; anything absent pops/pushes
-# an unknown amount and poisons the abstract stack for the rest of its block.
+# an unknown amount, so the abstract stack is emptied and goes on bottomless.
 OPCODE_STACK_EFFECTS: dict[str, tuple[int, int]] = {
     # constants and immediates
     "int": (0, 1), "pushint": (0, 1),

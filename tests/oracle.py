@@ -213,28 +213,22 @@ def reference_witnesses(
 
 class _Stack:
     """Abstract stack; entry block is strict, successor blocks are bottomless
-    (values flowing in from predecessors pop as Unknown)."""
+    (values flowing in from predecessors pop as Unknown). Popping past the
+    bottom of a strict stack underflows and gives Unknown."""
 
     def __init__(self, bottomless: bool):
         self.values: list[AbstractValue] = []
         self.bottomless = bottomless
-        self.unknown_depth = False
         self.underflowed = False
 
     def pop(self) -> AbstractValue:
-        if self.unknown_depth:
-            return UNKNOWN
         if self.values:
             return self.values.pop()
-        if self.bottomless:
-            return UNKNOWN
-        self.underflowed = True
-        self.unknown_depth = True
+        self.underflowed |= not self.bottomless
         return UNKNOWN
 
     def push(self, value: AbstractValue) -> None:
-        if not self.unknown_depth:
-            self.values.append(value)
+        self.values.append(value)
 
 
 def reference_exec_block(
@@ -245,7 +239,9 @@ def reference_exec_block(
 ) -> BlockFacts:
     """Symbolically execute one block, flagging guard and fund-mod points.
     Over a span holding several branches or returns, as a test may pass,
-    the last sender-comparison branch and the last return win."""
+    the last sender-comparison branch and the last return win. An opcode of
+    unknown arity empties the stack and leaves it bottomless; the block is
+    read no further than an instruction that underflows."""
     facts = BlockFacts(block.index)
     stack = _Stack(bottomless=block.start != 0)
     instructions = program.instructions
@@ -264,8 +260,7 @@ def reference_exec_block(
         elif op == "txn":
             stack.push(SENDER if imm and imm[0] == "Sender" else UNKNOWN)
         elif op == "gtxn":
-            sender = len(imm) >= 2 and imm[1] == "Sender" and config.gtxn_sender
-            stack.push(SENDER if sender else UNKNOWN)
+            stack.push(SENDER if len(imm) >= 2 and imm[1] == "Sender" else UNKNOWN)
         elif op == "global":
             stack.push(GlobalField(imm[0]) if imm else UNKNOWN)
         elif op == "app_global_get":
@@ -320,14 +315,16 @@ def reference_exec_block(
         elif op == "pop":
             stack.pop()
         elif ins.stack_delta is None:
-            # Unknown arity: conservatively poison the rest of the block.
-            stack.unknown_depth = True
+            stack.values.clear()
+            stack.bottomless = True
         else:
             pops, pushes = ins.stack_delta
             for _ in range(pops):
                 stack.pop()
             for _ in range(pushes):
                 stack.push(UNKNOWN)
+        if stack.underflowed:  # the program fails here
+            break
 
     if stack.underflowed:
         first = instructions[block.start]

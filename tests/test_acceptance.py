@@ -64,8 +64,8 @@ def criterion(number: int, description: str):
 def _solidity_sites(name: str):
     contract, tokens = parse_single_unit(corpus_text("solidity", name))
     symbols = collect_state_vars(contract, tokens, [])
-    guards = find_sender_guards(contract, tokens, CONFIG)
-    funds = find_fund_modifications(contract, tokens, symbols, CONFIG)
+    guards = find_sender_guards(contract, tokens)
+    funds = find_fund_modifications(contract, tokens, symbols)
     return guards, funds
 
 

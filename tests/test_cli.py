@@ -4,12 +4,20 @@ import json
 import os
 import sys
 
+import pytest
+
 from centriscan.cli import main
 from centriscan.config import AnalyzerConfig
 from centriscan.engine import scan_paths
 from centriscan.report import render_report
 
-from helpers import SOLIDITY_CORPUS, TEAL_CORPUS, corpus_path, run_fresh_python
+from helpers import (
+    REMOVED_CONFIG_KEYS,
+    SOLIDITY_CORPUS,
+    TEAL_CORPUS,
+    corpus_path,
+    run_fresh_python,
+)
 
 
 def test_clean_contract_exits_zero(capsys):
@@ -52,6 +60,17 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "line 1" in captured.err
+
+
+@pytest.mark.parametrize("key", REMOVED_CONFIG_KEYS)
+def test_removed_rule_key_exits_two(tmp_path, capsys, key):
+    conf = tmp_path / "old.conf"
+    conf.write_text(f"{key} = true\n")
+    code = main(["scan", corpus_path("solidity", "owner_drain.sol"), "--config", str(conf)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"centriscan: error: line 1: unknown config key {key!r}\n"
 
 
 def test_config_file_override(tmp_path, capsys):

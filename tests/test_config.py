@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from centriscan.cli import main
 from centriscan.config import (
     FAIL_THRESHOLDS,
     AnalyzerConfig,
@@ -11,6 +12,9 @@ from centriscan.config import (
     load_config,
     parse_config_text,
 )
+from centriscan.engine import analyze_teal_source
+
+from helpers import REMOVED_CONFIG_KEYS
 
 
 def test_defaults_include_table_keys():
@@ -18,10 +22,10 @@ def test_defaults_include_table_keys():
     assert "manager" in config.owner_keys
     assert "Creator" in config.owner_keys
     assert "MyBalance" in config.balance_keys
-    assert config.revert_guard and config.native_transfer and config.selfdestruct
-    assert config.gtxn_sender and not config.tx_origin and not config.nested_mappings
     assert config.balance_substring
     assert config.fail_threshold == "warning"
+    assert AnalyzerConfig._fields == (
+        "owner_keys", "balance_keys", "balance_substring", "fail_threshold")
 
 
 def test_override_replaces_defaults():
@@ -31,8 +35,16 @@ def test_override_replaces_defaults():
 
 def test_unknown_key_fails_closed_with_line_number():
     with pytest.raises(ConfigError) as exc:
-        parse_config_text("revert_guard = true\nfrobnicate = 1\n")
+        parse_config_text("balance_substring = true\nfrobnicate = 1\n")
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("key", REMOVED_CONFIG_KEYS)
+def test_removed_rule_keys_are_unknown(key):
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(f"owner_keys = gov\n{key} = true\n")
+    assert exc.value.line == 2
+    assert str(exc.value) == f"line 2: unknown config key {key!r}"
 
 
 def test_malformed_line_rejected():
@@ -42,10 +54,10 @@ def test_malformed_line_rejected():
 
 
 def test_bool_parsing_and_rejection():
-    assert parse_config_text("tx_origin = on\n").tx_origin
-    assert not parse_config_text("revert_guard = FALSE\n").revert_guard
+    assert parse_config_text("balance_substring = on\n").balance_substring
+    assert not parse_config_text("balance_substring = FALSE\n").balance_substring
     with pytest.raises(ConfigError):
-        parse_config_text("tx_origin = maybe\n")
+        parse_config_text("balance_substring = maybe\n")
 
 
 def test_comments_and_blank_lines_ignored():
@@ -77,7 +89,8 @@ def test_owner_key_rule_is_exact():
 
 def test_fingerprint_tracks_effective_config():
     assert AnalyzerConfig().fingerprint() == AnalyzerConfig().fingerprint()
-    assert AnalyzerConfig().fingerprint() != AnalyzerConfig(tx_origin=True).fingerprint()
+    assert AnalyzerConfig().fingerprint() != \
+        AnalyzerConfig(balance_substring=False).fingerprint()
 
 
 def test_missing_config_file_is_config_error():
@@ -86,12 +99,12 @@ def test_missing_config_file_is_config_error():
 
 
 def test_config_is_immutable_hashable_and_derived_with_replace():
-    config = AnalyzerConfig(tx_origin=True, owner_keys=("gov",))
+    config = AnalyzerConfig(balance_substring=False, owner_keys=("gov",))
     with pytest.raises(AttributeError):
-        config.tx_origin = False
-    assert hash(config) == hash(AnalyzerConfig(owner_keys=("gov",), tx_origin=True))
-    derived = config._replace(tx_origin=False)
-    assert derived == AnalyzerConfig(owner_keys=("gov",)) and config.tx_origin
+        config.balance_substring = True
+    assert hash(config) == hash(AnalyzerConfig(owner_keys=("gov",), balance_substring=False))
+    derived = config._replace(balance_substring=True)
+    assert derived == AnalyzerConfig(owner_keys=("gov",)) and not config.balance_substring
     assert derived.fingerprint() != config.fingerprint()
 
 
@@ -116,7 +129,7 @@ def test_every_field_reads_its_value_from_config_text():
 def test_config_errors_name_the_line_and_the_value():
     for text, message in (
             ("\nfrobnicate = 1", "line 2: unknown config key 'frobnicate'"),
-            ("tx_origin = maybe", "line 1: expected a boolean, got 'maybe'"),
+            ("balance_substring = maybe", "line 1: expected a boolean, got 'maybe'"),
             ("fail_threshold = fatal",
              "line 1: fail_threshold must be one of major, warning, info, none"),
             ("is_owner_key = x", "line 1: unknown config key 'is_owner_key'"),
@@ -137,3 +150,35 @@ def test_readme_configuration_block_is_the_defaults():
             if "=" in line.split("#", 1)[0]}
     assert keys == set(AnalyzerConfig._fields)
     assert parse_config_text(block) == AnalyzerConfig()
+
+
+def _teal_grades(source: str, config: AnalyzerConfig):
+    findings, _ = analyze_teal_source(source, "p.teal", config)
+    return [(f.kind, f.severity) for f in findings]
+
+
+def _guarded_put(key: str) -> str:
+    return ('byte "manager"\napp_global_get\ntxn Sender\n==\nassert\n'
+            f'byte "{key}"\nint 5\napp_global_put\nint 1\nreturn')
+
+
+def test_every_field_set_off_its_default_changes_some_output(tmp_path, capsys):
+    # A field that nothing reads fails here.
+    def exit_code(config: AnalyzerConfig) -> int:
+        conf = tmp_path / "threshold.conf"
+        conf.write_text(f"fail_threshold = {config.fail_threshold}\n")
+        source = tmp_path / "p.teal"
+        source.write_text('byte "MyBalance"\nint 5\napp_global_put\nint 1\nreturn\n')
+        code = main(["scan", "--config", str(conf), str(source)])
+        capsys.readouterr()
+        return code
+
+    cases = {  # field: (a value off its default, an output it changes)
+        "owner_keys": (("gov",), lambda c: _teal_grades(_guarded_put("MyBalance"), c)),
+        "balance_keys": (("Vault",), lambda c: _teal_grades(_guarded_put("Vault"), c)),
+        "balance_substring": (False, lambda c: _teal_grades(_guarded_put("userBalance"), c)),
+        "fail_threshold": ("major", exit_code),
+    }
+    assert tuple(cases) == AnalyzerConfig._fields
+    for field, (value, output) in cases.items():
+        assert output(AnalyzerConfig()) != output(AnalyzerConfig(**{field: value})), field

@@ -25,21 +25,21 @@ from helpers import corpus_text, parse_single_unit
 CONFIG = AnalyzerConfig()
 
 
-def _sites(contract, tokens, config: AnalyzerConfig):
+def _sites(contract, tokens):
     symbols = collect_state_vars(contract, tokens, [])
-    return (find_sender_guards(contract, tokens, config),
-            find_fund_modifications(contract, tokens, symbols, config))
+    return (find_sender_guards(contract, tokens),
+            find_fund_modifications(contract, tokens, symbols))
 
 
-def _analyze(source: str, config: AnalyzerConfig = CONFIG):
+def _analyze(source: str):
     contract, tokens = parse_single_unit(source)
-    return (contract, *_sites(contract, tokens, config))
+    return (contract, *_sites(contract, tokens))
 
 
 def _pair(source: str, diagnostics: list):
     """The detections pair_detections makes of source's one contract."""
     contract, tokens = parse_single_unit(source)
-    return pair_detections(contract, tokens, *_sites(contract, tokens, CONFIG), diagnostics)
+    return pair_detections(contract, tokens, *_sites(contract, tokens), diagnostics)
 
 
 def test_row1_modifier_guard():
@@ -271,8 +271,6 @@ def test_revert_guard_counts_as_require_form():
               " if (msg.sender != owner) { revert; } } }")
     _, guards, _ = _analyze(source)
     assert [g.form for g in guards] == [REQUIRE_GUARD]
-    _, guards_off, _ = _analyze(source, CONFIG._replace(revert_guard=False))
-    assert guards_off == []
 
 
 def test_neq_without_revert_is_not_a_guard():
@@ -282,13 +280,11 @@ def test_neq_without_revert_is_not_a_guard():
     assert guards == []
 
 
-def test_tx_origin_flag():
-    source = ("contract C { address owner; function f() public {"
-              " require(tx.origin == owner); } }")
-    _, guards_off, _ = _analyze(source)
-    assert guards_off == []
-    _, guards_on, _ = _analyze(source, CONFIG._replace(tx_origin=True))
-    assert [g.form for g in guards_on] == [REQUIRE_GUARD]
+def test_tx_origin_is_not_the_sender():
+    _, guards, _ = _analyze(
+        "contract C { address owner; function f() public {"
+        " require(tx.origin == owner); } }")
+    assert guards == []
 
 
 def test_non_mapping_write_is_not_a_fund_site():
@@ -311,8 +307,6 @@ def test_native_transfer_sites():
               " } }")
     _, _, funds = _analyze(source)
     assert [s.kind for s in funds] == [NATIVE_TRANSFER, NATIVE_TRANSFER]
-    _, _, funds_off = _analyze(source, CONFIG._replace(native_transfer=False))
-    assert funds_off == []
 
 
 def test_send_in_require_condition_is_found():
@@ -370,13 +364,11 @@ def test_array_valued_mapping_write_is_no_fund_modification():
     assert grades("uint256") == [("UNPROTECTED_FUND_MODIFICATION", "WARNING")]
 
 
-def test_nested_mapping_write_requires_config():
-    source = ("contract C { mapping(address => mapping(address => uint)) allow;"
-              " function f(address a, address b) public { allow[a][b] = 1; } }")
-    _, _, funds = _analyze(source)
+def test_nested_mapping_write_is_no_fund_site():
+    _, _, funds = _analyze(
+        "contract C { mapping(address => mapping(address => uint)) allow;"
+        " function f(address a, address b) public { allow[a][b] = 1; } }")
     assert funds == []
-    _, _, funds_on = _analyze(source, CONFIG._replace(nested_mappings=True))
-    assert [(s.kind, s.text) for s in funds_on] == [(BALANCE_MAPPING_WRITE, "allow[a][b] = 1;")]
 
 
 def test_if_scope_covers_then_branch_only():

@@ -1,10 +1,8 @@
 """Abstract stack interpretation: value modeling, guard/fund flags,
-conservatism under unknown opcodes."""
-
-import random
+conservatism under unknown opcodes and underflows."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from centriscan.config import AnalyzerConfig
@@ -20,7 +18,7 @@ from centriscan.teal.absint import (
     abstract_exec_block,
 )
 from centriscan.teal.cfg import BasicBlock, build_cfg
-from centriscan.teal.parser import OPCODE_STACK_EFFECTS, parse_teal
+from centriscan.teal.parser import parse_teal
 
 from helpers import corpus_text
 from oracle import reference_exec_block
@@ -129,12 +127,11 @@ def test_non_owner_key_comparison_is_not_privileged():
     assert facts[0].guard_points == {}
 
 
-def test_gtxn_sender_respects_toggle():
-    source = 'byte "manager"\napp_global_get\ngtxn 0 Sender\n==\nassert'
-    facts_on, _ = _facts(source)
-    assert len(facts_on[0].guard_points) == 1
-    facts_off, _ = _facts(source, CONFIG._replace(gtxn_sender=False))
-    assert facts_off[0].guard_points == {}
+def test_gtxn_sender_is_the_sender():
+    facts, _ = _facts('byte "manager"\napp_global_get\ngtxn 0 Sender\n==\nassert')
+    assert list(facts[0].guard_points.values()) == [SenderCmp(GlobalGet("manager"), "eq")]
+    assert _returned("gtxn 0 Sender") is SENDER
+    assert _returned("gtxn 0 Fee") is UNKNOWN
 
 
 def test_and_propagates_sender_cmp():
@@ -190,29 +187,41 @@ def test_non_constant_key_never_flags_and_notes():
 
 
 def test_entry_block_underflow_diagnosed_without_crash():
-    facts, program = _facts("pop\nint 1\nassert")
-    assert any("underflow" in d.message for d in program.diagnostics)
+    facts, program = _facts(
+        "pop\ntxn Sender\nglobal CreatorAddress\n==\nassert\nint 1\nreturn")
+    assert [(d.message, d.line) for d in program.diagnostics] == [
+        ("stack underflow in abstract interpretation; block state unknown", 1)]
+    # The program fails at the underflow, so nothing after it is read.
     assert facts[0].guard_points == {}
-    # Once the strict entry stack underflows its depth is unknown, so even a
-    # constant pushed afterwards is not tracked.
-    assert _returned("pop\nint 1") is UNKNOWN
+    assert facts[0].returned is None
 
 
-def test_unknown_opcode_poisons_rest_of_block():
-    facts, _ = _facts(
-        'mystery\nbyte "manager"\napp_global_get\ntxn Sender\n==\nassert')
+def test_unknown_opcode_empties_the_stack():
+    # What the opcode consumed is unknown, so no value pushed before it
+    # reaches a later instruction; the rest of the block runs bottomless.
+    facts, program = _facts("txn Sender\nglobal CreatorAddress\nmystery\n==\nassert")
     assert facts[0].guard_points == {}
-    assert _returned("mystery\nint 1") is UNKNOWN
+    assert _returned("int 1\nmystery") is UNKNOWN
+    facts, program = _facts(
+        'mystery\ntxn Sender\nglobal CreatorAddress\n==\nassert\n'
+        'byte "MyBalance"\nint 5\napp_global_put\nint 1\nreturn')
+    assert facts[0].guard_points == {4: SenderCmp(GlobalField("CreatorAddress"), "eq")}
+    assert facts[0].fund_mods == {7: ("app_global_put", "MyBalance")}
+    assert facts[0].returned == IntConst(1)
+    facts, program = _facts("mystery\npop\npop\nint 1\nreturn")
+    assert facts[0].returned == IntConst(1)
+    assert not any("underflow" in d.message for d in program.diagnostics)
 
 
 def test_entry_block_partial_underflow_keeps_what_was_popped():
     # The put pops its value and key, then underflows on the missing account:
-    # the key is known, so the write is a fund mod, and the underflow noted.
+    # the key is known, so the write is a fund mod, and the underflow noted
+    # at the block's first line. The program fails there: `return` is not read.
     facts, program = _facts('byte "MyBalance"\nint 5\napp_local_put\nint 1\nreturn')
     assert facts[0].fund_mods == {2: ("app_local_put", "MyBalance")}
-    assert facts[0].returned is UNKNOWN
-    assert [d.message for d in program.diagnostics] == [
-        "stack underflow in abstract interpretation; block state unknown"]
+    assert facts[0].returned is None
+    assert [(d.message, d.line) for d in program.diagnostics] == [
+        ("stack underflow in abstract interpretation; block state unknown", 1)]
 
 
 def test_non_entry_block_pops_unknown_without_diagnostic():
@@ -228,28 +237,41 @@ _MODEL_OPS = [
 _UNKNOWN_OPS = ["mystery", "itxn_begin", "frobnicate 3"]
 
 
-@given(st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=200, deadline=None)
-def test_unmodeled_opcodes_only_produce_unknown(seed):
-    # Conservatism: after an opcode of unknown arity nothing in its block is
-    # a guard, a fund write, a branch guard or a known return value. A branch
-    # or return ends its block, so it comes after that opcode.
-    rng = random.Random(seed)
-    lines = [rng.choice(_MODEL_OPS + _UNKNOWN_OPS) for _ in range(rng.randint(1, 15))]
-    source = "\n".join(lines) + "\nend:\nint 1\nreturn"
-    program = parse_teal(source)
-    cfg = build_cfg(program)
-    for block in cfg.blocks:
-        facts = abstract_exec_block(block, program, CONFIG, [])
-        unknown = [i for i in range(block.start, block.end)
-                   if program.opcodes[i] not in OPCODE_STACK_EFFECTS]
-        if not unknown:
-            continue
-        first = unknown[0]
-        assert all(i < first for i in facts.guard_points)
-        assert all(i < first for i in facts.fund_mods)
-        assert facts.branch_guard is None
-        assert facts.returned in (None, UNKNOWN)
+def _merged_facts(source: str):
+    """Guard points, fund mods, and each block's branch guard and returned
+    value keyed by its last instruction, over all blocks; and whether the
+    entry block underflowed."""
+    facts, program = _facts(source)
+    guards, funds, ends = {}, {}, {}
+    for block_facts in facts:
+        guards.update(block_facts.guard_points)
+        funds.update(block_facts.fund_mods)
+    for block, block_facts in zip(build_cfg(program).blocks, facts):
+        ends[block.end - 1] = (block_facts.branch_guard, block_facts.returned)
+    underflowed = any("underflow" in d.message for d in program.diagnostics)
+    return guards, funds, ends, underflowed
+
+
+@given(st.lists(st.sampled_from(_MODEL_OPS + _UNKNOWN_OPS), min_size=1, max_size=15))
+@settings(max_examples=300, deadline=None)
+def test_label_after_unknown_opcode_changes_no_fact(lines):
+    # An opcode of unknown arity leaves the stack as a block start does: a
+    # label right after it, which starts a new bottomless block there, changes
+    # nothing. Ends are compared where both runs split the blocks alike. An
+    # entry-block underflow before the opcode ends the run there, but the
+    # labelled block would still be read, so such programs are left out.
+    labelled = []
+    for k, line in enumerate(lines):
+        labelled.append(line)
+        if line in _UNKNOWN_OPS:
+            labelled.append(f"U{k}:")
+    tail = "\nend:\nint 1\nreturn"
+    guards, funds, ends, underflowed = _merged_facts("\n".join(lines) + tail)
+    assume(not underflowed)
+    guards_l, funds_l, ends_l, _ = _merged_facts("\n".join(labelled) + tail)
+    assert (guards, funds) == (guards_l, funds_l)
+    for index, end in ends.items():
+        assert ends_l[index] == end
 
 
 _EXEC_OPS = _MODEL_OPS + _UNKNOWN_OPS + [
@@ -262,10 +284,10 @@ _EXEC_OPS = _MODEL_OPS + _UNKNOWN_OPS + [
 @given(st.lists(st.sampled_from(_EXEC_OPS), min_size=1, max_size=25), st.booleans(),
        st.booleans())
 @settings(max_examples=500, deadline=None)
-def test_block_facts_match_reference_interpreter(lines, entry, gtxn_sender):
+def test_block_facts_match_reference_interpreter(lines, entry, balance_substring):
     # One block over the whole list, terminators included: the entry block's
     # strict stack, or a successor's bottomless one after a leading `nop`.
-    config = CONFIG._replace(gtxn_sender=gtxn_sender)
+    config = CONFIG._replace(balance_substring=balance_substring)
     program = parse_teal("\n".join(lines if entry else ["nop", *lines]))
     start = 0 if entry else 1
     block = BasicBlock(start, start, len(program.opcodes))

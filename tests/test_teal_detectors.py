@@ -2,7 +2,7 @@
 
 import re
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from centriscan.config import AnalyzerConfig
@@ -242,6 +242,16 @@ def test_conservatism_no_put_no_fund_points():
     assert funds == []
 
 
+def test_guarded_put_after_unknown_opcode_is_major():
+    # What follows an opcode of unknown arity is read on an empty stack.
+    source = ('mystery\ntxn Sender\nglobal CreatorAddress\n==\nassert\n'
+              'byte "MyBalance"\nint 5\napp_global_put\nint 1\nreturn')
+    findings, diagnostics = analyze_teal_source(source, "p.teal", CONFIG)
+    assert [(f.kind, f.severity, f.line) for f in findings] == [
+        ("CENTRALIZATION_RISK", "MAJOR", 8)]
+    assert [d.message for d in diagnostics] == ["unknown opcode 'mystery'"]
+
+
 def test_weakened_guard_still_guards_with_note():
     source = (
         'byte "manager"\napp_global_get\ntxn Sender\n==\nint 1\n||\nassert\n'
@@ -385,15 +395,14 @@ def test_stage_outputs_follow_instruction_and_block_order(pieces):
 _ASSERT_EQ = "txn Sender\nglobal CreatorAddress\n==\nassert"
 
 
-@given(st.lists(st.sampled_from([p for p in _PIECES if p != "mystery"]),
-                min_size=1, max_size=30))
+@given(st.lists(st.sampled_from(_PIECES), min_size=1, max_size=30))
+@example(["mystery", _ASSERT_EQ, 'byte "MyBalance"\nint 5\napp_global_put'])
 @settings(max_examples=200, deadline=None)
 def test_assert_and_branch_over_err_give_the_same_findings(pieces):
     # Metamorphic pair: a sender `==` assert guards what follows it as
     # `bnz ok; err; ok:` does, also where `ok:` ends the program. Two blank
-    # lines after the assert keep every line where the rewrite puts it. The
-    # rewrite adds block boundaries, so unknown opcodes, which poison the
-    # stack to the end of their block, are left out.
+    # lines after the assert keep every line where the rewrite puts it.
+    # The rewrite adds block boundaries, also after an unknown opcode.
     def findings(rewrite):
         lines = [rewrite(k) if p == _ASSERT_EQ else p for k, p in enumerate(pieces)]
         found, _ = analyze_teal_source("\n".join(lines), "p.teal", CONFIG)
