@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Iterable, TextIO
 
 from . import __version__
 from .config import FAIL_THRESHOLDS, UsageError, load_config
@@ -57,25 +58,29 @@ def _run_scan(args: argparse.Namespace) -> int:
     if args.fail_on is not None:
         config = config._replace(fail_threshold=args.fail_on)
     report = scan_paths(args.paths, config)
-    # Written as rendered, so the process never holds the whole document,
-    # in pieces of about _WRITE_SIZE characters: with PYTHONUNBUFFERED set,
-    # every write is a system call.
+    _write(sys.stdout, render_chunks(report, args.format), end="\n")
+    if args.format == "text":
+        _write(sys.stderr, (f"{d.file}:{d.line}:{d.column}: {d.severity}: {d.message}\n"
+                            for d in report.diagnostics))
+    return 1 if meets_threshold(report, config.fail_threshold) else 0
+
+
+def _write(stream: TextIO, pieces: Iterable[str], end: str = "") -> None:
+    """Writes the pieces as they come, so the process never holds the whole
+    text, then end if there were any. Runs of about _WRITE_SIZE characters
+    go out in one write: with PYTHONUNBUFFERED set, every write is a system
+    call."""
     pending, size, written = [], 0, False
-    for chunk in render_chunks(report, args.format):
-        pending.append(chunk)
-        size += len(chunk)
+    for piece in pieces:
+        pending.append(piece)
+        size += len(piece)
         written = True
         if size >= _WRITE_SIZE:
-            sys.stdout.write("".join(pending))
+            stream.write("".join(pending))
             pending, size = [], 0
     if written:
-        pending.append("\n")
-        sys.stdout.write("".join(pending))
-    if args.format == "text":
-        for diag in report.diagnostics:
-            print(f"{diag.file}:{diag.line}:{diag.column}: {diag.severity}: {diag.message}",
-                  file=sys.stderr)
-    return 1 if meets_threshold(report, config.fail_threshold) else 0
+        pending.append(end)
+        stream.write("".join(pending))
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ values are comma-separated. Unknown keys are rejected (fail closed).
 
 from __future__ import annotations
 
+import json
 from typing import NamedTuple
 
 
@@ -45,16 +46,31 @@ class AnalyzerConfig(NamedTuple):
         return self.balance_substring and "balance" in key.lower()
 
     def fingerprint(self) -> str:
-        """Stable hash of the effective configuration."""
-        import hashlib  # only here: its OpenSSL backend is slow to load
-        parts = []
+        """First 16 hex digits of the SHA-256 of the fields in sorted order,
+        one `name=value` line each, tuple elements comma-joined, lines
+        joined by newlines, UTF-8. A value that joining would make ambiguous
+        (an empty tuple element, one holding `,` or a newline, a string
+        holding a newline) is written `name:json=` and its JSON instead."""
+        # CPython's own SHA-256: hashlib would map OpenSSL's libcrypto,
+        # 3.5 MB of memory and several ms of start-up, for one digest.
+        try:
+            from _sha2 import sha256  # 3.12 and later
+        except ImportError:
+            try:
+                from _sha256 import sha256  # 3.10 and 3.11
+            except ImportError:
+                from hashlib import sha256
+        lines = []
         for name in sorted(self._fields):
             value = getattr(self, name)
             if isinstance(value, tuple):
-                value = ",".join(value)
-            parts.append(f"{name}={value}")
-        digest = hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
-        return digest[:16]
+                plain = all(item and "," not in item and "\n" not in item for item in value)
+                value = ",".join(value) if plain else list(value)
+            if isinstance(value, list) or (isinstance(value, str) and "\n" in value):
+                lines.append(f"{name}:json={json.dumps(value)}")
+            else:
+                lines.append(f"{name}={value}")
+        return sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
 
 
 def _parse_bool(value: str, line: int) -> bool:

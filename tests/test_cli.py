@@ -1,5 +1,6 @@
 """CLI invocation, exit codes, stream separation."""
 
+import importlib.util
 import json
 import os
 import sys
@@ -167,8 +168,9 @@ def test_version_flag(capsys):
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_hashlib():
-    # Start-up cost: none of these is needed to start the CLI. hashlib loads
-    # when a report's config fingerprint is taken.
+    # Start-up cost: none of these is needed to start the CLI. A report's
+    # config fingerprint is taken with CPython's built-in SHA-256, and
+    # hashlib loads for it only on an interpreter without one.
     code = ("import sys, centriscan.cli; "
             "print(sorted({'dataclasses', 'inspect', 'hashlib'} & sys.modules.keys()))")
     assert run_fresh_python(code) == "[]\n"
@@ -204,6 +206,30 @@ def test_mixed_scan_loads_both_back_ends():
     assert _back_ends_after_main("scan", "--fail-on", "none", sol, teal) == "['solidity', 'teal']"
 
 
+# hashlib, its OpenSSL back end and BLAKE2; CPython's built-in SHA-256.
+_OPENSSL = ("hashlib", "_hashlib", "_blake2")
+_BUILT_IN_SHA256 = ("_sha2", "_sha256")
+
+
+def _hash_modules_after_main(*argv: str) -> set[str]:
+    code = ("import sys, centriscan.cli; centriscan.cli.main(sys.argv[1:]); "
+            f"print(*set({_OPENSSL + _BUILT_IN_SHA256!r}) & sys.modules.keys())")
+    return set(run_fresh_python(code, *argv).splitlines()[-1].split())
+
+
+def test_scan_maps_no_openssl():
+    # Memory: hashlib maps OpenSSL's libcrypto, about 3.5 MB, which a scan
+    # would keep for its one digest. --version takes no digest at all.
+    assert _hash_modules_after_main("--version") == set()
+    sol = corpus_path("solidity", "owner_drain.sol")
+    teal = corpus_path("teal", "row1_assert.teal")
+    loaded = _hash_modules_after_main("scan", "--fail-on", "none", sol, teal)
+    if any(importlib.util.find_spec(name) for name in _BUILT_IN_SHA256):
+        assert not loaded & set(_OPENSSL), loaded
+    else:
+        assert "hashlib" in loaded
+
+
 def test_json_output_is_idempotent(capsys):
     argv = ["scan", SOLIDITY_CORPUS, "--format", "json"]
     main(argv)
@@ -213,7 +239,7 @@ def test_json_output_is_idempotent(capsys):
     assert first == second
 
 
-class _RecordingStdout:
+class _RecordingStream:
     def __init__(self):
         self.writes = []
 
@@ -222,25 +248,51 @@ class _RecordingStdout:
         return len(text)
 
 
-def test_report_is_written_as_it_is_rendered(tmp_path, monkeypatch):
-    # The CLI never holds the whole document: a report of several hundred
-    # KiB arrives in writes of a few dozen KiB, each a run of whole findings
-    # or diagnostics, and the bytes are render_report's and its newline.
+def _big_contract(tmp_path) -> str:
+    # A report of several hundred KiB, with 1,200 diagnostics.
     functions = "".join(
         f"function f{i}(address to) public {{ require(msg.sender == owner); bals[to] = {i}; }}\n"
         f"function g{i}() public {{ for (;;) {{}} }}\n" for i in range(1200))
     target = tmp_path / "big.sol"
     target.write_text(f"contract C {{ address owner; mapping(address => uint) bals;\n{functions}}}\n")
-    report = scan_paths([str(target)], AnalyzerConfig())
+    return str(target)
+
+
+def _assert_written_in_pieces(writes: list[str], what: str) -> None:
+    assert max(map(len, writes)) <= 64 * 1024, what
+    assert min(map(len, writes[:-1])) >= 16 * 1024, what
+
+
+def test_report_is_written_as_it_is_rendered(tmp_path, monkeypatch):
+    # The CLI never holds the whole document: a report of several hundred
+    # KiB arrives in writes of a few dozen KiB, each a run of whole findings
+    # or diagnostics, and the bytes are render_report's and its newline.
+    target = _big_contract(tmp_path)
+    report = scan_paths([target], AnalyzerConfig())
     for format in ("json", "text"):
-        stdout = _RecordingStdout()
+        stdout = _RecordingStream()
         monkeypatch.setattr(sys, "stdout", stdout)
-        assert main(["scan", "--format", format, str(target)]) == 1
+        assert main(["scan", "--format", format, target]) == 1
         out = "".join(stdout.writes)
         assert out == render_report(report, format) + "\n"
         assert len(out) > 256 * 1024, format
-        assert max(map(len, stdout.writes)) <= 64 * 1024, format
-        assert min(map(len, stdout.writes[:-1])) >= 16 * 1024, format
+        _assert_written_in_pieces(stdout.writes, format)
+
+
+def test_text_mode_diagnostics_are_written_in_pieces(tmp_path, monkeypatch, capsys):
+    # One write per diagnostic line would be two system calls each with
+    # PYTHONUNBUFFERED set; the lines go out in writes of a few dozen KiB.
+    target = _big_contract(tmp_path)
+    report = scan_paths([target], AnalyzerConfig())
+    stderr = _RecordingStream()
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(["scan", target]) == 1
+    err = "".join(stderr.writes)
+    assert err == "".join(f"{d.file}:{d.line}:{d.column}: {d.severity}: {d.message}\n"
+                          for d in report.diagnostics)
+    assert len(report.diagnostics) == 1200 and len(stderr.writes) > 1
+    _assert_written_in_pieces(stderr.writes, "stderr")
+    assert capsys.readouterr().out == render_report(report, "text") + "\n"
 
 
 def test_readme_teal_witness_example_is_what_the_cli_prints(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Config defaults, file parsing, fail-closed behavior, fingerprints."""
 
+import hashlib
 import os
 
 import pytest
@@ -14,7 +15,7 @@ from centriscan.config import (
 )
 from centriscan.engine import analyze_teal_source
 
-from helpers import REMOVED_CONFIG_KEYS
+from helpers import REMOVED_CONFIG_KEYS, readme_python_block
 
 
 def test_defaults_include_table_keys():
@@ -91,6 +92,46 @@ def test_fingerprint_tracks_effective_config():
     assert AnalyzerConfig().fingerprint() == AnalyzerConfig().fingerprint()
     assert AnalyzerConfig().fingerprint() != \
         AnalyzerConfig(balance_substring=False).fingerprint()
+
+
+def test_fingerprint_is_the_sha256_of_the_documented_text():
+    # The fingerprint is taken with CPython's built-in SHA-256 where there is
+    # one; hashlib's must agree on every Python the suite runs on.
+    changed = AnalyzerConfig(owner_keys=("gov", "council"), balance_keys=("Vault",),
+                             balance_substring=False, fail_threshold="major")
+    assert all(a != b for a, b in zip(changed, AnalyzerConfig()))
+    escaped = AnalyzerConfig(owner_keys=("a,b", ""), balance_keys=("x\ny",),
+                             fail_threshold="warning\nowner_keys=gov")
+    for config, text in (
+            (AnalyzerConfig(), "balance_keys=MyBalance\nbalance_substring=True\n"
+                               "fail_threshold=warning\nowner_keys=manager,Creator,creator,owner,admin"),
+            (changed, "balance_keys=Vault\nbalance_substring=False\n"
+                      "fail_threshold=major\nowner_keys=gov,council"),
+            (escaped, 'balance_keys:json=["x\\ny"]\nbalance_substring=True\n'
+                      'fail_threshold:json="warning\\nowner_keys=gov"\n'
+                      'owner_keys:json=["a,b", ""]')):
+        assert config.fingerprint() == hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    assert AnalyzerConfig().fingerprint() == "05163970226a9e9c"
+
+
+def test_fingerprint_tells_apart_configs_that_joining_would_merge():
+    for a, b in ((("a,b",), ("a", "b")), (("",), ()), (("a", ""), ("a",)),
+                 (("a\nb",), ("a", "b"))):
+        assert AnalyzerConfig(owner_keys=a).fingerprint() != \
+            AnalyzerConfig(owner_keys=b).fingerprint(), (a, b)
+    # What a config file can express keeps the plain form: its list
+    # elements are non-empty, stripped and free of commas.
+    config = parse_config_text("owner_keys = gov , council\nbalance_keys = \n")
+    text = ("balance_keys=\nbalance_substring=True\nfail_threshold=warning\n"
+            "owner_keys=gov,council")
+    assert config.fingerprint() == hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def test_readme_fingerprint_block_recomputes_the_fingerprint():
+    # README "Configuration" defines the fingerprint with code that uses hashlib.
+    names = {}
+    exec(readme_python_block("hashlib.sha256"), names)
+    assert names["fingerprint"] == AnalyzerConfig().fingerprint()
 
 
 def test_missing_config_file_is_config_error():
