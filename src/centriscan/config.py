@@ -27,23 +27,18 @@ DEFAULT_BALANCE_KEYS = ("MyBalance",)
 
 FAIL_THRESHOLDS = ("major", "warning", "info", "none")
 
-_TRUE_WORDS = frozenset({"1", "true", "yes", "on"})
-_FALSE_WORDS = frozenset({"0", "false", "no", "off"})
-
 
 class AnalyzerConfig(NamedTuple):
     owner_keys: tuple[str, ...] = DEFAULT_OWNER_KEYS
     balance_keys: tuple[str, ...] = DEFAULT_BALANCE_KEYS
-    balance_substring: bool = True  # case-insensitive "balance" substring rule
     fail_threshold: str = "warning"
 
     def is_owner_key(self, key: str) -> bool:
         return key in self.owner_keys
 
     def is_balance_key(self, key: str) -> bool:
-        if key in self.balance_keys:
-            return True
-        return self.balance_substring and "balance" in key.lower()
+        """A listed key, or any key holding "balance" in any letter case."""
+        return key in self.balance_keys or "balance" in key.lower()
 
     def fingerprint(self) -> str:
         """First 16 hex digits of the SHA-256 of the fields in sorted order,
@@ -73,15 +68,6 @@ class AnalyzerConfig(NamedTuple):
         return sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
 
 
-def _parse_bool(value: str, line: int) -> bool:
-    word = value.strip().lower()
-    if word in _TRUE_WORDS:
-        return True
-    if word in _FALSE_WORDS:
-        return False
-    raise ConfigError(f"expected a boolean, got {value.strip()!r}", line)
-
-
 def _parse_list(value: str) -> tuple[str, ...]:
     return tuple(item.strip() for item in value.split(",") if item.strip())
 
@@ -100,8 +86,6 @@ def parse_config_text(text: str) -> AnalyzerConfig:
         default = AnalyzerConfig._field_defaults.get(key)
         if isinstance(default, tuple):
             config = config._replace(**{key: _parse_list(value)})
-        elif isinstance(default, bool):
-            config = config._replace(**{key: _parse_bool(value, lineno)})
         elif key == "fail_threshold":
             choice = value.strip()
             if choice not in FAIL_THRESHOLDS:

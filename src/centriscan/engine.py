@@ -122,9 +122,9 @@ def _read_text(path: str) -> tuple[str | None, list[Diagnostic]]:
         return None, [Diagnostic(f"cannot read file: {exc.strerror}", 1,
                                  severity="warning", file=path)]
     try:
-        return data.decode("utf-8"), []
+        return data.decode("utf-8-sig"), []
     except UnicodeDecodeError:
-        return data.decode("utf-8", errors="replace"), [
+        return data.decode("utf-8-sig", errors="replace"), [
             Diagnostic("invalid UTF-8 replaced during decoding", 1,
                        severity="warning", file=path)
         ]

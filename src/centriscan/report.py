@@ -58,14 +58,11 @@ class ScanReport(Record):
                  "diagnostics", "counts")
 
     def __init__(self, version: str, config_fingerprint: str, files_scanned: int,
-                 findings: list[Finding] | None = None,
-                 diagnostics: list[Diagnostic] | None = None,
-                 counts: dict[str, int] | None = None):
+                 findings: list[Finding], diagnostics: list[Diagnostic],
+                 counts: dict[str, int]):
         self.version, self.config_fingerprint = version, config_fingerprint
         self.files_scanned = files_scanned
-        self.findings = [] if findings is None else findings
-        self.diagnostics = [] if diagnostics is None else diagnostics
-        self.counts = {"major": 0, "warning": 0, "info": 0} if counts is None else counts
+        self.findings, self.diagnostics, self.counts = findings, diagnostics, counts
 
 
 class SolidityDetections(NamedTuple):
@@ -116,7 +113,8 @@ def _classify_solidity(bundle: SolidityDetections) -> list[Finding]:
     findings = []
     file = bundle.file
     # A modifier's guard site recurs in every function that invokes the
-    # modifier; its evidence is built once and shared.
+    # modifier; one shared Evidence per site keeps a file's findings from
+    # holding a copy of its snippet for every invocation.
     evidence_of: dict[GuardSite, Evidence] = {}
     for det in bundle.detections:
         guard_evidence = []
@@ -220,34 +218,20 @@ def render_chunks(report: ScanReport, format: str) -> Iterator[str]:
 
 def _json_chunks(report: ScanReport) -> Iterator[str]:
     # Writes exactly what json.dumps(payload, separators=(",", ":")) gives
-    # for the schema's nested dicts, without building them. A Solidity
-    # modifier's guard recurs in every function of its file that invokes
-    # it, so each distinct Evidence is encoded once per run of findings in
-    # one file (as in _text_chunks); the cache is keyed by value, so an
-    # unsorted report costs time, never bytes.
+    # for the schema's nested dicts, without building them.
     s = encode_basestring_ascii
     yield (f'{{"version":{s(report.version)},'
            f'"config_fingerprint":{s(report.config_fingerprint)},'
            f'"files_scanned":{report.files_scanned:d},"findings":[')
-    encoded: dict[Evidence, str] = {}
-    file = None
     separator = ""
     for f in report.findings:
-        if f.file != file:
-            file = f.file
-            encoded.clear()
-        evidence = []
-        for e in f.evidence:
-            text = encoded.get(e)
-            if text is None:
-                text = encoded[e] = (
-                    f'{{"role":{s(e.role)},"file":{s(e.file)},"line":{e.line:d},'
-                    f'"column":{e.column:d},"text":{s(e.text)}}}')
-            evidence.append(text)
+        evidence = ",".join([
+            f'{{"role":{s(e.role)},"file":{s(e.file)},"line":{e.line:d},'
+            f'"column":{e.column:d},"text":{s(e.text)}}}' for e in f.evidence])
         yield (f'{separator}{{"kind":{s(f.kind)},"severity":{s(f.severity)},'
                f'"language":{s(f.language)},"file":{s(f.file)},"line":{f.line:d},'
                f'"column":{f.column:d},"message":{s(f.message)},'
-               f'"evidence":[{",".join(evidence)}]}}')
+               f'"evidence":[{evidence}]}}')
         separator = ","
     yield (f'],"counts":{json.dumps(report.counts, separators=(",", ":"))},'
            f'"diagnostics":[')
@@ -260,19 +244,10 @@ def _json_chunks(report: ScanReport) -> Iterator[str]:
 
 
 def _text_chunks(report: ScanReport) -> Iterator[str]:
-    line_of: dict[Evidence, str] = {}
-    file = None
     separator = ""
     for f in report.findings:
-        if f.file != file:
-            file = f.file
-            line_of.clear()
         lines = [f"{separator}{f.severity} {f.kind} {f.file}:{f.line}:{f.column} {f.message}"]
-        for e in f.evidence:
-            line = line_of.get(e)
-            if line is None:
-                line = line_of[e] = f"    {e.role} {e.file}:{e.line}:{e.column} {e.text}"
-            lines.append(line)
+        lines.extend(f"    {e.role} {e.file}:{e.line}:{e.column} {e.text}" for e in f.evidence)
         yield "\n".join(lines)
         separator = "\n"
 

@@ -36,6 +36,11 @@ _OPAQUE_EXPR_STOP = _EXPR_STOP - {"{"}
 _OPENERS = frozenset("([{")
 _CLOSERS = frozenset(")]}")
 _REGION_STOP = frozenset({";", "{", "}"})
+# A contract, interface or library may start after any broken top-level
+# construct; recovery stops before it so the unit is still parsed.
+_UNIT_STARTS = frozenset({"contract", "interface", "library", "abstract"})
+_TOP_LEVEL_STOP = _REGION_STOP | _UNIT_STARTS
+_DIRECTIVE_STOP = _UNIT_STARTS | {";"}
 _INITIALIZER_STOP = frozenset({";", "}"})
 _REQUIRE_MESSAGE_STOP = frozenset({")"})
 _BODY_STOP = frozenset({"{", "}"})
@@ -165,21 +170,23 @@ class _Parser:
                 depth -= 1
             self.i += 1
 
-    def _recover_region(self) -> None:
+    def _recover_region(self, stops: frozenset[str] = _REGION_STOP) -> None:
         """Skip to a statement/member boundary: a `;` at depth 0, a balanced
-        `{...}` opened at depth 0, or an unmatched `}` (left unconsumed)."""
-        self._skip_to(_REGION_STOP)
+        `{...}` opened at depth 0, or an unmatched `}` or other stop (left
+        unconsumed)."""
+        self._skip_to(stops)
         t = self.texts[self.i]
         if t == ";":
             self.i += 1
         elif t == "{":
             self._skip_balanced()
 
-    def _opaque_stmt(self, note: str | None = None) -> ast.Opaque:
+    def _opaque_stmt(self, note: str | None = None,
+                     stops: frozenset[str] = _REGION_STOP) -> ast.Opaque:
         start = self.i
         if note:
             self._note(note)
-        self._recover_region()
+        self._recover_region(stops)
         if self.i == start and self.i < self.n:
             self.i += 1  # guarantee progress when stuck on a stray '}'
         return ast.Opaque(start, self.i)
@@ -194,10 +201,11 @@ class _Parser:
                 t == "abstract" and self._text(1) == "contract"
             ):
                 contracts.append(self._parse_contract())
-            elif t in ("pragma", "import"):
-                self._recover_region()
+            elif t in ("pragma", "import"):  # `import {A} from "a.sol";` holds braces
+                self._skip_to(_DIRECTIVE_STOP)
+                self._eat(";")
             else:
-                self._opaque_stmt("skipped unrecognized top-level construct")
+                self._opaque_stmt("skipped unrecognized top-level construct", _TOP_LEVEL_STOP)
         return ast.SourceUnit(contracts, self.diags, self.tokens)
 
     def _parse_contract(self) -> ast.ContractDecl:

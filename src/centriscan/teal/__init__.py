@@ -1,16 +1,1 @@
 """TEAL frontend (parser, CFG, abstract stack interpretation) and detectors."""
-
-from .parser import Instruction, TealProgram, parse_teal
-from .cfg import BasicBlock, Cfg, build_cfg
-from .absint import BlockFacts, abstract_exec_block
-
-__all__ = [
-    "Instruction",
-    "TealProgram",
-    "parse_teal",
-    "BasicBlock",
-    "Cfg",
-    "build_cfg",
-    "BlockFacts",
-    "abstract_exec_block",
-]

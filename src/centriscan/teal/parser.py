@@ -85,10 +85,10 @@ class Instruction(NamedTuple):
 
 
 class TealProgram(Record):
-    __slots__ = ("version", "opcodes", "immediates", "lines", "labels", "diagnostics")
+    __slots__ = ("opcodes", "immediates", "lines", "labels", "diagnostics")
 
     def __init__(self):
-        self.version, self.labels, self.diagnostics = 1, {}, []
+        self.labels, self.diagnostics = {}, []
         # Columns with one entry per instruction: str, tuple[str, ...] and int.
         self.opcodes, self.immediates, self.lines = [], [], []
 
@@ -142,7 +142,7 @@ def parse_teal(source: str) -> TealProgram:
         if head[0] == "#":
             if fields[0] == "#pragma" and len(fields) >= 3 and fields[1] == "version":
                 try:
-                    program.version = int(fields[2])
+                    int(fields[2])
                 except ValueError:
                     diagnostics.append(Diagnostic(
                         f"unparseable version pragma {fields[2]!r}", lineno))

@@ -9,7 +9,8 @@ import sys
 
 import centriscan
 from centriscan.record import Record
-from centriscan.solidity import Tokens, ast
+from centriscan.solidity import ast
+from centriscan.solidity.tokens import Tokens
 from centriscan.solidity.parser import parse_solidity
 from centriscan.teal.cfg import (
     BRANCH_NOT_TAKEN,
@@ -38,7 +39,7 @@ SOLIDITY_FRAGMENTS = (
 
 # Keys of the detector rules that are fixed; a config file naming one fails.
 REMOVED_CONFIG_KEYS = ("revert_guard", "native_transfer", "selfdestruct", "gtxn_sender",
-                       "tx_origin", "nested_mappings")
+                       "tx_origin", "nested_mappings", "balance_substring")
 
 
 def readme_python_block(containing: str) -> str:

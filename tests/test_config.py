@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import sys
 
 import pytest
 
@@ -23,10 +24,8 @@ def test_defaults_include_table_keys():
     assert "manager" in config.owner_keys
     assert "Creator" in config.owner_keys
     assert "MyBalance" in config.balance_keys
-    assert config.balance_substring
     assert config.fail_threshold == "warning"
-    assert AnalyzerConfig._fields == (
-        "owner_keys", "balance_keys", "balance_substring", "fail_threshold")
+    assert AnalyzerConfig._fields == ("owner_keys", "balance_keys", "fail_threshold")
 
 
 def test_override_replaces_defaults():
@@ -36,7 +35,7 @@ def test_override_replaces_defaults():
 
 def test_unknown_key_fails_closed_with_line_number():
     with pytest.raises(ConfigError) as exc:
-        parse_config_text("balance_substring = true\nfrobnicate = 1\n")
+        parse_config_text("owner_keys = gov\nfrobnicate = 1\n")
     assert exc.value.line == 2
 
 
@@ -52,13 +51,6 @@ def test_malformed_line_rejected():
     with pytest.raises(ConfigError) as exc:
         parse_config_text("just some words\n")
     assert exc.value.line == 1
-
-
-def test_bool_parsing_and_rejection():
-    assert parse_config_text("balance_substring = on\n").balance_substring
-    assert not parse_config_text("balance_substring = FALSE\n").balance_substring
-    with pytest.raises(ConfigError):
-        parse_config_text("balance_substring = maybe\n")
 
 
 def test_comments_and_blank_lines_ignored():
@@ -77,9 +69,9 @@ def test_balance_key_rule():
     assert config.is_balance_key("MyBalance")
     assert config.is_balance_key("userBALANCE")  # substring, case-insensitive
     assert not config.is_balance_key("color")
-    strict = AnalyzerConfig(balance_substring=False)
-    assert strict.is_balance_key("MyBalance")
-    assert not strict.is_balance_key("userBALANCE")
+    listed = AnalyzerConfig(balance_keys=("Vault",))
+    assert listed.is_balance_key("Vault") and listed.is_balance_key("MyBalance")
+    assert not listed.is_balance_key("vault")
 
 
 def test_owner_key_rule_is_exact():
@@ -91,27 +83,35 @@ def test_owner_key_rule_is_exact():
 def test_fingerprint_tracks_effective_config():
     assert AnalyzerConfig().fingerprint() == AnalyzerConfig().fingerprint()
     assert AnalyzerConfig().fingerprint() != \
-        AnalyzerConfig(balance_substring=False).fingerprint()
+        AnalyzerConfig(balance_keys=("Vault",)).fingerprint()
 
 
 def test_fingerprint_is_the_sha256_of_the_documented_text():
     # The fingerprint is taken with CPython's built-in SHA-256 where there is
     # one; hashlib's must agree on every Python the suite runs on.
     changed = AnalyzerConfig(owner_keys=("gov", "council"), balance_keys=("Vault",),
-                             balance_substring=False, fail_threshold="major")
+                             fail_threshold="major")
     assert all(a != b for a, b in zip(changed, AnalyzerConfig()))
     escaped = AnalyzerConfig(owner_keys=("a,b", ""), balance_keys=("x\ny",),
                              fail_threshold="warning\nowner_keys=gov")
     for config, text in (
-            (AnalyzerConfig(), "balance_keys=MyBalance\nbalance_substring=True\n"
-                               "fail_threshold=warning\nowner_keys=manager,Creator,creator,owner,admin"),
-            (changed, "balance_keys=Vault\nbalance_substring=False\n"
-                      "fail_threshold=major\nowner_keys=gov,council"),
-            (escaped, 'balance_keys:json=["x\\ny"]\nbalance_substring=True\n'
+            (AnalyzerConfig(), "balance_keys=MyBalance\nfail_threshold=warning\n"
+                               "owner_keys=manager,Creator,creator,owner,admin"),
+            (changed, "balance_keys=Vault\nfail_threshold=major\nowner_keys=gov,council"),
+            (escaped, 'balance_keys:json=["x\\ny"]\n'
                       'fail_threshold:json="warning\\nowner_keys=gov"\n'
                       'owner_keys:json=["a,b", ""]')):
         assert config.fingerprint() == hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-    assert AnalyzerConfig().fingerprint() == "05163970226a9e9c"
+    assert AnalyzerConfig().fingerprint() == "709e9253c7dfbe9c"
+
+
+def test_fingerprint_falls_back_to_hashlib(monkeypatch):
+    # Every supported CPython has one of the two built-in modules; None in
+    # sys.modules makes importing it fail, as on an interpreter without it.
+    expected = AnalyzerConfig().fingerprint()
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    assert AnalyzerConfig().fingerprint() == expected
 
 
 def test_fingerprint_tells_apart_configs_that_joining_would_merge():
@@ -122,8 +122,7 @@ def test_fingerprint_tells_apart_configs_that_joining_would_merge():
     # What a config file can express keeps the plain form: its list
     # elements are non-empty, stripped and free of commas.
     config = parse_config_text("owner_keys = gov , council\nbalance_keys = \n")
-    text = ("balance_keys=\nbalance_substring=True\nfail_threshold=warning\n"
-            "owner_keys=gov,council")
+    text = "balance_keys=\nfail_threshold=warning\nowner_keys=gov,council"
     assert config.fingerprint() == hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
@@ -140,23 +139,21 @@ def test_missing_config_file_is_config_error():
 
 
 def test_config_is_immutable_hashable_and_derived_with_replace():
-    config = AnalyzerConfig(balance_substring=False, owner_keys=("gov",))
+    config = AnalyzerConfig(fail_threshold="major", owner_keys=("gov",))
     with pytest.raises(AttributeError):
-        config.balance_substring = True
-    assert hash(config) == hash(AnalyzerConfig(owner_keys=("gov",), balance_substring=False))
-    derived = config._replace(balance_substring=True)
-    assert derived == AnalyzerConfig(owner_keys=("gov",)) and not config.balance_substring
+        config.fail_threshold = "info"
+    assert hash(config) == hash(AnalyzerConfig(owner_keys=("gov",), fail_threshold="major"))
+    derived = config._replace(fail_threshold="warning")
+    assert derived == AnalyzerConfig(owner_keys=("gov",)) and config.fail_threshold == "major"
     assert derived.fingerprint() != config.fingerprint()
 
 
 def test_every_field_reads_its_value_from_config_text():
-    # Lists, each boolean both ways and each threshold: a field whose
-    # default's type the parser cannot read fails here instead of being misread.
+    # Lists and each threshold: a field whose default's type the parser
+    # cannot read fails here instead of being misread.
     for field, default in AnalyzerConfig._field_defaults.items():
         if isinstance(default, tuple):
             cases = [("gov, council , ", ("gov", "council")), ("", ())]
-        elif isinstance(default, bool):
-            cases = [("true", True), ("false", False)]
         elif field == "fail_threshold":
             cases = [(choice, choice) for choice in FAIL_THRESHOLDS]
         else:
@@ -170,7 +167,7 @@ def test_every_field_reads_its_value_from_config_text():
 def test_config_errors_name_the_line_and_the_value():
     for text, message in (
             ("\nfrobnicate = 1", "line 2: unknown config key 'frobnicate'"),
-            ("balance_substring = maybe", "line 1: expected a boolean, got 'maybe'"),
+            ("balance_substring = true", "line 1: unknown config key 'balance_substring'"),
             ("fail_threshold = fatal",
              "line 1: fail_threshold must be one of major, warning, info, none"),
             ("is_owner_key = x", "line 1: unknown config key 'is_owner_key'"),
@@ -217,7 +214,6 @@ def test_every_field_set_off_its_default_changes_some_output(tmp_path, capsys):
     cases = {  # field: (a value off its default, an output it changes)
         "owner_keys": (("gov",), lambda c: _teal_grades(_guarded_put("MyBalance"), c)),
         "balance_keys": (("Vault",), lambda c: _teal_grades(_guarded_put("Vault"), c)),
-        "balance_substring": (False, lambda c: _teal_grades(_guarded_put("userBalance"), c)),
         "fail_threshold": ("major", exit_code),
     }
     assert tuple(cases) == AnalyzerConfig._fields

@@ -1,6 +1,13 @@
 """The stage-name contract of `centriscan.engine`: each pipeline stage is a
 module global that the engine calls through, so outside code (a tracer) can
-read it before any scan and rebind it."""
+read it before any scan and rebind it. Also how the engine reads a file."""
+
+import codecs
+
+import pytest
+
+from centriscan.config import AnalyzerConfig
+from centriscan.engine import scan_files
 
 from helpers import corpus_path, run_fresh_python
 
@@ -58,3 +65,24 @@ assert {f.language for f in restored.findings} == {"solidity", "teal"}
 def test_stage_names_can_be_read_and_rebound_before_any_scan():
     run_fresh_python(_STAGE_CONTRACT, corpus_path("solidity", "owner_drain.sol"),
                      corpus_path("teal", "row1_assert.teal"))
+
+
+_UNGUARDED = {
+    "v.sol": b"contract V { mapping(address => uint) bals; "
+             b"function drain(address to) public { bals[to] = 0; } }",
+    "p.teal": b'#pragma version 8\nbyte "MyBalance"\nint 5\napp_global_put\nint 1\nreturn',
+}
+
+
+@pytest.mark.parametrize("tail", [b"", b"\n// \xff"], ids=["utf8", "invalid-utf8"])
+@pytest.mark.parametrize("name", sorted(_UNGUARDED))
+def test_utf8_bom_changes_no_finding_or_diagnostic(tmp_path, name, tail):
+    def scan(prefix: bytes):
+        path = tmp_path / name
+        path.write_bytes(prefix + _UNGUARDED[name] + tail)
+        report = scan_files([str(path)], AnalyzerConfig())
+        return report.findings, report.diagnostics
+
+    plain = scan(b"")
+    assert [f.kind for f in plain[0]] == ["UNPROTECTED_FUND_MODIFICATION"]
+    assert scan(codecs.BOM_UTF8) == plain

@@ -3,7 +3,6 @@ never as bare tuples; mutable fields start fresh in every instance."""
 
 import pytest
 
-from centriscan.report import ScanReport
 from centriscan.solidity import ast
 from centriscan.solidity.parser import parse_solidity
 from centriscan.teal.absint import (
@@ -85,10 +84,6 @@ def test_mutable_fields_are_fresh_per_instance():
     a.bases.append("Base")
     a.functions.append(ast.FunctionDecl("f", [], [], 1))
     assert (b.bases, b.functions, b.state_vars, b.modifiers) == ([], [], [], [])
-    r, s = ScanReport("", "", 0), ScanReport("", "", 0)
-    r.findings.append(None)
-    r.counts["major"] += 1
-    assert (s.findings, s.diagnostics, s.counts) == ([], [], {"major": 0, "warning": 0, "info": 0})
     p, q = TealProgram(), TealProgram()
     p.opcodes.append("int")
     p.labels["x"] = 0

@@ -60,6 +60,19 @@ def test_guard_only_teal_program_is_info():
         ("PRIVILEGED_FUNCTION", "INFO")]
 
 
+def test_functions_invoking_one_modifier_share_its_guard_evidence():
+    source = """contract V {
+        address owner;
+        mapping(address => uint) bals;
+        modifier onlyOwner() { require(msg.sender == owner); _; }
+        function a(address to) public onlyOwner { bals[to] = 0; }
+        function b() public onlyOwner {}
+    }"""
+    first, second = analyze_solidity_source(source, "v.sol", CONFIG)[0]
+    assert (first.kind, second.kind) == ("CENTRALIZATION_RISK", "PRIVILEGED_FUNCTION")
+    assert first.evidence[0] is second.evidence[0]
+
+
 def test_kind_severity_bijection():
     all_findings = []
     for name in ("owner_drain.sol", "row2_require.sol", "row4_balance.sol"):
@@ -274,14 +287,14 @@ _SAME_PLACE = Evidence("fund_modification", "r.teal", 4, 1, "app_global_put \U00
 
 
 @given(_reports())
-@example(ScanReport("", "", 0))
+@example(ScanReport("", "", 0, [], [], {"major": 0, "warning": 0, "info": 0}))
 @example(ScanReport("0.1.0", "f\u00e9", 2, [
     Finding("CENTRALIZATION_RISK", "MAJOR", "teal", "r.teal", 9, 1, "m\\", (
         _SHARED, _SAME_PLACE)),
     Finding("CENTRALIZATION_RISK", "MAJOR", "teal", "r.teal", 12, 1, "m\x00", (
         Evidence(*_SHARED), _SHARED._replace(text="other"))),
     Finding("PRIVILEGED_FUNCTION", "INFO", "teal", "\ud800", 3, 1, "", ()),
-], [Diagnostic("unreachable \u2028", 7, 3, "note", "r.teal")]))
+], [Diagnostic("unreachable \u2028", 7, 3, "note", "r.teal")], {"major": 2, "warning": 0, "info": 1}))
 @settings(max_examples=200, deadline=None)
 def test_renderers_match_reference_rendering(report):
     assert render_report(report, "json") == _reference_json(report)

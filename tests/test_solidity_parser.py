@@ -211,6 +211,31 @@ def test_state_variable_initializer_stops_at_contract_close():
     ]
 
 
+def test_import_with_braces_is_skipped_to_its_semicolon():
+    unit = parse_solidity('pragma solidity ^0.8.0;\nimport {Ownable} from "./Ownable.sol";\n'
+                          "contract V is Ownable {}")
+    assert [(c.name, c.bases) for c in unit.contracts] == [("V", ["Ownable"])]
+    assert _notes(unit) == []
+    # Without its `;`, a directive still ends where a contract starts.
+    assert [c.name for c in parse_solidity("pragma solidity ^0.8.0\ncontract V {}").contracts] \
+        == ["V"]
+
+
+def test_top_level_recovery_stops_before_a_contract():
+    unit = parse_solidity("@ contract V { mapping(address => uint) bals; "
+                          "function drain(address to) public { bals[to] = 0; } }")
+    assert [c.name for c in unit.contracts] == ["V"]
+    assert [f.name for f in unit.contracts[0].functions] == ["drain"]
+    assert _notes(unit) == [("skipped unrecognized top-level construct", 1, 1)]
+
+
+def test_file_level_function_is_skipped_whole():
+    unit = parse_solidity("function f() pure returns (uint) { contract_ = 1; return 1; }\n"
+                          "contract V {}")
+    assert [c.name for c in unit.contracts] == ["V"]
+    assert _notes(unit) == [("skipped unrecognized top-level construct", 1, 1)]
+
+
 def test_require_message_is_skipped_to_its_closing_paren():
     unit = parse_solidity(
         'contract C { function f() public { require(c, g(";"), x); '

@@ -6,9 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from centriscan.scanloop import WHITESPACE
-from centriscan.solidity import Tokens
 from centriscan.solidity.parser import parse_solidity, parse_source
-from centriscan.solidity.tokens import tokenize
+from centriscan.solidity.tokens import Tokens, tokenize
 
 from helpers import SOLIDITY_FRAGMENTS, corpus_text
 

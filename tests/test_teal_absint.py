@@ -171,13 +171,12 @@ def test_bz_popping_sender_cmp_marks_conditional_guard_block():
     assert facts[0].branch_guard is not None
 
 
-def test_balance_key_substring_rule_and_toggle():
+def test_balance_key_substring_rule():
     source = 'int 0\nbyte "userBalance"\nint 5\napp_local_put'
     facts, _ = _facts(source)
     assert list(facts[0].fund_mods.values()) == [("app_local_put", "userBalance")]
-    strict = CONFIG._replace(balance_substring=False)
-    facts_strict, _ = _facts(source, strict)
-    assert facts_strict[0].fund_mods == {}
+    facts_listed_elsewhere, _ = _facts(source, CONFIG._replace(balance_keys=("Vault",)))
+    assert facts_listed_elsewhere == facts
 
 
 def test_non_constant_key_never_flags_and_notes():
@@ -277,17 +276,18 @@ def test_label_after_unknown_opcode_changes_no_fact(lines):
 _EXEC_OPS = _MODEL_OPS + _UNKNOWN_OPS + [
     "app_local_put", "int 0", "pushint 2", 'pushbytes "owner"', "gtxn 0 Sender",
     "gtxn 1 Fee", "txn Fee", "byte 0x6f776e6572", "b64 TXlCYWxhbmNl", "+",
-    "load 0", "store 0", "app_local_get", "divmodw", "bz end",
+    "load 0", "store 0", "app_local_get", "divmodw", "bz end", 'byte "Vault"',
 ]
 
 
 @given(st.lists(st.sampled_from(_EXEC_OPS), min_size=1, max_size=25), st.booleans(),
-       st.booleans())
+       st.sampled_from([CONFIG.balance_keys, ("Vault",)]))
 @settings(max_examples=500, deadline=None)
-def test_block_facts_match_reference_interpreter(lines, entry, balance_substring):
+def test_block_facts_match_reference_interpreter(lines, entry, balance_keys):
     # One block over the whole list, terminators included: the entry block's
     # strict stack, or a successor's bottomless one after a leading `nop`.
-    config = CONFIG._replace(balance_substring=balance_substring)
+    # "Vault" is a balance key only when listed.
+    config = CONFIG._replace(balance_keys=balance_keys)
     program = parse_teal("\n".join(lines if entry else ["nop", *lines]))
     start = 0 if entry else 1
     block = BasicBlock(start, start, len(program.opcodes))

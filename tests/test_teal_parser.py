@@ -13,7 +13,6 @@ def _columns(program: TealProgram):
 def test_empty_program():
     program = parse_teal("")
     assert _columns(program) == ([], [], [])
-    assert program.version == 1
 
 
 def test_assert_pattern_five_lines():
@@ -41,7 +40,10 @@ def test_unknown_opcode_gets_unknown_delta_and_diagnostic():
 
 
 def test_pragma_version():
-    assert parse_teal("#pragma version 8\nint 1").version == 8
+    program = parse_teal("#pragma version 8\nint 1")
+    assert program.opcodes == ["int"] and program.diagnostics == []
+    assert [(d.message, d.line) for d in parse_teal("int 1\n#pragma version v8").diagnostics] \
+        == [("unparseable version pragma 'v8'", 2)]
 
 
 def test_comment_stripping_preserves_string_immediates():
