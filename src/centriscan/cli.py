@@ -14,7 +14,7 @@ from typing import Iterable, TextIO
 from . import __version__
 from .config import FAIL_THRESHOLDS, UsageError, load_config
 from .engine import scan_paths
-from .report import meets_threshold, render_chunks
+from .report import diagnostic_lines, meets_threshold, render_chunks
 
 _WRITE_SIZE = 1 << 15
 
@@ -60,8 +60,7 @@ def _run_scan(args: argparse.Namespace) -> int:
     report = scan_paths(args.paths, config)
     _write(sys.stdout, render_chunks(report, args.format), end="\n")
     if args.format == "text":
-        _write(sys.stderr, (f"{d.file}:{d.line}:{d.column}: {d.severity}: {d.message}\n"
-                            for d in report.diagnostics))
+        _write(sys.stderr, diagnostic_lines(report))
     return 1 if meets_threshold(report, config.fail_threshold) else 0
 
 

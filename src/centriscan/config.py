@@ -104,7 +104,7 @@ def load_config(path: str | None) -> AnalyzerConfig:
     if path is None:
         return AnalyzerConfig()
     try:
-        with open(path, encoding="utf-8", errors="replace") as fh:
+        with open(path, encoding="utf-8-sig", errors="replace") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc

@@ -12,14 +12,7 @@ import os
 from . import __version__
 from .config import AnalyzerConfig, UsageError
 from .diagnostics import Diagnostic
-from .report import (
-    Finding,
-    ScanReport,
-    SolidityDetections,
-    TealDetections,
-    build_report,
-    classify,
-)
+from .report import Finding, ScanReport, build_report, classify
 
 SOLIDITY_EXT = ".sol"
 TEAL_EXT = ".teal"
@@ -37,6 +30,7 @@ _STAGES = {
         "parse_teal": "teal.parser", "build_cfg": "teal.cfg",
         "abstract_exec_block": "teal.absint", "find_guard_points": "teal.detectors",
         "find_fund_mod_points": "teal.detectors", "compute_guardedness": "teal.detectors",
+        "find_subjects": "teal.detectors",
     },
 }
 
@@ -69,9 +63,8 @@ def discover_files(paths: list[str]) -> list[str]:
         if os.path.isfile(path):
             found.append(os.path.normpath(path))
         elif os.path.isdir(path):
-            for dirpath, dirnames, filenames in os.walk(path):
-                dirnames.sort()
-                for name in sorted(filenames):
+            for dirpath, _dirnames, filenames in os.walk(path):
+                for name in filenames:
                     if name.endswith((SOLIDITY_EXT, TEAL_EXT)):
                         found.append(os.path.normpath(os.path.join(dirpath, name)))
         else:
@@ -87,13 +80,13 @@ def analyze_solidity_source(
     _load(SOLIDITY_EXT)
     unit = parse_source(tokenize(source))
     diagnostics = unit.diagnostics
-    detections = []
+    subjects = []
     for contract in unit.contracts:
         symbols = collect_state_vars(contract, unit.tokens, diagnostics)
         guards = find_sender_guards(contract, unit.tokens)
         funds = find_fund_modifications(contract, unit.tokens, symbols)
-        detections.extend(pair_detections(contract, unit.tokens, guards, funds, diagnostics))
-    findings = classify([SolidityDetections(path, detections)])
+        subjects.extend(pair_detections(contract, unit.tokens, guards, funds, diagnostics))
+    findings = classify("solidity", path, subjects)
     return findings, diagnostics
 
 
@@ -110,7 +103,8 @@ def analyze_teal_source(
     guards = find_guard_points(cfg, facts, program, diagnostics)
     funds = find_fund_mod_points(facts, program)
     guardedness = compute_guardedness(cfg, guards, funds, diagnostics)
-    findings = classify([TealDetections(path, guards, funds, guardedness)])
+    # classify makes each subject as it reads it, so no list of them is held.
+    findings = classify("teal", path, find_subjects(guards, funds, guardedness))
     return findings, diagnostics
 
 

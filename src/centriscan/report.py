@@ -1,5 +1,5 @@
-"""Risk engine: classify raw detections into severity-graded findings and
-render reports.
+"""Risk engine: grade the subjects each back end finds into
+severity-graded findings and render reports.
 
 Severity is a pure function of finding kind; a CENTRALIZATION_RISK finding
 always carries both a guard and a fund-modification evidence entry.
@@ -8,18 +8,13 @@ always carries both a guard and a fund-modification evidence entry.
 from __future__ import annotations
 
 import json
-import re
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple
 
 from .config import AnalyzerConfig, UsageError
 from .diagnostics import Diagnostic
 from .record import Record
-
-if TYPE_CHECKING:  # annotations only: no back end loads with the report
-    from .solidity.detectors import GuardSite, RawDetection
-    from .teal.detectors import FundModPoint, GuardPoint, GuardednessResult
 
 CENTRALIZATION_RISK = "CENTRALIZATION_RISK"
 PRIVILEGED_FUNCTION = "PRIVILEGED_FUNCTION"
@@ -35,8 +30,7 @@ SEVERITY_RANK = {"MAJOR": 3, "WARNING": 2, "INFO": 1}
 
 
 class Evidence(NamedTuple):
-    role: str  # "guard" | "fund_modification"
-    file: str
+    role: str  # "guard" | "fund_modification"; the file is its finding's
     line: int
     column: int
     text: str
@@ -65,117 +59,47 @@ class ScanReport(Record):
         self.findings, self.diagnostics, self.counts = findings, diagnostics, counts
 
 
-class SolidityDetections(NamedTuple):
-    """Per-file raw detections from the Solidity pipeline."""
-    file: str
-    detections: list[RawDetection]
+class Subject(NamedTuple):
+    """A place a back end grades: a Solidity function or a TEAL write or
+    guard. It holds at least one guard or fund evidence entry."""
+    line: int
+    column: int
+    name: str  # what the message names, e.g. "function 'f'"
+    guards: tuple[Evidence, ...]
+    funds: tuple[Evidence, ...]
+    detail: str  # appended to the message
 
 
-class TealDetections(NamedTuple):
-    """Per-file guard/fund points and guardedness from the TEAL pipeline."""
-    file: str
-    guard_points: list[GuardPoint]
-    fund_points: list[FundModPoint]
-    guardedness: GuardednessResult
+# A subject's kind by whether it has guards and whether it has funds.
+_KIND = {(True, True): CENTRALIZATION_RISK, (True, False): PRIVILEGED_FUNCTION,
+         (False, True): UNPROTECTED_FUND_MODIFICATION}
+# Per language, each kind's predicate: a finding's message is the subject's
+# name, this predicate and the subject's detail.
+_PREDICATES = {
+    "solidity": {
+        CENTRALIZATION_RISK: " combines a sender guard with fund-modifying logic",
+        PRIVILEGED_FUNCTION: " is restricted to a privileged sender",
+        UNPROTECTED_FUND_MODIFICATION: " modifies funds without a sender guard",
+    },
+    "teal": {
+        CENTRALIZATION_RISK: " is gated by a sender guard",
+        PRIVILEGED_FUNCTION: " with no fund-modifying state write in program",
+        UNPROTECTED_FUND_MODIFICATION: " is reachable without a sender guard",
+    },
+}
 
 
-_WS_RUN = re.compile(r"\s+")
-
-
-def _snippet(text: str, limit: int = 120) -> str:
-    flat = _WS_RUN.sub(" ", text).strip()
-    return flat if len(flat) <= limit else flat[: limit - 3] + "..."
-
-
-def _make_finding(kind, language, file, line, column, message, evidence) -> Finding:
-    return Finding(kind, SEVERITY_BY_KIND[kind], language, file, line, column,
-                   message, tuple(evidence))
-
-
-def classify(
-    detections: Iterable[Union[SolidityDetections, TealDetections]],
-) -> list[Finding]:
-    """Turn raw detections from both pipelines into graded findings."""
-    findings: list[Finding] = []
-    for bundle in detections:
-        if isinstance(bundle, SolidityDetections):
-            findings.extend(_classify_solidity(bundle))
-        else:
-            findings.extend(_classify_teal(bundle))
-    return findings
-
-
-def _function_label(name: str) -> str:
-    return f"function '{name}'" if name else "unnamed function"
-
-
-def _classify_solidity(bundle: SolidityDetections) -> list[Finding]:
+def classify(language: str, file: str, subjects: Iterable[Subject]) -> list[Finding]:
+    """Grade each subject of one file: guards and funds are a
+    CENTRALIZATION_RISK, guards alone a PRIVILEGED_FUNCTION, funds alone an
+    UNPROTECTED_FUND_MODIFICATION."""
+    predicates = _PREDICATES[language]
     findings = []
-    file = bundle.file
-    # A modifier's guard site recurs in every function that invokes the
-    # modifier; one shared Evidence per site keeps a file's findings from
-    # holding a copy of its snippet for every invocation.
-    evidence_of: dict[GuardSite, Evidence] = {}
-    for det in bundle.detections:
-        guard_evidence = []
-        for g in det.guard_sites:
-            evidence = evidence_of.get(g)
-            if evidence is None:
-                evidence = Evidence("guard", file, g.line, g.column, _snippet(g.text))
-                evidence_of[g] = evidence
-            guard_evidence.append(evidence)
-        fund_evidence = [
-            Evidence("fund_modification", file, s.line, s.column, _snippet(s.text))
-            for s in det.fund_sites
-        ]
-        label = _function_label(det.function)
-        if det.guard_sites and det.fund_sites:
-            findings.append(_make_finding(
-                CENTRALIZATION_RISK, "solidity", file, det.line, det.column,
-                f"{label} combines a sender guard with fund-modifying logic",
-                guard_evidence + fund_evidence))
-        elif det.guard_sites:
-            findings.append(_make_finding(
-                PRIVILEGED_FUNCTION, "solidity", file, det.line, det.column,
-                f"{label} is restricted to a privileged sender",
-                guard_evidence))
-        elif det.fund_sites:
-            findings.append(_make_finding(
-                UNPROTECTED_FUND_MODIFICATION, "solidity", file, det.line, det.column,
-                f"{label} modifies funds without a sender guard",
-                fund_evidence))
-    return findings
-
-
-def _classify_teal(bundle: TealDetections) -> list[Finding]:
-    findings = []
-    file = bundle.file
-    for point in bundle.fund_points:
-        verdict = bundle.guardedness.verdicts.get(point)
-        evidence = Evidence(
-            "fund_modification", file, point.line, 1,
-            f'{point.opcode} key "{point.key}"')
-        if verdict is True:
-            guard_evidence = [Evidence("guard", file, g.line, 1, g.description)
-                              for g in bundle.guardedness.gates[point]]
-            findings.append(_make_finding(
-                CENTRALIZATION_RISK, "teal", file, point.line, 1,
-                f'state write to balance key "{point.key}" is gated by a sender guard',
-                guard_evidence + [evidence]))
-        elif verdict is False:
-            findings.append(_make_finding(
-                UNPROTECTED_FUND_MODIFICATION, "teal", file, point.line, 1,
-                f'state write to balance key "{point.key}" is reachable without '
-                f"a sender guard (blocks {bundle.guardedness.tails[point]})",
-                [evidence]))
-        # verdict None: the write is dead code; reported as a diagnostic only.
-    if not bundle.fund_points:
-        for g in bundle.guard_points:
-            findings.append(_make_finding(
-                PRIVILEGED_FUNCTION, "teal", file, g.line, 1,
-                f"sender guard on {g.privileged_source} with no fund-modifying "
-                f"state write in program",
-                [Evidence("guard", file, g.line, 1, g.description)]))
+    for s in subjects:
+        kind = _KIND[bool(s.guards), bool(s.funds)]
+        findings.append(Finding(kind, SEVERITY_BY_KIND[kind], language, file, s.line,
+                                s.column, f"{s.name}{predicates[kind]}{s.detail}",
+                                s.guards + s.funds))
     return findings
 
 
@@ -225,11 +149,12 @@ def _json_chunks(report: ScanReport) -> Iterator[str]:
            f'"files_scanned":{report.files_scanned:d},"findings":[')
     separator = ""
     for f in report.findings:
+        file = s(f.file)
         evidence = ",".join([
-            f'{{"role":{s(e.role)},"file":{s(e.file)},"line":{e.line:d},'
+            f'{{"role":{s(e.role)},"file":{file},"line":{e.line:d},'
             f'"column":{e.column:d},"text":{s(e.text)}}}' for e in f.evidence])
         yield (f'{separator}{{"kind":{s(f.kind)},"severity":{s(f.severity)},'
-               f'"language":{s(f.language)},"file":{s(f.file)},"line":{f.line:d},'
+               f'"language":{s(f.language)},"file":{file},"line":{f.line:d},'
                f'"column":{f.column:d},"message":{s(f.message)},'
                f'"evidence":[{evidence}]}}')
         separator = ","
@@ -243,13 +168,28 @@ def _json_chunks(report: ScanReport) -> Iterator[str]:
     yield "]}"
 
 
+def _printable(line: str) -> str:
+    """line with each character str.isprintable rejects written as repr
+    writes it, unquoted, so scanned text cannot split lines or drive a terminal."""
+    if line.isprintable():
+        return line
+    return "".join([c if c.isprintable() else repr(c)[1:-1] for c in line])
+
+
 def _text_chunks(report: ScanReport) -> Iterator[str]:
     separator = ""
     for f in report.findings:
-        lines = [f"{separator}{f.severity} {f.kind} {f.file}:{f.line}:{f.column} {f.message}"]
-        lines.extend(f"    {e.role} {e.file}:{e.line}:{e.column} {e.text}" for e in f.evidence)
-        yield "\n".join(lines)
+        lines = [_printable(f"{f.severity} {f.kind} {f.file}:{f.line}:{f.column} {f.message}")]
+        lines.extend(_printable(f"    {e.role} {f.file}:{e.line}:{e.column} {e.text}")
+                     for e in f.evidence)
+        yield separator + "\n".join(lines)
         separator = "\n"
+
+
+def diagnostic_lines(report: ScanReport) -> Iterator[str]:
+    """Text mode's stderr: `FILE:LINE:COLUMN: SEVERITY: MESSAGE` per diagnostic."""
+    for d in report.diagnostics:
+        yield _printable(f"{d.file}:{d.line}:{d.column}: {d.severity}: {d.message}") + "\n"
 
 
 def meets_threshold(report: ScanReport, fail_threshold: str) -> bool:

@@ -2,7 +2,7 @@
 
 Finds sender guards (modifier / require / if forms) and fund-modifying
 statements (balance-mapping writes, native transfers, selfdestruct), then
-pairs them per function into raw detections for the risk engine. AST nodes
+pairs them per function into the subjects the risk engine grades. AST nodes
 hold token spans; a site reads its line, column and text from the tokens
 only when it is created.
 """
@@ -13,6 +13,7 @@ from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from ..diagnostics import Diagnostic
+from ..report import Evidence, Subject
 from . import ast
 from .symbols import is_address_to_uint_mapping
 from .tokens import Tokens
@@ -44,12 +45,12 @@ class FundModSite(NamedTuple):
     enclosing_at: int  # `at` of the enclosing function
 
 
-class RawDetection(NamedTuple):
-    function: str
-    fund_sites: list[FundModSite]
-    guard_sites: list[GuardSite]
-    line: int
-    column: int
+def _evidence(role: str, site: GuardSite | FundModSite) -> Evidence:
+    """The report's evidence for a site: its text with each whitespace run
+    one space, cut to 120 characters."""
+    text = " ".join(site.text.split())
+    return Evidence(role, site.line, site.column,
+                    text if len(text) <= 120 else text[:117] + "...")
 
 
 def _collect_sender_comparisons(
@@ -215,26 +216,29 @@ def pair_detections(
     guards: list[GuardSite],
     fund_sites: list[FundModSite],
     diagnostics: list[Diagnostic],
-) -> list[RawDetection]:
-    """One RawDetection per function carrying any guard or fund site;
+) -> list[Subject]:
+    """One Subject per function carrying any guard or fund site;
     ``tokens`` are those the contract was parsed from.
 
     Every site is keyed by the `at` of its enclosing declaration, so
     overloads, which share a name and may share a line, stay apart. A
     function's guards are its own plus those of each modifier it invokes;
     an invoked name brings the guards of every modifier declared with it.
-    An invoked base contract is a constructor call, not a modifier."""
+    An invoked base contract is a constructor call, not a modifier. Each
+    site's Evidence is built once, so every function invoking a modifier
+    shares the modifier's guard evidence."""
     modifier_at: dict[str, list[int]] = {}
     for modifier in contract.modifiers:
         modifier_at.setdefault(modifier.name, []).append(modifier.at)
-    guards_at: dict[int, list[GuardSite]] = {}
+    guards_at: dict[int, list[Evidence]] = {}
     for site in guards:
-        guards_at.setdefault(site.enclosing_at, []).append(site)
-    funds_at: dict[int, list[FundModSite]] = {}
+        guards_at.setdefault(site.enclosing_at, []).append(_evidence("guard", site))
+    funds_at: dict[int, list[Evidence]] = {}
     for site in fund_sites:
-        funds_at.setdefault(site.enclosing_at, []).append(site)
+        funds_at.setdefault(site.enclosing_at, []).append(
+            _evidence("fund_modification", site))
 
-    detections: list[RawDetection] = []
+    subjects: list[Subject] = []
     for function in contract.functions:
         guard_list = list(guards_at.get(function.at, ()))
         for invocation in function.modifier_invocations:
@@ -249,9 +253,10 @@ def pair_detections(
                 continue
             for at in modifiers:
                 guard_list.extend(guards_at.get(at, ()))
-        funds = funds_at.get(function.at, [])
+        funds = funds_at.get(function.at, ())
         if guard_list or funds:
             guard_list.sort(key=_BY_POSITION)
-            detections.append(RawDetection(
-                function.name, funds, guard_list, *tokens.position(function.at)))
-    return detections
+            name = f"function '{function.name}'" if function.name else "unnamed function"
+            subjects.append(Subject(*tokens.position(function.at), name,
+                                    tuple(guard_list), tuple(funds), ""))
+    return subjects

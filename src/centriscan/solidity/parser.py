@@ -139,11 +139,11 @@ class _Parser:
         if not self._eat(text):
             self._note(f"expected '{text}' in {context}")
 
-    def _note(self, message: str, severity: str = "note") -> None:
+    def _note(self, message: str) -> None:
         # Past the end of input a note sits on the last token.
         i = min(self.i, self.n - 1)
         line, column = self.tokens.position(i) if i >= 0 else (1, 1)
-        self.diags.append(Diagnostic(message, line, column, severity))
+        self.diags.append(Diagnostic(message, line, column))
 
     # --- recovery --------------------------------------------------------
 

@@ -10,17 +10,18 @@ write only the text a report prints of its witness path is stored, found by
 walking fewer than WITNESS_MAX_BLOCKS parents; full block and instruction
 paths are derived from the parent map on read. Each guarded write's gating
 guards are the last guard on each of its entry paths, found by one forward
-pass over blocks.
+pass over blocks. The verdicts become the subjects the risk engine grades.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from operator import attrgetter
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from ..diagnostics import Diagnostic
 from ..record import Record
+from ..report import Evidence, Subject
 from .absint import BlockFacts, IntConst, SenderCmp, render_value
 from .cfg import BRANCH_NOT_TAKEN, BRANCH_TAKEN, Cfg
 from .parser import BRANCH_OPCODES, TealProgram
@@ -246,6 +247,29 @@ def compute_guardedness(
                 f"fund modification at line {point.line} is unreachable "
                 f"from program entry", point.line))
     return result
+
+
+def find_subjects(
+    guard_points: list[GuardPoint],
+    fund_points: list[FundModPoint],
+    guardedness: GuardednessResult,
+) -> Iterator[Subject]:
+    """One subject per reachable write, with the guards that gate it; in a
+    program with no write, one per guard."""
+    for point in fund_points:
+        verdict = guardedness.verdicts.get(point)
+        if verdict is not None:  # an unreachable write is only a diagnostic
+            yield Subject(
+                point.line, 1, f'state write to balance key "{point.key}"',
+                tuple(Evidence("guard", g.line, 1, g.description)
+                      for g in guardedness.gates.get(point, ())),
+                (Evidence("fund_modification", point.line, 1,
+                          f'{point.opcode} key "{point.key}"'),),
+                "" if verdict else f" (blocks {guardedness.tails[point]})")
+    if not fund_points:
+        for g in guard_points:
+            yield Subject(g.line, 1, f"sender guard on {g.privileged_source}",
+                          (Evidence("guard", g.line, 1, g.description),), (), "")
 
 
 def _gates_into(cfg: Cfg, exits: dict[int, tuple[GuardPoint]]

@@ -139,6 +139,21 @@ def test_text_mode_prints_diagnostic_column(tmp_path, capsys):
             in captured.err)
 
 
+def test_text_mode_diagnostics_escape_control_characters(tmp_path, capsys):
+    target = tmp_path / "e.teal"
+    target.write_text("#pragma version 8\nfoo\x1b[2J\nint 1\nreturn\n")
+    assert main(["scan", str(target)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == f"{target}:2:1: note: unknown opcode 'foo\\x1b[2J'\n"
+
+
+def test_config_file_with_byte_order_mark(tmp_path, capsys):
+    conf = tmp_path / "bom.conf"
+    conf.write_bytes(b"\xef\xbb\xbfowner_keys = gov\n")
+    assert main(["scan", corpus_path("teal", "row1_assert.teal"), "--config", str(conf)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_json_mode_embeds_diagnostics(tmp_path, capsys):
     target = tmp_path / "weird.sol"
     target.write_text("contract C { assembly {??? } }")

@@ -138,6 +138,14 @@ def test_missing_config_file_is_config_error():
         load_config("/nonexistent/centriscan.conf")
 
 
+def test_byte_order_mark_is_dropped(tmp_path):
+    plain, marked = tmp_path / "plain.conf", tmp_path / "marked.conf"
+    plain.write_bytes(b"owner_keys = gov\nfail_threshold = info\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load_config(str(marked)) == load_config(str(plain))
+    assert load_config(str(plain)).owner_keys == ("gov",)
+
+
 def test_config_is_immutable_hashable_and_derived_with_replace():
     config = AnalyzerConfig(fail_threshold="major", owner_keys=("gov",))
     with pytest.raises(AttributeError):

@@ -28,11 +28,11 @@ STAGES = {
     "centriscan.teal.cfg": ("build_cfg",),
     "centriscan.teal.absint": ("abstract_exec_block",),
     "centriscan.teal.detectors": ("find_guard_points", "find_fund_mod_points",
-                                  "compute_guardedness"),
+                                  "compute_guardedness", "find_subjects"),
 }
 assert not [m for m in STAGES if m in sys.modules]
 read = {name: getattr(engine, name) for names in STAGES.values() for name in names}
-assert len(read) == 12
+assert len(read) == 13
 for module, names in STAGES.items():
     for name in names:
         assert read[name] is getattr(sys.modules[module], name), name

@@ -3,9 +3,14 @@
 import random
 import re
 
-from centriscan.report import TealDetections, classify
+from centriscan.report import classify
 from centriscan.teal.cfg import BRANCH_NOT_TAKEN, BRANCH_TAKEN, FALLTHROUGH
-from centriscan.teal.detectors import FundModPoint, GuardPoint, compute_guardedness
+from centriscan.teal.detectors import (
+    FundModPoint,
+    GuardPoint,
+    compute_guardedness,
+    find_subjects,
+)
 
 from helpers import cfg_from_sizes, random_cfg, random_guards_and_funds
 from oracle import oracle_verdicts, reference_gates, reference_witnesses
@@ -99,7 +104,7 @@ def _printed_witnesses(cfg, guards, funds):
     printed = {}
     for point in funds:
         if result.verdicts[point] is False:
-            (finding,) = classify([TealDetections("p.teal", guards, [point], result)])
+            (finding,) = classify("teal", "p.teal", find_subjects(guards, [point], result))
             printed[point] = re.fullmatch(r".*\(blocks (.*)\)", finding.message)[1]
     return printed
 

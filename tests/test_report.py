@@ -15,12 +15,14 @@ from centriscan.report import (
     Evidence,
     Finding,
     ScanReport,
+    Subject,
     build_report,
+    classify,
     meets_threshold,
     render_report,
 )
 
-from helpers import corpus_text
+from helpers import corpus_text, readme_python_block
 
 CONFIG = AnalyzerConfig()
 
@@ -166,6 +168,7 @@ def test_json_schema_field_names():
     assert list(finding) == ["kind", "severity", "language", "file", "line",
                              "column", "message", "evidence"]
     assert list(finding["evidence"][0]) == ["role", "file", "line", "column", "text"]
+    assert {e["file"] for e in finding["evidence"]} == {finding["file"]}
 
 
 def test_unknown_format_is_usage_error():
@@ -184,13 +187,56 @@ def test_meets_threshold_ordering():
     assert not meets_threshold(major, "none")
 
 
-def test_evidence_text_is_single_line():
+_GUARD = Evidence("guard", 3, 5, "msg.sender == owner")
+_FUND = Evidence("fund_modification", 4, 5, "bals[to] = 0;")
+
+
+@pytest.mark.parametrize("language, name, guards, funds, detail, kind, message", [
+    ("solidity", "function 'f'", (_GUARD,), (_FUND,), "", "CENTRALIZATION_RISK",
+     "function 'f' combines a sender guard with fund-modifying logic"),
+    ("solidity", "function 'f'", (_GUARD,), (), "", "PRIVILEGED_FUNCTION",
+     "function 'f' is restricted to a privileged sender"),
+    ("solidity", "unnamed function", (), (_FUND,), "", "UNPROTECTED_FUND_MODIFICATION",
+     "unnamed function modifies funds without a sender guard"),
+    ("teal", 'state write to balance key "b"', (_GUARD, _GUARD), (_FUND,), "",
+     "CENTRALIZATION_RISK", 'state write to balance key "b" is gated by a sender guard'),
+    ("teal", "sender guard on global CreatorAddress", (_GUARD,), (), "",
+     "PRIVILEGED_FUNCTION", "sender guard on global CreatorAddress with no "
+     "fund-modifying state write in program"),
+    ("teal", 'state write to balance key "b"', (), (_FUND,), " (blocks 0->2)",
+     "UNPROTECTED_FUND_MODIFICATION",
+     'state write to balance key "b" is reachable without a sender guard (blocks 0->2)'),
+])
+def test_classify_grades_each_subject_by_its_evidence(language, name, guards, funds,
+                                                      detail, kind, message):
+    subject = Subject(2, 1, name, guards, funds, detail)
+    assert classify(language, "x", iter([subject])) == [Finding(
+        kind, SEVERITY_BY_KIND[kind], language, "x", 2, 1, message, guards + funds)]
+
+
+def test_readme_classify_example_runs():
+    exec(readme_python_block("classify("), {})
+
+
+def test_text_report_escapes_a_newline_in_a_teal_key():
+    source = "#pragma version 8\nbyte 0x0a62616c616e6365\nint 5\napp_global_put\nint 1\nreturn\n"
+    findings, _ = analyze_teal_source(source, "k.teal", CONFIG)
+    text = render_report(_report(findings), "text")
+    assert text.splitlines() == [
+        'WARNING UNPROTECTED_FUND_MODIFICATION k.teal:4:1 state write to balance key '
+        '"\\nbalance" is reachable without a sender guard (blocks 0)',
+        '    fund_modification k.teal:4:1 app_global_put key "\\nbalance"']
+
+
+def test_text_report_escapes_a_control_character_in_a_solidity_comment():
     findings, _ = analyze_solidity_source(
         "contract C { mapping(address => uint) bals;\n"
-        "function f(address t) public {\n"
-        "bals[t] =\n    bals[t].add(1); } }", "x.sol", CONFIG)
-    evidence = findings[0].evidence[0]
-    assert "\n" not in evidence.text
+        "function f(address to) public { bals[to /* \x1b[2J */] = 0; } }", "e.sol", CONFIG)
+    assert findings[0].evidence[0].text == "bals[to /* \x1b[2J */] = 0;"
+    text = render_report(_report(findings), "text")
+    assert "\x1b" not in text
+    assert text.splitlines()[1] == (
+        "    fund_modification e.sol:2:33 bals[to /* \\x1b[2J */] = 0;")
 
 
 def test_teal_dead_code_put_yields_no_finding():
@@ -220,7 +266,7 @@ def _reference_json(report):
                 "column": f.column,
                 "message": f.message,
                 "evidence": [
-                    {"role": e.role, "file": e.file, "line": e.line,
+                    {"role": e.role, "file": f.file, "line": e.line,
                      "column": e.column, "text": e.text}
                     for e in f.evidence
                 ],
@@ -236,12 +282,18 @@ def _reference_json(report):
     return json.dumps(payload, separators=(",", ":"))
 
 
+def _escaped(field):
+    """field with each character str.isprintable rejects as repr writes it."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in field)
+
+
 def _reference_text(report):
     lines = []
     for f in report.findings:
-        lines.append(f"{f.severity} {f.kind} {f.file}:{f.line}:{f.column} {f.message}")
+        severity, kind, file, message = map(_escaped, (f.severity, f.kind, f.file, f.message))
+        lines.append(f"{severity} {kind} {file}:{f.line}:{f.column} {message}")
         for e in f.evidence:
-            lines.append(f"    {e.role} {e.file}:{e.line}:{e.column} {e.text}")
+            lines.append(f"    {_escaped(e.role)} {file}:{e.line}:{e.column} {_escaped(e.text)}")
     return "\n".join(lines)
 
 
@@ -251,12 +303,11 @@ def _reference_text(report):
 _AWKWARD = '"\\\x00\n\x1f\x7f\u00e9\u2028\U0001f600\ud800'
 _TEXT = st.text(st.sampled_from(_AWKWARD) | st.characters(), max_size=6)
 _INT = st.integers(min_value=-1, max_value=2**40)
-# Few roles, files and lines, so records at the same place with another
-# role or text are common.
+# Few roles and lines, so records at the same place with another role or
+# text are common.
 _EVIDENCE = st.builds(
     Evidence, st.sampled_from(("guard", "fund_modification")) | _TEXT,
-    st.sampled_from(("a.teal", "\u00e9.sol")), st.integers(1, 2),
-    st.integers(1, 2), _TEXT)
+    st.integers(1, 2), st.integers(1, 2), _TEXT)
 
 
 @st.composite
@@ -282,8 +333,8 @@ def _reports(draw):
     return ScanReport(draw(_TEXT), draw(_TEXT), draw(_INT), findings, diagnostics, counts)
 
 
-_SHARED = Evidence("guard", "r.teal", 4, 1, 'txn Sender == "owner" \u00e9\u2028')
-_SAME_PLACE = Evidence("fund_modification", "r.teal", 4, 1, "app_global_put \U0001f600")
+_SHARED = Evidence("guard", 4, 1, 'txn Sender == "owner" \u00e9\u2028')
+_SAME_PLACE = Evidence("fund_modification", 4, 1, "app_global_put \U0001f600")
 
 
 @given(_reports())

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from centriscan.config import AnalyzerConfig
 from centriscan.engine import analyze_solidity_source
+from centriscan.report import Evidence
 from centriscan.solidity.detectors import (
     BALANCE_MAPPING_WRITE,
     IF_GUARD,
@@ -37,7 +38,7 @@ def _analyze(source: str):
 
 
 def _pair(source: str, diagnostics: list):
-    """The detections pair_detections makes of source's one contract."""
+    """The subjects pair_detections makes of source's one contract."""
     contract, tokens = parse_single_unit(source)
     return pair_detections(contract, tokens, *_sites(contract, tokens), diagnostics)
 
@@ -399,27 +400,25 @@ def test_else_branch_is_not_guarded_by_condition():
 
 
 def test_pairing_row1_plus_row4():
-    detections = _pair(corpus_text("solidity", "owner_drain.sol"), [])
-    assert len(detections) == 1
-    det = detections[0]
-    assert det.guard_sites
-    assert det.function == "fun"
-    assert len(det.fund_sites) == 1 and len(det.guard_sites) == 1
+    (subject,) = _pair(corpus_text("solidity", "owner_drain.sol"), [])
+    assert (subject.line, subject.column, subject.name, subject.detail) == (
+        10, 5, "function 'fun'", "")
+    assert subject.guards == (Evidence("guard", 6, 9, "msg.sender == owner"),)
+    assert subject.funds == (
+        Evidence("fund_modification", 11, 9, "bals[to] = bals[to].add(1);"),)
 
 
 def test_pairing_guard_only_function():
-    detections = _pair(corpus_text("solidity", "row2_require.sol"), [])
-    assert len(detections) == 1
-    assert detections[0].guard_sites and detections[0].fund_sites == []
+    (subject,) = _pair(corpus_text("solidity", "row2_require.sol"), [])
+    assert [e.role for e in subject.guards] == ["guard"] and subject.funds == ()
 
 
 def test_pairing_unguarded_write():
     # Hand-evaluated pairing rule: no guards anywhere, one fund site in `fun`.
-    detections = _pair(corpus_text("solidity", "row4_balance.sol"), [])
-    assert len(detections) == 1
-    det = detections[0]
-    assert not det.guard_sites
-    assert len(det.fund_sites) == 1 and det.guard_sites == []
+    (subject,) = _pair(corpus_text("solidity", "row4_balance.sol"), [])
+    assert subject.name == "function 'fun'"
+    assert subject.guards == ()
+    assert [e.role for e in subject.funds] == ["fund_modification"]
 
 
 def test_pairing_keeps_overloads_on_one_line_apart():
@@ -437,7 +436,7 @@ def test_pairing_keeps_overloads_on_one_line_apart():
 
 def test_pairing_micro_corpus_privilege_matrix():
     # Four functions: guarded+write, guarded only, write only, neither.
-    detections = {d.function: d for d in _pair("""
+    subjects = {s.name: s for s in _pair("""
         contract M {
             address owner;
             mapping(address => uint) bals;
@@ -448,19 +447,18 @@ def test_pairing_micro_corpus_privilege_matrix():
             function n() public { }
         }
     """, [])}
-    assert set(detections) == {"gw", "g", "w"}
-    assert detections["gw"].guard_sites and len(detections["gw"].fund_sites) == 1
-    assert detections["g"].guard_sites and not detections["g"].fund_sites
-    assert not detections["w"].guard_sites and len(detections["w"].fund_sites) == 1
+    assert {name: (len(s.guards), len(s.funds)) for name, s in subjects.items()} == {
+        "function 'gw'": (1, 1), "function 'g'": (1, 0), "function 'w'": (0, 1)}
+    assert subjects["function 'gw'"].guards[0] is subjects["function 'g'"].guards[0]
 
 
 def test_unknown_modifier_invocation_diagnosed():
     diagnostics = []
-    detections = _pair(
+    subjects = _pair(
         "contract C { mapping(address => uint) bals;"
         " function f(address t) public ghost { bals[t] = 1; } }", diagnostics)
     assert len(diagnostics) == 1 and "ghost" in diagnostics[0].message
-    assert not detections[0].guard_sites
+    assert subjects[0].guards == ()
 
 
 def test_base_constructor_call_is_not_an_unknown_modifier():
@@ -508,8 +506,8 @@ def test_privilege_monotonicity_random_contracts():
         extra = rng.randrange(n)
 
         def privileged_set(guard_ids):
-            detections = _pair(_random_contract(random.Random(1), guard_ids, n), [])
-            return {d.function for d in detections if d.guard_sites}
+            subjects = _pair(_random_contract(random.Random(1), guard_ids, n), [])
+            return {s.name for s in subjects if s.guards}
 
         base = privileged_set(guarded)
         assert privileged_set(guarded | {extra}) >= base  # adding never shrinks
@@ -540,8 +538,8 @@ PAIRING_SHAPES = [
 
 def test_pairing_keys_guards_by_declaration():
     for source, expected in PAIRING_SHAPES:
-        paired = {(d.line, d.column): [(g.line, g.column) for g in d.guard_sites]
-                  for d in _pair(source, [])}
+        paired = {(s.line, s.column): [(g.line, g.column) for g in s.guards]
+                  for s in _pair(source, [])}
         assert paired == expected, source
 
 
@@ -552,3 +550,35 @@ def test_base_constructor_with_named_arguments_keeps_the_contract():
         "a.sol", CONFIG)
     assert [f.kind for f in findings] == ["CENTRALIZATION_RISK"]
     assert diagnostics == []
+
+
+def test_unnamed_functions_are_labelled_in_both_kinds():
+    findings, _ = analyze_solidity_source(
+        "contract C { address owner; mapping(address => uint) bals;\n"
+        "receive() external payable { bals[msg.sender] = 1; }\n"
+        "fallback() external { require(msg.sender == owner); } }", "c.sol", CONFIG)
+    assert [(f.kind, f.line, f.message) for f in findings] == [
+        ("UNPROTECTED_FUND_MODIFICATION", 2,
+         "unnamed function modifies funds without a sender guard"),
+        ("PRIVILEGED_FUNCTION", 3, "unnamed function is restricted to a privileged sender"),
+    ]
+
+
+def test_evidence_text_is_single_line():
+    findings, _ = analyze_solidity_source(
+        "contract C { mapping(address => uint) bals;\n"
+        "function f(address t) public {\n"
+        "bals[t] =\n    bals[t].add(1); } }", "x.sol", CONFIG)
+    assert findings[0].evidence[0].text == "bals[t] = bals[t].add(1);"
+
+
+def test_evidence_text_is_cut_to_120_characters():
+    def fund_text(statement):
+        (subject,) = _pair("contract C { mapping(address => uint) bals;"
+                           f" function f(address t) public {{ {statement} }} }}", [])
+        return subject.funds[0].text
+
+    long, limit = f"bals[t] = {'7' * 119};", f"bals[t] = {'7' * 109};"
+    assert (len(long), len(limit)) == (130, 120)
+    assert fund_text(long) == long[:117] + "..."
+    assert fund_text(limit) == limit
