@@ -6,8 +6,10 @@ SourceUnit carries. `tokens.position(node.at)` gives the node's line and
 column, and `tokens.text(node.at, node.end)` its verbatim source text, gaps
 (whitespace and comments) between its tokens included. A declaration's `at`
 is the index of its keyword token (of its name token for a state variable),
-so `tokens.position(decl.at)` gives its line and column. Anything outside
-the subset is preserved as Opaque spans; detectors never look inside those.
+so `tokens.position(decl.at)` gives its line and column. A modifier is a
+FunctionDecl like a function: `ContractDecl.modifiers` and `.functions` hold
+the same record. Anything outside the subset is preserved as Opaque spans;
+detectors never look inside those.
 """
 
 from __future__ import annotations
@@ -157,15 +159,10 @@ class StateVar(Record):
         self.name, self.type_desc, self.at = name, type_desc, at
 
 
-class ModifierDecl(Record):
-    __slots__ = ("name", "body", "at")  # at: index of the keyword token
-
-    def __init__(self, name: str, body: list[Stmt], at: int):
-        self.name, self.body, self.at = name, body, at
-
-
 class FunctionDecl(Record):
-    # name is "" for constructor/fallback/receive; at is the keyword token's index.
+    # A function, modifier, constructor, fallback or receive; at is its keyword
+    # token's index. name is "" for the last three; pairing reads no modifier's
+    # invocations.
     __slots__ = ("name", "modifier_invocations", "body", "at")
 
     def __init__(self, name: str, modifier_invocations: list[str], body: list[Stmt], at: int):

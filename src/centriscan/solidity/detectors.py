@@ -29,28 +29,29 @@ SELF_DESTRUCT = "SelfDestruct"
 _BY_POSITION = attrgetter("line", "column")
 
 
-class GuardSite(NamedTuple):
-    form: str  # ModifierGuard | RequireGuard | IfGuard
+class Site(NamedTuple):
+    """A sender guard or a fund move."""
+    form: str  # one of the three guard forms or the three fund forms above
     line: int
     column: int
-    text: str  # condition source text
+    text: str  # a guard's condition; the statement holding a fund move
     enclosing_at: int  # `at` of the enclosing declaration
 
 
-class FundModSite(NamedTuple):
-    kind: str  # BalanceMappingWrite | NativeTransfer | SelfDestruct
-    line: int
-    column: int
-    text: str
-    enclosing_at: int  # `at` of the enclosing function
-
-
-def _evidence(role: str, site: GuardSite | FundModSite) -> Evidence:
+def _evidence(role: str, site: Site) -> Evidence:
     """The report's evidence for a site: its text with each whitespace run
     one space, cut to 120 characters."""
     text = " ".join(site.text.split())
     return Evidence(role, site.line, site.column,
                     text if len(text) <= 120 else text[:117] + "...")
+
+
+def _is_sender(expr: ast.Expr) -> bool:
+    """`msg.sender`, bare or cast: `address(msg.sender)`, `payable(msg.sender)`."""
+    while type(expr) is ast.CallExpr and len(expr.args) == 1 \
+            and type(expr.callee) is ast.Identifier and expr.callee.name in ("address", "payable"):
+        expr = expr.args[0]
+    return type(expr) is ast.MsgSender
 
 
 def _collect_sender_comparisons(
@@ -64,7 +65,7 @@ def _collect_sender_comparisons(
         _collect_sender_comparisons(expr.lhs, out, negated)
         _collect_sender_comparisons(expr.rhs, out, negated)
     # Only `msg.sender` is the sender; `tx.origin` is not.
-    elif isinstance(expr.lhs, ast.MsgSender) != isinstance(expr.rhs, ast.MsgSender):
+    elif _is_sender(expr.lhs) != _is_sender(expr.rhs):
         out.append("eq" if (expr.op == "==") != negated else "neq")
 
 
@@ -89,11 +90,11 @@ def _statements(body: list[ast.Stmt]) -> Iterator[ast.Stmt]:
             yield from _statements(stmt.else_body)
 
 
-def find_sender_guards(contract: ast.ContractDecl, tokens: Tokens) -> list[GuardSite]:
-    """One GuardSite per sender-guard occurrence, sorted by location;
+def find_sender_guards(contract: ast.ContractDecl, tokens: Tokens) -> list[Site]:
+    """One Site per sender-guard occurrence, sorted by location;
     ``tokens`` are those the contract was parsed from. A require-like guard
     is a ModifierGuard in a modifier body, else a RequireGuard."""
-    sites: list[GuardSite] = []
+    sites: list[Site] = []
     for declarations, require_form in ((contract.modifiers, MODIFIER_GUARD),
                                        (contract.functions, REQUIRE_GUARD)):
         for declaration in declarations:
@@ -117,27 +118,27 @@ def find_sender_guards(contract: ast.ContractDecl, tokens: Tokens) -> list[Guard
 
 def _guard_site(
     form: str, stmt: ast.Require | ast.If, enclosing_at: int, tokens: Tokens
-) -> GuardSite:
+) -> Site:
     condition = stmt.condition
-    return GuardSite(form, *tokens.position(stmt.at),
-                     tokens.text(condition.at, condition.end), enclosing_at)
+    return Site(form, *tokens.position(stmt.at),
+                tokens.text(condition.at, condition.end), enclosing_at)
 
 
 def find_fund_modifications(
     contract: ast.ContractDecl,
     tokens: Tokens,
     symbols: dict[str, ast.StateVar],
-) -> list[FundModSite]:
-    """One FundModSite per fund-modifying statement in any function body;
+) -> list[Site]:
+    """One Site per fund-modifying statement in any function body;
     ``tokens`` are those the contract was parsed from."""
-    sites: list[FundModSite] = []
+    sites: list[Site] = []
     for function in contract.functions:
         at = function.at
         for stmt in _statements(function.body):
             cls = type(stmt)
             if cls is ast.Assign:
                 if _is_balance_mapping_write(stmt.lvalue, symbols):
-                    sites.append(FundModSite(
+                    sites.append(Site(
                         BALANCE_MAPPING_WRITE, *tokens.position(stmt.at),
                         tokens.text(stmt.at, stmt.end), at))
                 _scan_call_sites(stmt.rvalue, stmt, at, tokens, sites)
@@ -166,7 +167,7 @@ def _scan_call_sites(
     stmt: ast.Stmt,
     enclosing_at: int,
     tokens: Tokens,
-    sites: list[FundModSite],
+    sites: list[Site],
 ) -> None:
     stack = [expr]
     push = stack.append
@@ -174,10 +175,10 @@ def _scan_call_sites(
         node = stack.pop()
         cls = type(node)
         if cls is ast.CallExpr:
-            kind = _classify_call(node)
-            if kind is not None:
-                sites.append(FundModSite(kind, *tokens.position(node.at),
-                                         tokens.text(stmt.at, stmt.end), enclosing_at))
+            form = _classify_call(node)
+            if form is not None:
+                sites.append(Site(form, *tokens.position(node.at),
+                                  tokens.text(stmt.at, stmt.end), enclosing_at))
             push(node.callee)
             stack.extend(node.args)
         elif cls is ast.Member:
@@ -213,8 +214,8 @@ def _classify_call(call: ast.CallExpr) -> str | None:
 def pair_detections(
     contract: ast.ContractDecl,
     tokens: Tokens,
-    guards: list[GuardSite],
-    fund_sites: list[FundModSite],
+    guards: list[Site],
+    fund_sites: list[Site],
     diagnostics: list[Diagnostic],
 ) -> list[Subject]:
     """One Subject per function carrying any guard or fund site;

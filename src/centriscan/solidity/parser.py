@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ..diagnostics import Diagnostic
 from . import ast
-from .tokens import Tokens, tokenize
+from .tokens import SIZED_TYPE, Tokens, tokenize
 
 _ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "<<=", ">>=", "**="})
 _CMP_OPS = frozenset({"<", ">", "<=", ">="})
@@ -45,6 +45,9 @@ _INITIALIZER_STOP = frozenset({";", "}"})
 _REQUIRE_MESSAGE_STOP = frozenset({")"})
 _BODY_STOP = frozenset({"{", "}"})
 
+# The keywords that open a declaration with a body, and those followed by a name.
+_DECLARATION_KEYWORDS = frozenset({"function", "modifier", "constructor", "fallback", "receive"})
+_NAMED_DECLARATIONS = frozenset({"function", "modifier"})
 _FN_HEADER_KEYWORDS = frozenset({
     "public", "external", "internal", "private",
     "view", "pure", "payable", "constant", "virtual", "override",
@@ -52,8 +55,9 @@ _FN_HEADER_KEYWORDS = frozenset({
 _VAR_KEYWORDS = frozenset({
     "public", "private", "internal", "constant", "immutable", "override", "payable",
 })
-_ELEMENTARY_TYPES = frozenset({
-    "address", "bool", "string", "bytes", "byte", "int", "uint", "fixed", "ufixed",
+# Keywords that start a type besides the sized ones (`uint8`, `bytes32`).
+_TYPE_KEYWORDS = frozenset({
+    "address", "bool", "string", "bytes", "byte", "int", "uint", "fixed", "ufixed", "mapping",
 })
 
 _MAX_EXPR_DEPTH = 50
@@ -85,13 +89,8 @@ def parse_solidity(source: str) -> ast.SourceUnit:
 
 
 def _is_type_start(kind: str, text: str) -> bool:
-    if kind == "identifier":
-        return True
-    if kind == "keyword":
-        return text in _ELEMENTARY_TYPES or text == "mapping" \
-            or text[:1] in "ui" and any(c.isdigit() for c in text) \
-            or text.startswith("bytes")
-    return False
+    return kind == "identifier" or kind == "keyword" and (
+        text in _TYPE_KEYWORDS or SIZED_TYPE.match(text) is not None)
 
 
 class _Parser:
@@ -243,20 +242,13 @@ class _Parser:
         if self.i >= self.n:
             return
         t = self.texts[self.i]
-        if t == "function":
-            contract.functions.append(self._parse_function(named=True))
-        elif t in ("constructor", "fallback", "receive"):
-            contract.functions.append(self._parse_function(named=False))
-        elif t == "modifier":
-            contract.modifiers.append(self._parse_modifier())
+        if t in _DECLARATION_KEYWORDS:
+            declarations = contract.modifiers if t == "modifier" else contract.functions
+            declarations.append(self._parse_function())
         elif t == ";":
             self.i += 1
-        elif t == "mapping" or _is_type_start(self.kinds[self.i], t):
-            var = self._try_state_var()
-            if var is not None:
-                contract.state_vars.append(var)
-            else:
-                self._opaque_stmt("skipped unrecognized contract member")
+        elif _is_type_start(self.kinds[self.i], t) and (var := self._try_state_var()):
+            contract.state_vars.append(var)
         else:
             self._opaque_stmt("skipped unrecognized contract member")
 
@@ -311,32 +303,18 @@ class _Parser:
             name = self.tokens.text(start, self.i)
         return ast.TypeDesc(name)
 
-    def _parse_modifier(self) -> ast.ModifierDecl:
+    def _parse_function(self) -> ast.FunctionDecl:
+        """A declaration opening with one of _DECLARATION_KEYWORDS: its name,
+        if its keyword takes one, its header and its body."""
         kw = self.i
-        self.i += 1
-        name = self._name()
-        if not name:
-            self._note("missing modifier name")
-        if self._text() == "(":
-            self._skip_balanced()
-        while self._text() in ("virtual", "override"):
-            self.i += 1
-            if self._text() == "(":
-                self._skip_balanced()
-        body: list[ast.Stmt] = []
-        if self._text() == "{":
-            body = self._parse_block()
-        elif not self._eat(";"):
-            self._note(f"modifier '{name}' has no body")
-        return ast.ModifierDecl(name, body, kw)
-
-    def _parse_function(self, named: bool) -> ast.FunctionDecl:
-        kw = self.i  # function | constructor | fallback | receive
+        keyword = self.texts[kw]
         self.i += 1
         name = ""
-        if named and self.kinds[self.i] in ("identifier", "keyword"):
+        if keyword in _NAMED_DECLARATIONS and self.kinds[self.i] in ("identifier", "keyword"):
             name = self.texts[self.i]
             self.i += 1
+        elif keyword == "modifier":
+            self._note("missing modifier name")
         if self._text() == "(":
             self._skip_balanced()
         invocations: list[str] = []

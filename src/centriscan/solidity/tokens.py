@@ -25,7 +25,7 @@ KEYWORDS = frozenset("""
     while
 """.split())
 
-_SIZED_TYPE = re.compile(r"(?:u?int\d+|bytes\d+)\Z")
+SIZED_TYPE = re.compile(r"(?:u?int\d+|bytes\d+)\Z")
 _SIZED_PREFIXES = ("int", "uint", "bytes")
 
 # The kernel's token alternatives start with disjoint characters, so a
@@ -42,7 +42,7 @@ def _kind(text: str) -> str:
     """keyword | identifier | punctuation | string-literal | number-literal | unknown"""
     kind = _KIND_BY_FIRST.get(text[0], "unknown")
     if kind == "identifier" and (text in KEYWORDS or (
-            text.startswith(_SIZED_PREFIXES) and _SIZED_TYPE.match(text))):
+            text.startswith(_SIZED_PREFIXES) and SIZED_TYPE.match(text))):
         return "keyword"
     return kind
 

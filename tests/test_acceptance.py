@@ -47,6 +47,7 @@ from helpers import (
     random_guards_and_funds,
 )
 from oracle import oracle_verdicts
+from test_known_misses import _ROWS as KNOWN_MISS_ROWS
 
 CONFIG = AnalyzerConfig()
 
@@ -101,7 +102,7 @@ def test_criterion_1_solidity_pattern_corpus():
                 assert [g.form for g in guards] == [form], name
                 assert funds == [], name
             else:
-                assert [s.kind for s in funds] == [form], name
+                assert [s.form for s in funds] == [form], name
                 assert guards == [], name
         combined = _findings("owner_drain.sol")
         assert [(f.kind, f.severity) for f in combined] == [
@@ -310,3 +311,13 @@ def test_acceptance_summary_report():
     rebuilt = build_report(report.findings, report.diagnostics,
                            report.files_scanned, CONFIG, __version__)
     assert render_report(rebuilt, "json") == render_report(report, "json")
+
+
+def test_known_miss_count():
+    # The known false-verdict total: the ledger's strict-xfail rows, each
+    # naming the ROADMAP item that fixes it. It should fall as items land.
+    marks = [mark for row in KNOWN_MISS_ROWS for mark in row.marks]
+    assert all(mark.kwargs["strict"] and mark.kwargs["reason"].startswith("ROADMAP item ")
+               for mark in marks)
+    print(f"[acceptance] known misses: {len(marks)} strict-xfail rows of "
+          f"{len(KNOWN_MISS_ROWS)}", flush=True)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from centriscan.config import AnalyzerConfig
 from centriscan.engine import analyze_solidity_source
 from centriscan.report import Evidence
+from centriscan.solidity import ast
 from centriscan.solidity.detectors import (
     BALANCE_MAPPING_WRITE,
     IF_GUARD,
@@ -67,7 +68,7 @@ def test_row3_if_guard():
 def test_row4_balance_write():
     _, guards, funds = _analyze(corpus_text("solidity", "row4_balance.sol"))
     assert guards == []
-    assert [(s.kind, s.text) for s in funds] == [
+    assert [(s.form, s.text) for s in funds] == [
         (BALANCE_MAPPING_WRITE, "bals[msg.sender] = bals[msg.sender].add(1);")]
 
 
@@ -134,7 +135,7 @@ def test_negation_flips_a_sender_comparison():
 def test_native_transfer_under_negation_is_a_fund_site():
     _, _, funds = _analyze(
         "contract C { function f(address to) public { if (!payable(to).send(1)) revert(); } }")
-    assert [(s.kind, s.text) for s in funds] == [
+    assert [(s.form, s.text) for s in funds] == [
         (NATIVE_TRANSFER, "if (!payable(to).send(1)) revert();")]
 
 
@@ -201,6 +202,7 @@ _GUARD_REWRITES = {
     "block": lambda guard, c: "{ " + guard.format(c) + " }",
     "unchecked block": lambda guard, c: "unchecked { " + guard.format(c) + " }",
     "double negation": lambda guard, c: guard.format(f"!!({c})"),
+    "sender cast": lambda guard, c: guard.format(c.replace("msg.sender", "address(msg.sender)")),
 }
 
 
@@ -209,7 +211,8 @@ _GUARD_REWRITES = {
 @settings(max_examples=200, deadline=None)
 def test_guard_rewrites_give_the_same_findings(functions, guard, rewrite):
     # Metamorphic pairs: `a == b` as `b == a`, `c` as `((c))` and as `!!(c)`,
-    # and a guard as the same guard in `{ }` or `unchecked { }`.
+    # `msg.sender` as `address(msg.sender)`, and a guard as the same guard in
+    # `{ }` or `unchecked { }`.
     def findings(make):
         # Guard texts, and the columns after them, change; nothing else may.
         return [(f.kind, f.severity, f.line, f.column, f.message,
@@ -298,7 +301,7 @@ def test_selfdestruct_site():
     _, _, funds = _analyze(
         "contract C { address owner; function f() public {"
         " selfdestruct(payable(owner)); } }")
-    assert [s.kind for s in funds] == [SELF_DESTRUCT]
+    assert [s.form for s in funds] == [SELF_DESTRUCT]
 
 
 def test_native_transfer_sites():
@@ -307,21 +310,21 @@ def test_native_transfer_sites():
               ' to.call{value: amt}("");'
               " } }")
     _, _, funds = _analyze(source)
-    assert [s.kind for s in funds] == [NATIVE_TRANSFER, NATIVE_TRANSFER]
+    assert [s.form for s in funds] == [NATIVE_TRANSFER, NATIVE_TRANSFER]
 
 
 def test_send_in_require_condition_is_found():
     _, _, funds = _analyze(
         "contract C { function f(address payable to) public {"
         " require(to.send(1)); } }")
-    assert [s.kind for s in funds] == [NATIVE_TRANSFER]
+    assert [s.form for s in funds] == [NATIVE_TRANSFER]
 
 
 def test_fund_call_through_nested_casts_is_found():
     _, _, funds = _analyze(
         "contract C { function f(uint a) public {"
         " payable(address(uint160(a))).transfer(1); } }")
-    assert [(s.kind, s.text) for s in funds] == [
+    assert [(s.form, s.text) for s in funds] == [
         (NATIVE_TRANSFER, "payable(address(uint160(a))).transfer(1);")]
 
 
@@ -343,7 +346,7 @@ def test_unit_suffixed_amount_is_the_whole_fund_site():
     _, _, funds = _analyze(
         "contract C { mapping(address => uint) bals;"
         " function f(address to) public { bals[to] = 1 ether; } }")
-    assert [(s.kind, s.text) for s in funds] == [(BALANCE_MAPPING_WRITE, "bals[to] = 1 ether;")]
+    assert [(s.form, s.text) for s in funds] == [(BALANCE_MAPPING_WRITE, "bals[to] = 1 ether;")]
     findings, diagnostics = analyze_solidity_source(
         "contract C { address owner; mapping(address => uint) bals;"
         " function f(address to) public { require(msg.sender == owner);"
@@ -474,13 +477,31 @@ def test_base_constructor_call_is_not_an_unknown_modifier():
         assert diagnostics == [], source
 
 
+def test_malformed_modifier_headers():
+    # A modifier header is read as a function header is: a stray word is an
+    # invocation and the body is still parsed. Only a missing name gets a
+    # note of its own.
+    def scan(modifier):
+        source = ("contract C { address owner; mapping(address => uint) bals;\n"
+                  f"{modifier}\nfunction f(address to) public bad {{ bals[to] = 1; }} }}")
+        assert type(parse_single_unit(source)[0].modifiers[0]) is ast.FunctionDecl
+        findings, diagnostics = analyze_solidity_source(source, "a.sol", CONFIG)
+        return [f.severity for f in findings], [(d.message, d.line) for d in diagnostics]
+
+    assert scan("modifier { require(msg.sender == owner); _; }") == (
+        ["WARNING"], [("missing modifier name", 2),
+                      ("function 'f' invokes unknown modifier 'bad'", 3)])
+    assert scan("modifier bad junk { require(msg.sender == owner); _; }") == (["MAJOR"], [])
+    assert scan("modifier bad() virtual;") == (["WARNING"], [])
+
+
 def test_detection_order_is_sorted_and_deterministic():
     source = corpus_text("solidity", "owner_drain.sol")
     runs = []
     for _ in range(2):
         contract, guards, funds = _analyze(source)
         runs.append([(g.line, g.column, g.form) for g in guards]
-                    + [(s.line, s.column, s.kind) for s in funds])
+                    + [(s.line, s.column, s.form) for s in funds])
         assert runs[0] == runs[-1]
         assert runs[0] == sorted(runs[0], key=lambda t: (t[0], t[1]))
 
