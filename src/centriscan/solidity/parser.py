@@ -327,6 +327,10 @@ class _Parser:
             if t == ";":
                 self.i += 1
                 break
+            if t == "}" or t in _UNIT_STARTS:
+                # The enclosing contract ends here, or the next one starts.
+                self._note(f"function header ended by {t!r} before a body")
+                break
             if t == "returns":
                 self.i += 1
                 if self._text() == "(":

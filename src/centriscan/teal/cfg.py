@@ -8,6 +8,8 @@ starts at instruction 0; each block's outgoing edges are one list.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import sub
 from typing import NamedTuple
 
 from .parser import BRANCH_OPCODES, TERMINATOR_OPCODES, TealProgram
@@ -48,32 +50,30 @@ def build_cfg(program: TealProgram) -> Cfg:
         return Cfg([], [], [])
 
     leaders = {0, *(target for target in labels.values() if target < n)}
-    leaders.update([after for after, op in enumerate(opcodes, 1) if op in _BLOCK_ENDS])
+    # The instruction after each block end, picked out without a Python loop.
+    leaders.update(compress(range(1, n + 1), map(_BLOCK_ENDS.__contains__, opcodes)))
     leaders.discard(n)
 
     starts = sorted(leaders)
-    blocks = []
+    ends = starts[1:] + [n]
+    blocks = list(map(BasicBlock, range(len(starts)), starts, ends))
     block_of: list[int] = []
-    for bi, start in enumerate(starts):
-        end = starts[bi + 1] if bi + 1 < len(starts) else n
-        blocks.append(BasicBlock(bi, start, end))
-        block_of += [bi] * (end - start)
+    for bi, size in enumerate(map(sub, ends, starts)):
+        block_of += [bi] * size
 
     successors = []
-    last_block = len(blocks) - 1
-    for block in blocks:
+    for bi, end in enumerate(ends):
         out = []
-        last = block.end - 1
-        op = opcodes[last]
+        op = opcodes[end - 1]
         if op in BRANCH_OPCODES:
-            immediates = program.immediates[last]
+            immediates = program.immediates[end - 1]
             target = labels.get(immediates[0], n) if immediates else n
             if target < n:
                 out.append((block_of[target], BRANCH_TAKEN))
-            if op != "b" and block.index < last_block:
-                out.append((block.index + 1, BRANCH_NOT_TAKEN))
-        elif op not in TERMINATOR_OPCODES and block.index < last_block:
-            out.append((block.index + 1, FALLTHROUGH))
+            if op != "b" and end < n:
+                out.append((bi + 1, BRANCH_NOT_TAKEN))
+        elif op not in TERMINATOR_OPCODES and end < n:
+            out.append((bi + 1, FALLTHROUGH))
         successors.append(out)
     return Cfg(blocks, successors, block_of)
 

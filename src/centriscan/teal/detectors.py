@@ -2,20 +2,22 @@
 
 A fund modification is guarded iff every path from program entry reaches it
 only after passing an assert-style guard or crossing the authorized edge of
-a branch-style guard. Computed as reachability at instruction granularity
-in a pruned graph: traversal stops at assert guards and the authorized
-(non-fail) edge of each branch guard is removed. The traversal keeps, per
-block entered, its parent and depth in the BFS parent tree. Per unguarded
-write only the text a report prints of its witness path is stored, found by
-walking fewer than WITNESS_MAX_BLOCKS parents; full block and instruction
-paths are derived from the parent map on read. Each guarded write's gating
-guards are the last guard on each of its entry paths, found by one forward
-pass over blocks. The verdicts become the subjects the risk engine grades.
+a branch-style guard. Computed as reachability over blocks in a pruned
+graph: a path halts at its block's first assert guard, and the authorized
+(non-fail) edge of each branch guard is removed. Blocks are entered in
+order of the fewest instructions from entry, so the traversal keeps, per
+block entered, the parent and depth that an instruction-level BFS's parent
+tree gives it. Per unguarded write only the text a report prints of its
+witness path is stored, found by walking fewer than WITNESS_MAX_BLOCKS
+parents; full block and instruction paths are derived from the parent map
+on read. Each guarded write's gating guards are the last guard on each of
+its entry paths, found by one forward pass over blocks. The verdicts become
+the subjects the risk engine grades.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from heapq import heappop, heappush
 from operator import attrgetter
 from typing import Iterator, NamedTuple
 
@@ -103,6 +105,7 @@ def find_guard_points(
     its block."""
     points: list[GuardPoint] = []
     lines = program.lines
+    succeeding: list[set[int]] = []  # see _is_failure_region
     for block_facts in facts:
         for index, cmp in block_facts.guard_points.items():
             line = lines[index]
@@ -117,7 +120,7 @@ def find_guard_points(
                 f"assert: txn Sender == {source}",
             ))
         if block_facts.branch_guard is not None:
-            point = _branch_guard(cfg, facts, block_facts, program, diagnostics)
+            point = _branch_guard(cfg, facts, block_facts, program, diagnostics, succeeding)
             if point is not None:
                 points.append(point)
     return points
@@ -129,7 +132,8 @@ def _note_weakened(diagnostics, cmp: SenderCmp, line: int) -> None:
             "weakened guard: sender comparison combined with '||'", line))
 
 
-def _branch_guard(cfg, facts, block_facts, program, diagnostics) -> GuardPoint | None:
+def _branch_guard(cfg, facts, block_facts, program, diagnostics, succeeding
+                  ) -> GuardPoint | None:
     index = cfg.blocks[block_facts.block].end - 1
     cmp = block_facts.branch_guard
     opcode = program.opcodes[index]
@@ -147,7 +151,7 @@ def _branch_guard(cfg, facts, block_facts, program, diagnostics) -> GuardPoint |
         diagnostics.append(Diagnostic(
             "sender comparison branch has no failure edge", line))
         return None
-    if not _is_failure_region(cfg, facts, program, fail_target):
+    if not _is_failure_region(cfg, facts, program, fail_target, succeeding):
         diagnostics.append(Diagnostic(
             "sender comparison branch does not gate a failure path", line))
         return None
@@ -167,28 +171,50 @@ def _branch_guard(cfg, facts, block_facts, program, diagnostics) -> GuardPoint |
 
 
 def _is_failure_region(cfg: Cfg, facts: list[BlockFacts], program: TealProgram,
-                       start_block: int) -> bool:
-    """True iff every terminator reachable from start_block is `err` or a
-    `return` of a proven zero. A branch to the label after the last
-    instruction, or a conditional one that falls off the end, ends the
-    program with what is on the stack, so it may succeed."""
-    n = len(program.opcodes)
-    for block_index in _reachable_blocks(cfg, start_block):
-        end = cfg.blocks[block_index].end
-        last = program.opcodes[end - 1]
-        if last in BRANCH_OPCODES:
-            immediates = program.immediates[end - 1]
-            if (immediates and program.labels.get(immediates[0]) == n
-                    or last != "b" and end == n):
-                return False
-        if cfg.successors[block_index]:
-            continue
-        if last == "err":
-            continue
-        if last == "return" and facts[block_index].returned == IntConst(0):
-            continue
+                       start_block: int, succeeding: list[set[int]]) -> bool:
+    """True iff no path from start_block may end the program successfully.
+    A block with no successors is decided alone. Any other is looked up in
+    the blocks that lead to a success, found by one backward pass per
+    program and kept in succeeding, empty until the first such lookup."""
+    if not cfg.successors[start_block]:
+        return not _may_succeed(cfg, facts, program, start_block)
+    if not succeeding:
+        succeeding.append(_leading_to_success(cfg, facts, program))
+    return start_block not in succeeding[0]
+
+
+def _may_succeed(cfg: Cfg, facts: list[BlockFacts], program: TealProgram, block: int) -> bool:
+    """True iff the program may end successfully at the end of block: every
+    ending but `err` and a `return` of a proven zero. A branch to the label
+    after the last instruction, or a conditional one that falls off the
+    end, ends the program with what is on the stack."""
+    end = cfg.blocks[block].end
+    last = program.opcodes[end - 1]
+    if last in BRANCH_OPCODES:
+        immediates = program.immediates[end - 1]
+        n = len(program.opcodes)
+        if immediates and program.labels.get(immediates[0]) == n or last != "b" and end == n:
+            return True
+    if cfg.successors[block] or last == "err":
         return False
-    return True
+    return last != "return" or facts[block].returned != IntConst(0)
+
+
+def _leading_to_success(cfg: Cfg, facts: list[BlockFacts], program: TealProgram) -> set[int]:
+    """The blocks with a path to a block at whose end the program may
+    succeed, found backward from those blocks in one pass."""
+    predecessors: list[list[int]] = [[] for _ in cfg.blocks]
+    for frm, out in enumerate(cfg.successors):
+        for to, _kind in out:
+            predecessors[to].append(frm)
+    stack = [b for b in range(len(cfg.blocks)) if _may_succeed(cfg, facts, program, b)]
+    seen = set(stack)
+    while stack:
+        for frm in predecessors[stack.pop()]:
+            if frm not in seen:
+                seen.add(frm)
+                stack.append(frm)
+    return seen
 
 
 def find_fund_mod_points(facts: list[BlockFacts], program: TealProgram) -> list[FundModPoint]:
@@ -210,29 +236,39 @@ def compute_guardedness(
     fund_points: list[FundModPoint],
     diagnostics: list[Diagnostic],
 ) -> GuardednessResult:
-    """Decide, per fund point, whether all entry paths cross a guard."""
+    """Decide, per fund point, whether all entry paths cross a guard.
+
+    Work is per block and edge, plus a heap operation per block entered. A
+    tie, two block ends equally far from entry that lead into one block,
+    also walks both parent chains up to their lowest common ancestor, as
+    many steps as the deeper chain is long. The stagebench workloads and
+    the test corpus hold no tie."""
     result = GuardednessResult(cfg)
     if not cfg.blocks:
         return result
 
-    assert_stops = {p.instruction for p in guard_points if p.form == ASSERT_GUARD}
     pruned_edges = {p.non_fail_edge for p in guard_points
                     if p.form == BRANCH_GUARD and p.non_fail_edge is not None}
-
-    reachable_pruned, parents, depth = _reach(cfg, assert_stops, pruned_edges)
-    result.parents = parents
     # Guards per block in instruction order; the last one is what a path
-    # leaving the block has passed last.
+    # leaving the block has passed last. A block's first assert guard is
+    # where a path through it halts.
     guards_in: dict[int, list[GuardPoint]] = {}
+    first_stop: dict[int, int] = {}
     for p in sorted(guard_points, key=_instruction):
         guards_in.setdefault(p.block, []).append(p)
+        if p.form == ASSERT_GUARD:
+            first_stop.setdefault(p.block, p.instruction)
+
+    parents, depth = _reach(cfg, first_stop, pruned_edges)
+    result.parents = parents
     gates_into = _gates_into(cfg, {b: (held[-1],) for b, held in guards_in.items()})
 
     for point in fund_points:
-        if point.instruction in reachable_pruned:
+        block = point.block
+        if block in depth and point.instruction <= first_stop.get(block, point.instruction):
             result.verdicts[point] = False
-            result.tails[point] = _tail(parents, depth, point.block)
-        elif (block := cfg.block_of[point.instruction]) in gates_into:
+            result.tails[point] = _tail(parents, depth, block)
+        elif block in gates_into:
             result.verdicts[point] = True
             gates = gates_into[block]
             for p in guards_in.get(block, ()):
@@ -298,47 +334,58 @@ def _gates_into(cfg: Cfg, exits: dict[int, tuple[GuardPoint]]
     return into
 
 
-def _reachable_blocks(cfg: Cfg, start: int) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        for to, _kind in cfg.successors[stack.pop()]:
-            if to not in seen:
-                seen.add(to)
-                stack.append(to)
-    return seen
-
-
-def _reach(cfg: Cfg, stop_instructions: frozenset | set, pruned_edges: frozenset | set
-           ) -> tuple[set[int], dict[int, int], dict[int, int]]:
-    """Instruction-level BFS from entry (instruction 0) that halts at stop
-    instructions and never crosses pruned edges. Returns the reached
-    instructions and, per block entered, its parent (the block it was
-    entered from) and its depth in that parent tree (entry is 0). FIFO over
-    instructions keeps those chains the paths with the fewest instructions."""
+def _reach(cfg: Cfg, stop_blocks: dict[int, int], pruned_edges: frozenset | set
+           ) -> tuple[dict[int, int], dict[int, int]]:
+    """The parent tree that an instruction-level BFS from entry (instruction
+    0) builds, found block by block. The BFS halts at stop instructions,
+    never crosses pruned edges and enters a block only at its start; a
+    block's first instruction is reached after the fewest instructions of
+    any path, and its parent is the block whose end the BFS's FIFO dequeues
+    first among the ends that lie one instruction before it. So blocks are
+    taken in order of how far their end lies from entry, and a block with a
+    stop leads nowhere. Returns, per block reached, its parent (entry has
+    none) and its depth in that parent tree (entry is 0)."""
     blocks = cfg.blocks
-    seen = {0}
+    successors = cfg.successors
     parents: dict[int, int] = {}
     depth = {0: 0}
-    queue = deque([0])
-    while queue:
-        q = queue.popleft()
-        if q in stop_instructions:
+    start_at = {0: 0}  # block -> instructions from entry to its start
+    heap = [(blocks[0].end - blocks[0].start, 0)]  # (where its successors start, block)
+    while heap:
+        at, frm = heappop(heap)
+        if frm in stop_blocks:
             continue
-        frm = cfg.block_of[q]
-        if q + 1 < blocks[frm].end:
-            # Only q leads to q + 1 inside a block, so it is not yet seen.
-            seen.add(q + 1)
-            queue.append(q + 1)
-            continue
-        for to, kind in cfg.successors[frm]:
-            s = blocks[to].start
-            if s not in seen and (frm, to, kind) not in pruned_edges:
-                seen.add(s)
-                parents[to] = frm
-                depth[to] = depth[frm] + 1
-                queue.append(s)
-    return seen, parents, depth
+        for to, kind in successors[frm]:
+            if (frm, to, kind) in pruned_edges:
+                continue
+            have = start_at.get(to)
+            if have is None:
+                start_at[to] = at
+                block = blocks[to]
+                heappush(heap, (at + block.end - block.start, to))
+            elif have != at or parents[to] == frm or \
+                    not _dequeued_first(cfg, parents, depth, pruned_edges, frm, parents[to]):
+                continue  # entered sooner, or from an end the FIFO takes first
+            parents[to] = frm
+            depth[to] = depth[frm] + 1
+    return parents, depth
+
+
+def _dequeued_first(cfg: Cfg, parents: dict[int, int], depth: dict[int, int],
+                    pruned_edges: frozenset | set, a: int, b: int) -> bool:
+    """True iff the instruction FIFO dequeues the end of block a before that
+    of block b, two ends equally far from entry. Their chains part at their
+    lowest common ancestor, and the FIFO takes first the chain below its
+    earlier successor edge. Walks both chains up to that ancestor."""
+    while depth[a] > depth[b]:
+        a = parents[a]
+    while depth[b] > depth[a]:
+        b = parents[b]
+    while parents[a] != parents[b]:
+        a, b = parents[a], parents[b]
+    fork = parents[a]
+    order = [to for to, kind in cfg.successors[fork] if (fork, to, kind) not in pruned_edges]
+    return order.index(a) < order.index(b)
 
 
 def _tail(parents: dict[int, int], depth: dict[int, int], block: int) -> str:

@@ -6,15 +6,18 @@ kept with an unknown stack effect plus a note diagnostic.
 
 A program is held as parallel columns indexed by instruction number
 (`opcodes`, `immediates`, `lines`), not as one object per instruction. A
-line's instruction depends only on the line's text, so each distinct line
-with a known opcode is split once per parse and its repeats share one
-immediates tuple; labels, directives and unknown opcodes are parsed at every
-occurrence, so each gets its own label index or diagnostic.
+line's instruction depends only on the line's text, so each distinct
+instruction line is decoded once per parse and its repeats share one
+immediates tuple; an unknown opcode's note is built with it and added again
+at each occurrence. Labels and directives are parsed at every occurrence, so
+each gets its own label index or diagnostic. Branch targets are checked only
+at the branch instructions, which `itertools.compress` picks out.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import compress
 from typing import NamedTuple
 
 from ..diagnostics import Diagnostic
@@ -75,6 +78,8 @@ OPCODE_STACK_EFFECTS: dict[str, tuple[int, int]] = {
 BRANCH_OPCODES = frozenset({"b", "bz", "bnz"})
 # retsub never falls through, so it terminates blocks like return/err.
 TERMINATOR_OPCODES = frozenset({"return", "err", "retsub"})
+# Opcodes whose first immediate names a label.
+_TARGETED_OPCODES = BRANCH_OPCODES | {"callsub"}
 
 
 class Instruction(NamedTuple):
@@ -120,6 +125,7 @@ def parse_teal(source: str) -> TealProgram:
     diagnostics = program.diagnostics
     effects = OPCODE_STACK_EFFECTS
     known: dict[str, tuple[str, tuple[str, ...]]] = {}  # line text -> instruction
+    unknown: dict[str, tuple[str, tuple[str, ...], str]] = {}  # ... and its note
     for lineno, raw in enumerate(source.splitlines(), 1):
         hit = known.get(raw)
         if hit is not None:
@@ -127,8 +133,16 @@ def parse_teal(source: str) -> TealProgram:
             add_immediates(hit[1])
             add_line(lineno)
             continue
+        hit = unknown.get(raw)
+        if hit is not None:
+            diagnostics.append(Diagnostic(hit[2], lineno))
+            add_opcode(hit[0])
+            add_immediates(hit[1])
+            add_line(lineno)
+            continue
         if '"' in raw:
-            code = _CODE.match(raw).group().strip()
+            # Without a `//` the code is the whole line.
+            code = (_CODE.match(raw).group() if "//" in raw else raw).strip()
             if not code:
                 continue
             fields = code.split() if code.startswith("#") else _FIELD.findall(code)
@@ -167,21 +181,27 @@ def parse_teal(source: str) -> TealProgram:
         if head in effects:
             known[raw] = (head, immediates)
         else:
-            diagnostics.append(Diagnostic(f"unknown opcode '{head}'", lineno))
+            note = f"unknown opcode '{head}'"
+            unknown[raw] = (head, immediates, note)
+            diagnostics.append(Diagnostic(note, lineno))
         add_opcode(head)
         add_immediates(immediates)
         add_line(lineno)
 
-    for op, immediates, line in zip(program.opcodes, program.immediates, program.lines):
-        if op in BRANCH_OPCODES or op == "callsub":
-            if not immediates:
-                diagnostics.append(Diagnostic(
-                    f"'{op}' without a target label", line, severity="warning"))
-            elif immediates[0] not in labels:
-                diagnostics.append(Diagnostic(
-                    f"undefined branch target '{immediates[0]}'", line, severity="warning"))
-            elif labels[immediates[0]] == len(program.opcodes) and op != "callsub":
-                diagnostics.append(Diagnostic(
-                    f"branch target '{immediates[0]}' points past the last "
-                    f"instruction; edge dropped", line))
+    opcodes = program.opcodes
+    n = len(opcodes)
+    for index in compress(range(n), map(_TARGETED_OPCODES.__contains__, opcodes)):
+        op = opcodes[index]
+        immediates = program.immediates[index]
+        line = program.lines[index]
+        if not immediates:
+            diagnostics.append(Diagnostic(
+                f"'{op}' without a target label", line, severity="warning"))
+        elif immediates[0] not in labels:
+            diagnostics.append(Diagnostic(
+                f"undefined branch target '{immediates[0]}'", line, severity="warning"))
+        elif labels[immediates[0]] == n and op != "callsub":
+            diagnostics.append(Diagnostic(
+                f"branch target '{immediates[0]}' points past the last "
+                f"instruction; edge dropped", line))
     return program

@@ -166,6 +166,30 @@ def random_cfg(rng: random.Random) -> Cfg:
     return cfg_from_sizes(sizes, edges)
 
 
+def random_tied_cfg(rng: random.Random) -> Cfg:
+    """A random CFG of up to 80 blocks, most of one instruction and the rest
+    of two, most of them branching to blocks a few places on, so that many
+    blocks are entered from two block ends equally far from entry, on paths
+    of equal or unequal block counts."""
+    n_blocks = rng.randint(1, 80)
+    edges = []
+
+    def target(i):
+        return min(n_blocks - 1, i + rng.randint(1, 6)) if rng.random() < 0.85 \
+            else rng.randrange(n_blocks)
+
+    for i in range(n_blocks):
+        shape = rng.choices(("halt", "jump", "branch", "fall"), (1, 2, 5, 2))[0]
+        if shape == "jump":
+            edges.append((i, target(i), BRANCH_TAKEN))
+        elif shape == "branch":
+            edges.append((i, target(i), BRANCH_TAKEN))
+            edges.append((i, target(i), BRANCH_NOT_TAKEN))
+        elif shape == "fall" and i + 1 < n_blocks:
+            edges.append((i, i + 1, FALLTHROUGH))
+    return cfg_from_sizes(rng.choices((1, 2), (3, 1), k=n_blocks), edges)
+
+
 def random_guards_and_funds(
     cfg: Cfg, rng: random.Random
 ) -> tuple[list[GuardPoint], list[FundModPoint]]:

@@ -15,6 +15,16 @@ passes before reaching it.
 instruction-level BFS that records one parent per instruction and reads
 each block path off the instruction path.
 
+`reference_parents` reads the same BFS's parent tree off at block level:
+per block entered, the block it is entered from.
+
+`reference_is_failure_region` is the reference failure-region rule: every
+block reachable from the start, collected anew for each start, may only
+end the program unsuccessfully.
+
+`reference_parse_teal` is the reference TEAL parser: it decodes every line
+at every occurrence and checks every instruction for a branch target.
+
 `reference_exec_block` is the reference abstract interpreter: one
 instruction object and one stack method call at a time, with the value
 helpers of `centriscan.teal.absint`.
@@ -22,6 +32,7 @@ helpers of `centriscan.teal.absint`.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 
 from centriscan.config import AnalyzerConfig
@@ -35,6 +46,7 @@ from centriscan.teal.absint import (
     ByteConst,
     GlobalField,
     GlobalGet,
+    IntConst,
     SenderCmp,
     _byte_value,
     _combine,
@@ -44,7 +56,7 @@ from centriscan.teal.absint import (
 )
 from centriscan.teal.cfg import BasicBlock, Cfg
 from centriscan.teal.detectors import FundModPoint, GuardPoint
-from centriscan.teal.parser import TealProgram
+from centriscan.teal.parser import BRANCH_OPCODES, OPCODE_STACK_EFFECTS, TealProgram
 
 
 def _instruction_successors(cfg: Cfg, pruned: set) -> dict[int, list[int]]:
@@ -209,6 +221,119 @@ def reference_witnesses(
             instruction_paths[point] = path
             block_paths[point] = _block_path(path, cfg)
     return block_paths, instruction_paths
+
+
+def reference_parents(cfg: Cfg, guards: list[GuardPoint]) -> dict[int, int]:
+    """Per block other than entry that the instruction BFS enters, the block
+    it enters it from."""
+    if not cfg.blocks:
+        return {}
+    _, parents = _reach(cfg, *_guard_cuts(guards))
+    return {block.index: cfg.block_of[parents[block.start]] for block in cfg.blocks
+            if block.start in parents}
+
+
+def _reachable_blocks(cfg: Cfg, start: int) -> set[int]:
+    seen = {start}
+    stack = [start]
+    while stack:
+        for to, _kind in cfg.successors[stack.pop()]:
+            if to not in seen:
+                seen.add(to)
+                stack.append(to)
+    return seen
+
+
+def reference_is_failure_region(cfg: Cfg, facts: list[BlockFacts], program: TealProgram,
+                                start_block: int) -> bool:
+    """True iff every terminator reachable from start_block is `err` or a
+    `return` of a proven zero. A branch to the label after the last
+    instruction, or a conditional one that falls off the end, ends the
+    program with what is on the stack, so it may succeed."""
+    n = len(program.opcodes)
+    for block_index in _reachable_blocks(cfg, start_block):
+        end = cfg.blocks[block_index].end
+        last = program.opcodes[end - 1]
+        if last in BRANCH_OPCODES:
+            immediates = program.immediates[end - 1]
+            if (immediates and program.labels.get(immediates[0]) == n
+                    or last != "b" and end == n):
+                return False
+        if cfg.successors[block_index]:
+            continue
+        if last == "err":
+            continue
+        if last == "return" and facts[block_index].returned == IntConst(0):
+            continue
+        return False
+    return True
+
+
+# The parser's grammar, copied so that a change to it shows as a disagreement.
+_STRING = r'"(?:\\.|[^"\\])*(?:"|\\)?'
+_CODE = re.compile(r'(?:[^"/]+|/(?!/)|' + _STRING + ")*", re.DOTALL)
+_FIELD = re.compile(_STRING + r'|[^\s"]\S*', re.DOTALL)
+
+
+def reference_parse_teal(source: str) -> TealProgram:
+    """Parse TEAL text line by line, each line decoded where it occurs."""
+    program = TealProgram()
+    labels = program.labels
+    diagnostics = program.diagnostics
+    for lineno, raw in enumerate(source.splitlines(), 1):
+        if '"' in raw:
+            code = _CODE.match(raw).group().strip()
+            if not code:
+                continue
+            fields = code.split() if code.startswith("#") else _FIELD.findall(code)
+        else:
+            fields = raw.split("//", 1)[0].split()
+            if not fields:
+                continue
+        head = fields[0]
+        if head[0] == "#":
+            if fields[0] == "#pragma" and len(fields) >= 3 and fields[1] == "version":
+                try:
+                    int(fields[2])
+                except ValueError:
+                    diagnostics.append(Diagnostic(
+                        f"unparseable version pragma {fields[2]!r}", lineno))
+            elif fields[0] != "#pragma":
+                diagnostics.append(Diagnostic(
+                    f"unrecognized directive {fields[0]!r}", lineno))
+            continue
+        if head[-1] == ":" and head[0] != '"':
+            label = head[:-1]
+            if not label:
+                diagnostics.append(Diagnostic("empty label name", lineno))
+                continue
+            if label in labels:
+                diagnostics.append(Diagnostic(
+                    f"duplicate label '{label}'; last definition wins", lineno))
+            labels[label] = len(program.opcodes)
+            if len(fields) > 1:
+                diagnostics.append(Diagnostic(
+                    f"content after label '{label}' ignored", lineno))
+            continue
+        if head not in OPCODE_STACK_EFFECTS:
+            diagnostics.append(Diagnostic(f"unknown opcode '{head}'", lineno))
+        program.opcodes.append(head)
+        program.immediates.append(tuple(fields[1:]))
+        program.lines.append(lineno)
+
+    for op, immediates, line in zip(program.opcodes, program.immediates, program.lines):
+        if op in BRANCH_OPCODES or op == "callsub":
+            if not immediates:
+                diagnostics.append(Diagnostic(
+                    f"'{op}' without a target label", line, severity="warning"))
+            elif immediates[0] not in labels:
+                diagnostics.append(Diagnostic(
+                    f"undefined branch target '{immediates[0]}'", line, severity="warning"))
+            elif labels[immediates[0]] == len(program.opcodes) and op != "callsub":
+                diagnostics.append(Diagnostic(
+                    f"branch target '{immediates[0]}' points past the last "
+                    f"instruction; edge dropped", line))
+    return program
 
 
 class _Stack:

@@ -12,8 +12,14 @@ from centriscan.teal.detectors import (
     find_subjects,
 )
 
-from helpers import cfg_from_sizes, random_cfg, random_guards_and_funds
-from oracle import oracle_verdicts, reference_gates, reference_witnesses
+from helpers import cfg_from_sizes, random_cfg, random_guards_and_funds, random_tied_cfg
+from oracle import (
+    oracle_verdicts,
+    plain_reachable,
+    reference_gates,
+    reference_parents,
+    reference_witnesses,
+)
 
 
 def _case(seed: int):
@@ -125,6 +131,29 @@ def test_printed_witnesses_are_the_bounded_reference_paths():
     assert lengths >= set(range(1, 21))
 
 
+def test_tie_heavy_cfgs_match_the_reference_bfs():
+    # In blocks of one or two instructions many blocks are entered from two
+    # ends equally far from entry; the instruction FIFO's order picks the
+    # parent.
+    # A write opens every block, so every block entered is checked. A
+    # printed witness is as long as the traversal's depth says: a wrong
+    # depth prints a path that misses entry or walks past it.
+    for seed in range(3000):
+        rng = random.Random(seed)
+        cfg = random_tied_cfg(rng)
+        guards, funds = random_guards_and_funds(cfg, rng)
+        funds += [_write(cfg, b.start) for b in cfg.blocks]
+        result = compute_guardedness(cfg, guards, funds, [])
+        blocks, instructions = reference_witnesses(cfg, guards, funds)
+        reached = plain_reachable(cfg)
+        assert result.parents == reference_parents(cfg, guards), f"seed={seed}"
+        assert result.tails == {p: _bounded(path) for p, path in blocks.items()}, f"seed={seed}"
+        assert (result.witnesses, result.witness_instructions) == (blocks, instructions)
+        assert result.verdicts == {
+            p: False if p in blocks else True if p.instruction in reached else None
+            for p in funds}, f"seed={seed}"
+
+
 def test_gates_match_reference_on_random_cfgs():
     for seed in range(300):
         cfg, guards, funds = _case(seed)
@@ -191,6 +220,7 @@ def _witness_to_last_block(sizes, edges):
     result = compute_guardedness(cfg, [], [point], [])
     assert (result.witnesses, result.witness_instructions) == \
         reference_witnesses(cfg, [], [point])
+    assert result.tails[point] == _bounded(result.witnesses[point])
     return result.witnesses[point], result.witness_instructions[point]
 
 
@@ -210,6 +240,17 @@ def test_witness_ties_follow_edge_order():
     assert _witness_to_last_block([1, 2, 1, 1, 1], a_first) == ((0, 1, 4), (0, 1, 2, 5))
     b_first = [a_first[1], a_first[0], *a_first[2:]]
     assert _witness_to_last_block([1, 2, 1, 1, 1], b_first) == ((0, 2, 3, 4), (0, 3, 4, 5))
+
+
+def test_witness_tie_is_decided_where_the_chains_part():
+    # 0 -> 1 -> 3 -> 5 and 0 -> 2 -> 4 -> 5 in one-instruction blocks: the
+    # ends of 3 and 4 are equally far from entry, and block 0, two blocks
+    # above them, decides the tie by its edge order.
+    edges = [(0, 1, BRANCH_TAKEN), (0, 2, BRANCH_NOT_TAKEN), (1, 3, BRANCH_TAKEN),
+             (2, 4, BRANCH_TAKEN), (3, 5, BRANCH_TAKEN), (4, 5, BRANCH_TAKEN)]
+    assert _witness_to_last_block([1] * 6, edges) == ((0, 1, 3, 5), (0, 1, 3, 5))
+    swapped = [(0, 2, BRANCH_TAKEN), (0, 1, BRANCH_NOT_TAKEN), *edges[2:]]
+    assert _witness_to_last_block([1] * 6, swapped) == ((0, 2, 4, 5), (0, 2, 4, 5))
 
 
 def test_guard_monotonicity():

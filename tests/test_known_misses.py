@@ -1,8 +1,8 @@
-"""Ledger of declaration-level Solidity shapes the analyzer misgrades today,
-each next to the negatives its fix must keep.
+"""Ledger of Solidity and TEAL shapes the analyzer misgrades today, each
+next to the negatives its fix must keep.
 
-A row holds a source, the (kind, severity, line) findings it should get
-and the ROADMAP item whose fix decides it. A row that fails today is a
+A row holds the analyzer of its language, a source, the (kind, severity,
+line) findings it should get and the ROADMAP item whose fix decides it. A row that fails today is a
 strict xfail with that item as its reason, so it turns into a failure,
 and has to become a plain row, the moment its fix lands. The plain rows
 are negatives and neighbouring positives: a fix that reaches too far
@@ -12,7 +12,7 @@ fails one of them. Run with `-rx` to list the known misses.
 import pytest
 
 from centriscan.config import AnalyzerConfig
-from centriscan.engine import analyze_solidity_source
+from centriscan.engine import analyze_solidity_source, analyze_teal_source
 
 CONFIG = AnalyzerConfig()
 
@@ -33,14 +33,26 @@ def _drain(guard: str) -> str:
     return _STATE + f"function drain(address to) public {{ {guard} bals[to] = 0; }}\n}}\n"
 
 
-def _miss(item: int, name: str, source: str, expected: list):
-    return pytest.param(source, expected, id=f"item{item}-{name}", marks=pytest.mark.xfail(
-        strict=True, reason=f"ROADMAP item {item}"))
+def _miss(item: int, name: str, source: str, expected: list, analyze=analyze_solidity_source):
+    return pytest.param(analyze, source, expected, id=f"item{item}-{name}",
+                        marks=pytest.mark.xfail(strict=True, reason=f"ROADMAP item {item}"))
 
 
-def _holds(item: int, name: str, source: str, expected: list):
+def _holds(item: int, name: str, source: str, expected: list, analyze=analyze_solidity_source):
     # item: the ROADMAP item whose fix must leave this row as it is.
-    return pytest.param(source, expected, id=f"item{item}-{name}")
+    return pytest.param(analyze, source, expected, id=f"item{item}-{name}")
+
+
+# A TEAL row's program: a creator assert, then the balance put on line 8.
+_CREATOR = "txn Sender\nglobal CreatorAddress\n==\nassert\n"
+_PUT = 'byte "MyBalance"\nint 5\napp_global_put\n'
+_ACCEPT = "int 1\nreturn\n"
+# Dispatch on the first argument: "setmgr" sets the manager (after the
+# given guard), anything else is a balance put behind a manager assert,
+# on line 13.
+_MANAGER = ("#pragma version 6\ntxna ApplicationArgs 0\nbyte \"setmgr\"\n==\nbnz setmgr\n"
+            'byte "manager"\napp_global_get\ntxn Sender\n==\nassert\n' + _PUT + _ACCEPT
+            + 'setmgr:\n{guard}byte "manager"\ntxn Sender\napp_global_put\n' + _ACCEPT)
 
 
 _ROWS = [
@@ -82,10 +94,36 @@ _ROWS = [
            [(*MAJOR, 3)]),
     _holds(7, "sender-against-own-cast",
            _drain("require(address(msg.sender) == msg.sender);"), [(*WARNING, 3)]),
+    # TEAL. Item 2: subroutines and multi-way branches.
+    _miss(2, "teal-callsub-creator-guarded-put",
+          "#pragma version 6\ncallsub credit\n" + _ACCEPT + "credit:\n" + _CREATOR + _PUT
+          + "retsub\n", [(*MAJOR, 12)], analyze_teal_source),
+    _miss(2, "teal-switch-creator-guarded-put",
+          "#pragma version 8\ntxn OnCompletion\nswitch main del\nerr\nmain:\n" + _CREATOR
+          + _PUT + _ACCEPT + "del:\nint 0\nreturn\n", [(*MAJOR, 12)], analyze_teal_source),
+    _holds(2, "teal-creator-asserted-put", "#pragma version 6\n" + _CREATOR + _PUT + _ACCEPT,
+           [(*MAJOR, 8)], analyze_teal_source),
+    # Item 5: a guard is only as strong as the writes to its owner.
+    _miss(5, "teal-unguarded-setmgr", _MANAGER.format(guard=""), [(*WARNING, 13)],
+          analyze_teal_source),
+    _holds(5, "teal-creator-guarded-setmgr", _MANAGER.format(guard=_CREATOR), [(*MAJOR, 13)],
+           analyze_teal_source),
+    # Item 7: a guard is only a check that a stranger cannot pass.
+    _miss(7, "teal-sender-check-or-amount",
+          "#pragma version 6\ntxn Sender\nglobal CreatorAddress\n==\ntxn Amount\nint 10\n<\n"
+          "||\nassert\n" + _PUT + _ACCEPT, [(*WARNING, 12)], analyze_teal_source),
+    _holds(7, "teal-sender-against-argument",
+           "#pragma version 6\ntxn Sender\ntxna ApplicationArgs 1\n==\nassert\n" + _PUT + _ACCEPT,
+           [(*WARNING, 8)], analyze_teal_source),
+    # Item 15: fund moves beyond app-state puts.
+    _miss(15, "teal-unguarded-inner-pay",
+          "#pragma version 6\nitxn_begin\nint pay\nitxn_field TypeEnum\ntxna Accounts 1\n"
+          "itxn_field Receiver\nint 1000\nitxn_field Amount\nitxn_submit\n" + _ACCEPT,
+          [(*WARNING, 9)], analyze_teal_source),
 ]
 
 
-@pytest.mark.parametrize("source, expected", _ROWS)
-def test_known_miss(source, expected):
-    findings, _ = analyze_solidity_source(source, "vault.sol", CONFIG)
+@pytest.mark.parametrize("analyze, source, expected", _ROWS)
+def test_known_miss(analyze, source, expected):
+    findings, _ = analyze(source, "vault", CONFIG)
     assert [(f.kind, f.severity, f.line) for f in findings] == expected

@@ -3,6 +3,8 @@
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from centriscan.config import AnalyzerConfig
+from centriscan.engine import analyze_solidity_source
 from centriscan.solidity import ast
 from centriscan.solidity.parser import parse_solidity
 from centriscan.solidity.tokens import tokenize
@@ -199,6 +201,23 @@ def test_recovery_steps_over_a_stray_closer():
     assert [type(s) for s in body] == [ast.Opaque, ast.Assign]
     assert unit.tokens.text(body[0].at, body[0].end) == "emit Log(a));"
     assert _notes(unit) == [("statement outside recognized subset", 1, 36)]
+
+
+def test_bodiless_function_header_stops_at_the_contract_close():
+    # The header gives up at `}` (or at the next contract keyword) and
+    # leaves it, so the contract ends there and the next one parses whole.
+    source = ("contract A { function f() }\n"
+              "contract B { mapping(address => uint) bals; "
+              "function g(address t) public { bals[t] = 0; } }\n")
+    unit = parse_solidity(source)
+    assert [(c.name, [f.name for f in c.functions]) for c in unit.contracts] == [
+        ("A", ["f"]), ("B", ["g"])]
+    assert unit.contracts[0].functions[0].body == []
+    assert _notes(unit) == [("function header ended by '}' before a body", 1, 27)]
+    findings, _ = analyze_solidity_source(source, "ab.sol", AnalyzerConfig())
+    assert [(f.severity, f.line, f.column) for f in findings] == [("WARNING", 2, 45)]
+    unit = parse_solidity("contract A { function f() public\ncontract B {}")
+    assert _notes(unit)[0] == ("function header ended by 'contract' before a body", 2, 1)
 
 
 def test_state_variable_initializer_stops_at_contract_close():

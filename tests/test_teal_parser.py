@@ -1,9 +1,11 @@
 """TEAL parsing: instructions, labels, pragmas, comments, unknown opcodes."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from centriscan.teal.parser import OPCODE_STACK_EFFECTS, Instruction, TealProgram, parse_teal
+
+from oracle import reference_parse_teal
 
 
 def _columns(program: TealProgram):
@@ -165,3 +167,23 @@ def test_repeated_source_parses_as_twice_the_columns(lines):
         (number + offset, duplicate.format(_LABEL_LINES[line]))
         for number, line in enumerate(lines, 1) if line in _LABEL_LINES]
     assert notes(twice) == sorted(expected)
+
+
+# Pieces of lines: quotes, backslashes, comments, directives, labels,
+# whitespace, branch opcodes and their targets, known and unknown opcodes.
+_LINE_PIECES = ['"', "\\", "//", "/", "#", ":", " ", "\t", "int", "1", "byte", "b", "bz",
+                "callsub", "lbl", "#pragma", "version", "frob", "x", "b lbl", "lbl:"]
+
+
+@given(st.lists(st.lists(st.sampled_from(_LINE_PIECES), max_size=8).map("".join),
+                min_size=1, max_size=8),
+       st.lists(st.integers(0, 7), max_size=30))
+@example(["b lbl", "lbl:", 'byte "//" // c'], [0, 2, 1])  # a target past the end
+@settings(max_examples=400, deadline=None)
+def test_parse_teal_matches_the_line_by_line_reference(lines, picks):
+    # A source that repeats a few distinct lines, each decoded once.
+    source = "\n".join(lines[i % len(lines)] for i in picks)
+    program, reference = parse_teal(source), reference_parse_teal(source)
+    assert _columns(program) == _columns(reference)
+    assert program.labels == reference.labels
+    assert program.diagnostics == reference.diagnostics
