@@ -29,7 +29,7 @@ _STAGES = {
     TEAL_EXT: {
         "parse_teal": "teal.parser", "build_cfg": "teal.cfg",
         "abstract_exec_block": "teal.absint", "find_guard_points": "teal.detectors",
-        "find_fund_mod_points": "teal.detectors", "compute_guardedness": "teal.detectors",
+        "find_fund_mod_points": "teal.detectors", "compute_guardedness": "flow",
         "find_subjects": "teal.detectors",
     },
 }

@@ -227,13 +227,15 @@ class _Parser:
             self._note("contract body not found")
             return contract
         closed = False
-        while self.i < self.n:
+        # The next unit's keyword is left to parse_unit, as the header loop does.
+        while self.i < self.n and self.texts[self.i] not in _UNIT_STARTS:
             if self._eat("}"):
                 closed = True
                 break
             self._parse_member(contract)
         if not closed:
-            self._note(f"unterminated contract '{name}' at end of input")
+            where = "at end of input" if self.i == self.n else f"before {self.texts[self.i]!r}"
+            self._note(f"unterminated contract '{name}' {where}")
         return contract
 
     # --- contract members -------------------------------------------------

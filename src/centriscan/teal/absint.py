@@ -13,7 +13,6 @@ import binascii
 from ..config import AnalyzerConfig
 from ..diagnostics import Diagnostic
 from ..record import Record
-from .cfg import BasicBlock
 from .parser import OPCODE_STACK_EFFECTS, TealProgram
 
 
@@ -96,10 +95,10 @@ class BlockFacts(Record):
     balance writes (index -> (opcode, key)) keyed by instruction index, in
     ascending order; the sender comparison popped by the `bz`/`bnz` that
     ends the block; and the value popped by the `return` that ends it."""
-    __slots__ = ("block", "guard_points", "fund_mods", "branch_guard", "returned")
+    __slots__ = ("guard_points", "fund_mods", "branch_guard", "returned")
 
-    def __init__(self, block: int):
-        self.block, self.guard_points, self.fund_mods = block, {}, {}
+    def __init__(self):
+        self.guard_points, self.fund_mods = {}, {}
         self.branch_guard: SenderCmp | None = None
         self.returned: AbstractValue | None = None
 
@@ -189,12 +188,12 @@ _PUTS = frozenset({"app_local_put", "app_global_put"})
 
 
 def abstract_exec_block(
-    block: BasicBlock,
+    block: range,
     program: TealProgram,
     config: AnalyzerConfig,
     diagnostics: list[Diagnostic],
 ) -> BlockFacts:
-    """Symbolically execute one block, flagging guard and fund-mod points.
+    """Symbolically execute one block (a range of instruction indices).
 
     The entry block's stack starts empty and is strict: popping past its
     bottom is an underflow: the opcode runs with what it popped, and the
@@ -205,17 +204,17 @@ def abstract_exec_block(
     stack as Unknown. An opcode of unknown arity empties the stack, and the
     rest of the block runs bottomless.
     """
-    facts = BlockFacts(block.index)
+    facts = BlockFacts()
     opcodes = program.opcodes
     immediates = program.immediates
     effects = OPCODE_STACK_EFFECTS
-    start, end = block.start, block.end
+    start = block.start
     strict = start == 0
     stack: list[AbstractValue] = []
     push = stack.append
     pop = stack.pop
 
-    for index in range(start, end):
+    for index in block:
         op = opcodes[index]
         delta = effects.get(op)
         if delta is None:  # what it pops and pushes is unknown: start over bottomless

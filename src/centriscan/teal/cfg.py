@@ -1,43 +1,19 @@
-"""Basic-block CFG over TEAL branch opcodes.
+"""Basic-block CFG over TEAL branch opcodes, in the form of `centriscan.flow`.
 
 Block boundaries occur at labels, after b/bz/bnz, and after return/err
 (retsub included: it never falls through). `assert` does not end a block;
-its failure path is program abort, not an edge. Entry is block 0, which
-starts at instruction 0; each block's outgoing edges are one list.
+its failure path is program abort, not an edge. Each block is the range of
+its instruction indices.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from operator import sub
-from typing import NamedTuple
 
+from ..flow import BRANCH_NOT_TAKEN, BRANCH_TAKEN, FALLTHROUGH, Cfg
 from .parser import BRANCH_OPCODES, TERMINATOR_OPCODES, TealProgram
 
-FALLTHROUGH = "fallthrough"
-BRANCH_TAKEN = "branch_taken"
-BRANCH_NOT_TAKEN = "branch_not_taken"
-
 _BLOCK_ENDS = BRANCH_OPCODES | TERMINATOR_OPCODES
-
-
-class BasicBlock(NamedTuple):
-    index: int
-    start: int  # first instruction index
-    end: int  # one past the last instruction index
-
-
-class Cfg(NamedTuple):
-    blocks: list[BasicBlock]
-    # Per block, its (to, kind) edges: a branch's taken edge before its
-    # not-taken one. A terminator's list is empty.
-    successors: list[list[tuple[int, str]]]
-    block_of: list[int]  # instruction index -> block index
-
-    @property
-    def edges(self) -> list[tuple[int, int, str]]:
-        """Every (from, to, kind) edge in block order, built on read."""
-        return [(b, to, kind) for b, out in enumerate(self.successors) for to, kind in out]
 
 
 def build_cfg(program: TealProgram) -> Cfg:
@@ -47,7 +23,7 @@ def build_cfg(program: TealProgram) -> Cfg:
     labels = program.labels
     n = len(opcodes)
     if n == 0:
-        return Cfg([], [], [])
+        return Cfg([], [])
 
     leaders = {0, *(target for target in labels.values() if target < n)}
     # The instruction after each block end, picked out without a Python loop.
@@ -56,10 +32,7 @@ def build_cfg(program: TealProgram) -> Cfg:
 
     starts = sorted(leaders)
     ends = starts[1:] + [n]
-    blocks = list(map(BasicBlock, range(len(starts)), starts, ends))
-    block_of: list[int] = []
-    for bi, size in enumerate(map(sub, ends, starts)):
-        block_of += [bi] * size
+    block_at = dict(zip(starts, range(len(starts))))  # every label target starts a block
 
     successors = []
     for bi, end in enumerate(ends):
@@ -69,11 +42,10 @@ def build_cfg(program: TealProgram) -> Cfg:
             immediates = program.immediates[end - 1]
             target = labels.get(immediates[0], n) if immediates else n
             if target < n:
-                out.append((block_of[target], BRANCH_TAKEN))
+                out.append((block_at[target], BRANCH_TAKEN))
             if op != "b" and end < n:
                 out.append((bi + 1, BRANCH_NOT_TAKEN))
         elif op not in TERMINATOR_OPCODES and end < n:
             out.append((bi + 1, FALLTHROUGH))
         successors.append(out)
-    return Cfg(blocks, successors, block_of)
-
+    return Cfg(list(map(range, starts, ends)), successors)

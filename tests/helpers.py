@@ -12,13 +12,7 @@ from centriscan.record import Record
 from centriscan.solidity import ast
 from centriscan.solidity.tokens import Tokens
 from centriscan.solidity.parser import parse_solidity
-from centriscan.teal.cfg import (
-    BRANCH_NOT_TAKEN,
-    BRANCH_TAKEN,
-    FALLTHROUGH,
-    BasicBlock,
-    Cfg,
-)
+from centriscan.flow import BRANCH_NOT_TAKEN, BRANCH_TAKEN, FALLTHROUGH, Cfg
 from centriscan.teal.detectors import FundModPoint, GuardPoint
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
@@ -129,20 +123,23 @@ def ast_equal(a, b, tokens_a: Tokens, tokens_b: Tokens) -> bool:
 
 # --- synthetic CFGs for the guardedness oracle ------------------------------
 
+def block_of(cfg: Cfg) -> list[int]:
+    """Per instruction index, the index of the block that holds it."""
+    return [b for b, block in enumerate(cfg.blocks) for _ in block]
+
+
 def cfg_from_sizes(sizes: list[int], edges: list[tuple[int, int, str]]) -> Cfg:
     """A CFG of consecutive blocks with the given instruction counts and
     (from, to, kind) edges, kept in their order per source block; entry 0."""
     blocks = []
-    block_of = []
     start = 0
-    for i, size in enumerate(sizes):
-        blocks.append(BasicBlock(i, start, start + size))
-        block_of.extend([i] * size)
+    for size in sizes:
+        blocks.append(range(start, start + size))
         start += size
     successors = [[] for _ in sizes]
     for frm, to, kind in edges:
         successors[frm].append((to, kind))
-    return Cfg(blocks, successors, block_of)
+    return Cfg(blocks, successors)
 
 
 def random_cfg(rng: random.Random) -> Cfg:
@@ -193,13 +190,14 @@ def random_tied_cfg(rng: random.Random) -> Cfg:
 def random_guards_and_funds(
     cfg: Cfg, rng: random.Random
 ) -> tuple[list[GuardPoint], list[FundModPoint]]:
-    n_instr = cfg.blocks[-1].end
+    n_instr = cfg.blocks[-1].stop
+    blocks = block_of(cfg)
     guards = []
     for _ in range(rng.randint(0, 3)):
         q = rng.randrange(n_instr)
-        block = cfg.block_of[q]
+        block = blocks[q]
         outgoing = cfg.successors[block]
-        if q == cfg.blocks[block].end - 1 and len(outgoing) == 2 and rng.random() < 0.6:
+        if q == cfg.blocks[block].stop - 1 and len(outgoing) == 2 and rng.random() < 0.6:
             fail_idx = rng.randrange(2)
             other_to, other_kind = outgoing[1 - fail_idx]
             guards.append(GuardPoint(
@@ -211,5 +209,5 @@ def random_guards_and_funds(
                 "AssertGuard", block, q, q + 1, "addr TESTSOURCE", "assert guard"))
     funds = []
     for q in rng.sample(range(n_instr), min(rng.randint(0, 3), n_instr)):
-        funds.append(FundModPoint(cfg.block_of[q], q, q + 1, "app_global_put", "MyBalance"))
+        funds.append(FundModPoint(blocks[q], q, q + 1, "app_global_put", "MyBalance"))
     return guards, funds

@@ -54,21 +54,23 @@ from centriscan.teal.absint import (
     _int_value,
     _record_put,
 )
-from centriscan.teal.cfg import BasicBlock, Cfg
+from centriscan.flow import Cfg
 from centriscan.teal.detectors import FundModPoint, GuardPoint
 from centriscan.teal.parser import BRANCH_OPCODES, OPCODE_STACK_EFFECTS, TealProgram
+
+from helpers import block_of
 
 
 def _instruction_successors(cfg: Cfg, pruned: set) -> dict[int, list[int]]:
     """Successor map over instructions, without the pruned block edges."""
     successors: dict[int, list[int]] = {}
     for block in cfg.blocks:
-        for q in range(block.start, block.end - 1):
+        for q in block[:-1]:
             successors[q] = [q + 1]
-        successors[block.end - 1] = []
+        successors[block[-1]] = []
     for frm, to, kind in cfg.edges:
         if (frm, to, kind) not in pruned:
-            successors[cfg.blocks[frm].end - 1].append(cfg.blocks[to].start)
+            successors[cfg.blocks[frm][-1]].append(cfg.blocks[to].start)
     return successors
 
 
@@ -166,6 +168,7 @@ def _reach(cfg: Cfg, stop_instructions: set, pruned_edges: set
     """Instruction-level BFS from entry with one parent per instruction;
     expansion halts at stop instructions and never crosses pruned edges."""
     blocks = cfg.blocks
+    blocks_of = block_of(cfg)
     seen = {0}  # entry: instruction 0
     parents: dict[int, int] = {}
     queue = deque([0])
@@ -173,11 +176,10 @@ def _reach(cfg: Cfg, stop_instructions: set, pruned_edges: set
         q = queue.popleft()
         if q in stop_instructions:
             continue
-        block = blocks[cfg.block_of[q]]
-        if q + 1 < block.end:
+        frm = blocks_of[q]
+        if q + 1 < blocks[frm].stop:
             nxt = [q + 1]
         else:
-            frm = block.index
             nxt = [blocks[to].start for to, kind in cfg.successors[frm]
                    if (frm, to, kind) not in pruned_edges]
         for s in nxt:
@@ -196,10 +198,10 @@ def _instruction_path(parents: dict[int, int], target: int, cfg: Cfg) -> tuple[i
     return tuple(path)
 
 
-def _block_path(instruction_path: tuple[int, ...], cfg: Cfg) -> tuple[int, ...]:
+def _block_path(instruction_path: tuple[int, ...], blocks_of: list[int]) -> tuple[int, ...]:
     blocks = []
     for q in instruction_path:
-        b = cfg.block_of[q]
+        b = blocks_of[q]
         if not blocks or blocks[-1] != b:
             blocks.append(b)
     return tuple(blocks)
@@ -215,11 +217,12 @@ def reference_witnesses(
     if not cfg.blocks:
         return block_paths, instruction_paths
     reached, parents = _reach(cfg, *_guard_cuts(guards))
+    blocks_of = block_of(cfg)
     for point in funds:
         if point.instruction in reached:
             path = _instruction_path(parents, point.instruction, cfg)
             instruction_paths[point] = path
-            block_paths[point] = _block_path(path, cfg)
+            block_paths[point] = _block_path(path, blocks_of)
     return block_paths, instruction_paths
 
 
@@ -229,7 +232,8 @@ def reference_parents(cfg: Cfg, guards: list[GuardPoint]) -> dict[int, int]:
     if not cfg.blocks:
         return {}
     _, parents = _reach(cfg, *_guard_cuts(guards))
-    return {block.index: cfg.block_of[parents[block.start]] for block in cfg.blocks
+    blocks_of = block_of(cfg)
+    return {b: blocks_of[parents[block.start]] for b, block in enumerate(cfg.blocks)
             if block.start in parents}
 
 
@@ -252,7 +256,7 @@ def reference_is_failure_region(cfg: Cfg, facts: list[BlockFacts], program: Teal
     program with what is on the stack, so it may succeed."""
     n = len(program.opcodes)
     for block_index in _reachable_blocks(cfg, start_block):
-        end = cfg.blocks[block_index].end
+        end = cfg.blocks[block_index].stop
         last = program.opcodes[end - 1]
         if last in BRANCH_OPCODES:
             immediates = program.immediates[end - 1]
@@ -357,7 +361,7 @@ class _Stack:
 
 
 def reference_exec_block(
-    block: BasicBlock,
+    block: range,
     program: TealProgram,
     config: AnalyzerConfig,
     diagnostics: list[Diagnostic],
@@ -367,11 +371,11 @@ def reference_exec_block(
     the last sender-comparison branch and the last return win. An opcode of
     unknown arity empties the stack and leaves it bottomless; the block is
     read no further than an instruction that underflows."""
-    facts = BlockFacts(block.index)
+    facts = BlockFacts()
     stack = _Stack(bottomless=block.start != 0)
     instructions = program.instructions
 
-    for index in range(block.start, block.end):
+    for index in block:
         ins = instructions[index]
         op = ins.opcode
         imm = ins.immediates

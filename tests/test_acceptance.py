@@ -24,6 +24,7 @@ from centriscan.engine import (
     analyze_teal_source,
     scan_files,
 )
+from centriscan.flow import compute_guardedness
 from centriscan.report import build_report, render_report
 from centriscan.solidity.detectors import (
     find_fund_modifications,
@@ -32,11 +33,7 @@ from centriscan.solidity.detectors import (
 from centriscan.solidity.symbols import collect_state_vars
 from centriscan.teal.absint import abstract_exec_block
 from centriscan.teal.cfg import build_cfg
-from centriscan.teal.detectors import (
-    compute_guardedness,
-    find_fund_mod_points,
-    find_guard_points,
-)
+from centriscan.teal.detectors import find_fund_mod_points, find_guard_points
 from centriscan.teal.parser import parse_teal
 
 from helpers import (

@@ -28,7 +28,8 @@ STAGES = {
     "centriscan.teal.cfg": ("build_cfg",),
     "centriscan.teal.absint": ("abstract_exec_block",),
     "centriscan.teal.detectors": ("find_guard_points", "find_fund_mod_points",
-                                  "compute_guardedness", "find_subjects"),
+                                  "find_subjects"),
+    "centriscan.flow": ("compute_guardedness",),
 }
 assert not [m for m in STAGES if m in sys.modules]
 read = {name: getattr(engine, name) for names in STAGES.values() for name in names}

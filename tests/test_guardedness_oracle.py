@@ -3,16 +3,18 @@
 import random
 import re
 
+from centriscan.flow import BRANCH_NOT_TAKEN, BRANCH_TAKEN, FALLTHROUGH, compute_guardedness
 from centriscan.report import classify
-from centriscan.teal.cfg import BRANCH_NOT_TAKEN, BRANCH_TAKEN, FALLTHROUGH
-from centriscan.teal.detectors import (
-    FundModPoint,
-    GuardPoint,
-    compute_guardedness,
-    find_subjects,
-)
+from centriscan.teal.detectors import FundModPoint, GuardPoint, find_subjects
 
-from helpers import cfg_from_sizes, random_cfg, random_guards_and_funds, random_tied_cfg
+from helpers import (
+    block_of,
+    cfg_from_sizes,
+    random_cfg,
+    random_guards_and_funds,
+    random_tied_cfg,
+    run_fresh_python,
+)
 from oracle import (
     oracle_verdicts,
     plain_reachable,
@@ -20,6 +22,14 @@ from oracle import (
     reference_parents,
     reference_witnesses,
 )
+
+
+def test_flow_core_loads_no_language_back_end():
+    # The flow core reads only the graph and the points: a back end imports
+    # it, never the reverse.
+    code = ("import sys, centriscan.flow; print(sorted(m for m in sys.modules "
+            "if m.startswith(('centriscan.teal', 'centriscan.solidity'))))")
+    assert run_fresh_python(code) == "[]\n"
 
 
 def _case(seed: int):
@@ -30,15 +40,15 @@ def _case(seed: int):
 
 
 def _write(cfg, q):
-    return FundModPoint(cfg.block_of[q], q, q + 1, "app_global_put", "MyBalance")
+    return FundModPoint(block_of(cfg)[q], q, q + 1, "app_global_put", "MyBalance")
 
 
 def _assert(cfg, q):
-    return GuardPoint("AssertGuard", cfg.block_of[q], q, q + 1, "addr OWNER", "assert guard")
+    return GuardPoint("AssertGuard", block_of(cfg)[q], q, q + 1, "addr OWNER", "assert guard")
 
 
 def _branch(cfg, q, non_fail_to, kind):
-    block = cfg.block_of[q]
+    block = block_of(cfg)[q]
     return GuardPoint("BranchGuard", block, q, q + 1, "addr OWNER", "branch guard",
                       non_fail_edge=(block, non_fail_to, kind))
 
@@ -60,6 +70,7 @@ def test_witness_paths_are_valid():
         pruned = {g.non_fail_edge for g in guards
                   if g.form == "BranchGuard" and g.non_fail_edge is not None}
         edges = {(f, t) for f, t, k in cfg.edges if (f, t, k) not in pruned}
+        blocks_of = block_of(cfg)
         for point, verdict in result.verdicts.items():
             if verdict is not False:
                 assert point not in result.witnesses
@@ -77,11 +88,11 @@ def test_witness_paths_are_valid():
             # every instruction step is intra-block or a legal block edge.
             assert not (set(instrs[:-1]) & asserts)
             for a, b in zip(instrs, instrs[1:]):
-                if b == a + 1 and cfg.block_of[a] == cfg.block_of[b]:
+                if b == a + 1 and blocks_of[a] == blocks_of[b]:
                     continue
-                assert a == cfg.blocks[cfg.block_of[a]].end - 1
-                assert b == cfg.blocks[cfg.block_of[b]].start
-                assert (cfg.block_of[a], cfg.block_of[b]) in edges
+                assert a == cfg.blocks[blocks_of[a]][-1]
+                assert b == cfg.blocks[blocks_of[b]].start
+                assert (blocks_of[a], blocks_of[b]) in edges
 
 
 def test_witnesses_match_reference_bfs():
@@ -89,7 +100,7 @@ def test_witnesses_match_reference_bfs():
         cfg, guards, funds = _case(seed)
         # Also a write at the end of every block, so each block's witness is
         # checked, not only those of the few random writes.
-        funds += [_write(cfg, b.end - 1) for b in cfg.blocks]
+        funds += [_write(cfg, b[-1]) for b in cfg.blocks]
         result = compute_guardedness(cfg, guards, funds, [])
         blocks, instructions = reference_witnesses(cfg, guards, funds)
         assert result.witnesses == blocks, f"seed={seed}"
@@ -121,7 +132,7 @@ def test_printed_witnesses_are_the_bounded_reference_paths():
     # every length from 1 to 20 blocks, on both sides of the 8-block cut.
     for n in range(1, 21):
         cfg = cfg_from_sizes([2] * n, [(b, b + 1, FALLTHROUGH) for b in range(n - 1)])
-        cases.append((cfg, [], [_write(cfg, b.end - 1) for b in cfg.blocks]))
+        cases.append((cfg, [], [_write(cfg, b[-1]) for b in cfg.blocks]))
     lengths = set()
     for case, (cfg, guards, funds) in enumerate(cases):
         blocks, _ = reference_witnesses(cfg, guards, funds)

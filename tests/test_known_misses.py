@@ -94,6 +94,19 @@ _ROWS = [
            [(*MAJOR, 3)]),
     _holds(7, "sender-against-own-cast",
            _drain("require(address(msg.sender) == msg.sender);"), [(*WARNING, 3)]),
+    # Item 3: a write is guarded when every path to it crosses a guard, not
+    # when its function holds one.
+    _miss(3, "write-after-sender-if", _drain("if (msg.sender == owner) { owner = to; }"),
+          [(*WARNING, 3)]),
+    _miss(3, "require-under-unrelated-if", _drain("if (x > 0) { require(msg.sender == owner); }"),
+          [(*WARNING, 3)]),
+    _miss(3, "stranger-returns-early", _drain("if (msg.sender != owner) { return; }"),
+          [(*MAJOR, 3)]),
+    _holds(3, "stranger-reverts", _drain("if (msg.sender != owner) { revert(); }"),
+           [(*MAJOR, 3)]),
+    _holds(3, "require-then-unrelated-if",
+           _drain("require(msg.sender == owner); if (x > 0) { owner = to; }"), [(*MAJOR, 3)]),
+    _holds(3, "unrelated-early-return", _drain("if (x > 0) { return; }"), [(*WARNING, 3)]),
     # TEAL. Item 2: subroutines and multi-way branches.
     _miss(2, "teal-callsub-creator-guarded-put",
           "#pragma version 6\ncallsub credit\n" + _ACCEPT + "credit:\n" + _CREATOR + _PUT

@@ -3,6 +3,7 @@ never as bare tuples; mutable fields start fresh in every instance."""
 
 import pytest
 
+from centriscan.flow import Cfg, GuardednessResult
 from centriscan.solidity import ast
 from centriscan.solidity.parser import parse_solidity
 from centriscan.teal.absint import (
@@ -16,8 +17,6 @@ from centriscan.teal.absint import (
     IntConst,
     SenderCmp,
 )
-from centriscan.teal.cfg import Cfg
-from centriscan.teal.detectors import GuardednessResult
 from centriscan.teal.parser import TealProgram
 
 SOURCE = "contract C { address owner; function f() public { require(msg.sender == owner); } }"
@@ -59,7 +58,7 @@ def test_equal_values_hash_equal():
 
 def test_nodes_and_analysis_records_are_unhashable():
     # They are mutable; only abstract values (and AnalyzerConfig) hash.
-    for record in (ast.Revert(3, 4), BlockFacts(0), TealProgram()):
+    for record in (ast.Revert(3, 4), BlockFacts(), TealProgram()):
         with pytest.raises(TypeError):
             hash(record)
 
@@ -88,10 +87,10 @@ def test_mutable_fields_are_fresh_per_instance():
     p.opcodes.append("int")
     p.labels["x"] = 0
     assert (q.opcodes, q.labels) == ([], {})
-    f, g = BlockFacts(0), BlockFacts(0)
+    f, g = BlockFacts(), BlockFacts()
     f.guard_points[1] = SenderCmp(SENDER, "eq")
     assert g.guard_points == {} and f != g
-    cfg = Cfg([], [], [])
+    cfg = Cfg([], [])
     v, w = GuardednessResult(cfg), GuardednessResult(cfg)
     v.parents[1] = 0
     assert w.parents == {} and w.verdicts == {}

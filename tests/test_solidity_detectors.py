@@ -313,6 +313,21 @@ def test_native_transfer_sites():
     assert [s.form for s in funds] == [NATIVE_TRANSFER, NATIVE_TRANSFER]
 
 
+def test_legacy_value_call_is_a_native_transfer():
+    # Before Solidity 0.7 a call carried its value as `to.call.value(x)(data)`;
+    # `value` on another member, or `gas` on `call`, moves no funds.
+    source = "contract C {{ function f(address payable to) public {{ {} }} }}"
+    legacy = 'to.call.value(1)("");'
+    _, _, funds = _analyze(source.format(legacy))
+    assert [(s.form, s.text) for s in funds] == [(NATIVE_TRANSFER, legacy)]
+    findings, _ = analyze_solidity_source(source.format(legacy), "c.sol", CONFIG)
+    assert [(f.kind, f.severity) for f in findings] == [
+        ("UNPROTECTED_FUND_MODIFICATION", "WARNING")]
+    for other in ('to.foo.value(1)("");', 'to.call.gas(1)("");'):
+        _, _, funds = _analyze(source.format(other))
+        assert funds == [], other
+
+
 def test_send_in_require_condition_is_found():
     _, _, funds = _analyze(
         "contract C { function f(address payable to) public {"

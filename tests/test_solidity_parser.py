@@ -220,6 +220,21 @@ def test_bodiless_function_header_stops_at_the_contract_close():
     assert _notes(unit)[0] == ("function header ended by 'contract' before a body", 2, 1)
 
 
+def test_unterminated_contract_ends_before_the_next_contract_keyword():
+    # The member loop leaves a depth-0 unit keyword to the top level, so a
+    # contract cut off after a bodiless header does not swallow the next one.
+    source = ("contract A { function f() public\n"
+              "contract B { mapping(address => uint) bals; "
+              "function g(address t) public { bals[t] = 0; } }\n")
+    unit = parse_solidity(source)
+    assert [(c.name, [f.name for f in c.functions]) for c in unit.contracts] == [
+        ("A", ["f"]), ("B", ["g"])]
+    assert _notes(unit) == [("function header ended by 'contract' before a body", 2, 1),
+                            ("unterminated contract 'A' before 'contract'", 2, 1)]
+    findings, _ = analyze_solidity_source(source, "ab.sol", AnalyzerConfig())
+    assert [(f.severity, f.line, f.column) for f in findings] == [("WARNING", 2, 45)]
+
+
 def test_state_variable_initializer_stops_at_contract_close():
     unit = parse_solidity("contract C { uint x = f(a) } uint y;")
     assert [c.name for c in unit.contracts] == ["C"]

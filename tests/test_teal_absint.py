@@ -17,7 +17,7 @@ from centriscan.teal.absint import (
     SenderCmp,
     abstract_exec_block,
 )
-from centriscan.teal.cfg import BasicBlock, build_cfg
+from centriscan.teal.cfg import build_cfg
 from centriscan.teal.parser import parse_teal
 
 from helpers import corpus_text
@@ -246,7 +246,7 @@ def _merged_facts(source: str):
         guards.update(block_facts.guard_points)
         funds.update(block_facts.fund_mods)
     for block, block_facts in zip(build_cfg(program).blocks, facts):
-        ends[block.end - 1] = (block_facts.branch_guard, block_facts.returned)
+        ends[block[-1]] = (block_facts.branch_guard, block_facts.returned)
     underflowed = any("underflow" in d.message for d in program.diagnostics)
     return guards, funds, ends, underflowed
 
@@ -290,7 +290,7 @@ def test_block_facts_match_reference_interpreter(lines, entry, balance_keys):
     config = CONFIG._replace(balance_keys=balance_keys)
     program = parse_teal("\n".join(lines if entry else ["nop", *lines]))
     start = 0 if entry else 1
-    block = BasicBlock(start, start, len(program.opcodes))
+    block = range(start, len(program.opcodes))
     got_diagnostics, want_diagnostics = [], []
     got = abstract_exec_block(block, program, config, got_diagnostics)
     want = reference_exec_block(block, program, config, want_diagnostics)

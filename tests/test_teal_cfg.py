@@ -6,11 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centriscan.diagnostics import Diagnostic
-from centriscan.teal.cfg import (
-    BRANCH_NOT_TAKEN,
-    BRANCH_TAKEN,
-    build_cfg,
-)
+from centriscan.flow import BRANCH_NOT_TAKEN, BRANCH_TAKEN
+from centriscan.teal.cfg import build_cfg
 from centriscan.teal.parser import BRANCH_OPCODES, TERMINATOR_OPCODES, parse_teal
 
 from helpers import corpus_text, readme_python_block
@@ -26,7 +23,7 @@ def test_bz_program_partitions_into_three_blocks():
     # Hand-computed partition: leaders at 0 (entry), 1 (after bz), 3 (label).
     program = parse_teal("bz failed\nint 1\nreturn\nfailed:\nerr")
     cfg = build_cfg(program)
-    assert [(b.start, b.end) for b in cfg.blocks] == [(0, 1), (1, 3), (3, 4)]
+    assert cfg.blocks == [range(0, 1), range(1, 3), range(3, 4)]
     assert cfg.blocks[2].start == program.labels["failed"]
     assert set(cfg.edges) == {(0, 1, BRANCH_NOT_TAKEN), (0, 2, BRANCH_TAKEN)}
 
@@ -111,10 +108,9 @@ def test_partition_and_edge_soundness(seed):
     # Partition: every instruction in exactly one block.
     covered = []
     for block in cfg.blocks:
-        assert block.start < block.end
-        covered.extend(range(block.start, block.end))
+        assert len(block) > 0
+        covered.extend(block)
     assert covered == list(range(n))
-    assert [cfg.block_of[i] for i in covered] == sorted(cfg.block_of)
     # Boundaries exactly at labels, after branches, after terminators.
     leaders = {0}
     leaders.update(t for t in program.labels.values() if t < n)
@@ -126,7 +122,7 @@ def test_partition_and_edge_soundness(seed):
     # lexically next block.
     for frm, to, kind in cfg.edges:
         assert 0 <= frm < len(cfg.blocks) and 0 <= to < len(cfg.blocks)
-        last = program.instructions[cfg.blocks[frm].end - 1]
+        last = program.instructions[cfg.blocks[frm][-1]]
         if last.opcode in BRANCH_OPCODES:
             assert kind in (BRANCH_TAKEN, BRANCH_NOT_TAKEN)
             if kind == BRANCH_NOT_TAKEN:
@@ -145,4 +141,5 @@ def test_readme_teal_front_end_snippet_runs():
     assert names["program"] == program
     assert names["first"] == program.instructions[0]
     assert names["cfg"] == build_cfg(program)
+    assert names["entry"] == range(0, names["cfg"].blocks[1].start)
     assert (names["to"], names["kind"]) == names["cfg"].successors[0][-1]

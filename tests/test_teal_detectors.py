@@ -9,19 +9,19 @@ from hypothesis import strategies as st
 
 from centriscan.config import AnalyzerConfig
 from centriscan.engine import analyze_teal_source
-from centriscan.teal.absint import UNKNOWN, BlockFacts, IntConst, abstract_exec_block
-from centriscan.teal.cfg import BRANCH_NOT_TAKEN, BRANCH_TAKEN, build_cfg
-from centriscan.teal.detectors import (
+from centriscan.flow import (
     ASSERT_GUARD,
     BRANCH_GUARD,
-    _is_failure_region,
+    BRANCH_NOT_TAKEN,
+    BRANCH_TAKEN,
     compute_guardedness,
-    find_fund_mod_points,
-    find_guard_points,
 )
+from centriscan.teal.absint import UNKNOWN, BlockFacts, IntConst, abstract_exec_block
+from centriscan.teal.cfg import build_cfg
+from centriscan.teal.detectors import _is_failure_region, find_fund_mod_points, find_guard_points
 from centriscan.teal.parser import TealProgram, parse_teal
 
-from helpers import corpus_text, random_cfg
+from helpers import block_of, corpus_text, random_cfg
 from oracle import reference_is_failure_region
 
 CONFIG = AnalyzerConfig()
@@ -55,7 +55,7 @@ def test_branch_pattern_yields_one_branch_guard():
     program, cfg, guards, _ = _pipeline(corpus_text("teal", "row2_branch.teal"))
     assert [g.form for g in guards] == [BRANCH_GUARD]
     guard = guards[0]
-    failed_block = cfg.block_of[program.labels["failed"]]
+    failed_block = block_of(cfg)[program.labels["failed"]]
     assert guard.privileged_source == 'app_global_get["Creator"]'
     assert guard.non_fail_edge[1] != failed_block
     assert _fail_target(cfg, guard) == failed_block
@@ -116,7 +116,7 @@ def test_fail_target_reaching_err_two_blocks_later_is_a_guard():
     )
     program, cfg, guards, _ = _pipeline(source)
     assert [g.form for g in guards] == [BRANCH_GUARD]
-    assert _fail_target(cfg, guards[0]) == cfg.block_of[program.labels["bad"]]
+    assert _fail_target(cfg, guards[0]) == block_of(cfg)[program.labels["bad"]]
 
 
 # Block-ending opcodes by the number of the block's successors.
@@ -129,17 +129,17 @@ def _random_block_ends(cfg, rng):
     that fits its successor count, a branch names the label after the last
     instruction, the entry label or none, and a return pops 0, 1 or an
     unknown value."""
-    n = cfg.blocks[-1].end
+    n = cfg.blocks[-1].stop
     program = TealProgram()
     program.labels.update(end=n, start=0)
     facts = []
-    for block in cfg.blocks:
-        last = rng.choice(_ENDINGS[len(cfg.successors[block.index])])
+    for block, out in zip(cfg.blocks, cfg.successors):
+        last = rng.choice(_ENDINGS[len(out)])
         target = rng.choice(((), ("end",), ("start",))) if last in ("b", "bz", "bnz") else ()
-        filler = block.end - block.start - 1
+        filler = len(block) - 1
         program.opcodes += ["int"] * filler + [last]
         program.immediates += [("1",)] * filler + [target]
-        facts.append(BlockFacts(block.index))
+        facts.append(BlockFacts())
         facts[-1].returned = rng.choice((IntConst(0), IntConst(1), UNKNOWN))
     program.lines.extend(range(1, n + 1))
     return program, facts
@@ -189,7 +189,7 @@ def test_bnz_with_neq_polarity_orients_fail_edge_to_fallthrough():
     )
     program, cfg, guards, _ = _pipeline(source)
     assert [g.form for g in guards] == [BRANCH_GUARD]
-    assert _fail_target(cfg, guards[0]) == cfg.block_of[program.labels["bad"]]
+    assert _fail_target(cfg, guards[0]) == block_of(cfg)[program.labels["bad"]]
 
 
 def test_balance_put_yields_fund_point():
@@ -346,7 +346,7 @@ def test_negated_eq_branch_to_err_guards_the_put():
     program, cfg, guards, _ = _pipeline(source)
     assert [(g.form, g.description) for g in guards] == [
         (BRANCH_GUARD, "bnz: txn Sender != CreatorAddress")]
-    assert _fail_target(cfg, guards[0]) == cfg.block_of[program.labels["fail"]]
+    assert _fail_target(cfg, guards[0]) == block_of(cfg)[program.labels["fail"]]
     findings, _ = analyze_teal_source(source, "p.teal", CONFIG)
     assert [(f.kind, f.severity) for f in findings] == [("CENTRALIZATION_RISK", "MAJOR")]
 
@@ -398,7 +398,7 @@ def test_unguarded_put_behind_long_dispatch_chain():
     instructions = result.witness_instructions[point]
     assert instructions == tuple(range(4 * n)) + tuple(range(6 * n - 1, 6 * n + 3))
     assert instructions == tuple(
-        q for b in path[:-1] for q in range(cfg.blocks[b].start, cfg.blocks[b].end)
+        q for b in path[:-1] for q in cfg.blocks[b]
     ) + tuple(range(put_block.start, point.instruction + 1))
 
 
@@ -447,7 +447,7 @@ def test_stage_outputs_follow_instruction_and_block_order(pieces):
         instructions = [p.instruction for p in points]
         assert all(a < b for a, b in zip(instructions, instructions[1:])), instructions
     for block, block_facts in zip(cfg.blocks, facts):
-        last = program.opcodes[block.end - 1]
+        last = program.opcodes[block[-1]]
         assert block_facts.branch_guard is None or last in ("bz", "bnz")
         assert (block_facts.returned is not None) == (last == "return")
     assert cfg.edges == [(b, to, kind) for b in range(len(cfg.blocks))

@@ -1,0 +1,86 @@
+"""Check that a revision and the working tree give byte-identical JSON reports.
+
+    python tools/same_reports.py REV
+
+Writes the three stagebench workloads at seeds 1 and 2 to a temporary
+directory and extracts REV's `src/` next to them with `git archive`. Each
+workload and `tests/corpus` is then scanned with
+`python -m centriscan.cli scan --format json --fail-on none`, once with
+REV's `src/` and once with the working tree's. Prints one line per input
+with the SHA-256 prefix of both reports, and exits 1 if any pair differs.
+
+Standard library only. It is not part of the test suite: a run scans about
+5.8 MB of source twice, in fourteen CLI processes.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "stagebench"))
+
+import workloads  # stagebench's generator, read only
+
+SEEDS = (1, 2)
+
+
+def _write_workloads(base: Path) -> list[tuple[str, Path, str]]:
+    """(label, base, directory name) per workload and seed, written under base."""
+    inputs = []
+    for name in workloads.GENERATORS:
+        for seed in SEEDS:
+            target = base / f"{name}-seed{seed}"
+            target.mkdir()
+            for file, text in workloads.generate(name, seed).files.items():
+                (target / file).write_text(text, encoding="utf-8")
+            inputs.append((f"{name} seed {seed}", base, target.name))
+    return inputs
+
+
+def _extract_src(rev: str, dest: Path) -> Path:
+    """REV's src/ tree, extracted under dest."""
+    archive = dest / "src.tar"
+    subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", "-o", str(archive),
+                    rev, "src"], check=True)
+    subprocess.run(["tar", "-xf", str(archive), "-C", str(dest)], check=True)
+    return dest / "src"
+
+
+def _digest(src: Path, cwd: Path, target: str) -> str:
+    """Scanned from cwd by a relative path, so the report and its digest
+    name the same files on every run."""
+    run = subprocess.run(
+        [sys.executable, "-m", "centriscan.cli", "scan", "--format", "json",
+         "--fail-on", "none", target],
+        capture_output=True, cwd=cwd, env={**os.environ, "PYTHONPATH": str(src)})
+    if run.returncode != 0:
+        sys.exit(f"scan of {target} with {src} exited {run.returncode}:\n"
+                 f"{run.stderr.decode(errors='replace')}")
+    return hashlib.sha256(run.stdout).hexdigest()[:12]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="same_reports-") as tmp:
+        base = Path(tmp)
+        old_src = _extract_src(argv[0], base)
+        inputs = [*_write_workloads(base), ("tests/corpus", ROOT, "tests/corpus")]
+        differ = 0
+        for label, cwd, target in inputs:
+            old, new = _digest(old_src, cwd, target), _digest(ROOT / "src", cwd, target)
+            differ += old != new
+            print(f"{label:<22} {argv[0][:12]:>12} {old}  working tree {new}  "
+                  f"{'same' if old == new else 'DIFFERENT'}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
