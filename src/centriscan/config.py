@@ -73,9 +73,10 @@ def _parse_list(value: str) -> tuple[str, ...]:
 
 
 def parse_config_text(text: str) -> AnalyzerConfig:
-    """Parse config-file text; explicit values replace defaults entirely."""
+    """Parse config-file text, whose lines end at `\\n`; explicit values
+    replace defaults entirely."""
     config = AnalyzerConfig()
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

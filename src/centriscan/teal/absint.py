@@ -177,14 +177,29 @@ def _combine(a: AbstractValue, b: AbstractValue, opcode: str) -> AbstractValue:
     return SenderCmp(picked.source, picked.polarity, weakened)
 
 
+# Opcodes that push a value read only from their immediates, each with its
+# decoder; a program decodes each (opcode, immediates) once, into its
+# `constants`.
+_DECODERS = {
+    "int": lambda imm: _int_value(imm[0]) if imm else UNKNOWN,
+    "byte": _byte_value,
+    "addr": lambda imm: AddrConst(imm[0]) if imm else UNKNOWN,
+    "txn": lambda imm: SENDER if imm and imm[0] == "Sender" else UNKNOWN,
+    "gtxn": lambda imm: SENDER if len(imm) >= 2 and imm[1] == "Sender" else UNKNOWN,
+    "global": lambda imm: GlobalField(imm[0]) if imm else UNKNOWN,
+}
+_DECODERS["pushint"], _DECODERS["pushbytes"] = _DECODERS["int"], _DECODERS["byte"]
 # Opcodes with a branch of their own below; every other opcode of known
 # arity pops its operands and pushes Unknown.
 _MODELED = frozenset({
-    "int", "pushint", "byte", "pushbytes", "addr", "txn", "gtxn", "global",
     "app_global_get", "==", "!=", "&&", "||", "!", "assert", "app_local_put",
     "app_global_put", "bz", "bnz", "return", "dup", "dup2", "swap", "pop",
 })
 _PUTS = frozenset({"app_local_put", "app_global_put"})
+# The only opcodes that make the sender, a put or a returned value. A block
+# other than entry pops Unknown from below its own stack, so without one of
+# them it holds no fact and no note.
+FACT_OPCODES = frozenset({"txn", "gtxn", "return", *_PUTS})
 
 
 def abstract_exec_block(
@@ -203,12 +218,18 @@ def abstract_exec_block(
     would pop past the bottom first has the missing values put under the
     stack as Unknown. An opcode of unknown arity empties the stack, and the
     rest of the block runs bottomless.
+
+    A block other than entry that holds none of `FACT_OPCODES` makes no
+    sender, no put and no returned value, so it gets empty facts unread.
     """
     facts = BlockFacts()
     opcodes = program.opcodes
-    immediates = program.immediates
-    effects = OPCODE_STACK_EFFECTS
     start = block.start
+    if start and FACT_OPCODES.isdisjoint(opcodes[start:block.stop]):
+        return facts
+    immediates = program.immediates
+    constants = program.constants
+    effects = OPCODE_STACK_EFFECTS
     strict = start == 0
     stack: list[AbstractValue] = []
     push = stack.append
@@ -216,6 +237,14 @@ def abstract_exec_block(
 
     for index in block:
         op = opcodes[index]
+        decode = _DECODERS.get(op)
+        if decode is not None:  # pops nothing, so cannot underflow
+            key = (op, immediates[index])
+            value = constants.get(key)
+            if value is None:
+                value = constants[key] = decode(key[1])
+            push(value)
+            continue
         delta = effects.get(op)
         if delta is None:  # what it pops and pushes is unknown: start over bottomless
             stack.clear()
@@ -231,14 +260,6 @@ def abstract_exec_block(
                 del stack[-pops:]
             if pushes:
                 stack += [UNKNOWN] * pushes
-        elif op == "int" or op == "pushint":
-            imm = immediates[index]
-            push(_int_value(imm[0]) if imm else UNKNOWN)
-        elif op == "byte" or op == "pushbytes":
-            push(_byte_value(immediates[index]))
-        elif op == "txn":
-            imm = immediates[index]
-            push(SENDER if imm and imm[0] == "Sender" else UNKNOWN)
         elif op == "app_global_get":
             key = pop()
             push(GlobalGet(key.value) if isinstance(key, ByteConst) else UNKNOWN)
@@ -261,15 +282,6 @@ def abstract_exec_block(
             if op == "app_local_put":
                 pop()  # account
             _record_put(facts, index, op, key, program.lines[index], config, diagnostics)
-        elif op == "addr":
-            imm = immediates[index]
-            push(AddrConst(imm[0]) if imm else UNKNOWN)
-        elif op == "gtxn":
-            imm = immediates[index]
-            push(SENDER if len(imm) >= 2 and imm[1] == "Sender" else UNKNOWN)
-        elif op == "global":
-            imm = immediates[index]
-            push(GlobalField(imm[0]) if imm else UNKNOWN)
         elif op == "&&" or op == "||":
             b = pop()
             push(_combine(pop(), b, op))

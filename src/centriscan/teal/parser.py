@@ -1,8 +1,9 @@
 """Line-oriented TEAL assembly parser.
 
-Total for any input text: comments are stripped outside string immediates,
-labels and `#pragma version` lines are recorded, and unknown opcodes are
-kept with an unknown stack effect plus a note diagnostic.
+Total for any input text. Lines end at `\\n` only, as Solidity positions do;
+a `\\r` before it is whitespace. Comments are stripped outside string
+immediates, labels and `#pragma version` lines are recorded, and unknown
+opcodes are kept with an unknown stack effect plus a note diagnostic.
 
 A program is held as parallel columns indexed by instruction number
 (`opcodes`, `immediates`, `lines`), not as one object per instruction. A
@@ -90,12 +91,16 @@ class Instruction(NamedTuple):
 
 
 class TealProgram(Record):
-    __slots__ = ("opcodes", "immediates", "lines", "labels", "diagnostics")
+    __slots__ = ("opcodes", "immediates", "lines", "labels", "diagnostics", "constants")
+    # Programs parsed from equal sources compare equal, whatever was decoded.
+    _fields = ("opcodes", "immediates", "lines", "labels", "diagnostics")
 
     def __init__(self):
         self.labels, self.diagnostics = {}, []
         # Columns with one entry per instruction: str, tuple[str, ...] and int.
         self.opcodes, self.immediates, self.lines = [], [], []
+        # (opcode, immediates) -> the value it pushes, filled by the interpreter.
+        self.constants = {}
 
     @property
     def instructions(self) -> list[Instruction]:
@@ -126,7 +131,7 @@ def parse_teal(source: str) -> TealProgram:
     effects = OPCODE_STACK_EFFECTS
     known: dict[str, tuple[str, tuple[str, ...]]] = {}  # line text -> instruction
     unknown: dict[str, tuple[str, tuple[str, ...], str]] = {}  # ... and its note
-    for lineno, raw in enumerate(source.splitlines(), 1):
+    for lineno, raw in enumerate(source.split("\n"), 1):
         hit = known.get(raw)
         if hit is not None:
             add_opcode(hit[0])

@@ -284,7 +284,7 @@ def reference_parse_teal(source: str) -> TealProgram:
     program = TealProgram()
     labels = program.labels
     diagnostics = program.diagnostics
-    for lineno, raw in enumerate(source.splitlines(), 1):
+    for lineno, raw in enumerate(source.split("\n"), 1):
         if '"' in raw:
             code = _CODE.match(raw).group().strip()
             if not code:

@@ -58,6 +58,12 @@ def test_comments_and_blank_lines_ignored():
     assert config.owner_keys == ("a",)
 
 
+def test_only_newline_ends_a_config_line():
+    # A form feed or U+2028 does not end a comment; `\r\n` ends one line.
+    assert parse_config_text("# owner_keys = x\x0cowner_keys = y\u2028\n") == AnalyzerConfig()
+    assert parse_config_text("owner_keys = a\r\nbalance_keys = b\r\n").balance_keys == ("b",)
+
+
 def test_fail_threshold_validation():
     assert parse_config_text("fail_threshold = none\n").fail_threshold == "none"
     with pytest.raises(ConfigError):

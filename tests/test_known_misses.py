@@ -53,6 +53,27 @@ _ACCEPT = "int 1\nreturn\n"
 _MANAGER = ("#pragma version 6\ntxna ApplicationArgs 0\nbyte \"setmgr\"\n==\nbnz setmgr\n"
             'byte "manager"\napp_global_get\ntxn Sender\n==\nassert\n' + _PUT + _ACCEPT
             + 'setmgr:\n{guard}byte "manager"\ntxn Sender\napp_global_put\n' + _ACCEPT)
+# Dispatch on the first argument: `name` runs the body, from line 9, in a
+# block other than entry; anything else is accepted.
+_BRANCH = ('#pragma version 6\ntxna ApplicationArgs 0\nbyte "{name}"\n==\nbnz {name}\n'
+           + _ACCEPT + "{name}:\n{body}" + _ACCEPT)
+# An application call on completion `action` runs a creator assert and is
+# accepted on line 14.
+_ON_COMPLETION = ("#pragma version 6\ntxn OnCompletion\nint {action}\n==\nbnz update\n"
+                  + _ACCEPT + "update:\n" + _CREATOR + _ACCEPT)
+_INNER_PAY = ("itxn_begin\nint pay\nitxn_field TypeEnum\ntxna Accounts 1\nitxn_field Receiver\n"
+              "int 1000\nitxn_field Amount\nitxn_submit\n")
+
+
+def _roles(guard: str) -> str:
+    """A drain on line 4, after a role mapping."""
+    return (_STATE + "mapping(address => bool) admins;\n"
+            + f"function drain(address to) public {{ {guard} bals[to] = 0; }}\n}}\n")
+
+
+def _payout(body: str, returns: str = "") -> str:
+    """A function on line 3 that may send to `to`."""
+    return _STATE + f"function f(address payable to) public{returns} {{ {body} }}\n}}\n"
 
 
 _ROWS = [
@@ -94,6 +115,51 @@ _ROWS = [
            [(*MAJOR, 3)]),
     _holds(7, "sender-against-own-cast",
            _drain("require(address(msg.sender) == msg.sender);"), [(*WARNING, 3)]),
+    _miss(7, "de-morgan-sender-check-or-anything",
+          _drain("require(!(msg.sender != owner && x > 0));"), [(*WARNING, 3)]),
+    _holds(7, "de-morgan-sender-check-and-anything",
+           _drain("require(!(msg.sender != owner || x > 0));"), [(*MAJOR, 3)]),
+    _miss(7, "role-mapping-of-sender", _roles("require(admins[msg.sender]);"),
+          [(*MAJOR, 4)]),
+    _holds(7, "role-mapping-of-parameter", _roles("require(admins[to]);"),
+           [(*WARNING, 4)]),
+    # Item 5: a guard is only as strong as the writes to its owner.
+    _miss(5, "unguarded-initWallet", _STATE
+          + "function initWallet(address o) public { owner = o; }\n"
+          + "function drain(address to) public { require(msg.sender == owner); bals[to] = 0; }\n}\n",
+          [(*WARNING, 4)]),
+    _holds(5, "owner-set-in-constructor", _STATE + "constructor(address o) { owner = o; }\n"
+           + "function drain(address to) public { require(msg.sender == owner); bals[to] = 0; }\n}\n",
+           [(*MAJOR, 4)]),
+    _holds(5, "owner-set-by-owner", _STATE
+           + "function setOwner(address o) public { require(msg.sender == owner); owner = o; }\n"
+           + "function drain(address to) public { require(msg.sender == owner); bals[to] = 0; }\n}\n",
+           [(*INFO, 3), (*MAJOR, 4)]),
+    # Item 9: code replacement.
+    _miss(9, "unguarded-delegatecall", _STATE
+          + "address impl;\nfunction exec(bytes memory data) public { impl.delegatecall(data); }\n}\n",
+          [(*WARNING, 4)]),
+    _holds(9, "unguarded-staticcall", _STATE
+           + "address impl;\nfunction exec(bytes memory data) public { impl.staticcall(data); }\n}\n",
+           []),
+    # Item 13: ordinary statements that hide a fund move.
+    _miss(13, "return-send", _payout("return to.send(1);", " returns (bool)"),
+          [(*WARNING, 3)]),
+    _holds(13, "send-statement", _payout("to.send(1);"), [(*WARNING, 3)]),
+    _miss(13, "tuple-value-call",
+          _payout('(bool ok, ) = to.call{value: 1}("");'), [(*WARNING, 3)]),
+    _holds(13, "value-call-statement", _payout('to.call{value: 1}("");'),
+           [(*WARNING, 3)]),
+    _miss(13, "postfix-increment-in-expression",
+          _payout("x = bals[to]++;"), [(*WARNING, 3)]),
+    _holds(13, "postfix-increment-statement", _payout("bals[to]++;"),
+           [(*WARNING, 3)]),
+    _miss(13, "guarded-write-in-for-loop", _STATE + "function drain(address to) public { "
+          + "require(msg.sender == owner); for (uint i = 0; i < 3; i++) { bals[to] = 0; } }\n}\n",
+          [(*MAJOR, 3)]),
+    _holds(13, "guarded-for-loop-without-write", _STATE + "function drain(address to) public { "
+           + "require(msg.sender == owner); for (uint i = 0; i < 3; i++) { x = i; } }\n}\n",
+           [(*INFO, 3)]),
     # Item 3: a write is guarded when every path to it crosses a guard, not
     # when its function holds one.
     _miss(3, "write-after-sender-if", _drain("if (msg.sender == owner) { owner = to; }"),
@@ -128,11 +194,36 @@ _ROWS = [
     _holds(7, "teal-sender-against-argument",
            "#pragma version 6\ntxn Sender\ntxna ApplicationArgs 1\n==\nassert\n" + _PUT + _ACCEPT,
            [(*WARNING, 8)], analyze_teal_source),
+    _holds(7, "teal-sender-check-inside-comment",
+           "#pragma version 6\n// audit note\x0ctxn Sender\x0cglobal CreatorAddress\x0c==\x0cassert\n"
+           + _PUT + _ACCEPT, [(*WARNING, 5)], analyze_teal_source),
+    # Item 9: code replacement.
+    _miss(9, "teal-creator-gated-update",
+          _ON_COMPLETION.format(action="UpdateApplication"), [(*MAJOR, 14)], analyze_teal_source),
+    _holds(9, "teal-creator-gated-opt-in",
+           _ON_COMPLETION.format(action="OptIn"), [(*INFO, 12)], analyze_teal_source),
     # Item 15: fund moves beyond app-state puts.
-    _miss(15, "teal-unguarded-inner-pay",
-          "#pragma version 6\nitxn_begin\nint pay\nitxn_field TypeEnum\ntxna Accounts 1\n"
-          "itxn_field Receiver\nint 1000\nitxn_field Amount\nitxn_submit\n" + _ACCEPT,
+    _miss(15, "teal-unguarded-inner-pay", "#pragma version 6\n" + _INNER_PAY + _ACCEPT,
           [(*WARNING, 9)], analyze_teal_source),
+    _miss(15, "teal-creator-guarded-inner-pay",
+          _BRANCH.format(name="pay", body=_CREATOR + _INNER_PAY), [(*MAJOR, 20)],
+          analyze_teal_source),
+    _holds(15, "teal-creator-guarded-inner-app-call",
+           _BRANCH.format(name="call", body=_CREATOR + "itxn_begin\nint appl\n"
+                          "itxn_field TypeEnum\nint 7\nitxn_field ApplicationID\nitxn_submit\n"),
+           [(*INFO, 12)], analyze_teal_source),
+    _miss(15, "teal-unguarded-clawback",
+          _BRANCH.format(name="claw", body="itxn_begin\nint axfer\nitxn_field TypeEnum\n"
+                         "txna Accounts 1\nitxn_field AssetSender\ntxn Sender\n"
+                         "itxn_field AssetReceiver\nint 10\nitxn_field AssetAmount\n"
+                         "txna Assets 0\nitxn_field XferAsset\nitxn_submit\n"),
+          [(*WARNING, 20)], analyze_teal_source),
+    _miss(15, "teal-creator-guarded-box-balance",
+          _BRANCH.format(name="box", body=_CREATOR + 'byte "MyBalance"\nint 5\nbox_put\n'),
+          [(*MAJOR, 15)], analyze_teal_source),
+    _holds(15, "teal-creator-guarded-box-plain-key",
+           _BRANCH.format(name="box", body=_CREATOR + 'byte "color"\nint 5\nbox_put\n'),
+           [(*INFO, 12)], analyze_teal_source),
 ]
 
 

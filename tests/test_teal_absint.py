@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from centriscan.config import AnalyzerConfig
 from centriscan.teal.absint import (
+    FACT_OPCODES,
     SENDER,
     UNKNOWN,
     AddrConst,
+    BlockFacts,
     ByteConst,
     GlobalField,
     GlobalGet,
@@ -18,7 +20,7 @@ from centriscan.teal.absint import (
     abstract_exec_block,
 )
 from centriscan.teal.cfg import build_cfg
-from centriscan.teal.parser import parse_teal
+from centriscan.teal.parser import OPCODE_STACK_EFFECTS, parse_teal
 
 from helpers import corpus_text
 from oracle import reference_exec_block
@@ -296,3 +298,58 @@ def test_block_facts_match_reference_interpreter(lines, entry, balance_keys):
     want = reference_exec_block(block, program, config, want_diagnostics)
     assert got == want
     assert got_diagnostics == want_diagnostics
+
+
+_FACT_FREE_OPS = [line for line in _EXEC_OPS if line.split()[0] not in FACT_OPCODES]
+_FACT_OPS = [line for line in _EXEC_OPS if line.split()[0] in FACT_OPCODES]
+
+
+@given(st.lists(st.sampled_from(_FACT_FREE_OPS), min_size=1, max_size=25),
+       st.lists(st.sampled_from(_FACT_OPS), max_size=1), st.integers(min_value=0))
+@settings(max_examples=500, deadline=None)
+def test_non_entry_block_without_fact_opcodes_matches_reference(lines, fact, at):
+    # A block other than entry with no fact opcode is skipped unread, so it
+    # decodes no constant; with one fact opcode put back it is read.
+    at %= len(lines) + 1
+    program = parse_teal("\n".join(["nop", *lines[:at], *fact, *lines[at:]]))
+    block = range(1, len(program.opcodes))
+    got_diagnostics, want_diagnostics = [], []
+    got = abstract_exec_block(block, program, CONFIG, got_diagnostics)
+    want = reference_exec_block(block, program, CONFIG, want_diagnostics)
+    assert got == want
+    assert got_diagnostics == want_diagnostics
+    if not fact:
+        assert program.constants == {}
+
+
+def test_fact_opcodes_are_the_opcodes_that_make_a_fact():
+    # Each opcode runs in a block other than entry twice: last, after a
+    # balance put's account, key and value; and first, before an asserted
+    # creator comparison. An opcode that makes a fact or a note in the
+    # reference must be a fact opcode, or the blocks holding it are skipped.
+    makers = set()
+    for opcode in OPCODE_STACK_EFFECTS:
+        for immediates in ("", " Sender", " 0 Sender"):
+            instruction = opcode + immediates
+            for body in ('int 0\nbyte "MyBalance"\nint 1\n' + instruction,
+                         instruction + "\nglobal CreatorAddress\n==\nassert"):
+                program = parse_teal("nop\n" + body)
+                diagnostics = []
+                facts = reference_exec_block(range(1, len(program.opcodes)), program,
+                                             CONFIG, diagnostics)
+                if facts != BlockFacts() or diagnostics:
+                    makers.add(opcode)
+    assert makers <= FACT_OPCODES, makers - FACT_OPCODES
+
+
+def test_decoded_constants_leave_program_equality():
+    # Each (opcode, immediates) is decoded once into the program's memo,
+    # which equality does not read.
+    source = 'int 1\nbyte "owner"\napp_global_get\nint 1\ntxn Sender\n==\nassert\nint 1\nreturn'
+    interpreted = parse_teal(source)
+    for block in build_cfg(interpreted).blocks:
+        abstract_exec_block(block, interpreted, CONFIG, [])
+    assert interpreted.constants == {
+        ("int", ("1",)): IntConst(1), ("byte", ('"owner"',)): ByteConst("owner"),
+        ("txn", ("Sender",)): SENDER}
+    assert interpreted == parse_teal(source)

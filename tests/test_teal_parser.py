@@ -80,6 +80,14 @@ def test_blank_and_comment_only_lines_skipped():
     assert _columns(program) == (["int"], [("1",)], [4])
 
 
+def test_only_newline_ends_a_line():
+    # Other line breaks are whitespace: a string immediate keeps U+2028, a
+    # comment runs on past a form feed, and `\r\n` ends one line.
+    program = parse_teal('byte "a\u2028b"\nint 1 // x\x0cassert\r\nint 2\r\n')
+    assert _columns(program) == (["byte", "int", "int"], [('"a\u2028b"',), ("1",), ("2",)],
+                                 [1, 2, 3])
+
+
 @given(st.text(max_size=400))
 @settings(max_examples=200, deadline=None)
 def test_parse_teal_totality(src):
@@ -120,7 +128,7 @@ _QUOTE_FREE = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_quote_free_lines_split_on_whitespace(source):
     expected = []
-    for lineno, line in enumerate(source.splitlines(), 1):
+    for lineno, line in enumerate(source.split("\n"), 1):
         fields = line.split("//", 1)[0].split()
         if fields and not fields[0].startswith("#") and not fields[0].endswith(":"):
             expected.append((fields[0], tuple(fields[1:]), lineno))
