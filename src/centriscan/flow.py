@@ -7,16 +7,17 @@ through `form` and `non_fail_edge`. A point is guarded iff every path from
 entry reaches it only after an assert guard or across the authorized
 (non-fail) edge of a branch guard: reachability over blocks in a graph in
 which a path halts at its block's first assert guard and each authorized
-edge is removed. Blocks are entered in order of the fewest instructions
-from entry, so each keeps the parent and depth that an instruction-level
-BFS gives it. Per unguarded write only its printed witness is stored; full
-paths are derived from the parents on read. A guarded write's gates are
-the last guard on each of its entry paths, found by one forward pass.
+edge is removed. A breadth-first search over blocks, in successor order,
+gives each block reached its parent: an unguarded write's witness is the
+guard-free path with the fewest blocks, and where two such paths part it
+takes the earlier successor edge (taken before not-taken). Per unguarded
+write only its printed witness is stored; full paths are derived from the
+parents on read. A guarded write's gates are the last guard on each of its
+entry paths, found by one forward pass.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -108,11 +109,7 @@ def compute_guardedness(cfg: Cfg, guard_points: list, fund_points: list,
                         diagnostics: list[Diagnostic]) -> GuardednessResult:
     """Decide, per fund point, whether all entry paths cross a guard.
 
-    Work is per block and edge, plus a heap operation per block entered. A
-    tie, two block ends equally far from entry that lead into one block,
-    also walks both parent chains up to their lowest common ancestor, as
-    many steps as the deeper chain is long. The stagebench workloads and
-    the test corpus hold no tie."""
+    The witness search takes each block and edge at most once."""
     result = GuardednessResult(cfg)
     if not cfg.blocks:
         return result
@@ -182,55 +179,26 @@ def _gates_into(cfg: Cfg, exits: dict[int, tuple]) -> dict[int, tuple]:
 
 def _reach(cfg: Cfg, stop_blocks: dict[int, int], pruned_edges: frozenset | set
            ) -> tuple[dict[int, int], dict[int, int]]:
-    """The parent tree that an instruction-level BFS from entry (instruction
-    0) builds, found block by block. The BFS halts at stop instructions,
-    never crosses pruned edges and enters a block only at its start; a
-    block's first instruction is reached after the fewest instructions of
-    any path, and its parent is the block whose end the BFS's FIFO dequeues
-    first among the ends that lie one instruction before it. So blocks are
-    taken in order of how far their end lies from entry, and a block with a
-    stop leads nowhere. Returns, per block reached, its parent (entry has
-    none) and its depth in that parent tree (entry is 0)."""
-    blocks = cfg.blocks
+    """Breadth-first search over blocks from entry, in successor order. It
+    never crosses a pruned edge and does not leave a block that holds a
+    stop. A block's parent is the block that finds it first, so its tree
+    path has the fewest blocks and, where two such paths part, takes the
+    earlier successor edge. Returns, per block reached, its parent (entry
+    has none) and its depth in that tree (entry is 0)."""
     successors = cfg.successors
     parents: dict[int, int] = {}
     depth = {0: 0}
-    start_at = {0: 0}  # block -> instructions from entry to its start
-    heap = [(len(blocks[0]), 0)]  # (where its successors start, block)
-    while heap:
-        at, frm = heappop(heap)
+    queue = [0]
+    for frm in queue:  # a FIFO: the loop also visits the blocks appended below
         if frm in stop_blocks:
             continue
+        below = depth[frm] + 1
         for to, kind in successors[frm]:
-            if (frm, to, kind) in pruned_edges:
-                continue
-            have = start_at.get(to)
-            if have is None:
-                start_at[to] = at
-                heappush(heap, (at + len(blocks[to]), to))
-            elif have != at or parents[to] == frm or \
-                    not _dequeued_first(cfg, parents, depth, pruned_edges, frm, parents[to]):
-                continue  # entered sooner, or from an end the FIFO takes first
-            parents[to] = frm
-            depth[to] = depth[frm] + 1
+            if to not in depth and (frm, to, kind) not in pruned_edges:
+                parents[to] = frm
+                depth[to] = below
+                queue.append(to)
     return parents, depth
-
-
-def _dequeued_first(cfg: Cfg, parents: dict[int, int], depth: dict[int, int],
-                    pruned_edges: frozenset | set, a: int, b: int) -> bool:
-    """True iff the instruction FIFO dequeues the end of block a before that
-    of block b, two ends equally far from entry. Their chains part at their
-    lowest common ancestor, and the FIFO takes first the chain below its
-    earlier successor edge. Walks both chains up to that ancestor."""
-    while depth[a] > depth[b]:
-        a = parents[a]
-    while depth[b] > depth[a]:
-        b = parents[b]
-    while parents[a] != parents[b]:
-        a, b = parents[a], parents[b]
-    fork = parents[a]
-    order = [to for to, kind in cfg.successors[fork] if (fork, to, kind) not in pruned_edges]
-    return order.index(a) < order.index(b)
 
 
 def _tail(parents: dict[int, int], depth: dict[int, int], block: int) -> str:

@@ -241,14 +241,14 @@ def pair_detections(
 
     subjects: list[Subject] = []
     for function in contract.functions:
+        name = f"function '{function.name}'" if function.name else "unnamed function"
         guard_list = list(guards_at.get(function.at, ()))
         for invocation in function.modifier_invocations:
             modifiers = modifier_at.get(invocation)
             if modifiers is None:
                 if invocation not in contract.bases:
                     diagnostics.append(Diagnostic(
-                        f"function '{function.name}' invokes unknown modifier "
-                        f"'{invocation}'",
+                        f"{name} invokes unknown modifier '{invocation}'",
                         *tokens.position(function.at),
                     ))
                 continue
@@ -257,7 +257,6 @@ def pair_detections(
         funds = funds_at.get(function.at, ())
         if guard_list or funds:
             guard_list.sort(key=_BY_POSITION)
-            name = f"function '{function.name}'" if function.name else "unnamed function"
             subjects.append(Subject(*tokens.position(function.at), name,
                                     tuple(guard_list), tuple(funds), ""))
     return subjects

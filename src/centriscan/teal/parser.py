@@ -129,68 +129,54 @@ def parse_teal(source: str) -> TealProgram:
     labels = program.labels
     diagnostics = program.diagnostics
     effects = OPCODE_STACK_EFFECTS
-    known: dict[str, tuple[str, tuple[str, ...]]] = {}  # line text -> instruction
-    unknown: dict[str, tuple[str, tuple[str, ...], str]] = {}  # ... and its note
+    # line text -> (opcode, immediates, note or None for a known opcode)
+    decoded: dict[str, tuple[str, tuple[str, ...], str | None]] = {}
     for lineno, raw in enumerate(source.split("\n"), 1):
-        hit = known.get(raw)
-        if hit is not None:
-            add_opcode(hit[0])
-            add_immediates(hit[1])
-            add_line(lineno)
-            continue
-        hit = unknown.get(raw)
-        if hit is not None:
-            diagnostics.append(Diagnostic(hit[2], lineno))
-            add_opcode(hit[0])
-            add_immediates(hit[1])
-            add_line(lineno)
-            continue
-        if '"' in raw:
-            # Without a `//` the code is the whole line.
-            code = (_CODE.match(raw).group() if "//" in raw else raw).strip()
-            if not code:
-                continue
-            fields = code.split() if code.startswith("#") else _FIELD.findall(code)
-        else:
-            # Without a quote no `//` can sit inside a string immediate, and
-            # _FIELD reduces to str.split (both split on str.isspace).
-            fields = raw.split("//", 1)[0].split()
-            if not fields:
-                continue
-        head = fields[0]
-        if head[0] == "#":
-            if fields[0] == "#pragma" and len(fields) >= 3 and fields[1] == "version":
-                try:
-                    int(fields[2])
-                except ValueError:
+        hit = decoded.get(raw)
+        if hit is None:
+            if '"' in raw:
+                # Without a `//` the code is the whole line.
+                code = (_CODE.match(raw).group() if "//" in raw else raw).strip()
+                if not code:
+                    continue
+                fields = code.split() if code.startswith("#") else _FIELD.findall(code)
+            else:
+                # Without a quote no `//` can sit inside a string immediate, and
+                # _FIELD reduces to str.split (both split on str.isspace).
+                fields = raw.split("//", 1)[0].split()
+                if not fields:
+                    continue
+            head = fields[0]
+            if head[0] == "#":
+                if fields[0] == "#pragma" and len(fields) >= 3 and fields[1] == "version":
+                    try:
+                        int(fields[2])
+                    except ValueError:
+                        diagnostics.append(Diagnostic(
+                            f"unparseable version pragma {fields[2]!r}", lineno))
+                elif fields[0] != "#pragma":
                     diagnostics.append(Diagnostic(
-                        f"unparseable version pragma {fields[2]!r}", lineno))
-            elif fields[0] != "#pragma":
-                diagnostics.append(Diagnostic(
-                    f"unrecognized directive {fields[0]!r}", lineno))
-            continue
-        if head[-1] == ":" and head[0] != '"':
-            label = head[:-1]
-            if not label:
-                diagnostics.append(Diagnostic("empty label name", lineno))
+                        f"unrecognized directive {fields[0]!r}", lineno))
                 continue
-            if label in labels:
-                diagnostics.append(Diagnostic(
-                    f"duplicate label '{label}'; last definition wins", lineno))
-            labels[label] = len(program.opcodes)
-            if len(fields) > 1:
-                diagnostics.append(Diagnostic(
-                    f"content after label '{label}' ignored", lineno))
-            continue
-        immediates = tuple(fields[1:])
-        if head in effects:
-            known[raw] = (head, immediates)
-        else:
-            note = f"unknown opcode '{head}'"
-            unknown[raw] = (head, immediates, note)
-            diagnostics.append(Diagnostic(note, lineno))
-        add_opcode(head)
-        add_immediates(immediates)
+            if head[-1] == ":" and head[0] != '"':
+                label = head[:-1]
+                if not label:
+                    diagnostics.append(Diagnostic("empty label name", lineno))
+                    continue
+                if label in labels:
+                    diagnostics.append(Diagnostic(
+                        f"duplicate label '{label}'; last definition wins", lineno))
+                labels[label] = len(program.opcodes)
+                if len(fields) > 1:
+                    diagnostics.append(Diagnostic(
+                        f"content after label '{label}' ignored", lineno))
+                continue
+            hit = decoded[raw] = (head, tuple(fields[1:]), None if head in effects
+                                  else f"unknown opcode '{head}'")
+        if hit[2] is not None:
+            diagnostics.append(Diagnostic(hit[2], lineno))
+        add_opcode(hit[0])
+        add_immediates(hit[1])
         add_line(lineno)
 
     opcodes = program.opcodes

@@ -142,10 +142,26 @@ def cfg_from_sizes(sizes: list[int], edges: list[tuple[int, int, str]]) -> Cfg:
     return Cfg(blocks, successors)
 
 
+def comb_cfg(rungs: int) -> Cfg:
+    """Entry, then two chains of one-instruction blocks: A_1..A_n (blocks 1
+    to n) on entry's taken edge and B_1..B_n (blocks n + 1 to 2n) on its
+    not-taken one. Rung i, block 2n + i, is a one-instruction leaf that
+    both A_i and B_i branch to, so every rung is entered from two blocks
+    equally deep whose paths part only at entry."""
+    n = rungs
+    edges = [(0, 1, BRANCH_TAKEN), (0, n + 1, BRANCH_NOT_TAKEN)]
+    for i in range(1, n + 1):
+        for b in (i, n + i):
+            edges.append((b, 2 * n + i, BRANCH_TAKEN))
+            if i < n:
+                edges.append((b, b + 1, BRANCH_NOT_TAKEN))
+    return cfg_from_sizes([1] * (3 * n + 1), edges)
+
+
 def random_cfg(rng: random.Random) -> Cfg:
     """A random small CFG shaped like build_cfg output (<=12 blocks of 1-8
-    instructions, so the path with the fewest instructions and the one with
-    the fewest blocks can differ)."""
+    instructions, so the path with the fewest blocks and the one with the
+    fewest instructions can differ)."""
     n_blocks = rng.randint(1, 12)
     sizes = [rng.randint(1, 8) for _ in range(n_blocks)]
     edges = []
@@ -166,8 +182,7 @@ def random_cfg(rng: random.Random) -> Cfg:
 def random_tied_cfg(rng: random.Random) -> Cfg:
     """A random CFG of up to 80 blocks, most of one instruction and the rest
     of two, most of them branching to blocks a few places on, so that many
-    blocks are entered from two block ends equally far from entry, on paths
-    of equal or unequal block counts."""
+    blocks are entered from two blocks equally deep."""
     n_blocks = rng.randint(1, 80)
     edges = []
 

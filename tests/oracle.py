@@ -11,12 +11,14 @@ path on to the write, holds each instruction at most twice).
 and collects, per guarded fund point, the last guard instruction each path
 passes before reaching it.
 
-`reference_witnesses` is the reference for witness paths: an
-instruction-level BFS that records one parent per instruction and reads
-each block path off the instruction path.
+`reference_witnesses` is the reference for witness paths: per write
+reached without a guard, the guard-free block path with the fewest blocks,
+where two such paths part the one on the earlier successor edge, found
+level by level by comparing whole paths; its instruction path is read off
+the block path.
 
-`reference_parents` reads the same BFS's parent tree off at block level:
-per block entered, the block it is entered from.
+`reference_parents` reads the same paths off as a parent tree: per block
+entered other than entry, the block before it on its path.
 
 `reference_is_failure_region` is the reference failure-region rule: every
 block reachable from the start, collected anew for each start, may only
@@ -163,78 +165,66 @@ def reference_gates(
     return {guarded[q]: tuple(sorted(last)) for q, last in found.items()}
 
 
-def _reach(cfg: Cfg, stop_instructions: set, pruned_edges: set
-           ) -> tuple[set[int], dict[int, int]]:
-    """Instruction-level BFS from entry with one parent per instruction;
-    expansion halts at stop instructions and never crosses pruned edges."""
-    blocks = cfg.blocks
+def _fewest_block_paths(cfg: Cfg, stop_instructions: set, pruned_edges: set
+                        ) -> dict[int, tuple[int, ...]]:
+    """Per block entered from entry without crossing a pruned edge or
+    leaving a block that holds a stop instruction, its path of fewest
+    blocks; of equally short paths, the one whose successor-edge ranks,
+    read from entry, are least. The paths of n + 1 blocks are built from
+    those of n, and each block keeps the least (ranks, path) key."""
     blocks_of = block_of(cfg)
-    seen = {0}  # entry: instruction 0
-    parents: dict[int, int] = {}
-    queue = deque([0])
-    while queue:
-        q = queue.popleft()
-        if q in stop_instructions:
-            continue
-        frm = blocks_of[q]
-        if q + 1 < blocks[frm].stop:
-            nxt = [q + 1]
-        else:
-            nxt = [blocks[to].start for to, kind in cfg.successors[frm]
-                   if (frm, to, kind) not in pruned_edges]
-        for s in nxt:
-            if s not in seen:
-                seen.add(s)
-                parents[s] = q
-                queue.append(s)
-    return seen, parents
-
-
-def _instruction_path(parents: dict[int, int], target: int, cfg: Cfg) -> tuple[int, ...]:
-    path = [target]
-    while path[-1] != 0:
-        path.append(parents[path[-1]])
-    path.reverse()
-    return tuple(path)
-
-
-def _block_path(instruction_path: tuple[int, ...], blocks_of: list[int]) -> tuple[int, ...]:
-    blocks = []
-    for q in instruction_path:
-        b = blocks_of[q]
-        if not blocks or blocks[-1] != b:
-            blocks.append(b)
-    return tuple(blocks)
+    leaves_none = {blocks_of[q] for q in stop_instructions}
+    keys = {0: ((), (0,))}  # block -> (edge rank per step, block path)
+    level = [0]
+    while level:
+        found: dict[int, tuple] = {}
+        for frm in level:
+            if frm in leaves_none:
+                continue
+            ranks, path = keys[frm]
+            for rank, (to, kind) in enumerate(cfg.successors[frm]):
+                if to in keys or (frm, to, kind) in pruned_edges:
+                    continue
+                key = (ranks + (rank,), path + (to,))
+                if to not in found or key < found[to]:
+                    found[to] = key
+        keys.update(found)
+        level = list(found)
+    return {b: path for b, (_, path) in keys.items()}
 
 
 def reference_witnesses(
     cfg: Cfg, guards: list[GuardPoint], funds: list[FundModPoint]
 ) -> tuple[dict[FundModPoint, tuple[int, ...]], dict[FundModPoint, tuple[int, ...]]]:
     """(block paths, instruction paths) of every fund point reachable
-    without crossing a guard, as the instruction-parent BFS finds them."""
+    without crossing a guard: the block path of fewest blocks, and the
+    instructions it runs, each block whole but the last, which is cut
+    after the point. A point is reached if its block is entered and no
+    assert guard in the block comes before it."""
     block_paths: dict[FundModPoint, tuple[int, ...]] = {}
     instruction_paths: dict[FundModPoint, tuple[int, ...]] = {}
     if not cfg.blocks:
         return block_paths, instruction_paths
-    reached, parents = _reach(cfg, *_guard_cuts(guards))
-    blocks_of = block_of(cfg)
+    asserts, pruned = _guard_cuts(guards)
+    paths = _fewest_block_paths(cfg, asserts, pruned)
     for point in funds:
-        if point.instruction in reached:
-            path = _instruction_path(parents, point.instruction, cfg)
-            instruction_paths[point] = path
-            block_paths[point] = _block_path(path, blocks_of)
+        path = paths.get(point.block)
+        start = cfg.blocks[point.block].start
+        if path is None or asserts.intersection(range(start, point.instruction)):
+            continue
+        block_paths[point] = path
+        instruction_paths[point] = tuple(q for b in path[:-1] for q in cfg.blocks[b]) + \
+            tuple(range(start, point.instruction + 1))
     return block_paths, instruction_paths
 
 
 def reference_parents(cfg: Cfg, guards: list[GuardPoint]) -> dict[int, int]:
-    """Per block other than entry that the instruction BFS enters, the block
-    it enters it from."""
+    """Per block other than entry that a guard-free path enters, the block
+    before it on its witness path."""
     if not cfg.blocks:
         return {}
-    _, parents = _reach(cfg, *_guard_cuts(guards))
-    blocks_of = block_of(cfg)
-    return {b: blocks_of[parents[block.start]] for b, block in enumerate(cfg.blocks)
-            if block.start in parents}
+    paths = _fewest_block_paths(cfg, *_guard_cuts(guards))
+    return {b: path[-2] for b, path in paths.items() if b != 0}
 
 
 def _reachable_blocks(cfg: Cfg, start: int) -> set[int]:

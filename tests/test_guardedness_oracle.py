@@ -2,6 +2,7 @@
 
 import random
 import re
+import time
 
 from centriscan.flow import BRANCH_NOT_TAKEN, BRANCH_TAKEN, FALLTHROUGH, compute_guardedness
 from centriscan.report import classify
@@ -10,6 +11,7 @@ from centriscan.teal.detectors import FundModPoint, GuardPoint, find_subjects
 from helpers import (
     block_of,
     cfg_from_sizes,
+    comb_cfg,
     random_cfg,
     random_guards_and_funds,
     random_tied_cfg,
@@ -96,6 +98,8 @@ def test_witness_paths_are_valid():
 
 
 def test_witnesses_match_reference_bfs():
+    # Blocks of 1-8 instructions, so the path of fewest blocks is often not
+    # the one of fewest instructions.
     for seed in range(300):
         cfg, guards, funds = _case(seed)
         # Also a write at the end of every block, so each block's witness is
@@ -103,6 +107,7 @@ def test_witnesses_match_reference_bfs():
         funds += [_write(cfg, b[-1]) for b in cfg.blocks]
         result = compute_guardedness(cfg, guards, funds, [])
         blocks, instructions = reference_witnesses(cfg, guards, funds)
+        assert result.parents == reference_parents(cfg, guards), f"seed={seed}"
         assert result.witnesses == blocks, f"seed={seed}"
         assert result.witness_instructions == instructions, f"seed={seed}"
 
@@ -143,9 +148,8 @@ def test_printed_witnesses_are_the_bounded_reference_paths():
 
 
 def test_tie_heavy_cfgs_match_the_reference_bfs():
-    # In blocks of one or two instructions many blocks are entered from two
-    # ends equally far from entry; the instruction FIFO's order picks the
-    # parent.
+    # Here many blocks are entered from two blocks equally deep; the edge
+    # where their paths part picks the parent.
     # A write opens every block, so every block entered is checked. A
     # printed witness is as long as the traversal's depth says: a wrong
     # depth prints a path that misses entry or walks past it.
@@ -235,22 +239,30 @@ def _witness_to_last_block(sizes, edges):
     return result.witnesses[point], result.witness_instructions[point]
 
 
-def test_witness_has_fewest_instructions_not_fewest_blocks():
+def test_witness_has_fewest_blocks_not_fewest_instructions():
     # entry -> A (5 instructions) -> D against entry -> B -> C -> D (1 each):
-    # the walk counts instructions, so it takes the longer block path.
+    # the walk counts blocks, so it takes the path with more instructions,
+    # whichever edge of entry leads to A.
     edges = [(0, 1, BRANCH_TAKEN), (0, 2, BRANCH_NOT_TAKEN), (1, 4, BRANCH_TAKEN),
              (2, 3, BRANCH_TAKEN), (3, 4, BRANCH_TAKEN)]
-    assert _witness_to_last_block([1, 5, 1, 1, 1], edges) == ((0, 2, 3, 4), (0, 6, 7, 8))
+    assert _witness_to_last_block([1, 5, 1, 1, 1], edges) == \
+        ((0, 1, 4), (0, 1, 2, 3, 4, 5, 8))
+    b_first = [edges[1], edges[0], *edges[2:]]
+    assert _witness_to_last_block([1, 5, 1, 1, 1], b_first) == \
+        ((0, 1, 4), (0, 1, 2, 3, 4, 5, 8))
 
 
 def test_witness_ties_follow_edge_order():
-    # Both paths reach D after three instructions; the block entered first
-    # from entry wins the tie.
-    a_first = [(0, 1, BRANCH_TAKEN), (0, 2, BRANCH_NOT_TAKEN), (1, 4, BRANCH_TAKEN),
-               (2, 3, BRANCH_TAKEN), (3, 4, BRANCH_TAKEN)]
-    assert _witness_to_last_block([1, 2, 1, 1, 1], a_first) == ((0, 1, 4), (0, 1, 2, 5))
+    # entry -> A -> D against entry -> B -> D: both paths have three blocks,
+    # so the earlier edge of entry wins, however many instructions A and B
+    # hold.
+    a_first = [(0, 1, BRANCH_TAKEN), (0, 2, BRANCH_NOT_TAKEN), (1, 3, BRANCH_TAKEN),
+               (2, 3, BRANCH_TAKEN)]
     b_first = [a_first[1], a_first[0], *a_first[2:]]
-    assert _witness_to_last_block([1, 2, 1, 1, 1], b_first) == ((0, 2, 3, 4), (0, 3, 4, 5))
+    assert _witness_to_last_block([1, 3, 1, 1], a_first) == ((0, 1, 3), (0, 1, 2, 3, 5))
+    assert _witness_to_last_block([1, 3, 1, 1], b_first) == ((0, 2, 3), (0, 4, 5))
+    assert _witness_to_last_block([1, 1, 3, 1], a_first) == ((0, 1, 3), (0, 1, 5))
+    assert _witness_to_last_block([1, 1, 3, 1], b_first) == ((0, 2, 3), (0, 2, 3, 4, 5))
 
 
 def test_witness_tie_is_decided_where_the_chains_part():
@@ -262,6 +274,34 @@ def test_witness_tie_is_decided_where_the_chains_part():
     assert _witness_to_last_block([1] * 6, edges) == ((0, 1, 3, 5), (0, 1, 3, 5))
     swapped = [(0, 2, BRANCH_TAKEN), (0, 1, BRANCH_NOT_TAKEN), *edges[2:]]
     assert _witness_to_last_block([1] * 6, swapped) == ((0, 2, 4, 5), (0, 2, 4, 5))
+
+
+def _comb_writes(cfg, rungs):
+    """A write in every rung of comb_cfg(rungs), in rung order."""
+    return [FundModPoint(b, cfg.blocks[b].start, cfg.blocks[b].start + 1,
+                         "app_global_put", "MyBalance")
+            for b in range(2 * rungs + 1, 3 * rungs + 1)]
+
+
+def test_comb_witnesses_take_linear_time():
+    # Each rung is a tie whose paths part only at entry; A's chain is on
+    # entry's earlier edge, so rung i's witness is entry, A_1..A_i, rung i.
+    small = comb_cfg(12)
+    writes = _comb_writes(small, 12)
+    result = compute_guardedness(small, [], writes, [])
+    assert (result.witnesses, result.witness_instructions) == \
+        reference_witnesses(small, [], writes)
+    n = 20_000
+    cfg = comb_cfg(n)
+    writes = _comb_writes(cfg, n)
+    start = time.perf_counter()
+    result = compute_guardedness(cfg, [], writes, [])
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
+    # Rung i's witness has i + 2 blocks; from rung 7 on it is cut.
+    assert [result.tails[w] for w in writes] == [
+        _bounded((*range(i + 1), 2 * n + i)) if i < 7
+        else f"0->...(+{i - 2})->{i - 1}->{i}->{2 * n + i}" for i in range(1, n + 1)]
 
 
 def test_guard_monotonicity():

@@ -600,6 +600,22 @@ def test_unnamed_functions_are_labelled_in_both_kinds():
     ]
 
 
+def test_unnamed_function_invoking_an_unknown_modifier_is_noted_as_unnamed():
+    # The note names the function as its finding would.
+    _, diagnostics = analyze_solidity_source(
+        "contract C { mapping(address => uint) bals;\n"
+        "constructor() initializer { }\n"
+        "receive() external payable onlyOwner { }\n"
+        "fallback() external whenLive { }\n"
+        "function f() public initializer { } }", "c.sol", CONFIG)
+    assert [(d.message, d.line) for d in diagnostics] == [
+        ("unnamed function invokes unknown modifier 'initializer'", 2),
+        ("unnamed function invokes unknown modifier 'onlyOwner'", 3),
+        ("unnamed function invokes unknown modifier 'whenLive'", 4),
+        ("function 'f' invokes unknown modifier 'initializer'", 5),
+    ]
+
+
 def test_evidence_text_is_single_line():
     findings, _ = analyze_solidity_source(
         "contract C { mapping(address => uint) bals;\n"
