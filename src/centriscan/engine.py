@@ -40,7 +40,7 @@ def _load(language: str) -> None:
     bound = globals()
     for name, module in _STAGES[language].items():
         if name not in bound:  # from .module import name
-            bound.setdefault(name, getattr(__import__(module, bound, None, (name,), 1), name))
+            bound[name] = getattr(__import__(module, bound, None, (name,), 1), name)
 
 
 def __getattr__(name: str):

@@ -51,13 +51,6 @@ class ScanReport(Record):
     __slots__ = ("version", "config_fingerprint", "files_scanned", "findings",
                  "diagnostics", "counts")
 
-    def __init__(self, version: str, config_fingerprint: str, files_scanned: int,
-                 findings: list[Finding], diagnostics: list[Diagnostic],
-                 counts: dict[str, int]):
-        self.version, self.config_fingerprint = version, config_fingerprint
-        self.files_scanned = files_scanned
-        self.findings, self.diagnostics, self.counts = findings, diagnostics, counts
-
 
 class Subject(NamedTuple):
     """A place a back end grades: a Solidity function or a TEAL write or

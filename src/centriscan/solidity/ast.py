@@ -14,18 +14,13 @@ detectors never look inside those.
 
 from __future__ import annotations
 
-from ..diagnostics import Diagnostic
 from ..record import Record
-from .tokens import Tokens
 
 
 # --- expressions -----------------------------------------------------------
 
 class Expr(Record):
     __slots__ = ("at", "end")  # index of the first token, one past the last
-
-    def __init__(self, at: int, end: int):
-        self.at, self.end = at, end
 
 
 class MsgSender(Expr):
@@ -35,39 +30,21 @@ class MsgSender(Expr):
 class Identifier(Expr):
     __slots__ = ("name",)
 
-    def __init__(self, at: int, end: int, name: str):
-        self.at, self.end, self.name = at, end, name
-
 
 class Member(Expr):
     __slots__ = ("base", "member")
-
-    def __init__(self, at: int, end: int, base: Expr, member: str):
-        self.at, self.end = at, end
-        self.base, self.member = base, member
 
 
 class Index(Expr):
     __slots__ = ("base", "index")
 
-    def __init__(self, at: int, end: int, base: Expr, index: Expr):
-        self.at, self.end = at, end
-        self.base, self.index = base, index
-
 
 class Binary(Expr):
     __slots__ = ("op", "lhs", "rhs")  # op: == != && ||; others parse to OpaqueExpr
 
-    def __init__(self, at: int, end: int, op: str, lhs: Expr, rhs: Expr):
-        self.at, self.end = at, end
-        self.op, self.lhs, self.rhs = op, lhs, rhs
-
 
 class Not(Expr):
     __slots__ = ("operand",)  # a run of `!`, by parity; other prefix operators parse to OpaqueExpr
-
-    def __init__(self, at: int, end: int, operand: Expr):
-        self.at, self.end, self.operand = at, end, operand
 
 
 class CallExpr(Expr):
@@ -88,24 +65,13 @@ class OpaqueExpr(Expr):
 class Stmt(Record):
     __slots__ = ("at", "end")
 
-    def __init__(self, at: int, end: int):
-        self.at, self.end = at, end
-
 
 class Require(Stmt):
     __slots__ = ("condition",)
 
-    def __init__(self, at: int, end: int, condition: Expr):
-        self.at, self.end, self.condition = at, end, condition
-
 
 class If(Stmt):
     __slots__ = ("condition", "then_body", "else_body")
-
-    def __init__(self, at: int, end: int, condition: Expr,
-                 then_body: list[Stmt], else_body: list[Stmt]):
-        self.at, self.end, self.condition = at, end, condition
-        self.then_body, self.else_body = then_body, else_body
 
 
 class Assign(Stmt):
@@ -113,16 +79,9 @@ class Assign(Stmt):
     is the opaque operator token."""
     __slots__ = ("lvalue", "rvalue")
 
-    def __init__(self, at: int, end: int, lvalue: Expr, rvalue: Expr):
-        self.at, self.end = at, end
-        self.lvalue, self.rvalue = lvalue, rvalue
-
 
 class Call(Stmt):
     __slots__ = ("expr",)
-
-    def __init__(self, at: int, end: int, expr: Expr):
-        self.at, self.end, self.expr = at, end, expr
 
 
 class Revert(Stmt):
@@ -155,19 +114,12 @@ class TypeDesc(Record):
 class StateVar(Record):
     __slots__ = ("name", "type_desc", "at")  # at: index of the name token
 
-    def __init__(self, name: str, type_desc: TypeDesc, at: int):
-        self.name, self.type_desc, self.at = name, type_desc, at
-
 
 class FunctionDecl(Record):
     # A function, modifier, constructor, fallback or receive; at is its keyword
     # token's index. name is "" for the last three; pairing reads no modifier's
     # invocations.
     __slots__ = ("name", "modifier_invocations", "body", "at")
-
-    def __init__(self, name: str, modifier_invocations: list[str], body: list[Stmt], at: int):
-        self.name, self.modifier_invocations = name, modifier_invocations
-        self.body, self.at = body, at
 
 
 class ContractDecl(Record):
@@ -183,7 +135,3 @@ class SourceUnit(Record):
     __slots__ = ("contracts", "diagnostics", "tokens")
     # Units parsed from equal sources compare equal, whatever their tokens.
     _fields = ("contracts", "diagnostics")
-
-    def __init__(self, contracts: list[ContractDecl], diagnostics: list[Diagnostic],
-                 tokens: Tokens):
-        self.contracts, self.diagnostics, self.tokens = contracts, diagnostics, tokens

@@ -54,30 +54,29 @@ def _is_sender(expr: ast.Expr) -> bool:
     return type(expr) is ast.MsgSender
 
 
-def _collect_sender_comparisons(
-    expr: ast.Expr, out: list[str], negated: bool = False
-) -> None:
-    if isinstance(expr, ast.Not):  # `!` flips the polarity of what it holds
-        _collect_sender_comparisons(expr.operand, out, not negated)
-    elif not isinstance(expr, ast.Binary):
-        return
-    elif expr.op in ("&&", "||"):
-        _collect_sender_comparisons(expr.lhs, out, negated)
-        _collect_sender_comparisons(expr.rhs, out, negated)
-    # Only `msg.sender` is the sender; `tx.origin` is not.
-    elif _is_sender(expr.lhs) != _is_sender(expr.rhs):
-        out.append("eq" if (expr.op == "==") != negated else "neq")
-
-
 def _sender_comparison(expr: ast.Expr) -> str | None:
     """Polarity of the sender comparisons under &&/||/! nesting: "eq" if
     any is `==` (or a negated `!=`), else "neq" if any is `!=` (or a negated
-    `==`), else None. A comparison of the sender with itself never counts."""
-    found: list[str] = []
-    _collect_sender_comparisons(expr, found)
-    if "eq" in found:
-        return "eq"
-    return "neq" if found else None
+    `==`), else None. A comparison of the sender with itself never counts.
+    The walk keeps its own stack: the parser builds long chains left-deep."""
+    found = None
+    stack = [(expr, False)]
+    while stack:
+        node, negated = stack.pop()
+        cls = type(node)
+        if cls is ast.Not:  # `!` flips the polarity of what it holds
+            stack.append((node.operand, not negated))
+        elif cls is not ast.Binary:
+            continue
+        elif node.op in ("&&", "||"):
+            stack.append((node.lhs, negated))
+            stack.append((node.rhs, negated))
+        # Only `msg.sender` is the sender; `tx.origin` is not.
+        elif _is_sender(node.lhs) != _is_sender(node.rhs):
+            if (node.op == "==") != negated:
+                return "eq"
+            found = "neq"
+    return found
 
 
 def _statements(body: list[ast.Stmt]) -> Iterator[ast.Stmt]:

@@ -180,11 +180,9 @@ class _Parser:
         elif t == "{":
             self._skip_balanced()
 
-    def _opaque_stmt(self, note: str | None = None,
-                     stops: frozenset[str] = _REGION_STOP) -> ast.Opaque:
+    def _opaque_stmt(self, note: str, stops: frozenset[str] = _REGION_STOP) -> ast.Opaque:
         start = self.i
-        if note:
-            self._note(note)
+        self._note(note)
         self._recover_region(stops)
         if self.i == start and self.i < self.n:
             self.i += 1  # guarantee progress when stuck on a stray '}'
@@ -241,8 +239,6 @@ class _Parser:
     # --- contract members -------------------------------------------------
 
     def _parse_member(self, contract: ast.ContractDecl) -> None:
-        if self.i >= self.n:
-            return
         t = self.texts[self.i]
         if t in _DECLARATION_KEYWORDS:
             declarations = contract.modifiers if t == "modifier" else contract.functions
@@ -283,13 +279,15 @@ class _Parser:
             return None
         text = self.texts[start]
         if text == "mapping":
+            if self.expr_depth >= _MAX_EXPR_DEPTH:  # nested too deep to take
+                return None
             self.i += 1
             if not self._eat("("):
                 return None
+            self.expr_depth += 1
             key = self._parse_type()
-            if key is None or not self._eat("=>"):
-                return None
-            value = self._parse_type()
+            value = self._parse_type() if key is not None and self._eat("=>") else None
+            self.expr_depth -= 1
             if value is None or not self._eat(")"):
                 return None
             return ast.TypeDesc(self.tokens.text(start, self.i), key, value)

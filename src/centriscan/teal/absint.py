@@ -41,22 +41,13 @@ UNKNOWN = _Unknown()
 class GlobalField(AbstractValue):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        self.name = name
-
 
 class GlobalGet(AbstractValue):
     __slots__ = ("key",)
 
-    def __init__(self, key: str):
-        self.key = key
-
 
 class _Constant(AbstractValue):
     __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
 
 
 class ByteConst(_Constant):

@@ -77,6 +77,37 @@ def test_deeply_nested_blocks_do_not_blow_the_stack():
     assert isinstance(findings, list)
 
 
+def test_long_logical_chains_in_a_guard_do_not_blow_the_stack():
+    # The parser builds `&&`/`||` chains left-deep; the guard predicate walks
+    # them without recursion and still finds the comparison at the far end.
+    def graded(guard):
+        source = ("contract C { address owner; mapping(address => uint) bals; bool x;\n"
+                  f"function f(address to) public {{ {guard} bals[to] = 0; }} }}")
+        findings, _ = analyze_solidity_source(source, "deep.sol", CONFIG)
+        return [(f.kind, f.severity) for f in findings]
+
+    chain = " && ".join(["x"] * 4999 + ["msg.sender == owner"])
+    assert graded(f"require({chain});") == [("CENTRALIZATION_RISK", "MAJOR")]
+    chain = " || ".join(["x"] * 4999 + ["msg.sender == owner"])
+    assert graded(f"if ({chain}) {{ }}") == [("CENTRALIZATION_RISK", "MAJOR")]
+
+
+def test_deeply_nested_mappings_do_not_blow_the_stack():
+    # A mapping nested past the expression depth bound (50) is no state
+    # variable: the member is skipped with a note, and the rest still scans.
+    def scan(levels):
+        source = ("contract C { address owner; " + "mapping(address => " * levels + "uint"
+                  + ")" * levels + " deep;\n"
+                  "function f() public { require(msg.sender == owner); } }")
+        findings, diagnostics = analyze_solidity_source(source, "deep.sol", CONFIG)
+        return [(f.kind, f.severity) for f in findings], [d.message for d in diagnostics]
+
+    privileged = [("PRIVILEGED_FUNCTION", "INFO")]
+    assert scan(50) == (privileged, [])
+    assert scan(51) == (privileged, ["skipped unrecognized contract member"])
+    assert scan(5000) == (privileged, ["skipped unrecognized contract member"])
+
+
 def test_pathological_token_stream():
     source = "contract C { function f() public { " + "=" * 500 + " } }"
     findings, _ = analyze_solidity_source(source, "odd.sol", CONFIG)

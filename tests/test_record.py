@@ -1,9 +1,11 @@
 """Nodes, abstract values and analysis records compare by class and fields,
-never as bare tuples; mutable fields start fresh in every instance."""
+never as bare tuples; mutable fields start fresh in every instance; a
+generated constructor takes every slot, a base class's first."""
 
 import pytest
 
 from centriscan.flow import Cfg, GuardednessResult
+from centriscan.report import ScanReport
 from centriscan.solidity import ast
 from centriscan.solidity.parser import parse_solidity
 from centriscan.teal.absint import (
@@ -94,3 +96,49 @@ def test_mutable_fields_are_fresh_per_instance():
     v, w = GuardednessResult(cfg), GuardednessResult(cfg)
     v.parents[1] = 0
     assert w.parents == {} and w.verdicts == {}
+
+
+def test_generated_constructors_take_slots_in_order_base_first():
+    base = ast.MsgSender(0, 1)
+    node = ast.Member(1, 2, base, "x")
+    assert (node.at, node.end, node.base, node.member) == (1, 2, base, "x")
+    assert ast.Member(at=1, end=2, base=base, member="x") == node
+    report = ScanReport(version="1", config_fingerprint="f", files_scanned=0,
+                        findings=[], diagnostics=[], counts={})
+    assert (report.version, report.files_scanned, report.counts) == ("1", 0, {})
+    assert ScanReport("1", "f", 0, [], [], {}) == report
+    assert GlobalGet("k").key == "k" and ByteConst("v").value == "v"
+
+
+def test_generated_constructors_reject_missing_and_extra_arguments():
+    for build in (lambda: ast.Member(1, 2, ast.MsgSender(0, 1)),
+                  lambda: ast.Identifier(0, 1, "x", "y"),
+                  lambda: ast.Require(0, 1, condition=None, then_body=[]),
+                  lambda: IntConst(),
+                  lambda: ast.MsgSender(0)):
+        with pytest.raises(TypeError):
+            build()
+    with pytest.raises(TypeError, match=r"Member\.__init__"):
+        ast.Member(1, 2)
+
+
+def test_a_class_without_new_slots_uses_its_bases_constructor():
+    node = ast.MsgSender(0, 1)
+    assert (node.at, node.end) == (0, 1)
+    assert ast.MsgSender.__init__ is ast.Expr.__init__
+    assert AddrConst.__init__ is IntConst.__init__
+
+
+def test_a_class_with_its_own_constructor_keeps_it():
+    call = ast.CallExpr(0, 3, ast.Identifier(0, 1, "f"), [])
+    assert call.options is None
+    assert ast.TypeDesc("uint").key is None
+    assert SenderCmp(SENDER, "eq").weakened is False
+
+
+def test_source_unit_takes_tokens_that_equality_leaves_out():
+    tokens = parse_solidity(SOURCE).tokens
+    unit = ast.SourceUnit([], [], tokens)
+    assert unit.tokens is tokens
+    assert unit == ast.SourceUnit([], [], None)
+    assert ast.SourceUnit._fields == ("contracts", "diagnostics")

@@ -372,6 +372,21 @@ def test_hex_owner_key_makes_a_guard():
     assert [(f.kind, f.severity) for f in findings] == [("CENTRALIZATION_RISK", "MAJOR")]
 
 
+def test_addr_constant_guard_names_the_address_in_its_evidence():
+    guard = "addr X\ntxn Sender\n==\nassert\n"
+    findings, diagnostics = analyze_teal_source(
+        guard + 'byte "balance"\nint 5\napp_global_put\nint 1\nreturn', "p.teal", CONFIG)
+    assert [(f.kind, f.severity) for f in findings] == [("CENTRALIZATION_RISK", "MAJOR")]
+    assert [(e.role, e.line, e.text) for e in findings[0].evidence] == [
+        ("guard", 4, "assert: txn Sender == addr X"),
+        ("fund_modification", 7, 'app_global_put key "balance"')]
+    assert diagnostics == []
+    findings, _ = analyze_teal_source(guard + "int 1\nreturn", "p.teal", CONFIG)
+    assert [(f.kind, f.severity) for f in findings] == [("PRIVILEGED_FUNCTION", "INFO")]
+    assert findings[0].message.startswith("sender guard on addr X ")
+    assert [e.text for e in findings[0].evidence] == ["assert: txn Sender == addr X"]
+
+
 def _dispatch_chain(n: int) -> str:
     """n `method` dispatch blocks of four instructions each, the `err`
     fall-through, n - 1 handlers of two instructions, then the last handler
