@@ -1,18 +1,22 @@
 """Scan orchestration: file discovery, per-file pipelines, report assembly.
 
-Per-file analyses are pure functions of (text, config) and may run
-concurrently; the report is assembled by a deterministic sort so results
-are independent of input order.
+Per-file analyses are pure functions of (text, config). Results come out
+in path order, one file at a time, each file's findings and diagnostics
+already in report order, so the report does not depend on input order.
+scan_files collects them into a report; stream_paths hands them to a
+renderer as they come.
 """
 
 from __future__ import annotations
 
 import os
+from typing import Iterable, Iterator
 
 from . import __version__
 from .config import AnalyzerConfig, UsageError
 from .diagnostics import Diagnostic
-from .report import Finding, ScanReport, build_report, classify
+from .report import (DIAGNOSTIC_ORDER, FINDING_ORDER, Finding, ScanReport, build_report,
+                     classify, stream_report)
 
 SOLIDITY_EXT = ".sol"
 TEAL_EXT = ".teal"
@@ -124,31 +128,51 @@ def _read_text(path: str) -> tuple[str | None, list[Diagnostic]]:
         ]
 
 
+def scan_stream(
+    files: Iterable[str], config: AnalyzerConfig
+) -> Iterator[tuple[list[Finding], list[Diagnostic], bool]]:
+    """Analyze the files one at a time in path order. Yields per file its
+    findings and its diagnostics, each sorted as the report sorts them,
+    and whether it was scanned: read, and of a language centriscan knows."""
+    for path in sorted(set(files)):
+        source, diagnostics = _read_text(path)
+        if source is None:
+            yield [], diagnostics, False
+            continue
+        if path.endswith(TEAL_EXT):
+            findings, file_diags = analyze_teal_source(source, path, config)
+        elif path.endswith(SOLIDITY_EXT):
+            findings, file_diags = analyze_solidity_source(source, path, config)
+        else:
+            diagnostics.append(Diagnostic(
+                "unsupported file type; expected .sol or .teal", 1, file=path))
+            yield [], sorted(diagnostics, key=DIAGNOSTIC_ORDER), False
+            continue
+        diagnostics.extend(Diagnostic(d.message, d.line, d.column, d.severity, path)
+                           for d in file_diags)
+        findings.sort(key=FINDING_ORDER)
+        diagnostics.sort(key=DIAGNOSTIC_ORDER)
+        yield findings, diagnostics, True
+
+
 def scan_files(files: list[str], config: AnalyzerConfig) -> ScanReport:
     """Analyze already-discovered files and assemble the report."""
     findings: list[Finding] = []
     diagnostics: list[Diagnostic] = []
     scanned = 0
-    for path in files:
-        source, read_diags = _read_text(path)
-        diagnostics.extend(read_diags)
-        if source is None:
-            continue
-        if path.endswith(TEAL_EXT):
-            file_findings, file_diags = analyze_teal_source(source, path, config)
-        elif path.endswith(SOLIDITY_EXT):
-            file_findings, file_diags = analyze_solidity_source(source, path, config)
-        else:
-            diagnostics.append(Diagnostic(
-                "unsupported file type; expected .sol or .teal", 1, file=path))
-            continue
-        scanned += 1
-        findings.extend(file_findings)
-        diagnostics.extend(Diagnostic(d.message, d.line, d.column, d.severity, path)
-                           for d in file_diags)
+    for file_findings, file_diags, was_scanned in scan_stream(files, config):
+        findings += file_findings
+        diagnostics += file_diags
+        scanned += was_scanned
     return build_report(findings, diagnostics, scanned, config, __version__)
 
 
 def scan_paths(paths: list[str], config: AnalyzerConfig) -> ScanReport:
     """Discover files under the given paths and scan them."""
     return scan_files(discover_files(paths), config)
+
+
+def stream_paths(paths: list[str], config: AnalyzerConfig) -> ScanReport:
+    """The report of scan_paths, streamed (report.stream_report): the files
+    are found now, and each is analyzed when a renderer reads its findings."""
+    return stream_report(scan_stream(discover_files(paths), config), config, __version__)

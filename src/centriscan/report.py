@@ -47,7 +47,16 @@ class Finding(NamedTuple):
     evidence: tuple[Evidence, ...]
 
 
+# The report's order of findings and of diagnostics.
+FINDING_ORDER = attrgetter("file", "line", "column", "kind")
+DIAGNOSTIC_ORDER = attrgetter("file", "line", "message")
+
+
 class ScanReport(Record):
+    """A scan's results. In a built report findings is a list; in a streamed
+    one it is an iterator that can be read once, and files_scanned, counts
+    and diagnostics are complete only when it has been read to its end.
+    Both renderers read those three after the findings."""
     __slots__ = ("version", "config_fingerprint", "files_scanned", "findings",
                  "diagnostics", "counts")
 
@@ -103,19 +112,40 @@ def build_report(
     config: AnalyzerConfig,
     version: str,
 ) -> ScanReport:
-    """Deterministically merge findings into a report, order-independent."""
-    ordered = sorted(findings, key=attrgetter("file", "line", "column", "kind"))
-    counts = {"major": 0, "warning": 0, "info": 0}
-    for finding in ordered:
-        counts[finding.severity.lower()] += 1
-    return ScanReport(
-        version=version,
-        config_fingerprint=config.fingerprint(),
-        files_scanned=files_scanned,
-        findings=ordered,
-        diagnostics=sorted(diagnostics, key=attrgetter("file", "line", "message")),
-        counts=counts,
-    )
+    """Deterministically merge findings into a report, order-independent:
+    the streamed report of one batch, its findings read into a list."""
+    report = stream_report([(sorted(findings, key=FINDING_ORDER),
+                             sorted(diagnostics, key=DIAGNOSTIC_ORDER), files_scanned)],
+                           config, version)
+    report.findings = list(report.findings)
+    return report
+
+
+def stream_report(
+    results: Iterable[tuple[list[Finding], list[Diagnostic], int]],
+    config: AnalyzerConfig,
+    version: str,
+) -> ScanReport:
+    """A report read from results as a renderer asks for its findings, so
+    only one file's are held at a time. results holds per file, in path
+    order, its findings and its diagnostics, each in report order, and
+    whether it was scanned (the number of files scanned, for a batch)."""
+    report = ScanReport(version, config.fingerprint(), 0, None, [],
+                        {"major": 0, "warning": 0, "info": 0})
+    report.findings = _tally(report, results)
+    return report
+
+
+def _tally(report: ScanReport, results) -> Iterator[Finding]:
+    """Each file's findings, once its diagnostics, count and severities are
+    added to the report."""
+    counts = report.counts
+    for findings, diagnostics, scanned in results:
+        report.files_scanned += scanned
+        report.diagnostics += diagnostics
+        for finding in findings:
+            counts[finding.severity.lower()] += 1
+        yield from findings
 
 
 def render_report(report: ScanReport, format: str) -> str:
@@ -138,8 +168,7 @@ def _json_chunks(report: ScanReport) -> Iterator[str]:
     # for the schema's nested dicts, without building them.
     s = encode_basestring_ascii
     yield (f'{{"version":{s(report.version)},'
-           f'"config_fingerprint":{s(report.config_fingerprint)},'
-           f'"files_scanned":{report.files_scanned:d},"findings":[')
+           f'"config_fingerprint":{s(report.config_fingerprint)},"findings":[')
     separator = ""
     for f in report.findings:
         file = s(f.file)
@@ -151,7 +180,9 @@ def _json_chunks(report: ScanReport) -> Iterator[str]:
                f'"column":{f.column:d},"message":{s(f.message)},'
                f'"evidence":[{evidence}]}}')
         separator = ","
-    yield (f'],"counts":{json.dumps(report.counts, separators=(",", ":"))},'
+    # A streamed report knows files_scanned once its findings are read.
+    yield (f'],"files_scanned":{report.files_scanned:d},'
+           f'"counts":{json.dumps(report.counts, separators=(",", ":"))},'
            f'"diagnostics":[')
     separator = ""
     for d in report.diagnostics:
@@ -186,8 +217,10 @@ def diagnostic_lines(report: ScanReport) -> Iterator[str]:
 
 
 def meets_threshold(report: ScanReport, fail_threshold: str) -> bool:
-    """True when any finding sits at or above the failure threshold."""
+    """True when any finding sits at or above the failure threshold. It
+    reads the counts, as a streamed report's findings can be read once."""
     if fail_threshold == "none":
         return False
     minimum = SEVERITY_RANK[fail_threshold.upper()]
-    return any(SEVERITY_RANK[f.severity] >= minimum for f in report.findings)
+    return any(report.counts[severity.lower()]
+               for severity, rank in SEVERITY_RANK.items() if rank >= minimum)

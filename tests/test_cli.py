@@ -1,16 +1,21 @@
 """CLI invocation, exit codes, stream separation."""
 
+import errno
 import importlib.util
+import io
 import json
 import os
+import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
+import centriscan
 from centriscan.cli import main
 from centriscan.config import AnalyzerConfig
 from centriscan.engine import scan_paths
-from centriscan.report import render_report
+from centriscan.report import meets_threshold, render_report
 
 from helpers import (
     REMOVED_CONFIG_KEYS,
@@ -254,7 +259,15 @@ def test_json_output_is_idempotent(capsys):
     assert first == second
 
 
-class _RecordingStream:
+class _Sink:
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class _RecordingStream(_Sink):
     def __init__(self):
         self.writes = []
 
@@ -281,17 +294,38 @@ def _assert_written_in_pieces(writes: list[str], what: str) -> None:
 def test_report_is_written_as_it_is_rendered(tmp_path, monkeypatch):
     # The CLI never holds the whole document: a report of several hundred
     # KiB arrives in writes of a few dozen KiB, each a run of whole findings
-    # or diagnostics, and the bytes are render_report's and its newline.
-    target = _big_contract(tmp_path)
-    report = scan_paths([target], AnalyzerConfig())
-    for format in ("json", "text"):
-        stdout = _RecordingStream()
-        monkeypatch.setattr(sys, "stdout", stdout)
-        assert main(["scan", "--format", format, target]) == 1
-        out = "".join(stdout.writes)
-        assert out == render_report(report, format) + "\n"
-        assert len(out) > 256 * 1024, format
-        _assert_written_in_pieces(stdout.writes, format)
+    # or diagnostics. The bytes are render_report's and its newline, and the
+    # exit code the stored report's, however the paths are given and
+    # whichever files cannot be read or are of no known language.
+    big = _big_contract(tmp_path)
+    more = tmp_path / "more"
+    more.mkdir()
+    (more / "a.teal").write_text(
+        '#pragma version 8\nbyte "MyBalance"\nint 5\napp_global_put\nint 1\nreturn\n')
+    (more / "b.sol").write_bytes(b"contract B { mapping(address => uint) bals; "
+                                 b"function f(address to) public { bals[to] = 0; } } // \xff")
+    os.symlink(tmp_path / "gone", more / "gone.sol")  # cannot be read
+    notes = tmp_path / "notes.txt"
+    notes.write_text("not a contract\n")
+    cases = {
+        "one big file": [big],
+        "out of order and duplicated": [str(more / "b.sol"), big, str(more), big],
+        "an unreadable file": [str(more)],
+        "a .txt file named": [str(notes), str(more / "a.teal")],
+    }
+    for case, paths in cases.items():
+        report = scan_paths(paths, AnalyzerConfig())
+        assert report.findings and report.diagnostics, case
+        for format in ("json", "text"):
+            stdout = _RecordingStream()
+            monkeypatch.setattr(sys, "stdout", stdout)
+            code = main(["scan", "--format", format, *paths])
+            assert code == (1 if meets_threshold(report, "warning") else 0), (case, format)
+            out = "".join(stdout.writes)
+            assert out == render_report(report, format) + "\n", (case, format)
+            if case == "one big file":
+                assert len(out) > 256 * 1024, format
+                _assert_written_in_pieces(stdout.writes, format)
 
 
 def test_text_mode_diagnostics_are_written_in_pieces(tmp_path, monkeypatch, capsys):
@@ -324,3 +358,81 @@ def test_readme_teal_witness_example_is_what_the_cli_prints(tmp_path, monkeypatc
     monkeypatch.chdir(tmp_path)
     assert main(["scan", path]) == 1
     assert capsys.readouterr().out.splitlines() == expected
+
+
+class _FailingStream(io.StringIO):
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+@pytest.mark.parametrize("format", ["json", "text"])
+@pytest.mark.parametrize("error, err", [
+    (BrokenPipeError(errno.EPIPE, "Broken pipe"), ""),
+    (OSError(errno.ENOSPC, "No space left on device"),
+     "centriscan: error: cannot write the report: No space left on device\n"),
+], ids=["closed", "full"])
+def test_write_error_exits_two(monkeypatch, capsys, format, error, err):
+    # Exit 1 would claim findings at or above the threshold. A reader that
+    # has gone needs no message; any other write error gets one line.
+    monkeypatch.setattr(sys, "stdout", _FailingStream(error))
+    assert main(["scan", "--format", format, corpus_path("solidity", "owner_drain.sol")]) == 2
+    assert capsys.readouterr().err == err
+
+
+def _cli(*args: str) -> tuple[list[str], dict[str, str]]:
+    """argv and environment of `python -m centriscan.cli args` run from this tree."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(centriscan.__file__)))
+    return [sys.executable, "-m", "centriscan.cli", *args], {**os.environ, "PYTHONPATH": src}
+
+
+def test_closed_stdout_ends_the_scan_quietly(tmp_path):
+    # `centriscan scan --format json DIR | head -c 100`: no traceback, and no
+    # "Exception ignored" from the flush at exit.
+    argv, env = _cli("scan", "--format", "json", _big_contract(tmp_path))
+    err = tmp_path / "err"
+    with open(err, "wb") as stderr:
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=stderr, env=env)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 2
+    assert err.read_bytes() == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_device_is_one_error_line():
+    argv, env = _cli("scan", "--format", "json", corpus_path("solidity", "owner_drain.sol"))
+    with open("/dev/full", "w") as full:
+        run = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
+    assert run.returncode == 2
+    assert run.stderr == b"centriscan: error: cannot write the report: No space left on device\n"
+
+
+def test_memory_does_not_grow_with_the_number_of_files(tmp_path, monkeypatch):
+    # The CLI writes each file's findings when that file is done and holds
+    # only the counts: the peak of 32 copies of a contract with 50 guarded
+    # writes stays near the peak of 8. A held report would grow 4 times.
+    functions = "".join(
+        f"function f{i}(address to) public {{ require(msg.sender == owner); bals[to] = {i}; }}\n"
+        for i in range(50))
+    source = f"contract C {{ address owner; mapping(address => uint) bals;\n{functions}}}\n"
+    for copies in (8, 32):
+        folder = tmp_path / str(copies)
+        folder.mkdir()
+        for i in range(copies):
+            (folder / f"c{i:02d}.sol").write_text(source)
+    report = scan_paths([str(tmp_path / "8")], AnalyzerConfig())
+    assert len(report.findings) == 8 * 50 and not report.diagnostics
+    monkeypatch.setattr(sys, "stdout", _Sink())
+    peaks = {}
+    for copies in (8, 32):
+        tracemalloc.start()
+        try:
+            assert main(["scan", "--format", "json", str(tmp_path / str(copies))]) == 1
+            peaks[copies] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[32] < 1.25 * peaks[8], peaks

@@ -120,8 +120,10 @@ def test_empty_report_json_schema():
     assert payload["findings"] == []
     assert payload["counts"] == {"major": 0, "warning": 0, "info": 0}
     assert payload["diagnostics"] == []
-    assert list(payload) == ["version", "config_fingerprint", "files_scanned",
-                             "findings", "counts", "diagnostics"]
+    # files_scanned follows the findings: a streamed report knows it only
+    # once every file has been read.
+    assert list(payload) == ["version", "config_fingerprint", "findings",
+                             "files_scanned", "counts", "diagnostics"]
 
 
 def test_single_finding_text_golden():
@@ -255,7 +257,6 @@ def _reference_json(report):
     payload = {
         "version": report.version,
         "config_fingerprint": report.config_fingerprint,
-        "files_scanned": report.files_scanned,
         "findings": [
             {
                 "kind": f.kind,
@@ -273,6 +274,7 @@ def _reference_json(report):
             }
             for f in report.findings
         ],
+        "files_scanned": report.files_scanned,
         "counts": report.counts,
         "diagnostics": [
             {"file": d.file, "line": d.line, "message": d.message}

@@ -7,7 +7,9 @@ directory and extracts REV's `src/` next to them with `git archive`. Each
 workload and `tests/corpus` is then scanned with
 `python -m centriscan.cli scan --format json --fail-on none`, once with
 REV's `src/` and once with the working tree's. Prints one line per input
-with the SHA-256 prefix of both reports, and exits 1 if any pair differs.
+with the SHA-256 prefix of both reports and, when their bytes differ,
+whether their `json.loads` values are still equal ("same JSON, bytes
+differ"), as when only the layout moved. Exits 1 if any pair's bytes differ.
 
 Standard library only. It is not part of the test suite: a run scans about
 5.8 MB of source twice, in fourteen CLI processes.
@@ -16,6 +18,7 @@ Standard library only. It is not part of the test suite: a run scans about
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -52,9 +55,9 @@ def _extract_src(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def _digest(src: Path, cwd: Path, target: str) -> str:
-    """Scanned from cwd by a relative path, so the report and its digest
-    name the same files on every run."""
+def _report(src: Path, cwd: Path, target: str) -> bytes:
+    """Scanned from cwd by a relative path, so the report names the same
+    files on every run."""
     run = subprocess.run(
         [sys.executable, "-m", "centriscan.cli", "scan", "--format", "json",
          "--fail-on", "none", target],
@@ -62,7 +65,19 @@ def _digest(src: Path, cwd: Path, target: str) -> str:
     if run.returncode != 0:
         sys.exit(f"scan of {target} with {src} exited {run.returncode}:\n"
                  f"{run.stderr.decode(errors='replace')}")
-    return hashlib.sha256(run.stdout).hexdigest()[:12]
+    return run.stdout
+
+
+def _digest(report: bytes) -> str:
+    return hashlib.sha256(report).hexdigest()[:12]
+
+
+def _verdict(old: bytes, new: bytes) -> str:
+    if old == new:
+        return "same"
+    if json.loads(old) == json.loads(new):
+        return "DIFFERENT (same JSON, bytes differ)"
+    return "DIFFERENT (JSON differs)"
 
 
 def main(argv: list[str]) -> int:
@@ -75,10 +90,10 @@ def main(argv: list[str]) -> int:
         inputs = [*_write_workloads(base), ("tests/corpus", ROOT, "tests/corpus")]
         differ = 0
         for label, cwd, target in inputs:
-            old, new = _digest(old_src, cwd, target), _digest(ROOT / "src", cwd, target)
+            old, new = _report(old_src, cwd, target), _report(ROOT / "src", cwd, target)
             differ += old != new
-            print(f"{label:<22} {argv[0][:12]:>12} {old}  working tree {new}  "
-                  f"{'same' if old == new else 'DIFFERENT'}")
+            print(f"{label:<22} {argv[0][:12]:>12} {_digest(old)}  "
+                  f"working tree {_digest(new)}  {_verdict(old, new)}")
     return 1 if differ else 0
 
 
