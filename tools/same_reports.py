@@ -1,18 +1,21 @@
-"""Check that a revision and the working tree give byte-identical JSON reports.
+"""Check that a revision and the working tree give byte-identical output.
 
     python tools/same_reports.py REV
 
 Writes the three stagebench workloads at seeds 1 and 2 to a temporary
 directory and extracts REV's `src/` next to them with `git archive`. Each
 workload and `tests/corpus` is then scanned with
-`python -m centriscan.cli scan --format json --fail-on none`, once with
-REV's `src/` and once with the working tree's. Prints one line per input
-with the SHA-256 prefix of both reports and, when their bytes differ,
-whether their `json.loads` values are still equal ("same JSON, bytes
-differ"), as when only the layout moved. Exits 1 if any pair's bytes differ.
+`python -m centriscan.cli scan --format FORMAT --fail-on none`, for FORMAT
+`json` and `text`, once with REV's `src/` and once with the working tree's.
+Prints three lines per input, one per output: the JSON report (`json`), the
+text report (`text`) and the text run's stderr, which holds the
+diagnostics (`stderr`). Each line gives the SHA-256 prefix of both outputs
+and, when the JSON reports' bytes differ, whether their `json.loads` values
+are still equal ("same JSON, bytes differ"), as when only the layout moved.
+Exits 1 if any pair's bytes differ.
 
 Standard library only. It is not part of the test suite: a run scans about
-5.8 MB of source twice, in fourteen CLI processes.
+5.8 MB of source four times, in 28 CLI processes.
 """
 
 from __future__ import annotations
@@ -55,26 +58,35 @@ def _extract_src(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def _report(src: Path, cwd: Path, target: str) -> bytes:
-    """Scanned from cwd by a relative path, so the report names the same
+def _scan(src: Path, cwd: Path, target: str, form: str) -> subprocess.CompletedProcess:
+    """Scanned from cwd by a relative path, so the output names the same
     files on every run."""
     run = subprocess.run(
-        [sys.executable, "-m", "centriscan.cli", "scan", "--format", "json",
+        [sys.executable, "-m", "centriscan.cli", "scan", "--format", form,
          "--fail-on", "none", target],
         capture_output=True, cwd=cwd, env={**os.environ, "PYTHONPATH": str(src)})
     if run.returncode != 0:
         sys.exit(f"scan of {target} with {src} exited {run.returncode}:\n"
                  f"{run.stderr.decode(errors='replace')}")
-    return run.stdout
+    return run
+
+
+def _outputs(src: Path, cwd: Path, target: str) -> dict[str, bytes]:
+    """The JSON report, the text report and the text run's stderr."""
+    text = _scan(src, cwd, target, "text")
+    return {"json": _scan(src, cwd, target, "json").stdout,
+            "text": text.stdout, "stderr": text.stderr}
 
 
 def _digest(report: bytes) -> str:
     return hashlib.sha256(report).hexdigest()[:12]
 
 
-def _verdict(old: bytes, new: bytes) -> str:
+def _verdict(output: str, old: bytes, new: bytes) -> str:
     if old == new:
         return "same"
+    if output != "json":
+        return "DIFFERENT"
     if json.loads(old) == json.loads(new):
         return "DIFFERENT (same JSON, bytes differ)"
     return "DIFFERENT (JSON differs)"
@@ -90,10 +102,12 @@ def main(argv: list[str]) -> int:
         inputs = [*_write_workloads(base), ("tests/corpus", ROOT, "tests/corpus")]
         differ = 0
         for label, cwd, target in inputs:
-            old, new = _report(old_src, cwd, target), _report(ROOT / "src", cwd, target)
-            differ += old != new
-            print(f"{label:<22} {argv[0][:12]:>12} {_digest(old)}  "
-                  f"working tree {_digest(new)}  {_verdict(old, new)}")
+            olds, news = _outputs(old_src, cwd, target), _outputs(ROOT / "src", cwd, target)
+            for output, old in olds.items():
+                new = news[output]
+                differ += old != new
+                print(f"{label:<22} {output:<6} {argv[0][:12]:>12} {_digest(old)}  "
+                      f"working tree {_digest(new)}  {_verdict(output, old, new)}")
     return 1 if differ else 0
 
 
