@@ -3,14 +3,14 @@
 Finds sender guards (modifier / require / if forms) and fund-modifying
 statements (balance-mapping writes, native transfers, selfdestruct), then
 pairs them per function into the subjects the risk engine grades. AST nodes
-hold token spans; a site reads its line, column and text from the tokens
-only when it is created.
+hold token spans; each site's report Evidence reads its line, column and
+text from the tokens when the detector finds it.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from ..diagnostics import Diagnostic
 from ..report import Evidence, Subject
@@ -18,31 +18,18 @@ from . import ast
 from .symbols import is_address_to_uint_mapping
 from .tokens import Tokens
 
-MODIFIER_GUARD = "ModifierGuard"
-REQUIRE_GUARD = "RequireGuard"
-IF_GUARD = "IfGuard"
-
-BALANCE_MAPPING_WRITE = "BalanceMappingWrite"
-NATIVE_TRANSFER = "NativeTransfer"
-SELF_DESTRUCT = "SelfDestruct"
-
 _BY_POSITION = attrgetter("line", "column")
 
 
-class Site(NamedTuple):
-    """A sender guard or a fund move."""
-    form: str  # one of the three guard forms or the three fund forms above
-    line: int
-    column: int
-    text: str  # a guard's condition; the statement holding a fund move
-    enclosing_at: int  # `at` of the enclosing declaration
+def _site_position(site: tuple[int, Evidence]) -> tuple[int, int]:
+    return site[1].line, site[1].column
 
 
-def _evidence(role: str, site: Site) -> Evidence:
-    """The report's evidence for a site: its text with each whitespace run
-    one space, cut to 120 characters."""
-    text = " ".join(site.text.split())
-    return Evidence(role, site.line, site.column,
+def _evidence(role: str, tokens: Tokens, at: int, node: ast.Expr | ast.Stmt) -> Evidence:
+    """Evidence at token `at` whose text is node's source with each
+    whitespace run one space, cut to 120 characters."""
+    text = " ".join(tokens.text(node.at, node.end).split())
+    return Evidence(role, *tokens.position(at),
                     text if len(text) <= 120 else text[:117] + "...")
 
 
@@ -89,64 +76,52 @@ def _statements(body: list[ast.Stmt]) -> Iterator[ast.Stmt]:
             yield from _statements(stmt.else_body)
 
 
-def find_sender_guards(contract: ast.ContractDecl, tokens: Tokens) -> list[Site]:
-    """One Site per sender-guard occurrence, sorted by location;
-    ``tokens`` are those the contract was parsed from. A require-like guard
-    is a ModifierGuard in a modifier body, else a RequireGuard."""
-    sites: list[Site] = []
-    for declarations, require_form in ((contract.modifiers, MODIFIER_GUARD),
-                                       (contract.functions, REQUIRE_GUARD)):
-        for declaration in declarations:
-            for stmt in _statements(declaration.body):
-                cls = type(stmt)
-                if cls is ast.Require:
-                    if _sender_comparison(stmt.condition) == "eq":
-                        sites.append(_guard_site(require_form, stmt, declaration.at, tokens))
-                elif cls is ast.If:
-                    polarity = _sender_comparison(stmt.condition)
-                    if polarity == "eq":
-                        sites.append(_guard_site(IF_GUARD, stmt, declaration.at, tokens))
-                    elif polarity == "neq" and any(
-                            type(then) is ast.Revert for then in stmt.then_body):
-                        # `if (msg.sender != owner) revert;` protects everything
-                        # after it, so it carries require-like scope.
-                        sites.append(_guard_site(require_form, stmt, declaration.at, tokens))
-    sites.sort(key=_BY_POSITION)
+def find_sender_guards(
+    contract: ast.ContractDecl, tokens: Tokens
+) -> list[tuple[int, Evidence]]:
+    """The `at` of the enclosing declaration and the guard Evidence of each
+    sender guard, sorted by position; ``tokens`` are those the contract was
+    parsed from."""
+    sites: list[tuple[int, Evidence]] = []
+    for declaration in (*contract.modifiers, *contract.functions):
+        for stmt in _statements(declaration.body):
+            cls = type(stmt)
+            if cls is not ast.Require and cls is not ast.If:
+                continue
+            polarity = _sender_comparison(stmt.condition)
+            # `if (msg.sender != owner) revert;` protects everything after
+            # it, as a `require` does.
+            if polarity == "eq" or polarity == "neq" and cls is ast.If and any(
+                    type(then) is ast.Revert for then in stmt.then_body):
+                sites.append((declaration.at,
+                              _evidence("guard", tokens, stmt.at, stmt.condition)))
+    sites.sort(key=_site_position)
     return sites
-
-
-def _guard_site(
-    form: str, stmt: ast.Require | ast.If, enclosing_at: int, tokens: Tokens
-) -> Site:
-    condition = stmt.condition
-    return Site(form, *tokens.position(stmt.at),
-                tokens.text(condition.at, condition.end), enclosing_at)
 
 
 def find_fund_modifications(
     contract: ast.ContractDecl,
     tokens: Tokens,
     symbols: dict[str, ast.StateVar],
-) -> list[Site]:
-    """One Site per fund-modifying statement in any function body;
+) -> list[tuple[int, Evidence]]:
+    """The `at` of the enclosing function and the fund Evidence of each
+    fund-modifying statement in any function body, sorted by position;
     ``tokens`` are those the contract was parsed from."""
-    sites: list[Site] = []
+    sites: list[tuple[int, Evidence]] = []
     for function in contract.functions:
         at = function.at
         for stmt in _statements(function.body):
             cls = type(stmt)
             if cls is ast.Assign:
                 if _is_balance_mapping_write(stmt.lvalue, symbols):
-                    sites.append(Site(
-                        BALANCE_MAPPING_WRITE, *tokens.position(stmt.at),
-                        tokens.text(stmt.at, stmt.end), at))
+                    sites.append((at, _evidence("fund_modification", tokens, stmt.at, stmt)))
                 _scan_call_sites(stmt.rvalue, stmt, at, tokens, sites)
                 _scan_call_sites(stmt.lvalue, stmt, at, tokens, sites)
             elif cls is ast.Call:
                 _scan_call_sites(stmt.expr, stmt, at, tokens, sites)
             elif cls is ast.Require or cls is ast.If:
                 _scan_call_sites(stmt.condition, stmt, at, tokens, sites)
-    sites.sort(key=_BY_POSITION)
+    sites.sort(key=_site_position)
     return sites
 
 
@@ -166,7 +141,7 @@ def _scan_call_sites(
     stmt: ast.Stmt,
     enclosing_at: int,
     tokens: Tokens,
-    sites: list[Site],
+    sites: list[tuple[int, Evidence]],
 ) -> None:
     stack = [expr]
     push = stack.append
@@ -174,10 +149,9 @@ def _scan_call_sites(
         node = stack.pop()
         cls = type(node)
         if cls is ast.CallExpr:
-            form = _classify_call(node)
-            if form is not None:
-                sites.append(Site(form, *tokens.position(node.at),
-                                  tokens.text(stmt.at, stmt.end), enclosing_at))
+            if _moves_funds(node):
+                sites.append((enclosing_at,
+                              _evidence("fund_modification", tokens, node.at, stmt)))
             push(node.callee)
             stack.extend(node.args)
         elif cls is ast.Member:
@@ -192,29 +166,25 @@ def _scan_call_sites(
             push(node.operand)
 
 
-def _classify_call(call: ast.CallExpr) -> str | None:
+def _moves_funds(call: ast.CallExpr) -> bool:
+    """`selfdestruct(...)`, `x.transfer(...)`, `x.send(...)`,
+    `x.call{value: ...}(...)` or the legacy `x.call.value(...)(...)`."""
     callee = call.callee
-    if isinstance(callee, ast.Identifier) and callee.name == "selfdestruct":
-        return SELF_DESTRUCT
+    if isinstance(callee, ast.Identifier):
+        return callee.name == "selfdestruct"
     if isinstance(callee, ast.Member):
-        if callee.member in ("transfer", "send"):
-            return NATIVE_TRANSFER
-        if callee.member == "call" and call.options and "value" in call.options:
-            return NATIVE_TRANSFER
-    # Legacy value-bearing call: target.call.value(x)(...)
-    if isinstance(callee, ast.CallExpr) and isinstance(callee.callee, ast.Member) \
-            and callee.callee.member == "value":
-        base = callee.callee.base
-        if isinstance(base, ast.Member) and base.member == "call":
-            return NATIVE_TRANSFER
-    return None
+        return callee.member in ("transfer", "send") or (
+            callee.member == "call" and "value" in (call.options or ""))
+    return isinstance(callee, ast.CallExpr) and isinstance(callee.callee, ast.Member) \
+        and callee.callee.member == "value" \
+        and isinstance(callee.callee.base, ast.Member) and callee.callee.base.member == "call"
 
 
 def pair_detections(
     contract: ast.ContractDecl,
     tokens: Tokens,
-    guards: list[Site],
-    fund_sites: list[Site],
+    guards: list[tuple[int, Evidence]],
+    fund_sites: list[tuple[int, Evidence]],
     diagnostics: list[Diagnostic],
 ) -> list[Subject]:
     """One Subject per function carrying any guard or fund site;
@@ -225,18 +195,17 @@ def pair_detections(
     function's guards are its own plus those of each modifier it invokes;
     an invoked name brings the guards of every modifier declared with it.
     An invoked base contract is a constructor call, not a modifier. Each
-    site's Evidence is built once, so every function invoking a modifier
-    shares the modifier's guard evidence."""
+    site's Evidence is built once, by its detector, so every function
+    invoking a modifier shares the modifier's guard evidence."""
     modifier_at: dict[str, list[int]] = {}
     for modifier in contract.modifiers:
         modifier_at.setdefault(modifier.name, []).append(modifier.at)
     guards_at: dict[int, list[Evidence]] = {}
-    for site in guards:
-        guards_at.setdefault(site.enclosing_at, []).append(_evidence("guard", site))
+    for at, evidence in guards:
+        guards_at.setdefault(at, []).append(evidence)
     funds_at: dict[int, list[Evidence]] = {}
-    for site in fund_sites:
-        funds_at.setdefault(site.enclosing_at, []).append(
-            _evidence("fund_modification", site))
+    for at, evidence in fund_sites:
+        funds_at.setdefault(at, []).append(evidence)
 
     subjects: list[Subject] = []
     for function in contract.functions:

@@ -14,6 +14,7 @@ Criteria:
 
 import json
 import random
+import re
 import time
 from contextlib import contextmanager
 
@@ -25,7 +26,7 @@ from centriscan.engine import (
     scan_files,
 )
 from centriscan.flow import compute_guardedness
-from centriscan.report import build_report, render_report
+from centriscan.report import Evidence, build_report, render_report
 from centriscan.solidity.detectors import (
     find_fund_modifications,
     find_sender_guards,
@@ -60,11 +61,12 @@ def criterion(number: int, description: str):
 
 
 def _solidity_sites(name: str):
-    contract, tokens = parse_single_unit(corpus_text("solidity", name))
+    source = corpus_text("solidity", name)
+    contract, tokens = parse_single_unit(source)
     symbols = collect_state_vars(contract, tokens, [])
     guards = find_sender_guards(contract, tokens)
     funds = find_fund_modifications(contract, tokens, symbols)
-    return guards, funds
+    return source, contract, guards, funds
 
 
 def _teal_points(name: str):
@@ -87,20 +89,28 @@ def _findings(name: str):
 def test_criterion_1_solidity_pattern_corpus():
     with criterion(1, "Solidity pattern corpus"):
         started = time.perf_counter()
+        # Per row: the declarations its one site sits in, the word at the
+        # site's position, and its guard and fund evidence. Row 1's guard
+        # sits in the modifier; rows 2 and 3 differ by their keyword.
         expected = {
-            "row1_only_owner.sol": ("guard", "ModifierGuard"),
-            "row2_require.sol": ("guard", "RequireGuard"),
-            "row3_if.sol": ("guard", "IfGuard"),
-            "row4_balance.sol": ("fund", "BalanceMappingWrite"),
+            "row1_only_owner.sol": ("modifiers", "require", [
+                Evidence("guard", 5, 9, "msg.sender == owner")], []),
+            "row2_require.sol": ("functions", "require", [
+                Evidence("guard", 5, 9, "address(owner) == msg.sender")], []),
+            "row3_if.sol": ("functions", "if", [
+                Evidence("guard", 5, 9, "msg.sender == address(owner)")], []),
+            "row4_balance.sol": ("functions", "bals", [], [
+                Evidence("fund_modification", 5, 9,
+                         "bals[msg.sender] = bals[msg.sender].add(1);")]),
         }
-        for name, (channel, form) in expected.items():
-            guards, funds = _solidity_sites(name)
-            if channel == "guard":
-                assert [g.form for g in guards] == [form], name
-                assert funds == [], name
-            else:
-                assert [s.form for s in funds] == [form], name
-                assert guards == [], name
+        for name, (declarations, word, guards, funds) in expected.items():
+            source, contract, found_guards, found_funds = _solidity_sites(name)
+            at = getattr(contract, declarations)[0].at
+            assert found_guards == [(at, e) for e in guards], name
+            assert found_funds == [(at, e) for e in funds], name
+            (_, site), = found_guards + found_funds
+            line = source.splitlines()[site.line - 1]
+            assert re.match(r"\w+", line[site.column - 1:])[0] == word, name
         combined = _findings("owner_drain.sol")
         assert [(f.kind, f.severity) for f in combined] == [
             ("CENTRALIZATION_RISK", "MAJOR")]

@@ -10,12 +10,6 @@ from centriscan.engine import analyze_solidity_source
 from centriscan.report import Evidence
 from centriscan.solidity import ast
 from centriscan.solidity.detectors import (
-    BALANCE_MAPPING_WRITE,
-    IF_GUARD,
-    MODIFIER_GUARD,
-    NATIVE_TRANSFER,
-    REQUIRE_GUARD,
-    SELF_DESTRUCT,
     find_fund_modifications,
     find_sender_guards,
     pair_detections,
@@ -38,46 +32,67 @@ def _analyze(source: str):
     return (contract, *_sites(contract, tokens))
 
 
+def _position(source: str, fragment: str) -> tuple[int, int]:
+    """Line and column of fragment's first occurrence in source."""
+    before = source[:source.index(fragment)]
+    return before.count("\n") + 1, len(before) - before.rfind("\n")
+
+
+def _guard(source: str, keyword: str, condition: str) -> Evidence:
+    """The guard evidence of a condition whose statement starts at keyword."""
+    return Evidence("guard", *_position(source, keyword), condition)
+
+
+def _fund(source: str, at: str, statement: str) -> Evidence:
+    """The fund evidence of a statement whose fund move starts at `at`."""
+    return Evidence("fund_modification", *_position(source, at), statement)
+
+
 def _pair(source: str, diagnostics: list):
     """The subjects pair_detections makes of source's one contract."""
     contract, tokens = parse_single_unit(source)
     return pair_detections(contract, tokens, *_sites(contract, tokens), diagnostics)
 
 
+# Each site is the `at` of the declaration it sits in and its evidence.
 def test_row1_modifier_guard():
-    contract, guards, funds = _analyze(corpus_text("solidity", "row1_only_owner.sol"))
-    assert [g.form for g in guards] == [MODIFIER_GUARD]
-    assert guards[0].enclosing_at == contract.modifiers[0].at
+    source = corpus_text("solidity", "row1_only_owner.sol")
+    contract, guards, funds = _analyze(source)
+    assert guards == [(contract.modifiers[0].at,
+                       _guard(source, "require", "msg.sender == owner"))]
     assert funds == []
 
 
 def test_row2_require_guard():
-    contract, guards, funds = _analyze(corpus_text("solidity", "row2_require.sol"))
-    assert [g.form for g in guards] == [REQUIRE_GUARD]
-    assert guards[0].enclosing_at == contract.functions[0].at
+    source = corpus_text("solidity", "row2_require.sol")
+    contract, guards, funds = _analyze(source)
+    assert guards == [(contract.functions[0].at,
+                       _guard(source, "require", "address(owner) == msg.sender"))]
     assert funds == []
 
 
 def test_row3_if_guard():
-    contract, guards, funds = _analyze(corpus_text("solidity", "row3_if.sol"))
-    assert [g.form for g in guards] == [IF_GUARD]
-    assert guards[0].enclosing_at == contract.functions[0].at
+    source = corpus_text("solidity", "row3_if.sol")
+    contract, guards, funds = _analyze(source)
+    assert guards == [(contract.functions[0].at,
+                       _guard(source, "if", "msg.sender == address(owner)"))]
     assert funds == []
 
 
 def test_row4_balance_write():
-    _, guards, funds = _analyze(corpus_text("solidity", "row4_balance.sol"))
+    source = corpus_text("solidity", "row4_balance.sol")
+    contract, guards, funds = _analyze(source)
     assert guards == []
-    assert [(s.form, s.text) for s in funds] == [
-        (BALANCE_MAPPING_WRITE, "bals[msg.sender] = bals[msg.sender].add(1);")]
+    statement = "bals[msg.sender] = bals[msg.sender].add(1);"
+    assert funds == [(contract.functions[0].at, _fund(source, statement, statement))]
 
 
 def test_guard_text_is_the_condition_source_with_its_comments():
     contract, guards, _ = _analyze(
         "contract C { address owner; function f() public {\n"
         "    require(msg.sender /* c */ == owner); } }")
-    assert [(g.form, g.line, g.column, g.text) for g in guards] == [
-        (REQUIRE_GUARD, 2, 5, "msg.sender /* c */ == owner")]
+    assert guards == [(contract.functions[0].at,
+                       Evidence("guard", 2, 5, "msg.sender /* c */ == owner"))]
 
 
 def test_non_sender_require_is_not_a_guard():
@@ -93,17 +108,19 @@ def test_self_comparison_is_not_a_guard():
 
 
 def test_guard_found_under_boolean_connectives():
-    _, guards, _ = _analyze(
-        "contract C { address owner; uint a; function f() public {"
-        " require(a > 1 && (owner == msg.sender)); } }")
-    assert [g.form for g in guards] == [REQUIRE_GUARD]
+    source = ("contract C { address owner; uint a; function f() public {"
+              " require(a > 1 && (owner == msg.sender)); } }")
+    _, guards, _ = _analyze(source)
+    assert [evidence for _, evidence in guards] == [
+        _guard(source, "require", "a > 1 && (owner == msg.sender)")]
 
 
 def test_assert_guard_is_graded_as_require():
     source = ("contract C { address owner; mapping(address => uint) bals;\n"
               "function f(address to) public { assert(msg.sender == owner); bals[to] = 0; } }")
     _, guards, _ = _analyze(source)
-    assert [(g.form, g.text) for g in guards] == [(REQUIRE_GUARD, "msg.sender == owner")]
+    assert [evidence for _, evidence in guards] == [
+        _guard(source, "assert", "msg.sender == owner")]
     findings, diagnostics = analyze_solidity_source(source, "a.sol", CONFIG)
     assert [(f.kind, f.severity) for f in findings] == [("CENTRALIZATION_RISK", "MAJOR")]
     assert [e.text for e in findings[0].evidence] == ["msg.sender == owner", "bals[to] = 0;"]
@@ -133,10 +150,10 @@ def test_negation_flips_a_sender_comparison():
 
 
 def test_native_transfer_under_negation_is_a_fund_site():
-    _, _, funds = _analyze(
-        "contract C { function f(address to) public { if (!payable(to).send(1)) revert(); } }")
-    assert [(s.form, s.text) for s in funds] == [
-        (NATIVE_TRANSFER, "if (!payable(to).send(1)) revert();")]
+    source = "contract C { function f(address to) public { if (!payable(to).send(1)) revert(); } }"
+    _, _, funds = _analyze(source)
+    assert [evidence for _, evidence in funds] == [
+        _fund(source, "payable(to).send", "if (!payable(to).send(1)) revert();")]
 
 
 _CONDITIONS = ("msg.sender == owner", "owner == msg.sender", "msg.sender != owner",
@@ -273,8 +290,8 @@ def test_double_negation_reads_as_its_parity():
 def test_revert_guard_counts_as_require_form():
     source = ("contract C { address owner; function f() public {"
               " if (msg.sender != owner) { revert; } } }")
-    _, guards, _ = _analyze(source)
-    assert [g.form for g in guards] == [REQUIRE_GUARD]
+    contract, guards, _ = _analyze(source)
+    assert guards == [(contract.functions[0].at, _guard(source, "if", "msg.sender != owner"))]
 
 
 def test_neq_without_revert_is_not_a_guard():
@@ -298,10 +315,11 @@ def test_non_mapping_write_is_not_a_fund_site():
 
 
 def test_selfdestruct_site():
-    _, _, funds = _analyze(
-        "contract C { address owner; function f() public {"
-        " selfdestruct(payable(owner)); } }")
-    assert [s.form for s in funds] == [SELF_DESTRUCT]
+    source = ("contract C { address owner; function f() public {"
+              " selfdestruct(payable(owner)); } }")
+    contract, _, funds = _analyze(source)
+    statement = "selfdestruct(payable(owner));"
+    assert funds == [(contract.functions[0].at, _fund(source, statement, statement))]
 
 
 def test_native_transfer_sites():
@@ -310,7 +328,9 @@ def test_native_transfer_sites():
               ' to.call{value: amt}("");'
               " } }")
     _, _, funds = _analyze(source)
-    assert [s.form for s in funds] == [NATIVE_TRANSFER, NATIVE_TRANSFER]
+    assert [evidence for _, evidence in funds] == [
+        _fund(source, "to.transfer", "to.transfer(amt);"),
+        _fund(source, "to.call", 'to.call{value: amt}("");')]
 
 
 def test_legacy_value_call_is_a_native_transfer():
@@ -319,7 +339,7 @@ def test_legacy_value_call_is_a_native_transfer():
     source = "contract C {{ function f(address payable to) public {{ {} }} }}"
     legacy = 'to.call.value(1)("");'
     _, _, funds = _analyze(source.format(legacy))
-    assert [(s.form, s.text) for s in funds] == [(NATIVE_TRANSFER, legacy)]
+    assert [evidence for _, evidence in funds] == [_fund(source.format(legacy), legacy, legacy)]
     findings, _ = analyze_solidity_source(source.format(legacy), "c.sol", CONFIG)
     assert [(f.kind, f.severity) for f in findings] == [
         ("UNPROTECTED_FUND_MODIFICATION", "WARNING")]
@@ -329,18 +349,19 @@ def test_legacy_value_call_is_a_native_transfer():
 
 
 def test_send_in_require_condition_is_found():
-    _, _, funds = _analyze(
-        "contract C { function f(address payable to) public {"
-        " require(to.send(1)); } }")
-    assert [s.form for s in funds] == [NATIVE_TRANSFER]
+    source = ("contract C { function f(address payable to) public {"
+              " require(to.send(1)); } }")
+    _, _, funds = _analyze(source)
+    assert [evidence for _, evidence in funds] == [
+        _fund(source, "to.send", "require(to.send(1));")]
 
 
 def test_fund_call_through_nested_casts_is_found():
-    _, _, funds = _analyze(
-        "contract C { function f(uint a) public {"
-        " payable(address(uint160(a))).transfer(1); } }")
-    assert [(s.form, s.text) for s in funds] == [
-        (NATIVE_TRANSFER, "payable(address(uint160(a))).transfer(1);")]
+    source = ("contract C { function f(uint a) public {"
+              " payable(address(uint160(a))).transfer(1); } }")
+    _, _, funds = _analyze(source)
+    statement = "payable(address(uint160(a))).transfer(1);"
+    assert [evidence for _, evidence in funds] == [_fund(source, statement, statement)]
 
 
 def test_this_balance_on_a_right_hand_side_is_not_a_fund_site():
@@ -358,10 +379,11 @@ def test_address_payable_key_balance_write_is_major():
 
 
 def test_unit_suffixed_amount_is_the_whole_fund_site():
-    _, _, funds = _analyze(
-        "contract C { mapping(address => uint) bals;"
-        " function f(address to) public { bals[to] = 1 ether; } }")
-    assert [(s.form, s.text) for s in funds] == [(BALANCE_MAPPING_WRITE, "bals[to] = 1 ether;")]
+    source = ("contract C { mapping(address => uint) bals;"
+              " function f(address to) public { bals[to] = 1 ether; } }")
+    _, _, funds = _analyze(source)
+    statement = "bals[to] = 1 ether;"
+    assert [evidence for _, evidence in funds] == [_fund(source, statement, statement)]
     findings, diagnostics = analyze_solidity_source(
         "contract C { address owner; mapping(address => uint) bals;"
         " function f(address to) public { require(msg.sender == owner);"
@@ -391,22 +413,25 @@ def test_nested_mapping_write_is_no_fund_site():
 
 
 def test_if_scope_covers_then_branch_only():
-    contract, guards, funds = _analyze(
-        "contract C { mapping(address => uint) bals; address owner;"
-        " function f() public {"
-        " if (msg.sender == owner) { bals[owner] = 1; }"
-        " bals[owner] = 2; } }")
+    source = ("contract C { mapping(address => uint) bals; address owner;"
+              " function f() public {"
+              " if (msg.sender == owner) { bals[owner] = 1; }"
+              " bals[owner] = 2; } }")
+    contract, guards, funds = _analyze(source)
     # The detectors find the guard and both writes; pairing them is scoped
     # per function, so the write after the block counts as guarded too.
-    assert [g.form for g in guards] == [IF_GUARD]
-    assert [s.text for s in funds] == ["bals[owner] = 1;", "bals[owner] = 2;"]
+    at = contract.functions[0].at
+    assert guards == [(at, _guard(source, "if", "msg.sender == owner"))]
+    assert funds == [(at, _fund(source, "bals[owner] = 1;", "bals[owner] = 1;")),
+                     (at, _fund(source, "bals[owner] = 2;", "bals[owner] = 2;"))]
 
 
 def test_eq_comparison_preferred_over_earlier_neq():
-    _, guards, _ = _analyze(
-        "contract C { address a; address b; function f() public {"
-        " if (msg.sender != a && msg.sender == b) { } } }")
-    assert [g.form for g in guards] == [IF_GUARD]
+    source = ("contract C { address a; address b; function f() public {"
+              " if (msg.sender != a && msg.sender == b) { } } }")
+    _, guards, _ = _analyze(source)
+    assert [evidence for _, evidence in guards] == [
+        _guard(source, "if", "msg.sender != a && msg.sender == b")]
 
 
 def test_else_branch_is_not_guarded_by_condition():
@@ -414,7 +439,7 @@ def test_else_branch_is_not_guarded_by_condition():
         "contract C { mapping(address => uint) bals; address owner;"
         " function f() public {"
         " if (msg.sender == owner) { } else { bals[owner] = 1; } } }")
-    assert [s.text for s in funds] == ["bals[owner] = 1;"]
+    assert [evidence.text for _, evidence in funds] == ["bals[owner] = 1;"]
 
 
 def test_pairing_row1_plus_row4():
@@ -515,10 +540,11 @@ def test_detection_order_is_sorted_and_deterministic():
     runs = []
     for _ in range(2):
         contract, guards, funds = _analyze(source)
-        runs.append([(g.line, g.column, g.form) for g in guards]
-                    + [(s.line, s.column, s.form) for s in funds])
+        runs.append((guards, funds))
         assert runs[0] == runs[-1]
-        assert runs[0] == sorted(runs[0], key=lambda t: (t[0], t[1]))
+        for sites in runs[0]:
+            positions = [(evidence.line, evidence.column) for _, evidence in sites]
+            assert positions == sorted(positions)
 
 
 def _random_contract(rng: random.Random, guarded_functions: set[int], n: int) -> str:
