@@ -48,6 +48,8 @@ _BODY_STOP = frozenset({"{", "}"})
 # The keywords that open a declaration with a body, and those followed by a name.
 _DECLARATION_KEYWORDS = frozenset({"function", "modifier", "constructor", "fallback", "receive"})
 _NAMED_DECLARATIONS = frozenset({"function", "modifier"})
+# The keywords of contract members that hold no code, skipped without a note.
+_CODE_FREE_MEMBERS = frozenset({"event", "struct", "error", "enum", "using"})
 _FN_HEADER_KEYWORDS = frozenset({
     "public", "external", "internal", "private",
     "view", "pure", "payable", "constant", "virtual", "override",
@@ -245,6 +247,8 @@ class _Parser:
             declarations.append(self._parse_function())
         elif t == ";":
             self.i += 1
+        elif t in _CODE_FREE_MEMBERS:
+            self._recover_region()
         elif _is_type_start(self.kinds[self.i], t) and (var := self._try_state_var()):
             contract.state_vars.append(var)
         else:

@@ -245,6 +245,21 @@ def test_state_variable_initializer_stops_at_contract_close():
     ]
 
 
+def test_members_that_hold_no_code_are_skipped_without_a_note():
+    unit = parse_solidity(
+        "contract C { event Moved(address indexed to, uint amount);\n"
+        "struct Lot { address who; uint amount; }\n"
+        "error Denied(address who);\n"
+        "enum State { Open, Closed }\n"
+        "using SafeMath for uint;\n"
+        "mapping(address => uint) bals;\n"
+        "function f(address to) public { bals[to] = 0; } }")
+    (contract,) = unit.contracts
+    assert [v.name for v in contract.state_vars] == ["bals"]
+    assert [f.name for f in contract.functions] == ["f"]
+    assert _notes(unit) == []
+
+
 def test_import_with_braces_is_skipped_to_its_semicolon():
     unit = parse_solidity('pragma solidity ^0.8.0;\nimport {Ownable} from "./Ownable.sol";\n'
                           "contract V is Ownable {}")
