@@ -9,6 +9,7 @@ stack, so no spurious guard or fund flags can arise from what it consumed.
 from __future__ import annotations
 
 import binascii
+import re
 
 from ..config import AnalyzerConfig
 from ..diagnostics import Diagnostic
@@ -79,6 +80,9 @@ _NAMED_INTS = {
 
 # Prefixes of a base64 byte constant: `base64 X`, `b64 X`, `base64(X)`, `b64(X)`.
 _BASE64_FORMS = frozenset({"base64", "b64"})
+# A quoted string's escape: `\xHH`, or the one character after a backslash.
+_ESCAPE = re.compile(rb"\\(x..|.?)", re.DOTALL)
+_ESCAPED = {b"n": b"\n", b"r": b"\r", b"t": b"\t", b"\\": b"\\", b'"': b'"'}
 
 
 class BlockFacts(Record):
@@ -103,7 +107,7 @@ def _int_value(immediate: str) -> AbstractValue:
 
 
 def _byte_value(immediates: tuple[str, ...]) -> AbstractValue:
-    """A byte constant: a quoted string, or hex (`0x…`) or base64 (`base64 X`,
+    """A byte constant: a quoted string, hex (`0x…`) or base64 (`base64 X`,
     `b64 X`, `base64(X)`, `b64(X)`) whose bytes are UTF-8 text. Any other
     form, base32 among them, is Unknown."""
     if len(immediates) == 1:
@@ -112,7 +116,7 @@ def _byte_value(immediates: tuple[str, ...]) -> AbstractValue:
             inner = text[1:]
             if inner.endswith('"'):
                 inner = inner[:-1]
-            return ByteConst(inner)
+            return _decoded(_unescaped, inner)
         if text.startswith("0x"):
             return _decoded(binascii.unhexlify, text[2:])
         form, paren, encoded = text.partition("(")
@@ -121,6 +125,20 @@ def _byte_value(immediates: tuple[str, ...]) -> AbstractValue:
     elif len(immediates) == 2 and immediates[0] in _BASE64_FORMS:
         return _decoded(_base64, immediates[1])
     return UNKNOWN
+
+
+def _unescaped(text: str) -> bytes:
+    r"""A quoted string's bytes, with the assembler's escapes (`\n \r \t \\
+    \" \xHH`) decoded. Any other escape raises ValueError, as the assembler
+    rejects it."""
+    def escape(match: re.Match) -> bytes:
+        code = match[1]
+        if len(code) == 3:
+            return binascii.unhexlify(code[1:])
+        if code not in _ESCAPED:
+            raise ValueError(f"not an escape: {code!r}")
+        return _ESCAPED[code]
+    return _ESCAPE.sub(escape, text.encode())
 
 
 def _base64(text: str) -> bytes:

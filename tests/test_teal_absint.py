@@ -77,7 +77,7 @@ def test_app_global_get_requires_constant_key():
 
 @pytest.mark.parametrize("constant", [
     "0x4d7942616c616e6365", "base64 TXlCYWxhbmNl", "b64 TXlCYWxhbmNl",
-    "base64(TXlCYWxhbmNl)", "b64(TXlCYWxhbmNl)",
+    "base64(TXlCYWxhbmNl)", "b64(TXlCYWxhbmNl)", '"My\\x42alance"', '"\\x4D\\x79Balance"',
 ])
 def test_hex_and_base64_byte_constants_decode(constant):
     assert _returned(f"byte {constant}") == ByteConst("MyBalance")
@@ -87,11 +87,23 @@ def test_hex_and_base64_byte_constants_decode(constant):
 @pytest.mark.parametrize("constant", [
     "0x4d7", "0xzz", "0xff", "base64 TXl", "base64 TX!lCYWxhbmNl", "b64 TXlC YWxh",
     "base32 JV4UEYLMMFXGGZI", "base64(TXlCYWxhbmNl", "64(TXlCYWxhbmNl)",
+    '"My\\qBalance"', '"My\\x4"', '"My\\x4gBalance"', '"\\xff"', '"MyBalance\\"',
 ])
 def test_malformed_or_non_text_byte_constants_stay_unknown(constant):
     # Odd or non-hex digits, bad padding, characters outside the alphabet,
-    # bytes that are not UTF-8, base32 and a missing parenthesis.
+    # bytes that are not UTF-8, base32, a missing parenthesis, and quoted
+    # strings with an escape the assembler rejects, a short or non-hex
+    # `\x`, a `\xff` byte or no closing quote.
     assert _returned(f"byte {constant}") is UNKNOWN
+
+
+@pytest.mark.parametrize("constant, value", [
+    ('"a\\nb"', "a\nb"), ('"a\\rb"', "a\rb"), ('"a\\tb"', "a\tb"),
+    ('"a\\\\b"', "a\\b"), ('"a\\"b"', 'a"b'), ('"\\xC3\\xA9"', "\u00e9"),
+])
+def test_quoted_byte_constant_escapes_decode(constant, value):
+    # The assembler's escapes in a quoted string: \n \r \t \\ \" and \xHH.
+    assert _returned(f"byte {constant}") == ByteConst(value)
 
 
 @pytest.mark.parametrize("ops, expected", [

@@ -360,6 +360,16 @@ def test_hex_and_base64_balance_keys_are_fund_points():
         assert diagnostics == [], key
 
 
+def test_escaped_balance_key_under_a_creator_guard_is_major():
+    # `bal\x61nce` is "balance" once the assembler decodes its escape.
+    source = ('global CreatorAddress\ntxn Sender\n==\nassert\n'
+              'byte "bal\\x61nce"\nint 5\napp_global_put\nint 1\nreturn')
+    findings, diagnostics = analyze_teal_source(source, "p.teal", CONFIG)
+    assert [(f.kind, f.severity) for f in findings] == [("CENTRALIZATION_RISK", "MAJOR")]
+    assert findings[0].evidence[-1].text == 'app_global_put key "balance"'
+    assert diagnostics == []
+
+
 def test_hex_owner_key_makes_a_guard():
     # "manager" in hex, read by app_global_get and compared with the sender.
     source = ('byte 0x6d616e61676572\napp_global_get\ntxn Sender\n==\nassert\n'
