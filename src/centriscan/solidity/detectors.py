@@ -3,8 +3,8 @@
 Finds sender guards (modifier / require / if forms) and fund-modifying
 statements (balance-mapping writes, native transfers, selfdestruct), then
 pairs them per function into the subjects the risk engine grades. AST nodes
-hold token spans; each site's report Evidence reads its line, column and
-text from the tokens when the detector finds it.
+hold token spans; a detector reads a site's line, column and text from the
+tokens only when it finds the site, into the report Evidence it returns.
 """
 
 from __future__ import annotations
