@@ -86,9 +86,9 @@ def analyze_solidity_source(
     diagnostics = unit.diagnostics
     subjects = []
     for contract in unit.contracts:
-        symbols = collect_state_vars(contract, unit.tokens, diagnostics)
+        balances = collect_state_vars(contract, unit.tokens, diagnostics)
         guards = find_sender_guards(contract, unit.tokens)
-        funds = find_fund_modifications(contract, unit.tokens, symbols)
+        funds = find_fund_modifications(contract, unit.tokens, balances)
         subjects.extend(pair_detections(contract, unit.tokens, guards, funds, diagnostics))
     findings = classify("solidity", path, subjects)
     return findings, diagnostics

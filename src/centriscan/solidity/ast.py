@@ -1,12 +1,15 @@
 """AST for the recognized Solidity subset.
 
-Expression and statement nodes hold token spans: `at` is the index of a
-node's first token and `end` one past its last, into the `Tokens` its
-SourceUnit carries. `tokens.position(node.at)` gives the node's line and
-column, and `tokens.text(node.at, node.end)` its verbatim source text, gaps
-(whitespace and comments) between its tokens included. A declaration's `at`
-is the index of its keyword token (of its name token for a state variable),
-so `tokens.position(decl.at)` gives its line and column. A modifier is a
+Every region of source a node holds is a token span, and every other text
+it holds is a name, operator or keyword as a string. An expression or
+statement spans token `at` to `end`, one past its last token, into the
+`Tokens` its SourceUnit carries; a call's `{value: x}` options block is an
+OpaqueExpr, and a state variable's type the span `type_at` to `type_end`.
+`tokens.position(node.at)` gives a node's line and column, and
+`tokens.text(node.at, node.end)` its verbatim source text, gaps (whitespace
+and comments) between its tokens included. A declaration's `at` is the
+index of its keyword token (of its name token for a state variable), so
+`tokens.position(decl.at)` gives its line and column. A modifier is a
 FunctionDecl like a function: `ContractDecl.modifiers` and `.functions` hold
 the same record. Anything outside the subset is preserved as Opaque spans;
 detectors never look inside those.
@@ -48,12 +51,7 @@ class Not(Expr):
 
 
 class CallExpr(Expr):
-    __slots__ = ("callee", "args", "options")  # options: brace block "{value: x}" or None
-
-    def __init__(self, at: int, end: int, callee: Expr, args: list[Expr],
-                 options: str | None = None):
-        self.at, self.end = at, end
-        self.callee, self.args, self.options = callee, args, options
+    __slots__ = ("callee", "args", "options")  # options: the `{value: x}` block's OpaqueExpr, or None
 
 
 class OpaqueExpr(Expr):
@@ -104,15 +102,9 @@ class Opaque(Stmt):
 
 # --- declarations ----------------------------------------------------------
 
-class TypeDesc(Record):
-    __slots__ = ("name", "key", "value")  # verbatim type text; a mapping's key and value
-
-    def __init__(self, name: str, key: TypeDesc | None = None, value: TypeDesc | None = None):
-        self.name, self.key, self.value = name, key, value
-
-
 class StateVar(Record):
-    __slots__ = ("name", "type_desc", "at")  # at: index of the name token
+    # at: index of the name token; type_at, type_end: the span of its type.
+    __slots__ = ("name", "at", "type_at", "type_end")
 
 
 class FunctionDecl(Record):

@@ -15,7 +15,6 @@ from typing import Iterator
 from ..diagnostics import Diagnostic
 from ..report import Evidence, Subject
 from . import ast
-from .symbols import is_address_to_uint_mapping
 from .tokens import Tokens
 
 _BY_POSITION = attrgetter("line", "column")
@@ -102,18 +101,22 @@ def find_sender_guards(
 def find_fund_modifications(
     contract: ast.ContractDecl,
     tokens: Tokens,
-    symbols: dict[str, ast.StateVar],
+    balances: frozenset[str],
 ) -> list[tuple[int, Evidence]]:
     """The `at` of the enclosing function and the fund Evidence of each
     fund-modifying statement in any function body, sorted by position;
-    ``tokens`` are those the contract was parsed from."""
+    ``tokens`` are those the contract was parsed from, and ``balances`` the
+    names of its balance mappings. A write to one is fund-modifying when it
+    is one level deep: `bals[to] = 0`, not `allowed[a][b] = 0`."""
     sites: list[tuple[int, Evidence]] = []
     for function in contract.functions:
         at = function.at
         for stmt in _statements(function.body):
             cls = type(stmt)
             if cls is ast.Assign:
-                if _is_balance_mapping_write(stmt.lvalue, symbols):
+                lvalue = stmt.lvalue
+                if type(lvalue) is ast.Index and type(lvalue.base) is ast.Identifier \
+                        and lvalue.base.name in balances:
                     sites.append((at, _evidence("fund_modification", tokens, stmt.at, stmt)))
                 _scan_call_sites(stmt.rvalue, stmt, at, tokens, sites)
                 _scan_call_sites(stmt.lvalue, stmt, at, tokens, sites)
@@ -123,15 +126,6 @@ def find_fund_modifications(
                 _scan_call_sites(stmt.condition, stmt, at, tokens, sites)
     sites.sort(key=_site_position)
     return sites
-
-
-def _is_balance_mapping_write(lvalue: ast.Expr, symbols: dict[str, ast.StateVar]) -> bool:
-    """A one-level write `name[key] = ...` to a mapping(address => uint...);
-    a nested write such as `allowed[a][b]` is no balance write."""
-    if not isinstance(lvalue, ast.Index):
-        return False
-    base = lvalue.base
-    return isinstance(base, ast.Identifier) and is_address_to_uint_mapping(symbols, base.name)
 
 
 # The walks dispatch on the exact node type, which matches isinstance
@@ -149,7 +143,7 @@ def _scan_call_sites(
         node = stack.pop()
         cls = type(node)
         if cls is ast.CallExpr:
-            if _moves_funds(node):
+            if _moves_funds(node, tokens):
                 sites.append((enclosing_at,
                               _evidence("fund_modification", tokens, node.at, stmt)))
             push(node.callee)
@@ -166,7 +160,7 @@ def _scan_call_sites(
             push(node.operand)
 
 
-def _moves_funds(call: ast.CallExpr) -> bool:
+def _moves_funds(call: ast.CallExpr, tokens: Tokens) -> bool:
     """`selfdestruct(...)`, `x.transfer(...)`, `x.send(...)`,
     `x.call{value: ...}(...)` or the legacy `x.call.value(...)(...)`."""
     callee = call.callee
@@ -174,7 +168,8 @@ def _moves_funds(call: ast.CallExpr) -> bool:
         return callee.name == "selfdestruct"
     if isinstance(callee, ast.Member):
         return callee.member in ("transfer", "send") or (
-            callee.member == "call" and "value" in (call.options or ""))
+            callee.member == "call" and call.options is not None
+            and "value" in tokens.text(call.options.at, call.options.end))
     return isinstance(callee, ast.CallExpr) and isinstance(callee.callee, ast.Member) \
         and callee.callee.member == "value" \
         and isinstance(callee.callee.base, ast.Member) and callee.callee.base.member == "call"

@@ -256,10 +256,10 @@ class _Parser:
 
     def _try_state_var(self) -> ast.StateVar | None:
         save = self.i
-        type_desc = self._parse_type()
-        if type_desc is None:
+        if not self._parse_type():
             self.i = save
             return None
+        type_end = self.i
         while self._text() in _VAR_KEYWORDS:
             self.i += 1
             if self._text() == "(":  # override(Base) carries arguments
@@ -275,37 +275,28 @@ class _Parser:
         if not self._eat(";"):
             self.i = save
             return None
-        return ast.StateVar(name, type_desc, at)
+        return ast.StateVar(name, at, save, type_end)
 
-    def _parse_type(self) -> ast.TypeDesc | None:
-        start = self.i
-        if start >= self.n:
-            return None
-        text = self.texts[start]
+    def _parse_type(self) -> bool:
+        """Consume a type and return True, or return False: a `mapping(`
+        nested _MAX_EXPR_DEPTH deep is not taken."""
+        text = self.texts[self.i]
         if text == "mapping":
-            if self.expr_depth >= _MAX_EXPR_DEPTH:  # nested too deep to take
-                return None
-            self.i += 1
-            if not self._eat("("):
-                return None
+            if self.expr_depth >= _MAX_EXPR_DEPTH or self.texts[self.i + 1] != "(":
+                return False
+            self.i += 2
             self.expr_depth += 1
-            key = self._parse_type()
-            value = self._parse_type() if key is not None and self._eat("=>") else None
+            taken = self._parse_type() and self._eat("=>") and self._parse_type()
             self.expr_depth -= 1
-            if value is None or not self._eat(")"):
-                return None
-            return ast.TypeDesc(self.tokens.text(start, self.i), key, value)
-        if not _is_type_start(self.kinds[start], text):
-            return None
+            return taken and self._eat(")")
+        if not _is_type_start(self.kinds[self.i], text):  # nor past the end
+            return False
         self.i += 1
-        name = text
-        if text == "address" and self._text() == "payable":
-            self.i += 1
-            name = "address payable"
+        if text == "address":
+            self._eat("payable")
         while self._text() == "[":
             self._skip_balanced()
-            name = self.tokens.text(start, self.i)
-        return ast.TypeDesc(name)
+        return True
 
     def _parse_function(self) -> ast.FunctionDecl:
         """A declaration opening with one of _DECLARATION_KEYWORDS: its name,
@@ -605,11 +596,11 @@ class _Parser:
                 expr = ast.Index(i, self.i, expr, index)
             elif t == "(":
                 args = self._parse_call_args()
-                expr = ast.CallExpr(i, self.i, expr, args)
+                expr = ast.CallExpr(i, self.i, expr, args, None)
             elif t == "{" and isinstance(expr, ast.Member):
                 opt_start = self.i
                 self._skip_balanced()
-                options = self.tokens.text(opt_start, self.i)
+                options = ast.OpaqueExpr(opt_start, self.i)
                 if self._text() == "(":
                     args = self._parse_call_args()
                     expr = ast.CallExpr(i, self.i, expr, args, options)

@@ -63,9 +63,9 @@ def criterion(number: int, description: str):
 def _solidity_sites(name: str):
     source = corpus_text("solidity", name)
     contract, tokens = parse_single_unit(source)
-    symbols = collect_state_vars(contract, tokens, [])
+    balances = collect_state_vars(contract, tokens, [])
     guards = find_sender_guards(contract, tokens)
-    funds = find_fund_modifications(contract, tokens, symbols)
+    funds = find_fund_modifications(contract, tokens, balances)
     return source, contract, guards, funds
 
 

@@ -114,6 +114,7 @@ def test_generated_constructors_reject_missing_and_extra_arguments():
     for build in (lambda: ast.Member(1, 2, ast.MsgSender(0, 1)),
                   lambda: ast.Identifier(0, 1, "x", "y"),
                   lambda: ast.Require(0, 1, condition=None, then_body=[]),
+                  lambda: ast.CallExpr(0, 3, ast.Identifier(0, 1, "f"), []),
                   lambda: IntConst(),
                   lambda: ast.MsgSender(0)):
         with pytest.raises(TypeError):
@@ -130,9 +131,8 @@ def test_a_class_without_new_slots_uses_its_bases_constructor():
 
 
 def test_a_class_with_its_own_constructor_keeps_it():
-    call = ast.CallExpr(0, 3, ast.Identifier(0, 1, "f"), [])
-    assert call.options is None
-    assert ast.TypeDesc("uint").key is None
+    contract = ast.ContractDecl("C", 0)
+    assert (contract.name, contract.at, contract.bases, contract.functions) == ("C", 0, [], [])
     assert SenderCmp(SENDER, "eq").weakened is False
 
 

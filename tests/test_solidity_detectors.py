@@ -22,9 +22,9 @@ CONFIG = AnalyzerConfig()
 
 
 def _sites(contract, tokens):
-    symbols = collect_state_vars(contract, tokens, [])
+    balances = collect_state_vars(contract, tokens, [])
     return (find_sender_guards(contract, tokens),
-            find_fund_modifications(contract, tokens, symbols))
+            find_fund_modifications(contract, tokens, balances))
 
 
 def _analyze(source: str):

@@ -118,23 +118,27 @@ def test_constructor_and_fallback_have_empty_names():
 
 
 def test_state_variable_shapes():
-    contract = parse_single_contract("""
+    unit = parse_solidity("""
         contract C {
             uint public x = 5;
             mapping(address => uint) bals;
             mapping(address => mapping(address => uint)) allow;
             uint[] arr;
             IERC20 token;
+            address payable immutable wallet;
         }
     """)
-    descs = {v.name: v.type_desc for v in contract.state_vars}
-    # A mapping is exactly a TypeDesc whose key is set.
-    assert descs["x"] == ast.TypeDesc("uint")
-    assert descs["bals"].key == ast.TypeDesc("address")
-    assert descs["bals"].value == ast.TypeDesc("uint")
-    assert descs["allow"].value.key is not None
-    assert descs["arr"] == ast.TypeDesc("uint[]")
-    assert descs["token"] == ast.TypeDesc("IERC20")
+    tokens = unit.tokens
+    # Each state variable's at is its name token; its type is a token span.
+    assert [(tokens.texts[v.at], v.name, tokens.text(v.type_at, v.type_end))
+            for v in unit.contracts[0].state_vars] == [
+        ("x", "x", "uint"),
+        ("bals", "bals", "mapping(address => uint)"),
+        ("allow", "allow", "mapping(address => mapping(address => uint))"),
+        ("arr", "arr", "uint[]"),
+        ("token", "token", "IERC20"),
+        ("wallet", "wallet", "address payable"),
+    ]
 
 
 def test_unchecked_block_is_transparent():
@@ -178,11 +182,13 @@ def test_number_unit_is_part_of_its_literal():
 
 
 def test_call_options_block():
-    body = parse_function_body('to.call{value: amount}("");')
-    stmt = body[0]
-    assert isinstance(stmt, ast.Call)
-    assert isinstance(stmt.expr, ast.CallExpr)
-    assert stmt.expr.options is not None and "value" in stmt.expr.options
+    body, tokens = parse_function('to.call{value: amount}(""); to.call("");')
+    options, plain = (stmt.expr for stmt in body)
+    assert isinstance(options, ast.CallExpr) and isinstance(plain, ast.CallExpr)
+    # The options block is a span, as every other region of source.
+    assert isinstance(options.options, ast.OpaqueExpr)
+    assert tokens.text(options.options.at, options.options.end) == "{value: amount}"
+    assert plain.options is None
 
 
 def test_loops_become_opaque():
@@ -419,7 +425,7 @@ def _index(base: ast.Expr, index: ast.Expr) -> ast.Index:
 
 
 def _call(callee: ast.Expr, *args: ast.Expr) -> ast.CallExpr:
-    return ast.CallExpr(0, 0, callee, list(args))
+    return ast.CallExpr(0, 0, callee, list(args), None)
 
 
 # Each recognized statement form and the tree it must parse to; ast_equal
