@@ -51,7 +51,7 @@ class Not(Expr):
 
 
 class CallExpr(Expr):
-    __slots__ = ("callee", "args", "options")  # options: the `{value: x}` block's OpaqueExpr, or None
+    __slots__ = ("callee", "args", "options")  # options: a `{value: x}` OpaqueExpr, or None
 
 
 class OpaqueExpr(Expr):

@@ -48,8 +48,9 @@ _BODY_STOP = frozenset({"{", "}"})
 # The keywords that open a declaration with a body, and those followed by a name.
 _DECLARATION_KEYWORDS = frozenset({"function", "modifier", "constructor", "fallback", "receive"})
 _NAMED_DECLARATIONS = frozenset({"function", "modifier"})
-# The keywords of contract members that hold no code, skipped without a note.
-_CODE_FREE_MEMBERS = frozenset({"event", "struct", "error", "enum", "using"})
+# The keywords of definitions that hold no code, in a contract or at file
+# level, skipped without a note.
+_CODE_FREE_MEMBERS = frozenset({"event", "struct", "error", "enum", "using", "type"})
 _FN_HEADER_KEYWORDS = frozenset({
     "public", "external", "internal", "private",
     "view", "pure", "payable", "constant", "virtual", "override",
@@ -203,6 +204,8 @@ class _Parser:
             elif t in ("pragma", "import"):  # `import {A} from "a.sol";` holds braces
                 self._skip_to(_DIRECTIVE_STOP)
                 self._eat(";")
+            elif t in _CODE_FREE_MEMBERS:  # `using {f} for T global;` holds braces
+                self._recover_region(_DIRECTIVE_STOP if t == "using" else _TOP_LEVEL_STOP)
             else:
                 self._opaque_stmt("skipped unrecognized top-level construct", _TOP_LEVEL_STOP)
         return ast.SourceUnit(contracts, self.diags, self.tokens)
@@ -248,7 +251,7 @@ class _Parser:
         elif t == ";":
             self.i += 1
         elif t in _CODE_FREE_MEMBERS:
-            self._recover_region()
+            self._recover_region(_INITIALIZER_STOP if t == "using" else _REGION_STOP)
         elif _is_type_start(self.kinds[self.i], t) and (var := self._try_state_var()):
             contract.state_vars.append(var)
         else:
@@ -289,7 +292,7 @@ class _Parser:
             taken = self._parse_type() and self._eat("=>") and self._parse_type()
             self.expr_depth -= 1
             return taken and self._eat(")")
-        if not _is_type_start(self.kinds[self.i], text):  # nor past the end
+        if not _is_type_start(self.kinds[self.i], text):  # the end sentinel is none
             return False
         self.i += 1
         if text == "address":

@@ -83,6 +83,11 @@ _BASE64_FORMS = frozenset({"base64", "b64"})
 # A quoted string's escape: `\xHH`, or the one character after a backslash.
 _ESCAPE = re.compile(rb"\\(x..|.?)", re.DOTALL)
 _ESCAPED = {b"n": b"\n", b"r": b"\r", b"t": b"\t", b"\\": b"\\", b'"': b'"'}
+# How string_literal writes a character that cannot stand for itself.
+_LITERAL_ESCAPES = str.maketrans({
+    **{chr(code): f"\\x{code:02x}" for code in (*range(0x20), 0x7f)},
+    "\n": "\\n", "\r": "\\r", "\t": "\\t", "\\": "\\\\", '"': '\\"',
+})
 
 
 class BlockFacts(Record):
@@ -324,10 +329,17 @@ def _record_put(facts, index, opcode, key, line, config, diagnostics) -> None:
             f"'{opcode}' with non-constant key; write not classified", line))
 
 
+def string_literal(key: str) -> str:
+    r"""key as a TEAL string literal, which `byte` reads back as key: `\`
+    and `"` escaped, `\n \r \t` as such, any other control character and
+    DEL as `\xHH`."""
+    return '"' + key.translate(_LITERAL_ESCAPES) + '"'
+
+
 def render_value(value: AbstractValue) -> str:
     """Stable human rendering for privileged sources in reports."""
     if isinstance(value, GlobalGet):
-        return f'app_global_get["{value.key}"]'
+        return f"app_global_get[{string_literal(value.key)}]"
     if isinstance(value, GlobalField):
         return value.name
     if isinstance(value, AddrConst):

@@ -13,7 +13,7 @@ from ..diagnostics import Diagnostic
 from ..flow import (ASSERT_GUARD, BRANCH_GUARD, BRANCH_NOT_TAKEN, BRANCH_TAKEN, Cfg,
                     GuardednessResult, reaching)
 from ..report import Evidence, Subject
-from .absint import BlockFacts, IntConst, SenderCmp, render_value
+from .absint import BlockFacts, IntConst, SenderCmp, render_value, string_literal
 from .parser import BRANCH_OPCODES, TealProgram
 
 
@@ -165,12 +165,12 @@ def find_subjects(
     for point in fund_points:
         verdict = guardedness.verdicts.get(point)
         if verdict is not None:  # an unreachable write is only a diagnostic
+            key = string_literal(point.key)
             yield Subject(
-                point.line, 1, f'state write to balance key "{point.key}"',
+                point.line, 1, f"state write to balance key {key}",
                 tuple(Evidence("guard", g.line, 1, g.description)
                       for g in guardedness.gates.get(point, ())),
-                (Evidence("fund_modification", point.line, 1,
-                          f'{point.opcode} key "{point.key}"'),),
+                (Evidence("fund_modification", point.line, 1, f"{point.opcode} key {key}"),),
                 "" if verdict else f" (blocks {guardedness.tails[point]})")
     if not fund_points:
         for g in guard_points:

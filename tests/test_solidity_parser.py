@@ -266,6 +266,28 @@ def test_members_that_hold_no_code_are_skipped_without_a_note():
     assert _notes(unit) == []
 
 
+def test_file_level_definitions_that_hold_no_code_are_skipped_without_a_note():
+    unit = parse_solidity(
+        "pragma solidity ^0.8.20;\n"
+        "error Denied(address who);\n"
+        "struct Lot { address who; uint amount; }\n"
+        "enum State { Open, Closed }\n"
+        "event Moved(address indexed to, uint amount);\n"
+        "using {add} for P global;\n"
+        "type P is uint128;\n"
+        "uint constant LIMIT = 1;\n"
+        "function add(P a, P b) pure returns (P) { return a; }\n"
+        "contract C { type Q is uint; using {add} for P;\n"
+        "mapping(address => uint) bals; }\n"
+        "error Late()\n"  # without its `;`, a definition ends where a contract starts
+        "contract D {}")
+    assert [c.name for c in unit.contracts] == ["C", "D"]
+    assert [v.name for v in unit.contracts[0].state_vars] == ["bals"]
+    # A file-level constant and a free function hold code, and keep their note.
+    assert _notes(unit) == [("skipped unrecognized top-level construct", 8, 1),
+                            ("skipped unrecognized top-level construct", 9, 1)]
+
+
 def test_import_with_braces_is_skipped_to_its_semicolon():
     unit = parse_solidity('pragma solidity ^0.8.0;\nimport {Ownable} from "./Ownable.sol";\n'
                           "contract V is Ownable {}")

@@ -90,12 +90,13 @@ def _declared_types(draw) -> str:
     return text
 
 
-@given(_declared_types(), _GAP)
-@example("mapping(address payable=>uint)", "")
-@example("mapping(address=>uint264)", " ")
+@given(_declared_types(), _GAP, st.sampled_from(["", "public", "private immutable",
+                                                  "override(A, B)"]))
+@example("mapping(address payable=>uint)", "", "")
+@example("mapping(address=>uint264)", " ", "public")
 @settings(max_examples=300, deadline=None)
-def test_the_balance_rule_reads_the_tokens_of_the_declared_type(declared, gap):
-    unit = parse_solidity("contract C { " + declared + " " + gap + "v; }")
+def test_the_balance_rule_reads_the_tokens_of_the_declared_type(declared, gap, keywords):
+    unit = parse_solidity("contract C { " + declared + " " + gap + keywords + " v; }")
     assert unit.diagnostics == []
     ((var,),) = [contract.state_vars for contract in unit.contracts]
     assert unit.tokens.text(var.type_at, var.type_end) == declared

@@ -17,7 +17,10 @@ from centriscan.teal.absint import (
     GlobalGet,
     IntConst,
     SenderCmp,
+    _byte_value,
     abstract_exec_block,
+    render_value,
+    string_literal,
 )
 from centriscan.teal.cfg import build_cfg
 from centriscan.teal.parser import OPCODE_STACK_EFFECTS, parse_teal
@@ -104,6 +107,21 @@ def test_malformed_or_non_text_byte_constants_stay_unknown(constant):
 def test_quoted_byte_constant_escapes_decode(constant, value):
     # The assembler's escapes in a quoted string: \n \r \t \\ \" and \xHH.
     assert _returned(f"byte {constant}") == ByteConst(value)
+
+
+@pytest.mark.parametrize("key, literal", [
+    ("balance", '"balance"'), ('balance\n"x', '"balance\\n\\"x"'), ("a\\b", '"a\\\\b"'),
+    ("\r\t\x00\x1f\x7f", '"\\r\\t\\x00\\x1f\\x7f"'), ("\u00e9\x80 ", '"\u00e9\x80 "'),
+])
+def test_a_key_prints_as_a_teal_string_literal(key, literal):
+    assert string_literal(key) == literal
+    assert render_value(GlobalGet(key)) == f"app_global_get[{literal}]"
+
+
+@given(st.text())
+@settings(max_examples=300, deadline=None)
+def test_a_printed_key_reads_back_as_the_key(key):
+    assert _byte_value((string_literal(key),)) == ByteConst(key)
 
 
 @pytest.mark.parametrize("ops, expected", [

@@ -370,6 +370,18 @@ def test_escaped_balance_key_under_a_creator_guard_is_major():
     assert diagnostics == []
 
 
+def test_a_key_holding_a_quote_prints_escaped():
+    # The key is `balance`, a newline, a quote and `x`: its printed literal
+    # tells the inner quote from the closing one.
+    source = ('global CreatorAddress\ntxn Sender\n==\nassert\n'
+              'byte "bal\\x61nce\\n\\"x"\nint 5\napp_global_put\nint 1\nreturn')
+    findings, diagnostics = analyze_teal_source(source, "p.teal", CONFIG)
+    assert [(f.severity, f.message.split(" is ")[0]) for f in findings] == [
+        ("MAJOR", 'state write to balance key "balance\\n\\"x"')]
+    assert findings[0].evidence[-1].text == 'app_global_put key "balance\\n\\"x"'
+    assert diagnostics == []
+
+
 def test_hex_owner_key_makes_a_guard():
     # "manager" in hex, read by app_global_get and compared with the sender.
     source = ('byte 0x6d616e61676572\napp_global_get\ntxn Sender\n==\nassert\n'
