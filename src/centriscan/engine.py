@@ -106,6 +106,9 @@ def analyze_teal_source(
              for block in cfg.blocks]
     guards = find_guard_points(cfg, facts, program, diagnostics)
     funds = find_fund_mod_points(facts, program)
+    # The points hold all the flow query and the subjects read of the
+    # program's columns and the block facts, so those go before it runs.
+    del program, facts
     guardedness = compute_guardedness(cfg, guards, funds, diagnostics)
     # classify makes each subject as it reads it, so no list of them is held.
     findings = classify("teal", path, find_subjects(guards, funds, guardedness))

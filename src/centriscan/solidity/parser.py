@@ -37,10 +37,12 @@ _OPENERS = frozenset("([{")
 _CLOSERS = frozenset(")]}")
 _REGION_STOP = frozenset({";", "{", "}"})
 # A contract, interface or library may start after any broken top-level
-# construct; recovery stops before it so the unit is still parsed.
+# construct; recovery stops before it, at any bracket depth, so the unit is
+# still parsed.
 _UNIT_STARTS = frozenset({"contract", "interface", "library", "abstract"})
-_TOP_LEVEL_STOP = _REGION_STOP | _UNIT_STARTS
-_DIRECTIVE_STOP = _UNIT_STARTS | {";"}
+# File-level directives, which end at their `;`.
+_DIRECTIVES = frozenset({"pragma", "import", "using"})
+_DIRECTIVE_STOP = frozenset({";"})
 _INITIALIZER_STOP = frozenset({";", "}"})
 _REQUIRE_MESSAGE_STOP = frozenset({")"})
 _BODY_STOP = frozenset({"{", "}"})
@@ -183,10 +185,38 @@ class _Parser:
         elif t == "{":
             self._skip_balanced()
 
-    def _opaque_stmt(self, note: str, stops: frozenset[str] = _REGION_STOP) -> ast.Opaque:
+    def _recover_file_level(self, stops: frozenset[str]) -> bool:
+        """_recover_region for a file-level construct, which also stops before
+        a unit start at any bracket depth: none sits inside a bracket, so one
+        there follows a construct left open. Returns True when it stopped at
+        a unit start inside a bracket. Member and statement recovery, the
+        hot path, keep _skip_to."""
+        texts = self.texts
+        depth = 0
+        braced = False  # in a `{` opened at depth 0, which its closer ends
+        while self.i < self.n:
+            t = texts[self.i]
+            if t in _UNIT_STARTS:
+                return depth > 0
+            if depth == 0 and t in stops:
+                if t != "{":
+                    self.i += t == ";"
+                    return False
+                braced = True
+            if t in _OPENERS:
+                depth += 1
+            elif t in _CLOSERS and depth:
+                depth -= 1
+                if braced and not depth:
+                    self.i += 1
+                    return False
+            self.i += 1
+        return False
+
+    def _opaque_stmt(self, note: str) -> ast.Opaque:
         start = self.i
         self._note(note)
-        self._recover_region(stops)
+        self._recover_region()
         if self.i == start and self.i < self.n:
             self.i += 1  # guarantee progress when stuck on a stray '}'
         return ast.Opaque(start, self.i)
@@ -201,13 +231,17 @@ class _Parser:
                 t == "abstract" and self._text(1) == "contract"
             ):
                 contracts.append(self._parse_contract())
-            elif t in ("pragma", "import"):  # `import {A} from "a.sol";` holds braces
-                self._skip_to(_DIRECTIVE_STOP)
-                self._eat(";")
-            elif t in _CODE_FREE_MEMBERS:  # `using {f} for T global;` holds braces
-                self._recover_region(_DIRECTIVE_STOP if t == "using" else _TOP_LEVEL_STOP)
+            elif t in _DIRECTIVES or t in _CODE_FREE_MEMBERS:
+                # `import {A} from "a.sol";` and `using {f} for T global;` hold braces.
+                if self._recover_file_level(
+                        _DIRECTIVE_STOP if t in _DIRECTIVES else _REGION_STOP):
+                    self._note(f"unterminated '{t}' before {self.texts[self.i]!r}")
             else:
-                self._opaque_stmt("skipped unrecognized top-level construct", _TOP_LEVEL_STOP)
+                start = self.i
+                self._note("skipped unrecognized top-level construct")
+                self._recover_file_level(_REGION_STOP)
+                if self.i == start:
+                    self.i += 1  # guarantee progress when stuck on a stray '}'
         return ast.SourceUnit(contracts, self.diags, self.tokens)
 
     def _parse_contract(self) -> ast.ContractDecl:
@@ -280,25 +314,31 @@ class _Parser:
             return None
         return ast.StateVar(name, at, save, type_end)
 
-    def _parse_type(self) -> bool:
+    def _parse_type(self, named: bool = False) -> bool:
         """Consume a type and return True, or return False: a `mapping(`
-        nested _MAX_EXPR_DEPTH deep is not taken."""
+        nested _MAX_EXPR_DEPTH deep is not taken. If named, a name after the
+        type is consumed too: a mapping's key and value may be named
+        (Solidity 0.8.18)."""
         text = self.texts[self.i]
         if text == "mapping":
             if self.expr_depth >= _MAX_EXPR_DEPTH or self.texts[self.i + 1] != "(":
                 return False
             self.i += 2
             self.expr_depth += 1
-            taken = self._parse_type() and self._eat("=>") and self._parse_type()
+            taken = self._parse_type(True) and self._eat("=>") and self._parse_type(True)
             self.expr_depth -= 1
-            return taken and self._eat(")")
-        if not _is_type_start(self.kinds[self.i], text):  # the end sentinel is none
+            if not (taken and self._eat(")")):
+                return False
+        elif not _is_type_start(self.kinds[self.i], text):  # the end sentinel is none
             return False
-        self.i += 1
-        if text == "address":
-            self._eat("payable")
-        while self._text() == "[":
-            self._skip_balanced()
+        else:
+            self.i += 1
+            if text == "address":
+                self._eat("payable")
+            while self._text() == "[":
+                self._skip_balanced()
+        if named:
+            self._name()
         return True
 
     def _parse_function(self) -> ast.FunctionDecl:

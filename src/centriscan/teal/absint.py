@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import binascii
 import re
+from types import MappingProxyType
 
 from ..config import AnalyzerConfig
 from ..diagnostics import Diagnostic
@@ -101,6 +102,12 @@ class BlockFacts(Record):
         self.guard_points, self.fund_mods = {}, {}
         self.branch_guard: SenderCmp | None = None
         self.returned: AbstractValue | None = None
+
+
+# The facts of every block that abstract_exec_block skips unread: one record
+# whose maps are empty and read-only, so a skipped block costs no record.
+EMPTY_FACTS = BlockFacts()
+EMPTY_FACTS.guard_points = EMPTY_FACTS.fund_mods = MappingProxyType({})
 
 
 def _int_value(immediate: str) -> AbstractValue:
@@ -234,13 +241,13 @@ def abstract_exec_block(
     rest of the block runs bottomless.
 
     A block other than entry that holds none of `FACT_OPCODES` makes no
-    sender, no put and no returned value, so it gets empty facts unread.
+    sender, no put and no returned value, so it gets EMPTY_FACTS unread.
     """
-    facts = BlockFacts()
     opcodes = program.opcodes
     start = block.start
     if start and FACT_OPCODES.isdisjoint(opcodes[start:block.stop]):
-        return facts
+        return EMPTY_FACTS
+    facts = BlockFacts()
     immediates = program.immediates
     constants = program.constants
     effects = OPCODE_STACK_EFFECTS

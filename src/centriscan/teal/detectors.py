@@ -13,7 +13,7 @@ from ..diagnostics import Diagnostic
 from ..flow import (ASSERT_GUARD, BRANCH_GUARD, BRANCH_NOT_TAKEN, BRANCH_TAKEN, Cfg,
                     GuardednessResult, reaching)
 from ..report import Evidence, Subject
-from .absint import BlockFacts, IntConst, SenderCmp, render_value, string_literal
+from .absint import EMPTY_FACTS, BlockFacts, IntConst, SenderCmp, render_value, string_literal
 from .parser import BRANCH_OPCODES, TealProgram
 
 
@@ -48,6 +48,8 @@ def find_guard_points(
     lines = program.lines
     succeeding: list[set[int]] = []  # see _is_failure_region
     for block, block_facts in enumerate(facts):
+        if block_facts is EMPTY_FACTS:
+            continue
         for index, cmp in block_facts.guard_points.items():
             line = lines[index]
             if cmp.polarity != "eq":
@@ -147,6 +149,8 @@ def find_fund_mod_points(facts: list[BlockFacts], program: TealProgram) -> list[
     in instruction order."""
     points: list[FundModPoint] = []
     for block, block_facts in enumerate(facts):
+        if block_facts is EMPTY_FACTS:
+            continue
         for index, (opcode, key) in block_facts.fund_mods.items():
             points.append(FundModPoint(
                 block, index, program.lines[index],

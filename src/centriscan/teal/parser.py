@@ -6,7 +6,8 @@ immediates, labels and `#pragma version` lines are recorded, and unknown
 opcodes are kept with an unknown stack effect plus a note diagnostic.
 
 A program is held as parallel columns indexed by instruction number
-(`opcodes`, `immediates`, `lines`), not as one object per instruction. A
+(`opcodes`, `immediates`, `lines`), not as one object per instruction;
+`lines` is an `array('I')` of machine ints, not a list of int objects. A
 line's instruction depends only on the line's text, so each distinct
 instruction line is decoded once per parse and its repeats share one
 immediates tuple; an unknown opcode's note is built with it and added again
@@ -18,6 +19,7 @@ at the branch instructions, which `itertools.compress` picks out.
 from __future__ import annotations
 
 import re
+from array import array
 from itertools import compress
 from typing import NamedTuple
 
@@ -98,7 +100,7 @@ class TealProgram(Record):
     def __init__(self):
         self.labels, self.diagnostics = {}, []
         # Columns with one entry per instruction: str, tuple[str, ...] and int.
-        self.opcodes, self.immediates, self.lines = [], [], []
+        self.opcodes, self.immediates, self.lines = [], [], array("I")
         # (opcode, immediates) -> the value it pushes, filled by the interpreter.
         self.constants = {}
 

@@ -288,6 +288,27 @@ def test_file_level_definitions_that_hold_no_code_are_skipped_without_a_note():
                             ("skipped unrecognized top-level construct", 9, 1)]
 
 
+_VAULT = ("contract V { mapping(address => uint) bals;\n"
+          "function f(address to) public { bals[to] = 0; } }")
+
+
+def test_a_construct_left_open_ends_where_a_contract_starts():
+    # No unit start sits inside a bracket, so file-level recovery stops at
+    # one at any depth: the contract after the open construct is analyzed,
+    # and its unguarded write gives its WARNING. A definition cut short so
+    # gets one note; a free function keeps its own.
+    for opening, notes in [
+        ("error E(\n", [("unterminated 'error' before 'contract'", 2, 1)]),
+        ("function g() pure { uint x = (1; }\n",
+         [("skipped unrecognized top-level construct", 1, 1)]),
+        ('import {A from "a.sol";\n', [("unterminated 'import' before 'contract'", 2, 1)]),
+    ]:
+        findings, diagnostics = analyze_solidity_source(opening + _VAULT, "v.sol",
+                                                        AnalyzerConfig())
+        assert [(f.severity, f.line) for f in findings] == [("WARNING", 3)], opening
+        assert [(d.message, d.line, d.column) for d in diagnostics] == notes, opening
+
+
 def test_import_with_braces_is_skipped_to_its_semicolon():
     unit = parse_solidity('pragma solidity ^0.8.0;\nimport {Ownable} from "./Ownable.sol";\n'
                           "contract V is Ownable {}")

@@ -45,16 +45,27 @@ test_duplicate_names_last_wins_with_diagnostic = _case(
     "uint bals; mapping(address => uint) bals;", {"bals"}, [_DUPLICATE])
 test_a_later_declaration_that_is_no_balance_wins = _case(
     "mapping(address => uint) bals; uint bals;", set(), [_DUPLICATE])
-# Named mapping parameters (Solidity 0.8.18) are outside the subset.
-test_named_mapping_parameters_are_skipped_with_a_note = _case(
-    "mapping(address user => uint amount) bals;", set(), [_SKIPPED])
+# Named mapping parameters (Solidity 0.8.18): the rule reads past the names.
+test_named_mapping_parameters_count = _case(
+    "mapping(address user => uint amount) bals; mapping(address payable who => uint8) b;",
+    {"bals", "b"}, [])
+test_named_nested_mapping_is_excluded = _case(
+    "mapping(address => mapping(address spender => uint amount) allowed) allow;", set(), [])
+test_named_user_defined_types_are_no_balances = _case(
+    "mapping(Id user => uint amount) ids; mapping(address user => Amount amount) amounts;",
+    set(), [])
+test_a_second_name_after_a_type_is_skipped_with_a_note = _case(
+    "mapping(address user => uint amount extra) bals;", set(), [_SKIPPED])
 
 
 # Generated types: elementary and sized types, arrays of them, and mappings
-# of any of these; a mapping of a one-word key and value is often a balance
-# or near one. An array of mappings is outside the parser's grammar.
+# of any of these, whose key and value may be named; a mapping of a one-word
+# key and value is often a balance or near one. An array of mappings is
+# outside the parser's grammar.
 _UINT_BITS = "|".join(str(bits) for bits in range(8, 257, 8))
 _BALANCE = re.compile(rf"mapping\(address(?:payable)?=>uint(?:{_UINT_BITS})?\)")
+_NAMES = re.compile(r"\b(?:who|amount)\b")
+_NAME = st.sampled_from([(), ("who",), ("amount",)])
 _GAPS = re.compile(r"/\*.*?\*/|//[^\n]*\n|\s+", re.DOTALL)
 _ELEMENTARY = st.sampled_from([
     ("address",), ("address", "payable"), ("uint",), ("uint8",), ("uint256",), ("uint7",),
@@ -66,13 +77,14 @@ _PLAIN = st.recursive(
     .map(lambda parts: parts[0] + parts[1]),
     max_leaves=3)
 _SIMPLE_MAPPINGS = st.tuples(
-    st.sampled_from([("address",), ("address", "payable"), ("uint",), ("IERC20",)]),
+    st.sampled_from([("address",), ("address", "payable"), ("uint",), ("IERC20",)]), _NAME,
     st.sampled_from([("uint",), ("uint8",), ("uint256",), ("uint7",), ("int",), ("uint", "[", "]")]),
-).map(lambda kv: ("mapping", "(", *kv[0], "=>", *kv[1], ")"))
+    _NAME,
+).map(lambda kv: ("mapping", "(", *kv[0], *kv[1], "=>", *kv[2], *kv[3], ")"))
 _TYPES = st.recursive(
     st.one_of(_PLAIN, _SIMPLE_MAPPINGS),
-    lambda inner: st.tuples(inner, inner)
-    .map(lambda kv: ("mapping", "(", *kv[0], "=>", *kv[1], ")")),
+    lambda inner: st.tuples(inner, _NAME, inner, _NAME)
+    .map(lambda kv: ("mapping", "(", *kv[0], *kv[1], "=>", *kv[2], *kv[3], ")")),
     max_leaves=5)
 _GAP = st.sampled_from(["", " ", "\n", "\t", "\r\n  ", "/* c */", " // x\n"])
 
@@ -94,6 +106,7 @@ def _declared_types(draw) -> str:
                                                   "override(A, B)"]))
 @example("mapping(address payable=>uint)", "", "")
 @example("mapping(address=>uint264)", " ", "public")
+@example("mapping(address who=>uint amount)", "", "")
 @settings(max_examples=300, deadline=None)
 def test_the_balance_rule_reads_the_tokens_of_the_declared_type(declared, gap, keywords):
     unit = parse_solidity("contract C { " + declared + " " + gap + keywords + " v; }")
@@ -101,4 +114,4 @@ def test_the_balance_rule_reads_the_tokens_of_the_declared_type(declared, gap, k
     ((var,),) = [contract.state_vars for contract in unit.contracts]
     assert unit.tokens.text(var.type_at, var.type_end) == declared
     balances = collect_state_vars(unit.contracts[0], unit.tokens, [])
-    assert ("v" in balances) == bool(_BALANCE.fullmatch(_GAPS.sub("", declared)))
+    assert ("v" in balances) == bool(_BALANCE.fullmatch(_GAPS.sub("", _NAMES.sub("", declared))))

@@ -1,12 +1,16 @@
 """Guard points, fund points, and guardedness decisions over the CFG."""
 
+import gc
 import random
 import re
 import time
+import tracemalloc
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from centriscan import engine
 from centriscan.config import AnalyzerConfig
 from centriscan.engine import analyze_teal_source
 from centriscan.flow import (
@@ -16,7 +20,13 @@ from centriscan.flow import (
     BRANCH_TAKEN,
     compute_guardedness,
 )
-from centriscan.teal.absint import UNKNOWN, BlockFacts, IntConst, abstract_exec_block
+from centriscan.teal.absint import (
+    EMPTY_FACTS,
+    UNKNOWN,
+    BlockFacts,
+    IntConst,
+    abstract_exec_block,
+)
 from centriscan.teal.cfg import build_cfg
 from centriscan.teal.detectors import _is_failure_region, find_fund_mod_points, find_guard_points
 from centriscan.teal.parser import TealProgram, parse_teal
@@ -179,6 +189,95 @@ def test_creator_router_with_fall_through_fail_targets_is_analysed_in_linear_tim
     assert {d.message for d in diagnostics} == {
         "sender comparison branch does not gate a failure path"}
     assert elapsed < 2.0, f"took {elapsed:.3f}s"
+
+
+# Handler shapes of a PyTeal-style router: a branch-guarded and an
+# assert-guarded balance put, an unguarded one, a guarded plain put,
+# arithmetic filler, an inner payment (unknown opcodes) and a guarded call
+# into a subroutine that writes a balance.
+_ROUTER_SHAPES = (
+    'byte "owner"\napp_global_get\ntxn Sender\n==\nbz fail\n'
+    'byte "balance"\ntxna ApplicationArgs 1\nbtoi\napp_global_put',
+    'byte "admin"\napp_global_get\ntxn Sender\n==\nassert\n'
+    'txn Sender\nbyte "MyBalance"\nint {k}\napp_local_put',
+    'txn Sender\nbyte "UserBalance"\nint {k}\napp_local_put',
+    'byte "manager"\napp_global_get\ntxn Sender\n==\nassert\nbyte "paused"\nint 1\napp_global_put',
+    'txna ApplicationArgs 1\nbtoi\nint {k}\n*\nstore 0\nload 0\nint 7\n+\nstore 1\n'
+    'byte "counter"\nload 1\napp_global_put',
+    'itxn_begin\nint pay\nitxn_field TypeEnum\ntxn Sender\nitxn_field Receiver\n'
+    'int {k}\nitxn_field Amount\nitxn_submit',
+    'byte "creator"\napp_global_get\ntxn Sender\n==\nassert\ncallsub credit_{k}',
+)
+
+
+def _pyteal_router(n: int) -> str:
+    """n handlers behind a dispatch on the method selector, the shapes in turn."""
+    dispatch = "".join(f'txna ApplicationArgs 0\nmethod "h{k}(uint64)void"\n==\nbnz h{k}\n'
+                       for k in range(n))
+    handlers = "".join(f"h{k}:\n{_ROUTER_SHAPES[k % len(_ROUTER_SHAPES)].format(k=k)}\n"
+                       "int 1\nreturn\n" for k in range(n))
+    subroutines = "".join(f'credit_{k}:\nbyte "lpBalance"\nint {k}\napp_global_put\nretsub\n'
+                          for k in range(len(_ROUTER_SHAPES) - 1, n, len(_ROUTER_SHAPES)))
+    return f"#pragma version 8\n{dispatch}err\n{handlers}fail:\nerr\n{subroutines}"
+
+
+def test_router_analysis_peak_memory_per_source_character():
+    # The peak holds the program's columns (`lines` an array of machine
+    # ints), one facts record per block that the interpreter reads (the
+    # others share EMPTY_FACTS) and the points; the columns and the facts go
+    # before the flow query. About 13 bytes per character on Python
+    # 3.10-3.13; with a list of int objects for `lines`, a record per block
+    # and the columns held to the end, about 19.
+    source = _pyteal_router(2_000)
+    analyze_teal_source(source, "router.teal", CONFIG)  # loads the back end
+    tracemalloc.start()
+    try:
+        findings, _ = analyze_teal_source(source, "router.teal", CONFIG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(findings) == 858
+    assert peak / len(source) < 16, f"{peak / len(source):.1f} bytes per character"
+
+
+def test_the_program_and_the_facts_are_freed_before_the_flow_query(monkeypatch):
+    # The flow query and the subjects read only the CFG and the points.
+    made = set()
+
+    def keep_id(stage):
+        def run(*args):
+            result = stage(*args)
+            if result is not EMPTY_FACTS:
+                made.add(id(result))
+            return result
+        return run
+
+    alive = []
+
+    def flow(*args):
+        alive.extend(o for o in gc.get_objects()
+                     if isinstance(o, (TealProgram, BlockFacts)) and id(o) in made)
+        return compute_guardedness(*args)
+
+    monkeypatch.setattr(engine, "parse_teal", keep_id(parse_teal))
+    monkeypatch.setattr(engine, "abstract_exec_block", keep_id(abstract_exec_block))
+    monkeypatch.setattr(engine, "compute_guardedness", flow)
+    findings, _ = analyze_teal_source(_pyteal_router(14), "router.teal", CONFIG)
+    assert len(made) > 1 and len(findings) == 6
+    assert alive == []
+
+
+def test_a_router_scan_leaves_the_shared_empty_facts_empty():
+    source = _pyteal_router(70)
+    program = parse_teal(source)
+    facts = [abstract_exec_block(b, program, CONFIG, []) for b in build_cfg(program).blocks]
+    assert any(f is EMPTY_FACTS for f in facts) and any(f is not EMPTY_FACTS for f in facts)
+    analyze_teal_source(source, "router.teal", CONFIG)
+    assert EMPTY_FACTS == BlockFacts()
+    assert not EMPTY_FACTS.guard_points and not EMPTY_FACTS.fund_mods
+    for facts_map in (EMPTY_FACTS.guard_points, EMPTY_FACTS.fund_mods):
+        with pytest.raises(TypeError):
+            facts_map[0] = None
 
 
 def test_bnz_with_neq_polarity_orients_fail_edge_to_fallthrough():

@@ -9,7 +9,7 @@ from oracle import reference_parse_teal
 
 
 def _columns(program: TealProgram):
-    return program.opcodes, program.immediates, program.lines
+    return program.opcodes, program.immediates, list(program.lines)
 
 
 def test_empty_program():
@@ -21,7 +21,8 @@ def test_assert_pattern_five_lines():
     program = parse_teal('byte "manager"\napp_global_get\ntxn Sender\n==\nassert\n')
     assert program.opcodes == ["byte", "app_global_get", "txn", "==", "assert"]
     assert program.immediates == [('"manager"',), (), ("Sender",), (), ()]
-    assert program.lines == [1, 2, 3, 4, 5]
+    assert list(program.lines) == [1, 2, 3, 4, 5]
+    assert program.lines.typecode == "I"  # machine ints, not int objects
     assert all(op in OPCODE_STACK_EFFECTS for op in program.opcodes)
 
 
@@ -160,7 +161,7 @@ def test_repeated_source_parses_as_twice_the_columns(lines):
     offset = len(lines)
     assert twice.opcodes == once.opcodes * 2
     assert twice.immediates == once.immediates * 2
-    assert twice.lines == once.lines + [line + offset for line in once.lines]
+    assert list(twice.lines) == list(once.lines) + [line + offset for line in once.lines]
 
     def notes(program):
         # A branch in the first copy may target a label of the second.
