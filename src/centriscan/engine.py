@@ -18,6 +18,11 @@ from .diagnostics import Diagnostic
 from .report import (DIAGNOSTIC_ORDER, FINDING_ORDER, Finding, ScanReport, build_report,
                      classify, stream_report)
 
+# build_report is exported for callers that assemble a report from lists of their own.
+__all__ = ["SOLIDITY_EXT", "TEAL_EXT", "discover_files", "analyze_solidity_source",
+           "analyze_teal_source", "scan_stream", "scan_files", "scan_paths", "stream_paths",
+           "build_report"]
+
 SOLIDITY_EXT = ".sol"
 TEAL_EXT = ".teal"
 
@@ -159,15 +164,11 @@ def scan_stream(
 
 
 def scan_files(files: list[str], config: AnalyzerConfig) -> ScanReport:
-    """Analyze already-discovered files and assemble the report."""
-    findings: list[Finding] = []
-    diagnostics: list[Diagnostic] = []
-    scanned = 0
-    for file_findings, file_diags, was_scanned in scan_stream(files, config):
-        findings += file_findings
-        diagnostics += file_diags
-        scanned += was_scanned
-    return build_report(findings, diagnostics, scanned, config, __version__)
+    """Analyze already-discovered files into a report whose findings are a
+    list. The stream is in report order already, so nothing is sorted."""
+    report = stream_report(scan_stream(files, config), config, __version__)
+    report.findings = list(report.findings)
+    return report
 
 
 def scan_paths(paths: list[str], config: AnalyzerConfig) -> ScanReport:

@@ -87,7 +87,7 @@ class Revert(Stmt):
 
 
 class Return(Stmt):
-    __slots__ = ()
+    __slots__ = ("value",)  # the returned expression, or None
 
 
 class Placeholder(Stmt):

@@ -124,6 +124,8 @@ def find_fund_modifications(
                 _scan_call_sites(stmt.expr, stmt, at, tokens, sites)
             elif cls is ast.Require or cls is ast.If:
                 _scan_call_sites(stmt.condition, stmt, at, tokens, sites)
+            elif cls is ast.Return and stmt.value is not None:
+                _scan_call_sites(stmt.value, stmt, at, tokens, sites)
     sites.sort(key=_site_position)
     return sites
 

@@ -4,6 +4,9 @@ Never raises on any token stream: constructs outside the subset are
 absorbed into Opaque nodes via brace/semicolon-matched recovery, each with
 a note-level diagnostic, so downstream detectors see a best-effort AST.
 Comments never reach the parser: the tokenizer skips them like whitespace.
+No unit start (`contract`, `interface`, `library`, `abstract`) sits inside
+a construct, so every skip ends before one at any bracket depth and only
+parse_unit consumes one: whatever is left open, the next contract is parsed.
 """
 
 from __future__ import annotations
@@ -27,25 +30,28 @@ _UNARY_OPS = frozenset({"!", "-", "~", "+", "++", "--", "delete", "new"})
 _STEP_OPS = frozenset({"++", "--"})
 _WRITE_PREFIXES = _STEP_OPS | {"delete"}
 _WRITABLE = frozenset({ast.Identifier, ast.Member, ast.Index})
-_EXPR_STOP = frozenset({";", ")", "]", "}", ",", "{"})
 _NUMBER_UNITS = frozenset({
     "wei", "gwei", "ether", "szabo", "finney",
     "seconds", "minutes", "hours", "days", "weeks", "years",
 })
-_OPAQUE_EXPR_STOP = _EXPR_STOP - {"{"}
 _OPENERS = frozenset("([{")
 _CLOSERS = frozenset(")]}")
-_REGION_STOP = frozenset({";", "{", "}"})
-# A contract, interface or library may start after any broken top-level
-# construct; recovery stops before it, at any bracket depth, so the unit is
-# still parsed.
+# The keywords that start a contract, interface or library: every skip
+# stops before one (see the module docstring).
 _UNIT_STARTS = frozenset({"contract", "interface", "library", "abstract"})
+_EXPR_STOP = frozenset({";", ")", "]", "}", ",", "{"}) | _UNIT_STARTS
+_OPAQUE_EXPR_STOP = _EXPR_STOP - {"{"}
+_REGION_STOP = frozenset({";", "{", "}"})
+_BLOCK_END = _UNIT_STARTS | {"}"}
 # File-level directives, which end at their `;`.
 _DIRECTIVES = frozenset({"pragma", "import", "using"})
 _DIRECTIVE_STOP = frozenset({";"})
 _INITIALIZER_STOP = frozenset({";", "}"})
 _REQUIRE_MESSAGE_STOP = frozenset({")"})
 _BODY_STOP = frozenset({"{", "}"})
+# The tokens _skip_to looks at: the brackets, the unit starts, `;` and `,`.
+# Every stop set it is given is made of them.
+_MARKS = _EXPR_STOP | _OPENERS
 
 # The keywords that open a declaration with a body, and those followed by a name.
 _DECLARATION_KEYWORDS = frozenset({"function", "modifier", "constructor", "fallback", "receive"})
@@ -143,6 +149,12 @@ class _Parser:
         if not self._eat(text):
             self._note(f"expected '{text}' in {context}")
 
+    def _close(self, what: str) -> None:
+        """Consume the `}` that ends what, or note that what is left open."""
+        if not self._eat("}"):
+            where = "at end of input" if self.i == self.n else f"before {self.texts[self.i]!r}"
+            self._note(f"unterminated {what} {where}")
+
     def _note(self, message: str) -> None:
         # Past the end of input a note sits on the last token.
         i = min(self.i, self.n - 1)
@@ -151,74 +163,56 @@ class _Parser:
 
     # --- recovery --------------------------------------------------------
 
-    def _skip_balanced(self) -> None:
-        """Consume a bracketed region starting at the current opener."""
+    def _skip_balanced(self) -> bool:
+        """Consume a bracketed region from the current opener through its
+        closer, or up to a unit start or the end; return whether it closed."""
         self.i += 1
         self._skip_to(_CLOSERS)
-        if self.i < self.n:
-            self.i += 1
+        reached = self.texts[self.i] in _CLOSERS
+        self.i += reached
+        return reached
 
-    def _skip_to(self, stops: frozenset[str]) -> None:
-        """Advance to the first token in stops at bracket depth 0, or to the
-        end. All three bracket kinds count toward depth; an unmatched closer
-        that is not a stop is stepped over."""
+    def _skip_to(self, stops: frozenset[str]) -> int:
+        """Advance to the first token in stops at bracket depth 0, to a unit
+        start at any depth, or to the end; return the depth there. All three
+        bracket kinds count toward depth; an unmatched closer that is not a
+        stop is stepped over. Every token in stops must be in _MARKS."""
         texts = self.texts
+        marks = _MARKS
+        i, n = self.i, self.n
         depth = 0
-        while self.i < self.n:
-            t = texts[self.i]
-            if depth == 0 and t in stops:
-                return
-            if t in _OPENERS:
-                depth += 1
-            elif t in _CLOSERS and depth:
-                depth -= 1
-            self.i += 1
+        while i < n:
+            t = texts[i]
+            if t in marks:
+                if t in _UNIT_STARTS or not depth and t in stops:
+                    break
+                if t in _OPENERS:
+                    depth += 1
+                elif depth and t in _CLOSERS:
+                    depth -= 1
+            i += 1
+        self.i = i
+        return depth
 
-    def _recover_region(self, stops: frozenset[str] = _REGION_STOP) -> None:
+    def _recover_region(self, stops: frozenset[str] = _REGION_STOP) -> bool:
         """Skip to a statement/member boundary: a `;` at depth 0, a balanced
-        `{...}` opened at depth 0, or an unmatched `}` or other stop (left
-        unconsumed)."""
-        self._skip_to(stops)
+        `{...}` opened at depth 0, or an unmatched `}`, other stop or unit
+        start (left unconsumed). Returns True when a unit start cut it short
+        inside a bracket."""
+        depth = self._skip_to(stops)
         t = self.texts[self.i]
         if t == ";":
             self.i += 1
-        elif t == "{":
-            self._skip_balanced()
-
-    def _recover_file_level(self, stops: frozenset[str]) -> bool:
-        """_recover_region for a file-level construct, which also stops before
-        a unit start at any bracket depth: none sits inside a bracket, so one
-        there follows a construct left open. Returns True when it stopped at
-        a unit start inside a bracket. Member and statement recovery, the
-        hot path, keep _skip_to."""
-        texts = self.texts
-        depth = 0
-        braced = False  # in a `{` opened at depth 0, which its closer ends
-        while self.i < self.n:
-            t = texts[self.i]
-            if t in _UNIT_STARTS:
-                return depth > 0
-            if depth == 0 and t in stops:
-                if t != "{":
-                    self.i += t == ";"
-                    return False
-                braced = True
-            if t in _OPENERS:
-                depth += 1
-            elif t in _CLOSERS and depth:
-                depth -= 1
-                if braced and not depth:
-                    self.i += 1
-                    return False
-            self.i += 1
-        return False
+        elif t == "{" and not self._skip_balanced():
+            depth = 1  # cut short inside the braces
+        return depth > 0 and self.i < self.n
 
     def _opaque_stmt(self, note: str) -> ast.Opaque:
         start = self.i
         self._note(note)
         self._recover_region()
         if self.i == start and self.i < self.n:
-            self.i += 1  # guarantee progress when stuck on a stray '}'
+            self.i += 1  # guarantee progress when stuck on a stray '}' or 'abstract'
         return ast.Opaque(start, self.i)
 
     # --- source unit -----------------------------------------------------
@@ -233,15 +227,10 @@ class _Parser:
                 contracts.append(self._parse_contract())
             elif t in _DIRECTIVES or t in _CODE_FREE_MEMBERS:
                 # `import {A} from "a.sol";` and `using {f} for T global;` hold braces.
-                if self._recover_file_level(
-                        _DIRECTIVE_STOP if t in _DIRECTIVES else _REGION_STOP):
+                if self._recover_region(_DIRECTIVE_STOP if t in _DIRECTIVES else _REGION_STOP):
                     self._note(f"unterminated '{t}' before {self.texts[self.i]!r}")
             else:
-                start = self.i
-                self._note("skipped unrecognized top-level construct")
-                self._recover_file_level(_REGION_STOP)
-                if self.i == start:
-                    self.i += 1  # guarantee progress when stuck on a stray '}'
+                self._opaque_stmt("skipped unrecognized top-level construct")
         return ast.SourceUnit(contracts, self.diags, self.tokens)
 
     def _parse_contract(self) -> ast.ContractDecl:
@@ -263,16 +252,9 @@ class _Parser:
         if not self._eat("{"):
             self._note("contract body not found")
             return contract
-        closed = False
-        # The next unit's keyword is left to parse_unit, as the header loop does.
-        while self.i < self.n and self.texts[self.i] not in _UNIT_STARTS:
-            if self._eat("}"):
-                closed = True
-                break
+        while self.i < self.n and self.texts[self.i] not in _BLOCK_END:
             self._parse_member(contract)
-        if not closed:
-            where = "at end of input" if self.i == self.n else f"before {self.texts[self.i]!r}"
-            self._note(f"unterminated contract '{name}' {where}")
+        self._close(f"contract '{name}'")
         return contract
 
     # --- contract members -------------------------------------------------
@@ -348,7 +330,8 @@ class _Parser:
         keyword = self.texts[kw]
         self.i += 1
         name = ""
-        if keyword in _NAMED_DECLARATIONS and self.kinds[self.i] in ("identifier", "keyword"):
+        if keyword in _NAMED_DECLARATIONS and self.kinds[self.i] in ("identifier", "keyword") \
+                and self.texts[self.i] not in _UNIT_STARTS:
             name = self.texts[self.i]
             self.i += 1
         elif keyword == "modifier":
@@ -365,18 +348,13 @@ class _Parser:
             if t == ";":
                 self.i += 1
                 break
-            if t == "}" or t in _UNIT_STARTS:
+            if t in _BLOCK_END:
                 # The enclosing contract ends here, or the next one starts.
                 self._note(f"function header ended by {t!r} before a body")
                 break
-            if t == "returns":
+            if t in _FN_HEADER_KEYWORDS or t == "returns":
                 self.i += 1
-                if self._text() == "(":
-                    self._skip_balanced()
-                continue
-            if t in _FN_HEADER_KEYWORDS:
-                self.i += 1
-                if t == "override" and self._text() == "(":
+                if (t == "returns" or t == "override") and self._text() == "(":
                     self._skip_balanced()
                 continue
             if self.kinds[self.i] == "identifier":
@@ -394,14 +372,14 @@ class _Parser:
         self._expect("{", "block")
         stmts: list[ast.Stmt] = []
         texts = self.texts
-        while self.i < self.n and texts[self.i] != "}":
+        while self.i < self.n and texts[self.i] not in _BLOCK_END:
             self._parse_statement(stmts)
-        if not self._eat("}"):
-            self._note("unterminated block at end of input")
+        self._close("block")
         return stmts
 
     def _parse_statement(self, out: list[ast.Stmt]) -> None:
-        """Parse one statement into out; a nested block adds its statements."""
+        """Parse one statement into out; a nested block adds its statements.
+        Never called at a unit start, which is parse_unit's."""
         if self.stmt_depth >= _MAX_STMT_DEPTH:
             out.append(self._opaque_stmt("statement nesting too deep"))
             return
@@ -431,8 +409,7 @@ class _Parser:
                     out.append(ast.Revert(i, self.i))
                     return
                 elif t == "return":
-                    self._recover_region()
-                    out.append(ast.Return(i, self.i))
+                    out.append(self._parse_return())
                     return
                 elif t == "_":
                     if self.texts[i + 1] == ";":
@@ -467,6 +444,18 @@ class _Parser:
             self._note(f"missing ';' after {keyword}")
         return ast.Require(start, self.i, condition)
 
+    def _parse_return(self) -> ast.Return:
+        """`return;` or `return e;`. A value that does not parse up to its
+        `;`, such as a tuple, is skipped as a region, without a note."""
+        start, notes = self.i, len(self.diags)
+        self.i += 1
+        value = None if self._text() == ";" else self._parse_expr()
+        if not self._eat(";"):
+            del self.diags[notes:]
+            self.i, value = start, None
+            self._recover_region()
+        return ast.Return(start, self.i, value)
+
     def _parse_if(self) -> ast.Stmt:
         start = self.i
         self.i += 1
@@ -480,10 +469,12 @@ class _Parser:
         return ast.If(start, self.i, condition, then_body, else_body)
 
     def _parse_branch(self) -> list[ast.Stmt]:
-        if self._text() == "{":
+        t = self._text()
+        if t == "{":
             return self._parse_block()
         body: list[ast.Stmt] = []
-        self._parse_statement(body)
+        if t not in _UNIT_STARTS:
+            self._parse_statement(body)
         return body
 
     def _parse_expression_statement(self) -> ast.Stmt:
@@ -623,10 +614,11 @@ class _Parser:
         while True:
             t = texts[self.i]
             if t == ".":
-                if self.kinds[self.i + 1] not in ("identifier", "keyword"):
+                kind = self.kinds[self.i + 1]
+                member = texts[self.i + 1]
+                if kind != "identifier" and (kind != "keyword" or member in _UNIT_STARTS):
                     self.i += 1
                     return ast.OpaqueExpr(i, self.i)
-                member = texts[self.i + 1]
                 self.i += 2
                 if isinstance(expr, ast.Identifier) and expr.name == "msg" and member == "sender":
                     expr = ast.MsgSender(i, self.i)

@@ -143,8 +143,8 @@ _ROWS = [
            + "address impl;\nfunction exec(bytes memory data) public { impl.staticcall(data); }\n}\n",
            []),
     # Item 13: ordinary statements that hide a fund move.
-    _miss(13, "return-send", _payout("return to.send(1);", " returns (bool)"),
-          [(*WARNING, 3)]),
+    _holds(13, "return-send", _payout("return to.send(1);", " returns (bool)"),
+           [(*WARNING, 3)]),
     _holds(13, "send-statement", _payout("to.send(1);"), [(*WARNING, 3)]),
     _miss(13, "tuple-value-call",
           _payout('(bool ok, ) = to.call{value: 1}("");'), [(*WARNING, 3)]),

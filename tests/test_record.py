@@ -25,7 +25,7 @@ SOURCE = "contract C { address owner; function f() public { require(msg.sender =
 
 
 def test_nodes_of_different_classes_with_equal_fields_differ():
-    assert ast.Revert(3, 4) != ast.Return(3, 4)
+    assert ast.Revert(3, 4) != ast.Placeholder(3, 4)
     assert ast.Opaque(3, 4) != ast.OpaqueExpr(3, 4)
     assert ast.Revert(3, 4) != (3, 4)
     assert ast.Revert(3, 4) == ast.Revert(3, 4)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from centriscan.config import AnalyzerConfig
 from centriscan.engine import analyze_solidity_source
-from centriscan.solidity import ast
+from centriscan.solidity import ast, parser
 from centriscan.solidity.parser import parse_solidity
 from centriscan.solidity.tokens import tokenize
 
@@ -293,20 +293,46 @@ _VAULT = ("contract V { mapping(address => uint) bals;\n"
 
 
 def test_a_construct_left_open_ends_where_a_contract_starts():
-    # No unit start sits inside a bracket, so file-level recovery stops at
-    # one at any depth: the contract after the open construct is analyzed,
-    # and its unguarded write gives its WARNING. A definition cut short so
-    # gets one note; a free function keeps its own.
+    # No unit start sits inside a construct, so every recovery stops at one,
+    # at any bracket depth, and only the file level consumes it: the
+    # contract after the open construct is analyzed, and its unguarded
+    # write gives its WARNING. A definition cut short so gets one note; a
+    # free function keeps its own. In a contract, each level left open
+    # (expression, statement, block, header, member) keeps its own notes.
+    unterminated_a = ("unterminated contract 'A' before 'contract'", 2, 1)
+    unterminated_block = ("unterminated block before 'contract'", 2, 1)
+    header_ended = ("function header ended by 'contract' before a body", 2, 1)
+    skipped_member = ("skipped unrecognized contract member", 1, 14)
     for opening, notes in [
         ("error E(\n", [("unterminated 'error' before 'contract'", 2, 1)]),
         ("function g() pure { uint x = (1; }\n",
          [("skipped unrecognized top-level construct", 1, 1)]),
         ('import {A from "a.sol";\n', [("unterminated 'import' before 'contract'", 2, 1)]),
+        ("contract A { function g() public { if (x) { y = 1; }\n",
+         [unterminated_block, unterminated_a]),
+        ("contract A { uint[] x = [1, 2;\n", [skipped_member, unterminated_a]),
+        ("contract A { function g(uint a public {}\n", [header_ended, unterminated_a]),
+        ("contract A { mapping(address => uint x;\n", [skipped_member, unterminated_a]),
+        ("contract A { function g() public { x = \n",
+         [("missing ';' after assignment", 2, 1), unterminated_block, unterminated_a]),
+        ("contract A { function g() public { if (x) \n", [unterminated_block, unterminated_a]),
+        ("contract A { function\n", [header_ended, unterminated_a]),
+        ("contract A { function f() public { require(owner == msg.\n",
+         [("expected ')' in require", 2, 1), ("missing ';' after require", 2, 1),
+          unterminated_block, unterminated_a]),
     ]:
         findings, diagnostics = analyze_solidity_source(opening + _VAULT, "v.sol",
                                                         AnalyzerConfig())
         assert [(f.severity, f.line) for f in findings] == [("WARNING", 3)], opening
         assert [(d.message, d.line, d.column) for d in diagnostics] == notes, opening
+
+
+def test_every_stop_set_is_made_of_marks():
+    # _skip_to looks only at tokens in _MARKS, so a stop outside it would
+    # never end a skip.
+    stops = [value for name, value in vars(parser).items() if name.endswith("_STOP")]
+    assert len(stops) >= 6 and all(value <= parser._MARKS for value in stops)
+    assert parser._CLOSERS <= parser._MARKS and parser._UNIT_STARTS <= parser._MARKS
 
 
 def test_import_with_braces_is_skipped_to_its_semicolon():
@@ -505,7 +531,10 @@ SUBSET_TREES = {
         ast.Call(0, 0, _call(ast.Member(0, 0, _id("to"), "transfer"), _id("amount"))),
     "selfdestruct(beneficiary);":
         ast.Call(0, 0, _call(_id("selfdestruct"), _id("beneficiary"))),
-    "return;": ast.Return(0, 0),
+    "return;": ast.Return(0, 0, None),
+    "return bals[to];": ast.Return(0, 0, _index(_id("bals"), _id("to"))),
+    "return to.send(1);":
+        ast.Return(0, 0, _call(ast.Member(0, 0, _id("to"), "send"), _ONE)),
     "revert;": ast.Revert(0, 0),
     "_;": ast.Placeholder(0, 0),
 }
@@ -515,6 +544,18 @@ def test_subset_statement_trees():
     for stmt_src, expected in SUBSET_TREES.items():
         parsed, tokens = parse_function(stmt_src)
         assert ast_equal(parsed, [expected], tokens, _ONE_TOKENS), (stmt_src, parsed)
+
+
+def test_a_return_value_that_does_not_parse_to_its_semicolon_is_skipped_quietly():
+    # A tuple is no expression of the subset: the return keeps its whole
+    # span and holds no value, and the trial parse of the value leaves no note.
+    unit = parse_solidity("contract C { function f() public returns (uint, uint) "
+                          "{ return (a, b); x = 1; } }")
+    ret, assign = unit.contracts[0].functions[0].body
+    assert type(ret) is ast.Return and ret.value is None
+    assert unit.tokens.text(ret.at, ret.end) == "return (a, b);"
+    assert type(assign) is ast.Assign
+    assert unit.diagnostics == []
 
 
 def test_a_run_of_bangs_parses_to_negations_by_parity():
