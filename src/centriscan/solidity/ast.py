@@ -11,8 +11,10 @@ and comments) between its tokens included. A declaration's `at` is the
 index of its keyword token (of its name token for a state variable), so
 `tokens.position(decl.at)` gives its line and column. A modifier is a
 FunctionDecl like a function: `ContractDecl.modifiers` and `.functions` hold
-the same record. Anything outside the subset is preserved as Opaque spans;
-detectors never look inside those.
+the same record. An assignment, and a step (`delete x`, `++x`, `x--`)
+wherever it sits, is an Assign expression, held by an ExprStmt at statement
+level; every binary operator is a Binary. Anything outside the subset is
+preserved as Opaque spans; detectors never look inside those.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ class Index(Expr):
 
 
 class Binary(Expr):
-    __slots__ = ("op", "lhs", "rhs")  # op: == != && ||; others parse to OpaqueExpr
+    __slots__ = ("op", "lhs", "rhs")  # op: any binary operator
 
 
 class Not(Expr):
@@ -52,6 +54,12 @@ class Not(Expr):
 
 class CallExpr(Expr):
     __slots__ = ("callee", "args", "options")  # options: a `{value: x}` OpaqueExpr, or None
+
+
+class Assign(Expr):
+    """`lvalue op= rvalue`, and `delete x`, `++x` or `x--`, whose rvalue is
+    the opaque operator token."""
+    __slots__ = ("lvalue", "rvalue")
 
 
 class OpaqueExpr(Expr):
@@ -72,13 +80,8 @@ class If(Stmt):
     __slots__ = ("condition", "then_body", "else_body")
 
 
-class Assign(Stmt):
-    """`lvalue op= rvalue;`, and `delete x;`, `++x;` or `x--;`, whose rvalue
-    is the opaque operator token."""
-    __slots__ = ("lvalue", "rvalue")
-
-
-class Call(Stmt):
+class ExprStmt(Stmt):
+    """An assignment, a step or a call, and its `;`."""
     __slots__ = ("expr",)
 
 

@@ -1,10 +1,11 @@
 """Pattern detectors over the Solidity AST.
 
-Finds sender guards (modifier / require / if forms) and fund-modifying
-statements (balance-mapping writes, native transfers, selfdestruct), then
-pairs them per function into the subjects the risk engine grades. AST nodes
-hold token spans; a detector reads a site's line, column and text from the
-tokens only when it finds the site, into the report Evidence it returns.
+Finds sender guards (modifier / require / if forms) and fund moves
+(balance-mapping writes, native transfers, selfdestruct) anywhere in a
+statement's expression, then pairs them per function into the subjects the
+risk engine grades. AST nodes hold token spans; a detector reads a site's
+line, column and text from the tokens only when it finds the site, into the
+report Evidence it returns.
 """
 
 from __future__ import annotations
@@ -18,6 +19,12 @@ from . import ast
 from .tokens import Tokens
 
 _BY_POSITION = attrgetter("line", "column")
+# Nodes that hold no other node: most of those an expression walk meets.
+_LEAVES = frozenset({ast.Identifier, ast.OpaqueExpr, ast.MsgSender})
+# The field holding each kind of statement's one expression; a `return;`
+# holds None, which the walk passes over.
+_STMT_EXPR = {ast.ExprStmt: "expr", ast.Require: "condition", ast.If: "condition",
+              ast.Return: "value"}
 
 
 def _site_position(site: tuple[int, Evidence]) -> tuple[int, int]:
@@ -58,7 +65,7 @@ def _sender_comparison(expr: ast.Expr) -> str | None:
             stack.append((node.lhs, negated))
             stack.append((node.rhs, negated))
         # Only `msg.sender` is the sender; `tx.origin` is not.
-        elif _is_sender(node.lhs) != _is_sender(node.rhs):
+        elif node.op in ("==", "!=") and _is_sender(node.lhs) != _is_sender(node.rhs):
             if (node.op == "==") != negated:
                 return "eq"
             found = "neq"
@@ -104,52 +111,54 @@ def find_fund_modifications(
     balances: frozenset[str],
 ) -> list[tuple[int, Evidence]]:
     """The `at` of the enclosing function and the fund Evidence of each
-    fund-modifying statement in any function body, sorted by position;
+    fund-modifying write or call in any function body, sorted by position;
     ``tokens`` are those the contract was parsed from, and ``balances`` the
-    names of its balance mappings. A write to one is fund-modifying when it
-    is one level deep: `bals[to] = 0`, not `allowed[a][b] = 0`."""
+    names of its balance mappings."""
     sites: list[tuple[int, Evidence]] = []
     for function in contract.functions:
-        at = function.at
         for stmt in _statements(function.body):
-            cls = type(stmt)
-            if cls is ast.Assign:
-                lvalue = stmt.lvalue
-                if type(lvalue) is ast.Index and type(lvalue.base) is ast.Identifier \
-                        and lvalue.base.name in balances:
-                    sites.append((at, _evidence("fund_modification", tokens, stmt.at, stmt)))
-                _scan_call_sites(stmt.rvalue, stmt, at, tokens, sites)
-                _scan_call_sites(stmt.lvalue, stmt, at, tokens, sites)
-            elif cls is ast.Call:
-                _scan_call_sites(stmt.expr, stmt, at, tokens, sites)
-            elif cls is ast.Require or cls is ast.If:
-                _scan_call_sites(stmt.condition, stmt, at, tokens, sites)
-            elif cls is ast.Return and stmt.value is not None:
-                _scan_call_sites(stmt.value, stmt, at, tokens, sites)
+            field = _STMT_EXPR.get(type(stmt))
+            if field is not None:
+                _scan_expr(getattr(stmt, field), stmt, function.at, tokens, balances, sites)
     sites.sort(key=_site_position)
     return sites
 
 
-# The walks dispatch on the exact node type, which matches isinstance
-# because no AST class subclasses another.
-def _scan_call_sites(
+# The walk dispatches on the exact node type, which matches isinstance
+# because no concrete AST class subclasses another.
+def _scan_expr(
     expr: ast.Expr,
     stmt: ast.Stmt,
     enclosing_at: int,
     tokens: Tokens,
+    balances: frozenset[str],
     sites: list[tuple[int, Evidence]],
 ) -> None:
+    """Add a site for each fund move in expr, at its write or call, with
+    stmt as its text. A write to a balance mapping is one when it is one
+    level deep: `bals[to] = 0`, not `allowed[a][b] = 0`. The walk keeps its
+    own stack: an assignment chain nests as deep as it is long."""
     stack = [expr]
     push = stack.append
     while stack:
         node = stack.pop()
         cls = type(node)
+        if cls in _LEAVES:
+            continue
         if cls is ast.CallExpr:
             if _moves_funds(node, tokens):
                 sites.append((enclosing_at,
                               _evidence("fund_modification", tokens, node.at, stmt)))
             push(node.callee)
             stack.extend(node.args)
+        elif cls is ast.Assign:
+            lvalue = node.lvalue
+            if type(lvalue) is ast.Index and type(lvalue.base) is ast.Identifier \
+                    and lvalue.base.name in balances:
+                sites.append((enclosing_at,
+                              _evidence("fund_modification", tokens, node.at, stmt)))
+            push(lvalue)
+            push(node.rvalue)
         elif cls is ast.Member:
             push(node.base)
         elif cls is ast.Index:

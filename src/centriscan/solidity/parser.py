@@ -3,6 +3,8 @@
 Never raises on any token stream: constructs outside the subset are
 absorbed into Opaque nodes via brace/semicolon-matched recovery, each with
 a note-level diagnostic, so downstream detectors see a best-effort AST.
+A ternary, a prefix chain such as `!--x` and the operand of `-`, `~`, `+`
+or `new` are opaque expressions; every other one keeps what it holds.
 Comments never reach the parser: the tokenizer skips them like whitespace.
 No unit start (`contract`, `interface`, `library`, `abstract`) sits inside
 a construct, so every skip ends before one at any bracket depth and only
@@ -19,13 +21,9 @@ _ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "<
 _CMP_OPS = frozenset({"<", ">", "<=", ">="})
 _ARITH_OPS = frozenset({"+", "-", "*", "/", "%", "**", "<<", ">>", "&", "|", "^"})
 # Binding strength of each binary operator, loosest first. Relational and
-# arithmetic operators share one opaque tier: their relative precedence
-# never matters to the detectors.
-_OPAQUE_PREC = 4
-_BINARY_PREC = {
-    "||": 1, "&&": 2, "==": 3, "!=": 3,
-    **{op: _OPAQUE_PREC for op in _CMP_OPS | _ARITH_OPS},
-}
+# arithmetic operators share one tier: their relative precedence never
+# matters to the detectors.
+_BINARY_PREC = {"||": 1, "&&": 2, "==": 3, "!=": 3, **dict.fromkeys(_CMP_OPS | _ARITH_OPS, 4)}
 _UNARY_OPS = frozenset({"!", "-", "~", "+", "++", "--", "delete", "new"})
 _STEP_OPS = frozenset({"++", "--"})
 _WRITE_PREFIXES = _STEP_OPS | {"delete"}
@@ -478,44 +476,30 @@ class _Parser:
         return body
 
     def _parse_expression_statement(self) -> ast.Stmt:
+        """An assignment, a call or a step, and its `;`. A chain `a = b = c`
+        nests right to left; a loop, not recursion, collects its links."""
         start = self.i
         expr = self._parse_expr()
-        t = self._text()
-        if t in _ASSIGN_OPS and self.i > start:
+        if self.texts[self.i] in _ASSIGN_OPS:
             self.i += 1
+            at = self.i
             rvalue = self._parse_expr()
+            if self.texts[self.i] in _ASSIGN_OPS:  # a chain
+                lvalues = []
+                while self.texts[self.i] in _ASSIGN_OPS:
+                    lvalues.append((at, rvalue))
+                    self.i += 1
+                    at = self.i
+                    rvalue = self._parse_expr()
+                for at, lvalue in reversed(lvalues):
+                    rvalue = ast.Assign(at, self.i, lvalue, rvalue)
+            expr = ast.Assign(start, self.i, expr, rvalue)
             if not self._eat(";"):
                 self._note("missing ';' after assignment")
-            return ast.Assign(start, self.i, expr, rvalue)
-        if t == ";" and isinstance(expr, ast.CallExpr):
-            self.i += 1
-            return ast.Call(start, self.i, expr)
-        step = self._parse_step(start, expr)
-        if step is not None:
-            return step
-        self.i = start
-        return self._opaque_stmt("statement outside recognized subset")
-
-    def _parse_step(self, start: int, expr: ast.Expr) -> ast.Assign | None:
-        """`delete x;`, `++x;`, `--x;`, `x++;` and `x--;` as an Assign to x
-        whose rvalue is the operator token; None for any other statement.
-        Tried only where a statement would otherwise be opaque: a prefix
-        chain has folded into expr, so its operand is parsed again."""
-        texts = self.texts
-        op = self.i
-        if texts[op] in _STEP_OPS:
-            end = op + 1
-        elif texts[op] == ";" and texts[start] in _WRITE_PREFIXES:
-            op = start
-            self.i = start + 1
-            expr = self._parse_unary()
-            end = self.i
-        else:
-            return None
-        if texts[end] != ";" or type(expr) not in _WRITABLE:
-            return None
-        self.i = end + 1
-        return ast.Assign(start, self.i, expr, ast.OpaqueExpr(op, op + 1))
+        elif not ((type(expr) is ast.CallExpr or type(expr) is ast.Assign) and self._eat(";")):
+            self.i = start
+            return self._opaque_stmt("statement outside recognized subset")
+        return ast.ExprStmt(start, self.i, expr)
 
     # --- expressions --------------------------------------------------------
 
@@ -547,8 +531,7 @@ class _Parser:
     def _parse_binary(self, start: int, expr: ast.Expr, min_prec: int) -> ast.Expr:
         """Precedence climbing: extend expr, parsed from token start, with the
         binary operators binding at least as tightly as min_prec. Chains are
-        left-associative; an opaque-tier chain folds into one OpaqueExpr
-        spanning its operands."""
+        left-associative."""
         texts = self.texts
         while True:
             op = texts[self.i]
@@ -556,10 +539,6 @@ class _Parser:
             if prec < min_prec:  # min_prec >= 1, so a non-operator stops here
                 return expr
             self.i += 1
-            if prec == _OPAQUE_PREC:
-                self._parse_unary()
-                expr = ast.OpaqueExpr(start, self.i)
-                continue
             rhs_start = self.i
             rhs = self._parse_unary()
             if _BINARY_PREC.get(texts[self.i], 0) > prec:
@@ -583,12 +562,15 @@ class _Parser:
                     operand = ast.Not(start, self.i, operand)
                 return ast.Not(start, self.i, operand)
         if t in _UNARY_OPS:
-            # Any other prefix-operator chain folds into one opaque node; the operand
-            # is parsed only to find where the chain ends.
+            # `delete x`, `++x` and `--x` write to x. Any other prefix-operator
+            # chain folds into one opaque node; its operand is parsed only to
+            # find where the chain ends.
             while texts[i] in _UNARY_OPS:
                 i += 1
             self.i = i
-            self._parse_unary()
+            operand = self._parse_unary()
+            if i == start + 1 and t in _WRITE_PREFIXES and type(operand) in _WRITABLE:
+                return ast.Assign(start, self.i, operand, ast.OpaqueExpr(start, i))
             return ast.OpaqueExpr(start, self.i)
         # --- primary
         if i >= self.n or t in _EXPR_STOP:
@@ -641,6 +623,9 @@ class _Parser:
                     expr = ast.CallExpr(i, self.i, expr, args, options)
                 else:
                     return ast.OpaqueExpr(i, self.i)
+            elif t in _STEP_OPS and type(expr) in _WRITABLE:  # `x++` writes to x
+                self.i += 1
+                return ast.Assign(i, self.i, expr, ast.OpaqueExpr(self.i - 1, self.i))
             else:
                 return expr
 

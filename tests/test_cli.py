@@ -109,7 +109,7 @@ def test_directory_scan_routes_by_extension(capsys):
     captured = capsys.readouterr()
     assert code == 1
     payload = json.loads(captured.out)
-    assert payload["files_scanned"] == 22
+    assert payload["files_scanned"] == 23
     languages = {f["language"] for f in payload["findings"]}
     assert languages == {"solidity", "teal"}
 

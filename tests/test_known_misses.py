@@ -113,6 +113,10 @@ _ROWS = [
            [(*MAJOR, 3)]),
     _holds(7, "payable-cast-sender", _drain("require(payable(msg.sender) == owner);"),
            [(*MAJOR, 3)]),
+    _holds(7, "sender-ordered-against-owner", _drain("require(msg.sender >= owner);"),
+           [(*WARNING, 3)]),
+    _holds(7, "negated-sender-ordering", _drain("require(!(msg.sender < owner));"),
+           [(*WARNING, 3)]),
     _holds(7, "sender-against-own-cast",
            _drain("require(address(msg.sender) == msg.sender);"), [(*WARNING, 3)]),
     _miss(7, "de-morgan-sender-check-or-anything",
@@ -150,10 +154,19 @@ _ROWS = [
           _payout('(bool ok, ) = to.call{value: 1}("");'), [(*WARNING, 3)]),
     _holds(13, "value-call-statement", _payout('to.call{value: 1}("");'),
            [(*WARNING, 3)]),
-    _miss(13, "postfix-increment-in-expression",
-          _payout("x = bals[to]++;"), [(*WARNING, 3)]),
+    _holds(13, "postfix-increment-in-expression",
+           _payout("x = bals[to]++;"), [(*WARNING, 3)]),
     _holds(13, "postfix-increment-statement", _payout("bals[to]++;"),
            [(*WARNING, 3)]),
+    _holds(13, "prefix-increment-in-expression", _payout("x = ++bals[to];"),
+           [(*WARNING, 3)]),
+    _holds(13, "guarded-postfix-decrement-in-expression",
+           _payout("require(msg.sender == owner); x = bals[to]--;"), [(*MAJOR, 3)]),
+    _holds(13, "send-under-comparison", _payout("require(g(to.send(1)) > 0);"),
+           [(*WARNING, 3)]),
+    _holds(13, "chained-assignment", _payout("x = bals[to] = 0;"), [(*WARNING, 3)]),
+    _miss(13, "send-in-ternary", _payout("x = c ? to.send(1) : false;"), [(*WARNING, 3)]),
+    _holds(13, "send-in-assignment", _payout("x = to.send(1);"), [(*WARNING, 3)]),
     _miss(13, "guarded-write-in-for-loop", _STATE + "function drain(address to) public { "
           + "require(msg.sender == owner); for (uint i = 0; i < 3; i++) { bals[to] = 0; } }\n}\n",
           [(*MAJOR, 3)]),

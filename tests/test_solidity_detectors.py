@@ -278,6 +278,67 @@ def test_delete_and_steps_are_balance_writes():
             assert diagnostics == []
 
 
+def test_each_write_in_a_statement_is_its_own_fund_site():
+    # A step on the right-hand side, and each link of a chain, writes a
+    # balance of its own, at its own line and column.
+    for statement, writes in (("bals[to] = bals[a]--;", ("bals[to] =", "bals[a]--")),
+                              ("bals[a] = bals[to] = 0;", ("bals[a] =", "bals[to] ="))):
+        source = ("contract C { mapping(address => uint) bals;\n"
+                  f"function f(address to, address a) public {{\n  {statement} }} }}")
+        _, _, funds = _analyze(source)
+        assert [evidence for _, evidence in funds] == [
+            _fund(source, write, statement) for write in writes], statement
+
+
+# The fund moves an expression may hide, and expressions of the subset that
+# hold one. A ternary and the prefix operators `-`, `~`, `+` and `new` keep
+# their operands opaque (ROADMAP item 13), so the grammar holds none of them;
+# a `!` before an operand that starts with `--` would make such a chain.
+_MOVES = ("bals[to]++", "--bals[to]", "to.send(1)", "payable(to).transfer(1)")
+_BINARY_OPS = ("||", "&&", "==", "!=", "<", ">", "<=", ">=",
+               "+", "-", "*", "/", "%", "**", "<<", ">>", "&", "|", "^")
+_OPERANDS = ("a", "1", "x", "m[a]", "g(a)", "msg.sender")
+
+
+def _around(template: str):
+    """Put an expression, (text, offset of its fund move), in template's `{}`."""
+    prefix = template[:template.index("{}")]
+    return lambda e: (template.format(e[0]), len(prefix) + e[1])
+
+
+def _binary(e, op, operand, left):
+    return (f"{e[0]} {op} {operand}", e[1]) if left else \
+        (f"{operand} {op} {e[0]}", len(operand) + len(op) + 2 + e[1])
+
+
+def _holding(inner):
+    return st.one_of(
+        st.builds(_binary, inner, st.sampled_from(_BINARY_OPS), st.sampled_from(_OPERANDS),
+                  st.booleans()),
+        inner.map(_around("({})")),
+        inner.map(lambda e: _around("!({})" if e[0].startswith("-") else "!{}")(e)),
+        inner.map(_around("g({})")), inner.map(_around("g(a, {}, 1)")),
+        inner.map(_around("m[{}]")), inner.map(_around("({}).length")),
+        inner.map(_around("({})[a]")))
+
+
+_HOLDING_MOVES = st.recursive(st.sampled_from(_MOVES).map(lambda m: (m, 0)), _holding,
+                              max_leaves=10)
+_PLACES = ("x = {};", "require({});", "if ({}) {{}}", "return {};", "f({});")
+
+
+@given(_HOLDING_MOVES, st.sampled_from(_PLACES))
+@settings(max_examples=300, deadline=None)
+def test_a_fund_move_anywhere_in_an_expression_is_found(expr, place):
+    head = ("contract C { mapping(address => uint) bals; uint x;\n"
+            "function f(address payable to) public { ")
+    statement, offset = _around(place)(expr)
+    contract, _, funds = _analyze(head + statement + " } }")
+    column = len(head) - head.rindex("\n") + offset
+    assert (contract.functions[0].at, 2, column, statement) in [
+        (at, evidence.line, evidence.column, evidence.text) for at, evidence in funds]
+
+
 def test_double_negation_reads_as_its_parity():
     source = ("contract C { address owner; mapping(address => uint) bals;\n"
               "function f(address to) public { require(!!(msg.sender == owner)); "

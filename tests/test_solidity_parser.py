@@ -58,7 +58,7 @@ def test_row2_condition_shape():
 def test_casts_are_calls_on_keyword_identifiers():
     for cast in ("address", "payable"):
         body, tokens = parse_function(f"y = {cast}(x);")
-        call = body[0].rvalue
+        call = body[0].expr.rvalue
         assert isinstance(call, ast.CallExpr), cast
         assert isinstance(call.callee, ast.Identifier) and call.callee.name == cast
         assert tokens.kinds[call.callee.at] == "keyword"
@@ -143,7 +143,8 @@ def test_state_variable_shapes():
 
 def test_unchecked_block_is_transparent():
     body = parse_function_body("unchecked { x = 1; }")
-    assert len(body) == 1 and isinstance(body[0], ast.Assign)
+    assert len(body) == 1 and isinstance(body[0], ast.ExprStmt)
+    assert isinstance(body[0].expr, ast.Assign)
 
 
 def test_if_else_structure():
@@ -157,11 +158,11 @@ def test_if_else_structure():
 
 def test_compound_assignment_and_rvalue_call():
     body, tokens = parse_function("bals[to] += bals[to].add(1);")
-    stmt = body[0]
-    assert isinstance(stmt, ast.Assign)
-    assert tokens.texts[stmt.lvalue.end] == "+="  # the operator follows the lvalue
-    assert isinstance(stmt.lvalue, ast.Index)
-    assert isinstance(stmt.rvalue, ast.CallExpr)
+    assign = body[0].expr
+    assert isinstance(assign, ast.Assign)
+    assert tokens.texts[assign.lvalue.end] == "+="  # the operator follows the lvalue
+    assert isinstance(assign.lvalue, ast.Index)
+    assert isinstance(assign.rvalue, ast.CallExpr)
 
 
 def test_number_unit_is_part_of_its_literal():
@@ -172,9 +173,10 @@ def test_number_unit_is_part_of_its_literal():
             "contract W { function w() public {\n" + stmt_src + "\n} }")
         assert unit.diagnostics == [], stmt_src
         (stmt,) = unit.contracts[0].functions[0].body
-        assert isinstance(stmt, ast.Assign), stmt_src
-        assert isinstance(stmt.rvalue, ast.OpaqueExpr), stmt_src
-        assert unit.tokens.text(stmt.rvalue.at, stmt.rvalue.end) == literal
+        assert isinstance(stmt.expr, ast.Assign), stmt_src
+        rvalue = stmt.expr.rvalue
+        assert isinstance(rvalue, ast.OpaqueExpr), stmt_src
+        assert unit.tokens.text(rvalue.at, rvalue.end) == literal
     unit = parse_solidity(
         "contract W { function w() public { require(block.timestamp > 1 days); } }")
     assert unit.diagnostics == []
@@ -204,7 +206,7 @@ def test_recovery_steps_over_a_stray_closer():
     unit = parse_solidity(
         "contract C { function f() public { emit Log(a)); bals[to] = 1; } }")
     body = unit.contracts[0].functions[0].body
-    assert [type(s) for s in body] == [ast.Opaque, ast.Assign]
+    assert [type(s) for s in body] == [ast.Opaque, ast.ExprStmt]
     assert unit.tokens.text(body[0].at, body[0].end) == "emit Log(a));"
     assert _notes(unit) == [("statement outside recognized subset", 1, 36)]
 
@@ -365,7 +367,7 @@ def test_require_message_is_skipped_to_its_closing_paren():
         'contract C { function f() public { require(c, g(";"), x); '
         "require(c, a; b); y = 1; } }")
     body = unit.contracts[0].functions[0].body
-    assert [type(s) for s in body] == [ast.Require, ast.Require, ast.Assign]
+    assert [type(s) for s in body] == [ast.Require, ast.Require, ast.ExprStmt]
     assert unit.tokens.text(body[0].at, body[0].end) == 'require(c, g(";"), x);'
     assert unit.tokens.text(body[1].at, body[1].end) == "require(c, a; b);"
     assert unit.diagnostics == []
@@ -378,7 +380,8 @@ def test_depth_limit_scan_steps_over_braces():
     unit = parse_solidity(
         "contract C { function f() public { x = " + nested + "; } }")
     body = unit.contracts[0].functions[0].body
-    assert [type(s) for s in body] == [ast.Assign]
+    assert [type(s) for s in body] == [ast.ExprStmt]
+    assert type(body[0].expr) is ast.Assign
     assert unit.tokens.text(body[0].at, body[0].end) == "x = " + nested + ";"
     assert unit.diagnostics == []
 
@@ -497,12 +500,24 @@ def _call(callee: ast.Expr, *args: ast.Expr) -> ast.CallExpr:
     return ast.CallExpr(0, 0, callee, list(args), None)
 
 
+def _assign(lvalue: ast.Expr, rvalue: ast.Expr) -> ast.Assign:
+    return ast.Assign(0, 0, lvalue, rvalue)
+
+
+def _stmt(expr: ast.Expr) -> ast.ExprStmt:
+    return ast.ExprStmt(0, 0, expr)
+
+
 # Each recognized statement form and the tree it must parse to; ast_equal
 # ignores spans, and compares the source text only of content nodes. The
-# expected trees' one content node, the literal `1`, is token 0 of _ONE_TOKENS.
-_ONE_TOKENS = tokenize("1")
+# expected trees' content nodes, the literal `1` and the step operators, are
+# tokens of _ONE_TOKENS.
+_ONE_TOKENS = tokenize("1 ++ --")
 _ONE = ast.OpaqueExpr(0, 1)
+_INC = ast.OpaqueExpr(1, 2)
+_DEC = ast.OpaqueExpr(2, 3)
 _SENDER = ast.MsgSender(0, 0)
+_BAL = _index(_id("bals"), _id("to"))
 SUBSET_TREES = {
     "require(msg.sender == owner);":
         ast.Require(0, 0, _eq(_SENDER, _id("owner"))),
@@ -514,23 +529,37 @@ SUBSET_TREES = {
     "require(address(owner) == msg.sender);":
         ast.Require(0, 0, _eq(_call(_id("address"), _id("owner")), _SENDER)),
     "if (msg.sender == owner) { bals[to] = 1; }":
-        ast.If(0, 0, _eq(_SENDER, _id("owner")),
-               [ast.Assign(0, 0, _index(_id("bals"), _id("to")), _ONE)],
-               []),
+        ast.If(0, 0, _eq(_SENDER, _id("owner")), [_stmt(_assign(_BAL, _ONE))], []),
     "if (msg.sender != owner) { revert; } else { x = 1; }":
         ast.If(0, 0, ast.Binary(0, 0, "!=", _SENDER, _id("owner")),
                [ast.Revert(0, 0)],
-               [ast.Assign(0, 0, _id("x"), _ONE)]),
+               [_stmt(_assign(_id("x"), _ONE))]),
     "bals[to] = bals[to].add(amount);":
-        ast.Assign(0, 0, _index(_id("bals"), _id("to")),
-                   _call(ast.Member(0, 0, _index(_id("bals"), _id("to")), "add"),
-                         _id("amount"))),
+        _stmt(_assign(_BAL, _call(ast.Member(0, 0, _BAL, "add"), _id("amount")))),
     "bals[msg.sender] += 1;":
-        ast.Assign(0, 0, _index(_id("bals"), _SENDER), _ONE),
+        _stmt(_assign(_index(_id("bals"), _SENDER), _ONE)),
     "to.transfer(amount);":
-        ast.Call(0, 0, _call(ast.Member(0, 0, _id("to"), "transfer"), _id("amount"))),
+        _stmt(_call(ast.Member(0, 0, _id("to"), "transfer"), _id("amount"))),
     "selfdestruct(beneficiary);":
-        ast.Call(0, 0, _call(_id("selfdestruct"), _id("beneficiary"))),
+        _stmt(_call(_id("selfdestruct"), _id("beneficiary"))),
+    # A write is an expression wherever it sits, and a chain nests right to left.
+    "x = bals[to]++;": _stmt(_assign(_id("x"), _assign(_BAL, _INC))),
+    "f(++x);": _stmt(_call(_id("f"), _assign(_id("x"), _INC))),
+    "bals[a] = bals[to] = 1;":
+        _stmt(_assign(_index(_id("bals"), _id("a")), _assign(_BAL, _ONE))),
+    "require(--bals[to] > 1);":
+        ast.Require(0, 0, ast.Binary(0, 0, ">", _assign(_BAL, _DEC), _ONE)),
+    # Every binary operator keeps its operands; relational and arithmetic
+    # ones share one left-associative tier.
+    "x = a + b * 1;":
+        _stmt(_assign(_id("x"), ast.Binary(
+            0, 0, "*", ast.Binary(0, 0, "+", _id("a"), _id("b")), _ONE))),
+    "require(g(to.send(1)) > 1 && a < b);":
+        ast.Require(0, 0, ast.Binary(
+            0, 0, "&&",
+            ast.Binary(0, 0, ">", _call(_id("g"), _call(ast.Member(0, 0, _id("to"), "send"),
+                                                        _ONE)), _ONE),
+            ast.Binary(0, 0, "<", _id("a"), _id("b")))),
     "return;": ast.Return(0, 0, None),
     "return bals[to];": ast.Return(0, 0, _index(_id("bals"), _id("to"))),
     "return to.send(1);":
@@ -554,7 +583,7 @@ def test_a_return_value_that_does_not_parse_to_its_semicolon_is_skipped_quietly(
     ret, assign = unit.contracts[0].functions[0].body
     assert type(ret) is ast.Return and ret.value is None
     assert unit.tokens.text(ret.at, ret.end) == "return (a, b);"
-    assert type(assign) is ast.Assign
+    assert type(assign.expr) is ast.Assign
     assert unit.diagnostics == []
 
 
@@ -567,15 +596,16 @@ def test_a_run_of_bangs_parses_to_negations_by_parity():
                             ("!!!", ast.Not(0, 0, flag)),
                             ("!!!!", ast.Not(0, 0, ast.Not(0, 0, flag)))):
         (stmt,), tokens = parse_function(f"x = {bangs}paused.flag;")
-        assert ast_equal(stmt.rvalue, expected, tokens, _ONE_TOKENS), bangs
-        node = stmt.rvalue
+        assert ast_equal(stmt.expr.rvalue, expected, tokens, _ONE_TOKENS), bangs
+        node = stmt.expr.rvalue
         while isinstance(node, ast.Not):
             assert tokens.text(node.at, node.end) == f"{bangs}paused.flag"
             node = node.operand
     for src in ("x = -y;", "x = !-y;", "x = !!-y;"):
         (stmt,), tokens = parse_function(src)
-        assert isinstance(stmt.rvalue, ast.OpaqueExpr), src
-        assert tokens.text(stmt.rvalue.at, stmt.rvalue.end) == src[4:-1]
+        rvalue = stmt.expr.rvalue
+        assert isinstance(rvalue, ast.OpaqueExpr), src
+        assert tokens.text(rvalue.at, rvalue.end) == src[4:-1]
 
 
 def test_delete_and_steps_parse_to_assignments():
@@ -587,14 +617,50 @@ def test_delete_and_steps_parse_to_assignments():
                             ("--bals[to];", bal, "--"), ("delete x;", _id("x"), "delete"),
                             ("(a.b)++;", ast.Member(0, 0, _id("a"), "b"), "++")):
         (stmt,), tokens = parse_function(src)
-        assert isinstance(stmt, ast.Assign), src
-        assert ast_equal(stmt.lvalue, lvalue, tokens, _ONE_TOKENS), src
+        assert isinstance(stmt, ast.ExprStmt) and isinstance(stmt.expr, ast.Assign), src
+        assign = stmt.expr
+        assert ast_equal(assign.lvalue, lvalue, tokens, _ONE_TOKENS), src
         assert tokens.text(stmt.at, stmt.end) == src
-        assert tokens.text(stmt.rvalue.at, stmt.rvalue.end) == op
+        assert tokens.text(assign.at, assign.end) == src[:-1]
+        assert tokens.text(assign.rvalue.at, assign.rvalue.end) == op
     for src in ("a + b++;", "delete x + 1;", "++--x;", "x++ + 1;", "f()++;", "++;",
                 "delete !x;", "x++", "for (;; i++) {}"):
         (stmt, *_), _ = parse_function(src)
         assert isinstance(stmt, ast.Opaque), src
+
+
+def test_a_step_inside_an_expression_is_an_assignment():
+    # Each statement holds one step, nested in another expression; its
+    # Assign spans the step alone.
+    for src, step in (("x = bals[to]++;", "bals[to]++"), ("f(++x);", "++x"),
+                      ("x = --bals[to];", "--bals[to]"), ("return x--;", "x--"),
+                      ("require(!bals[to]++);", "bals[to]++"),
+                      ("x = a[delete b];", "delete b"), ("bals[to] = bals[a]--;", "bals[a]--")):
+        unit = parse_solidity("contract W { function w() public {\n" + src + "\n} }")
+        assert unit.diagnostics == [], src
+        tokens = unit.tokens
+        steps = [tokens.text(node.at, node.end)
+                 for node in _stmt_and_expr_nodes(unit.contracts[0].functions[0].body)
+                 if type(node) is ast.Assign and type(node.rvalue) is ast.OpaqueExpr
+                 and node.rvalue.end - node.rvalue.at == 1
+                 and tokens.texts[node.rvalue.at] in ("++", "--", "delete")]
+        assert steps == [step], src
+
+
+def test_a_long_assignment_chain_nests_without_recursion():
+    # `x0 = x1 = ... = 1;` nests right to left, one Assign per link, however
+    # long the chain; the parser collects its links in a loop.
+    links = 3000
+    src = "".join(f"x{k} = " for k in range(links)) + "1;"
+    (stmt,), tokens = parse_function(src)
+    node, names = stmt.expr, []
+    assert tokens.text(node.at, node.end) == src[:-1]
+    while type(node) is ast.Assign:
+        names.append(node.lvalue.name)
+        last, node = node, node.rvalue
+    assert names == [f"x{k}" for k in range(links)]
+    assert tokens.text(last.at, last.end) == f"x{links - 1} = 1"
+    assert tokens.text(node.at, node.end) == "1"
 
 
 @given(st.text(max_size=300))
