@@ -11,10 +11,10 @@ and comments) between its tokens included. A declaration's `at` is the
 index of its keyword token (of its name token for a state variable), so
 `tokens.position(decl.at)` gives its line and column. A modifier is a
 FunctionDecl like a function: `ContractDecl.modifiers` and `.functions` hold
-the same record. An assignment, and a step (`delete x`, `++x`, `x--`)
-wherever it sits, is an Assign expression, held by an ExprStmt at statement
-level; every binary operator is a Binary. Anything outside the subset is
-preserved as Opaque spans; detectors never look inside those.
+the same record. Every write (an assignment, `delete x`, `++x`, `x--`) is an
+Assign expression, held by an ExprStmt at statement level; any other binary
+operator is a Binary, prefix operator a Unary, and ternary a Conditional.
+Anything outside the subset is Opaque; detectors never look inside those.
 """
 
 from __future__ import annotations
@@ -48,8 +48,12 @@ class Binary(Expr):
     __slots__ = ("op", "lhs", "rhs")  # op: any binary operator
 
 
-class Not(Expr):
-    __slots__ = ("operand",)  # a run of `!`, by parity; other prefix operators parse to OpaqueExpr
+class Unary(Expr):
+    __slots__ = ("op", "operand")  # op: one prefix operator, spanning from its own token
+
+
+class Conditional(Expr):
+    __slots__ = ("condition", "if_true", "if_false")  # `condition ? if_true : if_false`
 
 
 class CallExpr(Expr):

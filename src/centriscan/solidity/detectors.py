@@ -48,22 +48,21 @@ def _is_sender(expr: ast.Expr) -> bool:
 
 
 def _sender_comparison(expr: ast.Expr) -> str | None:
-    """Polarity of the sender comparisons under &&/||/! nesting: "eq" if
-    any is `==` (or a negated `!=`), else "neq" if any is `!=` (or a negated
-    `==`), else None. A comparison of the sender with itself never counts.
-    The walk keeps its own stack: the parser builds long chains left-deep."""
+    """Polarity of the sender comparisons under &&/||/! alone: "eq" if any is
+    `==` (or a negated `!=`), else "neq" if any is `!=` (or a negated `==`),
+    else None. A comparison of the sender with itself never counts. The walk
+    keeps its own stack: the parser builds long chains left-deep."""
     found = None
     stack = [(expr, False)]
     while stack:
         node, negated = stack.pop()
         cls = type(node)
-        if cls is ast.Not:  # `!` flips the polarity of what it holds
+        if cls is ast.Unary and node.op == "!":  # `!` flips the polarity of what it holds
             stack.append((node.operand, not negated))
         elif cls is not ast.Binary:
             continue
         elif node.op in ("&&", "||"):
-            stack.append((node.lhs, negated))
-            stack.append((node.rhs, negated))
+            stack += ((node.lhs, negated), (node.rhs, negated))
         # Only `msg.sender` is the sender; `tx.origin` is not.
         elif node.op in ("==", "!=") and _is_sender(node.lhs) != _is_sender(node.rhs):
             if (node.op == "==") != negated:
@@ -73,13 +72,16 @@ def _sender_comparison(expr: ast.Expr) -> str | None:
 
 
 def _statements(body: list[ast.Stmt]) -> Iterator[ast.Stmt]:
-    """Each statement of body in source order, an `if` followed by the
-    statements of its then and else branches."""
-    for stmt in body:
-        yield stmt
-        if type(stmt) is ast.If:
-            yield from _statements(stmt.then_body)
-            yield from _statements(stmt.else_body)
+    """Each statement of body in source order, an `if` followed by those of
+    its then and else branches, from a stack of the bodies being read."""
+    pending = [iter(body)]
+    while pending:
+        statements = pending.pop()
+        for stmt in statements:
+            yield stmt
+            if type(stmt) is ast.If:  # read its branches, then come back
+                pending += (statements, iter(stmt.else_body), iter(stmt.then_body))
+                break
 
 
 def find_sender_guards(
@@ -139,7 +141,6 @@ def _scan_expr(
     level deep: `bals[to] = 0`, not `allowed[a][b] = 0`. The walk keeps its
     own stack: an assignment chain nests as deep as it is long."""
     stack = [expr]
-    push = stack.append
     while stack:
         node = stack.pop()
         cls = type(node)
@@ -149,26 +150,24 @@ def _scan_expr(
             if _moves_funds(node, tokens):
                 sites.append((enclosing_at,
                               _evidence("fund_modification", tokens, node.at, stmt)))
-            push(node.callee)
-            stack.extend(node.args)
+            stack += (node.callee, *node.args)
         elif cls is ast.Assign:
             lvalue = node.lvalue
             if type(lvalue) is ast.Index and type(lvalue.base) is ast.Identifier \
                     and lvalue.base.name in balances:
                 sites.append((enclosing_at,
                               _evidence("fund_modification", tokens, node.at, stmt)))
-            push(lvalue)
-            push(node.rvalue)
+            stack += (lvalue, node.rvalue)
         elif cls is ast.Member:
-            push(node.base)
+            stack.append(node.base)
         elif cls is ast.Index:
-            push(node.base)
-            push(node.index)
+            stack += (node.base, node.index)
         elif cls is ast.Binary:
-            push(node.lhs)
-            push(node.rhs)
-        elif cls is ast.Not:
-            push(node.operand)
+            stack += (node.lhs, node.rhs)
+        elif cls is ast.Unary:
+            stack.append(node.operand)
+        elif cls is ast.Conditional:
+            stack += (node.condition, node.if_true, node.if_false)
 
 
 def _moves_funds(call: ast.CallExpr, tokens: Tokens) -> bool:

@@ -3,8 +3,8 @@
 Never raises on any token stream: constructs outside the subset are
 absorbed into Opaque nodes via brace/semicolon-matched recovery, each with
 a note-level diagnostic, so downstream detectors see a best-effort AST.
-A ternary, a prefix chain such as `!--x` and the operand of `-`, `~`, `+`
-or `new` are opaque expressions; every other one keeps what it holds.
+Every expression operator, prefix, binary, ternary or assignment, is
+read from one binding-power table and keeps the operands it holds.
 Comments never reach the parser: the tokenizer skips them like whitespace.
 No unit start (`contract`, `interface`, `library`, `abstract`) sits inside
 a construct, so every skip ends before one at any bracket depth and only
@@ -17,13 +17,15 @@ from ..diagnostics import Diagnostic
 from . import ast
 from .tokens import SIZED_TYPE, Tokens, tokenize
 
-_ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "<<=", ">>=", "**="})
-_CMP_OPS = frozenset({"<", ">", "<=", ">="})
-_ARITH_OPS = frozenset({"+", "-", "*", "/", "%", "**", "<<", ">>", "&", "|", "^"})
-# Binding strength of each binary operator, loosest first. Relational and
-# arithmetic operators share one tier: their relative precedence never
-# matters to the detectors.
-_BINARY_PREC = {"||": 1, "&&": 2, "==": 3, "!=": 3, **dict.fromkeys(_CMP_OPS | _ARITH_OPS, 4)}
+# Binding power of each infix operator, loosest first: assignments and `?`
+# (right-associative), then the left-associative `||`, `&&`, equality and one
+# tier of relational and arithmetic operators, whose order never matters to
+# the detectors. Prefix operators (_UNARY_OPS) bind tighter, suffixes tightest.
+_RIGHT_TIER = 1
+_BINDING = {**dict.fromkeys("= += -= *= /= %= |= &= ^= <<= >>= **= ?".split(), _RIGHT_TIER),
+            "||": 2, "&&": 3, "==": 4, "!=": 4,
+            **dict.fromkeys("< > <= >= + - * / % ** << >> & | ^".split(), 5)}
+_LOOSEST = frozenset(op for op, tier in _BINDING.items() if tier == _RIGHT_TIER)
 _UNARY_OPS = frozenset({"!", "-", "~", "+", "++", "--", "delete", "new"})
 _STEP_OPS = frozenset({"++", "--"})
 _WRITE_PREFIXES = _STEP_OPS | {"delete"}
@@ -476,27 +478,14 @@ class _Parser:
         return body
 
     def _parse_expression_statement(self) -> ast.Stmt:
-        """An assignment, a call or a step, and its `;`. A chain `a = b = c`
-        nests right to left; a loop, not recursion, collects its links."""
+        """An ExprStmt when the expression is a call followed by `;`, or an
+        assignment or step (a missing `;` gets a note); else an Opaque."""
         start = self.i
         expr = self._parse_expr()
-        if self.texts[self.i] in _ASSIGN_OPS:
-            self.i += 1
-            at = self.i
-            rvalue = self._parse_expr()
-            if self.texts[self.i] in _ASSIGN_OPS:  # a chain
-                lvalues = []
-                while self.texts[self.i] in _ASSIGN_OPS:
-                    lvalues.append((at, rvalue))
-                    self.i += 1
-                    at = self.i
-                    rvalue = self._parse_expr()
-                for at, lvalue in reversed(lvalues):
-                    rvalue = ast.Assign(at, self.i, lvalue, rvalue)
-            expr = ast.Assign(start, self.i, expr, rvalue)
+        if type(expr) is ast.Assign:
             if not self._eat(";"):
                 self._note("missing ';' after assignment")
-        elif not ((type(expr) is ast.CallExpr or type(expr) is ast.Assign) and self._eat(";")):
+        elif not (type(expr) is ast.CallExpr and self._eat(";")):
             self.i = start
             return self._opaque_stmt("statement outside recognized subset")
         return ast.ExprStmt(start, self.i, expr)
@@ -504,20 +493,37 @@ class _Parser:
     # --- expressions --------------------------------------------------------
 
     def _parse_expr(self) -> ast.Expr:
+        """Operands joined by the operators of _BINDING. A chain of the
+        loosest tier, `a = b += c` or `a ? b : c ? d : e`, nests right to
+        left: a loop, not recursion, collects its links (an lvalue, or a
+        condition and its middle operand) and folds them at the end."""
         if self.expr_depth >= _MAX_EXPR_DEPTH:
             return self._opaque_expr_scan()
         self.expr_depth += 1
         try:
+            texts = self.texts
             start = self.i
             expr = self._parse_unary()
-            if self.texts[self.i] in _BINARY_PREC:
-                expr = self._parse_binary(start, expr, 1)
-            if self.texts[self.i] == "?":  # ternary folds to opaque
+            op = texts[self.i]
+            links = []
+            while op in _BINDING:
+                if op not in _LOOSEST:
+                    expr = self._parse_binary(start, expr, _RIGHT_TIER + 1)
+                    op = texts[self.i]
+                    if op not in _LOOSEST:
+                        break
                 self.i += 1
-                self._parse_expr()
-                if self._eat(":"):
-                    self._parse_expr()
-                return ast.OpaqueExpr(start, self.i)
+                middle = self._parse_expr() if op == "?" else None
+                if middle is not None:
+                    self._expect(":", "conditional expression")
+                links.append((start, expr, middle))
+                start = self.i
+                expr = self._parse_unary()
+                op = texts[self.i]
+            while links:
+                start, head, middle = links.pop()
+                expr = ast.Assign(start, self.i, head, expr) if middle is None \
+                    else ast.Conditional(start, self.i, head, middle, expr)
             return expr
         finally:
             self.expr_depth -= 1
@@ -530,55 +536,38 @@ class _Parser:
 
     def _parse_binary(self, start: int, expr: ast.Expr, min_prec: int) -> ast.Expr:
         """Precedence climbing: extend expr, parsed from token start, with the
-        binary operators binding at least as tightly as min_prec. Chains are
-        left-associative."""
+        binary operators binding at least as tightly as min_prec, which is
+        above _RIGHT_TIER. Chains are left-associative."""
         texts = self.texts
         while True:
             op = texts[self.i]
-            prec = _BINARY_PREC.get(op, 0)
-            if prec < min_prec:  # min_prec >= 1, so a non-operator stops here
+            prec = _BINDING.get(op, 0)
+            if prec < min_prec:  # a non-operator, or one of the loosest tier
                 return expr
             self.i += 1
             rhs_start = self.i
             rhs = self._parse_unary()
-            if _BINARY_PREC.get(texts[self.i], 0) > prec:
+            if _BINDING.get(texts[self.i], 0) > prec:
                 rhs = self._parse_binary(rhs_start, rhs, prec + 1)
             expr = ast.Binary(start, self.i, op, expr, rhs)
 
     def _parse_unary(self) -> ast.Expr:
-        """Prefix operators, then a primary with member, index and call suffixes."""
-        start = i = self.i
+        """Prefix operators, collected in a loop, then their operand: a primary
+        with member, index, call and step suffixes. The operators fold onto it
+        right to left, each a Unary from its own token, or, if `delete`, `++`
+        or `--` on a writable operand, an Assign whose rvalue is its token.
+        An operand that breaks off is one opaque span, its operators included."""
         texts = self.texts
+        start = i = self.i
+        while texts[i] in _UNARY_OPS:
+            i += 1
         t = texts[i]
-        if t == "!":
-            while texts[i] == "!":
-                i += 1
-            if texts[i] not in _UNARY_OPS:
-                # A run of `!` reads as its parity: one Not, or two nested,
-                # each spanning the whole run and its operand.
-                self.i = i
-                operand = self._parse_unary()
-                if (i - start) % 2 == 0:
-                    operand = ast.Not(start, self.i, operand)
-                return ast.Not(start, self.i, operand)
-        if t in _UNARY_OPS:
-            # `delete x`, `++x` and `--x` write to x. Any other prefix-operator
-            # chain folds into one opaque node; its operand is parsed only to
-            # find where the chain ends.
-            while texts[i] in _UNARY_OPS:
-                i += 1
-            self.i = i
-            operand = self._parse_unary()
-            if i == start + 1 and t in _WRITE_PREFIXES and type(operand) in _WRITABLE:
-                return ast.Assign(start, self.i, operand, ast.OpaqueExpr(start, i))
-            return ast.OpaqueExpr(start, self.i)
-        # --- primary
-        if i >= self.n or t in _EXPR_STOP:
-            # No suffix starts with a stop token, so return at once.
-            return ast.OpaqueExpr(i, i)
-        # Every node below spans from token i.
+        # --- primary; every node below spans from token i
         kind = self.kinds[i]
-        if kind == "identifier" or kind == "keyword":
+        if i >= self.n or t in _EXPR_STOP:  # no suffix starts with a stop token
+            self.i = i
+            expr = ast.OpaqueExpr(i, i)
+        elif kind == "identifier" or kind == "keyword":
             # A keyword is an Identifier too: `true`, and the callee of a
             # cast such as `address(x)` or `payable(x)`.
             self.i = i + 1
@@ -600,7 +589,7 @@ class _Parser:
                 member = texts[self.i + 1]
                 if kind != "identifier" and (kind != "keyword" or member in _UNIT_STARTS):
                     self.i += 1
-                    return ast.OpaqueExpr(i, self.i)
+                    return ast.OpaqueExpr(start, self.i)
                 self.i += 2
                 if isinstance(expr, ast.Identifier) and expr.name == "msg" and member == "sender":
                     expr = ast.MsgSender(i, self.i)
@@ -618,16 +607,24 @@ class _Parser:
                 opt_start = self.i
                 self._skip_balanced()
                 options = ast.OpaqueExpr(opt_start, self.i)
-                if self._text() == "(":
-                    args = self._parse_call_args()
-                    expr = ast.CallExpr(i, self.i, expr, args, options)
-                else:
-                    return ast.OpaqueExpr(i, self.i)
+                if self._text() != "(":
+                    return ast.OpaqueExpr(start, self.i)
+                args = self._parse_call_args()
+                expr = ast.CallExpr(i, self.i, expr, args, options)
             elif t in _STEP_OPS and type(expr) in _WRITABLE:  # `x++` writes to x
                 self.i += 1
-                return ast.Assign(i, self.i, expr, ast.OpaqueExpr(self.i - 1, self.i))
+                expr = ast.Assign(i, self.i, expr, ast.OpaqueExpr(self.i - 1, self.i))
             else:
-                return expr
+                break
+        # --- prefix operators, innermost first
+        while i > start:
+            i -= 1
+            op = texts[i]
+            if op in _WRITE_PREFIXES and type(expr) in _WRITABLE:
+                expr = ast.Assign(i, self.i, expr, ast.OpaqueExpr(i, i + 1))
+            else:
+                expr = ast.Unary(i, self.i, op, expr)
+        return expr
 
     def _parse_call_args(self) -> list[ast.Expr]:
         self._eat("(")

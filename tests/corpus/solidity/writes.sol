@@ -1,8 +1,8 @@
 // Writes and fund moves inside expressions. An assignment, `delete`, `++`
 // and `--` write wherever they sit, a chain of assignments writes each of
 // its targets, and every binary operator keeps its operands, so each fund
-// move below is found. A ternary keeps its operands opaque: the send in
-// `pick` is still missed.
+// move below is found. A ternary keeps its three operands too, so the send
+// in `pick` is found.
 pragma solidity ^0.8.0;
 
 contract Writes {

@@ -76,10 +76,34 @@ def test_deeply_nested_expressions_do_not_blow_the_stack():
     assert isinstance(findings, list)
 
 
-def test_long_prefix_operator_chain_does_not_blow_the_stack():
-    source = "contract C { function f() public { x = " + "!" * 5000 + "y; } }"
+def _graded(body: str) -> list:
+    source = ("contract C { address owner; mapping(address => uint) bals; bool x;\n"
+              f"function f(address payable to) public {{ {body} }} }}")
     findings, _ = analyze_solidity_source(source, "deep.sol", CONFIG)
-    assert isinstance(findings, list)
+    return [(f.kind, f.severity) for f in findings]
+
+
+def test_long_prefix_operator_chain_does_not_blow_the_stack():
+    # A prefix chain is collected and folded in loops, one Unary per
+    # operator, and the walks keep their own stacks: the write under 5,000
+    # mixed operators and the comparison under 5,000 bangs are both found.
+    assert _graded("x = " + "! - ~ + " * 1250 + "bals[to]++;") == [
+        ("UNPROTECTED_FUND_MODIFICATION", "WARNING")]
+    assert _graded("require(" + "!" * 5000 + "(msg.sender == owner)); bals[to] = 0;") == [
+        ("CENTRALIZATION_RISK", "MAJOR")]
+    assert _graded("x = " + "!" * 5000 + "y;") == []
+
+
+def test_long_ternary_chain_does_not_blow_the_stack():
+    # `c ? a : c ? a : ...` nests right to left, and a loop collects its
+    # links: the send in the last branch of 3,000 is found.
+    assert _graded("x = " + "c ? a : " * 3000 + "to.send(1);") == [
+        ("UNPROTECTED_FUND_MODIFICATION", "WARNING")]
+
+
+def test_deeply_parenthesized_assignments_do_not_blow_the_stack():
+    # Past the expression depth bound the rest is one opaque span.
+    assert _graded("x = " + "(y = " * 3000 + "1" + ")" * 3000 + ";") == []
 
 
 def test_deeply_nested_blocks_do_not_blow_the_stack():

@@ -165,8 +165,16 @@ _ROWS = [
     _holds(13, "send-under-comparison", _payout("require(g(to.send(1)) > 0);"),
            [(*WARNING, 3)]),
     _holds(13, "chained-assignment", _payout("x = bals[to] = 0;"), [(*WARNING, 3)]),
-    _miss(13, "send-in-ternary", _payout("x = c ? to.send(1) : false;"), [(*WARNING, 3)]),
+    _holds(13, "send-in-ternary", _payout("x = c ? to.send(1) : false;"), [(*WARNING, 3)]),
     _holds(13, "send-in-assignment", _payout("x = to.send(1);"), [(*WARNING, 3)]),
+    _holds(13, "step-under-bang-in-comparison", _payout("require(!--bals[to] == 0);"),
+           [(*WARNING, 3)]),
+    _holds(13, "assignment-as-argument", _payout("f(bals[to] = 0);"), [(*WARNING, 3)]),
+    _holds(13, "step-under-minus", _payout("x = -bals[to]--;"), [(*WARNING, 3)]),
+    _holds(13, "send-in-new-argument", _payout("x = new T(to.send(1));"), [(*WARNING, 3)]),
+    # A ternary is no guard, whatever its branches compare.
+    _holds(13, "sender-check-in-ternary",
+           _drain("require(c ? msg.sender == owner : false);"), [(*WARNING, 3)]),
     _miss(13, "guarded-write-in-for-loop", _STATE + "function drain(address to) public { "
           + "require(msg.sender == owner); for (uint i = 0; i < 3; i++) { bals[to] = 0; } }\n}\n",
           [(*MAJOR, 3)]),

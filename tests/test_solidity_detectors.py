@@ -1,6 +1,7 @@
 """Guard/fund-site detection and per-function pairing on the Solidity AST."""
 
 import random
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -290,13 +291,13 @@ def test_each_write_in_a_statement_is_its_own_fund_site():
             _fund(source, write, statement) for write in writes], statement
 
 
-# The fund moves an expression may hide, and expressions of the subset that
-# hold one. A ternary and the prefix operators `-`, `~`, `+` and `new` keep
-# their operands opaque (ROADMAP item 13), so the grammar holds none of them;
-# a `!` before an operand that starts with `--` would make such a chain.
+# The fund moves an expression may hide, and expressions that hold one:
+# every operator, in each of its operand positions. A prefix operator is
+# followed by a space, so `-` before `--bals[to]` stays two tokens.
 _MOVES = ("bals[to]++", "--bals[to]", "to.send(1)", "payable(to).transfer(1)")
 _BINARY_OPS = ("||", "&&", "==", "!=", "<", ">", "<=", ">=",
                "+", "-", "*", "/", "%", "**", "<<", ">>", "&", "|", "^")
+_PREFIX_OPS = ("!", "-", "~", "+", "++", "--", "delete", "new")
 _OPERANDS = ("a", "1", "x", "m[a]", "g(a)", "msg.sender")
 
 
@@ -316,7 +317,9 @@ def _holding(inner):
         st.builds(_binary, inner, st.sampled_from(_BINARY_OPS), st.sampled_from(_OPERANDS),
                   st.booleans()),
         inner.map(_around("({})")),
-        inner.map(lambda e: _around("!({})" if e[0].startswith("-") else "!{}")(e)),
+        st.builds(lambda e, op: _around(op + " {}")(e), inner, st.sampled_from(_PREFIX_OPS)),
+        inner.map(_around("{} ? a : 1")), inner.map(_around("c ? {} : 1")),
+        inner.map(_around("c ? a : {}")),
         inner.map(_around("g({})")), inner.map(_around("g(a, {}, 1)")),
         inner.map(_around("m[{}]")), inner.map(_around("({}).length")),
         inner.map(_around("({})[a]")))
@@ -324,7 +327,7 @@ def _holding(inner):
 
 _HOLDING_MOVES = st.recursive(st.sampled_from(_MOVES).map(lambda m: (m, 0)), _holding,
                               max_leaves=10)
-_PLACES = ("x = {};", "require({});", "if ({}) {{}}", "return {};", "f({});")
+_PLACES = ("x = {};", "require({});", "if ({}) {{}}", "return {};", "f({});", "f(y = {});")
 
 
 @given(_HOLDING_MOVES, st.sampled_from(_PLACES))
@@ -337,6 +340,79 @@ def test_a_fund_move_anywhere_in_an_expression_is_found(expr, place):
     column = len(head) - head.rindex("\n") + offset
     assert (contract.functions[0].at, 2, column, statement) in [
         (at, evidence.line, evidence.column, evidence.text) for at, evidence in funds]
+
+
+# The fields of an expression node that hold no expression to walk: its
+# span, a name, member or operator, and a call's `{value: x}` block, which
+# is an opaque span.
+_NOT_CHILDREN = frozenset({"at", "end", "name", "member", "op", "options"})
+
+
+def test_a_fund_move_in_any_child_of_any_expression_node_is_found():
+    # A send put in each child field of each expression node class, the
+    # other fields holding a plain name, is one fund site: a node class
+    # added later cannot hide a fund move from the walk.
+    source = "contract C { function f(address payable to) public { to.send(1); } }"
+    contract, tokens = parse_single_unit(source)
+    (stmt,) = contract.functions[0].body
+    send = stmt.expr
+    name = ast.Identifier(send.at, send.at + 1, "to")
+    checked = []
+    for cls in ast.Expr.__subclasses__():
+        for child in (field for field in cls._fields if field not in _NOT_CHILDREN):
+            values = {"at": send.at, "end": send.end, "name": "x", "member": "x", "op": "!",
+                      "options": None}
+            values.update((field, [] if field == "args" else name)
+                          for field in cls._fields if field not in values)
+            values[child] = [send] if child == "args" else send
+            stmt.expr = cls(*(values[field] for field in cls._fields))
+            funds = find_fund_modifications(contract, tokens, frozenset())
+            assert [evidence for _, evidence in funds] == [
+                _fund(source, "to.send", "to.send(1);")], (cls, child)
+            checked.append((cls.__name__, child))
+    assert {("Unary", "operand"), ("Conditional", "condition"), ("Conditional", "if_true"),
+            ("Conditional", "if_false"), ("CallExpr", "args")} <= set(checked)
+
+
+def _opcodes(call) -> int:
+    """The bytecode instructions that call() executes, counted through
+    sys.settrace: a cost that does not depend on the host's speed."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        frame.f_trace_opcodes = True
+        count += event == "opcode"
+        return trace
+
+    sys.settrace(trace)
+    try:
+        call()
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def test_detector_cost_grows_linearly_with_if_nesting():
+    # Both detectors walk the statements of nested `if`s with their own
+    # stack, so twice the nesting costs about twice the opcodes; a
+    # generator per level would make each statement cost its depth.
+    def cost(depth):
+        contract, tokens = parse_single_unit(
+            "contract C { mapping(address => uint) bals; function f(address to) public { "
+            + "if (a == b) { x = 1; " * depth + "bals[to] = 0; " + "} " * depth + "} }")
+        return _opcodes(lambda: _sites(contract, tokens))
+
+    assert cost(48) / cost(24) <= 2.2
+
+
+def test_no_prefix_operator_but_bang_passes_a_sender_comparison_on():
+    # Whether it kept or flipped the polarity, one of the two would guard.
+    for op in ("-", "~", "+", "delete", "new", "++", "--"):
+        for comparison in ("==", "!="):
+            _, guards, _ = _analyze("contract C { address owner; function f() public {"
+                                    f" require({op} (msg.sender {comparison} owner)); }} }}")
+            assert guards == [], (op, comparison)
 
 
 def test_double_negation_reads_as_its_parity():

@@ -411,7 +411,7 @@ def test_locations_inside_source_bounds():
             check(*unit.tokens.position(node.at))
         for attr in ("condition", "then_body", "else_body", "lvalue", "rvalue",
                      "expr", "callee", "args", "base", "index",
-                     "lhs", "rhs", "body"):
+                     "lhs", "rhs", "operand", "if_true", "if_false", "body"):
             child = getattr(node, attr, None)
             if child is not None:
                 walk(child)
@@ -522,7 +522,7 @@ SUBSET_TREES = {
     "require(msg.sender == owner);":
         ast.Require(0, 0, _eq(_SENDER, _id("owner"))),
     "require(!(msg.sender != owner));":
-        ast.Require(0, 0, ast.Not(0, 0, ast.Binary(0, 0, "!=", _SENDER, _id("owner")))),
+        ast.Require(0, 0, ast.Unary(0, 0, "!", ast.Binary(0, 0, "!=", _SENDER, _id("owner")))),
     "require((owner == msg.sender) && (a == b));":
         ast.Require(0, 0, ast.Binary(
             0, 0, "&&", _eq(_id("owner"), _SENDER), _eq(_id("a"), _id("b")))),
@@ -549,6 +549,26 @@ SUBSET_TREES = {
         _stmt(_assign(_index(_id("bals"), _id("a")), _assign(_BAL, _ONE))),
     "require(--bals[to] > 1);":
         ast.Require(0, 0, ast.Binary(0, 0, ">", _assign(_BAL, _DEC), _ONE)),
+    "f(bals[to] = 1);": _stmt(_call(_id("f"), _assign(_BAL, _ONE))),
+    "x += y = 1;": _stmt(_assign(_id("x"), _assign(_id("y"), _ONE))),
+    # Every prefix operator is a Unary over its operand, which holds any
+    # postfix step; `delete`, `++` and `--` on a writable operand write to it.
+    "require(!--bals[to] == 1);":
+        ast.Require(0, 0, _eq(ast.Unary(0, 0, "!", _assign(_BAL, _DEC)), _ONE)),
+    "x = -bals[to]--;": _stmt(_assign(_id("x"), ast.Unary(0, 0, "-", _assign(_BAL, _DEC)))),
+    "x = new T(to.send(1));":
+        _stmt(_assign(_id("x"), ast.Unary(0, 0, "new", _call(
+            _id("T"), _call(ast.Member(0, 0, _id("to"), "send"), _ONE))))),
+    # A ternary keeps its three operands and nests right to left, looser
+    # than every binary operator.
+    "x = c ? to.send(1) : a == b;":
+        _stmt(_assign(_id("x"), ast.Conditional(
+            0, 0, _id("c"), _call(ast.Member(0, 0, _id("to"), "send"), _ONE),
+            _eq(_id("a"), _id("b"))))),
+    "x = a || b ? c : d ? e : 1;":
+        _stmt(_assign(_id("x"), ast.Conditional(
+            0, 0, ast.Binary(0, 0, "||", _id("a"), _id("b")), _id("c"),
+            ast.Conditional(0, 0, _id("d"), _id("e"), _ONE)))),
     # Every binary operator keeps its operands; relational and arithmetic
     # ones share one left-associative tier.
     "x = a + b * 1;":
@@ -587,30 +607,34 @@ def test_a_return_value_that_does_not_parse_to_its_semicolon_is_skipped_quietly(
     assert unit.diagnostics == []
 
 
-def test_a_run_of_bangs_parses_to_negations_by_parity():
-    # An odd run of `!` is one Not, an even run two nested ones; each spans
-    # the whole run and its operand. Any other prefix chain stays opaque.
+def test_each_prefix_operator_is_one_unary_from_its_own_token():
+    # A run of prefix operators folds right to left onto its operand, which
+    # is parsed once: each operator is one Unary spanning from its own token
+    # to the operand's end, whatever the operators around it.
     flag = ast.Member(0, 0, _id("paused"), "flag")
-    for bangs, expected in (("!", ast.Not(0, 0, flag)),
-                            ("!!", ast.Not(0, 0, ast.Not(0, 0, flag))),
-                            ("!!!", ast.Not(0, 0, flag)),
-                            ("!!!!", ast.Not(0, 0, ast.Not(0, 0, flag)))):
-        (stmt,), tokens = parse_function(f"x = {bangs}paused.flag;")
-        assert ast_equal(stmt.expr.rvalue, expected, tokens, _ONE_TOKENS), bangs
+    for ops, operand, expected in ((("!",), "paused.flag", flag),
+                                   (("!", "!"), "paused.flag", flag),
+                                   (("!", "!", "!", "!"), "paused.flag", flag),
+                                   (("-",), "y", _id("y")), (("!", "-"), "y", _id("y")),
+                                   (("!", "!", "~", "+"), "y", _id("y")),
+                                   (("new",), "T(a)", _call(_id("T"), _id("a"))),
+                                   (("delete", "!"), "x", _id("x")),
+                                   (("!",), "--bals[to]", _assign(_BAL, _DEC)),
+                                   (("-",), "bals[to]--", _assign(_BAL, _DEC))):
+        src = " ".join((*ops, operand))
+        (stmt,), tokens = parse_function(f"x = {src};")
         node = stmt.expr.rvalue
-        while isinstance(node, ast.Not):
-            assert tokens.text(node.at, node.end) == f"{bangs}paused.flag"
+        for k, op in enumerate(ops):
+            assert type(node) is ast.Unary and node.op == op, src
+            assert tokens.text(node.at, node.end) == " ".join((*ops[k:], operand)), src
             node = node.operand
-    for src in ("x = -y;", "x = !-y;", "x = !!-y;"):
-        (stmt,), tokens = parse_function(src)
-        rvalue = stmt.expr.rvalue
-        assert isinstance(rvalue, ast.OpaqueExpr), src
-        assert tokens.text(rvalue.at, rvalue.end) == src[4:-1]
+        assert ast_equal(node, expected, tokens, _ONE_TOKENS), src
 
 
 def test_delete_and_steps_parse_to_assignments():
     # `delete x;` and `++`/`--` on either side of x write to x: an Assign
-    # whose rvalue is the operator token. Other shapes with them stay opaque.
+    # whose rvalue is the operator token. A statement whose expression is no
+    # assignment or call stays opaque, whatever steps it holds.
     bal = _index(_id("bals"), _id("to"))
     for src, lvalue, op in (("delete bals[to];", bal, "delete"), ("bals[to]++;", bal, "++"),
                             ("++bals[to];", bal, "++"), ("bals[to]--;", bal, "--"),
@@ -624,9 +648,14 @@ def test_delete_and_steps_parse_to_assignments():
         assert tokens.text(assign.at, assign.end) == src[:-1]
         assert tokens.text(assign.rvalue.at, assign.rvalue.end) == op
     for src in ("a + b++;", "delete x + 1;", "++--x;", "x++ + 1;", "f()++;", "++;",
-                "delete !x;", "x++", "for (;; i++) {}"):
+                "delete !x;", "-x--;", "c ? x++ : y++;", "for (;; i++) {}"):
         (stmt, *_), _ = parse_function(src)
         assert isinstance(stmt, ast.Opaque), src
+    # A step, like any assignment, whose `;` is missing is noted and kept.
+    unit = parse_solidity("contract W { function w() public { x++ } }")
+    (stmt,) = unit.contracts[0].functions[0].body
+    assert type(stmt.expr) is ast.Assign
+    assert [d.message for d in unit.diagnostics] == ["missing ';' after assignment"]
 
 
 def test_a_step_inside_an_expression_is_an_assignment():

@@ -1,12 +1,15 @@
-"""Fail when a module imports a name that it never reads.
+"""Fail when a module imports a name, or defines a private one, that it never reads.
 
     python tools/unused_imports.py [DIR ...]
 
 Checks every `.py` file under each DIR (default: `src`). A name bound by an
 `import` or `from ... import` is unused when no expression in the module
 reads it and the module's `__all__` does not list it. `from __future__`
-imports are exempt. Prints one `FILE:LINE: 'NAME' imported but never read`
-line per unused name and exits 1 if there is any.
+imports are exempt. A private name bound at module level (`_X = ...`,
+`def _f`, `class _C`; not a dunder) is unused when no expression in the
+module reads it: a constant or helper that a refactor orphaned. Prints one
+`FILE:LINE: 'NAME' imported but never read` or `FILE:LINE: 'NAME' defined
+but never read` line per unused name and exits 1 if there is any.
 
 Standard library only.
 """
@@ -28,8 +31,27 @@ def _exported(tree: ast.Module) -> set[str]:
     return set()
 
 
-def unused_imports(path: Path) -> list[tuple[int, str]]:
-    """(line, name) of each name the module at path imports and never reads."""
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Line of each private name the module's top level binds, dunders aside."""
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [name.id for target in targets for name in ast.walk(target)
+                     if isinstance(name, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, node.lineno)
+    return defined
+
+
+def unused_names(path: Path) -> list[tuple[int, str, str]]:
+    """(line, name, what) of each name the module at path imports, or
+    privately defines, and never reads; what is "imported" or "defined"."""
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     imported: dict[str, int] = {}
     read: set[str] = set()
@@ -44,16 +66,18 @@ def unused_imports(path: Path) -> list[tuple[int, str]]:
                     imported.setdefault(name, node.lineno)
         elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             read.add(node.id)
-    unused = imported.keys() - read - _exported(tree)
-    return sorted((imported[name], name) for name in unused)
+    defined = _private_definitions(tree)
+    return sorted([(imported[name], name, "imported")
+                   for name in imported.keys() - read - _exported(tree)]
+                  + [(defined[name], name, "defined") for name in defined.keys() - read])
 
 
 def main(argv: list[str]) -> int:
     found = False
     for root in argv or ["src"]:
         for path in sorted(Path(root).rglob("*.py")):
-            for line, name in unused_imports(path):
-                print(f"{path}:{line}: {name!r} imported but never read")
+            for line, name, what in unused_names(path):
+                print(f"{path}:{line}: {name!r} {what} but never read")
                 found = True
     return 1 if found else 0
 
