@@ -37,7 +37,8 @@ _STAGES = {
     },
     TEAL_EXT: {
         "parse_teal": "teal.parser", "build_cfg": "teal.cfg",
-        "abstract_exec_block": "teal.absint", "find_guard_points": "teal.detectors",
+        "abstract_exec_block": "teal.absint", "success_ends": "teal.detectors",
+        "find_guard_points": "teal.detectors",
         "find_fund_mod_points": "teal.detectors", "compute_guardedness": "flow",
         "find_subjects": "teal.detectors",
     },
@@ -92,9 +93,9 @@ def analyze_solidity_source(
     subjects = []
     for contract in unit.contracts:
         balances = collect_state_vars(contract, unit.tokens, diagnostics)
-        guards = find_sender_guards(contract, unit.tokens)
-        funds = find_fund_modifications(contract, unit.tokens, balances)
-        subjects.extend(pair_detections(contract, unit.tokens, guards, funds, diagnostics))
+        lowering = find_sender_guards(contract, unit.tokens, balances, diagnostics)
+        funds = find_fund_modifications(lowering)
+        subjects.extend(pair_detections(lowering, unit.tokens, funds, diagnostics))
     findings = classify("solidity", path, subjects)
     return findings, diagnostics
 
@@ -109,12 +110,13 @@ def analyze_teal_source(
     cfg = build_cfg(program)
     facts = [abstract_exec_block(block, program, config, diagnostics)
              for block in cfg.blocks]
-    guards = find_guard_points(cfg, facts, program, diagnostics)
+    ends = success_ends(cfg, facts, program)
+    guards = find_guard_points(cfg, facts, program, ends, diagnostics)
     funds = find_fund_mod_points(facts, program)
-    # The points hold all the flow query and the subjects read of the
-    # program's columns and the block facts, so those go before it runs.
+    # The points and the ends hold all the flow query and the subjects read
+    # of the program's columns and the block facts, so those go before it runs.
     del program, facts
-    guardedness = compute_guardedness(cfg, guards, funds, diagnostics)
+    guardedness = compute_guardedness(cfg, guards, funds, ends, diagnostics)
     # classify makes each subject as it reads it, so no list of them is held.
     findings = classify("teal", path, find_subjects(guards, funds, guardedness))
     return findings, diagnostics

@@ -1,19 +1,20 @@
-"""Language-neutral control flow: a graph of blocks, and whether every path
-from entry to a fund point crosses a guard.
+"""Language-neutral control flow: a graph of blocks, and whether a stranger
+can commit a fund point.
 
 A block is the `range` of its instruction indices; entry is block 0. Points
 are read only through `block`, `instruction` and `line`, guards also
-through `form` and `non_fail_edge`. A point is guarded iff every path from
-entry reaches it only after an assert guard or across the authorized
-(non-fail) edge of a branch guard: reachability over blocks in a graph in
-which a path halts at its block's first assert guard and each authorized
-edge is removed. A breadth-first search over blocks, in successor order,
-gives each block reached its parent: an unguarded write's witness is the
-guard-free path with the fewest blocks, and where two such paths part it
-takes the earlier successor edge (taken before not-taken). Per unguarded
-write only its printed witness is stored; full paths are derived from the
-parents on read. A guarded write's gates are the last guard on each of its
-entry paths, found by one forward pass.
+through `form` and `non_fail_edge`. A run commits a point it passes on its
+way to an end, a block at whose end the program may succeed. A point is
+unguarded iff a guard-free run commits it: one that passes no assert guard,
+crosses no authorized (non-fail) edge of a branch guard and does not end at
+a block ending in a branch guard (which ends the program only across its
+authorized edge). It is guarded iff another run commits it, else dead. A
+breadth-first search gives each block reached guard-free its parent: an
+unguarded write's witness, printed from the parents on read, is the
+guard-free path from entry with the fewest blocks, and where two such
+paths part it takes the earlier successor edge. A guarded write's gates
+are the last guard on each of its entry paths and, when a guard-free path
+reaches it, the first guard on each of its runs on to an end.
 """
 
 from __future__ import annotations
@@ -51,45 +52,45 @@ class Cfg(NamedTuple):
         return [(b, to, kind) for b, out in enumerate(self.successors) for to, kind in out]
 
 
-def reaching(cfg: Cfg, targets: list[int]) -> set[int]:
+def reaching(cfg: Cfg, targets) -> set[int]:
     """The blocks with a path into one of targets, targets included, found
     backward from them in one pass."""
-    predecessors: list[list[int]] = [[] for _ in cfg.blocks]
-    for frm, out in enumerate(cfg.successors):
-        for to, _kind in out:
-            predecessors[to].append(frm)
-    stack = list(targets)
-    seen = set(stack)
-    while stack:
-        for frm in predecessors[stack.pop()]:
-            if frm not in seen:
-                seen.add(frm)
-                stack.append(frm)
-    return seen
+    return _backward(_forward(cfg, range(len(cfg.blocks))), targets, (), ())
 
 
 class GuardednessResult(Record):
-    """Verdicts; per unguarded write its printed witness path; per
-    guarded write its gating guards, the last guard on each entry path,
-    sorted by instruction. `parents` is the BFS parent tree the witnesses
-    follow (block -> the block it was entered from; entry has none). Full
-    block and instruction paths are derived from it on read: no scan reads
-    them, the tests and the benchmark do."""
-    __slots__ = ("cfg", "verdicts", "tails", "gates", "parents")
+    """Verdicts; per guarded write its gates, sorted by instruction.
+    `parents` is the BFS parent tree the witnesses follow (block -> the
+    block it was entered from; entry has none), `depth` each block's depth
+    in it. An unguarded write's printed witness (`tail`) and its full block
+    and instruction paths are derived from them on read."""
+    __slots__ = ("cfg", "verdicts", "gates", "parents", "depth")
 
     def __init__(self, cfg: Cfg):
         self.cfg = cfg
-        self.verdicts: dict = {}  # fund point -> True, False, or None when unreachable
-        self.tails: dict = {}  # fund point -> printed witness
+        self.verdicts: dict = {}  # fund point -> True, False, or None when dead
         self.gates: dict = {}  # fund point -> guard points
         self.parents: dict[int, int] = {}
+        self.depth: dict[int, int] = {}
+
+    def tail(self, point) -> str:
+        """An unguarded write's printed witness, "0->1->2->7" or, when longer
+        than WITNESS_MAX_BLOCKS, "0->...(+197)->198->199->400"; walks at
+        most WITNESS_MAX_BLOCKS - 1 parents."""
+        length = self.depth[point.block] + 1
+        kept = length if length <= WITNESS_MAX_BLOCKS else WITNESS_TAIL_BLOCKS
+        tail = [point.block]
+        for _ in range(kept - 1):
+            tail.append(self.parents[tail[-1]])
+        via = "->".join(map(str, reversed(tail)))
+        return via if kept == length else f"0->...(+{length - 1 - kept})->{via}"
 
     @property
     def witnesses(self) -> dict:
         """Per unguarded write, its block path from entry."""
         parents = self.parents
         paths = {}
-        for point in self.tails:
+        for point in (p for p, verdict in self.verdicts.items() if verdict is False):
             path = [point.block]
             while path[-1] != 0:
                 path.append(parents[path[-1]])
@@ -105,13 +106,13 @@ class GuardednessResult(Record):
                 for point, path in self.witnesses.items()}
 
 
-def compute_guardedness(cfg: Cfg, guard_points: list, fund_points: list,
+def compute_guardedness(cfg: Cfg, guard_points: list, fund_points: list, ends,
                         diagnostics: list[Diagnostic]) -> GuardednessResult:
-    """Decide, per fund point, whether all entry paths cross a guard.
-
-    The witness search takes each block and edge at most once."""
+    """Decide, per fund point, whether a stranger can commit it; ends are
+    the blocks at whose end the program may succeed. The witness search
+    takes each block and edge at most once."""
     result = GuardednessResult(cfg)
-    if not cfg.blocks:
+    if not cfg.blocks or not fund_points:
         return result
 
     pruned_edges = {p.non_fail_edge for p in guard_points
@@ -126,16 +127,27 @@ def compute_guardedness(cfg: Cfg, guard_points: list, fund_points: list,
         if p.form == ASSERT_GUARD:
             first_stop.setdefault(p.block, p.instruction)
 
-    parents, depth = _reach(cfg, first_stop, pruned_edges)
-    result.parents = parents
-    gates_into = _gates_into(cfg, {b: (held[-1],) for b, held in guards_in.items()})
+    result.parents, result.depth = _reach(cfg, first_stop, pruned_edges)
+    depth = result.depth
+    gates_into = _gates_into(cfg.successors, (0,),
+                             {b: (held[-1],) for b, held in guards_in.items()})
+    # The passes back from ends keep to the blocks the writes' blocks reach.
+    blocks = {p.block for p in fund_points}
+    predecessors = _forward(cfg, blocks)
+    ends = [b for b in ends if b in predecessors]
+    committing = _backward(predecessors, ends, (), ())
+    # Where a guard-free run may go on to an end, if one reaches a write.
+    free_ends = _backward(predecessors, [b for b in ends if all(
+        p.form == ASSERT_GUARD for p in guards_in.get(b, ()))], pruned_edges, first_stop
+    ) if not blocks.isdisjoint(depth) else ()
 
+    reached_free = []  # guarded points a guard-free path from entry reaches
     for point in fund_points:
         block = point.block
-        if block in depth and point.instruction <= first_stop.get(block, point.instruction):
+        free = block in depth and point.instruction <= first_stop.get(block, point.instruction)
+        if free and block in free_ends:
             result.verdicts[point] = False
-            result.tails[point] = _tail(parents, depth, block)
-        elif block in gates_into:
+        elif block in gates_into and block in committing:
             result.verdicts[point] = True
             gates = gates_into[block]
             for p in guards_in.get(block, ()):
@@ -144,36 +156,81 @@ def compute_guardedness(cfg: Cfg, guard_points: list, fund_points: list,
             if len(gates) > 1:
                 gates = gates_into[block] = tuple(sorted(gates, key=_instruction))
             result.gates[point] = gates
+            if free:
+                reached_free.append(point)
         else:
             result.verdicts[point] = None  # dead code
             diagnostics.append(Diagnostic(
-                f"fund modification at line {point.line} is unreachable "
-                f"from program entry", point.line))
+                f"fund modification at line {point.line} is unreachable from program entry"
+                if block not in gates_into else
+                f"every path through the fund modification at line {point.line} fails",
+                point.line))
+    if reached_free:  # the first guard on each of their runs on to an end
+        after = _gates_into(predecessors, ends, {b: (held[0],) for b, held in guards_in.items()})
+        for point in reached_free:
+            gates = result.gates[point] + tuple(next(
+                ((p,) for p in guards_in.get(point.block, ()) if p.instruction >= point.instruction),
+                after[point.block]))
+            result.gates[point] = tuple(sorted(set(gates), key=_instruction))
     return result
 
 
-def _gates_into(cfg: Cfg, exits: dict[int, tuple]) -> dict[int, tuple]:
-    """Forward pass from entry (block 0) over every edge: per reachable
-    block, the guards (in no set order) that end a guard-free path into it;
-    entry's guard-free path from itself adds none. A block that holds a
-    guard passes on exits[block], its last guard. A block re-propagates
-    only when its tuple grows, so loops terminate."""
-    into: dict[int, tuple] = {0: ()}
-    stack = [0]
-    successors = cfg.successors
+def _forward(cfg: Cfg, blocks: set[int]) -> dict[int, list[tuple[int, str]]]:
+    """Per block reachable from blocks, blocks included, its (from, kind)
+    edges in from those blocks."""
+    predecessors: dict[int, list] = {b: [] for b in blocks}
+    stack = list(blocks)
     while stack:
-        b = stack.pop()
-        out = exits.get(b) or into[b]
+        frm = stack.pop()
+        for to, kind in cfg.successors[frm]:
+            into = predecessors.get(to)
+            if into is None:
+                into = predecessors[to] = []
+                stack.append(to)
+            into.append((frm, kind))
+    return predecessors
+
+
+def _backward(predecessors: dict, targets: list[int], cut, halts) -> set[int]:
+    """The blocks of predecessors with a path into one of targets, targets
+    included, that crosses no (from, to, kind) edge in cut and enters no
+    block in halts."""
+    stack = [b for b in targets if b not in halts]
+    seen = set(stack)
+    while stack:
+        to = stack.pop()
+        for frm, kind in predecessors[to]:
+            if frm not in seen and frm not in halts and (frm, to, kind) not in cut:
+                seen.add(frm)
+                stack.append(frm)
+    return seen
+
+
+def _gates_into(successors, starts, exits: dict[int, tuple]) -> dict[int, tuple]:
+    """Pass from starts over every edge of successors: per block reached,
+    the guards (in no set order) that end a guard-free path into it; a
+    start's guard-free path from itself adds none. A block that holds a
+    guard passes on exits[block] once; any other passes on each guard once,
+    when it arrives. So a block that many paths join passes each guard one
+    step on, and loops terminate."""
+    into: dict[int, tuple] = dict.fromkeys(starts, ())
+    stack = list(into)  # each block with, in outs, the guards it passes on
+    outs = [exits.get(b, ()) for b in stack]
+    while stack:
+        b, out = stack.pop(), outs.pop()
         for to, _kind in successors[b]:
             have = into.get(to)
             if have is None:
                 into[to] = out
                 stack.append(to)
+                outs.append(exits.get(to) or out)
             elif have is not out:
                 extra = tuple(p for p in out if p not in have)
                 if extra:
                     into[to] = have + extra
-                    stack.append(to)
+                    if to not in exits:
+                        stack.append(to)
+                        outs.append(extra)
     return into
 
 
@@ -199,16 +256,3 @@ def _reach(cfg: Cfg, stop_blocks: dict[int, int], pruned_edges: frozenset | set
                 depth[to] = below
                 queue.append(to)
     return parents, depth
-
-
-def _tail(parents: dict[int, int], depth: dict[int, int], block: int) -> str:
-    """The printed witness path to block, "0->1->2->7" or, when longer than
-    WITNESS_MAX_BLOCKS, "0->...(+197)->198->199->400"; walks at most
-    WITNESS_MAX_BLOCKS - 1 parents."""
-    length = depth[block] + 1
-    kept = length if length <= WITNESS_MAX_BLOCKS else WITNESS_TAIL_BLOCKS
-    tail = [block]
-    for _ in range(kept - 1):
-        tail.append(parents[tail[-1]])
-    via = "->".join(map(str, reversed(tail)))
-    return via if kept == length else f"0->...(+{length - 1 - kept})->{via}"

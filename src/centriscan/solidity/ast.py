@@ -3,8 +3,10 @@
 Every region of source a node holds is a token span, and every other text
 it holds is a name, operator or keyword as a string. An expression or
 statement spans token `at` to `end`, one past its last token, into the
-`Tokens` its SourceUnit carries; a call's `{value: x}` options block is an
-OpaqueExpr, and a state variable's type the span `type_at` to `type_end`.
+`Tokens` its SourceUnit carries, and a state variable's type the span
+`type_at` to `type_end`. A call's options (`x.call{value: v}(...)`,
+`new T{value: v}(...)`) and its named arguments (`f({to: a})`) are Pairs
+of names and expressions.
 `tokens.position(node.at)` gives a node's line and column, and
 `tokens.text(node.at, node.end)` its verbatim source text, gaps (whitespace
 and comments) between its tokens included. A declaration's `at` is the
@@ -57,7 +59,14 @@ class Conditional(Expr):
 
 
 class CallExpr(Expr):
-    __slots__ = ("callee", "args", "options")  # options: a `{value: x}` OpaqueExpr, or None
+    # options: the Pairs of a `{value: v, gas: g}` block after the callee, or None.
+    __slots__ = ("callee", "args", "options")
+
+
+class Pairs(Expr):
+    """`{name: value, ...}`: a call's options, or its named arguments as its
+    one argument (`f({to: a, amount: 1})`)."""
+    __slots__ = ("names", "values")
 
 
 class Assign(Expr):

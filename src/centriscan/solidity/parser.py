@@ -30,6 +30,8 @@ _UNARY_OPS = frozenset({"!", "-", "~", "+", "++", "--", "delete", "new"})
 _STEP_OPS = frozenset({"++", "--"})
 _WRITE_PREFIXES = _STEP_OPS | {"delete"}
 _WRITABLE = frozenset({ast.Identifier, ast.Member, ast.Index})
+# The callees a `{name: value}` options block may follow: `x.call{...}`, `new T{...}`.
+_CALLEES = frozenset({ast.Identifier, ast.Member})
 _NUMBER_UNITS = frozenset({
     "wei", "gwei", "ether", "szabo", "finney",
     "seconds", "minutes", "hours", "days", "weeks", "years",
@@ -49,6 +51,7 @@ _DIRECTIVE_STOP = frozenset({";"})
 _INITIALIZER_STOP = frozenset({";", "}"})
 _REQUIRE_MESSAGE_STOP = frozenset({")"})
 _BODY_STOP = frozenset({"{", "}"})
+_PAIRS_STOP = frozenset({"}"})
 # The tokens _skip_to looks at: the brackets, the unit starts, `;` and `,`.
 # Every stop set it is given is made of them.
 _MARKS = _EXPR_STOP | _OPENERS
@@ -603,10 +606,9 @@ class _Parser:
             elif t == "(":
                 args = self._parse_call_args()
                 expr = ast.CallExpr(i, self.i, expr, args, None)
-            elif t == "{" and isinstance(expr, ast.Member):
-                opt_start = self.i
-                self._skip_balanced()
-                options = ast.OpaqueExpr(opt_start, self.i)
+            elif t == "{" and type(expr) in _CALLEES and (
+                    texts[self.i + 1] == "}" or texts[self.i + 2] == ":"):
+                options = self._parse_pairs()
                 if self._text() != "(":
                     return ast.OpaqueExpr(start, self.i)
                 args = self._parse_call_args()
@@ -626,6 +628,25 @@ class _Parser:
                 expr = ast.Unary(i, self.i, op, expr)
         return expr
 
+    def _parse_pairs(self) -> ast.Pairs:
+        """`{name: value, ...}`, a call's options or named arguments, from its
+        `{` through its `}`; what does not read as a pair is skipped to the
+        `}`, or up to a unit start."""
+        start = self.i
+        self.i += 1
+        texts = self.texts
+        names, values = [], []
+        while self.kinds[self.i] == "identifier" and texts[self.i + 1] == ":":
+            names.append(texts[self.i])
+            self.i += 2
+            values.append(self._parse_expr())
+            if not self._eat(","):
+                break
+        if texts[self.i] != "}":
+            self._skip_to(_PAIRS_STOP)
+        self._eat("}")
+        return ast.Pairs(start, self.i, names, values)
+
     def _parse_call_args(self) -> list[ast.Expr]:
         self._eat("(")
         args: list[ast.Expr] = []
@@ -633,12 +654,7 @@ class _Parser:
             self.i += 1
             return args
         while self.i < self.n:
-            if self._text() == "{":
-                opt_start = self.i
-                self._skip_balanced()
-                args.append(ast.OpaqueExpr(opt_start, self.i))
-            else:
-                args.append(self._parse_expr())
+            args.append(self._parse_pairs() if self._text() == "{" else self._parse_expr())
             if self._eat(","):
                 continue
             break

@@ -35,15 +35,37 @@ class FundModPoint(NamedTuple):
     key: str
 
 
+def success_ends(cfg: Cfg, facts: list[BlockFacts], program: TealProgram) -> set[int]:
+    """The blocks at whose end the program may finish successfully: every
+    ending but `err` and a `return` of a proven zero. A branch to the label
+    after the last instruction, or a conditional one that falls off the
+    end, ends the program with what is on the stack."""
+    n = len(program.opcodes)
+    ends = set()
+    for block, instructions in enumerate(cfg.blocks):
+        end = instructions.stop
+        last = program.opcodes[end - 1]
+        if last in BRANCH_OPCODES:
+            immediates = program.immediates[end - 1]
+            if immediates and program.labels.get(immediates[0]) == n or last != "b" and end == n:
+                ends.add(block)
+                continue
+        if not cfg.successors[block] and last != "err" and (
+                last != "return" or facts[block].returned != IntConst(0)):
+            ends.add(block)
+    return ends
+
+
 def find_guard_points(
     cfg: Cfg,
     facts: list[BlockFacts],
     program: TealProgram,
+    ends: set[int],
     diagnostics: list[Diagnostic],
 ) -> list[GuardPoint]:
     """Collect assert guards and failure-gating branch guards, in
     instruction order: facts come block by block, and a branch guard ends
-    its block."""
+    its block. ends are the program's success_ends."""
     points: list[GuardPoint] = []
     lines = program.lines
     succeeding: list[set[int]] = []  # see _is_failure_region
@@ -63,7 +85,7 @@ def find_guard_points(
                 f"assert: txn Sender == {source}",
             ))
         if block_facts.branch_guard is not None:
-            point = _branch_guard(cfg, facts, block, program, diagnostics, succeeding)
+            point = _branch_guard(cfg, facts, block, program, ends, diagnostics, succeeding)
             if point is not None:
                 points.append(point)
     return points
@@ -75,7 +97,7 @@ def _note_weakened(diagnostics, cmp: SenderCmp, line: int) -> None:
             "weakened guard: sender comparison combined with '||'", line))
 
 
-def _branch_guard(cfg, facts, block, program, diagnostics, succeeding
+def _branch_guard(cfg, facts, block, program, ends, diagnostics, succeeding
                   ) -> GuardPoint | None:
     index = cfg.blocks[block].stop - 1
     cmp = facts[block].branch_guard
@@ -94,7 +116,7 @@ def _branch_guard(cfg, facts, block, program, diagnostics, succeeding
         diagnostics.append(Diagnostic(
             "sender comparison branch has no failure edge", line))
         return None
-    if not _is_failure_region(cfg, facts, program, fail_target, succeeding):
+    if not _is_failure_region(cfg, ends, fail_target, succeeding):
         diagnostics.append(Diagnostic(
             "sender comparison branch does not gate a failure path", line))
         return None
@@ -113,35 +135,17 @@ def _branch_guard(cfg, facts, block, program, diagnostics, succeeding
     )
 
 
-def _is_failure_region(cfg: Cfg, facts: list[BlockFacts], program: TealProgram,
-                       start_block: int, succeeding: list[set[int]]) -> bool:
-    """True iff no path from start_block may end the program successfully.
-    A block with no successors is decided alone. Any other is looked up in
-    the blocks that lead to a success, found by one backward pass per
-    program and kept in succeeding, empty until the first such lookup."""
+def _is_failure_region(cfg: Cfg, ends: set[int], start_block: int,
+                       succeeding: list[set[int]]) -> bool:
+    """True iff no path from start_block reaches one of ends. A block with
+    no successors is decided alone. Any other is looked up in the blocks
+    that lead to an end, found by one backward pass per program and kept
+    in succeeding, empty until the first such lookup."""
     if not cfg.successors[start_block]:
-        return not _may_succeed(cfg, facts, program, start_block)
+        return start_block not in ends
     if not succeeding:
-        succeeding.append(reaching(cfg, [b for b in range(len(cfg.blocks))
-                                         if _may_succeed(cfg, facts, program, b)]))
+        succeeding.append(reaching(cfg, ends))
     return start_block not in succeeding[0]
-
-
-def _may_succeed(cfg: Cfg, facts: list[BlockFacts], program: TealProgram, block: int) -> bool:
-    """True iff the program may end successfully at the end of block: every
-    ending but `err` and a `return` of a proven zero. A branch to the label
-    after the last instruction, or a conditional one that falls off the
-    end, ends the program with what is on the stack."""
-    end = cfg.blocks[block].stop
-    last = program.opcodes[end - 1]
-    if last in BRANCH_OPCODES:
-        immediates = program.immediates[end - 1]
-        n = len(program.opcodes)
-        if immediates and program.labels.get(immediates[0]) == n or last != "b" and end == n:
-            return True
-    if cfg.successors[block] or last == "err":
-        return False
-    return last != "return" or facts[block].returned != IntConst(0)
 
 
 def find_fund_mod_points(facts: list[BlockFacts], program: TealProgram) -> list[FundModPoint]:
@@ -175,7 +179,7 @@ def find_subjects(
                 tuple(Evidence("guard", g.line, 1, g.description)
                       for g in guardedness.gates.get(point, ())),
                 (Evidence("fund_modification", point.line, 1, f"{point.opcode} key {key}"),),
-                "" if verdict else f" (blocks {guardedness.tails[point]})")
+                "" if verdict else f" (blocks {guardedness.tail(point)})")
     if not fund_points:
         for g in guard_points:
             yield Subject(g.line, 1, f"sender guard on {g.privileged_source}",

@@ -11,7 +11,9 @@ import centriscan
 from centriscan.record import Record
 from centriscan.solidity import ast
 from centriscan.solidity.tokens import Tokens
+from centriscan.solidity.detectors import find_fund_modifications, find_sender_guards
 from centriscan.solidity.parser import parse_solidity
+from centriscan.solidity.symbols import collect_state_vars
 from centriscan.flow import BRANCH_NOT_TAKEN, BRANCH_TAKEN, FALLTHROUGH, Cfg
 from centriscan.teal.detectors import FundModPoint, GuardPoint
 
@@ -94,6 +96,15 @@ def parse_function(statements: str) -> tuple[list[ast.Stmt], Tokens]:
 
 def parse_function_body(statements: str) -> list[ast.Stmt]:
     return parse_function(statements)[0]
+
+
+def solidity_sites(contract: ast.ContractDecl, tokens: Tokens, diagnostics: list | None = None):
+    """The lowering of contract, its guard sites and its fund sites, each
+    site the `at` of its declaration and its Evidence, sorted by position."""
+    lowering = find_sender_guards(contract, tokens, collect_state_vars(contract, tokens, []),
+                                  [] if diagnostics is None else diagnostics)
+    return (lowering, [(at, evidence) for evidence, at in lowering.sites],
+            [(point.at, point.evidence) for point in find_fund_modifications(lowering)])
 
 
 # Node kinds whose text is their content, not just a source echo.
@@ -200,6 +211,24 @@ def random_tied_cfg(rng: random.Random) -> Cfg:
         elif shape == "fall" and i + 1 < n_blocks:
             edges.append((i, i + 1, FALLTHROUGH))
     return cfg_from_sizes(rng.choices((1, 2), (3, 1), k=n_blocks), edges)
+
+
+def terminal_blocks(cfg: Cfg) -> list[int]:
+    """The blocks with no successors: where a synthetic program ends."""
+    return [b for b, out in enumerate(cfg.successors) if not out]
+
+
+def every_block(cfg: Cfg) -> range:
+    """Every block as an end, so that most writes a guard-free path reaches
+    are unguarded and have a witness."""
+    return range(len(cfg.blocks))
+
+
+def random_ends(cfg: Cfg, rng: random.Random) -> list[int]:
+    """The blocks at whose end a random program may finish: most of those
+    without successors and a few others, as a TEAL branch past the last
+    instruction is."""
+    return [b for b, out in enumerate(cfg.successors) if rng.random() < (0.15 if out else 0.8)]
 
 
 def random_guards_and_funds(

@@ -1,18 +1,28 @@
 """Independent guardedness oracle: exhaustive path enumeration.
 
-A fund point is unguarded iff some entry path reaches it without passing
-through an assert-guard instruction or crossing the authorized (non-fail)
-edge of a branch guard. Enumeration caps revisits at one cycle repetition
-per instruction, which is complete for this cut property and for the last
-guard of a path (a shortest path to that guard, then a guard-free simple
-path on to the write, holds each instruction at most twice).
+A run is a path from entry to the last instruction of an end block (a
+block at whose end the program may finish). A fund point is unguarded iff
+some run passes it without passing an assert-guard instruction or
+crossing the authorized (non-fail) edge of a branch guard, before the
+point or after it, and does not finish at a block whose last instruction
+is a branch guard (such a block ends the program only across its
+authorized edge). It is guarded iff some run passes it at all, and dead
+otherwise. A run through a point joins a path from entry to it and a path
+from it on, so the oracle searches each half alone, instruction by
+instruction. Enumeration caps
+revisits at one cycle repetition per instruction, which is complete for
+these paths and for the guards they pass first or last (a shortest path to
+a guard, then a guard-free simple path on, holds each instruction at most
+twice).
 
 `reference_gates` enumerates the same capped paths with no guard semantics
 and collects, per guarded fund point, the last guard instruction each path
-passes before reaching it.
+from entry passes before reaching it and, when a path from entry reaches
+it without a guard, the first guard instruction each path on to an end
+passes from the point on.
 
-`reference_witnesses` is the reference for witness paths: per write
-reached without a guard, the guard-free block path with the fewest blocks,
+`reference_witnesses` is the reference for witness paths: per unguarded
+write, the guard-free block path with the fewest blocks,
 where two such paths part the one on the earlier successor edge, found
 level by level by comparing whole paths; its instruction path is read off
 the block path.
@@ -30,6 +40,10 @@ at every occurrence and checks every instruction for a branch target.
 `reference_exec_block` is the reference abstract interpreter: one
 instruction object and one stack method call at a time, with the value
 helpers of `centriscan.teal.absint`.
+
+`reference_solidity_verdicts` is the Solidity reference: it runs each
+function's AST, modifiers around it, along every stranger run and every
+run of any sender, and never lowers it onto a graph.
 """
 
 from __future__ import annotations
@@ -57,6 +71,7 @@ from centriscan.teal.absint import (
     _record_put,
 )
 from centriscan.flow import Cfg
+from centriscan.solidity import ast
 from centriscan.teal.detectors import FundModPoint, GuardPoint
 from centriscan.teal.parser import BRANCH_OPCODES, OPCODE_STACK_EFFECTS, TealProgram
 
@@ -77,12 +92,13 @@ def _instruction_successors(cfg: Cfg, pruned: set) -> dict[int, list[int]]:
 
 
 def _capped_paths(cfg: Cfg, successors: dict[int, list[int]], stops: set,
-                  visit_cap: int = 2):
-    """Yield every entry path, as one list extended in place, on which no
-    instruction occurs more than visit_cap times; a path ends at a stop."""
-    path = [0]  # entry: instruction 0
-    counts = {0: 1}
-    pending = [iter(() if 0 in stops else successors[0])]
+                  visit_cap: int = 2, start: int = 0):
+    """Yield every path from start (entry by default), as one list extended
+    in place, on which no instruction occurs more than visit_cap times; a
+    path ends at a stop."""
+    path = [start]
+    counts = {start: 1}
+    pending = [iter(() if start in stops else successors[start])]
     yield path
     while pending:
         for s in pending[-1]:
@@ -120,48 +136,80 @@ def plain_reachable(cfg: Cfg) -> set[int]:
     return seen
 
 
-def exists_unguarded_path(cfg: Cfg, guards: list[GuardPoint], target: int,
-                          visit_cap: int = 2) -> bool:
-    """Search every entry path (cycles capped) for one avoiding all guards."""
-    asserts, pruned = _guard_cuts(guards)
-    successors = _instruction_successors(cfg, pruned)
-    # A path ends at an assert, but reaching the target there still counts.
-    return any(path[-1] == target
-               for path in _capped_paths(cfg, successors, asserts, visit_cap))
+def _some_path(successors, stops: set, start: int, targets: set) -> bool:
+    """Whether a path from start over instructions ends at one of targets,
+    none of whose instructions but its last is a stop: a search over
+    instructions, as a path need not repeat one."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        q = stack.pop()
+        if q in targets:
+            return True
+        if q not in stops:
+            for s in successors[q]:
+                if s not in seen:
+                    seen.add(s)
+                    stack.append(s)
+    return False
 
 
 def oracle_verdicts(
-    cfg: Cfg, guards: list[GuardPoint], funds: list[FundModPoint]
+    cfg: Cfg, guards: list[GuardPoint], funds: list[FundModPoint], ends
 ) -> dict[FundModPoint, bool | None]:
-    reachable = plain_reachable(cfg)
+    """Per fund point: False when unguarded, True when guarded, None when
+    dead (see the module docstring)."""
+    asserts, pruned = _guard_cuts(guards)
+    finish = {cfg.blocks[b][-1] for b in ends}
+    branch_guards = {g.instruction for g in guards if g.form == "BranchGuard"}
+    free_finish = finish - asserts - branch_guards
+    plain = _instruction_successors(cfg, set())
+    free = _instruction_successors(cfg, pruned)
     verdicts: dict[FundModPoint, bool | None] = {}
     for point in funds:
-        if point.instruction not in reachable:
+        q = point.instruction
+        if not (_some_path(plain, set(), 0, {q})
+                and _some_path(plain, set(), q, finish)):
             verdicts[point] = None
         else:
-            verdicts[point] = not exists_unguarded_path(cfg, guards, point.instruction)
+            verdicts[point] = q in asserts or not (
+                _some_path(free, asserts, 0, {q})
+                and _some_path(free, asserts, q, free_finish))
     return verdicts
 
 
 def reference_gates(
-    cfg: Cfg, guards: list[GuardPoint], funds: list[FundModPoint], visit_cap: int = 2
+    cfg: Cfg, guards: list[GuardPoint], funds: list[FundModPoint], ends, visit_cap: int = 2
 ) -> dict[FundModPoint, tuple[int, ...]]:
     """Per fund point the oracle calls guarded, the sorted set of the last
-    guard instruction on each entry path to it (either edge of a branch
-    guard; the write's own instruction does not count as passed)."""
-    verdicts = oracle_verdicts(cfg, guards, funds)
+    guard instruction on each path from entry to it (either edge of a
+    branch guard; the write's own instruction does not count as passed)
+    and, when a guard-free path from entry reaches it, of the first guard
+    instruction on each path from it to an end (its own instruction
+    included)."""
+    verdicts = oracle_verdicts(cfg, guards, funds, ends)
     guarded = {p.instruction: p for p, verdict in verdicts.items() if verdict is True}
     if not guarded:
         return {}
     guard_instructions = {g.instruction for g in guards}
+    finish = {cfg.blocks[b][-1] for b in ends}
     found: dict[int, set[int | None]] = {q: set() for q in guarded}
     successors = _instruction_successors(cfg, set())
     for path in _capped_paths(cfg, successors, set(), visit_cap):
         if path[-1] in found:
             found[path[-1]].add(next(
                 (q for q in reversed(path[:-1]) if q in guard_instructions), None))
-    assert all(None not in last for last in found.values()), \
-        "a guarded write has an entry path that passes no guard"
+    asserts, pruned = _guard_cuts(guards)
+    free = _instruction_successors(cfg, pruned)
+    for q, last in found.items():
+        last.discard(None)
+        if _some_path(free, asserts, 0, {q}):
+            after = {next((r for r in path if r in guard_instructions), None)
+                     for path in _capped_paths(cfg, successors, set(), visit_cap, q)
+                     if path[-1] in finish}
+            assert None not in after, "a guarded write has a run that passes no guard"
+            last |= after
+        assert last, "a guarded write has a run that passes no guard"
     return {guarded[q]: tuple(sorted(last)) for q, last in found.items()}
 
 
@@ -194,23 +242,23 @@ def _fewest_block_paths(cfg: Cfg, stop_instructions: set, pruned_edges: set
 
 
 def reference_witnesses(
-    cfg: Cfg, guards: list[GuardPoint], funds: list[FundModPoint]
+    cfg: Cfg, guards: list[GuardPoint], funds: list[FundModPoint], ends
 ) -> tuple[dict[FundModPoint, tuple[int, ...]], dict[FundModPoint, tuple[int, ...]]]:
-    """(block paths, instruction paths) of every fund point reachable
-    without crossing a guard: the block path of fewest blocks, and the
-    instructions it runs, each block whole but the last, which is cut
-    after the point. A point is reached if its block is entered and no
-    assert guard in the block comes before it."""
+    """(block paths, instruction paths) of every fund point the oracle
+    calls unguarded: the block path of fewest blocks that enters its block
+    without crossing a guard, and the instructions it runs, each block
+    whole but the last, which is cut after the point."""
     block_paths: dict[FundModPoint, tuple[int, ...]] = {}
     instruction_paths: dict[FundModPoint, tuple[int, ...]] = {}
     if not cfg.blocks:
         return block_paths, instruction_paths
     asserts, pruned = _guard_cuts(guards)
     paths = _fewest_block_paths(cfg, asserts, pruned)
+    verdicts = oracle_verdicts(cfg, guards, funds, ends)
     for point in funds:
         path = paths.get(point.block)
         start = cfg.blocks[point.block].start
-        if path is None or asserts.intersection(range(start, point.instruction)):
+        if verdicts[point] is not False:
             continue
         block_paths[point] = path
         instruction_paths[point] = tuple(q for b in path[:-1] for q in cfg.blocks[b]) + \
@@ -451,3 +499,104 @@ def reference_exec_block(
             "stack underflow in abstract interpretation; block state unknown",
             first.line))
     return facts
+
+
+# --- Solidity: runs over the AST ---------------------------------------------
+
+def _sender_test(condition: ast.Expr) -> str | None:
+    """"==" or "!=" for a plain comparison of `msg.sender` with another
+    operand, else None: the conditions the generated bodies hold."""
+    if type(condition) is ast.Binary and condition.op in ("==", "!=") and \
+            (type(condition.lhs) is ast.MsgSender) != (type(condition.rhs) is ast.MsgSender):
+        return condition.op
+    return None
+
+
+def _outcomes(condition: ast.Expr, stranger: bool) -> tuple[bool, ...]:
+    """The values a condition takes: for a stranger a sender `==` is false
+    and a sender `!=` true; any other condition, and any condition for any
+    sender, takes both."""
+    test = _sender_test(condition)
+    if stranger and test is not None:
+        return (test == "!=",)
+    return (True, False)
+
+
+def _runs(body: list, i: int, inner, stranger: bool):
+    """Yield (writes, end) for each run of body[i:]: the balance writes it
+    executes and how it ends, "fall" off the end, "return" or "revert".
+    inner yields the runs of what a modifier's `_` runs; it is None in a
+    function body."""
+    if i == len(body):
+        yield (), "fall"
+        return
+    for writes, end in _step(body[i], inner, stranger):
+        if end == "fall":
+            for rest, last in _runs(body, i + 1, inner, stranger):
+                yield writes + rest, last
+        else:
+            yield writes, end
+
+
+def _step(stmt, inner, stranger: bool):
+    cls = type(stmt)
+    if cls is ast.ExprStmt:
+        yield (stmt,) if _is_write(stmt) else (), "fall"
+    elif cls is ast.Require:
+        for value in _outcomes(stmt.condition, stranger):
+            yield (), "fall" if value else "revert"
+    elif cls is ast.If:
+        for value in _outcomes(stmt.condition, stranger):
+            yield from _runs(stmt.then_body if value else stmt.else_body, 0, inner, stranger)
+    elif cls is ast.Revert:
+        yield (), "revert"
+    elif cls is ast.Return:
+        yield (), "return"
+    elif cls is ast.Placeholder and inner is not None:
+        # A return in what `_` runs ends that level only.
+        for writes, end in inner():
+            yield writes, "revert" if end == "revert" else "fall"
+    else:
+        yield (), "fall"
+
+
+def _level_runs(levels: list, k: int, stranger: bool):
+    """The runs of levels[k:], each modifier's `_` running the levels inside it."""
+    inner = (lambda: _level_runs(levels, k + 1, stranger)) if k + 1 < len(levels) else None
+    return _runs(levels[k].body, 0, inner, stranger)
+
+
+def reference_solidity_verdicts(contract: ast.ContractDecl) -> dict:
+    """Per balance-write statement (`bals[k] = v;`) of each function body,
+    by the statement's `at`: False when a stranger run executes it and ends
+    without a revert, True when only a run of some other sender does, None
+    when no run does. A function runs its modifiers by name, outermost
+    first, the function body at the innermost `_`."""
+    verdicts = {}
+    for function in contract.functions:
+        levels = [m for name in function.modifier_invocations
+                  for m in contract.modifiers if m.name == name] + [function]
+        committed = {stranger: {id(w) for writes, end in _level_runs(levels, 0, stranger)
+                                if end != "revert" for w in writes}
+                     for stranger in (True, False)}
+        for stmt in _writes(function.body):
+            verdicts[stmt.at] = False if id(stmt) in committed[True] else \
+                True if id(stmt) in committed[False] else None
+    return verdicts
+
+
+def _is_write(stmt) -> bool:
+    """`bals[k] = v;`: a write to the balance mapping of the generated bodies."""
+    expr = stmt.expr
+    return type(expr) is ast.Assign and type(expr.lvalue) is ast.Index \
+        and type(expr.lvalue.base) is ast.Identifier and expr.lvalue.base.name == "bals"
+
+
+def _writes(body: list):
+    """Every balance-write statement of body, at any depth."""
+    for stmt in body:
+        if type(stmt) is ast.If:
+            yield from _writes(stmt.then_body)
+            yield from _writes(stmt.else_body)
+        elif type(stmt) is ast.ExprStmt and _is_write(stmt):
+            yield stmt

@@ -27,14 +27,9 @@ from centriscan.engine import (
 )
 from centriscan.flow import compute_guardedness
 from centriscan.report import Evidence, build_report, render_report
-from centriscan.solidity.detectors import (
-    find_fund_modifications,
-    find_sender_guards,
-)
-from centriscan.solidity.symbols import collect_state_vars
 from centriscan.teal.absint import abstract_exec_block
 from centriscan.teal.cfg import build_cfg
-from centriscan.teal.detectors import find_fund_mod_points, find_guard_points
+from centriscan.teal.detectors import find_fund_mod_points, find_guard_points, success_ends
 from centriscan.teal.parser import parse_teal
 
 from helpers import (
@@ -42,7 +37,9 @@ from helpers import (
     corpus_text,
     parse_single_unit,
     random_cfg,
+    random_ends,
     random_guards_and_funds,
+    solidity_sites,
 )
 from oracle import oracle_verdicts
 from test_known_misses import _ROWS as KNOWN_MISS_ROWS
@@ -63,9 +60,7 @@ def criterion(number: int, description: str):
 def _solidity_sites(name: str):
     source = corpus_text("solidity", name)
     contract, tokens = parse_single_unit(source)
-    balances = collect_state_vars(contract, tokens, [])
-    guards = find_sender_guards(contract, tokens)
-    funds = find_fund_modifications(contract, tokens, balances)
+    _, guards, funds = solidity_sites(contract, tokens)
     return source, contract, guards, funds
 
 
@@ -73,7 +68,8 @@ def _teal_points(name: str):
     program = parse_teal(corpus_text("teal", name))
     cfg = build_cfg(program)
     facts = [abstract_exec_block(b, program, CONFIG, program.diagnostics) for b in cfg.blocks]
-    guards = find_guard_points(cfg, facts, program, program.diagnostics)
+    guards = find_guard_points(cfg, facts, program, success_ends(cfg, facts, program),
+                               program.diagnostics)
     funds = find_fund_mod_points(facts, program)
     return cfg, guards, funds
 
@@ -170,8 +166,9 @@ def test_criterion_4_guardedness_oracle_agreement():
             rng = random.Random(seed * 7919)
             cfg = random_cfg(rng)
             guards, funds = random_guards_and_funds(cfg, rng)
-            result = compute_guardedness(cfg, guards, funds, [])
-            assert result.verdicts == oracle_verdicts(cfg, guards, funds), seed
+            ends = random_ends(cfg, rng)
+            result = compute_guardedness(cfg, guards, funds, ends, [])
+            assert result.verdicts == oracle_verdicts(cfg, guards, funds, ends), seed
             cases += 1
         elapsed = time.perf_counter() - started
         assert cases >= 200

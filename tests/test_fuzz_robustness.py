@@ -125,7 +125,9 @@ def test_long_logical_chains_in_a_guard_do_not_blow_the_stack():
     chain = " && ".join(["x"] * 4999 + ["msg.sender == owner"])
     assert graded(f"require({chain});") == [("CENTRALIZATION_RISK", "MAJOR")]
     chain = " || ".join(["x"] * 4999 + ["msg.sender == owner"])
-    assert graded(f"if ({chain}) {{ }}") == [("CENTRALIZATION_RISK", "MAJOR")]
+    # A stranger takes the else edge, which reverts.
+    assert graded(f"if ({chain}) {{ }} else {{ revert(); }}") == [
+        ("CENTRALIZATION_RISK", "MAJOR")]
 
 
 def test_deeply_nested_mappings_do_not_blow_the_stack():

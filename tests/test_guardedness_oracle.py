@@ -4,24 +4,33 @@ import random
 import re
 import time
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from centriscan.flow import BRANCH_NOT_TAKEN, BRANCH_TAKEN, FALLTHROUGH, compute_guardedness
 from centriscan.report import classify
+from centriscan.solidity.detectors import find_fund_modifications, find_sender_guards
 from centriscan.teal.detectors import FundModPoint, GuardPoint, find_subjects
 
 from helpers import (
     block_of,
     cfg_from_sizes,
+    parse_single_unit,
     comb_cfg,
+    every_block,
     random_cfg,
+    random_ends,
     random_guards_and_funds,
     random_tied_cfg,
     run_fresh_python,
+    terminal_blocks,
 )
 from oracle import (
     oracle_verdicts,
     plain_reachable,
     reference_gates,
     reference_parents,
+    reference_solidity_verdicts,
     reference_witnesses,
 )
 
@@ -38,7 +47,7 @@ def _case(seed: int):
     rng = random.Random(seed)
     cfg = random_cfg(rng)
     guards, funds = random_guards_and_funds(cfg, rng)
-    return cfg, guards, funds
+    return cfg, guards, funds, random_ends(cfg, rng)
 
 
 def _write(cfg, q):
@@ -57,17 +66,17 @@ def _branch(cfg, q, non_fail_to, kind):
 
 def test_matches_oracle_on_random_cfgs():
     for seed in range(300):
-        cfg, guards, funds = _case(seed)
-        result = compute_guardedness(cfg, guards, funds, [])
-        expected = oracle_verdicts(cfg, guards, funds)
+        cfg, guards, funds, ends = _case(seed)
+        result = compute_guardedness(cfg, guards, funds, ends, [])
+        expected = oracle_verdicts(cfg, guards, funds, ends)
         assert result.verdicts == expected, f"seed={seed}"
 
 
 def test_witness_paths_are_valid():
     edge_set_cache = {}
     for seed in range(300):
-        cfg, guards, funds = _case(seed)
-        result = compute_guardedness(cfg, guards, funds, [])
+        cfg, guards, funds, ends = _case(seed)
+        result = compute_guardedness(cfg, guards, funds, ends, [])
         asserts = {g.instruction for g in guards if g.form == "AssertGuard"}
         pruned = {g.non_fail_edge for g in guards
                   if g.form == "BranchGuard" and g.non_fail_edge is not None}
@@ -101,12 +110,13 @@ def test_witnesses_match_reference_bfs():
     # Blocks of 1-8 instructions, so the path of fewest blocks is often not
     # the one of fewest instructions.
     for seed in range(300):
-        cfg, guards, funds = _case(seed)
-        # Also a write at the end of every block, so each block's witness is
-        # checked, not only those of the few random writes.
+        cfg, guards, funds, _ = _case(seed)
+        # Also a write at the end of every block, and every block an end, so
+        # each block's witness is checked, not only those of the few random
+        # writes.
         funds += [_write(cfg, b[-1]) for b in cfg.blocks]
-        result = compute_guardedness(cfg, guards, funds, [])
-        blocks, instructions = reference_witnesses(cfg, guards, funds)
+        result = compute_guardedness(cfg, guards, funds, every_block(cfg), [])
+        blocks, instructions = reference_witnesses(cfg, guards, funds, every_block(cfg))
         assert result.parents == reference_parents(cfg, guards), f"seed={seed}"
         assert result.witnesses == blocks, f"seed={seed}"
         assert result.witness_instructions == instructions, f"seed={seed}"
@@ -120,9 +130,9 @@ def _bounded(path):
     return f"{path[0]}->...(+{len(path) - 4})->" + "->".join(map(str, path[-3:]))
 
 
-def _printed_witnesses(cfg, guards, funds):
+def _printed_witnesses(cfg, guards, funds, ends):
     """Per unguarded write, the block text its finding prints."""
-    result = compute_guardedness(cfg, guards, funds, [])
+    result = compute_guardedness(cfg, guards, funds, ends, [])
     printed = {}
     for point in funds:
         if result.verdicts[point] is False:
@@ -137,11 +147,11 @@ def test_printed_witnesses_are_the_bounded_reference_paths():
     # every length from 1 to 20 blocks, on both sides of the 8-block cut.
     for n in range(1, 21):
         cfg = cfg_from_sizes([2] * n, [(b, b + 1, FALLTHROUGH) for b in range(n - 1)])
-        cases.append((cfg, [], [_write(cfg, b[-1]) for b in cfg.blocks]))
+        cases.append((cfg, [], [_write(cfg, b[-1]) for b in cfg.blocks], [n - 1]))
     lengths = set()
-    for case, (cfg, guards, funds) in enumerate(cases):
-        blocks, _ = reference_witnesses(cfg, guards, funds)
-        assert _printed_witnesses(cfg, guards, funds) == {
+    for case, (cfg, guards, funds, ends) in enumerate(cases):
+        blocks, _ = reference_witnesses(cfg, guards, funds, ends)
+        assert _printed_witnesses(cfg, guards, funds, ends) == {
             point: _bounded(path) for point, path in blocks.items()}, f"case={case}"
         lengths.update(map(len, blocks.values()))
     assert lengths >= set(range(1, 21))
@@ -158,11 +168,12 @@ def test_tie_heavy_cfgs_match_the_reference_bfs():
         cfg = random_tied_cfg(rng)
         guards, funds = random_guards_and_funds(cfg, rng)
         funds += [_write(cfg, b.start) for b in cfg.blocks]
-        result = compute_guardedness(cfg, guards, funds, [])
-        blocks, instructions = reference_witnesses(cfg, guards, funds)
+        result = compute_guardedness(cfg, guards, funds, every_block(cfg), [])
+        blocks, instructions = reference_witnesses(cfg, guards, funds, every_block(cfg))
         reached = plain_reachable(cfg)
         assert result.parents == reference_parents(cfg, guards), f"seed={seed}"
-        assert result.tails == {p: _bounded(path) for p, path in blocks.items()}, f"seed={seed}"
+        assert {p: result.tail(p) for p in result.witnesses} == {
+            p: _bounded(path) for p, path in blocks.items()}, f"seed={seed}"
         assert (result.witnesses, result.witness_instructions) == (blocks, instructions)
         assert result.verdicts == {
             p: False if p in blocks else True if p.instruction in reached else None
@@ -171,18 +182,20 @@ def test_tie_heavy_cfgs_match_the_reference_bfs():
 
 def test_gates_match_reference_on_random_cfgs():
     for seed in range(300):
-        cfg, guards, funds = _case(seed)
-        result = compute_guardedness(cfg, guards, funds, [])
+        cfg, guards, funds, ends = _case(seed)
+        result = compute_guardedness(cfg, guards, funds, ends, [])
         gates = {p: tuple(g.instruction for g in gs) for p, gs in result.gates.items()}
-        assert gates == reference_gates(cfg, guards, funds), f"seed={seed}"
+        assert gates == reference_gates(cfg, guards, funds, ends), f"seed={seed}"
         assert set(gates) == {p for p, v in result.verdicts.items() if v is True}
         assert all(gates.values()), f"seed={seed}"
 
 
 def _gates(cfg, guards, writes):
-    result = compute_guardedness(cfg, guards, writes, [])
+    """The gates of each write; the program ends at the blocks with no successors."""
+    ends = terminal_blocks(cfg)
+    result = compute_guardedness(cfg, guards, writes, ends, [])
     gates = {p: tuple(g.instruction for g in gs) for p, gs in result.gates.items()}
-    assert gates == reference_gates(cfg, guards, writes)
+    assert gates == reference_gates(cfg, guards, writes, ends)
     return [gates[w] for w in writes]
 
 
@@ -232,10 +245,10 @@ def _witness_to_last_block(sizes, edges):
     cfg = cfg_from_sizes(sizes, edges)
     last = cfg.blocks[-1].start
     point = FundModPoint(len(sizes) - 1, last, last + 1, "app_global_put", "MyBalance")
-    result = compute_guardedness(cfg, [], [point], [])
+    result = compute_guardedness(cfg, [], [point], [len(sizes) - 1], [])
     assert (result.witnesses, result.witness_instructions) == \
-        reference_witnesses(cfg, [], [point])
-    assert result.tails[point] == _bounded(result.witnesses[point])
+        reference_witnesses(cfg, [], [point], [len(sizes) - 1])
+    assert result.tail(point) == _bounded(result.witnesses[point])
     return result.witnesses[point], result.witness_instructions[point]
 
 
@@ -288,18 +301,18 @@ def test_comb_witnesses_take_linear_time():
     # entry's earlier edge, so rung i's witness is entry, A_1..A_i, rung i.
     small = comb_cfg(12)
     writes = _comb_writes(small, 12)
-    result = compute_guardedness(small, [], writes, [])
+    result = compute_guardedness(small, [], writes, terminal_blocks(small), [])
     assert (result.witnesses, result.witness_instructions) == \
-        reference_witnesses(small, [], writes)
+        reference_witnesses(small, [], writes, terminal_blocks(small))
     n = 20_000
     cfg = comb_cfg(n)
     writes = _comb_writes(cfg, n)
     start = time.perf_counter()
-    result = compute_guardedness(cfg, [], writes, [])
+    result = compute_guardedness(cfg, [], writes, terminal_blocks(cfg), [])
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0, f"{elapsed:.2f} s"
     # Rung i's witness has i + 2 blocks; from rung 7 on it is cut.
-    assert [result.tails[w] for w in writes] == [
+    assert [result.tail(w) for w in writes] == [
         _bounded((*range(i + 1), 2 * n + i)) if i < 7
         else f"0->...(+{i - 2})->{i - 1}->{i}->{2 * n + i}" for i in range(1, n + 1)]
 
@@ -311,8 +324,9 @@ def test_guard_monotonicity():
         guards, funds = random_guards_and_funds(cfg, rng)
         if not funds:
             continue
-        with_guards = compute_guardedness(cfg, guards, funds, []).verdicts
-        without = compute_guardedness(cfg, [], funds, []).verdicts
+        ends = random_ends(cfg, rng)
+        with_guards = compute_guardedness(cfg, guards, funds, ends, []).verdicts
+        without = compute_guardedness(cfg, [], funds, ends, []).verdicts
         for point in funds:
             # Removing all guards can only move verdicts toward unguarded.
             if without[point] is None:
@@ -322,7 +336,7 @@ def test_guard_monotonicity():
         # Adding a guard never makes a guarded point unguarded.
         extra_rng = random.Random(seed)
         extra, _ = random_guards_and_funds(cfg, extra_rng)
-        grown = compute_guardedness(cfg, guards + extra, funds, []).verdicts
+        grown = compute_guardedness(cfg, guards + extra, funds, ends, []).verdicts
         for point in funds:
             if with_guards[point] is True:
                 assert grown[point] is True
@@ -333,6 +347,55 @@ def test_reachable_points_without_guards_are_all_unguarded():
         rng = random.Random(20_000 + seed)
         cfg = random_cfg(rng)
         _, funds = random_guards_and_funds(cfg, rng)
-        verdicts = compute_guardedness(cfg, [], funds, []).verdicts
+        verdicts = compute_guardedness(cfg, [], funds, random_ends(cfg, rng), []).verdicts
         for point, verdict in verdicts.items():
             assert verdict in (False, None)
+
+
+# Generated Solidity bodies: writes, other statements, guards, ends and
+# nested `if`/`else` on sender and other conditions.
+_CONDITIONS = ("msg.sender == owner", "msg.sender != owner", "owner == msg.sender",
+               "x > 0", "y > 0")
+_SIMPLE = st.sampled_from((
+    "bals[to] = 1;", "bals[to] = 2;", "x = 1;", "require(msg.sender == owner);",
+    "require(msg.sender != owner);", "require(x > 0);", "revert();", "return;"))
+
+
+def _if_statement(condition, then, otherwise):
+    text = f"if ({condition}) {{ {' '.join(then)} }}"
+    return text if otherwise is None else f"{text} else {{ {' '.join(otherwise)} }}"
+
+
+_STATEMENTS = st.recursive(_SIMPLE, lambda inner: st.builds(
+    _if_statement, st.sampled_from(_CONDITIONS), st.lists(inner, max_size=3),
+    st.none() | st.lists(inner, max_size=3)), max_leaves=8)
+_BODIES = st.lists(_STATEMENTS, max_size=5)
+
+
+@given(st.lists(_BODIES, min_size=1, max_size=2), st.none() | st.tuples(_BODIES, st.integers(0, 5)))
+@example([["bals[to] = 1;"], ["x = 1;"]], (["require(msg.sender == owner);"], 0))
+@example([["bals[to] = 1;"]], (["require(msg.sender == owner);", "x = 1;"], 1))
+@settings(max_examples=300, deadline=None)
+def test_lowered_solidity_agrees_with_the_stranger_run_reference(bodies, modifier):
+    # Per write, the flow query over the lowered contract says what the
+    # reference finds by running the AST: unguarded when a stranger run
+    # commits it, guarded when only another sender's does, dead when none
+    # does. The modifier checks before or after its `_`, or not at all, and
+    # the functions running it share one copy of it.
+    source = "contract C { address owner; uint x; uint y; mapping(address => uint) bals;\n"
+    invoked = ""
+    if modifier is not None:
+        statements, at = modifier
+        statements = [*statements[:at], "_;", *statements[at:]]
+        source += f"modifier m() {{ {' '.join(statements)} }}\n"
+        invoked = " m"
+    for i, body in enumerate(bodies):
+        source += f"function f{i}(address to) public{invoked} {{ {' '.join(body)} }}\n"
+    source += "}"
+    contract, tokens = parse_single_unit(source)
+    lowering = find_sender_guards(contract, tokens, frozenset({"bals"}), [])
+    funds = find_fund_modifications(lowering)
+    verdicts = compute_guardedness(lowering.cfg, lowering.guards, funds, lowering.ends,
+                                   []).verdicts
+    assert {(p.evidence.line, p.evidence.column): v for p, v in verdicts.items()} == {
+        tokens.position(at): v for at, v in reference_solidity_verdicts(contract).items()}

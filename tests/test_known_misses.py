@@ -172,6 +172,17 @@ _ROWS = [
     _holds(13, "assignment-as-argument", _payout("f(bals[to] = 0);"), [(*WARNING, 3)]),
     _holds(13, "step-under-minus", _payout("x = -bals[to]--;"), [(*WARNING, 3)]),
     _holds(13, "send-in-new-argument", _payout("x = new T(to.send(1));"), [(*WARNING, 3)]),
+    # Call options and named arguments are `name: expression` pairs: a value
+    # option moves funds after any callee, and every value is scanned.
+    _holds(13, "gas-option-variable-value", _payout('to.call{gas: value}("");'), []),
+    _holds(13, "send-in-gas-option", _payout('to.call{gas: g(to.send(1))}("");'),
+           [(*WARNING, 3)]),
+    _holds(13, "send-in-named-argument", _payout("g({to: to, ok: to.send(1)});"),
+           [(*WARNING, 3)]),
+    _holds(13, "value-option-on-any-member", _payout("token.deposit{value: 1}();"),
+           [(*WARNING, 3)]),
+    _holds(13, "value-option-on-new", _payout("x = new T{value: 1}(to);"), [(*WARNING, 3)]),
+    _holds(13, "value-named-argument", _payout("g({value: 1});"), []),
     # A ternary is no guard, whatever its branches compare.
     _holds(13, "sender-check-in-ternary",
            _drain("require(c ? msg.sender == owner : false);"), [(*WARNING, 3)]),
@@ -183,12 +194,23 @@ _ROWS = [
            [(*INFO, 3)]),
     # Item 3: a write is guarded when every path to it crosses a guard, not
     # when its function holds one.
-    _miss(3, "write-after-sender-if", _drain("if (msg.sender == owner) { owner = to; }"),
-          [(*WARNING, 3)]),
-    _miss(3, "require-under-unrelated-if", _drain("if (x > 0) { require(msg.sender == owner); }"),
-          [(*WARNING, 3)]),
-    _miss(3, "stranger-returns-early", _drain("if (msg.sender != owner) { return; }"),
-          [(*MAJOR, 3)]),
+    _holds(3, "write-after-sender-if", _drain("if (msg.sender == owner) { owner = to; }"),
+           [(*WARNING, 3)]),
+    _holds(3, "require-under-unrelated-if",
+           _drain("if (x > 0) { require(msg.sender == owner); }"), [(*WARNING, 3)]),
+    _holds(3, "stranger-returns-early", _drain("if (msg.sender != owner) { return; }"),
+           [(*MAJOR, 3)]),
+    _holds(3, "sender-if-else-write", _STATE + "function drain(address to) public { "
+           + "if (msg.sender == owner) { x = 1; } else { bals[to] = 0; } }\n}\n",
+           [(*WARNING, 3)]),
+    # A write counts for a stranger only on a run that then ends without
+    # reverting: a guard after the write holds it as one before it does.
+    _holds(3, "write-then-require", _STATE + "function drain(address to) public { "
+           + "bals[to] = 0; require(msg.sender == owner); }\n}\n", [(*MAJOR, 3)]),
+    _holds(3, "modifier-checks-after-placeholder", _STATE
+           + "modifier m() { _; require(msg.sender == owner); }\n"
+           + "function drain(address to) public m { bals[to] = 0; }\n}\n", [(*MAJOR, 4)]),
+    _holds(3, "write-after-revert", _drain("revert();"), []),
     _holds(3, "stranger-reverts", _drain("if (msg.sender != owner) { revert(); }"),
            [(*MAJOR, 3)]),
     _holds(3, "require-then-unrelated-if",
@@ -203,6 +225,9 @@ _ROWS = [
           + _PUT + _ACCEPT + "del:\nint 0\nreturn\n", [(*MAJOR, 12)], analyze_teal_source),
     _holds(2, "teal-creator-asserted-put", "#pragma version 6\n" + _CREATOR + _PUT + _ACCEPT,
            [(*MAJOR, 8)], analyze_teal_source),
+    # Item 3: a put before a creator assert commits for the creator alone.
+    _holds(3, "teal-put-then-creator-assert", "#pragma version 6\n" + _PUT + _CREATOR + _ACCEPT,
+           [(*MAJOR, 4)], analyze_teal_source),
     # Item 5: a guard is only as strong as the writes to its owner.
     _miss(5, "teal-unguarded-setmgr", _MANAGER.format(guard=""), [(*WARNING, 13)],
           analyze_teal_source),

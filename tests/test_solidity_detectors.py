@@ -10,22 +10,16 @@ from centriscan.config import AnalyzerConfig
 from centriscan.engine import analyze_solidity_source
 from centriscan.report import Evidence
 from centriscan.solidity import ast
-from centriscan.solidity.detectors import (
-    find_fund_modifications,
-    find_sender_guards,
-    pair_detections,
-)
-from centriscan.solidity.symbols import collect_state_vars
+from centriscan.solidity.detectors import find_fund_modifications, pair_detections
 
-from helpers import corpus_text, parse_single_unit
+from helpers import corpus_text, parse_single_unit, solidity_sites
 
 CONFIG = AnalyzerConfig()
 
 
 def _sites(contract, tokens):
-    balances = collect_state_vars(contract, tokens, [])
-    return (find_sender_guards(contract, tokens),
-            find_fund_modifications(contract, tokens, balances))
+    """The guard and fund sites, each the `at` of its declaration and its Evidence."""
+    return solidity_sites(contract, tokens)[1:]
 
 
 def _analyze(source: str):
@@ -51,8 +45,12 @@ def _fund(source: str, at: str, statement: str) -> Evidence:
 
 def _pair(source: str, diagnostics: list):
     """The subjects pair_detections makes of source's one contract."""
-    contract, tokens = parse_single_unit(source)
-    return pair_detections(contract, tokens, *_sites(contract, tokens), diagnostics)
+    return _pair_contract(*parse_single_unit(source), diagnostics)
+
+
+def _pair_contract(contract, tokens, diagnostics: list):
+    lowering = solidity_sites(contract, tokens, diagnostics)[0]
+    return pair_detections(lowering, tokens, find_fund_modifications(lowering), diagnostics)
 
 
 # Each site is the `at` of the declaration it sits in and its evidence.
@@ -343,9 +341,10 @@ def test_a_fund_move_anywhere_in_an_expression_is_found(expr, place):
 
 
 # The fields of an expression node that hold no expression to walk: its
-# span, a name, member or operator, and a call's `{value: x}` block, which
-# is an opaque span.
-_NOT_CHILDREN = frozenset({"at", "end", "name", "member", "op", "options"})
+# span and a name, member, operator or list of option names.
+_NOT_CHILDREN = frozenset({"at", "end", "name", "member", "op", "names"})
+# The fields that hold a list of expressions.
+_LISTS = frozenset({"args", "values"})
 
 
 def test_a_fund_move_in_any_child_of_any_expression_node_is_found():
@@ -361,17 +360,18 @@ def test_a_fund_move_in_any_child_of_any_expression_node_is_found():
     for cls in ast.Expr.__subclasses__():
         for child in (field for field in cls._fields if field not in _NOT_CHILDREN):
             values = {"at": send.at, "end": send.end, "name": "x", "member": "x", "op": "!",
-                      "options": None}
-            values.update((field, [] if field == "args" else name)
+                      "names": ["gas"], "options": None}
+            values.update((field, [] if field in _LISTS else name)
                           for field in cls._fields if field not in values)
-            values[child] = [send] if child == "args" else send
+            values[child] = [send] if child in _LISTS else ast.Pairs(
+                send.at, send.end, ["gas"], [send]) if child == "options" else send
             stmt.expr = cls(*(values[field] for field in cls._fields))
-            funds = find_fund_modifications(contract, tokens, frozenset())
-            assert [evidence for _, evidence in funds] == [
+            assert [evidence for _, evidence in _sites(contract, tokens)[1]] == [
                 _fund(source, "to.send", "to.send(1);")], (cls, child)
             checked.append((cls.__name__, child))
     assert {("Unary", "operand"), ("Conditional", "condition"), ("Conditional", "if_true"),
-            ("Conditional", "if_false"), ("CallExpr", "args")} <= set(checked)
+            ("Conditional", "if_false"), ("CallExpr", "args"), ("CallExpr", "options"),
+            ("Pairs", "values")} <= set(checked)
 
 
 def _opcodes(call) -> int:
@@ -394,16 +394,22 @@ def _opcodes(call) -> int:
 
 
 def test_detector_cost_grows_linearly_with_if_nesting():
-    # Both detectors walk the statements of nested `if`s with their own
-    # stack, so twice the nesting costs about twice the opcodes; a
-    # generator per level would make each statement cost its depth.
-    def cost(depth):
+    # The lowering, the fund scan and the flow query read each statement and
+    # block a bounded number of times, so twice the nesting, or twice the
+    # functions, costs about twice the opcodes: a level that re-read the
+    # ones inside it, or a dispatcher that gathered every function's guards,
+    # would not. Each function's write comes before its guard, so the flow
+    # query also looks for the guards after it.
+    def cost(depth, functions):
+        function = ("function f(address to) public { " + "if (a == b) { x = 1; " * depth
+                    + "bals[to] = 0; " + "} " * depth + "require(msg.sender == owner); }\n")
         contract, tokens = parse_single_unit(
-            "contract C { mapping(address => uint) bals; function f(address to) public { "
-            + "if (a == b) { x = 1; " * depth + "bals[to] = 0; " + "} " * depth + "} }")
-        return _opcodes(lambda: _sites(contract, tokens))
+            "contract C { address owner; mapping(address => uint) bals;\n"
+            + function * functions + "}")
+        return _opcodes(lambda: _pair_contract(contract, tokens, []))
 
-    assert cost(48) / cost(24) <= 2.2
+    assert cost(48, 1) / cost(24, 1) <= 2.2
+    assert cost(4, 64) / cost(4, 32) <= 2.2
 
 
 def test_no_prefix_operator_but_bang_passes_a_sender_comparison_on():
@@ -431,11 +437,20 @@ def test_revert_guard_counts_as_require_form():
     assert guards == [(contract.functions[0].at, _guard(source, "if", "msg.sender != owner"))]
 
 
-def test_neq_without_revert_is_not_a_guard():
-    _, guards, _ = _analyze(
-        "contract C { address owner; function f() public {"
-        " if (msg.sender != owner) { x = 1; } } }")
-    assert guards == []
+def test_neq_if_is_a_guard_whose_else_edge_is_authorized():
+    # A stranger takes the then edge of `if (msg.sender != owner)`: a write
+    # there, or after the `if` when its then branch goes on, is unguarded;
+    # a write in its else branch is the owner's alone.
+    source = ("contract C { address owner; mapping(address => uint) bals;\n"
+              "function f(address to) public { if (msg.sender != owner) { x = 1; } {} } }")
+    contract, guards, _ = _analyze(source)
+    assert guards == [(contract.functions[0].at, _guard(source, "if", "msg.sender != owner"))]
+    for where, graded in (("{ x = 1; } bals[to] = 0;", "WARNING"),
+                          ("{ bals[to] = 0; }", "WARNING"),
+                          ("{ x = 1; } else { bals[to] = 0; }", "MAJOR")):
+        findings, _ = analyze_solidity_source(
+            source.replace("{ x = 1; } {}", where), "c.sol", CONFIG)
+        assert [f.severity for f in findings] == [graded], where
 
 
 def test_tx_origin_is_not_the_sender():
@@ -555,12 +570,16 @@ def test_if_scope_covers_then_branch_only():
               " if (msg.sender == owner) { bals[owner] = 1; }"
               " bals[owner] = 2; } }")
     contract, guards, funds = _analyze(source)
-    # The detectors find the guard and both writes; pairing them is scoped
-    # per function, so the write after the block counts as guarded too.
+    # The detectors find the guard and both writes; a stranger skips the
+    # then branch and reaches the write after it, so the function's finding
+    # lists that write alone.
     at = contract.functions[0].at
     assert guards == [(at, _guard(source, "if", "msg.sender == owner"))]
     assert funds == [(at, _fund(source, "bals[owner] = 1;", "bals[owner] = 1;")),
                      (at, _fund(source, "bals[owner] = 2;", "bals[owner] = 2;"))]
+    (finding,), _ = analyze_solidity_source(source, "c.sol", CONFIG)
+    assert (finding.severity, [e.text for e in finding.evidence]) == (
+        "WARNING", ["bals[owner] = 2;"])
 
 
 def test_eq_comparison_preferred_over_earlier_neq():

@@ -187,10 +187,39 @@ def test_call_options_block():
     body, tokens = parse_function('to.call{value: amount}(""); to.call("");')
     options, plain = (stmt.expr for stmt in body)
     assert isinstance(options, ast.CallExpr) and isinstance(plain, ast.CallExpr)
-    # The options block is a span, as every other region of source.
-    assert isinstance(options.options, ast.OpaqueExpr)
+    # The options block holds its names and their expressions.
+    assert isinstance(options.options, ast.Pairs)
     assert tokens.text(options.options.at, options.options.end) == "{value: amount}"
+    assert options.options.names == ["value"]
+    assert [type(v) for v in options.options.values] == [ast.Identifier]
     assert plain.options is None
+
+
+def test_one_reader_for_options_and_named_arguments():
+    # After a member, after `new T` and as a call's one argument, `{a: x}`
+    # is read as Pairs; each value is an expression.
+    body, tokens = parse_function(
+        'x.f{gas: g(1), value: 2}(a); x = new T{value: 1}(t); g({to: t, ok: t.send(1)});')
+    member, new, named = (stmt.expr for stmt in body)
+    assert member.options.names == ["gas", "value"]
+    assert type(member.options.values[0]) is ast.CallExpr
+    created = new.rvalue.operand
+    assert (type(new.rvalue), created.callee.name, created.options.names) == (
+        ast.Unary, "T", ["value"])
+    (pairs,) = named.args
+    assert type(pairs) is ast.Pairs and pairs.names == ["to", "ok"]
+    assert tokens.text(pairs.values[1].at, pairs.values[1].end) == "t.send(1)"
+
+
+def test_options_that_are_no_pairs_are_skipped_to_their_brace():
+    # An odd block after a name is read to its `}`, and nothing is lost
+    # after it: the next statement still parses.
+    unit = parse_solidity("contract C { function f() public { "
+                          "x.f{value: 1, 2 + 3}(a); g({a: 1 2}); bals[t] = 0; } }")
+    body = unit.contracts[0].functions[0].body
+    assert [type(s) for s in body] == [ast.ExprStmt] * 3
+    assert body[0].expr.options.names == ["value"]
+    assert unit.diagnostics == []
 
 
 def test_loops_become_opaque():

@@ -28,7 +28,8 @@ from centriscan.teal.absint import (
     abstract_exec_block,
 )
 from centriscan.teal.cfg import build_cfg
-from centriscan.teal.detectors import _is_failure_region, find_fund_mod_points, find_guard_points
+from centriscan.teal.detectors import (_is_failure_region, find_fund_mod_points, find_guard_points,
+                                       success_ends)
 from centriscan.teal.parser import TealProgram, parse_teal
 
 from helpers import block_of, corpus_text, random_cfg
@@ -38,14 +39,16 @@ CONFIG = AnalyzerConfig()
 
 
 def _pipeline(source: str, config: AnalyzerConfig = CONFIG):
-    """Each stage's notes go to program.diagnostics, as in the engine."""
+    """Each stage's notes go to program.diagnostics, as in the engine; last
+    the blocks at whose end the program may succeed."""
     program = parse_teal(source)
     diagnostics = program.diagnostics
     cfg = build_cfg(program)
     facts = [abstract_exec_block(b, program, config, diagnostics) for b in cfg.blocks]
-    guards = find_guard_points(cfg, facts, program, diagnostics)
+    ends = success_ends(cfg, facts, program)
+    guards = find_guard_points(cfg, facts, program, ends, diagnostics)
     funds = find_fund_mod_points(facts, program)
-    return program, cfg, guards, funds
+    return program, cfg, guards, funds, ends
 
 
 def _fail_target(cfg, guard):
@@ -56,13 +59,13 @@ def _fail_target(cfg, guard):
 
 
 def test_assert_pattern_yields_one_assert_guard():
-    _, _, guards, _ = _pipeline(corpus_text("teal", "row1_assert.teal"))
+    _, _, guards, _, _ = _pipeline(corpus_text("teal", "row1_assert.teal"))
     assert [g.form for g in guards] == [ASSERT_GUARD]
     assert guards[0].privileged_source == 'app_global_get["manager"]'
 
 
 def test_branch_pattern_yields_one_branch_guard():
-    program, cfg, guards, _ = _pipeline(corpus_text("teal", "row2_branch.teal"))
+    program, cfg, guards, _, _ = _pipeline(corpus_text("teal", "row2_branch.teal"))
     assert [g.form for g in guards] == [BRANCH_GUARD]
     guard = guards[0]
     failed_block = block_of(cfg)[program.labels["failed"]]
@@ -72,7 +75,7 @@ def test_branch_pattern_yields_one_branch_guard():
 
 
 def test_self_comparison_yields_no_guard_points():
-    _, _, guards, _ = _pipeline(corpus_text("teal", "neg_self_compare.teal"))
+    _, _, guards, _, _ = _pipeline(corpus_text("teal", "neg_self_compare.teal"))
     assert guards == []
 
 
@@ -81,7 +84,7 @@ def test_branch_to_non_failure_region_is_not_a_guard():
         'byte "manager"\napp_global_get\ntxn Sender\n==\nbz other\n'
         "int 1\nreturn\nother:\nint 1\nreturn\n"
     )
-    program, _, guards, _ = _pipeline(source)
+    program, _, guards, _, _ = _pipeline(source)
     assert guards == []
     assert any("does not gate a failure path" in d.message for d in program.diagnostics)
 
@@ -91,7 +94,7 @@ def test_branch_to_return_zero_is_a_guard():
         'byte "manager"\napp_global_get\ntxn Sender\n==\nbz bad\n'
         "int 1\nreturn\nbad:\nint 0\nreturn\n"
     )
-    _, _, guards, _ = _pipeline(source)
+    _, _, guards, _, _ = _pipeline(source)
     assert [g.form for g in guards] == [BRANCH_GUARD]
 
 
@@ -101,7 +104,7 @@ def test_fail_target_jumping_to_success_is_not_a_guard():
         'byte "manager"\napp_global_get\ntxn Sender\n==\nbz bad\n'
         "int 1\nreturn\nbad:\nb ok\nok:\nint 1\nreturn\n"
     )
-    program, _, guards, _ = _pipeline(source)
+    program, _, guards, _, _ = _pipeline(source)
     assert guards == []
     assert any("does not gate a failure path" in d.message for d in program.diagnostics)
 
@@ -124,7 +127,7 @@ def test_fail_target_reaching_err_two_blocks_later_is_a_guard():
         'byte "manager"\napp_global_get\ntxn Sender\n==\nbz bad\n'
         "int 1\nreturn\nbad:\nb worse\nworse:\nb worst\nworst:\nerr\n"
     )
-    program, cfg, guards, _ = _pipeline(source)
+    program, cfg, guards, _, _ = _pipeline(source)
     assert [g.form for g in guards] == [BRANCH_GUARD]
     assert _fail_target(cfg, guards[0]) == block_of(cfg)[program.labels["bad"]]
 
@@ -162,8 +165,9 @@ def test_failure_regions_agree_with_the_reachable_set_rule():
         cfg = random_cfg(rng)
         program, facts = _random_block_ends(cfg, rng)
         succeeding = []
+        ends = success_ends(cfg, facts, program)
         for block in rng.sample(range(len(cfg.blocks)), len(cfg.blocks)):
-            assert _is_failure_region(cfg, facts, program, block, succeeding) == \
+            assert _is_failure_region(cfg, ends, block, succeeding) == \
                 reference_is_failure_region(cfg, facts, program, block), f"seed={seed}"
 
 
@@ -286,38 +290,38 @@ def test_bnz_with_neq_polarity_orients_fail_edge_to_fallthrough():
         'byte "manager"\napp_global_get\ntxn Sender\n!=\nbnz bad\n'
         "int 1\nreturn\nbad:\nerr\n"
     )
-    program, cfg, guards, _ = _pipeline(source)
+    program, cfg, guards, _, _ = _pipeline(source)
     assert [g.form for g in guards] == [BRANCH_GUARD]
     assert _fail_target(cfg, guards[0]) == block_of(cfg)[program.labels["bad"]]
 
 
 def test_balance_put_yields_fund_point():
-    _, _, _, funds = _pipeline(corpus_text("teal", "row3_put.teal"))
+    _, _, _, funds, _ = _pipeline(corpus_text("teal", "row3_put.teal"))
     assert [(p.opcode, p.key) for p in funds] == [("app_local_put", "MyBalance")]
 
 
 def test_color_key_put_yields_no_fund_point():
     # Hand evaluation of the default rule: "color" is not in the exact list
     # and does not contain "balance" case-insensitively.
-    _, _, _, funds = _pipeline(corpus_text("teal", "neg_color_put.teal"))
+    _, _, _, funds, _ = _pipeline(corpus_text("teal", "neg_color_put.teal"))
     assert funds == []
 
 
 def test_non_constant_key_yields_no_point_with_note():
-    program, _, _, funds = _pipeline(corpus_text("teal", "neg_nonconst_key.teal"))
+    program, _, _, funds, _ = _pipeline(corpus_text("teal", "neg_nonconst_key.teal"))
     assert funds == []
     assert any("non-constant key" in d.message for d in program.diagnostics)
 
 
 def test_guarded_concatenation_is_guarded():
-    _, cfg, guards, funds = _pipeline(corpus_text("teal", "guarded_put.teal"))
-    result = compute_guardedness(cfg, guards, funds, [])
+    _, cfg, guards, funds, ends = _pipeline(corpus_text("teal", "guarded_put.teal"))
+    result = compute_guardedness(cfg, guards, funds, ends, [])
     assert [result.verdicts[p] for p in funds] == [True]
 
 
 def test_unguarded_put_with_witness():
-    _, cfg, guards, funds = _pipeline(corpus_text("teal", "row3_put.teal"))
-    result = compute_guardedness(cfg, guards, funds, [])
+    _, cfg, guards, funds, ends = _pipeline(corpus_text("teal", "row3_put.teal"))
+    result = compute_guardedness(cfg, guards, funds, ends, [])
     assert [result.verdicts[p] for p in funds] == [False]
     assert result.witnesses[funds[0]] == (0,)
 
@@ -332,9 +336,9 @@ def test_guard_and_put_in_parallel_branches_is_unguarded():
         "putside:\n"
         'int 0\nbyte "MyBalance"\nint 5\napp_local_put\nint 1\nreturn\n'
     )
-    _, cfg, guards, funds = _pipeline(source)
+    _, cfg, guards, funds, ends = _pipeline(source)
     assert len(guards) == 1 and len(funds) == 1
-    result = compute_guardedness(cfg, guards, funds, [])
+    result = compute_guardedness(cfg, guards, funds, ends, [])
     assert result.verdicts[funds[0]] is False
     witness = result.witnesses[funds[0]]
     assert len(witness) == 2  # entry block -> put block, one edge
@@ -348,9 +352,9 @@ def test_guard_on_one_of_two_merging_paths_is_unguarded():
         "skip:\n"
         'int 0\nbyte "MyBalance"\nint 5\napp_local_put\nint 1\nreturn\n'
     )
-    _, cfg, guards, funds = _pipeline(source)
+    _, cfg, guards, funds, ends = _pipeline(source)
     assert len(guards) == 1 and len(funds) == 1
-    result = compute_guardedness(cfg, guards, funds, [])
+    result = compute_guardedness(cfg, guards, funds, ends, [])
     assert result.verdicts[funds[0]] is False
 
 
@@ -365,22 +369,26 @@ def test_branch_guard_protects_fallthrough_region():
         'int 0\nbyte "MyBalance"\nint 5\napp_local_put\nint 1\nreturn\n'
         "failed:\nerr\n"
     )
-    _, cfg, guards, funds = _pipeline(source)
-    result = compute_guardedness(cfg, guards, funds, [])
+    _, cfg, guards, funds, ends = _pipeline(source)
+    result = compute_guardedness(cfg, guards, funds, ends, [])
     assert result.verdicts[funds[0]] is True
 
 
-def test_put_inside_failure_region_is_unguarded():
+def test_put_inside_failure_region_is_dead():
+    # Every run through the put ends at `err`, so no sender commits it.
     source = (
         'byte "Creator"\napp_global_get\ntxn Sender\n==\nbz failed\n'
         "int 1\nreturn\n"
         "failed:\n"
         'int 0\nbyte "MyBalance"\nint 5\napp_local_put\nerr\n'
     )
-    _, cfg, guards, funds = _pipeline(source)
+    _, cfg, guards, funds, ends = _pipeline(source)
     assert len(guards) == 1
-    result = compute_guardedness(cfg, guards, funds, [])
-    assert result.verdicts[funds[0]] is False
+    diagnostics = []
+    result = compute_guardedness(cfg, guards, funds, ends, diagnostics)
+    assert result.verdicts[funds[0]] is None
+    assert [d.message for d in diagnostics] == [
+        "every path through the fund modification at line 12 fails"]
 
 
 def test_dead_code_put_reports_not_applicable():
@@ -390,20 +398,20 @@ def test_dead_code_put_reports_not_applicable():
         "dead:\n"
         'int 0\nbyte "MyBalance"\nint 5\napp_local_put\nint 1\nreturn\n'
     )
-    _, cfg, guards, funds = _pipeline(source)
-    result = compute_guardedness(cfg, guards, funds, diagnostics)
+    _, cfg, guards, funds, ends = _pipeline(source)
+    result = compute_guardedness(cfg, guards, funds, ends, diagnostics)
     assert result.verdicts[funds[0]] is None
     assert any("unreachable" in d.message for d in diagnostics)
 
 
 def test_conservatism_no_sender_no_guards():
     source = 'byte "manager"\napp_global_get\nint 1\n==\nassert\nint 1\nreturn'
-    _, _, guards, _ = _pipeline(source)
+    _, _, guards, _, _ = _pipeline(source)
     assert guards == []
 
 
 def test_conservatism_no_put_no_fund_points():
-    _, _, _, funds = _pipeline(corpus_text("teal", "row1_assert.teal"))
+    _, _, _, funds, _ = _pipeline(corpus_text("teal", "row1_assert.teal"))
     assert funds == []
 
 
@@ -422,10 +430,10 @@ def test_weakened_guard_still_guards_with_note():
         'byte "manager"\napp_global_get\ntxn Sender\n==\nint 1\n||\nassert\n'
         'int 0\nbyte "MyBalance"\nint 5\napp_local_put\nint 1\nreturn\n'
     )
-    program, cfg, guards, funds = _pipeline(source)
+    program, cfg, guards, funds, ends = _pipeline(source)
     assert len(guards) == 1
     assert any("weakened guard" in d.message for d in program.diagnostics)
-    result = compute_guardedness(cfg, guards, funds, [])
+    result = compute_guardedness(cfg, guards, funds, ends, [])
     assert result.verdicts[funds[0]] is True
 
 
@@ -433,7 +441,7 @@ def test_negated_assert_is_not_a_guard():
     for negated in ("!=", "==\n!"):
         source = (f'byte "manager"\napp_global_get\ntxn Sender\n{negated}\n'
                   'assert\nint 1\nreturn')
-        program, _, guards, _ = _pipeline(source)
+        program, _, guards, _, _ = _pipeline(source)
         assert guards == [], negated
         assert any("negated sender comparison" in d.message
                    for d in program.diagnostics), negated
@@ -442,7 +450,7 @@ def test_negated_assert_is_not_a_guard():
 def test_negated_eq_branch_to_err_guards_the_put():
     source = ('txn Sender\nglobal CreatorAddress\n==\n!\nbnz fail\n'
               'byte "MyBalance"\nint 5\napp_global_put\nint 1\nreturn\nfail:\nerr\n')
-    program, cfg, guards, _ = _pipeline(source)
+    program, cfg, guards, _, _ = _pipeline(source)
     assert [(g.form, g.description) for g in guards] == [
         (BRANCH_GUARD, "bnz: txn Sender != CreatorAddress")]
     assert _fail_target(cfg, guards[0]) == block_of(cfg)[program.labels["fail"]]
@@ -485,7 +493,7 @@ def test_hex_owner_key_makes_a_guard():
     # "manager" in hex, read by app_global_get and compared with the sender.
     source = ('byte 0x6d616e61676572\napp_global_get\ntxn Sender\n==\nassert\n'
               'int 0\nbyte b64 TXlCYWxhbmNl\nint 5\napp_local_put\nint 1\nreturn')
-    _, _, guards, funds = _pipeline(source)
+    _, _, guards, funds, _ = _pipeline(source)
     assert [(g.form, g.privileged_source) for g in guards] == [
         (ASSERT_GUARD, 'app_global_get["manager"]')]
     assert [(p.opcode, p.key) for p in funds] == [("app_local_put", "MyBalance")]
@@ -522,10 +530,10 @@ def _dispatch_chain(n: int) -> str:
 
 def test_unguarded_put_behind_long_dispatch_chain():
     n = 200
-    _, cfg, guards, funds = _pipeline(_dispatch_chain(n))
+    _, cfg, guards, funds, ends = _pipeline(_dispatch_chain(n))
     assert guards == [] and len(funds) == 1
     point = funds[0]
-    result = compute_guardedness(cfg, guards, funds, [])
+    result = compute_guardedness(cfg, guards, funds, ends, [])
     assert result.verdicts[point] is False
     path = result.witnesses[point]
     assert path == (*range(n), 2 * n)
@@ -578,7 +586,8 @@ def test_stage_outputs_follow_instruction_and_block_order(pieces):
     diagnostics = program.diagnostics
     cfg = build_cfg(program)
     facts = [abstract_exec_block(b, program, CONFIG, diagnostics) for b in cfg.blocks]
-    for points in (find_guard_points(cfg, facts, program, diagnostics),
+    for points in (find_guard_points(cfg, facts, program, success_ends(cfg, facts, program),
+                                     diagnostics),
                    find_fund_mod_points(facts, program)):
         instructions = [p.instruction for p in points]
         assert all(a < b for a, b in zip(instructions, instructions[1:])), instructions

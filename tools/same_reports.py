@@ -12,6 +12,9 @@ text report (`text`) and the text run's stderr, which holds the
 diagnostics (`stderr`). Each line gives the SHA-256 prefix of both outputs
 and, when the JSON reports' bytes differ, whether their `json.loads` values
 are still equal ("same JSON, bytes differ"), as when only the layout moved.
+Under a JSON line whose findings differ, one line per finding that only
+one side has, as `- KIND SEVERITY FILE:LINE` for REV's and `+ ...` for the
+working tree's, so a changed grade shows as a `-` and a `+` line.
 Exits 1 if any pair's bytes differ.
 
 Standard library only. It is not part of the test suite: a run scans about
@@ -23,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections import Counter
 import subprocess
 import sys
 import tempfile
@@ -92,6 +96,20 @@ def _verdict(output: str, old: bytes, new: bytes) -> str:
     return "DIFFERENT (JSON differs)"
 
 
+def _findings(report: bytes) -> Counter:
+    """Each finding of a JSON report as (kind, severity, FILE:LINE)."""
+    return Counter((f["kind"], f["severity"], f"{f['file']}:{f['line']}")
+                   for f in json.loads(report)["findings"])
+
+
+def _changed_findings(old: bytes, new: bytes) -> list[str]:
+    """The findings only one report has, REV's first, each sorted."""
+    before, after = _findings(old), _findings(new)
+    return [f"    {sign} {' '.join(finding)}"
+            for sign, only in (("-", before - after), ("+", after - before))
+            for finding in sorted(only.elements())]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -108,6 +126,9 @@ def main(argv: list[str]) -> int:
                 differ += old != new
                 print(f"{label:<22} {output:<6} {argv[0][:12]:>12} {_digest(old)}  "
                       f"working tree {_digest(new)}  {_verdict(output, old, new)}")
+                if output == "json" and old != new:
+                    for line in _changed_findings(old, new):
+                        print(line)
     return 1 if differ else 0
 
 
