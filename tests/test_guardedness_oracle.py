@@ -372,21 +372,28 @@ _STATEMENTS = st.recursive(_SIMPLE, lambda inner: st.builds(
 _BODIES = st.lists(_STATEMENTS, max_size=5)
 
 
-@given(st.lists(_BODIES, min_size=1, max_size=2), st.none() | st.tuples(_BODIES, st.integers(0, 5)))
-@example([["bals[to] = 1;"], ["x = 1;"]], (["require(msg.sender == owner);"], 0))
-@example([["bals[to] = 1;"]], (["require(msg.sender == owner);", "x = 1;"], 1))
+# Where a modifier runs the function: its `_`, alone or inside an `if`.
+_PLACEHOLDERS = st.sampled_from(("_;", "if (msg.sender == owner) { _; }",
+                                 "if (x > 0) { _; } else { revert(); }",
+                                 "if (msg.sender != owner) { return; } _;"))
+
+
+@given(st.lists(_BODIES, min_size=1, max_size=2),
+       st.none() | st.tuples(_BODIES, st.integers(0, 5), _PLACEHOLDERS))
+@example([["bals[to] = 1;"], ["x = 1;"]], (["require(msg.sender == owner);"], 0, "_;"))
+@example([["bals[to] = 1;"]], (["require(msg.sender == owner);", "x = 1;"], 1, "_;"))
 @settings(max_examples=300, deadline=None)
 def test_lowered_solidity_agrees_with_the_stranger_run_reference(bodies, modifier):
     # Per write, the flow query over the lowered contract says what the
     # reference finds by running the AST: unguarded when a stranger run
     # commits it, guarded when only another sender's does, dead when none
-    # does. The modifier checks before or after its `_`, or not at all, and
-    # the functions running it share one copy of it.
+    # does. The modifier checks before or after its `_`, which may sit in an
+    # `if`, or not at all, and the functions running it share one copy of it.
     source = "contract C { address owner; uint x; uint y; mapping(address => uint) bals;\n"
     invoked = ""
     if modifier is not None:
-        statements, at = modifier
-        statements = [*statements[:at], "_;", *statements[at:]]
+        statements, at, placeholder = modifier
+        statements = [*statements[:at], placeholder, *statements[at:]]
         source += f"modifier m() {{ {' '.join(statements)} }}\n"
         invoked = " m"
     for i, body in enumerate(bodies):
