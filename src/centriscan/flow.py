@@ -12,9 +12,11 @@ authorized edge). It is guarded iff another run commits it, else dead. A
 breadth-first search gives each block reached guard-free its parent: an
 unguarded write's witness, printed from the parents on read, is the
 guard-free path from entry with the fewest blocks, and where two such
-paths part it takes the earlier successor edge. A guarded write's gates
-are the last guard on each of its entry paths and, when a guard-free path
-reaches it, the first guard on each of its runs on to an end.
+paths part it takes the earlier successor edge. A guarded write's gates,
+computed on first read, are the last guard on each of its entry paths and,
+when a guard-free path reaches it, the first guard on each of its runs on
+to an end; carrying the search on past its stops and pruned edges finds
+whether a write is reachable from entry at all.
 """
 
 from __future__ import annotations
@@ -59,19 +61,47 @@ def reaching(cfg: Cfg, targets) -> set[int]:
 
 
 class GuardednessResult(Record):
-    """Verdicts; per guarded write its gates, sorted by instruction.
-    `parents` is the BFS parent tree the witnesses follow (block -> the
-    block it was entered from; entry has none), `depth` each block's depth
-    in it. An unguarded write's printed witness (`tail`) and its full block
-    and instruction paths are derived from them on read."""
-    __slots__ = ("cfg", "verdicts", "gates", "parents", "depth")
+    """Verdicts; per guarded write its gates, sorted by instruction, computed
+    on first read from the inputs left in `_gates`. `parents` is the BFS
+    parent tree the witnesses follow (block -> the block it was entered
+    from; entry has none), `depth` each block's depth in it. An unguarded
+    write's printed witness (`tail`) and its full block and instruction
+    paths are derived from them on read."""
+    __slots__ = ("cfg", "verdicts", "_gates", "parents", "depth")
+    _fields = ("cfg", "verdicts", "gates", "parents", "depth")
 
     def __init__(self, cfg: Cfg):
         self.cfg = cfg
         self.verdicts: dict = {}  # fund point -> True, False, or None when dead
-        self.gates: dict = {}  # fund point -> guard points
+        self._gates: dict | tuple = {}  # fund point -> guard points, or their inputs
         self.parents: dict[int, int] = {}
         self.depth: dict[int, int] = {}
+
+    @property
+    def gates(self) -> dict:
+        """Per guarded write, its guard points, computed on the first read."""
+        if type(self._gates) is not tuple:
+            return self._gates
+        guards_in, predecessors, ends, reached_free = self._gates
+        gates_into = _gates_into(self.cfg.successors, (0,),
+                                 {b: (held[-1],) for b, held in guards_in.items()})
+        gates = self._gates = {}
+        for point, verdict in self.verdicts.items():
+            if verdict:
+                held = gates_into[point.block]
+                for p in guards_in.get(point.block, ()):
+                    if p.instruction < point.instruction:
+                        held = (p,)  # the last guard before the write in its block
+                if len(held) > 1:
+                    held = gates_into[point.block] = tuple(sorted(held, key=_instruction))
+                gates[point] = held
+        if reached_free:  # the first guard on each of their runs on to an end
+            after = _gates_into(predecessors, ends, {b: (p[0],) for b, p in guards_in.items()})
+            for w in reached_free:  # a write's first guard in its block on, else after it
+                rest = [p for p in guards_in.get(w.block, ()) if p.instruction >= w.instruction]
+                held = gates[w] + (tuple(rest[:1]) or after[w.block])
+                gates[w] = tuple(sorted(set(held), key=_instruction))
+        return gates
 
     def tail(self, point) -> str:
         """An unguarded write's printed witness, "0->1->2->7" or, when longer
@@ -115,8 +145,8 @@ def compute_guardedness(cfg: Cfg, guard_points: list, fund_points: list, ends,
     if not cfg.blocks or not fund_points:
         return result
 
-    pruned_edges = {p.non_fail_edge for p in guard_points
-                    if p.form == BRANCH_GUARD and p.non_fail_edge is not None}
+    branch_guards = [p for p in guard_points if p.form == BRANCH_GUARD]
+    pruned_edges = {*map(attrgetter("non_fail_edge"), branch_guards)} - {None}
     # Guards per block in instruction order; the last one is what a path
     # leaving the block has passed last. A block's first assert guard is
     # where a path through it halts.
@@ -129,17 +159,21 @@ def compute_guardedness(cfg: Cfg, guard_points: list, fund_points: list, ends,
 
     result.parents, result.depth = _reach(cfg, first_stop, pruned_edges)
     depth = result.depth
-    gates_into = _gates_into(cfg.successors, (0,),
-                             {b: (held[-1],) for b, held in guards_in.items()})
+    reached = set(depth)  # grown past the search's stops and pruned edges to all
+    stack = [*(guards_in.keys() & depth.keys())]
+    while stack:
+        for to, _kind in cfg.successors[stack.pop()]:
+            if to not in reached:
+                reached.add(to)
+                stack.append(to)
     # The passes back from ends keep to the blocks the writes' blocks reach.
     blocks = {p.block for p in fund_points}
     predecessors = _forward(cfg, blocks)
-    ends = [b for b in ends if b in predecessors]
+    ends = predecessors.keys() & ends
     committing = _backward(predecessors, ends, (), ())
     # Where a guard-free run may go on to an end, if one reaches a write.
-    free_ends = _backward(predecessors, [b for b in ends if all(
-        p.form == ASSERT_GUARD for p in guards_in.get(b, ()))], pruned_edges, first_stop
-    ) if not blocks.isdisjoint(depth) else ()
+    free_ends = _backward(predecessors, ends.difference(map(attrgetter("block"), branch_guards)),
+                          pruned_edges, first_stop) if not blocks.isdisjoint(depth) else ()
 
     reached_free = []  # guarded points a guard-free path from entry reaches
     for point in fund_points:
@@ -147,31 +181,18 @@ def compute_guardedness(cfg: Cfg, guard_points: list, fund_points: list, ends,
         free = block in depth and point.instruction <= first_stop.get(block, point.instruction)
         if free and block in free_ends:
             result.verdicts[point] = False
-        elif block in gates_into and block in committing:
+        elif block in reached and block in committing:
             result.verdicts[point] = True
-            gates = gates_into[block]
-            for p in guards_in.get(block, ()):
-                if p.instruction < point.instruction:
-                    gates = (p,)  # the last guard before the write in its block
-            if len(gates) > 1:
-                gates = gates_into[block] = tuple(sorted(gates, key=_instruction))
-            result.gates[point] = gates
             if free:
                 reached_free.append(point)
         else:
             result.verdicts[point] = None  # dead code
             diagnostics.append(Diagnostic(
                 f"fund modification at line {point.line} is unreachable from program entry"
-                if block not in gates_into else
+                if block not in reached else
                 f"every path through the fund modification at line {point.line} fails",
                 point.line))
-    if reached_free:  # the first guard on each of their runs on to an end
-        after = _gates_into(predecessors, ends, {b: (held[0],) for b, held in guards_in.items()})
-        for point in reached_free:
-            gates = result.gates[point] + tuple(next(
-                ((p,) for p in guards_in.get(point.block, ()) if p.instruction >= point.instruction),
-                after[point.block]))
-            result.gates[point] = tuple(sorted(set(gates), key=_instruction))
+    result._gates = (guards_in, predecessors, ends, reached_free)
     return result
 
 
@@ -195,8 +216,8 @@ def _backward(predecessors: dict, targets: list[int], cut, halts) -> set[int]:
     """The blocks of predecessors with a path into one of targets, targets
     included, that crosses no (from, to, kind) edge in cut and enters no
     block in halts."""
-    stack = [b for b in targets if b not in halts]
-    seen = set(stack)
+    seen = set(targets).difference(halts)
+    stack = [*seen]
     while stack:
         to = stack.pop()
         for frm, kind in predecessors[to]:

@@ -95,19 +95,20 @@ class BlockFacts(Record):
     """What one block's abstract run found: sender-comparison asserts and
     balance writes (index -> (opcode, key)) keyed by instruction index, in
     ascending order; the sender comparison popped by the `bz`/`bnz` that
-    ends the block; and the value popped by the `return` that ends it."""
+    ends the block; and the value popped by the `return` that ends it. A
+    map becomes a dict of its own on its first entry; most stay empty."""
     __slots__ = ("guard_points", "fund_mods", "branch_guard", "returned")
 
     def __init__(self):
-        self.guard_points, self.fund_mods = {}, {}
+        self.guard_points = self.fund_mods = _NO_ENTRIES
         self.branch_guard: SenderCmp | None = None
         self.returned: AbstractValue | None = None
 
 
-# The facts of every block that abstract_exec_block skips unread: one record
-# whose maps are empty and read-only, so a skipped block costs no record.
+# The empty, read-only map a block's facts hold until their first entry,
+# and the facts of every block that abstract_exec_block skips unread.
+_NO_ENTRIES = MappingProxyType({})
 EMPTY_FACTS = BlockFacts()
-EMPTY_FACTS.guard_points = EMPTY_FACTS.fund_mods = MappingProxyType({})
 
 
 def _int_value(immediate: str) -> AbstractValue:
@@ -290,6 +291,7 @@ def abstract_exec_block(
         elif op == "assert":
             value = pop()
             if isinstance(value, SenderCmp):
+                facts.guard_points = facts.guard_points or {}
                 facts.guard_points[index] = value
         elif op == "bz" or op == "bnz":
             value = pop()
@@ -330,6 +332,7 @@ def abstract_exec_block(
 def _record_put(facts, index, opcode, key, line, config, diagnostics) -> None:
     if isinstance(key, ByteConst):
         if config.is_balance_key(key.value):
+            facts.fund_mods = facts.fund_mods or {}
             facts.fund_mods[index] = (opcode, key.value)
     else:
         diagnostics.append(Diagnostic(

@@ -7,6 +7,8 @@ become the subjects the risk engine grades.
 
 from __future__ import annotations
 
+from itertools import filterfalse
+from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from ..diagnostics import Diagnostic
@@ -39,20 +41,19 @@ def success_ends(cfg: Cfg, facts: list[BlockFacts], program: TealProgram) -> set
     """The blocks at whose end the program may finish successfully: every
     ending but `err` and a `return` of a proven zero. A branch to the label
     after the last instruction, or a conditional one that falls off the
-    end, ends the program with what is on the stack."""
-    n = len(program.opcodes)
-    ends = set()
-    for block, instructions in enumerate(cfg.blocks):
-        end = instructions.stop
-        last = program.opcodes[end - 1]
-        if last in BRANCH_OPCODES:
-            immediates = program.immediates[end - 1]
-            if immediates and program.labels.get(immediates[0]) == n or last != "b" and end == n:
-                ends.add(block)
-                continue
-        if not cfg.successors[block] and last != "err" and (
-                last != "return" or facts[block].returned != IntConst(0)):
+    end, ends the program with what is on the stack. Blocks with successors
+    are read only when such a label exists."""
+    opcodes, blocks, ends = program.opcodes, cfg.blocks, set()
+    for block in filterfalse(cfg.successors.__getitem__, range(len(blocks))):
+        last, returned = opcodes[blocks[block].stop - 1], facts[block].returned
+        if last != "err" and (last != "return" or type(returned) is not IntConst or returned.value):
             ends.add(block)
+    if blocks and opcodes[-1] in ("bz", "bnz"):
+        ends.add(len(blocks) - 1)
+    if len(opcodes) in program.labels.values():
+        at_end = {label for label, target in program.labels.items() if target == len(opcodes)}
+        ends.update(b for b, block in enumerate(blocks) if opcodes[block[-1]] in BRANCH_OPCODES
+                    and not at_end.isdisjoint(program.immediates[block[-1]][:1]))
     return ends
 
 
@@ -80,10 +81,8 @@ def find_guard_points(
                 continue
             _note_weakened(diagnostics, cmp, line)
             source = render_value(cmp.source)
-            points.append(GuardPoint(
-                ASSERT_GUARD, block, index, line, source,
-                f"assert: txn Sender == {source}",
-            ))
+            points.append(GuardPoint(ASSERT_GUARD, block, index, line, source,
+                                     f"assert: txn Sender == {source}"))
         if block_facts.branch_guard is not None:
             point = _branch_guard(cfg, facts, block, program, ends, diagnostics, succeeding)
             if point is not None:
@@ -106,10 +105,7 @@ def _branch_guard(cfg, facts, block, program, ends, diagnostics, succeeding
     authorized_on_true = cmp.polarity == "eq"
     # bz branches when the comparison is 0, bnz when it is nonzero; the fail
     # candidate is whichever edge the unauthorized sender takes.
-    if opcode == "bz":
-        fail_kind = BRANCH_TAKEN if authorized_on_true else BRANCH_NOT_TAKEN
-    else:
-        fail_kind = BRANCH_NOT_TAKEN if authorized_on_true else BRANCH_TAKEN
+    fail_kind = BRANCH_TAKEN if (opcode == "bz") == authorized_on_true else BRANCH_NOT_TAKEN
     outgoing = {kind: to for to, kind in cfg.successors[block]}
     fail_target = outgoing.get(fail_kind)
     if fail_target is None:
@@ -122,10 +118,7 @@ def _branch_guard(cfg, facts, block, program, ends, diagnostics, succeeding
         return None
     _note_weakened(diagnostics, cmp, line)
     other_kind = BRANCH_NOT_TAKEN if fail_kind == BRANCH_TAKEN else BRANCH_TAKEN
-    non_fail_to = outgoing.get(other_kind)
-    non_fail_edge = None
-    if non_fail_to is not None:
-        non_fail_edge = (block, non_fail_to, other_kind)
+    non_fail_edge = (block, outgoing[other_kind], other_kind) if other_kind in outgoing else None
     source = render_value(cmp.source)
     operator = "==" if cmp.polarity == "eq" else "!="
     return GuardPoint(
@@ -151,16 +144,9 @@ def _is_failure_region(cfg: Cfg, ends: set[int], start_block: int,
 def find_fund_mod_points(facts: list[BlockFacts], program: TealProgram) -> list[FundModPoint]:
     """One point per state write whose constant key matches the balance rule,
     in instruction order."""
-    points: list[FundModPoint] = []
-    for block, block_facts in enumerate(facts):
-        if block_facts is EMPTY_FACTS:
-            continue
-        for index, (opcode, key) in block_facts.fund_mods.items():
-            points.append(FundModPoint(
-                block, index, program.lines[index],
-                opcode, key,
-            ))
-    return points
+    return [FundModPoint(block, index, program.lines[index], opcode, key)
+            for block, fund_mods in enumerate(map(attrgetter("fund_mods"), facts)) if fund_mods
+            for index, (opcode, key) in fund_mods.items()]
 
 
 def find_subjects(
@@ -169,15 +155,17 @@ def find_subjects(
     guardedness: GuardednessResult,
 ) -> Iterator[Subject]:
     """One subject per reachable write, with the guards that gate it; in a
-    program with no write, one per guard."""
+    program with no write, one per guard. The gates are read, and so
+    computed, when the first subject is asked for."""
+    verdicts, gates = guardedness.verdicts, guardedness.gates
     for point in fund_points:
-        verdict = guardedness.verdicts.get(point)
+        verdict = verdicts.get(point)
         if verdict is not None:  # an unreachable write is only a diagnostic
             key = string_literal(point.key)
             yield Subject(
                 point.line, 1, f"state write to balance key {key}",
                 tuple(Evidence("guard", g.line, 1, g.description)
-                      for g in guardedness.gates.get(point, ())),
+                      for g in gates.get(point, ())),
                 (Evidence("fund_modification", point.line, 1, f"{point.opcode} key {key}"),),
                 "" if verdict else f" (blocks {guardedness.tail(point)})")
     if not fund_points:

@@ -58,6 +58,25 @@ def run_fresh_python(code: str, *args: str) -> str:
     return run.stdout
 
 
+def opcodes_executed(call) -> int:
+    """The bytecode instructions that call() executes, counted through
+    sys.settrace: a cost that does not depend on the host's speed."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        frame.f_trace_opcodes = True
+        count += event == "opcode"
+        return trace
+
+    sys.settrace(trace)
+    try:
+        call()
+    finally:
+        sys.settrace(None)
+    return count
+
+
 def corpus_path(language: str, name: str) -> str:
     return os.path.join(CORPUS_DIR, language, name)
 

@@ -34,6 +34,9 @@ entered other than entry, the block before it on its path.
 block reachable from the start, collected anew for each start, may only
 end the program unsuccessfully.
 
+`reference_success_ends` is the reference for the blocks at whose end a
+TEAL program may succeed: it asks every block the same question in turn.
+
 `reference_parse_teal` is the reference TEAL parser: it decodes every line
 at every occurrence and checks every instruction for a branch target.
 
@@ -311,6 +314,28 @@ def reference_is_failure_region(cfg: Cfg, facts: list[BlockFacts], program: Teal
     return True
 
 
+def _may_succeed(cfg: Cfg, facts: list[BlockFacts], program: TealProgram, block: int) -> bool:
+    """True iff the program may end successfully at the end of block: every
+    ending but `err` and a `return` of a proven zero. A branch to the label
+    after the last instruction, or a conditional one that falls off the
+    end, ends the program with what is on the stack."""
+    end = cfg.blocks[block].stop
+    last = program.opcodes[end - 1]
+    if last in BRANCH_OPCODES:
+        immediates = program.immediates[end - 1]
+        n = len(program.opcodes)
+        if immediates and program.labels.get(immediates[0]) == n or last != "b" and end == n:
+            return True
+    if cfg.successors[block] or last == "err":
+        return False
+    return last != "return" or facts[block].returned != IntConst(0)
+
+
+def reference_success_ends(cfg: Cfg, facts: list[BlockFacts], program: TealProgram) -> set[int]:
+    """The blocks for which _may_succeed holds, each asked in turn."""
+    return {b for b in range(len(cfg.blocks)) if _may_succeed(cfg, facts, program, b)}
+
+
 # The parser's grammar, copied so that a change to it shows as a disagreement.
 _STRING = r'"(?:\\.|[^"\\])*(?:"|\\)?'
 _CODE = re.compile(r'(?:[^"/]+|/(?!/)|' + _STRING + ")*", re.DOTALL)
@@ -449,7 +474,7 @@ def reference_exec_block(
         elif op == "assert":
             value = stack.pop()
             if isinstance(value, SenderCmp):
-                facts.guard_points[index] = value
+                facts.guard_points = {**facts.guard_points, index: value}
         elif op == "app_local_put":
             stack.pop()  # value
             key = stack.pop()

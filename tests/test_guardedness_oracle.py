@@ -7,12 +7,17 @@ import time
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from centriscan import flow
+from centriscan.config import AnalyzerConfig
+from centriscan.engine import analyze_solidity_source
 from centriscan.flow import BRANCH_NOT_TAKEN, BRANCH_TAKEN, FALLTHROUGH, compute_guardedness
 from centriscan.report import classify
 from centriscan.solidity.detectors import find_fund_modifications, find_sender_guards
 from centriscan.teal.detectors import FundModPoint, GuardPoint, find_subjects
 
 from helpers import (
+    SOLIDITY_CORPUS,
+    all_corpus_files,
     block_of,
     cfg_from_sizes,
     parse_single_unit,
@@ -188,6 +193,42 @@ def test_gates_match_reference_on_random_cfgs():
         assert gates == reference_gates(cfg, guards, funds, ends), f"seed={seed}"
         assert set(gates) == {p for p, v in result.verdicts.items() if v is True}
         assert all(gates.values()), f"seed={seed}"
+
+
+def test_gates_are_computed_on_their_first_read_only(monkeypatch):
+    # The query leaves the gates to their first read; a second read gives
+    # the same values without running the gate passes again.
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return gates_into(*args)
+
+    gates_into = flow._gates_into
+    monkeypatch.setattr(flow, "_gates_into", counted)
+    for seed in range(200):
+        cfg, guards, funds, ends = _case(seed)
+        result = compute_guardedness(cfg, guards, funds, ends, [])
+        assert calls == [], f"seed={seed}"
+        first = dict(result.gates)
+        passes = len(calls)
+        assert result.gates == first and len(calls) == passes <= 2, f"seed={seed}"
+        calls.clear()
+
+
+def test_a_solidity_analysis_computes_no_gates(monkeypatch):
+    # pair_detections reads only the verdicts.
+    def no_gates(*args):
+        raise AssertionError("a gate pass ran")
+
+    monkeypatch.setattr(flow, "_gates_into", no_gates)
+    kinds = set()
+    for path in all_corpus_files():
+        if path.startswith(SOLIDITY_CORPUS):
+            with open(path, encoding="utf-8") as fh:
+                findings, _ = analyze_solidity_source(fh.read(), path, AnalyzerConfig())
+            kinds.update(f.kind for f in findings)
+    assert kinds == {"CENTRALIZATION_RISK", "PRIVILEGED_FUNCTION", "UNPROTECTED_FUND_MODIFICATION"}
 
 
 def _gates(cfg, guards, writes):

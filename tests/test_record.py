@@ -89,8 +89,12 @@ def test_mutable_fields_are_fresh_per_instance():
     p.opcodes.append("int")
     p.labels["x"] = 0
     assert (q.opcodes, q.labels) == ([], {})
+    # A block's facts share one read-only empty map until a write gives
+    # them a dict of their own.
     f, g = BlockFacts(), BlockFacts()
-    f.guard_points[1] = SenderCmp(SENDER, "eq")
+    with pytest.raises(TypeError):
+        f.guard_points[1] = SenderCmp(SENDER, "eq")
+    f.guard_points = {1: SenderCmp(SENDER, "eq")}
     assert g.guard_points == {} and f != g
     cfg = Cfg([], [])
     v, w = GuardednessResult(cfg), GuardednessResult(cfg)

@@ -1,7 +1,6 @@
 """Guard/fund-site detection and per-function pairing on the Solidity AST."""
 
 import random
-import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +11,7 @@ from centriscan.report import Evidence
 from centriscan.solidity import ast
 from centriscan.solidity.detectors import find_fund_modifications, pair_detections
 
-from helpers import corpus_text, parse_single_unit, solidity_sites
+from helpers import corpus_text, opcodes_executed, parse_single_unit, solidity_sites
 
 CONFIG = AnalyzerConfig()
 
@@ -374,25 +373,6 @@ def test_a_fund_move_in_any_child_of_any_expression_node_is_found():
             ("Pairs", "values")} <= set(checked)
 
 
-def _opcodes(call) -> int:
-    """The bytecode instructions that call() executes, counted through
-    sys.settrace: a cost that does not depend on the host's speed."""
-    count = 0
-
-    def trace(frame, event, arg):
-        nonlocal count
-        frame.f_trace_opcodes = True
-        count += event == "opcode"
-        return trace
-
-    sys.settrace(trace)
-    try:
-        call()
-    finally:
-        sys.settrace(None)
-    return count
-
-
 def test_detector_cost_grows_linearly_with_if_nesting():
     # The lowering, the fund scan and the flow query read each statement and
     # block a bounded number of times, so twice the nesting, or twice the
@@ -406,7 +386,7 @@ def test_detector_cost_grows_linearly_with_if_nesting():
         contract, tokens = parse_single_unit(
             "contract C { address owner; mapping(address => uint) bals;\n"
             + function * functions + "}")
-        return _opcodes(lambda: _pair_contract(contract, tokens, []))
+        return opcodes_executed(lambda: _pair_contract(contract, tokens, []))
 
     assert cost(48, 1) / cost(24, 1) <= 2.2
     assert cost(4, 64) / cost(4, 32) <= 2.2

@@ -29,11 +29,11 @@ from centriscan.teal.absint import (
 )
 from centriscan.teal.cfg import build_cfg
 from centriscan.teal.detectors import (_is_failure_region, find_fund_mod_points, find_guard_points,
-                                       success_ends)
+                                       find_subjects, success_ends)
 from centriscan.teal.parser import TealProgram, parse_teal
 
-from helpers import block_of, corpus_text, random_cfg
-from oracle import reference_is_failure_region
+from helpers import block_of, corpus_text, opcodes_executed, random_cfg
+from oracle import reference_is_failure_region, reference_success_ends
 
 CONFIG = AnalyzerConfig()
 
@@ -166,9 +166,39 @@ def test_failure_regions_agree_with_the_reachable_set_rule():
         program, facts = _random_block_ends(cfg, rng)
         succeeding = []
         ends = success_ends(cfg, facts, program)
+        assert ends == reference_success_ends(cfg, facts, program), f"seed={seed}"
         for block in rng.sample(range(len(cfg.blocks)), len(cfg.blocks)):
             assert _is_failure_region(cfg, ends, block, succeeding) == \
                 reference_is_failure_region(cfg, facts, program, block), f"seed={seed}"
+
+
+# Program pieces for success_ends: returns of a proven zero in each
+# spelling and of other values, err, retsub, an unknown opcode, and
+# branches to a label in the program, to `end` (the label after the last
+# instruction when the program gets one) and to an undefined label.
+_END_PIECES = [
+    "int 0\nreturn", "pushint 0\nreturn", "int 0x0\nreturn", "int NoOp\nreturn",
+    "int 1\nreturn", "int OptIn\nreturn", "return", "err", "retsub", "int 1", "mystery",
+    "L0:", "L1:", "callsub L1",
+    *(f"{op} {label}" for op in ("b", "bz", "bnz") for label in ("L0", "L1", "end", "nowhere")),
+]
+
+
+@given(st.lists(st.sampled_from(_END_PIECES), min_size=1, max_size=25), st.booleans())
+@example(["int 0\nreturn", "pushint 0\nreturn", "int 0x0\nreturn", "int NoOp\nreturn"], False)
+@example(["int 1", "bz end", "err", "retsub"], True)
+@example(["int 1", "bnz end", "b nowhere"], True)
+@example(["int 1", "bz nowhere", "int 1", "bnz nowhere"], False)
+@example(["L0:", "int 1", "bnz L0"], False)
+@example(["b end"], True)
+@settings(max_examples=400, deadline=None)
+def test_success_ends_match_the_per_block_reference(pieces, label_at_end):
+    # The reference asks every block whether the program may succeed at its
+    # end; success_ends reads only the blocks that can.
+    program = parse_teal("\n".join(pieces + ["end:"] * label_at_end))
+    cfg = build_cfg(program)
+    facts = [abstract_exec_block(b, program, CONFIG, []) for b in cfg.blocks]
+    assert success_ends(cfg, facts, program) == reference_success_ends(cfg, facts, program)
 
 
 def _creator_router(n: int) -> str:
@@ -223,6 +253,27 @@ def _pyteal_router(n: int) -> str:
     subroutines = "".join(f'credit_{k}:\nbyte "lpBalance"\nint {k}\napp_global_put\nretsub\n'
                           for k in range(len(_ROUTER_SHAPES) - 1, n, len(_ROUTER_SHAPES)))
     return f"#pragma version 8\n{dispatch}err\n{handlers}fail:\nerr\n{subroutines}"
+
+
+def test_detector_stage_cost_grows_linearly_with_router_size():
+    # The stages after the interpreter read each block, edge and point a
+    # bounded number of times, and success_ends only the blocks without
+    # successors, so twice the handlers cost about twice the opcodes: a
+    # stage that re-read the dispatch chain per handler would not.
+    def cost(n):
+        program = parse_teal(_pyteal_router(n))
+        cfg = build_cfg(program)
+        facts = [abstract_exec_block(b, program, CONFIG, []) for b in cfg.blocks]
+
+        def stages():
+            ends = success_ends(cfg, facts, program)
+            guards = find_guard_points(cfg, facts, program, ends, [])
+            funds = find_fund_mod_points(facts, program)
+            guardedness = compute_guardedness(cfg, guards, funds, ends, [])
+            list(find_subjects(guards, funds, guardedness))
+        return opcodes_executed(stages)
+
+    assert cost(280) / cost(140) <= 2.2
 
 
 def test_router_analysis_peak_memory_per_source_character():
